@@ -34,7 +34,15 @@ ROOT = HERE.parent
 SRC = ROOT / "src"
 OUT = ROOT / ".perfbench_out"
 NAMES = ("qubit-sweep", "pair-dense", "multipartite", "rank-deficient")
-SETUP_REPEATS = 3
+SETUP_REPEATS = 5
+# Calibration kinds of ``HostClock``: median time of one calibration on the
+# host where the benchmark was defined, calibration every this much call
+# time, and sizes (stack batch, plan size n, rows and columns of the QR).
+CALIBRATIONS = {
+    "small": (4.7e-3, 0.25, None),
+    "dense-64": (4.3e-2, 0.5, (48, 64, 8192, 96)),
+    "dense-256": (5.8e-2, 0.5, (8, 256, 131072, 8)),
+}
 UNITS = {
     "setup_s": "s",
     "instances_per_s": "1/s",
@@ -118,58 +126,97 @@ class Row:
 
 
 class HostClock:
-    """Host speed, from a fixed calibration timed between the calls.
+    """Host speed, from a fixed calibration timed next to every call.
 
-    On a shared host the speed of the same code drifts by up to 2x, for a
-    minute or more at a time.  The calibration is fixed numpy and interpreter
-    work that does not depend on qot, timed in the same stretches of time as
-    the calls, so dividing the calls' times by the host factor cancels most
-    of that drift.
+    On a shared host the speed of the same code drifts by up to 2x, from one
+    second to the next and for a minute or more at a time.  The calibration
+    is fixed numpy work that does not depend on qot.  It runs before every
+    call and after the last one, once per ``every_s`` of the call before it,
+    so each call sits between two blocks of calibration samples taken in the
+    same stretch of time.  A call's host factor is the mean of those two
+    blocks over the calibration's time on the reference host.
+
+    The calibration matches the workload's kind of work: tiny kernels with
+    Python work for the qubit and rank-deficient workloads, and dense
+    batched matmuls plus a tall QR near the workload's plan size for
+    pair-dense and multipartite, whose slowdowns followed a small-kernel
+    calibration only in part.
     """
 
-    # Median calibration time on the host where the benchmark was defined,
-    # when quiet; the time metrics are expressed on that host.
-    REFERENCE_S = 5.0e-3
-    # One calibration per this much call time, and at least one per call.
-    EVERY_S = 0.25
-
-    def __init__(self) -> None:
+    def __init__(self, kind: str) -> None:
         import numpy as np
 
         rng = np.random.default_rng(0)
         self._np = np
-        self._small = [rng.standard_normal((4, 4)) for _ in range(8)]
-        big = rng.standard_normal((96, 96)) + 1j * rng.standard_normal((96, 96))
-        self._big = big + big.conj().T
-        self.samples: list[float] = []
+        self.kind = kind
+        self.reference_s, self.every_s, sizes = CALIBRATIONS[kind]
+        if kind == "small":
+            g = rng.standard_normal((8, 4, 4)) + 1j * rng.standard_normal((8, 4, 4))
+            self._herm = list(g + g.conj().transpose(0, 2, 1))
+            self._tall = rng.standard_normal((16, 7))
+        else:
+            batch, n, rows, cols = sizes
+            self._ops = rng.standard_normal((batch, n, n)) + 1j * rng.standard_normal((batch, n, n))
+            self._r = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            self._tall = rng.standard_normal((rows, cols))
+        self._once()  # untimed: the first call allocates and faults in pages
+        self.blocks: list[list[float]] = []
+
+    def _once(self) -> None:
+        np = self._np
+        if self.kind == "small":  # the tiny kernels and Python work of an n=4 step
+            for i in range(40):
+                h = self._herm[i % 8]
+                w, q = np.linalg.eigh(h)
+                x = q @ np.diag(np.maximum(w, 1e-9)) @ q.conj().T
+                np.einsum("ab,ba->", x, h)
+                np.trace(np.kron(h[:2, :2], h[2:, 2:]))
+                r = np.linalg.qr(self._tall, mode="r")
+                np.linalg.solve(r.T @ r + np.eye(7), np.ones(7))
+                {"w": w.tolist(), "x": [float(v) for v in x.real.ravel()]}
+        else:  # the scaled constraint stack and the QR of the Schur factor
+            np.matmul(np.matmul(self._r.conj().T[None, :, :], self._ops), self._r)
+            np.linalg.qr(self._tall, mode="r")
 
     def calibrate(self, after_s: float) -> None:
-        """Time the calibration once per ``EVERY_S`` of the previous call."""
-        np = self._np
-        for _ in range(max(1, round(after_s / self.EVERY_S))):
+        """Time the calibration once per ``every_s`` of the previous call."""
+        block = []
+        for _ in range(max(1, round(after_s / self.every_s))):
             t0 = time.perf_counter()
-            for i in range(300):  # small calls with interpreter work, as in qot
-                m = self._small[i % 8]
-                np.linalg.eigvalsh(m + m.T)
-            np.linalg.eigh(self._big)  # and dense kernels
-            np.matmul(self._big, self._big)
-            self.samples.append(time.perf_counter() - t0)
+            self._once()
+            block.append(time.perf_counter() - t0)
+        self.blocks.append(block)
+
+    @property
+    def samples(self) -> list[float]:
+        return [t for block in self.blocks for t in block]
+
+    def factors(self) -> list[float]:
+        """Host factor of each call, from the blocks before and after it."""
+        return [statistics.fmean(before + after) / self.reference_s
+                for before, after in zip(self.blocks, self.blocks[1:])]
 
     def factor(self) -> float:
-        return statistics.median(self.samples) / self.REFERENCE_S
+        return statistics.median(self.samples) / self.reference_s
 
 
-def run_cycles(workload, recorder, budget: float, min_cycles: int = 1,
-               cycles: int | None = None, tracer=None, clock: HostClock | None = None):
-    """Run ``cycles`` whole cycles, or else at least ``min_cycles`` and then
-    the number of whole cycles whose timed total comes nearest to ``budget``.
-    A ``clock`` calibrates before every call."""
+def cycle_count(workload, seconds: float, least: int) -> int:
+    """Whole cycles, at least ``least``, for about ``seconds`` on the reference host.
+
+    The count depends only on ``seconds`` and the workload's nominal cycle
+    time, never on a clock, so a seed always gives the same instances, the
+    same outcomes and the same ``attempted`` and ``failed`` counts.
+    """
+    return max(least, round(seconds / workload.cycle_s))
+
+
+def run_cycles(workload, recorder, cycles: int, tracer=None,
+               clock: HostClock | None = None) -> list[Row]:
+    """Run ``cycles`` whole cycles.  A ``clock`` calibrates before every call
+    and after the last."""
     rows: list[Row] = []
-    timed = 0.0
-    c = 0
     dt = 0.0
-    while True:
-        cycle_start = timed
+    for c in range(cycles):
         for task in workload.cycle(c):
             if clock is not None:
                 clock.calibrate(dt)
@@ -185,13 +232,9 @@ def run_cycles(workload, recorder, budget: float, min_cycles: int = 1,
             verdict = task.check(out, solves)
             rows.append(Row(task.label, task.instances, dt, list(solves), verdict,
                             getattr(out, "seconds", None)))
-            timed += dt
-        c += 1
-        if cycles is not None:
-            if c >= cycles:
-                return rows, c
-        elif c >= min_cycles and timed + (timed - cycle_start) / 2 >= budget:
-            return rows, c
+    if clock is not None:
+        clock.calibrate(dt)
+    return rows
 
 
 def raw_latency(rows: list[Row]) -> str:
@@ -210,21 +253,34 @@ def raw_latency(rows: list[Row]) -> str:
     return f"raw: {rate:.4g} instances/s, median {xs[n // 2]:.4g} ms, tail {tail}"
 
 
-def end_to_end(rows: list[Row], setup_s: float, host_factor: float) -> dict:
+def trimmed_mean(xs: list[float]) -> float:
+    """Mean without the lowest and the highest tenth of the values.
+
+    The host flips between a fast and a slow state within seconds, so the
+    calls of one type fall into two groups; a median jumps between them when
+    the slow share of a run is near one half, a mean moves in proportion.
+    The trim drops rare stalls.
+    """
+    xs = sorted(xs)
+    cut = len(xs) // 10
+    return statistics.fmean(xs[cut:len(xs) - cut])
+
+
+def end_to_end(rows: list[Row], setup_s: float, factors: list[float]) -> dict:
     """The end-to-end metrics of a run; see perfbench/README.md.
 
-    The time metrics use each instance type's median call time divided by the
-    host factor.  Every cycle makes one call of each type, so one call per
-    type is the mix.
+    The time metrics use each instance type's trimmed mean over its calls of
+    the call time divided by that call's host factor.  Every cycle makes one
+    call of each type, so one call per type is the mix.
     """
     import resource
 
     times: dict[str, list[float]] = {}
     instances: dict[str, int] = {}
-    for r in rows:
-        times.setdefault(r.label, []).append(r.seconds)
+    for r, factor in zip(rows, factors, strict=True):
+        times.setdefault(r.label, []).append(r.seconds / factor)
         instances[r.label] = r.instances
-    typical = {label: statistics.median(ts) / host_factor for label, ts in times.items()}
+    typical = {label: trimmed_mean(ts) for label, ts in times.items()}
     per_instance_ms = sorted(1000.0 * typical[label] / instances[label] for label in typical)
     attempted = sum(r.instances for r in rows)
     return {
@@ -295,8 +351,10 @@ def run_workload(args) -> int:
     workdir.mkdir(parents=True, exist_ok=True)
     recorder = tracing.Recorder()
     cls = workloads.WORKLOADS[args.workload]
+    clock = HostClock(cls.calibration)
     setups = []
     for _ in range(SETUP_REPEATS):
+        clock.calibrate(setups[-1] if setups else 0.0)
         t0 = time.perf_counter()
         workload = cls(args.seed, args.tiny, str(workdir))
         warm = []
@@ -306,13 +364,18 @@ def run_workload(args) -> int:
         setups.append(time.perf_counter() - t0)
         for task, out, solves in warm:
             task.check(out, solves)
-    setup_s = import_s + statistics.median(setups)
+    clock.calibrate(setups[-1])
+    factors = clock.factors()
+    setup_s = import_s / factors[0] + statistics.median(
+        t / f for t, f in zip(setups, factors, strict=True))
+    setup_blocks, clock.blocks = clock.blocks, []
 
     if args.trace:
-        rows, cycles = run_cycles(workload, recorder, args.seconds / 2)
+        cycles = cycle_count(workload, args.seconds / 2, 1)
+        rows = run_cycles(workload, recorder, cycles)
         tracer = tracing.Tracer()
         with tracer.installed():
-            traced, _ = run_cycles(workload, recorder, 0.0, cycles=cycles, tracer=tracer)
+            traced = run_cycles(workload, recorder, cycles, tracer=tracer)
         same = [r.digests() for r in rows] == [r.digests() for r in traced]
         print(f"# traced replay of {cycles} cycle(s): results "
               f"{'identical' if same else 'DIFFER'} to the untraced pass")
@@ -333,14 +396,14 @@ def run_workload(args) -> int:
         rows = traced
         correct = same
     else:
-        min_cycles = 1 if args.tiny else workload.min_cycles
-        clock = HostClock()
-        rows, _ = run_cycles(workload, recorder, args.seconds, min_cycles, clock=clock)
-        metrics = end_to_end(rows, setup_s, clock.factor())
+        least = 1 if args.tiny else workload.min_cycles
+        rows = run_cycles(workload, recorder, cycle_count(workload, args.seconds, least),
+                          clock=clock)
+        metrics = end_to_end(rows, setup_s, clock.factors())
         print("# " + raw_latency(rows))
-        print(f"# host factor {clock.factor():.4f}: median calibration "
+        print(f"# host factor {clock.factor():.4f}: {clock.kind} calibration median "
               f"{1000 * statistics.median(clock.samples):.3f} ms over {len(clock.samples)}, "
-              f"reference {1000 * HostClock.REFERENCE_S:g} ms")
+              f"reference {1000 * clock.reference_s:g} ms")
         units = UNITS
         correct = True
 
@@ -360,7 +423,8 @@ def run_workload(args) -> int:
     with open(OUT / f"{args.workload}-s{args.seed}-t{args.trace}.json", "w",
               encoding="utf-8") as fh:
         json.dump({"env": env, "args": vars(args), "result": result,
-                   "host_samples": clock.samples if not args.trace else None,
+                   "setup_s": setups, "setup_blocks": setup_blocks,
+                   "host_blocks": clock.blocks if not args.trace else None,
                    "rows": [[r.label, r.instances, r.seconds, r.verdict.certified,
                              list(r.verdict.reasons), r.digests()] for r in rows]}, fh)
     print(json.dumps(result))

@@ -101,6 +101,8 @@ def _rotated(u: np.ndarray, m: np.ndarray) -> np.ndarray:
 class QubitSweep:
     name = "qubit-sweep"
     min_cycles = 1
+    cycle_s = 0.7
+    calibration = "small"
 
     def __init__(self, seed: int, tiny: bool, workdir: str) -> None:
         self.samples, self.density, self.div_density = (1, 2, 2) if tiny else (5, 3, 4)
@@ -188,6 +190,8 @@ class PairDense:
     name = "pair-dense"
     pool_cycles = 4
     min_cycles = 1
+    cycle_s = 3.0
+    calibration = "dense-64"
 
     def __init__(self, seed: int, tiny: bool, workdir: str) -> None:
         dims = (3, 4) if tiny else (6, 7, 8)
@@ -228,10 +232,10 @@ class PairDense:
 class Multipartite:
     name = "multipartite"
     pool_cycles = 4
-    # Two samples per instance type, whatever the run length: one cycle is
-    # close to a whole run, so a time rule alone would flip between one and
-    # two cycles with machine noise.
+    # Two samples per instance type, whatever the run length.
     min_cycles = 2
+    cycle_s = 20.0
+    calibration = "dense-256"
 
     def __init__(self, seed: int, tiny: bool, workdir: str) -> None:
         ks = (2, 3) if tiny else (3, 4)
@@ -368,6 +372,8 @@ RANK_MIX = [
 class RankDeficient:
     name = "rank-deficient"
     min_cycles = 1
+    cycle_s = 0.7
+    calibration = "small"
 
     def __init__(self, seed: int, tiny: bool, workdir: str) -> None:
         self.pool_cycles = 1 if tiny else 32
