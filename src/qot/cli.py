@@ -25,7 +25,7 @@ import numpy as np
 
 from . import closedform as cf
 from . import cost as cost_mod
-from . import linalg, suites, transport
+from . import linalg, sdp, suites, transport
 
 __all__ = ["main", "ReportRecord", "parse_instance", "parse_report"]
 
@@ -150,25 +150,28 @@ def _parse_observables(obj: Any) -> cost_mod.ObservableSet:
     raise InstanceError(f"unknown observable selector {obj!r}")
 
 
+def _cost_kind(data: dict, args: argparse.Namespace | None) -> str:
+    """The ``--cost`` flag when given, else the file's cost selector."""
+    return getattr(args, "cost", None) or data.get("cost", "symm")
+
+
 def parse_instance(data: dict, args: argparse.Namespace | None = None) -> transport.TransportInstance:
     """Build a transport instance from a parsed JSON document.
 
-    Command-line flags override the file's cost selector (unless ``custom``),
-    exponent and mode.
+    Command-line flags override the file's cost selector, exponent and mode.
+    A plan larger than ``sdp.MAX_VARIABLE_DIM`` raises ``InstanceError``.
     """
     if not isinstance(data, dict):
         raise InstanceError("instance file must hold a JSON object")
     rho = _parse_state(data.get("rho"), "rho")
     omega = _parse_state(data.get("omega"), "omega")
 
-    cost_kind = data.get("cost", "symm")
-    if args is not None and getattr(args, "cost", None) not in (None, "custom"):
-        cost_kind = args.cost
+    cost_kind = _cost_kind(data, args)
     p = float(data.get("p", 2.0))
-    if args is not None and getattr(args, "p", None) is not None:
+    if getattr(args, "p", None) is not None:
         p = float(args.p)
     mode = data.get("mode")
-    if args is not None and getattr(args, "mode", None) is not None:
+    if getattr(args, "mode", None) is not None:
         mode = args.mode
 
     try:
@@ -196,7 +199,7 @@ def parse_instance(data: dict, args: argparse.Namespace | None = None) -> transp
     raise InstanceError(f"unknown cost selector {cost_kind!r}")
 
 
-def _load_instance_file(path: str, args: argparse.Namespace) -> tuple[dict, transport.TransportInstance]:
+def _load_instance_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -204,7 +207,9 @@ def _load_instance_file(path: str, args: argparse.Namespace) -> tuple[dict, tran
         raise InstanceError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InstanceError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    return data, parse_instance(data, args)
+    if not isinstance(data, dict):
+        raise InstanceError("instance file must hold a JSON object")
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -216,27 +221,37 @@ def _bloch_of(state: np.ndarray) -> np.ndarray:
     return np.array([float(np.trace(state @ s).real) for s in linalg.PAULI])
 
 
-def closed_form_comparison(
-    instance: transport.TransportInstance, cost_kind: str
-) -> dict | None:
-    """Known-formula value for the instance family, when one applies."""
-    if instance.dim != 2:
+def _xy_radius(r: np.ndarray) -> float:
+    return float(np.hypot(r[0], r[1]))
+
+
+def _closed_form_family(
+    rho: np.ndarray, omega: np.ndarray, cost_kind: str
+) -> tuple[str, np.ndarray, np.ndarray] | None:
+    """Closed-form family of a qubit pair under a named cost, with both Bloch vectors."""
+    if rho.shape[0] != 2:
         return None
-    r1, r2 = _bloch_of(instance.rho), _bloch_of(instance.omega)
-    if cost_kind == "symm":
-        if np.linalg.norm(np.cross(r1, r2)) <= COLLINEAR_TOL:
-            return {
-                "family": "symm-commuting",
-                "dp": cf.d_symm_general(r1, r2, instance.p),
-            }
-        return None
+    r1, r2 = _bloch_of(rho), _bloch_of(omega)
+    if cost_kind == "symm" and np.linalg.norm(np.cross(r1, r2)) <= COLLINEAR_TOL:
+        return "symm-commuting", r1, r2
     if cost_kind == "z":
         if max(abs(r1[2]), abs(r2[2])) <= COLLINEAR_TOL:
-            radii = (float(np.hypot(r1[0], r1[1])), float(np.hypot(r2[0], r2[1])))
-            return {"family": "z-xy", "dp": cf.d_z_xy(radii[0], radii[1], instance.p)}
+            return "z-xy", r1, r2
         if max(abs(r1[0]), abs(r1[1]), abs(r2[0]), abs(r2[1])) <= COLLINEAR_TOL:
-            return {"family": "z-commuting", "dp": cf.d_z_commuting(r1[2], r2[2], instance.p)}
+            return "z-commuting", r1, r2
     return None
+
+
+# D^p and d^2 closed forms by family; the divergence has none for z-commuting.
+_DP_FORMULAS = {
+    "symm-commuting": cf.d_symm_general,
+    "z-xy": lambda r1, r2, p: cf.d_z_xy(_xy_radius(r1), _xy_radius(r2), p),
+    "z-commuting": lambda r1, r2, p: cf.d_z_commuting(r1[2], r2[2], p),
+}
+_D2_FORMULAS = {
+    "symm-commuting": cf.divergence_symm_commuting,
+    "z-xy": lambda r1, r2: cf.divergence_z_xy(_xy_radius(r1), _xy_radius(r2)),
+}
 
 
 def _matrix_payload(m: np.ndarray) -> list:
@@ -278,12 +293,10 @@ def _certificate_dict(res: transport.TransportResult) -> dict:
 
 
 def _solve_for_args(args: argparse.Namespace) -> tuple[dict, transport.TransportInstance, transport.TransportResult, float]:
-    data, instance = _load_instance_file(args.instance, args)
-    kwargs = {}
-    if args.tol is not None:
-        kwargs = {"tol_gap": args.tol, "tol_feas": args.tol}
+    data = _load_instance_file(args.instance)
+    instance = parse_instance(data, args)
     t0 = time.perf_counter()
-    result = transport.wasserstein_distance(instance, verbose=args.verbose, **kwargs)
+    result = transport.wasserstein_distance(instance, tol=args.tol, verbose=args.verbose)
     return data, instance, result, time.perf_counter() - t0
 
 
@@ -294,8 +307,13 @@ def _solve_for_args(args: argparse.Namespace) -> tuple[dict, transport.Transport
 
 def cmd_distance(args: argparse.Namespace) -> int:
     data, instance, result, seconds = _solve_for_args(args)
-    cost_kind = args.cost if args.cost not in (None, "custom") else data.get("cost", "symm")
-    comparison = closed_form_comparison(instance, cost_kind)
+    comparison = None
+    # the D^p formulas are optima over one joint plan, not a correlated one
+    if instance.mode == transport.MODE_JOINT:
+        found = _closed_form_family(instance.rho, instance.omega, _cost_kind(data, args))
+        if found is not None:
+            family, r1, r2 = found
+            comparison = {"family": family, "dp": _DP_FORMULAS[family](r1, r2, instance.p)}
     record = ReportRecord(
         command="distance",
         instance=data,
@@ -328,9 +346,7 @@ def cmd_distance(args: argparse.Namespace) -> int:
 
 def cmd_dual(args: argparse.Namespace) -> int:
     data, instance, result, seconds = _solve_for_args(args)
-    slack = transport.potential_slack(
-        transport.build_primal(instance).objective, result.potentials, instance.dim
-    )
+    slack = transport.potential_slack(instance.plan_cost(), result.potentials, instance.dim)
     record = ReportRecord(
         command="dual",
         instance=data,
@@ -365,18 +381,8 @@ def cmd_dual(args: argparse.Namespace) -> int:
 
 
 def cmd_divergence(args: argparse.Namespace) -> int:
-    try:
-        with open(args.instance, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise InstanceError(f"cannot read {args.instance}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InstanceError(
-            f"{args.instance}: line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
-    cost_kind = data.get("cost", "symm")
-    if args.cost not in (None, "custom"):
-        cost_kind = args.cost
+    data = _load_instance_file(args.instance)
+    cost_kind = _cost_kind(data, args)
     if cost_kind == "symm":
         observables = cost_mod.pauli_triple()
     elif cost_kind == "z":
@@ -393,19 +399,10 @@ def cmd_divergence(args: argparse.Namespace) -> int:
     seconds = time.perf_counter() - t0
 
     comparison = None
-    r1, r2 = _bloch_of(rho), _bloch_of(omega)
-    if cost_kind == "symm" and np.linalg.norm(np.cross(r1, r2)) <= COLLINEAR_TOL:
-        comparison = {
-            "family": "symm-commuting",
-            "d_squared": cf.divergence_symm_commuting(r1, r2),
-        }
-    elif cost_kind == "z" and max(abs(r1[2]), abs(r2[2])) <= COLLINEAR_TOL:
-        comparison = {
-            "family": "z-xy",
-            "d_squared": cf.divergence_z_xy(
-                float(np.hypot(r1[0], r1[1])), float(np.hypot(r2[0], r2[1]))
-            ),
-        }
+    found = _closed_form_family(rho, omega, cost_kind)
+    if found is not None and found[0] in _D2_FORMULAS:
+        family, r1, r2 = found
+        comparison = {"family": family, "d_squared": _D2_FORMULAS[family](r1, r2)}
     record = ReportRecord(
         command="divergence",
         instance=data,
@@ -493,19 +490,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser, with_instance: bool = True) -> None:
-    if with_instance:
-        sub.add_argument("instance", help="path to a JSON instance file")
-        sub.add_argument("--cost", choices=["symm", "z", "custom"], default=None,
-                         help="override the file's cost selector (custom keeps it)")
-        sub.add_argument("--p", type=float, default=None, help="override the exponent")
-        sub.add_argument("--mode", choices=["joint", "linearized", "nonlinear"], default=None)
-        sub.add_argument("--tol", type=float, default=None, help="solver tolerance override")
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--out", default=None, help="append JSON records to this path")
-    sub.add_argument("--verbose", action="store_true")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qot",
@@ -513,29 +497,42 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sub = subs.add_parser("distance", help="solve one transport instance")
-    _add_common(sub)
+    # Flag groups; each subcommand takes exactly the groups it reads.
+    instance = argparse.ArgumentParser(add_help=False)
+    instance.add_argument("instance", help="path to a JSON instance file")
+    instance.add_argument("--cost", choices=["symm", "z"], default=None,
+                          help="override the file's cost selector")
+    solver = argparse.ArgumentParser(add_help=False)
+    solver.add_argument("--p", type=float, default=None, help="override the exponent")
+    solver.add_argument("--mode", choices=["joint", "linearized", "nonlinear"], default=None)
+    solver.add_argument("--tol", type=float, default=sdp.TOL, help="solver tolerance")
+    solver.add_argument("--verbose", action="store_true")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None, help="append JSON records to this path")
+
+    sub = subs.add_parser("distance", parents=[instance, solver, out],
+                          help="solve one transport instance")
     sub.set_defaults(func=cmd_distance)
 
-    sub = subs.add_parser("dual", help="report the dual side: potentials and slack")
-    _add_common(sub)
+    sub = subs.add_parser("dual", parents=[instance, solver, out],
+                          help="report the dual side: potentials and slack")
     sub.set_defaults(func=cmd_dual)
 
-    sub = subs.add_parser("divergence", help="quadratic divergence of an instance")
-    _add_common(sub)
+    sub = subs.add_parser("divergence", parents=[instance, out],
+                          help="quadratic divergence of an instance")
     sub.set_defaults(func=cmd_divergence)
 
-    sub = subs.add_parser("gap-demo", help="strict linearization-gap demonstration")
+    sub = subs.add_parser("gap-demo", parents=[out],
+                          help="strict linearization-gap demonstration")
     sub.add_argument("--p", type=float, action="append", default=None,
                      help="exponent; may repeat (default: 1 2 3)")
-    _add_common(sub, with_instance=False)
     sub.set_defaults(func=cmd_gap_demo)
 
-    sub = subs.add_parser("verify", help="run a named verification suite")
+    sub = subs.add_parser("verify", parents=[out], help="run a named verification suite")
     sub.add_argument("suite", help="one of: " + ", ".join(suites.suite_names()))
     sub.add_argument("--density", type=int, default=None, help="grid density override")
     sub.add_argument("--samples", type=int, default=None, help="sample count override")
-    _add_common(sub, with_instance=False)
+    sub.add_argument("--seed", type=int, default=0)
     sub.set_defaults(func=cmd_verify)
 
     return parser

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import linalg
+from . import linalg, sdp
 from .linalg import SpectralDecomposition
 
 __all__ = [
@@ -37,11 +37,7 @@ __all__ = [
     "check_unitary_invariance",
     "lp_power_cost",
     "abs_power_evaluator",
-    "MAX_COST_DIM",
 ]
-
-# Largest admissible dimension (dim^2)^K of a constructed cost operator.
-MAX_COST_DIM = 4096
 
 
 @dataclass(frozen=True)
@@ -133,8 +129,8 @@ def cost_operator_general(obs: ObservableSet, c: ClassicalCost) -> np.ndarray:
     k = obs.size
     dim2 = obs.dim**2
     total = dim2**k
-    if total > MAX_COST_DIM:
-        raise ValueError(f"cost operator dimension {total} exceeds budget {MAX_COST_DIM}")
+    if total > sdp.MAX_VARIABLE_DIM:
+        raise ValueError(f"cost operator dimension {total} exceeds budget {sdp.MAX_VARIABLE_DIM}")
 
     out = np.zeros((total, total), dtype=complex)
     ranges = [range(len(d.eigenvalues)) for d in obs.decompositions]
@@ -182,8 +178,8 @@ def embedded_cost_sum(factor_costs: Sequence[np.ndarray], dim: int) -> np.ndarra
     k = len(factor_costs)
     pair_dim = dim * dim
     total = pair_dim**k
-    if total > MAX_COST_DIM:
-        raise ValueError(f"cost operator dimension {total} exceeds budget {MAX_COST_DIM}")
+    if total > sdp.MAX_VARIABLE_DIM:
+        raise ValueError(f"cost operator dimension {total} exceeds budget {sdp.MAX_VARIABLE_DIM}")
     out = np.zeros((total, total), dtype=complex)
     for idx, ck in enumerate(factor_costs):
         if ck.shape != (pair_dim, pair_dim):

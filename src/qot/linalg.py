@@ -40,12 +40,10 @@ __all__ = [
     "kron_all",
     "embed_at_slot",
     "partial_trace",
-    "transpose_entrywise",
     "swap_transpose",
     "eig_hermitian",
     "sqrt_psd",
     "vectorize",
-    "unvectorize",
     "outer_vec",
     "hermitian_basis",
     "random_hermitian",
@@ -133,10 +131,6 @@ class FactorShape:
         return len(self.dims)
 
     @staticmethod
-    def uniform(dim: int, n_factors: int) -> "FactorShape":
-        return FactorShape((dim,) * n_factors)
-
-    @staticmethod
     def pair_space(dim: int, pairs: int = 1) -> "FactorShape":
         """Shape of ``(H (x) H*)^(x pairs)`` with ``dim``-dimensional ``H``."""
         return FactorShape((dim,) * (2 * pairs))
@@ -190,11 +184,6 @@ def partial_trace(m: np.ndarray, shape: FactorShape, keep: Sequence[int]) -> np.
     return np.einsum(subscripts, t).reshape(kept_dim, kept_dim)
 
 
-def transpose_entrywise(m: np.ndarray) -> np.ndarray:
-    """Entrywise transpose in the computational basis (preserves Hermiticity)."""
-    return np.array(np.asarray(m, dtype=complex).T)
-
-
 def swap_transpose(m: np.ndarray, dim: int) -> np.ndarray:
     """Exchange-and-transpose on a bipartite pair space.
 
@@ -219,13 +208,6 @@ class SpectralDecomposition:
 
     eigenvalues: tuple[float, ...]
     projectors: tuple[np.ndarray, ...]
-
-    def reconstruct(self) -> np.ndarray:
-        dim = self.projectors[0].shape[0]
-        out = np.zeros((dim, dim), dtype=complex)
-        for lam, proj in zip(self.eigenvalues, self.projectors):
-            out += lam * proj
-        return out
 
     def apply(self, fn) -> np.ndarray:
         """Sum of ``fn(eigenvalue) * projector`` over the clusters."""
@@ -273,15 +255,6 @@ def vectorize(x: np.ndarray) -> np.ndarray:
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {x.shape}")
     return x.reshape(-1).copy()
-
-
-def unvectorize(v: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`vectorize`."""
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    dim = math.isqrt(v.size)
-    if dim * dim != v.size:
-        raise ValueError(f"vector length {v.size} is not a perfect square")
-    return v.reshape(dim, dim).copy()
 
 
 def outer_vec(x: np.ndarray) -> np.ndarray:

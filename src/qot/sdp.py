@@ -47,9 +47,9 @@ __all__ = [
 
 MAX_VARIABLE_DIM = 256
 
-# Defaults for the interior-point iteration.
-TOL_GAP = 1e-8
-TOL_FEAS = 1e-8
+# Interior-point iteration: one tolerance bounds the primal and dual
+# residuals and the relative duality gap.
+TOL = 1e-8
 MAX_ITER = 200
 STEP_FRACTION = 0.98
 MU_FLOOR = 1e-12
@@ -82,10 +82,6 @@ class SdpProblem:
     @property
     def n_constraints(self) -> int:
         return len(self.constraint_vals)
-
-    def constraints(self):
-        """Iterate over ``(A_i, b_i)`` pairs."""
-        return zip(self.constraint_ops, self.constraint_vals)
 
 
 def sdp_problem(
@@ -202,9 +198,7 @@ def _max_step(q: np.ndarray, w: np.ndarray, delta: np.ndarray) -> float:
 def solve(
     problem: SdpProblem,
     *,
-    tol_gap: float = TOL_GAP,
-    tol_feas: float = TOL_FEAS,
-    max_iter: int = MAX_ITER,
+    tol: float = TOL,
     verbose: bool = False,
 ) -> SdpSolution:
     """Run the interior-point iteration; deterministic for identical inputs."""
@@ -241,7 +235,7 @@ def solve(
     pobj = np.nan
     dobj = np.nan
 
-    for it in range(max_iter + 1):
+    for it in range(MAX_ITER + 1):
         iterations = it
         rd = c - s - np.tensordot(y, ops, axes=1)
         rd = 0.5 * (rd + rd.conj().T)
@@ -263,16 +257,16 @@ def solve(
             )
 
         if (
-            primal_res <= tol_feas
-            and dual_res <= tol_feas
-            and gap <= tol_gap * max(1.0, abs(pobj))
+            primal_res <= tol
+            and dual_res <= tol
+            and gap <= tol * max(1.0, abs(pobj))
             # keep weak duality in the reported pair: residual-induced
             # crossover of the objectives must stay below roundoff scale
             and dobj - pobj <= 5e-10
         ):
             status = STATUS_OPTIMAL
             break
-        if it == max_iter:
+        if it == MAX_ITER:
             status = STATUS_MAX_ITER
             break
         if mu < MU_FLOOR:

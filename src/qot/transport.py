@@ -45,7 +45,6 @@ __all__ = [
     "purification_coupling",
     "is_coupling",
     "build_primal",
-    "build_dual",
     "potentials_from_multipliers",
     "potential_objective",
     "potential_slack",
@@ -108,9 +107,12 @@ class TransportInstance:
                     raise ValueError("pairs must equal the number of factor costs")
             elif self.joint_cost is None:
                 raise ValueError("linearized mode requires factor_costs or a joint cost")
+        # Reject before any plan-sized array (cost sum, constraints) is built.
+        total = self.plan_shape.total_dim
+        if total > sdp.MAX_VARIABLE_DIM:
+            raise ValueError(f"plan dimension {total} exceeds {sdp.MAX_VARIABLE_DIM}")
         if self.joint_cost is not None:
-            expected = (self.dim**2) ** self.pairs
-            if self.joint_cost.shape != (expected, expected):
+            if self.joint_cost.shape != (total, total):
                 raise ValueError(
                     f"joint cost shape {self.joint_cost.shape} does not match "
                     f"{self.pairs} pairs of dim {self.dim}"
@@ -289,23 +291,19 @@ def _marginal_constraints(instance: TransportInstance) -> list[tuple[np.ndarray,
 
 
 def build_primal(instance: TransportInstance) -> sdp.SdpProblem:
-    """Minimize the plan cost over PSD plans with the coupling marginals."""
-    return sdp.sdp_problem(instance.plan_cost(), _marginal_constraints(instance))
+    """Minimize the plan cost over PSD plans with the coupling marginals.
 
-
-def build_dual(instance: TransportInstance) -> sdp.SdpProblem:
-    """Maximize ``sum_k tr(omega Y_k) + tr(rho X_k)`` under the slack inequality.
-
-    The potentials expand in the Hermitian basis: the multiplier of each
+    The same data also poses the potential problem: maximize
+    ``sum_k tr(omega Y_k) + tr(rho X_k)`` under the slack inequality.  The
+    potentials expand in the Hermitian basis: the multiplier of each
     traceless marginal functional is a coefficient of ``Y_k`` (first slot)
     or ``X_k`` (second slot, transposed basis), and the single trace
     multiplier carries the shared identity component, whose split between
-    the potentials is a gauge freedom of the constraint.  The assembled
-    data therefore coincides with the primal assembly; the conic dual of
-    the returned problem is the potential problem, and the interior-point
-    engine reports both sides of the pair from one run.
+    the potentials is a gauge freedom of the constraint.  The conic dual of
+    the returned problem is therefore the potential problem, and the
+    interior-point engine reports both sides of the pair from one run.
     """
-    return build_primal(instance)
+    return sdp.sdp_problem(instance.plan_cost(), _marginal_constraints(instance))
 
 
 def potentials_from_multipliers(instance: TransportInstance, y: np.ndarray) -> "DualPotentials":
@@ -317,7 +315,9 @@ def potentials_from_multipliers(instance: TransportInstance, y: np.ndarray) -> "
     """
     dim = instance.dim
     basis = linalg.hermitian_basis(dim)
-    n_traceless = len(basis) - 1
+    expected = 1 + 2 * instance.pairs * (len(basis) - 1)
+    if len(y) != expected:
+        raise ValueError(f"{len(y)} multipliers for {expected} constraints")
     xs, ys = [], []
     pos = 1
     for k in range(instance.pairs):
@@ -331,9 +331,6 @@ def potentials_from_multipliers(instance: TransportInstance, y: np.ndarray) -> "
             x_k += y[0] * np.eye(dim)
         ys.append(y_k)
         xs.append(x_k)
-    expected = 1 + 2 * instance.pairs * n_traceless
-    if len(y) != expected:
-        raise ValueError(f"{len(y)} multipliers for {expected} constraints")
     return DualPotentials(tuple(xs), tuple(ys))
 
 
@@ -386,13 +383,12 @@ class TransportResult:
 def wasserstein_distance(
     instance: TransportInstance,
     *,
-    tol_gap: float = sdp.TOL_GAP,
-    tol_feas: float = sdp.TOL_FEAS,
+    tol: float = sdp.TOL,
     verbose: bool = False,
 ) -> TransportResult:
     """Solve the primal/dual pair; the distance is the optimum to the 1/p."""
     problem = build_primal(instance)
-    solution = sdp.solve(problem, tol_gap=tol_gap, tol_feas=tol_feas, verbose=verbose)
+    solution = sdp.solve(problem, tol=tol, verbose=verbose)
     if solution.status == sdp.STATUS_INFEASIBLE:
         raise SolverFailure("transport problem reported infeasible marginals")
     certificate = sdp.certify(solution, problem)

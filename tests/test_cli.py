@@ -153,6 +153,26 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "line 2" in err and "column" in err
 
+    def test_linearized_symm_has_no_closed_form(self, tmp_path):
+        # the collinear symm formula is a joint-plan optimum; the correlated
+        # three-pair plan reaches a lower value
+        path = write_instance(tmp_path, mode="linearized")
+        out = str(tmp_path / "r.jsonl")
+        assert main(["distance", path, "--out", out]) == 0
+        record = parse_report((tmp_path / "r.jsonl").read_text().splitlines()[0])
+        assert record.closed_form is None
+        assert record.dp < 4.0 - 1.0
+
+    def test_oversize_plan_exit_two(self, tmp_path, capsys):
+        path = write_instance(
+            tmp_path,
+            cost="factorized",
+            observables={"matrices": [[[1, 0], [0, -1]]] * 5},
+            mode="linearized",
+        )
+        assert main(["distance", path]) == 2
+        assert "plan dimension 1024 exceeds 256" in capsys.readouterr().err
+
     def test_solver_failure_exit_three(self, tmp_path):
         # an unreachable tolerance leaves the solver unconverged
         path = write_instance(tmp_path)
@@ -176,6 +196,19 @@ class TestCommands:
         np.testing.assert_allclose(
             record.closed_form["d_squared"], 2 * math.sqrt(3), atol=1e-12
         )
+
+    def test_divergence_qutrit_has_no_closed_form(self, tmp_path):
+        path = write_instance(
+            tmp_path,
+            rho={"matrix": [[0.5, 0, 0], [0, 0.3, 0], [0, 0, 0.2]]},
+            omega={"matrix": [[0.2, 0, 0], [0, 0.3, 0], [0, 0, 0.5]]},
+            cost="factorized",
+            observables={"matrices": [[[1, 0, 0], [0, 0, 0], [0, 0, -1]]]},
+        )
+        out = str(tmp_path / "div.jsonl")
+        assert main(["divergence", path, "--out", out]) == 0
+        record = parse_report((tmp_path / "div.jsonl").read_text().splitlines()[0])
+        assert record.closed_form is None
 
     def test_divergence_identical_states(self, tmp_path):
         path = write_instance(tmp_path, omega={"bloch": [0, 0, 0.5]})
@@ -214,3 +247,29 @@ class TestCommands:
         a = (tmp_path / "a.jsonl").read_text()
         b = (tmp_path / "b.jsonl").read_text()
         assert a.splitlines()[:-1] == b.splitlines()[:-1]  # rows identical; timing differs
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["distance", "{path}", "--seed", "3"],
+        ["dual", "{path}", "--seed", "3"],
+        ["divergence", "{path}", "--seed", "3"],
+        ["gap-demo", "--seed", "3"],
+        ["divergence", "{path}", "--p", "7"],
+        ["divergence", "{path}", "--mode", "joint"],
+        ["divergence", "{path}", "--tol", "1e-30"],
+        ["divergence", "{path}", "--verbose"],
+        ["gap-demo", "--verbose"],
+        ["verify", "costs", "--verbose"],
+        ["distance", "{path}", "--cost", "custom"],
+        ["divergence", "{path}", "--cost", "custom"],
+    ],
+)
+def test_flags_a_command_does_not_read_are_usage_errors(tmp_path, capsys, argv):
+    path = write_instance(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(path=path) for a in argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err or "invalid choice" in err

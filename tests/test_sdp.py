@@ -76,9 +76,11 @@ class TestSolveBasics:
 
     def test_scaling_covariance(self):
         problem = qubit_transport_problem(cost.cost_symm(2.0), rho_z(0.4), rho_z(-0.3))
-        sol = sdp.solve(problem, tol_gap=1e-10, tol_feas=1e-10)
-        scaled = sdp.sdp_problem(3.0 * problem.objective, list(problem.constraints()))
-        sol_scaled = sdp.solve(scaled, tol_gap=1e-10, tol_feas=1e-10)
+        sol = sdp.solve(problem, tol=1e-10)
+        scaled = sdp.sdp_problem(
+            3.0 * problem.objective, list(zip(problem.constraint_ops, problem.constraint_vals))
+        )
+        sol_scaled = sdp.solve(scaled, tol=1e-10)
         rel = abs(sol_scaled.primal_objective - 3.0 * sol.primal_objective) / abs(
             3.0 * sol.primal_objective
         )
