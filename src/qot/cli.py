@@ -167,7 +167,10 @@ def parse_instance(data: dict, args: argparse.Namespace | None = None) -> transp
     omega = _parse_state(data.get("omega"), "omega")
 
     cost_kind = _cost_kind(data, args)
-    p = float(data.get("p", 2.0))
+    try:
+        p = float(data.get("p", 2.0))
+    except (TypeError, ValueError) as exc:
+        raise InstanceError(f"exponent p: {exc}") from exc
     if getattr(args, "p", None) is not None:
         p = float(args.p)
     mode = data.get("mode")
@@ -395,7 +398,10 @@ def cmd_divergence(args: argparse.Namespace) -> int:
     omega = _parse_state(data.get("omega"), "omega")
 
     t0 = time.perf_counter()
-    parts = transport.divergence_parts(rho, omega, observables)
+    try:
+        parts = transport.divergence_parts(rho, omega, observables)
+    except ValueError as exc:
+        raise InstanceError(str(exc)) from exc
     seconds = time.perf_counter() - t0
 
     comparison = None

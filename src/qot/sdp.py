@@ -25,6 +25,8 @@ deterministic: fixed iteration schedule, no randomized pivoting.
 
 from __future__ import annotations
 
+import dataclasses
+import math
 import sys
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -35,10 +37,12 @@ from . import linalg
 
 __all__ = [
     "SdpProblem",
+    "SlotStructure",
     "SdpSolution",
     "PreprocessReport",
     "Certificate",
     "sdp_problem",
+    "slot_problem",
     "preprocess",
     "solve",
     "certify",
@@ -54,6 +58,11 @@ MAX_ITER = 200
 STEP_FRACTION = 0.98
 MU_FLOOR = 1e-12
 SCHUR_COND_LIMIT = 1e14
+# Plans of at least this dimension with declared slot structure form the
+# scaled constraints from per-slot Gram blocks; smaller plans form them
+# densely, which is faster there (numpy call overhead) and keeps their
+# results bitwise unchanged.
+STRUCTURED_MIN_DIM = 25
 
 # Certification thresholds (independent recomputation of the solution).
 CERT_EQ_TOL = 1e-8
@@ -68,12 +77,31 @@ STATUS_NUMERICAL = "numerical"
 
 
 @dataclass(frozen=True)
+class SlotStructure:
+    """Constraint ``i`` is ``embed_at_slot(local_ops[i], slots[i], shape)``."""
+
+    shape: linalg.FactorShape
+    slots: tuple[int, ...]
+    local_ops: tuple[np.ndarray, ...]
+
+    def rows(self, keep: Sequence[int]) -> "SlotStructure":
+        return SlotStructure(
+            self.shape, tuple(self.slots[i] for i in keep), tuple(self.local_ops[i] for i in keep)
+        )
+
+
+@dataclass(frozen=True)
 class SdpProblem:
-    """Conic program data: objective, stacked constraint operators, targets."""
+    """Conic program data: objective, stacked constraint operators, targets.
+
+    ``structure``, when present, declares every constraint as a local operator
+    on one tensor slot of the variable; ``constraint_ops`` is its dense form.
+    """
 
     objective: np.ndarray        # (n, n) Hermitian
     constraint_ops: np.ndarray   # (m, n, n) Hermitian stack
     constraint_vals: np.ndarray  # (m,) real
+    structure: SlotStructure | None = None
 
     @property
     def dim(self) -> int:
@@ -101,6 +129,27 @@ def sdp_problem(
     for arr in (c, ops, vals):
         arr.setflags(write=False)
     return SdpProblem(c, ops, vals)
+
+
+def slot_problem(
+    objective: np.ndarray,
+    shape: linalg.FactorShape,
+    constraints: Sequence[tuple[int, np.ndarray, float]],
+) -> SdpProblem:
+    """Pack a problem whose constraints ``(slot, op, b)`` read
+    ``<embed_at_slot(op, slot, shape), X> = b``.
+
+    The dense operators are built from the declared pairs, and the pairs are
+    kept for the solver's structured Schur formation.
+    """
+    problem = sdp_problem(
+        objective, [(linalg.embed_at_slot(op, slot, shape), b) for slot, op, b in constraints]
+    )
+    local_ops = tuple(np.array(op, dtype=complex) for _, op, _ in constraints)
+    for op in local_ops:
+        op.setflags(write=False)
+    slots = tuple(int(slot) for slot, _, _ in constraints)
+    return dataclasses.replace(problem, structure=SlotStructure(shape, slots, local_ops))
 
 
 @dataclass(frozen=True)
@@ -154,7 +203,8 @@ def preprocess(
             np.any(residues > consistency_tol * np.maximum(1.0, np.abs(vals[removed])))
         )
 
-    reduced = SdpProblem(problem.objective, ops[kept], vals[kept])
+    structure = problem.structure.rows(kept) if problem.structure is not None else None
+    reduced = SdpProblem(problem.objective, ops[kept], vals[kept], structure)
     report = PreprocessReport(tuple(kept), tuple(removed), infeasible, max_inconsistency)
     return reduced, report
 
@@ -195,6 +245,63 @@ def _max_step(q: np.ndarray, w: np.ndarray, delta: np.ndarray) -> float:
     return 1.0 / (-lam)
 
 
+def _triangle(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat indices of the diagonal, the strict upper and the strict lower
+    triangle of an ``n x n`` matrix; ``upper[k]`` and ``lower[k]`` mirror."""
+    rows, cols = np.triu_indices(n, 1)
+    return np.arange(n) * (n + 1), rows * n + cols, cols * n + rows
+
+
+def _coords(diag: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Real coordinates of Hermitian matrices from their diagonal and strict
+    upper triangle: the diagonal, then sqrt(2) Re and sqrt(2) Im of the upper
+    entries.  For Hermitian ``A`` and ``B`` the dot product of the coordinate
+    vectors is ``Re tr(A* B)``."""
+    upper = math.sqrt(2.0) * upper
+    return np.concatenate([diag.real, upper.real, upper.imag], axis=-1)
+
+
+def _hermitian_coords(mat: np.ndarray) -> np.ndarray:
+    """Coordinates of the Hermitian part of ``mat``."""
+    diag, upper, lower = _triangle(mat.shape[0])
+    flat = mat.reshape(-1)
+    return _coords(flat[diag], 0.5 * (flat[upper] + flat[lower].conj()))
+
+
+def _slot_scaled_constraints(r: np.ndarray, structure: SlotStructure) -> np.ndarray:
+    """Hermitian coordinates ``(m, n*n)`` of every scaled constraint ``R* A_i R``.
+
+    Let ``R_a`` be the rows of ``R`` whose index at a slot is ``a``.  An
+    operator ``B`` embedded at that slot scales to ``sum_ab B[a, b] G_ab`` with
+    Gram blocks ``G_ab = R_a* R_b``.  The blocks with ``a <= b`` are products
+    and ``G_ba = G_ab*``, so a slot costs O(d n^3), shared by all of its
+    constraints.
+    """
+    n = r.shape[0]
+    dims = structure.shape.dims
+    slots = np.array(structure.slots)
+    diag, upper, _ = _triangle(n)
+    triangle = np.concatenate([diag, upper])
+    out = np.empty((len(slots), n * n))
+    for slot in np.unique(slots):
+        d = dims[slot]
+        inner = math.prod(dims[slot + 1:])
+        # blocks[a] = R_a, and wide = [R_0 | R_1 | ... | R_(d-1)]
+        blocks = r.reshape(-1, d, inner, n).transpose(1, 0, 2, 3).reshape(d, n // d, n)
+        wide = blocks.transpose(1, 0, 2).reshape(n // d, d * n)
+        gram = np.empty((d, d, n, n), dtype=complex)
+        for a in range(d):
+            row = (blocks[a].conj().T @ wide[:, a * n:]).reshape(n, d - a, n)
+            gram[a, a:] = row.transpose(1, 0, 2)
+            gram[a + 1:, a] = row[:, 1:].conj().transpose(1, 2, 0)
+        rows = np.flatnonzero(slots == slot)
+        ops = np.stack([structure.local_ops[i] for i in rows]).reshape(len(rows), d * d)
+        # diagonal and upper triangle of sum_ab B[a, b] G_ab for every B of the slot
+        scaled = ops @ gram.reshape(d * d, n * n)[:, triangle]
+        out[rows] = _coords(scaled[:, :n], scaled[:, n:])
+    return out
+
+
 def solve(
     problem: SdpProblem,
     *,
@@ -219,6 +326,7 @@ def solve(
     n = reduced.dim
     m = len(b)
     flat_ops = ops.reshape(m, -1)
+    structure = reduced.structure if n >= STRUCTURED_MIN_DIM else None
 
     tau = max(1.0, float(np.abs(c).max()))
     x = tau * np.eye(n, dtype=complex)
@@ -284,15 +392,26 @@ def solve(
         r = fx @ vh.conj().T / np.sqrt(sig)
         rh = r.conj().T
 
-        scaled_ops = np.matmul(np.matmul(rh[None, :, :], ops), r)
-        f = scaled_ops.reshape(m, -1)
+        # The Schur complement is the Gram matrix F F* = R_f^T R_f of the
+        # scaled constraints F_i = R* A_i R.  Working with the QR factor of
+        # the scaled constraint matrix instead of the explicit Gram keeps
+        # twice the digits near a degenerate face; the diagonal ratio of R_f
+        # estimates the conditioning of the system that is actually
+        # factorized and solved.
+        if structure is None:
+            scaled_ops = np.matmul(np.matmul(rh[None, :, :], ops), r)
+            f = scaled_ops.reshape(m, -1)
+            f_real = np.hstack([f.real, f.imag])
 
-        # The Schur complement is the Gram matrix F F* = R_f^T R_f.  Working
-        # with the QR factor of the scaled constraint matrix instead of the
-        # explicit Gram keeps twice the digits near a degenerate face; the
-        # diagonal ratio of R_f estimates the conditioning of the system that
-        # is actually factorized and solved.
-        f_real = np.hstack([f.real, f.imag])
+            def applied_scaled(mat: np.ndarray) -> np.ndarray:
+                return (f @ np.conj(mat.reshape(-1))).real
+        else:
+            # n*n real Hermitian coordinates: half the rows of [Re f, Im f]
+            f_real = _slot_scaled_constraints(r, structure)
+
+            def applied_scaled(mat: np.ndarray) -> np.ndarray:
+                return f_real @ _hermitian_coords(mat)
+
         r_f = np.linalg.qr(f_real.T, mode="r")
         r_diag = np.abs(np.diag(r_f))
         if r_diag.min() <= 0.0 or r_diag.max() / r_diag.min() > SCHUR_COND_LIMIT:
@@ -302,9 +421,6 @@ def solve(
         def schur_solve(rhs: np.ndarray) -> np.ndarray:
             t = np.linalg.solve(r_f.T, rhs)
             return np.linalg.solve(r_f, t)
-
-        def applied_scaled(mat: np.ndarray) -> np.ndarray:
-            return (f @ np.conj(mat.reshape(-1))).real
 
         rd_scaled = rh @ rd @ r
 

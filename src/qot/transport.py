@@ -93,8 +93,8 @@ class TransportInstance:
     def __post_init__(self) -> None:
         if self.mode not in (MODE_JOINT, MODE_LINEARIZED, MODE_NONLINEAR):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.p < 1:
-            raise ValueError(f"exponent p must be >= 1, got {self.p}")
+        if not (math.isfinite(self.p) and self.p >= 1):
+            raise ValueError(f"exponent p must be finite and >= 1, got {self.p}")
         if self.mode in (MODE_JOINT, MODE_NONLINEAR) and self.pairs != 1:
             raise ValueError(f"{self.mode} mode uses a single-pair plan")
         if self.mode == MODE_JOINT and self.joint_cost is None:
@@ -266,27 +266,21 @@ def purification_coupling(rho: np.ndarray) -> Coupling:
     )
 
 
-def _marginal_constraints(instance: TransportInstance) -> list[tuple[np.ndarray, float]]:
+def _marginal_constraints(instance: TransportInstance) -> list[tuple[int, np.ndarray, float]]:
     """One global trace constraint plus the traceless marginal functionals.
 
-    The identity component of every marginal encodes the same unit-trace
-    condition; keeping a single copy leaves a full-row-rank system.
+    Each entry is ``(slot, local operator, value)``; the trace constraint is
+    the identity at slot 0.  The identity component of every marginal
+    encodes the same unit-trace condition; keeping a single copy leaves a
+    full-row-rank system.
     """
     dim = instance.dim
-    shape = instance.plan_shape
     basis = linalg.hermitian_basis(dim)
-    total = shape.total_dim
-    constraints: list[tuple[np.ndarray, float]] = [
-        (np.eye(total, dtype=complex), 1.0)
-    ]
+    constraints: list[tuple[int, np.ndarray, float]] = [(0, np.eye(dim, dtype=complex), 1.0)]
     for k in range(instance.pairs):
         for b in basis[1:]:
-            constraints.append(
-                (linalg.embed_at_slot(b, 2 * k, shape), float(np.trace(instance.omega @ b).real))
-            )
-            constraints.append(
-                (linalg.embed_at_slot(b.T, 2 * k + 1, shape), float(np.trace(instance.rho @ b).real))
-            )
+            constraints.append((2 * k, b, float(np.trace(instance.omega @ b).real)))
+            constraints.append((2 * k + 1, b.T, float(np.trace(instance.rho @ b).real)))
     return constraints
 
 
@@ -303,7 +297,9 @@ def build_primal(instance: TransportInstance) -> sdp.SdpProblem:
     the returned problem is therefore the potential problem, and the
     interior-point engine reports both sides of the pair from one run.
     """
-    return sdp.sdp_problem(instance.plan_cost(), _marginal_constraints(instance))
+    return sdp.slot_problem(
+        instance.plan_cost(), instance.plan_shape, _marginal_constraints(instance)
+    )
 
 
 def potentials_from_multipliers(instance: TransportInstance, y: np.ndarray) -> "DualPotentials":

@@ -173,6 +173,23 @@ class TestCommands:
         assert main(["distance", path]) == 2
         assert "plan dimension 1024 exceeds 256" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["distance", "dual"])
+    @pytest.mark.parametrize("p", ["abc", None, math.nan, math.inf])
+    def test_bad_exponent_exit_two(self, tmp_path, capsys, command, p):
+        path = write_instance(tmp_path, p=p)
+        assert main([command, path]) == 2
+        assert "exponent p" in capsys.readouterr().err
+
+    def test_divergence_input_error_exit_two(self, tmp_path, capsys):
+        # the three-Pauli cost needs qubit states
+        path = write_instance(
+            tmp_path,
+            rho={"matrix": [[0.5, 0, 0], [0, 0.3, 0], [0, 0, 0.2]]},
+            omega={"matrix": [[0.2, 0, 0], [0, 0.3, 0], [0, 0, 0.5]]},
+        )
+        assert main(["divergence", path]) == 2
+        assert "observable dim" in capsys.readouterr().err
+
     def test_solver_failure_exit_three(self, tmp_path):
         # an unreachable tolerance leaves the solver unconverged
         path = write_instance(tmp_path)

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from qot import cost, linalg, sdp
+from qot import cost, linalg, sdp, transport
 from qot.linalg import kron
 
 EYE2 = np.eye(2, dtype=complex)
@@ -145,6 +145,62 @@ class TestPreprocess:
         assert report.removed == (2,)
         assert not report.infeasible
         assert reduced.n_constraints == 2
+
+
+def random_marginal_problem(rng, dim, pairs):
+    """Transport problem of random states: one trace row plus 2K slots of marginals."""
+    observables = cost.observable_set(
+        [linalg.random_hermitian(rng, dim) for _ in range(max(pairs, 2))]
+    )
+    mode = transport.MODE_LINEARIZED if pairs > 1 else transport.MODE_NONLINEAR
+    instance = transport.factorized_instance(
+        linalg.random_density(rng, dim), linalg.random_density(rng, dim), observables, 2.0, mode
+    )
+    return transport.build_primal(instance)
+
+
+class TestStructuredSchur:
+    def test_hermitian_coordinates_are_an_isometry(self):
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 5, 9):
+            for _ in range(10):
+                a, b = linalg.random_hermitian(rng, n), linalg.random_hermitian(rng, n)
+                dot = sdp._hermitian_coords(a) @ sdp._hermitian_coords(b)
+                expected = np.trace(a.conj().T @ b).real
+                np.testing.assert_allclose(dot, expected, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("dim,pairs", [(2, 1), (3, 1), (4, 1), (2, 3)])
+    def test_slot_gram_matches_dense(self, dim, pairs):
+        rng = np.random.default_rng(dim * 10 + pairs)
+        problem = random_marginal_problem(rng, dim, pairs)
+        n, m = problem.dim, problem.n_constraints
+        r = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        f = np.matmul(np.matmul(r.conj().T[None], problem.constraint_ops), r).reshape(m, -1)
+        f_real = np.hstack([f.real, f.imag])
+        coords = sdp._slot_scaled_constraints(r, problem.structure)
+        assert coords.shape == (m, n * n)
+        dense = f_real @ f_real.T
+        np.testing.assert_allclose(
+            coords @ coords.T, dense, rtol=0, atol=1e-12 * np.abs(dense).max()
+        )
+
+    def test_duplicated_row_is_filtered_from_the_structure(self):
+        problem = random_marginal_problem(np.random.default_rng(8), 6, 1)
+        assert problem.dim >= sdp.STRUCTURED_MIN_DIM
+        structure = problem.structure
+        rows = list(zip(structure.slots, structure.local_ops, problem.constraint_vals))
+        doubled = sdp.slot_problem(problem.objective, structure.shape, rows + [rows[5]])
+        reduced, report = sdp.preprocess(doubled)
+        assert report.removed == (len(rows),)
+        assert reduced.structure.slots == structure.slots
+        base, dup = sdp.solve(problem), sdp.solve(doubled)
+        assert base.optimal and dup.optimal
+        assert dup.y[-1] == 0.0
+        scale = max(1.0, abs(base.primal_objective))
+        np.testing.assert_allclose(
+            dup.primal_objective, base.primal_objective, rtol=0, atol=1e-8 * scale
+        )
+        assert sdp.certify(dup, doubled).passed
 
 
 class TestCertify:

@@ -258,6 +258,20 @@ class TestModes:
         b = wasserstein_distance(factorized).primal_objective
         np.testing.assert_allclose(a, b, atol=1e-7)
 
+    @pytest.mark.parametrize("dim", [3, 6])
+    def test_certified_on_each_side_of_the_schur_crossover(self, dim):
+        # n = 9 forms the Schur complement densely, n = 36 from slot Gram blocks
+        rng = np.random.default_rng(40 + dim)
+        rho, omega = linalg.random_density(rng, dim), linalg.random_density(rng, dim)
+        obs = cost.observable_set([linalg.random_hermitian(rng, dim) for _ in range(2)])
+        inst = factorized_instance(rho, omega, obs, 2.0, MODE_NONLINEAR)
+        result = wasserstein_distance(inst)
+        assert result.status == sdp.STATUS_OPTIMAL and result.certificate.passed
+        assert result.gap <= 1e-6 * max(1.0, abs(result.primal_objective))
+        product = trivial_coupling(rho, omega).objective(inst.plan_cost())
+        assert result.dp <= product + 1e-6 * max(1.0, abs(product))
+        assert result.dual_attained
+
     def test_joint_equals_nonlinear_for_summed_cost(self):
         rho, omega = state_x(0.3), state_z(-0.2)
         via_matrix = wasserstein_distance(
