@@ -496,6 +496,28 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+# argparse reports a ValueError from a type function as an invalid value.
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number > 0")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 1")
+    return value
+
+
+def _exponent(text: str) -> float:
+    try:
+        return cost_mod.check_exponent(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qot",
@@ -511,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     solver = argparse.ArgumentParser(add_help=False)
     solver.add_argument("--p", type=float, default=None, help="override the exponent")
     solver.add_argument("--mode", choices=["joint", "linearized", "nonlinear"], default=None)
-    solver.add_argument("--tol", type=float, default=sdp.TOL, help="solver tolerance")
+    solver.add_argument("--tol", type=_positive_float, default=sdp.TOL, help="solver tolerance")
     solver.add_argument("--verbose", action="store_true")
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", default=None, help="append JSON records to this path")
@@ -530,14 +552,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("gap-demo", parents=[out],
                           help="strict linearization-gap demonstration")
-    sub.add_argument("--p", type=float, action="append", default=None,
+    sub.add_argument("--p", type=_exponent, action="append", default=None,
                      help="exponent; may repeat (default: 1 2 3)")
     sub.set_defaults(func=cmd_gap_demo)
 
     sub = subs.add_parser("verify", parents=[out], help="run a named verification suite")
     sub.add_argument("suite", help="one of: " + ", ".join(suites.suite_names()))
-    sub.add_argument("--density", type=int, default=None, help="grid density override")
-    sub.add_argument("--samples", type=int, default=None, help="sample count override")
+    sub.add_argument("--density", type=_positive_int, default=None,
+                     help="grid density override")
+    sub.add_argument("--samples", type=_positive_int, default=None,
+                     help="sample count override")
     sub.add_argument("--seed", type=int, default=0)
     sub.set_defaults(func=cmd_verify)
 

@@ -14,6 +14,7 @@ directly: the symmetric three-Pauli cost and the single-``sigma_z`` cost.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -37,6 +38,7 @@ __all__ = [
     "check_unitary_invariance",
     "lp_power_cost",
     "abs_power_evaluator",
+    "check_exponent",
 ]
 
 
@@ -54,10 +56,16 @@ class ClassicalCost:
         return value
 
 
+def check_exponent(p: float) -> float:
+    """Return ``p`` if it is a finite exponent ``>= 1``; raise ``ValueError`` otherwise."""
+    if not (math.isfinite(p) and p >= 1):
+        raise ValueError(f"exponent p must be >= 1 and finite, got {p}")
+    return p
+
+
 def lp_power_cost(arity: int, p: float) -> ClassicalCost:
     """The cost ``||x - y||_p^p`` on K-tuples."""
-    if p < 1:
-        raise ValueError(f"exponent p must be >= 1, got {p}")
+    check_exponent(p)
 
     def evaluate(x: Sequence[float], y: Sequence[float]) -> float:
         return float(sum(abs(a - b) ** p for a, b in zip(x, y)))
@@ -67,8 +75,7 @@ def lp_power_cost(arity: int, p: float) -> ClassicalCost:
 
 def abs_power_evaluator(p: float) -> Callable[[float, float], float]:
     """Single-factor cost ``|x - y|^p``."""
-    if p < 1:
-        raise ValueError(f"exponent p must be >= 1, got {p}")
+    check_exponent(p)
     return lambda x, y: abs(x - y) ** p
 
 
@@ -110,8 +117,7 @@ def sigma_z_observable() -> ObservableSet:
 
 def abs_power(m: np.ndarray, p: float) -> np.ndarray:
     """``|M|^p`` of a Hermitian matrix by eigendecomposition."""
-    if p < 1:
-        raise ValueError(f"exponent p must be >= 1, got {p}")
+    check_exponent(p)
     dec = linalg.eig_hermitian(m)
     return dec.apply(lambda lam: abs(lam) ** p)
 
@@ -197,16 +203,14 @@ def cost_symm(p: float) -> np.ndarray:
     over the three Pauli observables and is invariant under simultaneous
     basis changes of both slots.
     """
-    if p < 1:
-        raise ValueError(f"exponent p must be >= 1, got {p}")
+    check_exponent(p)
     eye2 = np.eye(2, dtype=complex)
     return 2.0 ** (p + 1) * np.eye(4, dtype=complex) - 2.0**p * linalg.outer_vec(eye2)
 
 
 def cost_z(p: float) -> np.ndarray:
     """Single-``sigma_z`` qubit cost ``diag(0, 2^p, 2^p, 0)``."""
-    if p < 1:
-        raise ValueError(f"exponent p must be >= 1, got {p}")
+    check_exponent(p)
     return 2.0 ** (p - 1) * (
         np.eye(4, dtype=complex) - linalg.kron(linalg.PAULI_Z, linalg.PAULI_Z.T)
     )

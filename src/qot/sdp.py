@@ -8,8 +8,12 @@ Standard form:
 with ``<A, B> = Re tr(A* B)`` on Hermitian matrices.  The solver is a
 primal-dual path-following interior-point method with Nesterov-Todd
 symmetric scaling and Mehrotra predictor-corrector steps; the Newton
-system is reduced to a dense Cholesky-factorizable Schur complement of
-size ``m``.  The dual
+system is reduced to a dense Schur complement of size ``m``.  It is factored
+through a QR factorization of the scaled constraints, except where the
+constraints declare a slot structure (:func:`slot_problem`) on a plan of at
+least ``STRUCTURED_MIN_DIM``: there the Schur matrix is formed from
+partial-trace contractions of the scaling matrix and Cholesky-factored while
+it is well conditioned.  The dual
 
     maximize    b . y
     subject to  S = C - sum_i y_i A_i >= 0
@@ -26,6 +30,7 @@ deterministic: fixed iteration schedule, no randomized pivoting.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -58,10 +63,11 @@ MAX_ITER = 200
 STEP_FRACTION = 0.98
 MU_FLOOR = 1e-12
 SCHUR_COND_LIMIT = 1e14
-# Plans of at least this dimension with declared slot structure form the
-# scaled constraints from per-slot Gram blocks; smaller plans form them
-# densely, which is faster there (numpy call overhead) and keeps their
-# results bitwise unchanged.
+# Plans of at least this dimension with declared slot structure test the
+# row rank on slot coordinates and form the Schur matrix (or, when it is ill
+# conditioned, the scaled constraints) slot by slot; smaller plans use the
+# dense rows and scaled constraints, which is faster there (numpy call
+# overhead) and keeps their results bitwise unchanged.
 STRUCTURED_MIN_DIM = 25
 
 # Certification thresholds (independent recomputation of the solution).
@@ -88,6 +94,44 @@ class SlotStructure:
         return SlotStructure(
             self.shape, tuple(self.slots[i] for i in keep), tuple(self.local_ops[i] for i in keep)
         )
+
+    @functools.cached_property
+    def groups(self) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
+        """``(slot, rows, ops)`` per occupied slot: the constraint indices at
+        the slot and their operators flattened to ``(len(rows), d*d)``."""
+        slots = np.array(self.slots)
+        out = []
+        for slot in np.unique(slots):
+            rows = np.flatnonzero(slots == slot)
+            ops = np.stack([self.local_ops[i].reshape(-1) for i in rows])
+            out.append((int(slot), rows, ops))
+        return tuple(out)
+
+    def coordinates(self) -> np.ndarray:
+        """Rows ``(m, 1 + sum d_s^2)`` with the Gram matrix of the constraints.
+
+        ``embed_at_slot(B, s)`` is ``tr(B)/d_s`` times the identity plus the
+        embedded traceless part ``B0``; the embedded traceless parts of
+        different slots are orthogonal to each other and to the identity, and
+        their norms scale by ``sqrt(n/d_s)``.  The coordinates are therefore
+        ``sqrt(n) tr(B)/d_s`` on one identity axis and ``sqrt(n/d_s)`` times
+        the Hermitian coordinates of ``B0`` in slot ``s``'s block.
+        """
+        dims = self.shape.dims
+        n = self.shape.total_dim
+        offsets = np.cumsum([1] + [d * d for d in dims])
+        out = np.zeros((len(self.slots), offsets[-1]))
+        for slot, rows, ops in self.groups:
+            d = dims[slot]
+            mean = ops[:, :: d + 1].sum(axis=1).real / d
+            traceless = ops.copy()
+            traceless[:, :: d + 1] -= mean[:, None]
+            traceless = traceless.reshape(-1, d, d)
+            out[rows, 0] = math.sqrt(n) * mean
+            out[rows, offsets[slot]:offsets[slot + 1]] = (
+                math.sqrt(n / d) * _hermitian_coords(traceless)
+            )
+        return out
 
 
 @dataclass(frozen=True)
@@ -165,36 +209,46 @@ def preprocess(
 ) -> tuple[SdpProblem, PreprocessReport]:
     """Drop linearly dependent constraint rows; detect inconsistent duplicates.
 
-    Rank decisions use Gram-Schmidt orthogonalization of the real-vectorized
-    rows with the given relative tolerance.  A dependent row whose target
-    value disagrees with the induced combination of the kept rows signals an
-    infeasible system.
+    Row ``k`` is kept when the norm of its component orthogonal to the kept
+    rows before it exceeds ``rank_tol * max(|row k|, 1)``.  With every row
+    before ``k`` kept, that norm is ``|R_kk|`` of an unpivoted QR of the rows,
+    so a system without dependent rows takes one QR.  The QR would count a
+    dependent row's rounding residue as a direction, so each dependent row
+    found is dropped and the remaining rows are factorized again.  Structured
+    problems on plans of at least ``STRUCTURED_MIN_DIM`` use the short
+    coordinates of :meth:`SlotStructure.coordinates`, which have the same
+    Gram matrix as the real-vectorized dense rows; smaller plans, where the
+    dense rows are cheaper, and unstructured problems use those.  A
+    dependent row whose target value disagrees with the induced combination
+    of the kept rows signals an infeasible system.
     """
     ops = problem.constraint_ops
     vals = problem.constraint_vals
     m = len(vals)
-    flat = ops.reshape(m, -1)
-    rows = np.hstack([flat.real, flat.imag])
+    if problem.structure is not None and problem.dim >= STRUCTURED_MIN_DIM:
+        rows = problem.structure.coordinates()
+    else:
+        flat = ops.reshape(m, -1)
+        rows = np.hstack([flat.real, flat.imag])
+    thresholds = rank_tol * np.maximum(np.linalg.norm(rows, axis=1), 1.0)
 
-    kept: list[int] = []
-    removed: list[int] = []
-    basis: list[np.ndarray] = []
-    for i in range(m):
-        v = rows[i]
-        r = v.copy()
-        for _ in range(2):  # re-orthogonalize once for stability
-            for q in basis:
-                r -= (q @ r) * q
-        norm_r = np.linalg.norm(r)
-        if norm_r > rank_tol * max(np.linalg.norm(v), 1.0):
-            kept.append(i)
-            basis.append(r / norm_r)
-        else:
-            removed.append(i)
+    kept = np.ones(m, dtype=bool)
+    while True:
+        cols = np.flatnonzero(kept)
+        r_diag = np.zeros(len(cols))
+        r = np.linalg.qr(rows[cols].T, mode="r")
+        r_diag[: len(r)] = np.abs(np.diag(r))
+        # rows past the coordinate length are dependent on the rows before
+        dependent = np.flatnonzero(r_diag <= thresholds[cols])
+        if not len(dependent):
+            break
+        kept[cols[dependent[0]]] = False
+    removed = np.flatnonzero(~kept)
+    kept = np.flatnonzero(kept)
 
     max_inconsistency = 0.0
     infeasible = False
-    if removed:
+    if len(removed):
         coeffs, *_ = np.linalg.lstsq(rows[kept].T, rows[removed].T, rcond=None)
         predicted = coeffs.T @ vals[kept]
         residues = np.abs(vals[removed] - predicted)
@@ -202,10 +256,13 @@ def preprocess(
         infeasible = bool(
             np.any(residues > consistency_tol * np.maximum(1.0, np.abs(vals[removed])))
         )
-
-    structure = problem.structure.rows(kept) if problem.structure is not None else None
-    reduced = SdpProblem(problem.objective, ops[kept], vals[kept], structure)
-    report = PreprocessReport(tuple(kept), tuple(removed), infeasible, max_inconsistency)
+        structure = problem.structure.rows(kept) if problem.structure is not None else None
+        reduced = SdpProblem(problem.objective, ops[kept], vals[kept], structure)
+    else:
+        reduced = problem
+    report = PreprocessReport(
+        tuple(int(i) for i in kept), tuple(int(i) for i in removed), infeasible, max_inconsistency
+    )
     return reduced, report
 
 
@@ -245,11 +302,15 @@ def _max_step(q: np.ndarray, w: np.ndarray, delta: np.ndarray) -> float:
     return 1.0 / (-lam)
 
 
+@functools.lru_cache(maxsize=None)
 def _triangle(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Flat indices of the diagonal, the strict upper and the strict lower
     triangle of an ``n x n`` matrix; ``upper[k]`` and ``lower[k]`` mirror."""
     rows, cols = np.triu_indices(n, 1)
-    return np.arange(n) * (n + 1), rows * n + cols, cols * n + rows
+    out = (np.arange(n) * (n + 1), rows * n + cols, cols * n + rows)
+    for index in out:
+        index.setflags(write=False)  # shared by every caller through the cache
+    return out
 
 
 def _coords(diag: np.ndarray, upper: np.ndarray) -> np.ndarray:
@@ -262,10 +323,10 @@ def _coords(diag: np.ndarray, upper: np.ndarray) -> np.ndarray:
 
 
 def _hermitian_coords(mat: np.ndarray) -> np.ndarray:
-    """Coordinates of the Hermitian part of ``mat``."""
-    diag, upper, lower = _triangle(mat.shape[0])
-    flat = mat.reshape(-1)
-    return _coords(flat[diag], 0.5 * (flat[upper] + flat[lower].conj()))
+    """Coordinates of the Hermitian part of ``mat`` (or of a stack of them)."""
+    diag, upper, lower = _triangle(mat.shape[-1])
+    flat = mat.reshape(*mat.shape[:-2], -1)
+    return _coords(flat[..., diag], 0.5 * (flat[..., upper] + flat[..., lower].conj()))
 
 
 def _slot_scaled_constraints(r: np.ndarray, structure: SlotStructure) -> np.ndarray:
@@ -279,11 +340,10 @@ def _slot_scaled_constraints(r: np.ndarray, structure: SlotStructure) -> np.ndar
     """
     n = r.shape[0]
     dims = structure.shape.dims
-    slots = np.array(structure.slots)
     diag, upper, _ = _triangle(n)
     triangle = np.concatenate([diag, upper])
-    out = np.empty((len(slots), n * n))
-    for slot in np.unique(slots):
+    out = np.empty((len(structure.slots), n * n))
+    for slot, rows, ops in structure.groups:
         d = dims[slot]
         inner = math.prod(dims[slot + 1:])
         # blocks[a] = R_a, and wide = [R_0 | R_1 | ... | R_(d-1)]
@@ -294,11 +354,52 @@ def _slot_scaled_constraints(r: np.ndarray, structure: SlotStructure) -> np.ndar
             row = (blocks[a].conj().T @ wide[:, a * n:]).reshape(n, d - a, n)
             gram[a, a:] = row.transpose(1, 0, 2)
             gram[a + 1:, a] = row[:, 1:].conj().transpose(1, 2, 0)
-        rows = np.flatnonzero(slots == slot)
-        ops = np.stack([structure.local_ops[i] for i in rows]).reshape(len(rows), d * d)
         # diagonal and upper triangle of sum_ab B[a, b] G_ab for every B of the slot
         scaled = ops @ gram.reshape(d * d, n * n)[:, triangle]
         out[rows] = _coords(scaled[:, :n], scaled[:, n:])
+    return out
+
+
+def _slot_schur(w: np.ndarray, structure: SlotStructure) -> np.ndarray:
+    """Schur matrix ``M_ij = Re tr(A_i W A_j W)`` of slot-structured constraints.
+
+    With ``E_ab`` the unit operator ``|a><b|`` embedded at slot ``s`` and
+    ``E_ce`` at slot ``t``, ``T_st[(a,b),(c,e)] = tr(E_ab W E_ce W)`` is the
+    product ``Y Y*`` of ``W`` reshaped so that its rows are indexed by the
+    row index at ``s`` and the column index at ``t``, which costs
+    ``d_s d_t n^2``.  The block of the constraints at ``s`` against those at
+    ``t`` is ``Re(B_s T_st B_t^T)`` with the flattened operators as rows.
+    """
+    dims = structure.shape.dims
+    k = len(dims)
+    tensor = w.reshape(dims + dims)
+    groups = structure.groups
+    m = len(structure.slots)
+    out = np.empty((m, m))
+    for g, (s, rows_s, ops_s) in enumerate(groups):
+        for t, rows_t, ops_t in groups[g:]:
+            ds, dt = dims[s], dims[t]
+            y = np.moveaxis(tensor, (s, k + t), (0, 1)).reshape(ds * dt, -1)
+            gram = (y @ y.conj().T).reshape(ds, dt, ds, dt)
+            coupling = gram.transpose(2, 0, 1, 3).reshape(ds * ds, dt * dt)
+            block = (ops_s @ coupling @ ops_t.T).real
+            if s == t:
+                block = 0.5 * (block + block.T)
+            out[np.ix_(rows_s, rows_t)] = block
+            out[np.ix_(rows_t, rows_s)] = block.T
+    return out
+
+
+def _slot_applied(z: np.ndarray, structure: SlotStructure) -> np.ndarray:
+    """``Re tr(A_i Z)`` for every constraint, from the slot marginals of ``Z``."""
+    dims = structure.shape.dims
+    out = np.empty(len(structure.slots))
+    for slot, rows, ops in structure.groups:
+        d = dims[slot]
+        outer, inner = math.prod(dims[:slot]), math.prod(dims[slot + 1:])
+        marginal = np.einsum("iajibj->ab", z.reshape(outer, d, inner, outer, d, inner))
+        # Re tr(A Z) = Re sum_ab B[a, b] marginal[b, a]
+        out[rows] = (ops @ marginal.T.reshape(-1)).real
     return out
 
 
@@ -334,6 +435,7 @@ def solve(
     y = np.zeros(m)
 
     eye = np.eye(n)
+    cholesky_ratio = math.sqrt(tol / np.finfo(float).eps)
 
     status = STATUS_MAX_ITER
     iterations = 0
@@ -392,27 +494,45 @@ def solve(
         r = fx @ vh.conj().T / np.sqrt(sig)
         rh = r.conj().T
 
-        # The Schur complement is the Gram matrix F F* = R_f^T R_f of the
-        # scaled constraints F_i = R* A_i R.  Working with the QR factor of
-        # the scaled constraint matrix instead of the explicit Gram keeps
-        # twice the digits near a degenerate face; the diagonal ratio of R_f
-        # estimates the conditioning of the system that is actually
-        # factorized and solved.
-        if structure is None:
-            scaled_ops = np.matmul(np.matmul(rh[None, :, :], ops), r)
-            f = scaled_ops.reshape(m, -1)
-            f_real = np.hstack([f.real, f.imag])
+        # The Schur complement is the Gram matrix M = F F* = R_f^T R_f of the
+        # scaled constraints F_i = R* A_i R.  With slot structure, M is formed
+        # from slot contractions of W = R R* (d_s d_t n^2 per slot pair, no
+        # F_i) and Cholesky-factored; the factor is used while its diagonal
+        # ratio stays below cholesky_ratio, so that the cond(M) eps error of
+        # the normal equations stays below tol.  In the ill-conditioned last
+        # iterations, and for unstructured problems, the QR factor of
+        # the scaled constraint matrix keeps twice the digits near a
+        # degenerate face.  The diagonal ratio of R_f estimates the
+        # conditioning of the system that is actually factorized and solved.
+        r_f = None
+        if structure is not None:
+            try:
+                chol = np.linalg.cholesky(_slot_schur(r @ rh, structure))
+            except np.linalg.LinAlgError:
+                chol = None
+            if chol is not None:
+                chol_diag = np.diag(chol)
+                if chol_diag.max() <= cholesky_ratio * chol_diag.min():
+                    r_f = chol.T
 
-            def applied_scaled(mat: np.ndarray) -> np.ndarray:
-                return (f @ np.conj(mat.reshape(-1))).real
-        else:
-            # n*n real Hermitian coordinates: half the rows of [Re f, Im f]
-            f_real = _slot_scaled_constraints(r, structure)
+                    def applied_scaled(mat: np.ndarray) -> np.ndarray:
+                        return _slot_applied(r @ mat @ rh, structure)
+        if r_f is None:
+            if structure is None:
+                scaled_ops = np.matmul(np.matmul(rh[None, :, :], ops), r)
+                f = scaled_ops.reshape(m, -1)
+                f_real = np.hstack([f.real, f.imag])
 
-            def applied_scaled(mat: np.ndarray) -> np.ndarray:
-                return f_real @ _hermitian_coords(mat)
+                def applied_scaled(mat: np.ndarray) -> np.ndarray:
+                    return (f @ np.conj(mat.reshape(-1))).real
+            else:
+                # n*n real Hermitian coordinates: half the rows of [Re f, Im f]
+                f_real = _slot_scaled_constraints(r, structure)
 
-        r_f = np.linalg.qr(f_real.T, mode="r")
+                def applied_scaled(mat: np.ndarray) -> np.ndarray:
+                    return f_real @ _hermitian_coords(mat)
+
+            r_f = np.linalg.qr(f_real.T, mode="r")
         r_diag = np.abs(np.diag(r_f))
         if r_diag.min() <= 0.0 or r_diag.max() / r_diag.min() > SCHUR_COND_LIMIT:
             status = STATUS_NUMERICAL

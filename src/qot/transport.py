@@ -93,8 +93,7 @@ class TransportInstance:
     def __post_init__(self) -> None:
         if self.mode not in (MODE_JOINT, MODE_LINEARIZED, MODE_NONLINEAR):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if not (math.isfinite(self.p) and self.p >= 1):
-            raise ValueError(f"exponent p must be finite and >= 1, got {self.p}")
+        cost_mod.check_exponent(self.p)
         if self.mode in (MODE_JOINT, MODE_NONLINEAR) and self.pairs != 1:
             raise ValueError(f"{self.mode} mode uses a single-pair plan")
         if self.mode == MODE_JOINT and self.joint_cost is None:

@@ -269,6 +269,35 @@ class TestCommands:
 @pytest.mark.parametrize(
     "argv",
     [
+        ["gap-demo", "--p", "0.5"],
+        ["gap-demo", "--p", "nan"],
+        ["gap-demo", "--p", "2", "--p", "inf"],
+        ["verify", "costs", "--density", "-2"],
+        ["verify", "symm-commuting", "--density", "0"],
+        ["verify", "costs", "--samples", "-1"],
+        ["verify", "costs", "--samples", "0"],
+    ],
+)
+def test_out_of_range_values_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "argument --" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["distance", "dual"])
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_bad_tolerance_is_a_usage_error(tmp_path, capsys, command, tol):
+    path = write_instance(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([command, path, "--tol", tol])
+    assert exc.value.code == 2
+    assert "argument --tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["distance", "{path}", "--seed", "3"],
         ["dual", "{path}", "--seed", "3"],
         ["divergence", "{path}", "--seed", "3"],

@@ -81,6 +81,16 @@ class TestDistinguishedCosts:
         with pytest.raises(ValueError, match="p must be >= 1"):
             builder(0.5)
 
+    @pytest.mark.parametrize(
+        "builder",
+        [cost_symm, cost_z, abs_power_evaluator, lambda p: lp_power_cost(2, p),
+         lambda p: abs_power(PAULI_Z, p)],
+    )
+    @pytest.mark.parametrize("p", [np.inf, np.nan])
+    def test_non_finite_exponent_rejected(self, builder, p):
+        with pytest.raises(ValueError, match="p must be >= 1 and finite"):
+            builder(p)
+
     @pytest.mark.parametrize("p", [1.0, 2.0])
     def test_swap_transpose_symmetry(self, p):
         for matrix in (cost_symm(p), cost_z(p)):

@@ -137,6 +137,16 @@ class TestPreprocess:
         sol = sdp.solve(problem)
         assert sol.status == sdp.STATUS_INFEASIBLE
 
+    def test_dependent_rows_beyond_the_coordinate_length(self):
+        # nine copies of one row fill the 8 real coordinates of a 2x2 problem
+        # with rounding residues; the independent row after them must stay
+        half = np.diag([1.0, 0.0]).astype(complex)
+        problem = sdp.sdp_problem(EYE2, [(EYE2, 1.0)] * 9 + [(half, 0.25)])
+        reduced, report = sdp.preprocess(problem)
+        assert report.kept == (0, 9)
+        assert not report.infeasible
+        np.testing.assert_array_equal(reduced.constraint_vals, [1.0, 0.25])
+
     def test_dependent_but_consistent_combination(self):
         a = np.diag([1.0, 0.0]).astype(complex)
         b = np.diag([0.0, 1.0]).astype(complex)
@@ -159,6 +169,15 @@ def random_marginal_problem(rng, dim, pairs):
     return transport.build_primal(instance)
 
 
+def random_slot_problem(rng, shape):
+    """One trace row plus the traceless Hermitian basis at every slot of ``shape``."""
+    constraints = [(0, np.eye(shape.dims[0], dtype=complex), 1.0)]
+    for slot, d in enumerate(shape.dims):
+        for b in linalg.hermitian_basis(d)[1:]:
+            constraints.append((slot, b, float(rng.standard_normal())))
+    return sdp.slot_problem(linalg.random_hermitian(rng, shape.total_dim), shape, constraints)
+
+
 class TestStructuredSchur:
     def test_hermitian_coordinates_are_an_isometry(self):
         rng = np.random.default_rng(5)
@@ -169,20 +188,70 @@ class TestStructuredSchur:
                 expected = np.trace(a.conj().T @ b).real
                 np.testing.assert_allclose(dot, expected, rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.parametrize("dim,pairs", [(2, 1), (3, 1), (4, 1), (2, 3)])
+    @pytest.mark.parametrize(
+        "dim,pairs",
+        [
+            (2, 1), (3, 1), (4, 1), (2, 3),
+            # pairs=0: the trace row plus a full basis at each slot of the shape
+            pytest.param((2, 3), 0, id="shape-2x3"),
+            pytest.param((2, 3, 2), 0, id="shape-2x3x2"),
+        ],
+    )
     def test_slot_gram_matches_dense(self, dim, pairs):
-        rng = np.random.default_rng(dim * 10 + pairs)
-        problem = random_marginal_problem(rng, dim, pairs)
+        if pairs:
+            rng = np.random.default_rng(dim * 10 + pairs)
+            problem = random_marginal_problem(rng, dim, pairs)
+        else:
+            rng = np.random.default_rng(len(dim))
+            problem = random_slot_problem(rng, linalg.FactorShape(dim))
         n, m = problem.dim, problem.n_constraints
         r = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         f = np.matmul(np.matmul(r.conj().T[None], problem.constraint_ops), r).reshape(m, -1)
         f_real = np.hstack([f.real, f.imag])
+        dense = f_real @ f_real.T
+        atol = 1e-12 * np.abs(dense).max()
         coords = sdp._slot_scaled_constraints(r, problem.structure)
         assert coords.shape == (m, n * n)
-        dense = f_real @ f_real.T
+        np.testing.assert_allclose(coords @ coords.T, dense, rtol=0, atol=atol)
+        schur = sdp._slot_schur(r @ r.conj().T, problem.structure)
+        np.testing.assert_allclose(schur, dense, rtol=0, atol=atol)
+        mat = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        applied = (f @ np.conj(mat.reshape(-1))).real
         np.testing.assert_allclose(
-            coords @ coords.T, dense, rtol=0, atol=1e-12 * np.abs(dense).max()
+            sdp._slot_applied(r @ mat @ r.conj().T, problem.structure),
+            applied, rtol=0, atol=1e-12 * np.abs(applied).max(),
         )
+
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 3), (2, 3, 2)], ids=str)
+    def test_slot_coordinates_have_the_dense_gram(self, dims):
+        problem = random_slot_problem(np.random.default_rng(len(dims)), linalg.FactorShape(dims))
+        m = problem.n_constraints
+        flat = problem.constraint_ops.reshape(m, -1)
+        rows = np.hstack([flat.real, flat.imag])
+        coords = problem.structure.coordinates()
+        assert coords.shape == (m, 1 + sum(d * d for d in dims))
+        np.testing.assert_allclose(coords @ coords.T, rows @ rows.T, rtol=0, atol=1e-12 * m)
+
+    def test_identity_declared_at_two_slots_is_removed(self):
+        problem = random_marginal_problem(np.random.default_rng(2), 5, 1)
+        assert problem.dim >= sdp.STRUCTURED_MIN_DIM  # rank tested on slot coordinates
+        structure = problem.structure
+        rows = list(zip(structure.slots, structure.local_ops, problem.constraint_vals))
+        again = sdp.slot_problem(
+            problem.objective, structure.shape, rows + [(1, np.eye(5, dtype=complex), 1.0)]
+        )
+        reduced, report = sdp.preprocess(again)
+        assert report.removed == (len(rows),)
+        assert not report.infeasible
+        assert reduced.structure.slots == structure.slots
+
+    def test_structured_solve_is_deterministic(self):
+        problem = random_marginal_problem(np.random.default_rng(11), 6, 1)
+        assert problem.dim >= sdp.STRUCTURED_MIN_DIM
+        a, b = sdp.solve(problem), sdp.solve(problem)
+        assert a.optimal and a.iterations == b.iterations
+        for name in ("x", "y", "s"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
     def test_duplicated_row_is_filtered_from_the_structure(self):
         problem = random_marginal_problem(np.random.default_rng(8), 6, 1)
