@@ -76,7 +76,7 @@ def hermitian(m: np.ndarray, atol: float = HERMITIAN_ATOL) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.view(float))):
+    if not np.all(np.isfinite(m)):
         raise ValueError("matrix has non-finite entries")
     defect = np.abs(m - m.conj().T).max() if m.size else 0.0
     if defect > atol:

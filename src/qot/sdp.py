@@ -13,7 +13,12 @@ through a QR factorization of the scaled constraints, except where the
 constraints declare a slot structure (:func:`slot_problem`) on a plan of at
 least ``STRUCTURED_MIN_DIM``: there the Schur matrix is formed from
 partial-trace contractions of the scaling matrix and Cholesky-factored while
-it is well conditioned.  The dual
+it is well conditioned, and the constraints and their adjoint are applied
+through slot marginals and embeddings instead of the dense operator stack.
+On plans of at least that dimension the iterates are factored by Cholesky
+and the step lengths are eigenvalues in the scaled frame, where both
+iterates are diagonal; smaller plans factor them by eigendecomposition.  The
+dual
 
     maximize    b . y
     subject to  S = C - sum_i y_i A_i >= 0
@@ -63,11 +68,13 @@ MAX_ITER = 200
 STEP_FRACTION = 0.98
 MU_FLOOR = 1e-12
 SCHUR_COND_LIMIT = 1e14
-# Plans of at least this dimension with declared slot structure test the
-# row rank on slot coordinates and form the Schur matrix (or, when it is ill
-# conditioned, the scaled constraints) slot by slot; smaller plans use the
-# dense rows and scaled constraints, which is faster there (numpy call
-# overhead) and keeps their results bitwise unchanged.
+# Plans of at least this dimension factor X and S by Cholesky and take step
+# lengths in the scaling frame; with declared slot structure they also test
+# the row rank on slot coordinates, form the Schur matrix (or, when it is ill
+# conditioned, the scaled constraints) slot by slot and apply the constraints
+# through slot marginals.  Smaller plans use eigen factors and the dense rows
+# and scaled constraints, which is faster there (numpy call overhead) and
+# keeps their results bitwise unchanged.
 STRUCTURED_MIN_DIM = 25
 
 # Certification thresholds (independent recomputation of the solution).
@@ -184,7 +191,8 @@ def slot_problem(
     ``<embed_at_slot(op, slot, shape), X> = b``.
 
     The dense operators are built from the declared pairs, and the pairs are
-    kept for the solver's structured Schur formation.
+    kept for the solver's structured Schur formation and for applying the
+    constraints and their adjoint slot by slot.
     """
     problem = sdp_problem(
         objective, [(linalg.embed_at_slot(op, slot, shape), b) for slot, op, b in constraints]
@@ -292,14 +300,43 @@ def _psd_factor(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return q * np.sqrt(w), q, w
 
 
-def _max_step(q: np.ndarray, w: np.ndarray, delta: np.ndarray) -> float:
-    """Largest step keeping ``m + alpha * delta`` PSD, given ``m = Q diag(w) Q*``."""
-    b = q.conj().T @ delta @ q
+def _cholesky_factor(m: np.ndarray) -> np.ndarray:
+    """Cholesky factor ``L`` with ``L L* = m``; the eigen factor of
+    :func:`_psd_factor` when ``m`` is not numerically positive definite."""
+    try:
+        return np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return _psd_factor(m)[0]
+
+
+def _nt_scaling(fx: np.ndarray, fs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nesterov-Todd scaling ``(R, sig)`` of ``X = Fx Fx*`` and ``S = Fs Fs*``.
+
+    With ``Fs* Fx = U diag(sig) V*`` and ``R = Fx V / sqrt(sig)``, both
+    ``R^-1 X R^-*`` and ``R* S R`` are ``diag(sig)``; ``W = R R*`` does not
+    depend on which factors are given.
+    """
+    _, sig, vh = np.linalg.svd(fs.conj().T @ fx)
+    sig = np.maximum(sig, 1e-150)
+    return fx @ vh.conj().T / np.sqrt(sig), sig
+
+
+def _frame_eigvals(b: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of ``diag(w)^-1/2 b diag(w)^-1/2`` for Hermitian ``b``."""
     t = b / np.sqrt(np.outer(w, w))
-    lam = float(np.linalg.eigvalsh(0.5 * (t + t.conj().T))[0])
+    return np.linalg.eigvalsh(0.5 * (t + t.conj().T))
+
+
+def _boundary_step(lam: float) -> float:
+    """Largest ``alpha`` with ``1 + alpha * lam >= 0``."""
     if lam >= 0.0:
         return np.inf
     return 1.0 / (-lam)
+
+
+def _max_step(q: np.ndarray, w: np.ndarray, delta: np.ndarray) -> float:
+    """Largest step keeping ``m + alpha * delta`` PSD, given ``m = Q diag(w) Q*``."""
+    return _boundary_step(float(_frame_eigvals(q.conj().T @ delta @ q, w)[0]))
 
 
 @functools.lru_cache(maxsize=None)
@@ -403,6 +440,22 @@ def _slot_applied(z: np.ndarray, structure: SlotStructure) -> np.ndarray:
     return out
 
 
+def _slot_adjoint(y: np.ndarray, structure: SlotStructure) -> np.ndarray:
+    """``sum_i y_i A_i``: per slot, the combination of its local operators
+    embedded as identity on the other slots."""
+    dims = structure.shape.dims
+    n = structure.shape.total_dim
+    out = np.zeros((n, n), dtype=complex)
+    for slot, rows, ops in structure.groups:
+        d = dims[slot]
+        outer, inner = math.prod(dims[:slot]), math.prod(dims[slot + 1:])
+        local = (y[rows] @ ops).reshape(d, d)
+        # a repeated einsum index gives a writable view of the diagonal in
+        # the outer and inner indices
+        np.einsum("iajibj->ijab", out.reshape(outer, d, inner, outer, d, inner))[...] += local
+    return out
+
+
 def solve(
     problem: SdpProblem,
     *,
@@ -426,8 +479,22 @@ def solve(
     b = reduced.constraint_vals
     n = reduced.dim
     m = len(b)
-    flat_ops = ops.reshape(m, -1)
-    structure = reduced.structure if n >= STRUCTURED_MIN_DIM else None
+    large = n >= STRUCTURED_MIN_DIM
+    structure = reduced.structure if large else None
+    if structure is not None:
+        def adjoint(v: np.ndarray) -> np.ndarray:
+            return _slot_adjoint(v, structure)
+
+        def apply(z: np.ndarray) -> np.ndarray:
+            return _slot_applied(z, structure)
+    else:
+        flat_ops = ops.reshape(m, -1)
+
+        def adjoint(v: np.ndarray) -> np.ndarray:
+            return np.tensordot(v, ops, axes=1)
+
+        def apply(z: np.ndarray) -> np.ndarray:
+            return (flat_ops @ np.conj(z.reshape(-1))).real
 
     tau = max(1.0, float(np.abs(c).max()))
     x = tau * np.eye(n, dtype=complex)
@@ -447,10 +514,9 @@ def solve(
 
     for it in range(MAX_ITER + 1):
         iterations = it
-        rd = c - s - np.tensordot(y, ops, axes=1)
+        rd = c - s - adjoint(y)
         rd = 0.5 * (rd + rd.conj().T)
-        applied = (flat_ops @ np.conj(x.reshape(-1))).real
-        rp = b - applied
+        rp = b - apply(x)
         mu = float(np.einsum("ab,ba->", x, s).real) / n
         pobj = float(np.einsum("ab,ba->", c, x).real)
         dobj = float(b @ y)
@@ -483,15 +549,20 @@ def solve(
             status = STATUS_NUMERICAL
             break
 
-        # Nesterov-Todd scaling point: W = R R* with R = Fx V / sqrt(sig),
-        # where Fs* Fx = U diag(sig) V*.  In the scaled frame both variables
-        # become diag(sig), so the linearized central-path equation is a
-        # cheap elementwise Lyapunov solve.
-        fx, qx, wx = _psd_factor(x)
-        fs, qs, ws = _psd_factor(s)
-        _, sig, vh = np.linalg.svd(fs.conj().T @ fx)
-        sig = np.maximum(sig, 1e-150)
-        r = fx @ vh.conj().T / np.sqrt(sig)
+        # Nesterov-Todd scaling point W = R R* (_nt_scaling).  In the scaled
+        # frame both variables become diag(sig), so the linearized
+        # central-path equation is a cheap elementwise Lyapunov solve.  As
+        # X + a dX = R (diag(sig) + a dX~) R*, the step to the boundary of
+        # the cone is read from diag(sig)^-1/2 dX~ diag(sig)^-1/2 (and the
+        # same for S); large plans do so, which needs no eigen factor of X
+        # and S, and factor them by Cholesky.  Smaller plans keep the eigen
+        # factors and measure each step in the eigenbasis of X or S.
+        if large:
+            fx, fs = _cholesky_factor(x), _cholesky_factor(s)
+        else:
+            fx, qx, wx = _psd_factor(x)
+            fs, qs, ws = _psd_factor(s)
+        r, sig = _nt_scaling(fx, fs)
         rh = r.conj().T
 
         # The Schur complement is the Gram matrix M = F F* = R_f^T R_f of the
@@ -547,17 +618,26 @@ def solve(
         # Predictor (affine direction, sigma = 0): scaled target -diag(sig).
         chat_aff = -np.diag(sig)
         dy_aff = schur_solve(rp + applied_scaled(rd_scaled - chat_aff))
-        ds_aff = rd - np.tensordot(dy_aff, ops, axes=1)
+        ds_aff = rd - adjoint(dy_aff)
         ds_aff = 0.5 * (ds_aff + ds_aff.conj().T)
         ds_aff_scaled = rh @ ds_aff @ r
         dx_aff_scaled = chat_aff - ds_aff_scaled
-        dx_aff = r @ dx_aff_scaled @ rh
-        dx_aff = 0.5 * (dx_aff + dx_aff.conj().T)
-
-        ap = min(1.0, _max_step(qx, wx, dx_aff))
-        ad = min(1.0, _max_step(qs, ws, ds_aff))
-        x_probe = x + ap * dx_aff
-        s_probe = s + ad * ds_aff
+        if large:
+            # diag(sig)^-1/2 chat_aff diag(sig)^-1/2 = -I, so the X-side
+            # eigenvalues are -1 minus the S-side ones; the probes stay in
+            # the scaled frame, where tr(X S) is the same
+            lam = _frame_eigvals(ds_aff_scaled, sig)
+            ap = min(1.0, _boundary_step(-1.0 - float(lam[-1])))
+            ad = min(1.0, _boundary_step(float(lam[0])))
+            x_probe = -chat_aff + ap * dx_aff_scaled
+            s_probe = -chat_aff + ad * ds_aff_scaled
+        else:
+            dx_aff = r @ dx_aff_scaled @ rh
+            dx_aff = 0.5 * (dx_aff + dx_aff.conj().T)
+            ap = min(1.0, _max_step(qx, wx, dx_aff))
+            ad = min(1.0, _max_step(qs, ws, ds_aff))
+            x_probe = x + ap * dx_aff
+            s_probe = s + ad * ds_aff
         mu_aff = max(float(np.einsum("ab,ba->", x_probe, s_probe).real) / n, 0.0)
         sigma = min(1.0, (mu_aff / mu) ** 3) if mu > 0 else 0.0
         if min(ap, ad) < 0.2:
@@ -567,22 +647,34 @@ def solve(
 
         # Corrector with Mehrotra second-order term, solved in the scaled
         # frame where the Lyapunov operator is elementwise division.
-        correction = 0.5 * (
-            dx_aff_scaled @ ds_aff_scaled + ds_aff_scaled @ dx_aff_scaled
-        )
+        if large:
+            # of two Hermitian matrices, ds dx is the adjoint of dx ds
+            product = dx_aff_scaled @ ds_aff_scaled
+            correction = 0.5 * (product + product.conj().T)
+        else:
+            correction = 0.5 * (
+                dx_aff_scaled @ ds_aff_scaled + ds_aff_scaled @ dx_aff_scaled
+            )
         rhs_scaled = sigma * mu * eye - np.diag(sig**2) - correction
         chat = 2.0 * rhs_scaled / (sig[:, None] + sig[None, :])
         chat = 0.5 * (chat + chat.conj().T)
 
         dy = schur_solve(rp + applied_scaled(rd_scaled - chat))
-        ds = rd - np.tensordot(dy, ops, axes=1)
+        ds = rd - adjoint(dy)
         ds = 0.5 * (ds + ds.conj().T)
         ds_scaled = rh @ ds @ r
-        dx = r @ (chat - ds_scaled) @ rh
+        dx_scaled = chat - ds_scaled
+        dx = r @ dx_scaled @ rh
         dx = 0.5 * (dx + dx.conj().T)
 
-        ap = min(1.0, STEP_FRACTION * _max_step(qx, wx, dx))
-        ad = min(1.0, STEP_FRACTION * _max_step(qs, ws, ds))
+        if large:
+            ap = _boundary_step(float(_frame_eigvals(dx_scaled, sig)[0]))
+            ad = _boundary_step(float(_frame_eigvals(ds_scaled, sig)[0]))
+        else:
+            ap = _max_step(qx, wx, dx)
+            ad = _max_step(qs, ws, ds)
+        ap = min(1.0, STEP_FRACTION * ap)
+        ad = min(1.0, STEP_FRACTION * ad)
         if ap < 1e-13 and ad < 1e-13:
             status = STATUS_NUMERICAL
             break

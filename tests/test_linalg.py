@@ -39,6 +39,18 @@ class TestValidators:
         with pytest.raises(ValueError, match="not Hermitian"):
             linalg.hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_hermitian_accepts_transposed_basis_elements(self, dim):
+        # a transpose is not contiguous along its last axis
+        for b in hermitian_basis(dim):
+            np.testing.assert_array_equal(linalg.hermitian(b.T), b.T)
+
+    def test_hermitian_rejects_non_finite_entries_in_any_layout(self):
+        m = np.array([[1.0, 0.0], [0.0, np.nan]], dtype=complex)
+        for layout in (m, m.T, np.asfortranarray(m)):
+            with pytest.raises(ValueError, match="non-finite"):
+                linalg.hermitian(layout)
+
     def test_density_accepts_states_and_rejects_non_states(self):
         linalg.density(rho_z(0.3))
         with pytest.raises(ValueError, match="trace"):

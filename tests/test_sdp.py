@@ -178,6 +178,32 @@ def random_slot_problem(rng, shape):
     return sdp.slot_problem(linalg.random_hermitian(rng, shape.total_dim), shape, constraints)
 
 
+# (dim, pairs) of random_marginal_problem; pairs=0: random_slot_problem on
+# the shape ``dim``, the trace row plus a full basis at each slot
+SLOT_CASES = pytest.mark.parametrize(
+    "dim,pairs",
+    [
+        (2, 1), (3, 1), (4, 1), (2, 3),
+        pytest.param((2, 3), 0, id="shape-2x3"),
+        pytest.param((2, 3, 2), 0, id="shape-2x3x2"),
+    ],
+)
+
+
+def slot_case(dim, pairs):
+    """``(rng, problem)`` of one SLOT_CASES entry."""
+    if pairs:
+        rng = np.random.default_rng(dim * 10 + pairs)
+        return rng, random_marginal_problem(rng, dim, pairs)
+    rng = np.random.default_rng(len(dim))
+    return rng, random_slot_problem(rng, linalg.FactorShape(dim))
+
+
+def random_pd(rng, n):
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return a @ a.conj().T / n + 1e-3 * np.eye(n)
+
+
 class TestStructuredSchur:
     def test_hermitian_coordinates_are_an_isometry(self):
         rng = np.random.default_rng(5)
@@ -188,22 +214,9 @@ class TestStructuredSchur:
                 expected = np.trace(a.conj().T @ b).real
                 np.testing.assert_allclose(dot, expected, rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.parametrize(
-        "dim,pairs",
-        [
-            (2, 1), (3, 1), (4, 1), (2, 3),
-            # pairs=0: the trace row plus a full basis at each slot of the shape
-            pytest.param((2, 3), 0, id="shape-2x3"),
-            pytest.param((2, 3, 2), 0, id="shape-2x3x2"),
-        ],
-    )
+    @SLOT_CASES
     def test_slot_gram_matches_dense(self, dim, pairs):
-        if pairs:
-            rng = np.random.default_rng(dim * 10 + pairs)
-            problem = random_marginal_problem(rng, dim, pairs)
-        else:
-            rng = np.random.default_rng(len(dim))
-            problem = random_slot_problem(rng, linalg.FactorShape(dim))
+        rng, problem = slot_case(dim, pairs)
         n, m = problem.dim, problem.n_constraints
         r = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         f = np.matmul(np.matmul(r.conj().T[None], problem.constraint_ops), r).reshape(m, -1)
@@ -220,6 +233,23 @@ class TestStructuredSchur:
         np.testing.assert_allclose(
             sdp._slot_applied(r @ mat @ r.conj().T, problem.structure),
             applied, rtol=0, atol=1e-12 * np.abs(applied).max(),
+        )
+
+    @SLOT_CASES
+    def test_slot_adjoint_and_marginals_match_dense(self, dim, pairs):
+        rng, problem = slot_case(dim, pairs)
+        ops, m = problem.constraint_ops, problem.n_constraints
+        y = rng.standard_normal(m)
+        dense = np.tensordot(y, ops, axes=1)
+        np.testing.assert_allclose(
+            sdp._slot_adjoint(y, problem.structure), dense,
+            rtol=0, atol=1e-12 * np.abs(dense).max(),
+        )
+        x = random_pd(rng, problem.dim)
+        applied = (ops.reshape(m, -1) @ np.conj(x.reshape(-1))).real
+        np.testing.assert_allclose(
+            sdp._slot_applied(x, problem.structure), applied,
+            rtol=0, atol=1e-12 * np.abs(applied).max(),
         )
 
     @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 3), (2, 3, 2)], ids=str)
@@ -270,6 +300,48 @@ class TestStructuredSchur:
             dup.primal_objective, base.primal_objective, rtol=0, atol=1e-8 * scale
         )
         assert sdp.certify(dup, doubled).passed
+
+
+class TestLargePlanStep:
+    @pytest.mark.parametrize("n", [25, 36, 64])
+    def test_scaled_frame_step_matches_the_eigenbasis_step(self, n):
+        rng = np.random.default_rng(n)
+        x, s = random_pd(rng, n), random_pd(rng, n)
+        r, sig = sdp._nt_scaling(sdp._cholesky_factor(x), sdp._cholesky_factor(s))
+        rh = r.conj().T
+        # both iterates are diag(sig) in the scaled frame
+        scaled_x = np.linalg.solve(r, np.linalg.solve(r, x).conj().T).conj().T
+        np.testing.assert_allclose(scaled_x, np.diag(sig), rtol=0, atol=1e-10 * sig.max())
+        np.testing.assert_allclose(rh @ s @ r, np.diag(sig), rtol=0, atol=1e-10 * sig.max())
+        wx, qx = np.linalg.eigh(x)
+        ws, qs = np.linalg.eigh(s)
+        for _ in range(5):
+            ds_scaled = linalg.random_hermitian(rng, n, scale=float(sig.mean()))
+            ds = np.linalg.solve(rh, np.linalg.solve(rh, ds_scaled).conj().T).conj().T
+            ad = sdp._boundary_step(sdp._frame_eigvals(ds_scaled, sig)[0])
+            np.testing.assert_allclose(ad, sdp._max_step(qs, ws, ds), rtol=1e-10)
+            # predictor: the X-side direction is -diag(sig) - ds_scaled, and
+            # its smallest scaled eigenvalue is -1 minus the S side's largest
+            dx_scaled = -np.diag(sig) - ds_scaled
+            lam_x = sdp._frame_eigvals(dx_scaled, sig)
+            lam_s = sdp._frame_eigvals(ds_scaled, sig)
+            np.testing.assert_allclose(lam_x[0], -1.0 - lam_s[-1], rtol=1e-10)
+            ap = sdp._boundary_step(-1.0 - lam_s[-1])
+            np.testing.assert_allclose(
+                ap, sdp._max_step(qx, wx, r @ dx_scaled @ rh), rtol=1e-10
+            )
+
+    def test_cholesky_factor_falls_back_to_the_eigen_factor(self):
+        rng = np.random.default_rng(4)
+        v = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
+        rank_two = v @ v.conj().T
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(rank_two)
+        f = sdp._cholesky_factor(rank_two)
+        np.testing.assert_array_equal(f, sdp._psd_factor(rank_two)[0])
+        np.testing.assert_allclose(f @ f.conj().T, rank_two, rtol=0, atol=1e-12)
+        pd = random_pd(rng, 6)
+        np.testing.assert_array_equal(sdp._cholesky_factor(pd), np.linalg.cholesky(pd))
 
 
 class TestCertify:

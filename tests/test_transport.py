@@ -272,6 +272,31 @@ class TestModes:
         assert result.dp <= product + 1e-6 * max(1.0, abs(product))
         assert result.dual_attained
 
+    def test_three_pair_linearized_symm_is_certified(self):
+        # n = 64: Cholesky factors and scaled-frame step lengths
+        inst = factorized_instance(
+            state_z(0.3), state_z(-0.5), cost.pauli_triple(), 2.0, MODE_LINEARIZED
+        )
+        result = wasserstein_distance(inst)
+        assert result.status == sdp.STATUS_OPTIMAL and result.certificate.passed
+        assert abs(result.solution.iterations - 14) <= 1
+
+    @pytest.mark.parametrize("pure_side", ["rho", "omega"])
+    def test_pure_against_mixed_on_a_large_plan_returns_a_status(self, pure_side):
+        # no interior: the plan lives on supp(omega) (x) supp(rho^T)
+        rng = np.random.default_rng(7)
+        u = linalg.random_unitary(rng, 5)
+        pure = np.outer(u[:, 0], u[:, 0].conj())
+        mixed = linalg.random_density(rng, 5)
+        rho, omega = (pure, mixed) if pure_side == "rho" else (mixed, pure)
+        obs = cost.observable_set([linalg.random_hermitian(rng, 5)])
+        inst = factorized_instance(rho, omega, obs, 2.0, MODE_NONLINEAR)
+        assert inst.plan_shape.total_dim == sdp.STRUCTURED_MIN_DIM
+        result = wasserstein_distance(inst)
+        assert result.status in (
+            sdp.STATUS_OPTIMAL, sdp.STATUS_NUMERICAL, sdp.STATUS_MAX_ITER, sdp.STATUS_INFEASIBLE
+        )
+
     def test_joint_equals_nonlinear_for_summed_cost(self):
         rho, omega = state_x(0.3), state_z(-0.2)
         via_matrix = wasserstein_distance(
