@@ -12,9 +12,11 @@ system is reduced to a dense Schur complement of size ``m``.  It is factored
 through a QR factorization of the scaled constraints, except where the
 constraints declare a slot structure (:func:`slot_problem`) on a plan of at
 least ``STRUCTURED_MIN_DIM``: there the Schur matrix is formed from
-partial-trace contractions of the scaling matrix and Cholesky-factored while
-it is well conditioned, and the constraints and their adjoint are applied
-through slot marginals and embeddings instead of the dense operator stack.
+partial-trace contractions of the scaling matrix and always Cholesky-factored
+(with a diagonal shift if the factorization breaks down), each solve is
+iteratively refined against the formed matrix, and the constraints and their
+adjoint are applied through slot marginals and embeddings instead of the
+dense operator stack.
 On plans of at least that dimension the iterates are factored by Cholesky
 and the step lengths are eigenvalues in the scaled frame, where both
 iterates are diagonal; smaller plans factor them by eigendecomposition.  The
@@ -39,7 +41,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -70,12 +72,15 @@ MU_FLOOR = 1e-12
 SCHUR_COND_LIMIT = 1e14
 # Plans of at least this dimension factor X and S by Cholesky and take step
 # lengths in the scaling frame; with declared slot structure they also test
-# the row rank on slot coordinates, form the Schur matrix (or, when it is ill
-# conditioned, the scaled constraints) slot by slot and apply the constraints
-# through slot marginals.  Smaller plans use eigen factors and the dense rows
-# and scaled constraints, which is faster there (numpy call overhead) and
-# keeps their results bitwise unchanged.
+# the row rank on slot coordinates, form the Schur matrix slot by slot,
+# Cholesky-factor it and apply the constraints through slot marginals.
+# Smaller plans use eigen factors and the dense rows and scaled constraints,
+# which is faster there (numpy call overhead) and keeps their results bitwise
+# unchanged.
 STRUCTURED_MIN_DIM = 25
+# Refinement steps of every Cholesky Schur solve; fixed, so solves stay
+# deterministic.
+SCHUR_REFINEMENT_STEPS = 2
 
 # Certification thresholds (independent recomputation of the solution).
 CERT_EQ_TOL = 1e-8
@@ -87,6 +92,19 @@ STATUS_OPTIMAL = "optimal"
 STATUS_MAX_ITER = "max_iter"
 STATUS_INFEASIBLE = "infeasible"
 STATUS_NUMERICAL = "numerical"
+
+# Why a solve stopped (``SdpSolution.reason``), and the status it reports.
+REASON_STATUS = {
+    "converged": STATUS_OPTIMAL,
+    "max_iter": STATUS_MAX_ITER,
+    "mu_floor": STATUS_NUMERICAL,
+    "schur_conditioning": STATUS_NUMERICAL,
+    "stalled_step": STATUS_NUMERICAL,
+    "preprocess_infeasible": STATUS_INFEASIBLE,
+    # a max-iter or numerical stop with a large primal residual and a
+    # diverging primal iterate
+    "reclassified_infeasible": STATUS_INFEASIBLE,
+}
 
 
 @dataclass(frozen=True)
@@ -283,6 +301,7 @@ class SdpSolution:
     dual_objective: float
     gap: float
     status: str
+    reason: str  # a key of REASON_STATUS
     iterations: int
     mu: float
     primal_residual: float
@@ -339,62 +358,15 @@ def _max_step(q: np.ndarray, w: np.ndarray, delta: np.ndarray) -> float:
     return _boundary_step(float(_frame_eigvals(q.conj().T @ delta @ q, w)[0]))
 
 
-@functools.lru_cache(maxsize=None)
-def _triangle(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flat indices of the diagonal, the strict upper and the strict lower
-    triangle of an ``n x n`` matrix; ``upper[k]`` and ``lower[k]`` mirror."""
-    rows, cols = np.triu_indices(n, 1)
-    out = (np.arange(n) * (n + 1), rows * n + cols, cols * n + rows)
-    for index in out:
-        index.setflags(write=False)  # shared by every caller through the cache
-    return out
-
-
-def _coords(diag: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """Real coordinates of Hermitian matrices from their diagonal and strict
-    upper triangle: the diagonal, then sqrt(2) Re and sqrt(2) Im of the upper
-    entries.  For Hermitian ``A`` and ``B`` the dot product of the coordinate
-    vectors is ``Re tr(A* B)``."""
-    upper = math.sqrt(2.0) * upper
-    return np.concatenate([diag.real, upper.real, upper.imag], axis=-1)
-
-
 def _hermitian_coords(mat: np.ndarray) -> np.ndarray:
-    """Coordinates of the Hermitian part of ``mat`` (or of a stack of them)."""
-    diag, upper, lower = _triangle(mat.shape[-1])
-    flat = mat.reshape(*mat.shape[:-2], -1)
-    return _coords(flat[..., diag], 0.5 * (flat[..., upper] + flat[..., lower].conj()))
-
-
-def _slot_scaled_constraints(r: np.ndarray, structure: SlotStructure) -> np.ndarray:
-    """Hermitian coordinates ``(m, n*n)`` of every scaled constraint ``R* A_i R``.
-
-    Let ``R_a`` be the rows of ``R`` whose index at a slot is ``a``.  An
-    operator ``B`` embedded at that slot scales to ``sum_ab B[a, b] G_ab`` with
-    Gram blocks ``G_ab = R_a* R_b``.  The blocks with ``a <= b`` are products
-    and ``G_ba = G_ab*``, so a slot costs O(d n^3), shared by all of its
-    constraints.
-    """
-    n = r.shape[0]
-    dims = structure.shape.dims
-    diag, upper, _ = _triangle(n)
-    triangle = np.concatenate([diag, upper])
-    out = np.empty((len(structure.slots), n * n))
-    for slot, rows, ops in structure.groups:
-        d = dims[slot]
-        inner = math.prod(dims[slot + 1:])
-        # blocks[a] = R_a, and wide = [R_0 | R_1 | ... | R_(d-1)]
-        blocks = r.reshape(-1, d, inner, n).transpose(1, 0, 2, 3).reshape(d, n // d, n)
-        wide = blocks.transpose(1, 0, 2).reshape(n // d, d * n)
-        gram = np.empty((d, d, n, n), dtype=complex)
-        for a in range(d):
-            row = (blocks[a].conj().T @ wide[:, a * n:]).reshape(n, d - a, n)
-            gram[a, a:] = row.transpose(1, 0, 2)
-            gram[a + 1:, a] = row[:, 1:].conj().transpose(1, 2, 0)
-        # diagonal and upper triangle of sum_ab B[a, b] G_ab for every B of the slot
-        scaled = ops @ gram.reshape(d * d, n * n)[:, triangle]
-        out[rows] = _coords(scaled[:, :n], scaled[:, n:])
-    return out
+    """Real coordinates of the Hermitian part of ``mat`` (or of a stack of
+    them): the diagonal, then sqrt(2) Re and sqrt(2) Im of the strict upper
+    triangle.  For Hermitian ``A`` and ``B`` the dot product of the coordinate
+    vectors is ``Re tr(A* B)``."""
+    rows, cols = np.triu_indices(mat.shape[-1], 1)
+    diag = np.diagonal(mat, axis1=-2, axis2=-1).real
+    upper = math.sqrt(2.0) * (0.5 * (mat[..., rows, cols] + mat[..., cols, rows].conj()))
+    return np.concatenate([diag, upper.real, upper.imag], axis=-1)
 
 
 def _slot_schur(w: np.ndarray, structure: SlotStructure) -> np.ndarray:
@@ -456,6 +428,35 @@ def _slot_adjoint(y: np.ndarray, structure: SlotStructure) -> np.ndarray:
     return out
 
 
+def _schur_solver(mat: np.ndarray) -> tuple[Callable[[np.ndarray], np.ndarray], float]:
+    """Solver of ``mat v = rhs`` for a Schur matrix, and the diagonal ratio of
+    its Cholesky factor, which estimates ``sqrt(cond(mat))``.
+
+    When the factorization breaks down (near a degenerate optimal face the
+    matrix is numerically singular), the diagonal is shifted by
+    ``eps m max(diag)`` and factored once more.  The factor is inverted once,
+    so that a solve is two products, and every solve takes
+    ``SCHUR_REFINEMENT_STEPS`` steps of iterative refinement against ``mat``
+    itself, which remove the shift's bias and the rounding of the inverse.
+    """
+    try:
+        chol = np.linalg.cholesky(mat)
+    except np.linalg.LinAlgError:
+        shift = np.finfo(float).eps * len(mat) * float(mat.diagonal().max())
+        chol = np.linalg.cholesky(mat + shift * np.eye(len(mat)))
+    # upper triangular, so the LU inside inv meets no pivot: back substitution
+    inv = np.linalg.inv(chol.T)
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        v = inv @ (inv.T @ rhs)
+        for _ in range(SCHUR_REFINEMENT_STEPS):
+            v = v + inv @ (inv.T @ (rhs - mat @ v))
+        return v
+
+    diag = chol.diagonal()
+    return solve, float(diag.max() / diag.min())
+
+
 def solve(
     problem: SdpProblem,
     *,
@@ -470,7 +471,7 @@ def solve(
         return SdpSolution(
             x=zero, y=np.zeros(problem.n_constraints), s=zero,
             primal_objective=np.nan, dual_objective=np.nan, gap=np.nan,
-            status=STATUS_INFEASIBLE, iterations=0, mu=np.nan,
+            status=STATUS_INFEASIBLE, reason="preprocess_infeasible", iterations=0, mu=np.nan,
             primal_residual=report.max_inconsistency, dual_residual=np.nan,
         )
 
@@ -502,9 +503,8 @@ def solve(
     y = np.zeros(m)
 
     eye = np.eye(n)
-    cholesky_ratio = math.sqrt(tol / np.finfo(float).eps)
 
-    status = STATUS_MAX_ITER
+    reason = "max_iter"
     iterations = 0
     mu = np.nan
     primal_res = np.nan
@@ -540,13 +540,12 @@ def solve(
             # crossover of the objectives must stay below roundoff scale
             and dobj - pobj <= 5e-10
         ):
-            status = STATUS_OPTIMAL
+            reason = "converged"
             break
         if it == MAX_ITER:
-            status = STATUS_MAX_ITER
             break
         if mu < MU_FLOOR:
-            status = STATUS_NUMERICAL
+            reason = "mu_floor"
             break
 
         # Nesterov-Todd scaling point W = R R* (_nt_scaling).  In the scaled
@@ -565,53 +564,37 @@ def solve(
         r, sig = _nt_scaling(fx, fs)
         rh = r.conj().T
 
-        # The Schur complement is the Gram matrix M = F F* = R_f^T R_f of the
-        # scaled constraints F_i = R* A_i R.  With slot structure, M is formed
-        # from slot contractions of W = R R* (d_s d_t n^2 per slot pair, no
-        # F_i) and Cholesky-factored; the factor is used while its diagonal
-        # ratio stays below cholesky_ratio, so that the cond(M) eps error of
-        # the normal equations stays below tol.  In the ill-conditioned last
-        # iterations, and for unstructured problems, the QR factor of
-        # the scaled constraint matrix keeps twice the digits near a
-        # degenerate face.  The diagonal ratio of R_f estimates the
-        # conditioning of the system that is actually factorized and solved.
-        r_f = None
+        # The Schur complement is the Gram matrix M = F F* of the scaled
+        # constraints F_i = R* A_i R.  With slot structure, M is formed from
+        # slot contractions of W = R R* (d_s d_t n^2 per slot pair, no F_i)
+        # and solved by _schur_solver: Cholesky, a diagonal shift if it breaks
+        # down, and refinement against M.  Unstructured problems and small
+        # plans QR-factor the scaled constraint matrix, M = R_f^T R_f.  The
+        # diagonal ratio of either triangular factor estimates sqrt(cond(M)).
         if structure is not None:
             try:
-                chol = np.linalg.cholesky(_slot_schur(r @ rh, structure))
-            except np.linalg.LinAlgError:
-                chol = None
-            if chol is not None:
-                chol_diag = np.diag(chol)
-                if chol_diag.max() <= cholesky_ratio * chol_diag.min():
-                    r_f = chol.T
+                schur_solve, ratio = _schur_solver(_slot_schur(r @ rh, structure))
+            except np.linalg.LinAlgError:  # not positive definite even shifted
+                ratio = np.inf
 
-                    def applied_scaled(mat: np.ndarray) -> np.ndarray:
-                        return _slot_applied(r @ mat @ rh, structure)
-        if r_f is None:
-            if structure is None:
-                scaled_ops = np.matmul(np.matmul(rh[None, :, :], ops), r)
-                f = scaled_ops.reshape(m, -1)
-                f_real = np.hstack([f.real, f.imag])
+            def applied_scaled(mat: np.ndarray) -> np.ndarray:
+                return _slot_applied(r @ mat @ rh, structure)
+        else:
+            scaled_ops = np.matmul(np.matmul(rh[None, :, :], ops), r)
+            f = scaled_ops.reshape(m, -1)
+            r_f = np.linalg.qr(np.hstack([f.real, f.imag]).T, mode="r")
+            r_diag = np.abs(np.diag(r_f))
+            ratio = np.inf if r_diag.min() <= 0.0 else r_diag.max() / r_diag.min()
 
-                def applied_scaled(mat: np.ndarray) -> np.ndarray:
-                    return (f @ np.conj(mat.reshape(-1))).real
-            else:
-                # n*n real Hermitian coordinates: half the rows of [Re f, Im f]
-                f_real = _slot_scaled_constraints(r, structure)
+            def applied_scaled(mat: np.ndarray) -> np.ndarray:
+                return (f @ np.conj(mat.reshape(-1))).real
 
-                def applied_scaled(mat: np.ndarray) -> np.ndarray:
-                    return f_real @ _hermitian_coords(mat)
-
-            r_f = np.linalg.qr(f_real.T, mode="r")
-        r_diag = np.abs(np.diag(r_f))
-        if r_diag.min() <= 0.0 or r_diag.max() / r_diag.min() > SCHUR_COND_LIMIT:
-            status = STATUS_NUMERICAL
+            def schur_solve(rhs: np.ndarray) -> np.ndarray:
+                t = np.linalg.solve(r_f.T, rhs)
+                return np.linalg.solve(r_f, t)
+        if ratio > SCHUR_COND_LIMIT:
+            reason = "schur_conditioning"
             break
-
-        def schur_solve(rhs: np.ndarray) -> np.ndarray:
-            t = np.linalg.solve(r_f.T, rhs)
-            return np.linalg.solve(r_f, t)
 
         rd_scaled = rh @ rd @ r
 
@@ -676,7 +659,7 @@ def solve(
         ap = min(1.0, STEP_FRACTION * ap)
         ad = min(1.0, STEP_FRACTION * ad)
         if ap < 1e-13 and ad < 1e-13:
-            status = STATUS_NUMERICAL
+            reason = "stalled_step"
             break
 
         x = x + ap * dx
@@ -692,15 +675,15 @@ def solve(
 
     # A run that stalls on feasible data but with a huge, still-violated
     # primal residual is flagged infeasible rather than merely unconverged.
-    if status in (STATUS_MAX_ITER, STATUS_NUMERICAL):
+    if reason != "converged":
         x_growth = float(np.abs(x).max()) / tau
         if primal_res > 1e-4 and x_growth > 1e8:
-            status = STATUS_INFEASIBLE
+            reason = "reclassified_infeasible"
 
     return SdpSolution(
         x=x, y=y_full, s=s,
         primal_objective=pobj, dual_objective=dobj, gap=abs(pobj - dobj),
-        status=status, iterations=iterations, mu=mu,
+        status=REASON_STATUS[reason], reason=reason, iterations=iterations, mu=mu,
         primal_residual=primal_res, dual_residual=dual_res,
     )
 

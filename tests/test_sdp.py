@@ -223,9 +223,6 @@ class TestStructuredSchur:
         f_real = np.hstack([f.real, f.imag])
         dense = f_real @ f_real.T
         atol = 1e-12 * np.abs(dense).max()
-        coords = sdp._slot_scaled_constraints(r, problem.structure)
-        assert coords.shape == (m, n * n)
-        np.testing.assert_allclose(coords @ coords.T, dense, rtol=0, atol=atol)
         schur = sdp._slot_schur(r @ r.conj().T, problem.structure)
         np.testing.assert_allclose(schur, dense, rtol=0, atol=atol)
         mat = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -300,6 +297,108 @@ class TestStructuredSchur:
             dup.primal_objective, base.primal_objective, rtol=0, atol=1e-8 * scale
         )
         assert sdp.certify(dup, doubled).passed
+
+
+def singular_schur(rng, m):
+    """A rank-deficient PSD ``a a^T`` with a duplicated row whose Cholesky
+    factorization meets an exactly zero pivot: the first two rows of the
+    integer ``a`` are (1, 2, 2, 0, ...), so the second pivot is 9 - 3 * 3."""
+    a = rng.integers(-3, 4, size=(m, m + 5)).astype(float)
+    a[:2] = 0.0
+    a[:2, :3] = (1.0, 2.0, 2.0)
+    return a @ a.T
+
+
+def relative_residual(mat, rhs, v):
+    return np.linalg.norm(rhs - mat @ v) / (np.linalg.norm(mat, 2) * np.linalg.norm(v))
+
+
+class TestSchurSolver:
+    def test_singular_matrix_takes_the_shift(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        mat = singular_schur(rng, 40)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(mat)
+        rhs = mat @ rng.standard_normal(40)
+        solve, ratio = sdp._schur_solver(mat)
+        refined = solve(rhs)
+        assert np.all(np.isfinite(refined)) and ratio < sdp.SCHUR_COND_LIMIT
+        monkeypatch.setattr(sdp, "SCHUR_REFINEMENT_STEPS", 0)
+        before = relative_residual(mat, rhs, solve(rhs))
+        after = relative_residual(mat, rhs, refined)
+        # refinement against the unshifted matrix removes the shift's bias
+        assert after <= 1e-15 and after <= 0.1 * before
+
+    def test_ill_conditioned_solve_is_refined(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        q, _ = np.linalg.qr(rng.standard_normal((80, 80)))
+        mat = (q * np.logspace(0, -12, 80)) @ q.T
+        mat = 0.5 * (mat + mat.T)
+        assert 0.5e12 <= np.linalg.cond(mat) <= 2e12
+        rhs = rng.standard_normal(80)
+        solve, ratio = sdp._schur_solver(mat)
+        diag = np.linalg.cholesky(mat).diagonal()
+        assert ratio == diag.max() / diag.min()
+        refined = solve(rhs)
+        monkeypatch.setattr(sdp, "SCHUR_REFINEMENT_STEPS", 0)
+        before = relative_residual(mat, rhs, solve(rhs))
+        after = relative_residual(mat, rhs, refined)
+        assert after <= 1e-14 and after <= before
+
+
+def infeasible_diagonal():
+    # X11 = 2 against tr X = 1: the primal iterate diverges
+    return sdp.sdp_problem(EYE2, [(EYE2, 1.0), (np.diag([1.0, 0.0]).astype(complex), 2.0)])
+
+
+def unbounded_off_diagonal():
+    # X11 = X22 while the objective rewards Re X12 without bound
+    c = np.array([[0.0, -1.0], [-1.0, 0.0]], dtype=complex)
+    return sdp.sdp_problem(c, [(np.diag([1.0, -1.0]).astype(complex), 0.0)])
+
+
+def structured_problem():
+    return random_marginal_problem(np.random.default_rng(11), 6, 1)
+
+
+def small_transport_problem():
+    return qubit_transport_problem(cost.cost_symm(2.0), rho_z(0.5), rho_z(-0.5))
+
+
+# (reason, problem, module constants patched to reach it)
+STOPS = [
+    pytest.param("converged", small_transport_problem, {}, id="converged-small"),
+    pytest.param("converged", structured_problem, {}, id="converged-structured"),
+    pytest.param("max_iter", small_transport_problem, {"MAX_ITER": 3}, id="max_iter"),
+    pytest.param("mu_floor", lambda: sdp.sdp_problem(EYE2, [(EYE2, -1.0)]), {}, id="mu_floor"),
+    pytest.param(
+        "schur_conditioning", small_transport_problem, {"SCHUR_COND_LIMIT": 1.0},
+        id="schur_conditioning-qr",
+    ),
+    pytest.param(
+        "schur_conditioning", structured_problem, {"SCHUR_COND_LIMIT": 1.0},
+        id="schur_conditioning-cholesky",
+    ),
+    pytest.param("stalled_step", unbounded_off_diagonal, {}, id="stalled_step"),
+    pytest.param(
+        "preprocess_infeasible", lambda: sdp.sdp_problem(EYE2, [(EYE2, 1.0), (EYE2, 2.0)]), {},
+        id="preprocess_infeasible",
+    ),
+    pytest.param("reclassified_infeasible", infeasible_diagonal, {}, id="reclassified_infeasible"),
+]
+
+
+class TestStopReason:
+    @pytest.mark.parametrize("reason,build,patches", STOPS)
+    def test_each_stop_names_its_reason(self, monkeypatch, reason, build, patches):
+        for name, value in patches.items():
+            monkeypatch.setattr(sdp, name, value)
+        sol = sdp.solve(build())
+        assert sol.reason == reason
+        assert sol.status == sdp.REASON_STATUS[reason]
+
+    def test_every_reason_is_reached(self):
+        assert {case.values[0] for case in STOPS} == set(sdp.REASON_STATUS)
 
 
 class TestLargePlanStep:

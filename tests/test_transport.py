@@ -258,15 +258,17 @@ class TestModes:
         b = wasserstein_distance(factorized).primal_objective
         np.testing.assert_allclose(a, b, atol=1e-7)
 
-    @pytest.mark.parametrize("dim", [3, 6])
+    @pytest.mark.parametrize("dim", [3, 6, 8, 12])
     def test_certified_on_each_side_of_the_schur_crossover(self, dim):
-        # n = 9 forms the Schur complement densely, n = 36 from slot Gram blocks
+        # n = 9 QR-factors the dense scaled constraints; n = 36, 64 and 144
+        # Cholesky-factor the Schur matrix formed from slot Gram blocks
         rng = np.random.default_rng(40 + dim)
         rho, omega = linalg.random_density(rng, dim), linalg.random_density(rng, dim)
         obs = cost.observable_set([linalg.random_hermitian(rng, dim) for _ in range(2)])
         inst = factorized_instance(rho, omega, obs, 2.0, MODE_NONLINEAR)
         result = wasserstein_distance(inst)
         assert result.status == sdp.STATUS_OPTIMAL and result.certificate.passed
+        assert abs(result.solution.iterations - {3: 13, 6: 17, 8: 18, 12: 18}[dim]) <= 1
         assert result.gap <= 1e-6 * max(1.0, abs(result.primal_objective))
         product = trivial_coupling(rho, omega).objective(inst.plan_cost())
         assert result.dp <= product + 1e-6 * max(1.0, abs(product))
