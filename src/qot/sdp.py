@@ -8,19 +8,18 @@ Standard form:
 with ``<A, B> = Re tr(A* B)`` on Hermitian matrices.  The solver is a
 primal-dual path-following interior-point method with Nesterov-Todd
 symmetric scaling and Mehrotra predictor-corrector steps; the Newton
-system is reduced to a dense Schur complement of size ``m``.  It is factored
-through a QR factorization of the scaled constraints, except where the
-constraints declare a slot structure (:func:`slot_problem`) on a plan of at
-least ``STRUCTURED_MIN_DIM``: there the Schur matrix is formed from
-partial-trace contractions of the scaling matrix and always Cholesky-factored
-(with a diagonal shift if the factorization breaks down), each solve is
-iteratively refined against the formed matrix, and the constraints and their
-adjoint are applied through slot marginals and embeddings instead of the
-dense operator stack.
-On plans of at least that dimension the iterates are factored by Cholesky
-and the step lengths are eigenvalues in the scaled frame, where both
-iterates are diagonal; smaller plans factor them by eigendecomposition.  The
-dual
+system is reduced to a dense Schur complement of size ``m``.  Constraints are
+declared once, as local operators on tensor slots (:func:`slot_problem`;
+:func:`sdp_problem` declares one slot spanning the space).  On plans of at
+least ``STRUCTURED_MIN_DIM`` with several slots, every read goes through the
+slots: rank test on slot coordinates, constraints and adjoint through slot
+marginals and embeddings, and a Schur matrix formed from partial-trace
+contractions of the scaling matrix, always Cholesky-factored (shifted if the
+factorization breaks down) and refined against the formed matrix.  Elsewhere
+the dense stack, built from the slots on first read, is QR-factored after
+scaling.  Every plan of at least that dimension factors the iterates by
+Cholesky and takes step lengths from eigenvalues in the scaled frame, where
+both iterates are diagonal; smaller plans use eigendecompositions.  The dual
 
     maximize    b . y
     subject to  S = C - sum_i y_i A_i >= 0
@@ -36,7 +35,6 @@ deterministic: fixed iteration schedule, no randomized pivoting.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 import sys
@@ -61,7 +59,7 @@ __all__ = [
     "MAX_VARIABLE_DIM",
 ]
 
-MAX_VARIABLE_DIM = 256
+MAX_VARIABLE_DIM = 400
 
 # Interior-point iteration: one tolerance bounds the primal and dual
 # residuals and the relative duality gap.
@@ -70,13 +68,10 @@ MAX_ITER = 200
 STEP_FRACTION = 0.98
 MU_FLOOR = 1e-12
 SCHUR_COND_LIMIT = 1e14
-# Plans of at least this dimension factor X and S by Cholesky and take step
-# lengths in the scaling frame; with declared slot structure they also test
-# the row rank on slot coordinates, form the Schur matrix slot by slot,
-# Cholesky-factor it and apply the constraints through slot marginals.
-# Smaller plans use eigen factors and the dense rows and scaled constraints,
-# which is faster there (numpy call overhead) and keeps their results bitwise
-# unchanged.
+# Plans of at least this dimension factor X and S by Cholesky, take step
+# lengths in the scaling frame and read multi-slot constraints slot by slot
+# (_slot_reads).  Smaller plans use eigen factors and the dense stack, which is
+# faster there (numpy call overhead) and keeps their results bitwise unchanged.
 STRUCTURED_MIN_DIM = 25
 # Refinement steps of every Cholesky Schur solve; fixed, so solves stay
 # deterministic.
@@ -121,15 +116,18 @@ class SlotStructure:
         )
 
     @functools.cached_property
-    def groups(self) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
-        """``(slot, rows, ops)`` per occupied slot: the constraint indices at
-        the slot and their operators flattened to ``(len(rows), d*d)``."""
+    def groups(self) -> tuple[tuple[int, np.ndarray, np.ndarray, tuple[int, int, int]], ...]:
+        """``(slot, rows, ops, (outer, d, inner))`` per occupied slot: the
+        constraint indices at the slot, their operators flattened to
+        ``(len(rows), d*d)``, and the dimensions before, at and after it."""
+        dims = self.shape.dims
         slots = np.array(self.slots)
         out = []
         for slot in np.unique(slots):
             rows = np.flatnonzero(slots == slot)
             ops = np.stack([self.local_ops[i].reshape(-1) for i in rows])
-            out.append((int(slot), rows, ops))
+            frame = (math.prod(dims[:slot]), dims[slot], math.prod(dims[slot + 1:]))
+            out.append((int(slot), rows, ops, frame))
         return tuple(out)
 
     def coordinates(self) -> np.ndarray:
@@ -146,8 +144,7 @@ class SlotStructure:
         n = self.shape.total_dim
         offsets = np.cumsum([1] + [d * d for d in dims])
         out = np.zeros((len(self.slots), offsets[-1]))
-        for slot, rows, ops in self.groups:
-            d = dims[slot]
+        for slot, rows, ops, (_, d, _) in self.groups:
             mean = ops[:, :: d + 1].sum(axis=1).real / d
             traceless = ops.copy()
             traceless[:, :: d + 1] -= mean[:, None]
@@ -161,16 +158,24 @@ class SlotStructure:
 
 @dataclass(frozen=True)
 class SdpProblem:
-    """Conic program data: objective, stacked constraint operators, targets.
-
-    ``structure``, when present, declares every constraint as a local operator
-    on one tensor slot of the variable; ``constraint_ops`` is its dense form.
+    """Conic program data: objective, targets and constraints, declared once as
+    local operators on tensor slots (:func:`sdp_problem` has one slot spanning
+    the space).  ``constraint_ops``, their dense stack, is built on first read
+    and cached.
     """
 
     objective: np.ndarray        # (n, n) Hermitian
-    constraint_ops: np.ndarray   # (m, n, n) Hermitian stack
     constraint_vals: np.ndarray  # (m,) real
-    structure: SlotStructure | None = None
+    structure: SlotStructure
+
+    @functools.cached_property
+    def constraint_ops(self) -> np.ndarray:
+        st = self.structure
+        ops = np.stack(
+            [linalg.embed_at_slot(a, i, st.shape) for i, a in zip(st.slots, st.local_ops)]
+        )
+        ops.setflags(write=False)
+        return ops
 
     @property
     def dim(self) -> int:
@@ -184,20 +189,9 @@ class SdpProblem:
 def sdp_problem(
     objective: np.ndarray, constraints: Sequence[tuple[np.ndarray, float]]
 ) -> SdpProblem:
-    """Validate and pack a minimize-form problem."""
+    """Validate and pack a minimize-form problem: one slot spans the space."""
     c = linalg.hermitian(objective)
-    n = c.shape[0]
-    if n > MAX_VARIABLE_DIM:
-        raise ValueError(f"variable dimension {n} exceeds {MAX_VARIABLE_DIM}")
-    if not constraints:
-        raise ValueError("at least one equality constraint is required")
-    ops = np.stack([linalg.hermitian(a) for a, _ in constraints])
-    vals = np.array([float(b) for _, b in constraints])
-    if ops.shape[1:] != (n, n):
-        raise ValueError("constraint operators must match the objective dimension")
-    for arr in (c, ops, vals):
-        arr.setflags(write=False)
-    return SdpProblem(c, ops, vals)
+    return slot_problem(c, linalg.FactorShape((len(c),)), [(0, a, b) for a, b in constraints])
 
 
 def slot_problem(
@@ -205,21 +199,41 @@ def slot_problem(
     shape: linalg.FactorShape,
     constraints: Sequence[tuple[int, np.ndarray, float]],
 ) -> SdpProblem:
-    """Pack a problem whose constraints ``(slot, op, b)`` read
-    ``<embed_at_slot(op, slot, shape), X> = b``.
-
-    The dense operators are built from the declared pairs, and the pairs are
-    kept for the solver's structured Schur formation and for applying the
-    constraints and their adjoint slot by slot.
+    """Validate and pack a problem whose constraints ``(slot, op, b)`` read
+    ``<embed_at_slot(op, slot, shape), X> = b``.  It keeps only the objective,
+    the values and the slot structure, each local operator validated and
+    symmetrized once; ``constraint_ops`` derives the dense stack on demand.
     """
-    problem = sdp_problem(
-        objective, [(linalg.embed_at_slot(op, slot, shape), b) for slot, op, b in constraints]
-    )
-    local_ops = tuple(np.array(op, dtype=complex) for _, op, _ in constraints)
-    for op in local_ops:
-        op.setflags(write=False)
+    c = linalg.hermitian(objective)
+    if c.shape[0] > MAX_VARIABLE_DIM:
+        raise ValueError(f"variable dimension {c.shape[0]} exceeds {MAX_VARIABLE_DIM}")
+    if c.shape[0] != shape.total_dim:
+        raise ValueError(f"objective dimension {c.shape[0]} does not match the slots {shape.dims}")
+    if not constraints:
+        raise ValueError("at least one equality constraint is required")
     slots = tuple(int(slot) for slot, _, _ in constraints)
-    return dataclasses.replace(problem, structure=SlotStructure(shape, slots, local_ops))
+    local_ops = []
+    for slot, (_, op, _) in zip(slots, constraints):
+        op = linalg.hermitian(op)
+        if not 0 <= slot < shape.n_factors or op.shape[0] != shape.dims[slot]:
+            raise ValueError(f"operator shape {op.shape} does not fit slot {slot} of {shape.dims}")
+        local_ops.append(op)
+    vals = np.array([float(b) for _, _, b in constraints])
+    for arr in (c, vals, *local_ops):
+        arr.setflags(write=False)
+    if shape.n_factors > 1:
+        return SdpProblem(c, vals, SlotStructure(shape, slots, tuple(local_ops)))
+    # one slot: the local operators are the dense ones, kept once as a stack
+    stack = np.stack(local_ops)
+    stack.setflags(write=False)
+    return _with_stack(SdpProblem(c, vals, SlotStructure(shape, slots, tuple(stack))), stack)
+
+
+def _with_stack(problem: SdpProblem, ops: np.ndarray) -> SdpProblem:
+    """``problem`` with ``ops``, a dense stack already built, as its cached
+    ``constraint_ops``."""
+    vars(problem)["constraint_ops"] = ops
+    return problem
 
 
 @dataclass(frozen=True)
@@ -240,21 +254,20 @@ def preprocess(
     before ``k`` kept, that norm is ``|R_kk|`` of an unpivoted QR of the rows,
     so a system without dependent rows takes one QR.  The QR would count a
     dependent row's rounding residue as a direction, so each dependent row
-    found is dropped and the remaining rows are factorized again.  Structured
-    problems on plans of at least ``STRUCTURED_MIN_DIM`` use the short
-    coordinates of :meth:`SlotStructure.coordinates`, which have the same
-    Gram matrix as the real-vectorized dense rows; smaller plans, where the
-    dense rows are cheaper, and unstructured problems use those.  A
+    found is dropped and the remaining rows are factorized again.  Slot reads
+    (:func:`_slot_reads`) use the short coordinates of
+    :meth:`SlotStructure.coordinates`, with the Gram matrix of the
+    real-vectorized dense rows; other problems use those rows.  A
     dependent row whose target value disagrees with the induced combination
     of the kept rows signals an infeasible system.
     """
-    ops = problem.constraint_ops
     vals = problem.constraint_vals
     m = len(vals)
-    if problem.structure is not None and problem.dim >= STRUCTURED_MIN_DIM:
-        rows = problem.structure.coordinates()
+    structure = _slot_reads(problem)
+    if structure is not None:
+        rows = structure.coordinates()
     else:
-        flat = ops.reshape(m, -1)
+        flat = problem.constraint_ops.reshape(m, -1)
         rows = np.hstack([flat.real, flat.imag])
     thresholds = rank_tol * np.maximum(np.linalg.norm(rows, axis=1), 1.0)
 
@@ -274,6 +287,7 @@ def preprocess(
 
     max_inconsistency = 0.0
     infeasible = False
+    reduced = problem
     if len(removed):
         coeffs, *_ = np.linalg.lstsq(rows[kept].T, rows[removed].T, rcond=None)
         predicted = coeffs.T @ vals[kept]
@@ -282,10 +296,9 @@ def preprocess(
         infeasible = bool(
             np.any(residues > consistency_tol * np.maximum(1.0, np.abs(vals[removed])))
         )
-        structure = problem.structure.rows(kept) if problem.structure is not None else None
-        reduced = SdpProblem(problem.objective, ops[kept], vals[kept], structure)
-    else:
-        reduced = problem
+        reduced = SdpProblem(problem.objective, vals[kept], problem.structure.rows(kept))
+        if structure is None:
+            reduced = _with_stack(reduced, problem.constraint_ops[kept])
     report = PreprocessReport(
         tuple(int(i) for i in kept), tuple(int(i) for i in removed), infeasible, max_inconsistency
     )
@@ -385,8 +398,8 @@ def _slot_schur(w: np.ndarray, structure: SlotStructure) -> np.ndarray:
     groups = structure.groups
     m = len(structure.slots)
     out = np.empty((m, m))
-    for g, (s, rows_s, ops_s) in enumerate(groups):
-        for t, rows_t, ops_t in groups[g:]:
+    for g, (s, rows_s, ops_s, _) in enumerate(groups):
+        for t, rows_t, ops_t, _ in groups[g:]:
             ds, dt = dims[s], dims[t]
             y = np.moveaxis(tensor, (s, k + t), (0, 1)).reshape(ds * dt, -1)
             gram = (y @ y.conj().T).reshape(ds, dt, ds, dt)
@@ -401,11 +414,8 @@ def _slot_schur(w: np.ndarray, structure: SlotStructure) -> np.ndarray:
 
 def _slot_applied(z: np.ndarray, structure: SlotStructure) -> np.ndarray:
     """``Re tr(A_i Z)`` for every constraint, from the slot marginals of ``Z``."""
-    dims = structure.shape.dims
     out = np.empty(len(structure.slots))
-    for slot, rows, ops in structure.groups:
-        d = dims[slot]
-        outer, inner = math.prod(dims[:slot]), math.prod(dims[slot + 1:])
+    for _, rows, ops, (outer, d, inner) in structure.groups:
         marginal = np.einsum("iajibj->ab", z.reshape(outer, d, inner, outer, d, inner))
         # Re tr(A Z) = Re sum_ab B[a, b] marginal[b, a]
         out[rows] = (ops @ marginal.T.reshape(-1)).real
@@ -415,16 +425,46 @@ def _slot_applied(z: np.ndarray, structure: SlotStructure) -> np.ndarray:
 def _slot_adjoint(y: np.ndarray, structure: SlotStructure) -> np.ndarray:
     """``sum_i y_i A_i``: per slot, the combination of its local operators
     embedded as identity on the other slots."""
-    dims = structure.shape.dims
     n = structure.shape.total_dim
     out = np.zeros((n, n), dtype=complex)
-    for slot, rows, ops in structure.groups:
-        d = dims[slot]
-        outer, inner = math.prod(dims[:slot]), math.prod(dims[slot + 1:])
+    for _, rows, ops, (outer, d, inner) in structure.groups:
         local = (y[rows] @ ops).reshape(d, d)
         # a repeated einsum index gives a writable view of the diagonal in
         # the outer and inner indices
         np.einsum("iajibj->ijab", out.reshape(outer, d, inner, outer, d, inner))[...] += local
+    return out
+
+
+def _slot_reads(problem: SdpProblem) -> SlotStructure | None:
+    """The structure to read ``problem`` through, or None for the dense stack
+    (one slot, or a plan below ``STRUCTURED_MIN_DIM``)."""
+    large = problem.dim >= STRUCTURED_MIN_DIM
+    return problem.structure if large and problem.structure.shape.n_factors > 1 else None
+
+
+def _constraint_maps(problem: SdpProblem) -> tuple[Callable, Callable]:
+    """``Z -> (Re tr(A_i Z))_i`` and its adjoint ``y -> sum_i y_i A_i``."""
+    structure = _slot_reads(problem)
+    if structure is not None:
+        return (lambda z: _slot_applied(z, structure)), (lambda y: _slot_adjoint(y, structure))
+    ops = problem.constraint_ops
+    flat = ops.reshape(len(ops), -1)
+    return (lambda z: (flat @ np.conj(z.reshape(-1))).real), lambda y: np.tensordot(y, ops, axes=1)
+
+
+def compressed_constraints(problem: SdpProblem, v: np.ndarray) -> np.ndarray:
+    """``V* A_i V`` for every constraint, for ``V`` of shape ``(n, k)``.  Per
+    slot, ``V* A_i V = sum_ab B_i[a,b] G[a,:,b,:]`` with the Gram product
+    ``G[a,c,b,e] = sum_{o,i} conj(V[o,a,i,c]) V[o,b,i,e]``, at ``d k^2 n``."""
+    structure = _slot_reads(problem)
+    if structure is None:
+        return np.matmul(np.matmul(v.conj().T[None], problem.constraint_ops), v)
+    k = v.shape[1]
+    out = np.empty((len(structure.slots), k, k), dtype=complex)
+    for _, rows, ops, (outer, d, inner) in structure.groups:
+        y = v.reshape(outer, d, inner, k).transpose(1, 3, 0, 2).reshape(d * k, -1)
+        gram = (y.conj() @ y.T).reshape(d, k, d, k).transpose(0, 2, 1, 3)
+        out[rows] = (ops @ gram.reshape(d * d, k * k)).reshape(-1, k, k)
     return out
 
 
@@ -476,26 +516,12 @@ def solve(
         )
 
     c = reduced.objective
-    ops = reduced.constraint_ops
     b = reduced.constraint_vals
     n = reduced.dim
     m = len(b)
     large = n >= STRUCTURED_MIN_DIM
-    structure = reduced.structure if large else None
-    if structure is not None:
-        def adjoint(v: np.ndarray) -> np.ndarray:
-            return _slot_adjoint(v, structure)
-
-        def apply(z: np.ndarray) -> np.ndarray:
-            return _slot_applied(z, structure)
-    else:
-        flat_ops = ops.reshape(m, -1)
-
-        def adjoint(v: np.ndarray) -> np.ndarray:
-            return np.tensordot(v, ops, axes=1)
-
-        def apply(z: np.ndarray) -> np.ndarray:
-            return (flat_ops @ np.conj(z.reshape(-1))).real
+    structure = _slot_reads(reduced)
+    apply, adjoint = _constraint_maps(reduced)
 
     tau = max(1.0, float(np.abs(c).max()))
     x = tau * np.eye(n, dtype=complex)
@@ -578,9 +604,9 @@ def solve(
                 ratio = np.inf
 
             def applied_scaled(mat: np.ndarray) -> np.ndarray:
-                return _slot_applied(r @ mat @ rh, structure)
+                return apply(r @ mat @ rh)
         else:
-            scaled_ops = np.matmul(np.matmul(rh[None, :, :], ops), r)
+            scaled_ops = np.matmul(np.matmul(rh[None, :, :], reduced.constraint_ops), r)
             f = scaled_ops.reshape(m, -1)
             r_f = np.linalg.qr(np.hstack([f.real, f.imag]).T, mode="r")
             r_diag = np.abs(np.diag(r_f))
@@ -674,10 +700,13 @@ def solve(
     y_full[list(report.kept)] = y
 
     # A run that stalls on feasible data but with a huge, still-violated
-    # primal residual is flagged infeasible rather than merely unconverged.
+    # primal residual is flagged infeasible rather than merely unconverged,
+    # unless X/|X| is an improving ray (A(X)/|X| ~ 0 and <C, X> < 0): such a
+    # problem may be unbounded, and the stop that fired stands.
     if reason != "converged":
         x_growth = float(np.abs(x).max()) / tau
-        if primal_res > 1e-4 and x_growth > 1e8:
+        ray = pobj < 0 and np.abs(apply(x)).max() <= TOL * np.linalg.norm(x)
+        if primal_res > 1e-4 and x_growth > 1e8 and not ray:
             reason = "reclassified_infeasible"
 
     return SdpSolution(
@@ -709,12 +738,9 @@ def certify(solution: SdpSolution, problem: SdpProblem) -> Certificate:
     primal-dual gap are re-derived from the returned data alone.
     """
     x, y, s = solution.x, solution.y, solution.s
-    ops = problem.constraint_ops
-    m = problem.n_constraints
-    applied = (ops.reshape(m, -1) @ np.conj(x.reshape(-1))).real
-    eq_res = float(np.abs(applied - problem.constraint_vals).max())
-    dual_mat = problem.objective - s - np.tensordot(y, ops, axes=1)
-    dual_res = float(np.abs(dual_mat).max())
+    apply, adjoint = _constraint_maps(problem)
+    eq_res = float(np.abs(apply(x) - problem.constraint_vals).max())
+    dual_res = float(np.abs(problem.objective - s - adjoint(y)).max())
     min_x = linalg.min_eigenvalue(0.5 * (x + x.conj().T))
     min_s = linalg.min_eigenvalue(0.5 * (s + s.conj().T))
     pobj = float(np.einsum("ab,ba->", problem.objective, x).real)

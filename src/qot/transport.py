@@ -426,10 +426,8 @@ def _optimal_face_dimension(solution: sdp.SdpSolution, problem: sdp.SdpProblem) 
     k = kernel.shape[1]
     if k == 0:
         return 0
-    restricted = np.matmul(np.matmul(kernel.conj().T[None], problem.constraint_ops), kernel)
-    flat = restricted.reshape(problem.n_constraints, -1)
-    rows = np.hstack([flat.real, flat.imag])
-    singular = np.linalg.svd(rows, compute_uv=False)
+    flat = sdp.compressed_constraints(problem, kernel).reshape(problem.n_constraints, -1)
+    singular = np.linalg.svd(np.hstack([flat.real, flat.imag]), compute_uv=False)
     rank = int(np.sum(singular > 1e-8 * max(1.0, float(singular[0]))))
     return k * k - rank
 

@@ -171,7 +171,7 @@ class TestCommands:
             mode="linearized",
         )
         assert main(["distance", path]) == 2
-        assert "plan dimension 1024 exceeds 256" in capsys.readouterr().err
+        assert "plan dimension 1024 exceeds 400" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["distance", "dual"])
     @pytest.mark.parametrize("p", ["abc", None, math.nan, math.inf])

@@ -1,6 +1,7 @@
 """Tests for the interior-point SDP solver."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -105,7 +106,7 @@ class TestSolveBasics:
         assert "mu" in err and "gap" in err
 
     def test_dimension_cap(self):
-        big = np.eye(300, dtype=complex)
+        big = np.eye(sdp.MAX_VARIABLE_DIM + 1, dtype=complex)
         with pytest.raises(ValueError, match="exceeds"):
             sdp.sdp_problem(big, [(big, 1.0)])
 
@@ -357,6 +358,21 @@ def unbounded_off_diagonal():
     return sdp.sdp_problem(c, [(np.diag([1.0, -1.0]).astype(complex), 0.0)])
 
 
+def unbounded_diagonal():
+    # X22 = 1 leaves diag(t, 1) feasible for every t >= 0, and the objective
+    # falls without bound along it: an improving ray, not infeasibility
+    c = np.diag([-1.0, 1.0]).astype(complex)
+    return sdp.sdp_problem(c, [(np.diag([0.0, 1.0]).astype(complex), 1.0)])
+
+
+def infeasible_with_improving_ray():
+    # X11 = -1 has no PSD solution, yet D = E22 keeps A(D) = 0 and lowers the
+    # objective: the iterate diverges along D, the improving-ray test holds
+    # and the stop that fired stands instead of the infeasible label
+    c = np.diag([0.0, -1.0]).astype(complex)
+    return sdp.sdp_problem(c, [(np.diag([1.0, 0.0]).astype(complex), -1.0)])
+
+
 def structured_problem():
     return random_marginal_problem(np.random.default_rng(11), 6, 1)
 
@@ -371,6 +387,8 @@ STOPS = [
     pytest.param("converged", structured_problem, {}, id="converged-structured"),
     pytest.param("max_iter", small_transport_problem, {"MAX_ITER": 3}, id="max_iter"),
     pytest.param("mu_floor", lambda: sdp.sdp_problem(EYE2, [(EYE2, -1.0)]), {}, id="mu_floor"),
+    pytest.param("mu_floor", unbounded_diagonal, {}, id="mu_floor-unbounded"),
+    pytest.param("mu_floor", infeasible_with_improving_ray, {}, id="mu_floor-infeasible-ray"),
     pytest.param(
         "schur_conditioning", small_transport_problem, {"SCHUR_COND_LIMIT": 1.0},
         id="schur_conditioning-qr",
@@ -399,6 +417,15 @@ class TestStopReason:
 
     def test_every_reason_is_reached(self):
         assert {case.values[0] for case in STOPS} == set(sdp.REASON_STATUS)
+
+    def test_unbounded_run_diverges_along_an_improving_ray(self):
+        sol = sdp.solve(unbounded_diagonal())
+        assert sol.status != sdp.STATUS_INFEASIBLE
+        # the run is one the infeasibility rule looks at ...
+        assert sol.primal_residual > 1e-4 and np.abs(sol.x).max() > 1e8
+        # ... but X/|X| is feasible for the homogeneous system and improves
+        norm = np.linalg.norm(sol.x)
+        assert abs(sol.x[1, 1].real) / norm <= sdp.TOL and sol.primal_objective < 0
 
 
 class TestLargePlanStep:
@@ -470,3 +497,114 @@ class TestCertify:
         np.testing.assert_allclose(
             cert.dual_objective, 2.0 ** (p - 1) * abs(alpha - beta), atol=1e-6
         )
+
+
+def dense_copy(problem):
+    """The same problem declared on one slot: every read goes through the
+    dense stack, which ``constraint_ops`` builds from the slots."""
+    constraints = list(zip(problem.constraint_ops, problem.constraint_vals))
+    return sdp.sdp_problem(problem.objective, constraints)
+
+
+def nonlinear_d6():
+    rng = np.random.default_rng(46)
+    rho, omega = linalg.random_density(rng, 6), linalg.random_density(rng, 6)
+    obs = cost.observable_set([linalg.random_hermitian(rng, 6) for _ in range(2)])
+    return transport.factorized_instance(rho, omega, obs, 2.0, transport.MODE_NONLINEAR)
+
+
+def pauli_triple_k3():
+    return transport.factorized_instance(
+        rho_z(0.3), rho_z(-0.5), cost.pauli_triple(), 2.0, transport.MODE_LINEARIZED
+    )
+
+
+CERT_FIELDS = (
+    "max_equality_residual", "dual_residual", "min_eig_x", "min_eig_s",
+    "primal_objective", "dual_objective", "gap",
+)
+
+
+class TestSlotReads:
+    @pytest.mark.parametrize("build,n", [(nonlinear_d6, 36), (pauli_triple_k3, 64)])
+    def test_certify_through_slots_matches_the_dense_stack(self, build, n):
+        problem = transport.build_primal(build())
+        assert problem.dim == n and sdp._slot_reads(problem) is not None
+        sol = sdp.solve(problem)
+        slots = sdp.certify(sol, problem)
+        assert "constraint_ops" not in vars(problem)  # certify built no dense stack
+        dense = sdp.certify(sol, dense_copy(problem))
+        for name in CERT_FIELDS:
+            np.testing.assert_allclose(
+                getattr(slots, name), getattr(dense, name), rtol=0, atol=1e-12
+            )
+        assert slots.passed == dense.passed
+
+    def test_solve_does_not_depend_on_the_dense_cache(self):
+        fresh, touched = (transport.build_primal(nonlinear_d6()) for _ in range(2))
+        touched.constraint_ops  # build the cache before solving
+        a, b = sdp.solve(fresh), sdp.solve(touched)
+        assert "constraint_ops" not in vars(fresh)
+        assert a.iterations == b.iterations and a.reason == b.reason
+        for name in ("x", "y", "s"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+    def test_one_slot_problem_holds_one_copy_of_its_operators(self):
+        ops = [np.diag([1.0, 0.0]), np.array([[0.0, 1.0], [1.0, 0.0]]), EYE2]
+        problem = sdp.sdp_problem(EYE2, [(a, 1.0) for a in ops])
+        stack = vars(problem)["constraint_ops"]  # set at construction, not built later
+        assert problem.constraint_ops is stack
+        np.testing.assert_array_equal(stack, np.stack(ops))
+        for local in problem.structure.local_ops:
+            assert local.base is stack
+
+    def test_dense_stack_is_the_embedded_local_operators(self):
+        problem = random_slot_problem(np.random.default_rng(3), linalg.FactorShape((2, 3, 2)))
+        structure = problem.structure
+        for op, slot, local in zip(problem.constraint_ops, structure.slots, structure.local_ops):
+            np.testing.assert_array_equal(op, linalg.embed_at_slot(local, slot, structure.shape))
+        assert not problem.constraint_ops.flags.writeable
+
+
+class TestSlotProblemValidation:
+    SHAPE = linalg.FactorShape((2, 3))
+
+    def build(self, constraints, objective=None):
+        if objective is None:
+            objective = np.eye(self.SHAPE.total_dim, dtype=complex)
+        return sdp.slot_problem(objective, self.SHAPE, constraints)
+
+    def test_valid_problem_is_accepted(self):
+        problem = self.build([(0, EYE2, 1.0), (1, np.eye(3, dtype=complex), 1.0)])
+        assert problem.structure.slots == (0, 1)
+
+    @pytest.mark.parametrize("slot", [2, -1])
+    def test_bad_slot_index(self, slot):
+        with pytest.raises(ValueError, match="does not fit slot"):
+            self.build([(slot, EYE2, 1.0)])
+
+    def test_operator_shape_must_match_its_slot(self):
+        with pytest.raises(ValueError, match="does not fit slot"):
+            self.build([(0, np.eye(3, dtype=complex), 1.0)])
+
+    def test_non_hermitian_operator(self):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            self.build([(0, np.array([[0, 1], [0, 0]], dtype=complex), 1.0)])
+
+    def test_non_finite_operator(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            self.build([(1, np.diag([1.0, np.nan, 0.0]).astype(complex), 1.0)])
+
+    def test_objective_must_match_the_slots(self):
+        with pytest.raises(ValueError, match="does not match"):
+            self.build([(0, EYE2, 1.0)], objective=EYE4)
+
+    def test_constraints_required(self):
+        with pytest.raises(ValueError, match="constraint"):
+            self.build([])
+
+    def test_plan_above_the_cap(self):
+        d = math.isqrt(sdp.MAX_VARIABLE_DIM) + 1
+        shape = linalg.FactorShape((d, d))
+        with pytest.raises(ValueError, match="exceeds"):
+            sdp.slot_problem(np.eye(d * d, dtype=complex), shape, [(0, np.eye(d), 1.0)])

@@ -1,6 +1,7 @@
 """Tests for couplings, problem builders, distances and divergences."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -223,6 +224,44 @@ class TestDistance:
         # in the optimal face, hence multiple minimizers
         free = wasserstein_distance(z_instance(state_z(0.6), state_z(-0.2), 2.0))
         assert free.degenerate_face
+
+    @pytest.mark.parametrize("degenerate", [False, True])
+    def test_face_probe_through_slots_matches_the_dense_stack(self, degenerate):
+        if degenerate:  # only the pair marginals of the K=3 plan are pinned
+            inst = factorized_instance(
+                state_z(0.3), state_z(-0.5), cost.pauli_triple(), 2.0, MODE_LINEARIZED
+            )
+        else:
+            rng = np.random.default_rng(46)
+            rho, omega = linalg.random_density(rng, 6), linalg.random_density(rng, 6)
+            obs = cost.observable_set([linalg.random_hermitian(rng, 6) for _ in range(2)])
+            inst = factorized_instance(rho, omega, obs, 2.0, MODE_NONLINEAR)
+        problem = build_primal(inst)
+        assert problem.dim >= sdp.STRUCTURED_MIN_DIM
+        result = wasserstein_distance(inst)
+        slots = transport._optimal_face_dimension(result.solution, problem)
+        assert "constraint_ops" not in vars(problem)
+        constraints = list(zip(problem.constraint_ops, problem.constraint_vals))
+        dense = sdp.sdp_problem(problem.objective, constraints)
+        assert transport._optimal_face_dimension(result.solution, dense) == slots
+        assert (slots > 0) == degenerate == result.degenerate_face
+
+    def test_d12_solve_never_holds_the_dense_stack(self):
+        rng = np.random.default_rng(52)
+        rho, omega = linalg.random_density(rng, 12), linalg.random_density(rng, 12)
+        obs = cost.observable_set([linalg.random_hermitian(rng, 12) for _ in range(2)])
+        inst = factorized_instance(rho, omega, obs, 2.0, MODE_NONLINEAR)
+        n, m = 144, 287
+        stack_bytes = m * n * n * 16  # 95 MB of complex128
+        tracemalloc.start()
+        try:
+            result = wasserstein_distance(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.solution.x.shape == (n, n) and len(result.solution.y) == m
+        assert result.status == sdp.STATUS_OPTIMAL
+        assert peak < 0.5 * stack_bytes
 
 
 class TestModes:
