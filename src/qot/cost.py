@@ -7,6 +7,10 @@ departure variable ``x``, transposed, on its second slot:
 
     C = sum over eigenvalue tuples  c(x, y) *  (x)_k  P_k(y_k) (x) P_k(x_k).T
 
+Summed over eigenvector columns instead of clusters, this is one conjugation
+``C = U diag(w) U*`` with ``U = (x)_k V_k (x) conj(V_k)``, and ``w`` the cost at
+the columns' cluster eigenvalues; every cost operator here is built that way.
+
 Two distinguished qubit costs have explicit 4x4 forms and are exposed
 directly: the symmetric three-Pauli cost and the single-``sigma_z`` cost.
 """
@@ -40,6 +44,9 @@ __all__ = [
     "abs_power_evaluator",
     "check_exponent",
 ]
+
+# Largest entry of ``U U* - I`` that check_unitary_invariance accepts.
+UNITARY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -122,36 +129,27 @@ def abs_power(m: np.ndarray, p: float) -> np.ndarray:
     return dec.apply(lambda lam: abs(lam) ** p)
 
 
-def _pair_term(decomposition: SpectralDecomposition, x_index: int, y_index: int) -> np.ndarray:
-    proj_y = decomposition.projectors[y_index]
-    proj_x = decomposition.projectors[x_index]
-    return linalg.kron(proj_y, proj_x.T)
+def _spectral_operator(decs: Sequence[SpectralDecomposition], c: ClassicalCost) -> np.ndarray:
+    """``U diag(w) U*`` with ``U = (x)_k V_k (x) conj(V_k)`` and ``w = c(xs, ys)``.
+
+    Column ``(i_k, j_k)_k`` of ``U`` is ``(x)_k v_i (x) conj(v_j)``: ``ys`` holds
+    the cluster eigenvalues of the ``i_k`` (arrival), ``xs`` those of the ``j_k``.
+    """
+    u = linalg.kron_all(linalg.kron(d.vectors, d.vectors.conj()) for d in decs)
+    columns = itertools.product(*[d.column_values for d in decs for _ in "yx"])
+    w = np.array([c(t[1::2], t[0::2]) for t in columns])
+    out = (u * w) @ u.conj().T
+    return 0.5 * (out + out.conj().T)
 
 
 def cost_operator_general(obs: ObservableSet, c: ClassicalCost) -> np.ndarray:
     """Full cost operator on ``(H (x) H*)^(x K)`` for a joint classical cost."""
     if c.arity != obs.size:
         raise ValueError(f"cost arity {c.arity} does not match {obs.size} observables")
-    k = obs.size
-    dim2 = obs.dim**2
-    total = dim2**k
+    total = obs.dim ** (2 * obs.size)
     if total > sdp.MAX_VARIABLE_DIM:
         raise ValueError(f"cost operator dimension {total} exceeds budget {sdp.MAX_VARIABLE_DIM}")
-
-    out = np.zeros((total, total), dtype=complex)
-    ranges = [range(len(d.eigenvalues)) for d in obs.decompositions]
-    for x_idx in itertools.product(*ranges):
-        for y_idx in itertools.product(*ranges):
-            xs = [obs.decompositions[i].eigenvalues[x_idx[i]] for i in range(k)]
-            ys = [obs.decompositions[i].eigenvalues[y_idx[i]] for i in range(k)]
-            weight = c(xs, ys)
-            if weight == 0.0:
-                continue
-            term = linalg.kron_all(
-                _pair_term(obs.decompositions[i], x_idx[i], y_idx[i]) for i in range(k)
-            )
-            out += weight * term
-    return 0.5 * (out + out.conj().T)
+    return _spectral_operator(obs.decompositions, c)
 
 
 def cost_operator_factorized(
@@ -160,19 +158,10 @@ def cost_operator_factorized(
     """Per-factor cost operators ``C_k`` on the single pair space ``H (x) H*``."""
     if len(per_factor) != obs.size:
         raise ValueError(f"{len(per_factor)} factor costs for {obs.size} observables")
-    dim2 = obs.dim**2
-    out = []
-    for dec, fk in zip(obs.decompositions, per_factor):
-        ck = np.zeros((dim2, dim2), dtype=complex)
-        for xi, x in enumerate(dec.eigenvalues):
-            for yi, y in enumerate(dec.eigenvalues):
-                weight = float(fk(x, y))
-                if weight < 0.0:
-                    raise ValueError(f"factor cost must be nonnegative, got {weight}")
-                if weight != 0.0:
-                    ck += weight * _pair_term(dec, xi, yi)
-        out.append(0.5 * (ck + ck.conj().T))
-    return out
+    return [
+        _spectral_operator([dec], ClassicalCost(1, lambda x, y, fk=fk: fk(x[0], y[0])))
+        for dec, fk in zip(obs.decompositions, per_factor)
+    ]
 
 
 def embedded_cost_sum(factor_costs: Sequence[np.ndarray], dim: int) -> np.ndarray:
@@ -181,19 +170,11 @@ def embedded_cost_sum(factor_costs: Sequence[np.ndarray], dim: int) -> np.ndarra
     Each ``C_k`` acts on the k-th pair of slots; equals the general cost
     operator of the summed classical cost.
     """
-    k = len(factor_costs)
-    pair_dim = dim * dim
-    total = pair_dim**k
+    total = (dim * dim) ** len(factor_costs)
     if total > sdp.MAX_VARIABLE_DIM:
         raise ValueError(f"cost operator dimension {total} exceeds budget {sdp.MAX_VARIABLE_DIM}")
-    out = np.zeros((total, total), dtype=complex)
-    for idx, ck in enumerate(factor_costs):
-        if ck.shape != (pair_dim, pair_dim):
-            raise ValueError(f"factor cost {idx} has shape {ck.shape}, expected {(pair_dim, pair_dim)}")
-        factors = [np.eye(pair_dim, dtype=complex)] * k
-        factors[idx] = np.asarray(ck, dtype=complex)
-        out += linalg.kron_all(factors)
-    return out
+    shape = linalg.FactorShape((dim * dim,) * len(factor_costs))
+    return sum(linalg.embed_at_slot(ck, k, shape) for k, ck in enumerate(factor_costs))
 
 
 def cost_symm(p: float) -> np.ndarray:
@@ -216,7 +197,7 @@ def cost_z(p: float) -> np.ndarray:
     )
 
 
-def check_unitary_invariance(c: np.ndarray, u: np.ndarray, tol: float = 1e-10) -> float:
+def check_unitary_invariance(c: np.ndarray, u: np.ndarray) -> float:
     """Spectral-norm deviation of a pair-space cost under a joint basis change.
 
     Conjugates by ``U (x) conj(U)``, which rebuilds the cost from the rotated
@@ -225,7 +206,7 @@ def check_unitary_invariance(c: np.ndarray, u: np.ndarray, tol: float = 1e-10) -
     u = np.asarray(u, dtype=complex)
     dim = u.shape[0]
     defect = np.abs(u @ u.conj().T - np.eye(dim)).max()
-    if defect > tol:
+    if defect > UNITARY_TOL:
         raise ValueError(f"matrix is not unitary: ||U U* - I|| = {defect:.3e}")
     v = linalg.kron(u, u.conj())
     rotated = v @ np.asarray(c, dtype=complex) @ v.conj().T

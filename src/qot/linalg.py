@@ -60,18 +60,19 @@ PAULI = (PAULI_X, PAULI_Y, PAULI_Z)
 for _p in PAULI:
     _p.setflags(write=False)
 
-# Tolerances shared by the validating constructors.
+# Tolerances shared by the validating constructors.  DENSITY_ATOL is also the
+# negative-eigenvalue slack of sqrt_psd.
 HERMITIAN_ATOL = 1e-12
 DENSITY_ATOL = 1e-10
 CLUSTER_TOL = 1e-9
 
 
-def hermitian(m: np.ndarray, atol: float = HERMITIAN_ATOL) -> np.ndarray:
+def hermitian(m: np.ndarray) -> np.ndarray:
     """Validate Hermitian symmetry and return the symmetrized copy.
 
-    Asymmetry up to ``atol`` (max absolute entry of ``m - m*``) is repaired
-    by averaging with the adjoint; anything larger is rejected so that slack
-    and cone checks downstream stay honest.
+    Asymmetry up to ``HERMITIAN_ATOL`` (max absolute entry of ``m - m*``) is
+    repaired by averaging with the adjoint; anything larger is rejected so
+    that slack and cone checks downstream stay honest.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -79,8 +80,8 @@ def hermitian(m: np.ndarray, atol: float = HERMITIAN_ATOL) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix has non-finite entries")
     defect = np.abs(m - m.conj().T).max() if m.size else 0.0
-    if defect > atol:
-        raise ValueError(f"matrix is not Hermitian: asymmetry {defect:.3e} > {atol:.1e}")
+    if defect > HERMITIAN_ATOL:
+        raise ValueError(f"matrix is not Hermitian: asymmetry {defect:.3e} > {HERMITIAN_ATOL:.1e}")
     return 0.5 * (m + m.conj().T)
 
 
@@ -89,15 +90,15 @@ def min_eigenvalue(m: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(m)[0])
 
 
-def density(m: np.ndarray, atol: float = DENSITY_ATOL) -> np.ndarray:
-    """Validate a density matrix: Hermitian, PSD and unit trace within ``atol``."""
+def density(m: np.ndarray) -> np.ndarray:
+    """Validate a density matrix: Hermitian, PSD and unit trace within ``DENSITY_ATOL``."""
     m = hermitian(m)
     lo = min_eigenvalue(m)
-    if lo < -atol:
+    if lo < -DENSITY_ATOL:
         raise ValueError(f"matrix is not PSD: min eigenvalue {lo:.3e}")
     tr = m.trace().real
-    if abs(tr - 1.0) > atol:
-        raise ValueError(f"trace {tr!r} is not 1 within {atol:.1e}")
+    if abs(tr - 1.0) > DENSITY_ATOL:
+        raise ValueError(f"trace {tr!r} is not 1 within {DENSITY_ATOL:.1e}")
     return m
 
 
@@ -202,12 +203,16 @@ def swap_transpose(m: np.ndarray, dim: int) -> np.ndarray:
 class SpectralDecomposition:
     """Eigenvalues in ascending order with spectral projectors onto clusters.
 
-    Eigenvalues closer than the clustering threshold are merged into a single
-    projector so that functional calculus never splits a degenerate eigenspace.
+    Eigenvalues closer than ``CLUSTER_TOL`` are merged into a single projector
+    so that functional calculus never splits a degenerate eigenspace.  Each
+    eigenvector column of ``vectors`` carries its cluster's eigenvalue in
+    ``column_values``.
     """
 
     eigenvalues: tuple[float, ...]
     projectors: tuple[np.ndarray, ...]
+    vectors: np.ndarray
+    column_values: tuple[float, ...]
 
     def apply(self, fn) -> np.ndarray:
         """Sum of ``fn(eigenvalue) * projector`` over the clusters."""
@@ -218,31 +223,33 @@ class SpectralDecomposition:
         return out
 
 
-def eig_hermitian(m: np.ndarray, cluster_tol: float = CLUSTER_TOL) -> SpectralDecomposition:
+def eig_hermitian(m: np.ndarray) -> SpectralDecomposition:
     """Spectral decomposition of a Hermitian matrix with degeneracy merging."""
     m = hermitian(m)
     vals, vecs = np.linalg.eigh(m)
     eigenvalues: list[float] = []
     projectors: list[np.ndarray] = []
+    column_values: list[float] = []
     i = 0
     n = len(vals)
     while i < n:
         j = i + 1
-        while j < n and vals[j] - vals[j - 1] < cluster_tol:
+        while j < n and vals[j] - vals[j - 1] < CLUSTER_TOL:
             j += 1
         block = vecs[:, i:j]
         proj = block @ block.conj().T
         projectors.append(0.5 * (proj + proj.conj().T))
         eigenvalues.append(float(np.mean(vals[i:j])))
+        column_values += [eigenvalues[-1]] * (j - i)
         i = j
-    return SpectralDecomposition(tuple(eigenvalues), tuple(projectors))
+    return SpectralDecomposition(tuple(eigenvalues), tuple(projectors), vecs, tuple(column_values))
 
 
-def sqrt_psd(m: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """PSD square root; eigenvalues in ``[-tol, 0)`` are clamped to zero."""
+def sqrt_psd(m: np.ndarray) -> np.ndarray:
+    """PSD square root; eigenvalues in ``[-DENSITY_ATOL, 0)`` are clamped to zero."""
     m = hermitian(m)
     vals, vecs = np.linalg.eigh(m)
-    if vals[0] < -tol:
+    if vals[0] < -DENSITY_ATOL:
         raise ValueError(f"matrix is not PSD: min eigenvalue {vals[0]:.3e}")
     root = np.sqrt(np.clip(vals, 0.0, None))
     out = (vecs * root) @ vecs.conj().T

@@ -76,6 +76,10 @@ STRUCTURED_MIN_DIM = 25
 # Refinement steps of every Cholesky Schur solve; fixed, so solves stay
 # deterministic.
 SCHUR_REFINEMENT_STEPS = 2
+# preprocess: relative rank threshold of a constraint row, and the relative
+# residue of a dependent row's value that marks the system inconsistent.
+PREPROCESS_RANK_TOL = 1e-10
+PREPROCESS_CONSISTENCY_TOL = 1e-8
 
 # Certification thresholds (independent recomputation of the solution).
 CERT_EQ_TOL = 1e-8
@@ -244,15 +248,13 @@ class PreprocessReport:
     max_inconsistency: float
 
 
-def preprocess(
-    problem: SdpProblem, rank_tol: float = 1e-10, consistency_tol: float = 1e-8
-) -> tuple[SdpProblem, PreprocessReport]:
+def preprocess(problem: SdpProblem) -> tuple[SdpProblem, PreprocessReport]:
     """Drop linearly dependent constraint rows; detect inconsistent duplicates.
 
     Row ``k`` is kept when the norm of its component orthogonal to the kept
-    rows before it exceeds ``rank_tol * max(|row k|, 1)``.  With every row
-    before ``k`` kept, that norm is ``|R_kk|`` of an unpivoted QR of the rows,
-    so a system without dependent rows takes one QR.  The QR would count a
+    rows before it exceeds ``PREPROCESS_RANK_TOL * max(|row k|, 1)``.  With
+    every row before ``k`` kept, that norm is ``|R_kk|`` of an unpivoted QR of
+    the rows, so a system without dependent rows takes one QR.  The QR would count a
     dependent row's rounding residue as a direction, so each dependent row
     found is dropped and the remaining rows are factorized again.  Slot reads
     (:func:`_slot_reads`) use the short coordinates of
@@ -269,7 +271,7 @@ def preprocess(
     else:
         flat = problem.constraint_ops.reshape(m, -1)
         rows = np.hstack([flat.real, flat.imag])
-    thresholds = rank_tol * np.maximum(np.linalg.norm(rows, axis=1), 1.0)
+    thresholds = PREPROCESS_RANK_TOL * np.maximum(np.linalg.norm(rows, axis=1), 1.0)
 
     kept = np.ones(m, dtype=bool)
     while True:
@@ -294,7 +296,7 @@ def preprocess(
         residues = np.abs(vals[removed] - predicted)
         max_inconsistency = float(residues.max())
         infeasible = bool(
-            np.any(residues > consistency_tol * np.maximum(1.0, np.abs(vals[removed])))
+            np.any(residues > PREPROCESS_CONSISTENCY_TOL * np.maximum(1.0, np.abs(vals[removed])))
         )
         reduced = SdpProblem(problem.objective, vals[kept], problem.structure.rows(kept))
         if structure is None:
@@ -563,8 +565,9 @@ def solve(
             and dual_res <= tol
             and gap <= tol * max(1.0, abs(pobj))
             # keep weak duality in the reported pair: residual-induced
-            # crossover of the objectives must stay below roundoff scale
-            and dobj - pobj <= 5e-10
+            # crossover of the objectives must stay below roundoff scale,
+            # which grows with the objective
+            and dobj - pobj <= 5e-10 * max(1.0, abs(pobj))
         ):
             reason = "converged"
             break

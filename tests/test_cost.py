@@ -48,6 +48,11 @@ def brute_force_cost(observables, classical, k):
     return out
 
 
+def rotated_degenerate_d3():
+    u = linalg.random_unitary(np.random.default_rng(3), 3)
+    return u @ np.diag([1.0, 1.0, -1.0]) @ u.conj().T
+
+
 class TestDistinguishedCosts:
     @pytest.mark.parametrize("p", [1.0, 2.0])
     def test_symm_matrix_as_printed(self, p):
@@ -179,6 +184,40 @@ class TestFactorizedBuilder:
                 k, lambda x, y: sum(abs(a - b) ** p for a, b, p in zip(x, y, powers))
             )
             np.testing.assert_allclose(embedded, cost_operator_general(obs, summed), atol=1e-10)
+
+    @pytest.mark.parametrize(
+        "observable",
+        [rotated_degenerate_d3(), linalg.random_hermitian(np.random.default_rng(5), 5)],
+        ids=["d3-repeated-eigenvalue", "d5-random"],
+    )
+    @pytest.mark.parametrize("p", [1.0, 2.5])
+    def test_both_builders_match_brute_force(self, observable, p):
+        fn = abs_power_evaluator(p)
+        oracle = brute_force_cost([observable], lambda x, y: fn(x[0], y[0]), 1)
+        obs = observable_set([observable])
+        [factor] = cost_operator_factorized(obs, [fn])
+        np.testing.assert_allclose(factor, oracle, atol=1e-10)
+        general = cost_operator_general(obs, lp_power_cost(1, p))
+        np.testing.assert_allclose(general, oracle, atol=1e-10)
+
+    def test_negative_factor_cost_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            cost_operator_factorized(sigma_z_observable(), [lambda x, y: x - y])
+
+    def test_wrong_factor_shape_rejected(self):
+        with pytest.raises(ValueError):
+            embedded_cost_sum([np.eye(4), np.eye(3)], 2)
+
+    def test_embedded_sum_builds_each_kron(self):
+        rng = np.random.default_rng(9)
+        factors = [linalg.random_hermitian(rng, 4) for _ in range(3)]
+        eye = np.eye(4, dtype=complex)
+        expected = (
+            linalg.kron_all([factors[0], eye, eye])
+            + linalg.kron_all([eye, factors[1], eye])
+            + linalg.kron_all([eye, eye, factors[2]])
+        )
+        np.testing.assert_array_equal(embedded_cost_sum(factors, 2), expected)
 
     def test_arity_mismatch(self):
         with pytest.raises(ValueError, match="factor costs"):

@@ -143,6 +143,15 @@ class TestTranspose:
         )
 
 
+def assert_frame_matches(dec, m):
+    """``V diag(column_values) V*`` is ``m``; each projector is ``V_c V_c*``."""
+    vecs, values = dec.vectors, np.array(dec.column_values)
+    np.testing.assert_allclose((vecs * values) @ vecs.conj().T, m, atol=1e-10)
+    for lam, proj in zip(dec.eigenvalues, dec.projectors):
+        block = vecs[:, values == lam]
+        np.testing.assert_allclose(block @ block.conj().T, proj, atol=1e-12)
+
+
 class TestEig:
     def test_sigma_z(self):
         dec = eig_hermitian(PAULI_Z)
@@ -154,6 +163,14 @@ class TestEig:
         dec = eig_hermitian(EYE2)
         assert len(dec.eigenvalues) == 1
         np.testing.assert_allclose(dec.projectors[0], EYE2, atol=1e-14)
+
+    def test_repeated_eigenvalue_shares_one_cluster(self):
+        u = linalg.random_unitary(np.random.default_rng(3), 3)
+        m = u @ np.diag([1.0, 1.0, -1.0]) @ u.conj().T
+        dec = eig_hermitian(m)
+        np.testing.assert_allclose(dec.eigenvalues, [-1.0, 1.0], atol=1e-12)
+        assert dec.column_values == (dec.eigenvalues[0],) + (dec.eigenvalues[1],) * 2
+        assert_frame_matches(dec, m)
 
     def test_sigma_x_projectors(self):
         dec = eig_hermitian(PAULI_X)
@@ -167,6 +184,7 @@ class TestEig:
             m = linalg.random_hermitian(rng, dim)
             dec = eig_hermitian(m)
             np.testing.assert_allclose(dec.apply(lambda lam: lam), m, atol=1e-10)
+            assert_frame_matches(dec, m)
             total = sum(dec.projectors)
             np.testing.assert_allclose(total, np.eye(dim), atol=1e-10)
             for i, p in enumerate(dec.projectors):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qot import cost, linalg, sdp, transport
-from qot.closedform import state_from_bloch, state_x, state_z
+from qot.closedform import d_symm_commuting, state_from_bloch, state_x, state_z
 from qot.transport import (
     MODE_LINEARIZED,
     MODE_NONLINEAR,
@@ -154,6 +154,18 @@ class TestDistance:
             np.testing.assert_allclose(res.distance, 2.0, atol=1e-6)
             assert res.certificate.passed
             assert res.coupling.check().ok
+
+    @pytest.mark.parametrize("alpha,beta", [(0.095, -0.95), (0.95, -0.095)])
+    def test_weak_duality_stop_scales_with_the_objective(self, alpha, beta):
+        # dobj - pobj settles at a few 1e-9 here, the rounding floor of an
+        # objective near 2.6; an absolute 5e-10 stop ran these into mu_floor
+        res = wasserstein_distance(symm_instance(state_z(alpha), state_z(beta), 1.0))
+        assert res.status == "optimal" and res.solution.reason == "converged"
+        assert res.solution.iterations <= 9
+        assert res.certificate.passed
+        gap = res.dual_objective - res.primal_objective
+        assert gap <= 5e-10 * max(1.0, abs(res.primal_objective))
+        np.testing.assert_allclose(res.dp, d_symm_commuting(alpha, beta, 1.0), rtol=1e-7)
 
     def test_identical_pure_z_eigenstate_costs_nothing(self):
         pure = state_z(1.0)
