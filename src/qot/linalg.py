@@ -38,6 +38,7 @@ __all__ = [
     "min_eigenvalue",
     "kron",
     "kron_all",
+    "slot_view",
     "embed_at_slot",
     "partial_trace",
     "swap_transpose",
@@ -137,14 +138,25 @@ class FactorShape:
         return FactorShape((dim,) * (2 * pairs))
 
 
+def slot_view(m: np.ndarray, slot: int, shape: FactorShape) -> np.ndarray:
+    """Writable view ``(..., outer, inner, d, d)`` of the blocks of a
+    C-contiguous ``m`` (``(..., n, n)``) that carry an operator embedded at
+    ``slot``: entry ``[o, i, a, b]`` sits at row ``(o, a, i)`` and column
+    ``(o, b, i)``, with ``o`` and ``i`` the indices of the factors before and
+    after the slot (a repeated einsum index gives a view of the diagonal)."""
+    dims = shape.dims
+    frame = (math.prod(dims[:slot]), dims[slot], math.prod(dims[slot + 1:]))
+    return np.einsum("...iajibj->...ijab", m.reshape(m.shape[:-2] + frame + frame))
+
+
 def embed_at_slot(op: np.ndarray, slot: int, shape: FactorShape) -> np.ndarray:
     """Embed ``op`` acting on factor ``slot`` (0-based) as identity elsewhere."""
     op = np.asarray(op, dtype=complex)
     if op.shape != (shape.dims[slot], shape.dims[slot]):
         raise ValueError(f"operator shape {op.shape} does not match factor dim {shape.dims[slot]}")
-    factors = [np.eye(d, dtype=complex) for d in shape.dims]
-    factors[slot] = op
-    return kron_all(factors)
+    out = np.zeros((shape.total_dim, shape.total_dim), dtype=complex)
+    slot_view(out, slot, shape)[...] = op
+    return out
 
 
 def partial_trace(m: np.ndarray, shape: FactorShape, keep: Sequence[int]) -> np.ndarray:

@@ -68,6 +68,9 @@ MAX_ITER = 200
 STEP_FRACTION = 0.98
 MU_FLOOR = 1e-12
 SCHUR_COND_LIMIT = 1e14
+# An entry of X, S or y above this stops the run before a product of two
+# entries can overflow.
+DIVERGENCE_LIMIT = math.sqrt(np.finfo(float).max)
 # Plans of at least this dimension factor X and S by Cholesky, take step
 # lengths in the scaling frame and read multi-slot constraints slot by slot
 # (_slot_reads).  Smaller plans use eigen factors and the dense stack, which is
@@ -99,6 +102,7 @@ REASON_STATUS = {
     "mu_floor": STATUS_NUMERICAL,
     "schur_conditioning": STATUS_NUMERICAL,
     "stalled_step": STATUS_NUMERICAL,
+    "diverged": STATUS_NUMERICAL,
     "preprocess_infeasible": STATUS_INFEASIBLE,
     # a max-iter or numerical stop with a large primal residual and a
     # diverging primal iterate
@@ -175,9 +179,10 @@ class SdpProblem:
     @functools.cached_property
     def constraint_ops(self) -> np.ndarray:
         st = self.structure
-        ops = np.stack(
-            [linalg.embed_at_slot(a, i, st.shape) for i, a in zip(st.slots, st.local_ops)]
-        )
+        n = st.shape.total_dim
+        ops = np.zeros((len(st.slots), n, n), dtype=complex)
+        for slot, rows, local, (_, d, _) in st.groups:
+            linalg.slot_view(ops, slot, st.shape)[rows] = local.reshape(-1, 1, 1, d, d)
         ops.setflags(write=False)
         return ops
 
@@ -328,10 +333,11 @@ class SdpSolution:
 
 
 def _psd_factor(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigen-based factor ``F`` with ``F F* = m`` plus (Q, w) for reuse."""
+    """Eigen-based factor ``F`` with ``F F* = m`` plus (Q, w) for reuse, for a
+    Hermitian matrix or a stack of them."""
     w, q = np.linalg.eigh(m)
-    w = np.maximum(w, 1e-15 * max(1.0, float(w[-1])))
-    return q * np.sqrt(w), q, w
+    w = np.maximum(w, 1e-15 * np.maximum(1.0, w[..., -1:]))
+    return q * np.sqrt(w)[..., None, :], q, w
 
 
 def _cholesky_factor(m: np.ndarray) -> np.ndarray:
@@ -356,9 +362,20 @@ def _nt_scaling(fx: np.ndarray, fs: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 
 def _frame_eigvals(b: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of ``diag(w)^-1/2 b diag(w)^-1/2`` for Hermitian ``b``."""
-    t = b / np.sqrt(np.outer(w, w))
-    return np.linalg.eigvalsh(0.5 * (t + t.conj().T))
+    """Ascending eigenvalues of ``diag(w)^-1/2 b diag(w)^-1/2`` for Hermitian
+    ``b``, or for each matrix of a stack ``b`` with ``w`` one row per matrix
+    or one row shared."""
+    t = b / np.sqrt(w[..., :, None] * w[..., None, :])
+    # 0.5 (t + t*), in place: on large stacks a third temporary would raise
+    # the peak memory of a solve
+    t += t.conj().swapaxes(-1, -2)
+    t *= 0.5
+    return np.linalg.eigvalsh(t)
+
+
+def _trace_product(a: np.ndarray, b: np.ndarray) -> float:
+    """``Re tr(a b)``."""
+    return float(np.einsum("ab,ba->", a, b).real)
 
 
 def _boundary_step(lam: float) -> float:
@@ -368,9 +385,10 @@ def _boundary_step(lam: float) -> float:
     return 1.0 / (-lam)
 
 
-def _max_step(q: np.ndarray, w: np.ndarray, delta: np.ndarray) -> float:
-    """Largest step keeping ``m + alpha * delta`` PSD, given ``m = Q diag(w) Q*``."""
-    return _boundary_step(float(_frame_eigvals(q.conj().T @ delta @ q, w)[0]))
+def _max_steps(deltas: np.ndarray, w: np.ndarray) -> list[float]:
+    """Largest ``alpha`` keeping ``diag(w) + alpha * delta`` PSD, for each
+    ``delta`` of the stack ``deltas`` (``w`` as in :func:`_frame_eigvals`)."""
+    return [_boundary_step(float(lam)) for lam in _frame_eigvals(deltas, w)[:, 0]]
 
 
 def _hermitian_coords(mat: np.ndarray) -> np.ndarray:
@@ -429,11 +447,8 @@ def _slot_adjoint(y: np.ndarray, structure: SlotStructure) -> np.ndarray:
     embedded as identity on the other slots."""
     n = structure.shape.total_dim
     out = np.zeros((n, n), dtype=complex)
-    for _, rows, ops, (outer, d, inner) in structure.groups:
-        local = (y[rows] @ ops).reshape(d, d)
-        # a repeated einsum index gives a writable view of the diagonal in
-        # the outer and inner indices
-        np.einsum("iajibj->ijab", out.reshape(outer, d, inner, outer, d, inner))[...] += local
+    for slot, rows, ops, (_, d, _) in structure.groups:
+        linalg.slot_view(out, slot, structure.shape)[...] += (y[rows] @ ops).reshape(d, d)
     return out
 
 
@@ -449,9 +464,12 @@ def _constraint_maps(problem: SdpProblem) -> tuple[Callable, Callable]:
     structure = _slot_reads(problem)
     if structure is not None:
         return (lambda z: _slot_applied(z, structure)), (lambda y: _slot_adjoint(y, structure))
-    ops = problem.constraint_ops
-    flat = ops.reshape(len(ops), -1)
-    return (lambda z: (flat @ np.conj(z.reshape(-1))).real), lambda y: np.tensordot(y, ops, axes=1)
+    flat = problem.constraint_ops.reshape(problem.n_constraints, -1)
+    n = problem.dim
+    # a (1, m) row: y @ flat takes a matrix-vector kernel that rounds differently
+    return (lambda z: (flat @ np.conj(z.reshape(-1))).real), (
+        lambda y: (y[None, :] @ flat).reshape(n, n)
+    )
 
 
 def compressed_constraints(problem: SdpProblem, v: np.ndarray) -> np.ndarray:
@@ -526,8 +544,9 @@ def solve(
     apply, adjoint = _constraint_maps(reduced)
 
     tau = max(1.0, float(np.abs(c).max()))
-    x = tau * np.eye(n, dtype=complex)
-    s = tau * np.eye(n, dtype=complex)
+    # X and S as one stacked pair, so that each side's factor, update and step
+    # length is one call for both
+    pair = tau * np.stack([np.eye(n, dtype=complex)] * 2)
     y = np.zeros(m)
 
     eye = np.eye(n)
@@ -542,11 +561,15 @@ def solve(
 
     for it in range(MAX_ITER + 1):
         iterations = it
+        x, s = pair
+        if max(float(np.abs(pair).max()), float(np.abs(y).max())) > DIVERGENCE_LIMIT:
+            reason = "diverged"
+            break
         rd = c - s - adjoint(y)
         rd = 0.5 * (rd + rd.conj().T)
         rp = b - apply(x)
-        mu = float(np.einsum("ab,ba->", x, s).real) / n
-        pobj = float(np.einsum("ab,ba->", c, x).real)
+        mu = _trace_product(x, s) / n
+        pobj = _trace_product(c, x)
         dobj = float(b @ y)
         gap = abs(pobj - dobj)
         # absolute measures, matching the certification invariants
@@ -586,10 +609,10 @@ def solve(
         # and S, and factor them by Cholesky.  Smaller plans keep the eigen
         # factors and measure each step in the eigenbasis of X or S.
         if large:
-            fx, fs = _cholesky_factor(x), _cholesky_factor(s)
+            fx, fs = (_cholesky_factor(side) for side in pair)
         else:
-            fx, qx, wx = _psd_factor(x)
-            fs, qs, ws = _psd_factor(s)
+            (fx, fs), q, w = _psd_factor(pair)
+            qh = q.conj().swapaxes(1, 2)
         r, sig = _nt_scaling(fx, fs)
         rh = r.conj().T
 
@@ -641,16 +664,15 @@ def solve(
             lam = _frame_eigvals(ds_aff_scaled, sig)
             ap = min(1.0, _boundary_step(-1.0 - float(lam[-1])))
             ad = min(1.0, _boundary_step(float(lam[0])))
-            x_probe = -chat_aff + ap * dx_aff_scaled
-            s_probe = -chat_aff + ad * ds_aff_scaled
+            probe_product = _trace_product(
+                -chat_aff + ap * dx_aff_scaled, -chat_aff + ad * ds_aff_scaled
+            )
         else:
             dx_aff = r @ dx_aff_scaled @ rh
-            dx_aff = 0.5 * (dx_aff + dx_aff.conj().T)
-            ap = min(1.0, _max_step(qx, wx, dx_aff))
-            ad = min(1.0, _max_step(qs, ws, ds_aff))
-            x_probe = x + ap * dx_aff
-            s_probe = s + ad * ds_aff
-        mu_aff = max(float(np.einsum("ab,ba->", x_probe, s_probe).real) / n, 0.0)
+            d_aff = np.stack([0.5 * (dx_aff + dx_aff.conj().T), ds_aff])
+            ap, ad = (min(1.0, a) for a in _max_steps(qh @ d_aff @ q, w))
+            probe_product = _trace_product(*(pair + np.array([ap, ad])[:, None, None] * d_aff))
+        mu_aff = max(probe_product / n, 0.0)
         sigma = min(1.0, (mu_aff / mu) ** 3) if mu > 0 else 0.0
         if min(ap, ad) < 0.2:
             # Heavily truncated affine steps (empty or near-empty interior):
@@ -677,24 +699,23 @@ def solve(
         ds_scaled = rh @ ds @ r
         dx_scaled = chat - ds_scaled
         dx = r @ dx_scaled @ rh
-        dx = 0.5 * (dx + dx.conj().T)
+        # the step (dX, dS) as one stacked pair; dropping the per-side copies
+        # keeps the peak memory of large plans where it was
+        d = np.stack([0.5 * (dx + dx.conj().T), ds])
+        del dx, ds
 
         if large:
-            ap = _boundary_step(float(_frame_eigvals(dx_scaled, sig)[0]))
-            ad = _boundary_step(float(_frame_eigvals(ds_scaled, sig)[0]))
+            steps = _max_steps(np.stack([dx_scaled, ds_scaled]), sig)
         else:
-            ap = _max_step(qx, wx, dx)
-            ad = _max_step(qs, ws, ds)
-        ap = min(1.0, STEP_FRACTION * ap)
-        ad = min(1.0, STEP_FRACTION * ad)
+            steps = _max_steps(qh @ d @ q, w)
+        ap, ad = (min(1.0, STEP_FRACTION * a) for a in steps)
         if ap < 1e-13 and ad < 1e-13:
             reason = "stalled_step"
             break
 
-        x = x + ap * dx
-        x = 0.5 * (x + x.conj().T)
-        s = s + ad * ds
-        s = 0.5 * (s + s.conj().T)
+        pair = pair + np.array([ap, ad])[:, None, None] * d
+        pair += pair.conj().swapaxes(1, 2)
+        pair *= 0.5
         y = y + ad * dy
 
     # Map multipliers back to the original constraint indexing; dropped
@@ -746,7 +767,7 @@ def certify(solution: SdpSolution, problem: SdpProblem) -> Certificate:
     dual_res = float(np.abs(problem.objective - s - adjoint(y)).max())
     min_x = linalg.min_eigenvalue(0.5 * (x + x.conj().T))
     min_s = linalg.min_eigenvalue(0.5 * (s + s.conj().T))
-    pobj = float(np.einsum("ab,ba->", problem.objective, x).real)
+    pobj = _trace_product(problem.objective, x)
     dobj = float(problem.constraint_vals @ y)
     gap = abs(pobj - dobj)
 

@@ -280,6 +280,27 @@ class TestEmbedding:
             embed_at_slot(PAULI_X, 1, shape), kron(EYE2, kron(PAULI_X, EYE2))
         )
 
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    def test_embed_is_bitwise_the_kron_chain(self, slot):
+        shape = FactorShape((2, 3, 2))
+        rng = np.random.default_rng(slot)
+        d = shape.dims[slot]
+        op = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        factors = [np.eye(k, dtype=complex) for k in shape.dims]
+        factors[slot] = op
+        np.testing.assert_array_equal(embed_at_slot(op, slot, shape), linalg.kron_all(factors))
+
+    def test_slot_view_writes_a_stack_in_place(self):
+        shape = FactorShape((2, 3, 2))
+        rng = np.random.default_rng(7)
+        ops = [linalg.random_hermitian(rng, 3) for _ in range(2)]
+        stack = np.zeros((2, 12, 12), dtype=complex)
+        view = linalg.slot_view(stack, 1, shape)
+        assert view.shape == (2, 2, 2, 3, 3) and np.shares_memory(view, stack)
+        view[...] = np.stack(ops)[:, None, None]
+        for out, op in zip(stack, ops):
+            np.testing.assert_array_equal(out, embed_at_slot(op, 1, shape))
+
     def test_factor_shape_validation(self):
         with pytest.raises(ValueError):
             FactorShape((2, 0))

@@ -373,6 +373,13 @@ def infeasible_with_improving_ray():
     return sdp.sdp_problem(c, [(np.diag([1.0, 0.0]).astype(complex), -1.0)])
 
 
+def diverging_dual():
+    # tr X = -1 has no PSD solution and the dual b.y = -y grows without
+    # bound: S and y pass DIVERGENCE_LIMIT before any product overflows
+    eye = np.eye(25, dtype=complex)
+    return sdp.sdp_problem(eye, [(eye, -1.0)])
+
+
 def structured_problem():
     return random_marginal_problem(np.random.default_rng(11), 6, 1)
 
@@ -398,6 +405,7 @@ STOPS = [
         id="schur_conditioning-cholesky",
     ),
     pytest.param("stalled_step", unbounded_off_diagonal, {}, id="stalled_step"),
+    pytest.param("diverged", diverging_dual, {}, id="diverged"),
     pytest.param(
         "preprocess_infeasible", lambda: sdp.sdp_problem(EYE2, [(EYE2, 1.0), (EYE2, 2.0)]), {},
         id="preprocess_infeasible",
@@ -418,6 +426,12 @@ class TestStopReason:
     def test_every_reason_is_reached(self):
         assert {case.values[0] for case in STOPS} == set(sdp.REASON_STATUS)
 
+    def test_diverged_run_stops_before_overflow(self):
+        sol = sdp.solve(diverging_dual())
+        assert sol.reason == "diverged" and sol.iterations < 20
+        assert max(np.abs(sol.s).max(), np.abs(sol.y).max()) > sdp.DIVERGENCE_LIMIT
+        assert np.isfinite(sol.mu) and np.isfinite(sol.primal_objective)
+
     def test_unbounded_run_diverges_along_an_improving_ray(self):
         sol = sdp.solve(unbounded_diagonal())
         assert sol.status != sdp.STATUS_INFEASIBLE
@@ -426,6 +440,14 @@ class TestStopReason:
         # ... but X/|X| is feasible for the homogeneous system and improves
         norm = np.linalg.norm(sol.x)
         assert abs(sol.x[1, 1].real) / norm <= sdp.TOL and sol.primal_objective < 0
+
+
+def eigenbasis_step(m, delta):
+    """Largest ``alpha`` keeping ``m + alpha delta`` PSD, from the eigenvalues
+    of ``delta`` whitened by the eigen factor of ``m``."""
+    w, q = np.linalg.eigh(m)
+    t = (q.conj().T @ delta @ q) / np.sqrt(np.outer(w, w))
+    return sdp._boundary_step(float(np.linalg.eigvalsh(0.5 * (t + t.conj().T))[0]))
 
 
 class TestLargePlanStep:
@@ -439,13 +461,11 @@ class TestLargePlanStep:
         scaled_x = np.linalg.solve(r, np.linalg.solve(r, x).conj().T).conj().T
         np.testing.assert_allclose(scaled_x, np.diag(sig), rtol=0, atol=1e-10 * sig.max())
         np.testing.assert_allclose(rh @ s @ r, np.diag(sig), rtol=0, atol=1e-10 * sig.max())
-        wx, qx = np.linalg.eigh(x)
-        ws, qs = np.linalg.eigh(s)
         for _ in range(5):
             ds_scaled = linalg.random_hermitian(rng, n, scale=float(sig.mean()))
             ds = np.linalg.solve(rh, np.linalg.solve(rh, ds_scaled).conj().T).conj().T
             ad = sdp._boundary_step(sdp._frame_eigvals(ds_scaled, sig)[0])
-            np.testing.assert_allclose(ad, sdp._max_step(qs, ws, ds), rtol=1e-10)
+            np.testing.assert_allclose(ad, eigenbasis_step(s, ds), rtol=1e-10)
             # predictor: the X-side direction is -diag(sig) - ds_scaled, and
             # its smallest scaled eigenvalue is -1 minus the S side's largest
             dx_scaled = -np.diag(sig) - ds_scaled
@@ -453,9 +473,10 @@ class TestLargePlanStep:
             lam_s = sdp._frame_eigvals(ds_scaled, sig)
             np.testing.assert_allclose(lam_x[0], -1.0 - lam_s[-1], rtol=1e-10)
             ap = sdp._boundary_step(-1.0 - lam_s[-1])
-            np.testing.assert_allclose(
-                ap, sdp._max_step(qx, wx, r @ dx_scaled @ rh), rtol=1e-10
-            )
+            np.testing.assert_allclose(ap, eigenbasis_step(x, r @ dx_scaled @ rh), rtol=1e-10)
+            # the corrector measures both sides in one stacked call
+            both = sdp._max_steps(np.stack([dx_scaled, ds_scaled]), sig)
+            assert both == [sdp._boundary_step(lam_x[0]), ad]
 
     def test_cholesky_factor_falls_back_to_the_eigen_factor(self):
         rng = np.random.default_rng(4)
@@ -468,6 +489,40 @@ class TestLargePlanStep:
         np.testing.assert_allclose(f @ f.conj().T, rank_two, rtol=0, atol=1e-12)
         pd = random_pd(rng, 6)
         np.testing.assert_array_equal(sdp._cholesky_factor(pd), np.linalg.cholesky(pd))
+
+
+class TestStackedPair:
+    """X and S are one stacked pair in ``solve``; each stacked call must
+    round exactly as the per-matrix calls it replaced."""
+
+    @pytest.mark.parametrize("n", [4, 9, 16, 36])
+    def test_stacked_pair_is_bitwise_the_per_matrix_calls(self, n):
+        rng = np.random.default_rng(n)
+        pair = np.stack([random_pd(rng, n), random_pd(rng, n)])
+        deltas = np.stack([linalg.random_hermitian(rng, n) for _ in range(2)])
+        f, q, w = sdp._psd_factor(pair)
+        framed = q.conj().swapaxes(1, 2) @ deltas @ q
+        for k in range(2):
+            for stacked, single in zip((f, q, w), sdp._psd_factor(pair[k])):
+                np.testing.assert_array_equal(stacked[k], single)
+            np.testing.assert_array_equal(framed[k], q[k].conj().T @ deltas[k] @ q[k])
+            np.testing.assert_array_equal(
+                sdp._frame_eigvals(framed, w)[k], sdp._frame_eigvals(framed[k], w[k])
+            )
+            # one row of weights shared by the stack, as in the scaled frame
+            np.testing.assert_array_equal(
+                sdp._frame_eigvals(deltas, w[0])[k], sdp._frame_eigvals(deltas[k], w[0])
+            )
+        # both steps, bitwise those measured one side at a time
+        assert sdp._max_steps(framed, w) == [eigenbasis_step(pair[k], deltas[k]) for k in (0, 1)]
+
+    def test_dense_adjoint_is_bitwise_tensordot(self):
+        problem = qubit_transport_problem(cost.cost_symm(2.0), rho_z(0.5), rho_z(-0.3))
+        y = np.random.default_rng(2).standard_normal(problem.n_constraints)
+        _, adjoint = sdp._constraint_maps(problem)
+        np.testing.assert_array_equal(
+            adjoint(y), np.tensordot(y, problem.constraint_ops, axes=1)
+        )
 
 
 class TestCertify:
