@@ -155,18 +155,33 @@ def _cost_kind(data: dict, args: argparse.Namespace | None) -> str:
     return getattr(args, "cost", None) or data.get("cost", "symm")
 
 
+_FIXED_OBSERVABLES = {"symm": cost_mod.pauli_triple, "z": cost_mod.sigma_z_observable}
+
+
+def _parse_states_and_cost(
+    data: Any, args: argparse.Namespace | None
+) -> tuple[np.ndarray, np.ndarray, str, cost_mod.ObservableSet]:
+    """The two states of an instance document, its cost selector and the
+    observables of that cost."""
+    if not isinstance(data, dict):
+        raise InstanceError("instance file must hold a JSON object")
+    rho = _parse_state(data.get("rho"), "rho")
+    omega = _parse_state(data.get("omega"), "omega")
+    cost_kind = _cost_kind(data, args)
+    if cost_kind in _FIXED_OBSERVABLES:
+        return rho, omega, cost_kind, _FIXED_OBSERVABLES[cost_kind]()
+    if cost_kind in ("factorized", "general"):
+        return rho, omega, cost_kind, _parse_observables(data.get("observables"))
+    raise InstanceError(f"unknown cost selector {cost_kind!r}")
+
+
 def parse_instance(data: dict, args: argparse.Namespace | None = None) -> transport.TransportInstance:
     """Build a transport instance from a parsed JSON document.
 
     Command-line flags override the file's cost selector, exponent and mode.
     A plan larger than ``sdp.MAX_VARIABLE_DIM`` raises ``InstanceError``.
     """
-    if not isinstance(data, dict):
-        raise InstanceError("instance file must hold a JSON object")
-    rho = _parse_state(data.get("rho"), "rho")
-    omega = _parse_state(data.get("omega"), "omega")
-
-    cost_kind = _cost_kind(data, args)
+    rho, omega, cost_kind, observables = _parse_states_and_cost(data, args)
     try:
         p = float(data.get("p", 2.0))
     except (TypeError, ValueError) as exc:
@@ -181,25 +196,21 @@ def parse_instance(data: dict, args: argparse.Namespace | None = None) -> transp
         if cost_kind == "symm":
             if mode == transport.MODE_LINEARIZED:
                 return transport.factorized_instance(
-                    rho, omega, cost_mod.pauli_triple(), p, transport.MODE_LINEARIZED
+                    rho, omega, observables, p, transport.MODE_LINEARIZED
                 )
             return transport.symm_instance(rho, omega, p)
         if cost_kind == "z":
             return transport.z_instance(rho, omega, p)
         if cost_kind == "factorized":
-            observables = _parse_observables(data.get("observables"))
             return transport.factorized_instance(
                 rho, omega, observables, p, mode or transport.MODE_NONLINEAR
             )
-        if cost_kind == "general":
-            observables = _parse_observables(data.get("observables"))
-            classical = cost_mod.lp_power_cost(observables.size, p)
-            return transport.general_instance(
-                rho, omega, observables, classical, p, mode or transport.MODE_LINEARIZED
-            )
+        classical = cost_mod.lp_power_cost(observables.size, p)
+        return transport.general_instance(
+            rho, omega, observables, classical, p, mode or transport.MODE_LINEARIZED
+        )
     except ValueError as exc:
         raise InstanceError(str(exc)) from exc
-    raise InstanceError(f"unknown cost selector {cost_kind!r}")
 
 
 def _load_instance_file(path: str) -> dict:
@@ -292,6 +303,7 @@ def _certificate_dict(res: transport.TransportResult) -> dict:
         "dual_attained": res.dual_attained,
         "degenerate_face": res.degenerate_face,
         "iterations": res.solution.iterations,
+        "reason": res.solution.reason,
     }
 
 
@@ -385,17 +397,9 @@ def cmd_dual(args: argparse.Namespace) -> int:
 
 def cmd_divergence(args: argparse.Namespace) -> int:
     data = _load_instance_file(args.instance)
-    cost_kind = _cost_kind(data, args)
-    if cost_kind == "symm":
-        observables = cost_mod.pauli_triple()
-    elif cost_kind == "z":
-        observables = cost_mod.sigma_z_observable()
-    elif cost_kind == "factorized":
-        observables = _parse_observables(data.get("observables"))
-    else:
+    rho, omega, cost_kind, observables = _parse_states_and_cost(data, args)
+    if cost_kind == "general":
         raise InstanceError("divergence needs a quadratic cost selector (symm, z, factorized)")
-    rho = _parse_state(data.get("rho"), "rho")
-    omega = _parse_state(data.get("omega"), "omega")
 
     t0 = time.perf_counter()
     try:

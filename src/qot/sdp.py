@@ -73,8 +73,11 @@ SCHUR_COND_LIMIT = 1e14
 DIVERGENCE_LIMIT = math.sqrt(np.finfo(float).max)
 # Plans of at least this dimension factor X and S by Cholesky, take step
 # lengths in the scaling frame and read multi-slot constraints slot by slot
-# (_slot_reads).  Smaller plans use eigen factors and the dense stack, which is
-# faster there (numpy call overhead) and keeps their results bitwise unchanged.
+# (_slot_reads).  Smaller plans use eigen factors and the dense stack; the
+# large-plan path certifies fewer of them (perfbench: with this threshold at
+# 1, rank-deficient seed 1 fails 188 of 231 instances against 186; Cholesky
+# factors and scaled-frame steps alone fail 3 of 2394 qubit-sweep instances,
+# seed 2, against 0).
 STRUCTURED_MIN_DIM = 25
 # Refinement steps of every Cholesky Schur solve; fixed, so solves stay
 # deterministic.
@@ -597,7 +600,9 @@ def solve(
         if it == MAX_ITER:
             break
         if mu < MU_FLOOR:
-            reason = "mu_floor"
+            # tr(XS) >= 0 while both iterates are in the cone: a negative mu
+            # is rounding on diverging iterates, not a barrier at its floor
+            reason = "mu_floor" if mu >= 0 else "diverged"
             break
 
         # Nesterov-Todd scaling point W = R R* (_nt_scaling).  In the scaled

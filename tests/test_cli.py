@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from qot import cli
+from qot import cli, sdp
 from qot.cli import ReportRecord, main, parse_instance, parse_report
 
 
@@ -130,11 +130,20 @@ class TestCommands:
         printed = capsys.readouterr().out
         assert "distance" in printed
         record = parse_report((tmp_path / "report.jsonl").read_text().splitlines()[0])
-        assert record.status == "optimal"
+        assert record.status == "optimal" and record.certificate["reason"] == "converged"
         np.testing.assert_allclose(record.dp, 4.0, atol=1e-6)
         assert record.closed_form["family"] == "symm-commuting"
         np.testing.assert_allclose(record.closed_form["dp"], 4.0, atol=1e-12)
         assert record.gap <= 1e-6
+
+    def test_numerical_record_names_its_stop(self, tmp_path):
+        # a pure pair has a plan face with no interior; the solve fails
+        path = write_instance(tmp_path, rho={"bloch": [0, 0, 1]}, omega={"bloch": [1, 0, 0]})
+        out = str(tmp_path / "dual.jsonl")
+        assert main(["dual", path, "--out", out]) == 3
+        record = parse_report((tmp_path / "dual.jsonl").read_text().splitlines()[0])
+        assert record.status == "numerical"
+        assert sdp.REASON_STATUS[record.certificate["reason"]] == "numerical"
 
     def test_distance_z_xy(self, tmp_path):
         path = write_instance(

@@ -1,6 +1,7 @@
 """Tests for the interior-point SDP solver."""
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -388,14 +389,19 @@ def small_transport_problem():
     return qubit_transport_problem(cost.cost_symm(2.0), rho_z(0.5), rho_z(-0.5))
 
 
-# (reason, problem, module constants patched to reach it)
+# (reason, problem, module attributes patched to reach it)
 STOPS = [
     pytest.param("converged", small_transport_problem, {}, id="converged-small"),
     pytest.param("converged", structured_problem, {}, id="converged-structured"),
     pytest.param("max_iter", small_transport_problem, {"MAX_ITER": 3}, id="max_iter"),
-    pytest.param("mu_floor", lambda: sdp.sdp_problem(EYE2, [(EYE2, -1.0)]), {}, id="mu_floor"),
-    pytest.param("mu_floor", unbounded_diagonal, {}, id="mu_floor-unbounded"),
-    pytest.param("mu_floor", infeasible_with_improving_ray, {}, id="mu_floor-infeasible-ray"),
+    # an unreachable tolerance runs mu down to its floor, about +8e-13
+    pytest.param(
+        "mu_floor", small_transport_problem, {"solve": functools.partial(sdp.solve, tol=1e-30)},
+        id="mu_floor",
+    ),
+    # both stop on a negative mu
+    pytest.param("diverged", unbounded_diagonal, {}, id="diverged-unbounded"),
+    pytest.param("diverged", infeasible_with_improving_ray, {}, id="diverged-infeasible-ray"),
     pytest.param(
         "schur_conditioning", small_transport_problem, {"SCHUR_COND_LIMIT": 1.0},
         id="schur_conditioning-qr",
@@ -431,6 +437,16 @@ class TestStopReason:
         assert sol.reason == "diverged" and sol.iterations < 20
         assert max(np.abs(sol.s).max(), np.abs(sol.y).max()) > sdp.DIVERGENCE_LIMIT
         assert np.isfinite(sol.mu) and np.isfinite(sol.primal_objective)
+
+    @pytest.mark.parametrize("n,iterations", [(2, 10), (24, 10), (25, 11)])
+    def test_negative_mu_is_diverged(self, n, iterations):
+        # below n=25 rounding turns mu negative before an entry passes
+        # DIVERGENCE_LIMIT; either way the run diverged
+        eye = np.eye(n, dtype=complex)
+        sol = sdp.solve(sdp.sdp_problem(eye, [(eye, -1.0)]))
+        assert sol.reason == "diverged" and sol.status == sdp.STATUS_NUMERICAL
+        assert sol.iterations == iterations
+        assert (sol.mu < 0) == (n < 25)
 
     def test_unbounded_run_diverges_along_an_improving_ray(self):
         sol = sdp.solve(unbounded_diagonal())
