@@ -16,7 +16,6 @@ from .transport import (
     DualPotentials,
     TransportInstance,
     TransportResult,
-    divergence_quadratic,
     factorized_instance,
     gap_demo,
     general_instance,
@@ -53,7 +52,6 @@ __all__ = [
     "DualPotentials",
     "TransportInstance",
     "TransportResult",
-    "divergence_quadratic",
     "factorized_instance",
     "gap_demo",
     "general_instance",

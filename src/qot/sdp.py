@@ -8,18 +8,21 @@ Standard form:
 with ``<A, B> = Re tr(A* B)`` on Hermitian matrices.  The solver is a
 primal-dual path-following interior-point method with Nesterov-Todd
 symmetric scaling and Mehrotra predictor-corrector steps; the Newton
-system is reduced to a dense Schur complement of size ``m``.  Constraints are
-declared once, as local operators on tensor slots (:func:`slot_problem`;
-:func:`sdp_problem` declares one slot spanning the space).  On plans of at
-least ``STRUCTURED_MIN_DIM`` with several slots, every read goes through the
-slots: rank test on slot coordinates, constraints and adjoint through slot
+system is reduced to a dense Schur complement of size ``m``.  One iteration
+serves every plan size: it factors the iterates by Cholesky and takes step
+lengths from eigenvalues in the scaled frame, where both iterates are
+diagonal.  Constraints are declared once, as local operators on tensor slots
+(:func:`slot_problem`; :func:`sdp_problem` declares one slot spanning the
+space), and :func:`_slot_reads` makes the one size decision: multi-slot
+plans of at least ``STRUCTURED_MIN_DIM`` read everything through the slots
+(rank test on slot coordinates, constraints and adjoint through slot
 marginals and embeddings, and a Schur matrix formed from partial-trace
-contractions of the scaling matrix, always Cholesky-factored (shifted if the
-factorization breaks down) and refined against the formed matrix.  Elsewhere
-the dense stack, built from the slots on first read, is QR-factored after
-scaling.  Every plan of at least that dimension factors the iterates by
-Cholesky and takes step lengths from eigenvalues in the scaled frame, where
-both iterates are diagonal; smaller plans use eigendecompositions.  The dual
+contractions of the scaling matrix, Cholesky-factored, shifted if the
+factorization breaks down, and refined against the formed matrix); other
+problems read the dense stack, built from the slots on first read, and
+QR-factor the scaled constraints.  A run that stops short with a large
+primal residual is labelled infeasible when its multipliers point along a
+Farkas ray (:func:`_farkas_ray`).  The dual
 
     maximize    b . y
     subject to  S = C - sum_i y_i A_i >= 0
@@ -71,17 +74,20 @@ SCHUR_COND_LIMIT = 1e14
 # An entry of X, S or y above this stops the run before a product of two
 # entries can overflow.
 DIVERGENCE_LIMIT = math.sqrt(np.finfo(float).max)
-# Plans of at least this dimension factor X and S by Cholesky, take step
-# lengths in the scaling frame and read multi-slot constraints slot by slot
-# (_slot_reads).  Smaller plans use eigen factors and the dense stack; the
-# large-plan path certifies fewer of them (perfbench: with this threshold at
-# 1, rank-deficient seed 1 fails 188 of 231 instances against 186; Cholesky
-# factors and scaled-frame steps alone fail 3 of 2394 qubit-sweep instances,
-# seed 2, against 0).
+# Multi-slot plans of at least this dimension are read slot by slot
+# (_slot_reads); smaller ones read the dense stack and QR-factor the scaled
+# constraints.  Measured with slot reads on every plan, perfbench qubit-sweep
+# instances_per_s fell from about 230 to 152 (seed 5); with a Cholesky-formed
+# Schur matrix on small plans, 28 of 10,240 strong-duality solves (seed 0)
+# ended uncertified, against 1 with the QR.
 STRUCTURED_MIN_DIM = 25
-# Refinement steps of every Cholesky Schur solve; fixed, so solves stay
-# deterministic.
+# Refinement steps of a Schur solve; fixed, so solves stay deterministic.  The
+# Cholesky factor of a formed Schur matrix takes two, which also remove a
+# breakdown shift's bias; the QR factor of the scaled constraints takes one
+# (strong-duality solves of perfbench qubit-sweep seeds 1-24 ended uncertified
+# 6 times without refinement, 2 with one step, 3 with two).
 SCHUR_REFINEMENT_STEPS = 2
+QR_REFINEMENT_STEPS = 1
 # preprocess: relative rank threshold of a constraint row, and the relative
 # residue of a dependent row's value that marks the system inconsistent.
 PREPROCESS_RANK_TOL = 1e-10
@@ -107,8 +113,8 @@ REASON_STATUS = {
     "stalled_step": STATUS_NUMERICAL,
     "diverged": STATUS_NUMERICAL,
     "preprocess_infeasible": STATUS_INFEASIBLE,
-    # a max-iter or numerical stop with a large primal residual and a
-    # diverging primal iterate
+    # a max-iter or numerical stop with a large primal residual whose
+    # multipliers point along a Farkas ray (_farkas_ray)
     "reclassified_infeasible": STATUS_INFEASIBLE,
 }
 
@@ -335,21 +341,16 @@ class SdpSolution:
         return self.status == STATUS_OPTIMAL
 
 
-def _psd_factor(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigen-based factor ``F`` with ``F F* = m`` plus (Q, w) for reuse, for a
-    Hermitian matrix or a stack of them."""
-    w, q = np.linalg.eigh(m)
-    w = np.maximum(w, 1e-15 * np.maximum(1.0, w[..., -1:]))
-    return q * np.sqrt(w)[..., None, :], q, w
-
-
 def _cholesky_factor(m: np.ndarray) -> np.ndarray:
-    """Cholesky factor ``L`` with ``L L* = m``; the eigen factor of
-    :func:`_psd_factor` when ``m`` is not numerically positive definite."""
+    """Cholesky factor ``L`` with ``L L* = m``; when ``m`` is not numerically
+    positive definite, the eigen factor ``Q diag(sqrt(w))`` with the
+    eigenvalues floored at ``1e-15 max(1, w_max)``."""
     try:
         return np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
-        return _psd_factor(m)[0]
+        w, q = np.linalg.eigh(m)
+        w = np.maximum(w, 1e-15 * max(1.0, float(w[-1])))
+        return q * np.sqrt(w)
 
 
 def _nt_scaling(fx: np.ndarray, fs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -457,7 +458,8 @@ def _slot_adjoint(y: np.ndarray, structure: SlotStructure) -> np.ndarray:
 
 def _slot_reads(problem: SdpProblem) -> SlotStructure | None:
     """The structure to read ``problem`` through, or None for the dense stack
-    (one slot, or a plan below ``STRUCTURED_MIN_DIM``)."""
+    (one slot, or a plan below ``STRUCTURED_MIN_DIM``); the solver's only
+    size test."""
     large = problem.dim >= STRUCTURED_MIN_DIM
     return problem.structure if large and problem.structure.shape.n_factors > 1 else None
 
@@ -491,33 +493,57 @@ def compressed_constraints(problem: SdpProblem, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _schur_solver(mat: np.ndarray) -> tuple[Callable[[np.ndarray], np.ndarray], float]:
-    """Solver of ``mat v = rhs`` for a Schur matrix, and the diagonal ratio of
-    its Cholesky factor, which estimates ``sqrt(cond(mat))``.
+def _farkas_ray(y: np.ndarray, b: np.ndarray, adjoint: Callable) -> bool:
+    """Whether ``y`` points along a Farkas ray of ``A(X) = b, X >= 0``.
 
-    When the factorization breaks down (near a degenerate optimal face the
-    matrix is numerically singular), the diagonal is shifted by
-    ``eps m max(diag)`` and factored once more.  The factor is inverted once,
-    so that a solve is two products, and every solve takes
-    ``SCHUR_REFINEMENT_STEPS`` steps of iterative refinement against ``mat``
-    itself, which remove the shift's bias and the rounding of the inverse.
+    With ``v = y / max|y|``, the test is ``b . v > TOL`` and
+    ``lambda_min(-sum_i v_i A_i) >= -TOL``.  Every PSD ``X`` with ``A(X) = b``
+    has ``b . v = <sum_i v_i A_i, X> <= TOL tr X``, so no feasible plan has
+    a trace below ``(b . v) / TOL``; with ``-sum_i v_i A_i`` PSD, none exists.
     """
+    scale = float(np.abs(y).max())
+    if not scale > 0.0:
+        return False
+    ray = y / scale
+    return float(b @ ray) > TOL and linalg.min_eigenvalue(-adjoint(ray)) >= -TOL
+
+
+def _refined_solver(
+    upper: np.ndarray, product: Callable[[np.ndarray], np.ndarray], steps: int
+) -> tuple[Callable[[np.ndarray], np.ndarray], float]:
+    """Solver of ``M v = rhs`` from an upper triangular ``U`` with
+    ``U^T U ~ M`` and the product ``v -> M v``, and the diagonal ratio of
+    ``U``, which estimates ``sqrt(cond(M))``.
+
+    ``U`` is inverted once, so that a solve is two products, and every solve
+    takes ``steps`` steps of iterative refinement against ``M`` itself, which
+    remove the rounding of the factor and of its inverse.
+    """
+    diag = np.abs(upper.diagonal())
+    # upper triangular, so the LU inside inv meets no pivot: back substitution
+    inv = np.linalg.inv(upper)
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        v = inv @ (inv.T @ rhs)
+        for _ in range(steps):
+            v = v + inv @ (inv.T @ (rhs - product(v)))
+        return v
+
+    return solve, float(diag.max() / diag.min())
+
+
+def _schur_solver(mat: np.ndarray) -> tuple[Callable[[np.ndarray], np.ndarray], float]:
+    """:func:`_refined_solver` of a formed Schur matrix, from its Cholesky
+    factor.  When the factorization breaks down (near a degenerate optimal
+    face the matrix is numerically singular), the diagonal is shifted by
+    ``eps m max(diag)`` and factored once more; refinement removes the
+    shift's bias."""
     try:
         chol = np.linalg.cholesky(mat)
     except np.linalg.LinAlgError:
         shift = np.finfo(float).eps * len(mat) * float(mat.diagonal().max())
         chol = np.linalg.cholesky(mat + shift * np.eye(len(mat)))
-    # upper triangular, so the LU inside inv meets no pivot: back substitution
-    inv = np.linalg.inv(chol.T)
-
-    def solve(rhs: np.ndarray) -> np.ndarray:
-        v = inv @ (inv.T @ rhs)
-        for _ in range(SCHUR_REFINEMENT_STEPS):
-            v = v + inv @ (inv.T @ (rhs - mat @ v))
-        return v
-
-    diag = chol.diagonal()
-    return solve, float(diag.max() / diag.min())
+    return _refined_solver(chol.T, lambda v: mat @ v, SCHUR_REFINEMENT_STEPS)
 
 
 def solve(
@@ -542,7 +568,6 @@ def solve(
     b = reduced.constraint_vals
     n = reduced.dim
     m = len(b)
-    large = n >= STRUCTURED_MIN_DIM
     structure = _slot_reads(reduced)
     apply, adjoint = _constraint_maps(reduced)
 
@@ -610,45 +635,40 @@ def solve(
         # central-path equation is a cheap elementwise Lyapunov solve.  As
         # X + a dX = R (diag(sig) + a dX~) R*, the step to the boundary of
         # the cone is read from diag(sig)^-1/2 dX~ diag(sig)^-1/2 (and the
-        # same for S); large plans do so, which needs no eigen factor of X
-        # and S, and factor them by Cholesky.  Smaller plans keep the eigen
-        # factors and measure each step in the eigenbasis of X or S.
-        if large:
-            fx, fs = (_cholesky_factor(side) for side in pair)
-        else:
-            (fx, fs), q, w = _psd_factor(pair)
-            qh = q.conj().swapaxes(1, 2)
+        # same for S), which needs no eigen factor of X and S: they are
+        # factored by Cholesky.
+        fx, fs = (_cholesky_factor(side) for side in pair)
         r, sig = _nt_scaling(fx, fs)
         rh = r.conj().T
 
         # The Schur complement is the Gram matrix M = F F* of the scaled
         # constraints F_i = R* A_i R.  With slot structure, M is formed from
         # slot contractions of W = R R* (d_s d_t n^2 per slot pair, no F_i)
-        # and solved by _schur_solver: Cholesky, a diagonal shift if it breaks
-        # down, and refinement against M.  Unstructured problems and small
-        # plans QR-factor the scaled constraint matrix, M = R_f^T R_f.  The
-        # diagonal ratio of either triangular factor estimates sqrt(cond(M)).
-        if structure is not None:
-            try:
+        # and Cholesky-factored, with a diagonal shift if that breaks down
+        # (_schur_solver).  Problems read through the dense stack QR-factor
+        # the scaled constraint matrix instead, M = R_f^T R_f, and never form
+        # M.  Either triangular factor is inverted once and every solve is
+        # refined against M (_refined_solver); its diagonal ratio estimates
+        # sqrt(cond(M)).
+        try:
+            if structure is not None:
                 schur_solve, ratio = _schur_solver(_slot_schur(r @ rh, structure))
-            except np.linalg.LinAlgError:  # not positive definite even shifted
-                ratio = np.inf
 
-            def applied_scaled(mat: np.ndarray) -> np.ndarray:
-                return apply(r @ mat @ rh)
-        else:
-            scaled_ops = np.matmul(np.matmul(rh[None, :, :], reduced.constraint_ops), r)
-            f = scaled_ops.reshape(m, -1)
-            r_f = np.linalg.qr(np.hstack([f.real, f.imag]).T, mode="r")
-            r_diag = np.abs(np.diag(r_f))
-            ratio = np.inf if r_diag.min() <= 0.0 else r_diag.max() / r_diag.min()
+                def applied_scaled(mat: np.ndarray) -> np.ndarray:
+                    return apply(r @ mat @ rh)
+            else:
+                scaled_ops = np.matmul(np.matmul(rh[None, :, :], reduced.constraint_ops), r)
+                f = scaled_ops.reshape(m, -1)
+                rows = np.hstack([f.real, f.imag])
+                schur_solve, ratio = _refined_solver(
+                    np.linalg.qr(rows.T, mode="r"), lambda v: rows @ (rows.T @ v),
+                    QR_REFINEMENT_STEPS,
+                )
 
-            def applied_scaled(mat: np.ndarray) -> np.ndarray:
-                return (f @ np.conj(mat.reshape(-1))).real
-
-            def schur_solve(rhs: np.ndarray) -> np.ndarray:
-                t = np.linalg.solve(r_f.T, rhs)
-                return np.linalg.solve(r_f, t)
+                def applied_scaled(mat: np.ndarray) -> np.ndarray:
+                    return (f @ np.conj(mat.reshape(-1))).real
+        except np.linalg.LinAlgError:  # a singular factor, even shifted
+            ratio = np.inf
         if ratio > SCHUR_COND_LIMIT:
             reason = "schur_conditioning"
             break
@@ -662,21 +682,15 @@ def solve(
         ds_aff = 0.5 * (ds_aff + ds_aff.conj().T)
         ds_aff_scaled = rh @ ds_aff @ r
         dx_aff_scaled = chat_aff - ds_aff_scaled
-        if large:
-            # diag(sig)^-1/2 chat_aff diag(sig)^-1/2 = -I, so the X-side
-            # eigenvalues are -1 minus the S-side ones; the probes stay in
-            # the scaled frame, where tr(X S) is the same
-            lam = _frame_eigvals(ds_aff_scaled, sig)
-            ap = min(1.0, _boundary_step(-1.0 - float(lam[-1])))
-            ad = min(1.0, _boundary_step(float(lam[0])))
-            probe_product = _trace_product(
-                -chat_aff + ap * dx_aff_scaled, -chat_aff + ad * ds_aff_scaled
-            )
-        else:
-            dx_aff = r @ dx_aff_scaled @ rh
-            d_aff = np.stack([0.5 * (dx_aff + dx_aff.conj().T), ds_aff])
-            ap, ad = (min(1.0, a) for a in _max_steps(qh @ d_aff @ q, w))
-            probe_product = _trace_product(*(pair + np.array([ap, ad])[:, None, None] * d_aff))
+        # diag(sig)^-1/2 chat_aff diag(sig)^-1/2 = -I, so the X-side
+        # eigenvalues are -1 minus the S-side ones; the probes stay in the
+        # scaled frame, where tr(X S) is the same
+        lam = _frame_eigvals(ds_aff_scaled, sig)
+        ap = min(1.0, _boundary_step(-1.0 - float(lam[-1])))
+        ad = min(1.0, _boundary_step(float(lam[0])))
+        probe_product = _trace_product(
+            -chat_aff + ap * dx_aff_scaled, -chat_aff + ad * ds_aff_scaled
+        )
         mu_aff = max(probe_product / n, 0.0)
         sigma = min(1.0, (mu_aff / mu) ** 3) if mu > 0 else 0.0
         if min(ap, ad) < 0.2:
@@ -685,15 +699,10 @@ def solve(
             sigma = max(sigma, 0.5)
 
         # Corrector with Mehrotra second-order term, solved in the scaled
-        # frame where the Lyapunov operator is elementwise division.
-        if large:
-            # of two Hermitian matrices, ds dx is the adjoint of dx ds
-            product = dx_aff_scaled @ ds_aff_scaled
-            correction = 0.5 * (product + product.conj().T)
-        else:
-            correction = 0.5 * (
-                dx_aff_scaled @ ds_aff_scaled + ds_aff_scaled @ dx_aff_scaled
-            )
+        # frame where the Lyapunov operator is elementwise division.  Of two
+        # Hermitian matrices, ds dx is the adjoint of dx ds.
+        product = dx_aff_scaled @ ds_aff_scaled
+        correction = 0.5 * (product + product.conj().T)
         rhs_scaled = sigma * mu * eye - np.diag(sig**2) - correction
         chat = 2.0 * rhs_scaled / (sig[:, None] + sig[None, :])
         chat = 0.5 * (chat + chat.conj().T)
@@ -709,10 +718,7 @@ def solve(
         d = np.stack([0.5 * (dx + dx.conj().T), ds])
         del dx, ds
 
-        if large:
-            steps = _max_steps(np.stack([dx_scaled, ds_scaled]), sig)
-        else:
-            steps = _max_steps(qh @ d @ q, w)
+        steps = _max_steps(np.stack([dx_scaled, ds_scaled]), sig)
         ap, ad = (min(1.0, STEP_FRACTION * a) for a in steps)
         if ap < 1e-13 and ad < 1e-13:
             reason = "stalled_step"
@@ -728,15 +734,8 @@ def solve(
     y_full = np.zeros(problem.n_constraints)
     y_full[list(report.kept)] = y
 
-    # A run that stalls on feasible data but with a huge, still-violated
-    # primal residual is flagged infeasible rather than merely unconverged,
-    # unless X/|X| is an improving ray (A(X)/|X| ~ 0 and <C, X> < 0): such a
-    # problem may be unbounded, and the stop that fired stands.
-    if reason != "converged":
-        x_growth = float(np.abs(x).max()) / tau
-        ray = pobj < 0 and np.abs(apply(x)).max() <= TOL * np.linalg.norm(x)
-        if primal_res > 1e-4 and x_growth > 1e8 and not ray:
-            reason = "reclassified_infeasible"
+    if reason != "converged" and primal_res > 1e-4 and _farkas_ray(y, b, adjoint):
+        reason = "reclassified_infeasible"
 
     return SdpSolution(
         x=x, y=y_full, s=s,

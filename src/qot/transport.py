@@ -50,7 +50,6 @@ __all__ = [
     "potential_slack",
     "wasserstein_distance",
     "solve_linearized_decomposed",
-    "divergence_quadratic",
     "divergence_parts",
     "gap_demo",
 ]
@@ -500,13 +499,6 @@ def divergence_parts(
         max_equality_residual=max(r.certificate.max_equality_residual for r in results),
         status=non_optimal[0] if non_optimal else sdp.STATUS_OPTIMAL,
     )
-
-
-def divergence_quadratic(
-    rho: np.ndarray, omega: np.ndarray, observables: cost_mod.ObservableSet
-) -> float:
-    """Quadratic divergence: removes the nonzero quantum self-distances."""
-    return divergence_parts(rho, omega, observables).d
 
 
 @dataclass(frozen=True)

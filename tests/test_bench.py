@@ -91,6 +91,27 @@ def test_repeats_that_disagree_fail_the_run(tmp_path, monkeypatch):
     digests = iter(["optimal 9 0x1.0p+2", "optimal 10 0x1.0p+2"] * 10)
     monkeypatch.setattr(bench, "_spawn", lambda name, src: run(record(1.0, next(digests))))
     monkeypatch.setattr(bench, "_output", lambda group: str(tmp_path / f"BENCH_{group}.json"))
-    assert bench.main(["small", "--label", "change"]) == 1
+    assert bench.main(["small", "change=src"]) == 1
     doc = json.loads((tmp_path / "BENCH_small.json").read_text())
     assert not any(s["stable"] for s in doc["runs"]["change"].values())
+
+
+def test_every_repeat_spawns_every_label_in_alternating_order(tmp_path, monkeypatch):
+    spawned = []
+
+    def spawn(name, src):
+        spawned.append((name, os.path.basename(src)))
+        return run(record(1.0))
+
+    monkeypatch.setattr(bench, "_spawn", spawn)
+    monkeypatch.setattr(bench, "_output", lambda group: str(tmp_path / f"BENCH_{group}.json"))
+    assert bench.main(["small", "parent=old/src_a", "change=new/src_b"]) == 0
+    one_case = [("parent", "change"), ("change", "parent"), ("parent", "change")]
+    expected = [(name, label) for name in bench.GROUPS["small"]
+                for order in one_case[:bench.REPEAT] for label in order]
+    assert bench.schedule(bench.GROUPS["small"], ["parent", "change"]) == expected
+    src = {"parent": "src_a", "change": "src_b"}
+    assert spawned == [(name, src[label]) for name, label in expected]
+    doc = json.loads((tmp_path / "BENCH_small.json").read_text())
+    assert set(doc["runs"]) == {"parent", "change"}
+    assert all(s["solves"] == 1 for s in doc["runs"]["change"].values())

@@ -326,7 +326,7 @@ class TestSchurSolver:
         refined = solve(rhs)
         assert np.all(np.isfinite(refined)) and ratio < sdp.SCHUR_COND_LIMIT
         monkeypatch.setattr(sdp, "SCHUR_REFINEMENT_STEPS", 0)
-        before = relative_residual(mat, rhs, solve(rhs))
+        before = relative_residual(mat, rhs, sdp._schur_solver(mat)[0](rhs))
         after = relative_residual(mat, rhs, refined)
         # refinement against the unshifted matrix removes the shift's bias
         assert after <= 1e-15 and after <= 0.1 * before
@@ -343,7 +343,7 @@ class TestSchurSolver:
         assert ratio == diag.max() / diag.min()
         refined = solve(rhs)
         monkeypatch.setattr(sdp, "SCHUR_REFINEMENT_STEPS", 0)
-        before = relative_residual(mat, rhs, solve(rhs))
+        before = relative_residual(mat, rhs, sdp._schur_solver(mat)[0](rhs))
         after = relative_residual(mat, rhs, refined)
         assert after <= 1e-14 and after <= before
 
@@ -359,25 +359,25 @@ def unbounded_off_diagonal():
     return sdp.sdp_problem(c, [(np.diag([1.0, -1.0]).astype(complex), 0.0)])
 
 
-def unbounded_diagonal():
-    # X22 = 1 leaves diag(t, 1) feasible for every t >= 0, and the objective
-    # falls without bound along it: an improving ray, not infeasibility
-    c = np.diag([-1.0, 1.0]).astype(complex)
-    return sdp.sdp_problem(c, [(np.diag([0.0, 1.0]).astype(complex), 1.0)])
+def unbounded_diagonal(n=2):
+    # X22 + ... + Xnn = n - 1 leaves diag(t, 1, ..., 1) feasible for every
+    # t >= 0, and the objective falls without bound along it: an improving
+    # ray, not infeasibility
+    c = np.diag([-1.0] + [1.0] * (n - 1)).astype(complex)
+    return sdp.sdp_problem(c, [(np.diag([0.0] + [1.0] * (n - 1)).astype(complex), n - 1.0)])
 
 
 def infeasible_with_improving_ray():
-    # X11 = -1 has no PSD solution, yet D = E22 keeps A(D) = 0 and lowers the
-    # objective: the iterate diverges along D, the improving-ray test holds
-    # and the stop that fired stands instead of the infeasible label
+    # X11 = -1 has no PSD solution, although D = E22 keeps A(D) = 0 and
+    # lowers the objective: y = -1 is a Farkas ray all the same
     c = np.diag([0.0, -1.0]).astype(complex)
     return sdp.sdp_problem(c, [(np.diag([1.0, 0.0]).astype(complex), -1.0)])
 
 
-def diverging_dual():
+def diverging_dual(n=25):
     # tr X = -1 has no PSD solution and the dual b.y = -y grows without
-    # bound: S and y pass DIVERGENCE_LIMIT before any product overflows
-    eye = np.eye(25, dtype=complex)
+    # bound along the Farkas ray y = -1
+    eye = np.eye(n, dtype=complex)
     return sdp.sdp_problem(eye, [(eye, -1.0)])
 
 
@@ -399,9 +399,10 @@ STOPS = [
         "mu_floor", small_transport_problem, {"solve": functools.partial(sdp.solve, tol=1e-30)},
         id="mu_floor",
     ),
-    # both stop on a negative mu
-    pytest.param("diverged", unbounded_diagonal, {}, id="diverged-unbounded"),
-    pytest.param("diverged", infeasible_with_improving_ray, {}, id="diverged-infeasible-ray"),
+    # X passes DIVERGENCE_LIMIT; at n=2 the step stalls first
+    pytest.param("diverged", functools.partial(unbounded_diagonal, 4), {}, id="diverged-unbounded"),
+    pytest.param("diverged", functools.partial(unbounded_diagonal, 49), {}, id="diverged"),
+    pytest.param("stalled_step", unbounded_diagonal, {}, id="stalled_step-unbounded"),
     pytest.param(
         "schur_conditioning", small_transport_problem, {"SCHUR_COND_LIMIT": 1.0},
         id="schur_conditioning-qr",
@@ -411,13 +412,19 @@ STOPS = [
         id="schur_conditioning-cholesky",
     ),
     pytest.param("stalled_step", unbounded_off_diagonal, {}, id="stalled_step"),
-    pytest.param("diverged", diverging_dual, {}, id="diverged"),
     pytest.param(
         "preprocess_infeasible", lambda: sdp.sdp_problem(EYE2, [(EYE2, 1.0), (EYE2, 2.0)]), {},
         id="preprocess_infeasible",
     ),
     pytest.param("reclassified_infeasible", infeasible_diagonal, {}, id="reclassified_infeasible"),
+    pytest.param(
+        "reclassified_infeasible", infeasible_with_improving_ray, {},
+        id="reclassified_infeasible-ray",
+    ),
+    pytest.param("reclassified_infeasible", diverging_dual, {}, id="reclassified_infeasible-dual"),
 ]
+# the fixtures without a feasible plan
+INFEASIBLE = [infeasible_diagonal, infeasible_with_improving_ray, diverging_dual]
 
 
 class TestStopReason:
@@ -433,20 +440,26 @@ class TestStopReason:
         assert {case.values[0] for case in STOPS} == set(sdp.REASON_STATUS)
 
     def test_diverged_run_stops_before_overflow(self):
-        sol = sdp.solve(diverging_dual())
+        sol = sdp.solve(unbounded_diagonal(4))
         assert sol.reason == "diverged" and sol.iterations < 20
-        assert max(np.abs(sol.s).max(), np.abs(sol.y).max()) > sdp.DIVERGENCE_LIMIT
+        assert max(np.abs(a).max() for a in (sol.x, sol.s, sol.y)) > sdp.DIVERGENCE_LIMIT
         assert np.isfinite(sol.mu) and np.isfinite(sol.primal_objective)
 
-    @pytest.mark.parametrize("n,iterations", [(2, 10), (24, 10), (25, 11)])
-    def test_negative_mu_is_diverged(self, n, iterations):
-        # below n=25 rounding turns mu negative before an entry passes
-        # DIVERGENCE_LIMIT; either way the run diverged
-        eye = np.eye(n, dtype=complex)
-        sol = sdp.solve(sdp.sdp_problem(eye, [(eye, -1.0)]))
-        assert sol.reason == "diverged" and sol.status == sdp.STATUS_NUMERICAL
-        assert sol.iterations == iterations
-        assert (sol.mu < 0) == (n < 25)
+    def test_negative_mu_is_diverged(self, monkeypatch):
+        # tr(XS) >= 0 while both iterates are in the cone, so only rounding on
+        # diverging iterates gives a negative mu; no fixture here reaches one
+        # since every plan takes the scaled-frame step, so it is simulated
+        monkeypatch.setattr(sdp, "_trace_product", lambda a, b: -1.0)
+        sol = sdp.solve(small_transport_problem())
+        assert sol.reason == "diverged" and sol.iterations == 0
+
+    @pytest.mark.parametrize("n", [2, 24, 25])
+    def test_dual_ray_is_reclassified_at_every_size(self, n):
+        # one iteration for every plan size: the same stop on either side of
+        # STRUCTURED_MIN_DIM, then the Farkas relabel
+        sol = sdp.solve(diverging_dual(n))
+        assert sol.reason == "reclassified_infeasible" and sol.iterations == 11
+        assert sol.mu > 0 and np.abs(sol.y).max() > sdp.DIVERGENCE_LIMIT
 
     def test_unbounded_run_diverges_along_an_improving_ray(self):
         sol = sdp.solve(unbounded_diagonal())
@@ -458,6 +471,58 @@ class TestStopReason:
         assert abs(sol.x[1, 1].real) / norm <= sdp.TOL and sol.primal_objective < 0
 
 
+def farkas_margins(problem, y):
+    """``(b . v, lambda_min(-sum_i v_i A_i))`` for ``v = y / max|y|``, from the
+    dense stack."""
+    v = y / np.abs(y).max()
+    combination = np.tensordot(v, problem.constraint_ops, axes=1)
+    return float(problem.constraint_vals @ v), linalg.min_eigenvalue(-combination)
+
+
+class TestFarkasRule:
+    @pytest.mark.parametrize("build", INFEASIBLE)
+    def test_reclassified_multipliers_are_a_farkas_ray(self, build):
+        problem = build()
+        sol = sdp.solve(problem)
+        assert sol.reason == "reclassified_infeasible"
+        gain, lowest = farkas_margins(problem, sol.y)
+        # any PSD X with A(X) = b would have b.v = <sum v_i A_i, X> <= TOL tr X
+        assert gain > sdp.TOL and lowest >= -sdp.TOL
+
+    @pytest.mark.parametrize(
+        "build",
+        [unbounded_off_diagonal, unbounded_diagonal, functools.partial(unbounded_diagonal, 4),
+         functools.partial(unbounded_diagonal, 49)],
+        ids=["off-diagonal", "diagonal-2", "diagonal-4", "diagonal-49"],
+    )
+    def test_unbounded_problems_are_never_infeasible(self, build):
+        problem = build()
+        sol = sdp.solve(problem)
+        assert sol.status == sdp.STATUS_NUMERICAL and sol.primal_residual > 1e-4
+        gain, lowest = farkas_margins(problem, sol.y)
+        assert gain <= sdp.TOL or lowest < -sdp.TOL
+
+    @pytest.mark.parametrize(
+        "dim,ranks", [(2, (1, 1)), (2, (1, 2)), (3, (1, 1)), (3, (1, 3)), (3, (2, 3)),
+                      (4, (1, 1)), (4, (1, 4)), (4, (2, 3))],
+    )
+    def test_rank_deficient_transport_is_never_infeasible(self, dim, ranks):
+        rng = np.random.default_rng([dim, *ranks])
+
+        def state(rank):
+            v = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+            rho = v @ v.conj().T
+            return rho / np.trace(rho).real
+
+        observables = cost.observable_set([linalg.random_hermitian(rng, dim) for _ in range(2)])
+        instance = transport.factorized_instance(
+            state(ranks[0]), state(ranks[1]), observables, 2.0, transport.MODE_NONLINEAR
+        )
+        # these runs stop short with a primal residual above 1e-4, so the
+        # rule is consulted; a plan of unit trace bounds b.v by TOL
+        assert sdp.solve(transport.build_primal(instance)).status != sdp.STATUS_INFEASIBLE
+
+
 def eigenbasis_step(m, delta):
     """Largest ``alpha`` keeping ``m + alpha delta`` PSD, from the eigenvalues
     of ``delta`` whitened by the eigen factor of ``m``."""
@@ -466,8 +531,8 @@ def eigenbasis_step(m, delta):
     return sdp._boundary_step(float(np.linalg.eigvalsh(0.5 * (t + t.conj().T))[0]))
 
 
-class TestLargePlanStep:
-    @pytest.mark.parametrize("n", [25, 36, 64])
+class TestScaledFrameStep:
+    @pytest.mark.parametrize("n", [4, 9, 16, 25, 36, 64])
     def test_scaled_frame_step_matches_the_eigenbasis_step(self, n):
         rng = np.random.default_rng(n)
         x, s = random_pd(rng, n), random_pd(rng, n)
@@ -501,7 +566,6 @@ class TestLargePlanStep:
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(rank_two)
         f = sdp._cholesky_factor(rank_two)
-        np.testing.assert_array_equal(f, sdp._psd_factor(rank_two)[0])
         np.testing.assert_allclose(f @ f.conj().T, rank_two, rtol=0, atol=1e-12)
         pd = random_pd(rng, 6)
         np.testing.assert_array_equal(sdp._cholesky_factor(pd), np.linalg.cholesky(pd))
@@ -514,23 +578,22 @@ class TestStackedPair:
     @pytest.mark.parametrize("n", [4, 9, 16, 36])
     def test_stacked_pair_is_bitwise_the_per_matrix_calls(self, n):
         rng = np.random.default_rng(n)
-        pair = np.stack([random_pd(rng, n), random_pd(rng, n)])
+        x, s = random_pd(rng, n), random_pd(rng, n)
+        _, sig = sdp._nt_scaling(sdp._cholesky_factor(x), sdp._cholesky_factor(s))
         deltas = np.stack([linalg.random_hermitian(rng, n) for _ in range(2)])
-        f, q, w = sdp._psd_factor(pair)
-        framed = q.conj().swapaxes(1, 2) @ deltas @ q
+        weights = np.stack([sig, rng.uniform(0.5, 2.0, n)])
         for k in range(2):
-            for stacked, single in zip((f, q, w), sdp._psd_factor(pair[k])):
-                np.testing.assert_array_equal(stacked[k], single)
-            np.testing.assert_array_equal(framed[k], q[k].conj().T @ deltas[k] @ q[k])
             np.testing.assert_array_equal(
-                sdp._frame_eigvals(framed, w)[k], sdp._frame_eigvals(framed[k], w[k])
+                sdp._frame_eigvals(deltas, weights)[k], sdp._frame_eigvals(deltas[k], weights[k])
             )
             # one row of weights shared by the stack, as in the scaled frame
             np.testing.assert_array_equal(
-                sdp._frame_eigvals(deltas, w[0])[k], sdp._frame_eigvals(deltas[k], w[0])
+                sdp._frame_eigvals(deltas, sig)[k], sdp._frame_eigvals(deltas[k], sig)
             )
         # both steps, bitwise those measured one side at a time
-        assert sdp._max_steps(framed, w) == [eigenbasis_step(pair[k], deltas[k]) for k in (0, 1)]
+        assert sdp._max_steps(deltas, sig) == [
+            sdp._boundary_step(float(sdp._frame_eigvals(deltas[k], sig)[0])) for k in (0, 1)
+        ]
 
     def test_dense_adjoint_is_bitwise_tensordot(self):
         problem = qubit_transport_problem(cost.cost_symm(2.0), rho_z(0.5), rho_z(-0.3))

@@ -13,7 +13,6 @@ from qot.transport import (
     MODE_NONLINEAR,
     build_primal,
     divergence_parts,
-    divergence_quadratic,
     factorized_instance,
     gap_demo,
     general_instance,
@@ -379,7 +378,7 @@ class TestGapDemo:
 class TestDivergence:
     def test_identical_states_vanish(self):
         rho = state_z(0.4)
-        assert divergence_quadratic(rho, rho, cost.pauli_triple()) <= 1e-5
+        assert divergence_parts(rho, rho, cost.pauli_triple()).d <= 1e-5
 
     def test_commuting_pair_symmetric_cost(self):
         parts = divergence_parts(state_z(0.5), state_z(-0.5), cost.pauli_triple())

@@ -21,8 +21,10 @@ Groups and their cases (p = 2):
     workload (``_base_instance``: four random observables, ``n = 256``,
     ``m = 25``).
 
-Each case runs ``REPEAT`` times, each in a fresh Python process with one
-BLAS thread, so that ``ru_maxrss`` is the peak of that case alone.  Instances
+Each case runs ``REPEAT`` times per checkout, each in a fresh Python process
+with one BLAS thread, so that ``ru_maxrss`` is the peak of that case alone.
+Every repeat spawns every checkout, in reversed order on odd repeats
+(:func:`schedule`), so that host drift falls on all of them alike.  Instances
 are built before the clock starts.  Per transport solve a run records n, m,
 the end-to-end time of ``transport.wasserstein_distance`` (constraint build,
 solve, certify, decode and face probe), the time of ``sdp.solve`` less its
@@ -35,14 +37,16 @@ bitwise deterministic.
 
 Usage::
 
-    python3 tools/bench.py small --label change
-    python3 tools/bench.py large --label parent --src /path/to/other/checkout/src
+    python3 tools/bench.py small
+    python3 tools/bench.py large parent=/path/to/other/checkout/src change=src
     python3 tools/bench.py --compare parent change
 
-The results are merged into ``BENCH_<group>.json`` under the label, so two
-checkouts measured on one host sit side by side; ``--compare`` prints, per
-case of the group given (every group without one), whether every digest
-matches between two labels, and the time and memory ratios.
+Each ``LABEL=SRC`` names a checkout's source directory (``change=src`` when
+none is given).  The results are merged into ``BENCH_<group>.json`` under
+the labels, so checkouts measured on one host sit side by side;
+``--compare`` prints, per case of the group given (every group without
+one), whether every digest matches between two labels, and the time and
+memory ratios.
 """
 
 from __future__ import annotations
@@ -183,6 +187,13 @@ def _spawn(name: str, src: str) -> dict:
     return json.loads(out.stdout.splitlines()[-1])
 
 
+def schedule(names: tuple[str, ...], labels: list[str]) -> list[tuple[str, str]]:
+    """The ``(case, label)`` spawns in run order: per case, each of the
+    ``REPEAT`` repeats spawns every label, in reversed order on odd repeats."""
+    return [(name, label) for name in names for r in range(REPEAT)
+            for label in (labels if r % 2 == 0 else labels[::-1])]
+
+
 def summary(runs: list[dict]) -> dict:
     """One case over its repeats: per-solve medians, histograms of the first
     run, and whether every repeat has the first run's digests."""
@@ -258,9 +269,8 @@ def compare(paths: list[str], a: str, b: str) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("group", nargs="?", choices=sorted(GROUPS))
+    parser.add_argument("checkouts", nargs="*", metavar="LABEL=SRC")
     parser.add_argument("--one", help=argparse.SUPPRESS)
-    parser.add_argument("--label", default="change")
-    parser.add_argument("--src", default=os.path.join(REPO, "src"))
     parser.add_argument("--compare", nargs=2, metavar="LABEL")
     args = parser.parse_args(argv)
     if args.one:
@@ -271,14 +281,25 @@ def main(argv: list[str] | None = None) -> int:
         return compare([_output(g) for g in groups], *args.compare)
     if args.group is None:
         parser.error("a group is required unless --compare is given")
+    specs = args.checkouts or [f"change={os.path.join(REPO, 'src')}"]
+    malformed = [spec for spec in specs if "=" not in spec]
+    if malformed:
+        parser.error(f"not LABEL=SRC: {' '.join(malformed)}")
+    srcs = dict(spec.split("=", 1) for spec in specs)
+    names = GROUPS[args.group]
+    runs = {label: {name: [] for name in names} for label in srcs}
+    for name, label in schedule(names, list(srcs)):
+        runs[label][name].append(_spawn(name, os.path.abspath(srcs[label])))
 
-    results = {}
-    for name in GROUPS[args.group]:
-        results[name] = summary([_spawn(name, os.path.abspath(args.src)) for _ in range(REPEAT)])
-        print(name, json.dumps({k: v for k, v in results[name].items() if k != "digests"}),
-              flush=True)
-    merge(_output(args.group), args.label, results)
-    unstable = [name for name, s in results.items() if not s["stable"]]
+    unstable = []
+    for label, by_case in runs.items():
+        results = {name: summary(case_runs) for name, case_runs in by_case.items()}
+        for name, s in results.items():
+            print(label, name, json.dumps({k: v for k, v in s.items() if k != "digests"}),
+                  flush=True)
+            if not s["stable"]:
+                unstable.append(f"{label} {name}")
+        merge(_output(args.group), label, results)
     if unstable:
         print(f"repeats disagree on a digest: {', '.join(unstable)}", file=sys.stderr)
         return 1
