@@ -19,7 +19,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -310,9 +310,12 @@ def _certificate_dict(res: transport.TransportResult) -> dict:
 def _solve_for_args(args: argparse.Namespace) -> tuple[dict, transport.TransportInstance, transport.TransportResult, float]:
     data = _load_instance_file(args.instance)
     instance = parse_instance(data, args)
-    t0 = time.perf_counter()
-    result = transport.wasserstein_distance(instance, tol=args.tol, verbose=args.verbose)
-    return data, instance, result, time.perf_counter() - t0
+    result = transport.wasserstein_distance(instance, tol=args.tol)
+    if args.verbose:
+        for it, row in enumerate(result.solution.trace):
+            print(f"iter {it:3d}  mu {row['mu']:.3e}  rp {row['rp']:.3e}  rd {row['rd']:.3e}  "
+                  f"gap {row['gap']:.3e}", file=sys.stderr)
+    return data, instance, result, sum(result.timings.values())
 
 
 # ---------------------------------------------------------------------------
@@ -508,11 +511,13 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 1")
-    return value
+def _int_at_least(low: int) -> Callable[[str], int]:
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= {low}")
+        return value
+    return integer
 
 
 def _exponent(text: str) -> float:
@@ -538,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
     solver.add_argument("--p", type=float, default=None, help="override the exponent")
     solver.add_argument("--mode", choices=["joint", "linearized", "nonlinear"], default=None)
     solver.add_argument("--tol", type=_positive_float, default=sdp.TOL, help="solver tolerance")
-    solver.add_argument("--verbose", action="store_true")
+    solver.add_argument("--verbose", action="store_true", help="print the solve's trace to stderr")
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", default=None, help="append JSON records to this path")
 
@@ -562,11 +567,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("verify", parents=[out], help="run a named verification suite")
     sub.add_argument("suite", help="one of: " + ", ".join(suites.suite_names()))
-    sub.add_argument("--density", type=_positive_int, default=None,
+    sub.add_argument("--density", type=_int_at_least(1), default=None,
                      help="grid density override")
-    sub.add_argument("--samples", type=_positive_int, default=None,
+    sub.add_argument("--samples", type=_int_at_least(1), default=None,
                      help="sample count override")
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seed", type=_int_at_least(0), default=0)
     sub.set_defaults(func=cmd_verify)
 
     return parser

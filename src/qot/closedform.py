@@ -48,6 +48,8 @@ def state_from_bloch(r) -> np.ndarray:
     r = np.asarray(r, dtype=float)
     if r.shape != (3,):
         raise ValueError(f"Bloch vector must have three components, got shape {r.shape}")
+    if not np.isfinite(r).all():
+        raise ValueError(f"Bloch vector {r.tolist()} is not finite")
     norm = float(np.linalg.norm(r))
     if norm > 1.0 + 1e-12:
         raise ValueError(f"Bloch vector norm {norm} exceeds 1")

@@ -28,7 +28,8 @@ Farkas ray (:func:`_farkas_ray`).  The dual
     subject to  S = C - sum_i y_i A_i >= 0
 
 is solved simultaneously; a solution therefore carries a primal matrix,
-dual multipliers, a dual slack and a duality-gap certificate.
+dual multipliers, a dual slack and a duality-gap certificate, and its
+record as data: a trace row per iteration and the seconds of each phase.
 
 The Hermitian cone is handled natively over the real vector space of
 Hermitian matrices (no real-symmetric doubling), which halves the Newton
@@ -40,7 +41,7 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -335,6 +336,8 @@ class SdpSolution:
     mu: float
     primal_residual: float
     dual_residual: float
+    trace: tuple[dict, ...]  # one row per iteration; see solve
+    timings: dict  # seconds of preprocess and iterate
 
     @property
     def optimal(self) -> bool:
@@ -546,14 +549,14 @@ def _schur_solver(mat: np.ndarray) -> tuple[Callable[[np.ndarray], np.ndarray], 
     return _refined_solver(chol.T, lambda v: mat @ v, SCHUR_REFINEMENT_STEPS)
 
 
-def solve(
-    problem: SdpProblem,
-    *,
-    tol: float = TOL,
-    verbose: bool = False,
-) -> SdpSolution:
-    """Run the interior-point iteration; deterministic for identical inputs."""
+def solve(problem: SdpProblem, *, tol: float = TOL) -> SdpSolution:
+    """Run the interior-point iteration; deterministic for identical inputs.
+    A ``trace`` row holds ``mu``, ``rp``, ``rd`` and ``gap``, and on an
+    iteration that steps also ``schur_ratio``, ``ap``, ``ad`` and ``sigma``."""
+    start = time.perf_counter()
     reduced, report = preprocess(problem)
+    iterate_start = time.perf_counter()
+    timings = {"preprocess": iterate_start - start, "iterate": 0.0}
     if report.infeasible:
         n = problem.dim
         zero = np.zeros((n, n), dtype=complex)
@@ -562,6 +565,7 @@ def solve(
             primal_objective=np.nan, dual_objective=np.nan, gap=np.nan,
             status=STATUS_INFEASIBLE, reason="preprocess_infeasible", iterations=0, mu=np.nan,
             primal_residual=report.max_inconsistency, dual_residual=np.nan,
+            trace=(), timings=timings,
         )
 
     c = reduced.objective
@@ -586,6 +590,7 @@ def solve(
     dual_res = np.nan
     pobj = np.nan
     dobj = np.nan
+    trace = []
 
     for it in range(MAX_ITER + 1):
         iterations = it
@@ -604,12 +609,7 @@ def solve(
         primal_res = float(np.abs(rp).max())
         dual_res = float(np.abs(rd).max())
 
-        if verbose:
-            print(
-                f"iter {it:3d}  mu {mu:.3e}  rp {primal_res:.3e}  rd {dual_res:.3e}  "
-                f"gap {gap:.3e}",
-                file=sys.stderr,
-            )
+        trace.append({"mu": mu, "rp": primal_res, "rd": dual_res, "gap": gap})
 
         if (
             primal_res <= tol
@@ -723,6 +723,7 @@ def solve(
         if ap < 1e-13 and ad < 1e-13:
             reason = "stalled_step"
             break
+        trace[-1].update(schur_ratio=ratio, ap=ap, ad=ad, sigma=sigma)
 
         pair = pair + np.array([ap, ad])[:, None, None] * d
         pair += pair.conj().swapaxes(1, 2)
@@ -736,12 +737,14 @@ def solve(
 
     if reason != "converged" and primal_res > 1e-4 and _farkas_ray(y, b, adjoint):
         reason = "reclassified_infeasible"
+    timings["iterate"] = time.perf_counter() - iterate_start
 
     return SdpSolution(
         x=x, y=y_full, s=s,
         primal_objective=pobj, dual_objective=dobj, gap=abs(pobj - dobj),
         status=REASON_STATUS[reason], reason=reason, iterations=iterations, mu=mu,
         primal_residual=primal_res, dual_residual=dual_res,
+        trace=tuple(trace), timings=timings,
     )
 
 

@@ -1,8 +1,10 @@
-"""Tests for the pure parts of ``tools/bench.py``: summary, merge, compare."""
+"""Tests for the parts of ``tools/bench.py`` that run no solve: summary,
+merge, compare, the spawn schedule and the spawned command."""
 
 import importlib.util
 import json
 import os
+import subprocess
 
 import pytest
 
@@ -115,3 +117,17 @@ def test_every_repeat_spawns_every_label_in_alternating_order(tmp_path, monkeypa
     doc = json.loads((tmp_path / "BENCH_small.json").read_text())
     assert set(doc["runs"]) == {"parent", "change"}
     assert all(s["solves"] == 1 for s in doc["runs"]["change"].values())
+
+
+def test_each_checkout_runs_its_own_tool(monkeypatch):
+    calls = []
+
+    def fake_run(argv, env, **kwargs):
+        calls.append((argv, env["PYTHONPATH"]))
+        return subprocess.CompletedProcess(argv, 0, stdout=json.dumps(run(record(1.0))) + "\n")
+
+    monkeypatch.setattr(bench.subprocess, "run", fake_run)
+    assert bench._spawn("qubit", "/checkouts/parent/src") == run(record(1.0))
+    [(argv, path)] = calls
+    assert argv[1:] == ["/checkouts/parent/tools/bench.py", "--one", "qubit"]
+    assert path == "/checkouts/parent/src"

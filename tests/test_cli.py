@@ -2,11 +2,12 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from qot import cli, sdp
+from qot import cli, sdp, transport
 from qot.cli import ReportRecord, main, parse_instance, parse_report
 
 
@@ -155,6 +156,32 @@ class TestCommands:
         np.testing.assert_allclose(record.dp, 2 - math.sqrt(3), atol=1e-6)
         assert record.closed_form["family"] == "z-xy"
 
+    @pytest.mark.parametrize("command", ["distance", "dual"])
+    @pytest.mark.parametrize(
+        "states,code",
+        [({}, 0), ({"rho": {"bloch": [0, 0, 1]}, "omega": {"bloch": [1, 0, 0]}}, 3)],
+        ids=["optimal", "numerical"],
+    )
+    def test_verbose_prints_the_trace(self, tmp_path, capsys, command, states, code):
+        path = write_instance(tmp_path, **states)
+        assert main([command, path]) == code
+        plain = capsys.readouterr()
+        assert main([command, path, "--verbose"]) == code
+        verbose = capsys.readouterr()
+        instance = parse_instance(json.loads((tmp_path / "inst.json").read_text()))
+        trace = transport.wasserstein_distance(instance).solution.trace
+        lines = verbose.err.splitlines()
+        assert plain.err == "" and len(lines) == len(trace)
+        for k, line in enumerate(lines):
+            assert re.fullmatch(
+                rf"iter {k:3d}  mu \S+  rp \S+  rd \S+  gap \S+", line
+            ) and float(line.split()[3]) == float(f"{trace[k]['mu']:.3e}")
+
+        def without_seconds(out):
+            return [line for line in out.splitlines() if not line.startswith("seconds")]
+
+        assert without_seconds(verbose.out) == without_seconds(plain.out)
+
     def test_malformed_file_exit_two(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text('{"rho": {"bloch": [0, 0, 0.5]},\n "omega": oops}')
@@ -285,6 +312,8 @@ class TestCommands:
         ["verify", "symm-commuting", "--density", "0"],
         ["verify", "costs", "--samples", "-1"],
         ["verify", "costs", "--samples", "0"],
+        ["verify", "strong-duality", "--seed", "-1"],
+        ["verify", "costs", "--seed", "-3"],
     ],
 )
 def test_out_of_range_values_are_usage_errors(capsys, argv):

@@ -56,6 +56,11 @@ class TestStates:
         with pytest.raises(ValueError, match="exceeds 1"):
             cf.state_from_bloch([1, 1, 0])
 
+    @pytest.mark.parametrize("r", [[np.nan, 0, 0], [0, np.inf, 0], [0, 0, -np.inf]])
+    def test_non_finite_rejected(self, r):
+        with pytest.raises(ValueError, match="not finite"):
+            cf.state_from_bloch(r)
+
     def test_all_outputs_are_states(self):
         rng = np.random.default_rng(0)
         for _ in range(50):

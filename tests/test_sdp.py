@@ -74,6 +74,7 @@ class TestSolveBasics:
         assert a.primal_objective == b.primal_objective
         assert a.dual_objective == b.dual_objective
         assert a.status == b.status and a.iterations == b.iterations
+        assert a.trace == b.trace
         np.testing.assert_array_equal(a.x, b.x)
 
     def test_scaling_covariance(self):
@@ -99,12 +100,6 @@ class TestSolveBasics:
         assert r1 == r2
         overlap = np.trace(p1 @ p2).real / r1
         assert overlap >= 1 - 1e-6
-
-    def test_verbose_trace(self, capfd):
-        problem = sdp.sdp_problem(np.diag([1.0, 2.0]).astype(complex), [(EYE2, 1.0)])
-        sdp.solve(problem, verbose=True)
-        err = capfd.readouterr().err
-        assert "mu" in err and "gap" in err
 
     def test_dimension_cap(self):
         big = np.eye(sdp.MAX_VARIABLE_DIM + 1, dtype=complex)
@@ -278,7 +273,7 @@ class TestStructuredSchur:
         problem = random_marginal_problem(np.random.default_rng(11), 6, 1)
         assert problem.dim >= sdp.STRUCTURED_MIN_DIM
         a, b = sdp.solve(problem), sdp.solve(problem)
-        assert a.optimal and a.iterations == b.iterations
+        assert a.optimal and a.iterations == b.iterations and a.trace == b.trace
         for name in ("x", "y", "s"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
@@ -469,6 +464,50 @@ class TestStopReason:
         # ... but X/|X| is feasible for the homogeneous system and improves
         norm = np.linalg.norm(sol.x)
         assert abs(sol.x[1, 1].real) / norm <= sdp.TOL and sol.primal_objective < 0
+
+
+TRACE_KEYS = {"mu", "rp", "rd", "gap"}
+STEP_KEYS = {"schur_ratio", "ap", "ad", "sigma"}
+
+
+class TestTrace:
+    @pytest.mark.parametrize("reason,build,patches", STOPS)
+    def test_every_row_holds_the_residuals_and_every_step_its_lengths(
+        self, monkeypatch, reason, build, patches
+    ):
+        for name, value in patches.items():
+            monkeypatch.setattr(sdp, name, value)
+        sol = sdp.solve(build())
+        rows = sol.trace
+        # the divergence guard stops an iteration before it records a row
+        guarded = len(rows) == sol.iterations
+        assert guarded or len(rows) == sol.iterations + 1
+        for k, row in enumerate(rows):
+            # a row steps when another iteration follows it
+            stepped = k < len(rows) - 1 or guarded
+            assert set(row) == TRACE_KEYS | (STEP_KEYS if stepped else set())
+            assert all(type(v) is float for v in row.values())
+
+    @pytest.mark.parametrize(
+        "build,tol",
+        [(small_transport_problem, sdp.TOL), (structured_problem, sdp.TOL),
+         (small_transport_problem, 1e-30)],
+        ids=["converged-small", "converged-structured", "mu_floor"],
+    )
+    def test_last_row_is_the_reported_state(self, build, tol):
+        sol = sdp.solve(build(), tol=tol)
+        assert sol.reason == ("mu_floor" if tol < sdp.TOL else "converged")
+        last = sol.trace[-1]
+        assert (last["mu"], last["rp"], last["rd"], last["gap"]) == (
+            sol.mu, sol.primal_residual, sol.dual_residual, sol.gap
+        )
+
+    def test_timings_name_each_phase(self):
+        inconsistent = sdp.sdp_problem(EYE2, [(EYE2, 1.0), (EYE2, 2.0)])
+        for problem in (small_transport_problem(), inconsistent):
+            timings = sdp.solve(problem).timings
+            assert set(timings) == {"preprocess", "iterate"}
+            assert all(v >= 0.0 for v in timings.values())
 
 
 def farkas_margins(problem, y):

@@ -154,6 +154,14 @@ class TestDistance:
             assert res.certificate.passed
             assert res.coupling.check().ok
 
+    def test_timings_name_each_phase(self):
+        res = wasserstein_distance(symm_instance(state_z(0.5), state_z(-0.5), 2.0))
+        assert list(res.timings) == [
+            "build", "preprocess", "iterate", "certify", "decode", "face_probe"
+        ]
+        assert all(v >= 0.0 for v in res.timings.values())
+        assert res.timings["iterate"] == res.solution.timings["iterate"]
+
     @pytest.mark.parametrize("alpha,beta", [(0.095, -0.95), (0.95, -0.095)])
     def test_weak_duality_stop_scales_with_the_objective(self, alpha, beta):
         # dobj - pobj settles at a few 1e-9 here, the rounding floor of an

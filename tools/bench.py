@@ -25,15 +25,14 @@ Each case runs ``REPEAT`` times per checkout, each in a fresh Python process
 with one BLAS thread, so that ``ru_maxrss`` is the peak of that case alone.
 Every repeat spawns every checkout, in reversed order on odd repeats
 (:func:`schedule`), so that host drift falls on all of them alike.  Instances
-are built before the clock starts.  Per transport solve a run records n, m,
-the end-to-end time of ``transport.wasserstein_distance`` (constraint build,
-solve, certify, decode and face probe), the time of ``sdp.solve`` less its
-``sdp.preprocess`` (the interior-point loop), iterations, status, stop
-reason, whether the certificate passed, and the digest
-``(status, iterations, dp.hex())``.  A case reports the median over solves of
-each solve's median over repeats, and the median peak RSS.  The command
-exits 1 when the repeats of a case disagree on any digest: solves are
-bitwise deterministic.
+are built before the solves start, and each checkout's own ``tools/bench.py``
+times it.  Per transport solve a run records n, m, from the result's
+``timings`` the end-to-end time (their sum) and the interior-point loop time
+(``iterate``), iterations, status, stop reason, whether the certificate
+passed, and the digest ``(status, iterations, dp.hex())``.  A case reports
+the median over solves of each solve's median over repeats, and the median
+peak RSS.  The command exits 1 when the repeats of a case disagree on any
+digest: solves are bitwise deterministic.
 
 Usage::
 
@@ -59,7 +58,6 @@ import resource
 import statistics
 import subprocess
 import sys
-import time
 from collections import Counter
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -132,39 +130,20 @@ def _case_runner(name: str):
 def run_one(name: str) -> dict:
     """Solve case ``name`` in this process: one record per transport solve,
     and the peak RSS of the process."""
-    from qot import sdp, transport
+    from qot import transport
 
     run = _case_runner(name)
     records: list[dict] = []
-    spent = {"solve": 0.0, "preprocess": 0.0}
-
-    def timed(module, attr: str, key: str):
-        original = getattr(module, attr)
-
-        def wrapper(*args, **kwargs):
-            t0 = time.perf_counter()
-            try:
-                return original(*args, **kwargs)
-            finally:
-                spent[key] += time.perf_counter() - t0
-
-        setattr(module, attr, wrapper)
-
-    timed(sdp, "solve", "solve")
-    timed(sdp, "preprocess", "preprocess")
     distance = transport.wasserstein_distance
 
     def recorded(*args, **kwargs):
-        spent.update(solve=0.0, preprocess=0.0)
-        t0 = time.perf_counter()
         result = distance(*args, **kwargs)
-        e2e = time.perf_counter() - t0
         sol = result.solution
         records.append({
             "n": int(sol.x.shape[0]),
             "m": int(len(sol.y)),
-            "e2e_ms": 1000 * e2e,
-            "loop_ms": 1000 * (spent["solve"] - spent["preprocess"]),
+            "e2e_ms": 1000 * sum(result.timings.values()),
+            "loop_ms": 1000 * result.timings["iterate"],
             "iterations": sol.iterations,
             "status": sol.status,
             "reason": sol.reason,
@@ -182,7 +161,8 @@ def run_one(name: str) -> dict:
 def _spawn(name: str, src: str) -> dict:
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
-    out = subprocess.run([sys.executable, __file__, "--one", name], env=env, check=True,
+    tool = os.path.join(os.path.dirname(src), "tools", "bench.py")
+    out = subprocess.run([sys.executable, tool, "--one", name], env=env, check=True,
                          capture_output=True, text=True)
     return json.loads(out.stdout.splitlines()[-1])
 
