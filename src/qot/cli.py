@@ -364,7 +364,11 @@ def cmd_distance(args: argparse.Namespace) -> int:
 
 def cmd_dual(args: argparse.Namespace) -> int:
     data, instance, result, seconds = _solve_for_args(args)
-    slack = transport.potential_slack(instance.plan_cost(), result.potentials, instance.dim)
+    # read on the support face, where the solve certified the dual; off it
+    # the full-space dual need not be attained
+    slack = instance.support.restrict(
+        transport.potential_slack(instance.plan_cost(), result.potentials)
+    )
     record = ReportRecord(
         command="dual",
         instance=data,

@@ -2,12 +2,13 @@
 
 These formulas cover commuting qubit pairs under the symmetric three-Pauli
 cost and qubit pairs under the single-``sigma_z`` cost (both for states in
-the xy plane and for states commuting with ``sigma_z``).  Every formula is
-evaluated exactly as written, with no algebraic simplification, so the suite
-can hold it against the independent SDP route.  The explicit optimal
-couplings and dual potentials serve as primal/dual witnesses: a feasible
-coupling upper-bounds the optimum, a feasible potential pair lower-bounds
-it, and here the two bounds meet.
+the xy plane and for states commuting with ``sigma_z``), and, in any
+dimension, commuting data whose cost matrix is Monge (:func:`d_monge`).
+Every formula is evaluated exactly as written, with no algebraic
+simplification, so the suite can hold it against the independent SDP route.
+The explicit optimal couplings and dual potentials serve as primal/dual
+witnesses: a feasible coupling upper-bounds the optimum, a feasible
+potential pair lower-bounds it, and here the two bounds meet.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ __all__ = [
     "coupling_z_commuting",
     "potentials_z_commuting",
     "divergence_z_xy",
+    "d_monge",
     "triangle_margin_symm",
     "triangle_margin_z",
 ]
@@ -259,6 +261,44 @@ def divergence_z_xy(r1: float, r2: float) -> float:
         raise ValueError("radii must lie in [0, 1]")
     lo, hi = min(r1, r2), max(r1, r2)
     return math.sqrt(1.0 - lo**2) - math.sqrt(1.0 - hi**2)
+
+
+# ---------------------------------------------------------------------------
+# Commuting data in any dimension.
+# ---------------------------------------------------------------------------
+
+
+def d_monge(rho_weights, omega_weights, points, p: float) -> float:
+    """Optimal cost (p-th power) under ``sum_k |x_k - y_k|^p`` between states
+    diagonal in the eigenbasis of observables that are monotone functions of
+    one observable.
+
+    ``points[k, i]`` is observable ``k``'s eigenvalue on basis vector ``i``,
+    and the weights are the states' eigenvalues there, with the basis
+    ordered so that every row of ``points`` is monotone.  Each term is then
+    a convex function of a difference of monotone sequences, so the cost
+    matrix is Monge and the north-west-corner coupling of the weights is
+    optimal (Hoffman 1963).  Dephasing a plan in the product basis keeps its
+    marginals and its cost, so no quantum plan does better.
+    """
+    points = np.asarray(points, dtype=float)
+    steps = np.diff(points, axis=1)
+    if not all(np.all(row >= 0) or np.all(row <= 0) for row in steps):
+        raise ValueError("every observable must be monotone in the basis order")
+    a, b = (np.array(w, dtype=float) for w in (rho_weights, omega_weights))
+    if a.shape != b.shape or a.shape != points.shape[1:]:
+        raise ValueError("weights must give one value per basis vector")
+    total, i, j = 0.0, 0, 0
+    while i < len(a) and j < len(b):
+        mass = min(a[i], b[j])
+        total += mass * float(np.sum(np.abs(points[:, i] - points[:, j]) ** p))
+        a[i] -= mass
+        b[j] -= mass
+        if a[i] <= b[j]:
+            i += 1
+        else:
+            j += 1
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -161,7 +161,7 @@ def _witness_case(
     check = coupling.check(TOL_WITNESS_COUPLING)
     pot_obj = max(transport.potential_objective(rho, omega, c) for c in candidates)
     slack_min = min(
-        linalg.min_eigenvalue(transport.potential_slack(cost_matrix, c, rho.shape[0]))
+        linalg.min_eigenvalue(transport.potential_slack(cost_matrix, c))
         for c in candidates
     )
     dev_formula = abs(sdp_value - formula)

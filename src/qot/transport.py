@@ -4,7 +4,10 @@ A coupling of states ``rho`` and ``omega`` is a state on the pair space
 ``H (x) H*`` whose first-slot marginal is ``omega`` and whose second-slot
 marginal is ``rho.T``.  The multipartite relaxation replaces the K-fold
 product of one coupling by a single correlated plan on ``(H (x) H*)^(x K)``
-constrained to have the coupling marginals on every pair of slots.
+constrained to have the coupling marginals on every pair of slots.  Every
+coupling lives on ``supp(omega) (x) supp(rho^T)`` of each pair, so the
+problem is posed on that face (:class:`SupportFace`) and its plan and
+potentials are lifted back; with full-rank states the face is the space.
 
 The primal (minimize the cost against the plan) and its operator-potential
 dual (maximize ``sum_k tr(omega Y_k) + tr(rho X_k)`` under the joint slack
@@ -16,6 +19,8 @@ potentials, and a duality-gap certificate in a single run, with its trace
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -31,6 +36,7 @@ __all__ = [
     "MODE_LINEARIZED",
     "MODE_NONLINEAR",
     "TransportInstance",
+    "SupportFace",
     "Coupling",
     "CouplingCheck",
     "DualPotentials",
@@ -126,6 +132,21 @@ class TransportInstance:
     def plan_shape(self) -> FactorShape:
         return FactorShape.pair_space(self.dim, self.pairs)
 
+    @functools.cached_property
+    def support(self) -> "SupportFace":
+        """The face of the plan space that holds every coupling (:class:`SupportFace`)."""
+        states = (self.omega, self.rho)
+        if all(linalg.min_eigenvalue(s) > linalg.DENSITY_ATOL for s in states):
+            return SupportFace(self.omega, self.rho, self.pairs)
+        restricted = []
+        for s in states:
+            vals, vecs = np.linalg.eigh(s)
+            v = vecs[:, vals > linalg.DENSITY_ATOL]
+            r = linalg.hermitian(v.conj().T @ s @ v)
+            restricted.append((r / r.trace().real, v))
+        (omega, v_omega), (rho, v_rho) = restricted
+        return SupportFace(omega, rho, self.pairs, v_omega, v_rho)
+
     def plan_cost(self) -> np.ndarray:
         """Cost operator acting on the plan variable of this mode."""
         if self.mode == MODE_NONLINEAR:
@@ -204,6 +225,58 @@ def z_instance(rho, omega, p: float) -> TransportInstance:
 
 
 @dataclass(frozen=True)
+class SupportFace:
+    """The face ``(supp(omega) (x) supp(rho^T))^(x pairs)`` that holds every coupling.
+
+    A coupling ``X`` has ``tr(X (vv* (x) I)) = <v, omega v>`` on each pair, so
+    ``X >= 0`` vanishes on ``v (x) .`` for ``v`` outside ``supp(omega)``, and
+    likewise on the second slot: with a rank-deficient state the feasible set
+    has no interior.  ``v_omega`` and ``v_rho`` are isometries onto the
+    supports, the eigenvectors whose eigenvalues exceed
+    ``linalg.DENSITY_ATOL`` (the validator's zero), and ``omega`` and ``rho``
+    are the states restricted to them, renormalised to unit trace.  When both
+    states have full rank the face is the whole space: the isometries are
+    None and nothing is conjugated.
+    """
+
+    omega: np.ndarray
+    rho: np.ndarray
+    pairs: int
+    v_omega: np.ndarray | None = None
+    v_rho: np.ndarray | None = None
+
+    @property
+    def shape(self) -> FactorShape:
+        return FactorShape((len(self.omega), len(self.rho)) * self.pairs)
+
+    @functools.cached_property
+    def isometry(self) -> np.ndarray | None:
+        """``V = (V_omega (x) conj(V_rho))^(x pairs)``, or None on the whole space."""
+        if self.v_omega is None:
+            return None
+        return linalg.kron_all([self.v_omega, self.v_rho.conj()] * self.pairs)
+
+    def restrict(self, m: np.ndarray) -> np.ndarray:
+        """``V* m V``: a plan-space operator read on the face."""
+        v = self.isometry
+        return m if v is None else v.conj().T @ m @ v
+
+    def lift(self, m: np.ndarray) -> np.ndarray:
+        """``V m V*``: an operator on the face as one on the plan space."""
+        v = self.isometry
+        return m if v is None else v @ m @ v.conj().T
+
+    def lift_potentials(self, pots: "DualPotentials") -> "DualPotentials":
+        """``(V_rho X_k V_rho*, V_omega Y_k V_omega*)``: zero off the supports."""
+        if self.v_omega is None:
+            return pots
+        return DualPotentials(
+            tuple(self.v_rho @ x @ self.v_rho.conj().T for x in pots.xs),
+            tuple(self.v_omega @ y @ self.v_omega.conj().T for y in pots.ys),
+        )
+
+
+@dataclass(frozen=True)
 class Coupling:
     """A plan matrix with its factor shape and the declared marginals."""
 
@@ -266,7 +339,19 @@ def purification_coupling(rho: np.ndarray) -> Coupling:
     )
 
 
-def _marginal_constraints(instance: TransportInstance) -> list[tuple[int, np.ndarray, float]]:
+def _marginal_terms(face: SupportFace) -> list[tuple[int, np.ndarray]]:
+    """``(slot, Hermitian basis element)`` of each traceless marginal
+    functional in constraint order: per pair, the two slots' elements
+    alternate while both last."""
+    first, second = (linalg.hermitian_basis(len(s))[1:] for s in (face.omega, face.rho))
+    terms = []
+    for k in range(face.pairs):
+        for pair in itertools.zip_longest(first, second):
+            terms += [(2 * k + side, b) for side, b in enumerate(pair) if b is not None]
+    return terms
+
+
+def _marginal_constraints(face: SupportFace) -> list[tuple[int, np.ndarray, float]]:
     """One global trace constraint plus the traceless marginal functionals.
 
     Each entry is ``(slot, local operator, value)``; the trace constraint is
@@ -274,18 +359,25 @@ def _marginal_constraints(instance: TransportInstance) -> list[tuple[int, np.nda
     encodes the same unit-trace condition; keeping a single copy leaves a
     full-row-rank system.
     """
-    dim = instance.dim
-    basis = linalg.hermitian_basis(dim)
-    constraints: list[tuple[int, np.ndarray, float]] = [(0, np.eye(dim, dtype=complex), 1.0)]
-    for k in range(instance.pairs):
-        for b in basis[1:]:
-            constraints.append((2 * k, b, float(np.trace(instance.omega @ b).real)))
-            constraints.append((2 * k + 1, b.T, float(np.trace(instance.rho @ b).real)))
+    constraints: list[tuple[int, np.ndarray, float]] = [
+        (0, np.eye(len(face.omega), dtype=complex), 1.0)
+    ]
+    for slot, b in _marginal_terms(face):
+        if slot % 2:
+            constraints.append((slot, b.T, float(np.trace(face.rho @ b).real)))
+        else:
+            constraints.append((slot, b, float(np.trace(face.omega @ b).real)))
     return constraints
 
 
 def build_primal(instance: TransportInstance) -> sdp.SdpProblem:
-    """Minimize the plan cost over PSD plans with the coupling marginals.
+    """Minimize the plan cost over PSD plans with the coupling marginals,
+    posed on the support face (``instance.support``).
+
+    On the face the plan is ``X_r`` with ``X = V X_r V*``, the cost is
+    ``V* C V`` and the marginals are the restricted states, on slots
+    ``(r_omega, r_rho)`` per pair; there the feasible set has an interior.
+    When both states have full rank this is the problem on the whole space.
 
     The same data also poses the potential problem: maximize
     ``sum_k tr(omega Y_k) + tr(rho X_k)`` under the slack inequality.  The
@@ -297,36 +389,31 @@ def build_primal(instance: TransportInstance) -> sdp.SdpProblem:
     the returned problem is therefore the potential problem, and the
     interior-point engine reports both sides of the pair from one run.
     """
+    face = instance.support
     return sdp.slot_problem(
-        instance.plan_cost(), instance.plan_shape, _marginal_constraints(instance)
+        face.restrict(instance.plan_cost()), face.shape, _marginal_constraints(face)
     )
 
 
 def potentials_from_multipliers(instance: TransportInstance, y: np.ndarray) -> "DualPotentials":
-    """Decode multipliers into operator potentials (X_k, Y_k).
+    """Decode the multipliers of ``build_primal(instance)`` into operator
+    potentials (X_k, Y_k) on the support face; ``instance.support.lift_potentials``
+    carries them to the whole space.
 
     The gauge is fixed by assigning the whole identity component to the
     departure-side potential of the first factor; this does not change the
     dual objective because both states have unit trace.
     """
-    dim = instance.dim
-    basis = linalg.hermitian_basis(dim)
-    expected = 1 + 2 * instance.pairs * (len(basis) - 1)
-    if len(y) != expected:
-        raise ValueError(f"{len(y)} multipliers for {expected} constraints")
-    xs, ys = [], []
-    pos = 1
-    for k in range(instance.pairs):
-        y_k = np.zeros((dim, dim), dtype=complex)
-        x_k = np.zeros((dim, dim), dtype=complex)
-        for b in basis[1:]:
-            y_k += y[pos] * b
-            x_k += y[pos + 1] * b
-            pos += 2
-        if k == 0:
-            x_k += y[0] * np.eye(dim)
-        ys.append(y_k)
-        xs.append(x_k)
+    face = instance.support
+    terms = _marginal_terms(face)
+    if len(y) != 1 + len(terms):
+        raise ValueError(f"{len(y)} multipliers for {1 + len(terms)} constraints")
+    r_omega, r_rho = len(face.omega), len(face.rho)
+    ys = [np.zeros((r_omega, r_omega), dtype=complex) for _ in range(face.pairs)]
+    xs = [np.zeros((r_rho, r_rho), dtype=complex) for _ in range(face.pairs)]
+    for coef, (slot, b) in zip(y[1:], terms):
+        (xs if slot % 2 else ys)[slot // 2] += coef * b
+    xs[0] += y[0] * np.eye(r_rho)
     return DualPotentials(tuple(xs), tuple(ys))
 
 
@@ -349,10 +436,11 @@ def potential_objective(rho: np.ndarray, omega: np.ndarray, pots: DualPotentials
     return total
 
 
-def potential_slack(plan_cost: np.ndarray, pots: DualPotentials, dim: int) -> np.ndarray:
-    """``C - sum_k embed(Y_k (x) I + I (x) X_k.T)``; PSD iff feasible."""
+def potential_slack(plan_cost: np.ndarray, pots: DualPotentials) -> np.ndarray:
+    """``C - sum_k embed(Y_k (x) I + I (x) X_k.T)``; PSD iff feasible.  The
+    slots take their dimensions from the potentials."""
     k = pots.n_factors
-    shape = FactorShape.pair_space(dim, k)
+    shape = FactorShape(tuple(len(m) for pair in zip(pots.ys, pots.xs) for m in pair))
     slack = np.asarray(plan_cost, dtype=complex).copy()
     for idx in range(k):
         slack -= linalg.embed_at_slot(pots.ys[idx], 2 * idx, shape)
@@ -362,6 +450,12 @@ def potential_slack(plan_cost: np.ndarray, pots: DualPotentials, dim: int) -> np
 
 @dataclass(frozen=True)
 class TransportResult:
+    """One solved instance.  ``coupling`` and ``potentials`` are on the whole
+    plan space, lifted from the support face (:class:`SupportFace`);
+    ``solution`` and ``certificate`` belong to the SDP that was solved, the
+    one posed on the face, and ``dual_attained`` and ``degenerate_face`` are
+    read there."""
+
     distance: float
     dp: float
     coupling: Coupling
@@ -388,14 +482,14 @@ def wasserstein_distance(instance: TransportInstance, *, tol: float = sdp.TOL) -
     solved = time.perf_counter()
     certificate = sdp.certify(solution, problem)
     certified = time.perf_counter()
-    coupling = Coupling(solution.x, instance.plan_shape, instance.rho, instance.omega)
+    face = instance.support
+    coupling = Coupling(face.lift(solution.x), instance.plan_shape, instance.rho, instance.omega)
     potentials = potentials_from_multipliers(instance, solution.y)
     dp = max(solution.primal_objective, 0.0)
-    pot_obj = potential_objective(instance.rho, instance.omega, potentials)
+    pot_obj = potential_objective(face.rho, face.omega, potentials)
     attained = (
         abs(pot_obj - solution.dual_objective) <= 1e-7 * max(1.0, abs(solution.dual_objective))
-        and linalg.min_eigenvalue(potential_slack(problem.objective, potentials, instance.dim))
-        >= -SLACK_TOL
+        and linalg.min_eigenvalue(potential_slack(problem.objective, potentials)) >= -SLACK_TOL
     )
     decoded = time.perf_counter()
     degenerate = _optimal_face_dimension(solution, problem) > 0
@@ -405,7 +499,7 @@ def wasserstein_distance(instance: TransportInstance, *, tol: float = sdp.TOL) -
         distance=dp ** (1.0 / instance.p),
         dp=dp,
         coupling=coupling,
-        potentials=potentials,
+        potentials=face.lift_potentials(potentials),
         primal_objective=solution.primal_objective,
         dual_objective=solution.dual_objective,
         gap=solution.gap,

@@ -11,6 +11,11 @@ from qot import cli, sdp, transport
 from qot.cli import ReportRecord, main, parse_instance, parse_report
 
 
+# Near-pure states (smallest eigenvalues 5e-10, above the rank rule's zero,
+# so the plan is not reduced) whose solve still ends numerical
+NEAR_PURE_PAIR = {"rho": {"bloch": [0, 0, 1 - 1e-9]}, "omega": {"bloch": [1 - 1e-9, 0, 0]}}
+
+
 def write_instance(tmp_path, name="inst.json", **fields):
     data = {
         "rho": {"bloch": [0, 0, 0.5]},
@@ -138,13 +143,24 @@ class TestCommands:
         assert record.gap <= 1e-6
 
     def test_numerical_record_names_its_stop(self, tmp_path):
-        # a pure pair has a plan face with no interior; the solve fails
-        path = write_instance(tmp_path, rho={"bloch": [0, 0, 1]}, omega={"bloch": [1, 0, 0]})
+        path = write_instance(tmp_path, **NEAR_PURE_PAIR)
         out = str(tmp_path / "dual.jsonl")
         assert main(["dual", path, "--out", out]) == 3
         record = parse_report((tmp_path / "dual.jsonl").read_text().splitlines()[0])
         assert record.status == "numerical"
         assert sdp.REASON_STATUS[record.certificate["reason"]] == "numerical"
+
+    def test_dual_slack_of_a_pure_pair_is_read_on_the_support_face(self, tmp_path):
+        # the plan lives on supp(omega) (x) supp(rho^T); off that face the
+        # lifted potentials are not dual feasible (the full-space slack of
+        # this pair has eigenvalue -4)
+        path = write_instance(tmp_path, rho={"bloch": [0, 0, 1]}, omega={"bloch": [1, 0, 0]})
+        out = str(tmp_path / "dual.jsonl")
+        assert main(["dual", path, "--out", out]) == 0
+        record = parse_report((tmp_path / "dual.jsonl").read_text().splitlines()[0])
+        assert record.status == "optimal" and record.certificate["passed"]
+        assert record.certificate["dual_attained"]
+        assert record.extra["slack_min_eig"] >= -transport.SLACK_TOL
 
     def test_distance_z_xy(self, tmp_path):
         path = write_instance(
@@ -159,7 +175,7 @@ class TestCommands:
     @pytest.mark.parametrize("command", ["distance", "dual"])
     @pytest.mark.parametrize(
         "states,code",
-        [({}, 0), ({"rho": {"bloch": [0, 0, 1]}, "omega": {"bloch": [1, 0, 0]}}, 3)],
+        [({}, 0), (NEAR_PURE_PAIR, 3)],
         ids=["optimal", "numerical"],
     )
     def test_verbose_prints_the_trace(self, tmp_path, capsys, command, states, code):

@@ -136,7 +136,7 @@ class TestSymmCommuting:
             pairs = cf.potentials_symm_commuting(a, b, p)
             matrix = cost.cost_symm(p)
             for pair in pairs:
-                slack = transport.potential_slack(matrix, pair, 2)
+                slack = transport.potential_slack(matrix, pair)
                 assert linalg.min_eigenvalue(slack) >= -1e-10
             best = max(
                 transport.potential_objective(cf.state_z(a), cf.state_z(b), pair)
@@ -193,7 +193,7 @@ class TestZxy:
         matrix = cost.cost_z(2.0)
         for top in np.linspace(0.0, 0.95, 20):
             for cand in cf.potentials_z_xy(top, top / 2, 2.0):
-                slack = transport.potential_slack(matrix, cand, 2)
+                slack = transport.potential_slack(matrix, cand)
                 assert linalg.min_eigenvalue(slack) >= -1e-10
 
     def test_best_potential_attains_formula(self):
@@ -243,9 +243,9 @@ class TestZCommuting:
     def test_potential_slacks_as_displayed(self):
         p = 1.5
         first, second = cf.potentials_z_commuting(p)
-        slack1 = transport.potential_slack(cost.cost_z(p), first, 2)
+        slack1 = transport.potential_slack(cost.cost_z(p), first)
         np.testing.assert_allclose(slack1, np.diag([0, 2.0 ** (p + 1), 0, 0]), atol=1e-12)
-        slack2 = transport.potential_slack(cost.cost_z(p), second, 2)
+        slack2 = transport.potential_slack(cost.cost_z(p), second)
         np.testing.assert_allclose(slack2, np.diag([0, 0, 2.0 ** (p + 1), 0]), atol=1e-12)
 
 
@@ -309,3 +309,28 @@ class TestTriangles:
     @given(st.floats(0, 1), st.floats(0, 1), st.floats(0, 1))
     def test_z_margin_nonnegative(self, a, b, c):
         assert cf.triangle_margin_z(a, b, c) >= -1e-9
+
+
+class TestMonge:
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    def test_north_west_corner_meets_the_best_assignment(self, p):
+        # weights in sevenths: split each basis vector into copies of mass
+        # 1/7; the problem is then an assignment, optimal at a permutation
+        # (Birkhoff), so brute force over the 5040 permutations is exact
+        rng = np.random.default_rng(int(p))
+        lam = np.sort(rng.standard_normal(5))
+        points = np.array([lam, -(lam**3), np.exp(lam)])
+        counts_rho, counts_omega = [2, 1, 3, 0, 1], [0, 3, 1, 2, 1]
+        cost_matrix = (np.abs(points[:, :, None] - points[:, None, :]) ** p).sum(axis=0)
+        src, dst = (np.repeat(np.arange(5), c) for c in (counts_rho, counts_omega))
+        perms = np.array(list(itertools.permutations(range(7))))
+        best = cost_matrix[src[None, :], dst[perms]].sum(axis=1).min() / 7
+        value = cf.d_monge(np.array(counts_rho) / 7, np.array(counts_omega) / 7, points, p)
+        np.testing.assert_allclose(value, best, rtol=1e-12)
+
+    def test_two_points_move_all_mass(self):
+        assert cf.d_monge([1.0, 0.0], [0.0, 1.0], [[0.0, 2.0]], 3.0) == 8.0
+
+    def test_non_monotone_observable_rejected(self):
+        with pytest.raises(ValueError, match="monotone"):
+            cf.d_monge([0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [[0.0, 2.0, 1.0]], 2.0)

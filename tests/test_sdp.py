@@ -518,6 +518,15 @@ def farkas_margins(problem, y):
     return float(problem.constraint_vals @ v), linalg.min_eigenvalue(-combination)
 
 
+def full_space_problem(instance):
+    """The transport SDP of ``instance`` on the whole plan space, without the
+    reduction of ``transport.build_primal`` to the support face."""
+    whole = transport.SupportFace(instance.omega, instance.rho, instance.pairs)
+    return sdp.slot_problem(
+        instance.plan_cost(), instance.plan_shape, transport._marginal_constraints(whole)
+    )
+
+
 class TestFarkasRule:
     @pytest.mark.parametrize("build", INFEASIBLE)
     def test_reclassified_multipliers_are_a_farkas_ray(self, build):
@@ -557,9 +566,12 @@ class TestFarkasRule:
         instance = transport.factorized_instance(
             state(ranks[0]), state(ranks[1]), observables, 2.0, transport.MODE_NONLINEAR
         )
-        # these runs stop short with a primal residual above 1e-4, so the
-        # rule is consulted; a plan of unit trace bounds b.v by TOL
-        assert sdp.solve(transport.build_primal(instance)).status != sdp.STATUS_INFEASIBLE
+        # posed on the whole plan space, not on the support face, the
+        # feasible set has no interior: these runs stop short with a primal
+        # residual above 1e-4, so the rule is consulted; a plan of unit trace
+        # bounds b.v by TOL
+        sol = sdp.solve(full_space_problem(instance))
+        assert sol.primal_residual > 1e-4 and sol.status != sdp.STATUS_INFEASIBLE
 
 
 def eigenbasis_step(m, delta):

@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 from qot import cost, linalg, sdp, transport
-from qot.closedform import d_symm_commuting, state_from_bloch, state_x, state_z
+from qot.closedform import (
+    d_monge,
+    d_symm_commuting,
+    d_symm_general,
+    state_from_bloch,
+    state_x,
+    state_z,
+)
 from qot.transport import (
     MODE_LINEARIZED,
     MODE_NONLINEAR,
@@ -116,7 +123,7 @@ class TestBuilders:
         np.testing.assert_allclose(
             potential_objective(inst.rho, inst.omega, pots), sol.dual_objective, atol=1e-10
         )
-        slack = potential_slack(problem.objective, pots, 2)
+        slack = potential_slack(problem.objective, pots)
         np.testing.assert_allclose(slack, sol.s, atol=1e-8)
 
     @pytest.mark.parametrize("count", [6, 8])
@@ -130,7 +137,7 @@ class TestBuilders:
         p = 2.0
         x = np.diag([2.0**p, 0.0]).astype(complex)
         pots = transport.DualPotentials((x,), (-x,))
-        slack = potential_slack(cost.cost_z(p), pots, 2)
+        slack = potential_slack(cost.cost_z(p), pots)
         np.testing.assert_allclose(slack, np.diag([0, 2.0 ** (p + 1), 0, 0]), atol=1e-12)
         alpha, beta = 0.7, -0.1
         value = potential_objective(state_z(alpha), state_z(beta), pots)
@@ -139,7 +146,7 @@ class TestBuilders:
     def test_zero_potentials_feasible_for_psd_cost(self):
         zero = np.zeros((2, 2), dtype=complex)
         pots = transport.DualPotentials((zero,), (zero,))
-        slack = potential_slack(cost.cost_symm(1.5), pots, 2)
+        slack = potential_slack(cost.cost_symm(1.5), pots)
         assert linalg.min_eigenvalue(slack) >= -1e-12
         assert potential_objective(state_z(0.2), state_z(0.1), pots) == 0.0
 
@@ -191,7 +198,7 @@ class TestDistance:
         assert check.ok
         upper = res.coupling.objective(problem.objective)
         slack_min = linalg.min_eigenvalue(
-            potential_slack(problem.objective, res.potentials, 2)
+            potential_slack(problem.objective, res.potentials)
         )
         assert slack_min >= -1e-8
         lower = potential_objective(inst.rho, inst.omega, res.potentials)
@@ -232,7 +239,7 @@ class TestDistance:
                 inst = make(rho, omega, 2.0)
                 res = wasserstein_distance(inst)
                 assert res.coupling.check(tol=1e-7).ok
-                slack = potential_slack(build_primal(inst).objective, res.potentials, 2)
+                slack = potential_slack(build_primal(inst).objective, res.potentials)
                 assert linalg.min_eigenvalue(slack) >= -1e-8
 
     def test_degenerate_face_flag(self):
@@ -342,8 +349,9 @@ class TestModes:
         assert abs(result.solution.iterations - 14) <= 1
 
     @pytest.mark.parametrize("pure_side", ["rho", "omega"])
-    def test_pure_against_mixed_on_a_large_plan_returns_a_status(self, pure_side):
-        # no interior: the plan lives on supp(omega) (x) supp(rho^T)
+    def test_pure_against_mixed_on_a_large_plan_is_the_product_value(self, pure_side):
+        # the plan lives on supp(omega) (x) supp(rho^T), 5-dimensional here,
+        # and the product plan is the only coupling
         rng = np.random.default_rng(7)
         u = linalg.random_unitary(rng, 5)
         pure = np.outer(u[:, 0], u[:, 0].conj())
@@ -353,9 +361,10 @@ class TestModes:
         inst = factorized_instance(rho, omega, obs, 2.0, MODE_NONLINEAR)
         assert inst.plan_shape.total_dim == sdp.STRUCTURED_MIN_DIM
         result = wasserstein_distance(inst)
-        assert result.status in (
-            sdp.STATUS_OPTIMAL, sdp.STATUS_NUMERICAL, sdp.STATUS_MAX_ITER, sdp.STATUS_INFEASIBLE
-        )
+        assert result.status == sdp.STATUS_OPTIMAL and result.certificate.passed
+        assert result.solution.x.shape == (5, 5)
+        product = trivial_coupling(rho, omega).objective(inst.plan_cost())
+        assert abs(result.dp - product) <= 1e-7 * max(1.0, product)
 
     def test_joint_equals_nonlinear_for_summed_cost(self):
         rho, omega = state_x(0.3), state_z(-0.2)
@@ -366,6 +375,129 @@ class TestModes:
             factorized_instance(rho, omega, cost.pauli_triple(), 2.0, MODE_NONLINEAR)
         ).dp
         np.testing.assert_allclose(via_matrix, via_factors, atol=1e-7)
+
+
+def rank_state(rng, dim, rank):
+    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    m = g @ g.conj().T
+    return m / m.trace().real
+
+
+def solved_on_the_face(inst):
+    """The result of a solve that must end optimal and certified, with a
+    lifted plan that couples the original states."""
+    result = wasserstein_distance(inst)
+    assert result.status == sdp.STATUS_OPTIMAL and result.certificate.passed
+    assert is_coupling(result.coupling.matrix, inst.rho, inst.omega, inst.pairs).ok
+    return result
+
+
+def assert_matches(value, oracle):
+    assert abs(value - oracle) <= 1e-7 * max(1.0, abs(oracle))
+
+
+class TestSupportFace:
+    """Rank-deficient states are solved on ``supp(omega) (x) supp(rho^T)``."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    @pytest.mark.parametrize(
+        "ranks_of", [lambda d: (1, 1), lambda d: (1, d), lambda d: (d, 1)],
+        ids=["pure/pure", "pure/mixed", "mixed/pure"],
+    )
+    def test_pure_inputs_give_the_product_value(self, dim, ranks_of):
+        # a pure marginal leaves the product plan as the only coupling
+        ranks = ranks_of(dim)
+        rng = np.random.default_rng([dim, *ranks])
+        rho, omega = (rank_state(rng, dim, r) for r in ranks)
+        obs = cost.observable_set([linalg.random_hermitian(rng, dim) for _ in range(2)])
+        inst = factorized_instance(rho, omega, obs, 2.0, MODE_NONLINEAR)
+        result = solved_on_the_face(inst)
+        assert result.solution.x.shape[0] == ranks[0] * ranks[1]
+        assert_matches(result.dp, trivial_coupling(rho, omega).objective(inst.plan_cost()))
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    @pytest.mark.parametrize(
+        "ranks_of", [lambda d: (1, d), lambda d: (d - 1, 2), lambda d: (2, d)],
+        ids=["1,d", "d-1,2", "2,d"],
+    )
+    def test_qudit_pairs_in_both_modes(self, dim, ranks_of):
+        r_rho, r_omega = ranks_of(dim)
+        rng = np.random.default_rng([dim, r_rho, r_omega])
+        rho, omega = rank_state(rng, dim, r_rho), rank_state(rng, dim, r_omega)
+        obs = cost.observable_set([linalg.random_hermitian(rng, dim) for _ in range(2)])
+        nonlinear = factorized_instance(rho, omega, obs, 2.0, MODE_NONLINEAR)
+        linearized = factorized_instance(rho, omega, obs, 2.0, MODE_LINEARIZED)
+        joint = solved_on_the_face(nonlinear)
+        relaxed = solved_on_the_face(linearized)
+        assert relaxed.solution.x.shape[0] == (r_rho * r_omega) ** 2
+        # the K=2 plan only enters through its pair marginals
+        assert_matches(relaxed.dp, solve_linearized_decomposed(linearized).total)
+        product = trivial_coupling(rho, omega).objective(nonlinear.plan_cost())
+        if r_rho == 1:
+            assert_matches(joint.dp, product)
+            assert_matches(relaxed.dp, product)
+        else:
+            assert relaxed.dp <= joint.dp + 1e-7 * max(1.0, joint.dp)
+            assert joint.dp <= product + 1e-7 * max(1.0, product)
+
+    @pytest.mark.parametrize("t", [-1.0, -0.6, 0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    def test_boundary_collinear_symm_pairs(self, t, p):
+        rng = np.random.default_rng([int(10 * t) + 10, int(p)])
+        axis = rng.standard_normal(3)
+        axis /= np.linalg.norm(axis)
+        inst = symm_instance(state_from_bloch(axis), state_from_bloch(t * axis), p)
+        result = solved_on_the_face(inst)
+        assert_matches(result.dp, d_symm_general(axis, t * axis, p))
+
+    @pytest.mark.parametrize("dim", [3, 4, 5, 6, 7, 8])
+    def test_commuting_rank_deficient_data_meet_the_monge_value(self, dim):
+        # states and observables diagonal in one random basis, the
+        # observables monotone functions of one spectrum
+        rng = np.random.default_rng(60 + dim)
+        u = linalg.random_unitary(rng, dim)
+        lam = np.sort(rng.standard_normal(dim))
+        points = np.array([lam, np.exp(-lam)])
+        weights = []
+        for rank in (dim - 1, 2):
+            w = np.zeros(dim)
+            w[rng.choice(dim, rank, replace=False)] = rng.uniform(0.1, 1.0, rank)
+            weights.append(w / w.sum())
+        rho, omega = (u @ np.diag(w) @ u.conj().T for w in weights)
+        obs = cost.observable_set([u @ np.diag(row) @ u.conj().T for row in points])
+        for p in (1.0, 2.0, 3.0):
+            inst = factorized_instance(rho, omega, obs, p, MODE_NONLINEAR)
+            result = solved_on_the_face(inst)
+            assert result.solution.x.shape[0] == 2 * (dim - 1)
+            assert_matches(result.dp, d_monge(*weights, points, p))
+
+    def test_full_rank_plans_are_not_conjugated(self):
+        rng = np.random.default_rng(43)
+        rho, omega = linalg.random_density(rng, 3), linalg.random_density(rng, 3)
+        obs = cost.observable_set([linalg.random_hermitian(rng, 3) for _ in range(2)])
+        inst = factorized_instance(rho, omega, obs, 2.0, MODE_NONLINEAR)
+        assert inst.support.isometry is None
+        problem = build_primal(inst)
+        assert problem.structure.shape == inst.plan_shape
+        np.testing.assert_array_equal(problem.objective, linalg.hermitian(inst.plan_cost()))
+        # the digest of this solve before plans were posed on the support face
+        result = wasserstein_distance(inst)
+        assert (result.status, result.solution.iterations, result.dp.hex()) == (
+            "optimal", 13, "0x1.b3b29415d16d5p+2"
+        )
+
+    def test_dual_slack_is_read_on_the_face(self):
+        rng = np.random.default_rng(5)
+        rho, omega = rank_state(rng, 3, 2), rank_state(rng, 3, 3)
+        obs = cost.observable_set([linalg.random_hermitian(rng, 3) for _ in range(2)])
+        inst = factorized_instance(rho, omega, obs, 2.0, MODE_NONLINEAR)
+        result = solved_on_the_face(inst)
+        assert result.dual_attained
+        slack = potential_slack(inst.plan_cost(), result.potentials)
+        assert linalg.min_eigenvalue(inst.support.restrict(slack)) >= -1e-8
+        assert abs(
+            potential_objective(rho, omega, result.potentials) - result.dual_objective
+        ) <= 1e-7 * max(1.0, abs(result.dual_objective))
 
 
 class TestGapDemo:
