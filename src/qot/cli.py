@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -37,7 +38,8 @@ COLLINEAR_TOL = 1e-10
 
 
 class InstanceError(ValueError):
-    """Invalid instance file contents."""
+    """Invalid instance file contents, or a file the command cannot read or
+    write."""
 
 
 def _round12(value: Any) -> Any:
@@ -84,7 +86,9 @@ class ReportRecord:
             object.__setattr__(self, f.name, _round12(getattr(self, f.name)))
 
     def to_json_line(self) -> str:
-        payload = {k: v for k, v in dataclasses.asdict(self).items() if v is not None}
+        # the fields hold only what __post_init__ rounded: plain numbers,
+        # strings and fresh lists and dicts, so they serialize as they are
+        payload = {k: v for k, v in vars(self).items() if v is not None}
         return json.dumps(payload, sort_keys=True)
 
 
@@ -160,16 +164,17 @@ _FIXED_OBSERVABLES = {"symm": cost_mod.pauli_triple, "z": cost_mod.sigma_z_obser
 
 def _parse_states_and_cost(
     data: Any, args: argparse.Namespace | None
-) -> tuple[np.ndarray, np.ndarray, str, cost_mod.ObservableSet]:
+) -> tuple[np.ndarray, np.ndarray, str, cost_mod.ObservableSet | None]:
     """The two states of an instance document, its cost selector and the
-    observables of that cost."""
+    file's observables; ``None`` for the fixed ``symm`` and ``z`` sets, which
+    are built only where they are read."""
     if not isinstance(data, dict):
         raise InstanceError("instance file must hold a JSON object")
     rho = _parse_state(data.get("rho"), "rho")
     omega = _parse_state(data.get("omega"), "omega")
     cost_kind = _cost_kind(data, args)
     if cost_kind in _FIXED_OBSERVABLES:
-        return rho, omega, cost_kind, _FIXED_OBSERVABLES[cost_kind]()
+        return rho, omega, cost_kind, None
     if cost_kind in ("factorized", "general"):
         return rho, omega, cost_kind, _parse_observables(data.get("observables"))
     raise InstanceError(f"unknown cost selector {cost_kind!r}")
@@ -196,7 +201,7 @@ def parse_instance(data: dict, args: argparse.Namespace | None = None) -> transp
         if cost_kind == "symm":
             if mode == transport.MODE_LINEARIZED:
                 return transport.factorized_instance(
-                    rho, omega, observables, p, transport.MODE_LINEARIZED
+                    rho, omega, cost_mod.pauli_triple(), p, transport.MODE_LINEARIZED
                 )
             return transport.symm_instance(rho, omega, p)
         if cost_kind == "z":
@@ -277,10 +282,17 @@ def _matrix_payload(m: np.ndarray) -> list:
 # ---------------------------------------------------------------------------
 
 
+def _append_lines(path: str, lines: list[str]) -> None:
+    try:
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.writelines(line + "\n" for line in lines)
+    except OSError as exc:
+        raise InstanceError(f"cannot write {path}: {exc}") from exc
+
+
 def _emit(record: ReportRecord, args: argparse.Namespace) -> None:
     if getattr(args, "out", None):
-        with open(args.out, "a", encoding="utf-8") as fh:
-            fh.write(record.to_json_line() + "\n")
+        _append_lines(args.out, [record.to_json_line()])
 
 
 def _print_fields(pairs: list[tuple[str, Any]]) -> None:
@@ -407,6 +419,8 @@ def cmd_divergence(args: argparse.Namespace) -> int:
     rho, omega, cost_kind, observables = _parse_states_and_cost(data, args)
     if cost_kind == "general":
         raise InstanceError("divergence needs a quadratic cost selector (symm, z, factorized)")
+    if observables is None:
+        observables = _FIXED_OBSERVABLES[cost_kind]()
 
     t0 = time.perf_counter()
     try:
@@ -490,10 +504,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(exc.args[0], file=sys.stderr)
         return EXIT_PARSE
     if args.out:
-        with open(args.out, "a", encoding="utf-8") as fh:
-            for case in outcome.cases:
-                fh.write(json.dumps(_round12(case), sort_keys=True) + "\n")
-            fh.write(json.dumps(_round12(outcome.summary()), sort_keys=True) + "\n")
+        rows = [*outcome.cases, outcome.summary()]
+        _append_lines(args.out, [json.dumps(_round12(row), sort_keys=True) for row in rows])
     failing = [c for c in outcome.cases if not c["ok"]]
     for case in failing[:20]:
         print(json.dumps(_round12(case), sort_keys=True))
@@ -531,6 +543,8 @@ def _exponent(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+# built on first use and reused by every later main() call in the process
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qot",
@@ -582,8 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except InstanceError as exc:

@@ -595,6 +595,10 @@ def solve(problem: SdpProblem, *, tol: float = TOL) -> SdpSolution:
     for it in range(MAX_ITER + 1):
         iterations = it
         x, s = pair
+        # one row per iteration, filled once: a stepping iteration appends
+        # its whole row; the row of the iteration that stops is appended
+        # after the loop, unless the divergence guard stops it unmeasured
+        measured = False
         if max(float(np.abs(pair).max()), float(np.abs(y).max())) > DIVERGENCE_LIMIT:
             reason = "diverged"
             break
@@ -608,8 +612,7 @@ def solve(problem: SdpProblem, *, tol: float = TOL) -> SdpSolution:
         # absolute measures, matching the certification invariants
         primal_res = float(np.abs(rp).max())
         dual_res = float(np.abs(rd).max())
-
-        trace.append({"mu": mu, "rp": primal_res, "rd": dual_res, "gap": gap})
+        measured = True
 
         if (
             primal_res <= tol
@@ -723,12 +726,16 @@ def solve(problem: SdpProblem, *, tol: float = TOL) -> SdpSolution:
         if ap < 1e-13 and ad < 1e-13:
             reason = "stalled_step"
             break
-        trace[-1].update(schur_ratio=ratio, ap=ap, ad=ad, sigma=sigma)
+        trace.append({"mu": mu, "rp": primal_res, "rd": dual_res, "gap": gap,
+                      "schur_ratio": ratio, "ap": ap, "ad": ad, "sigma": sigma})
 
         pair = pair + np.array([ap, ad])[:, None, None] * d
         pair += pair.conj().swapaxes(1, 2)
         pair *= 0.5
         y = y + ad * dy
+
+    if measured:
+        trace.append({"mu": mu, "rp": primal_res, "rd": dual_res, "gap": gap})
 
     # Map multipliers back to the original constraint indexing; dropped
     # redundant rows keep a zero multiplier.

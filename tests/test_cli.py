@@ -1,5 +1,6 @@
 """Tests for the command-line front end."""
 
+import dataclasses
 import json
 import math
 import re
@@ -104,10 +105,17 @@ class TestReportRecord:
     def test_roundtrip_identity(self):
         record = ReportRecord(
             command="distance",
-            instance={"p": 2, "cost": "symm"},
+            instance={
+                "p": 2,
+                "cost": "factorized",
+                "rho": {"matrix": [[[0.7, 0.0], [0.1, -0.2]], [[0.1, 0.2], [0.3, 0.0]]]},
+                "omega": {"bloch": (0.0, 0.0, -1 / 3)},
+                "observables": {"matrices": [[[1, 0], [0, -1]], [[0, 1], [1, 0]]]},
+            },
             status="optimal",
             seconds=0.123456789123456,
             primal=4.000000003428491,
+            dual=None,
             gap=8.053936628726888e-09,
             certificate={"passed": True, "min_eig_x": 1.2320333e-10},
         )
@@ -115,6 +123,9 @@ class TestReportRecord:
         parsed = parse_report(line)
         assert parsed == record
         assert parsed.to_json_line() == line
+        # the bytes of the field-by-field dump, without the deep copy
+        expected = {k: v for k, v in dataclasses.asdict(record).items() if v is not None}
+        assert line == json.dumps(expected, sort_keys=True)
 
     def test_floats_carry_12_significant_digits(self):
         record = ReportRecord(
@@ -316,6 +327,39 @@ class TestCommands:
         a = (tmp_path / "a.jsonl").read_text()
         b = (tmp_path / "b.jsonl").read_text()
         assert a.splitlines()[:-1] == b.splitlines()[:-1]  # rows identical; timing differs
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["distance", "{path}"],
+        ["dual", "{path}"],
+        ["divergence", "{path}"],
+        ["gap-demo", "--p", "2"],
+        ["verify", "costs", "--samples", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unwritable_out_exit_two(tmp_path, capsys, argv):
+    path = write_instance(tmp_path)
+    out = str(tmp_path / "no" / "such" / "r.jsonl")
+    assert main([a.format(path=path) for a in argv] + ["--out", out]) == 2
+    assert f"error: cannot write {out}: " in capsys.readouterr().err
+
+
+def test_one_parser_serves_many_calls(tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    path = write_instance(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["distance", path, "--tol", "0"])
+    assert exc.value.code == 2
+    assert main(["distance", path]) == 0
+    capsys.readouterr()
+    for _ in range(2):
+        # the repeated --p collects into a fresh list on every call
+        assert main(["gap-demo", "--p", "2", "--p", "3"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [float(row.split()[0]) for row in rows] == [2.0, 3.0]
 
 
 @pytest.mark.parametrize(
