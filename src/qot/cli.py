@@ -598,6 +598,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "out", None):
+            # an unwritable path fails before any solve or printed line
+            _append_lines(args.out, [])
         return args.func(args)
     except InstanceError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,7 +22,9 @@ factorization breaks down, and refined against the formed matrix); other
 problems read the dense stack, built from the slots on first read, and
 QR-factor the scaled constraints.  A run that stops short with a large
 primal residual is labelled infeasible when its multipliers point along a
-Farkas ray (:func:`_farkas_ray`).  The dual
+Farkas ray (:func:`_farkas_ray`).  The iteration starts at ``y = 0``,
+``S = tau I`` with ``tau = max(1, max|C|)``, and ``X`` at the problem's
+declared interior point (``SdpProblem.interior``), else at ``tau I``.  The dual
 
     maximize    b . y
     subject to  S = C - sum_i y_i A_i >= 0
@@ -42,7 +44,7 @@ from __future__ import annotations
 import functools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -93,6 +95,8 @@ QR_REFINEMENT_STEPS = 1
 # residue of a dependent row's value that marks the system inconsistent.
 PREPROCESS_RANK_TOL = 1e-10
 PREPROCESS_CONSISTENCY_TOL = 1e-8
+# A declared interior point meets its constraints to rounding: this, relative.
+INTERIOR_TOL = 1e-12
 
 # Certification thresholds (independent recomputation of the solution).
 CERT_EQ_TOL = 1e-8
@@ -185,6 +189,8 @@ class SdpProblem:
     objective: np.ndarray        # (n, n) Hermitian
     constraint_vals: np.ndarray  # (m,) real
     structure: SlotStructure
+    # a positive definite X with A(X) = b, where solve starts, or None
+    interior: np.ndarray | None = None
 
     @functools.cached_property
     def constraint_ops(self) -> np.ndarray:
@@ -217,11 +223,15 @@ def slot_problem(
     objective: np.ndarray,
     shape: linalg.FactorShape,
     constraints: Sequence[tuple[int, np.ndarray, float]],
+    *,
+    interior: np.ndarray | None = None,
 ) -> SdpProblem:
     """Validate and pack a problem whose constraints ``(slot, op, b)`` read
     ``<embed_at_slot(op, slot, shape), X> = b``.  It keeps only the objective,
     the values and the slot structure, each local operator validated and
     symmetrized once; ``constraint_ops`` derives the dense stack on demand.
+    A declared ``interior`` point must be Hermitian, Cholesky-positive
+    definite and meet the constraints to rounding (``INTERIOR_TOL``).
     """
     c = linalg.hermitian(objective)
     if c.shape[0] > MAX_VARIABLE_DIM:
@@ -238,14 +248,28 @@ def slot_problem(
             raise ValueError(f"operator shape {op.shape} does not fit slot {slot} of {shape.dims}")
         local_ops.append(op)
     vals = np.array([float(b) for _, _, b in constraints])
-    for arr in (c, vals, *local_ops):
+    structure = SlotStructure(shape, slots, tuple(local_ops))
+    if interior is not None:
+        interior = linalg.hermitian(interior)
+        if interior.shape != c.shape:
+            raise ValueError(f"interior point shape {interior.shape} does not match {c.shape}")
+        try:
+            np.linalg.cholesky(interior)
+        except np.linalg.LinAlgError:
+            raise ValueError("interior point is not positive definite") from None
+        miss = float(np.abs(_slot_applied(interior, structure) - vals).max())
+        if miss > INTERIOR_TOL * max(1.0, float(np.abs(vals).max())):
+            raise ValueError(f"interior point misses the constraints by {miss:.3e}")
+    for arr in (c, vals, *local_ops, *([] if interior is None else [interior])):
         arr.setflags(write=False)
     if shape.n_factors > 1:
-        return SdpProblem(c, vals, SlotStructure(shape, slots, tuple(local_ops)))
+        return SdpProblem(c, vals, structure, interior)
     # one slot: the local operators are the dense ones, kept once as a stack
     stack = np.stack(local_ops)
     stack.setflags(write=False)
-    return _with_stack(SdpProblem(c, vals, SlotStructure(shape, slots, tuple(stack))), stack)
+    return _with_stack(
+        SdpProblem(c, vals, SlotStructure(shape, slots, tuple(stack)), interior), stack
+    )
 
 
 def _with_stack(problem: SdpProblem, ops: np.ndarray) -> SdpProblem:
@@ -313,7 +337,10 @@ def preprocess(problem: SdpProblem) -> tuple[SdpProblem, PreprocessReport]:
         infeasible = bool(
             np.any(residues > PREPROCESS_CONSISTENCY_TOL * np.maximum(1.0, np.abs(vals[removed])))
         )
-        reduced = SdpProblem(problem.objective, vals[kept], problem.structure.rows(kept))
+        # a declared interior point meets the kept rows, and so the dropped ones
+        reduced = replace(
+            problem, constraint_vals=vals[kept], structure=problem.structure.rows(kept)
+        )
         if structure is None:
             reduced = _with_stack(reduced, problem.constraint_ops[kept])
     report = PreprocessReport(
@@ -551,6 +578,7 @@ def _schur_solver(mat: np.ndarray) -> tuple[Callable[[np.ndarray], np.ndarray], 
 
 def solve(problem: SdpProblem, *, tol: float = TOL) -> SdpSolution:
     """Run the interior-point iteration; deterministic for identical inputs.
+    It starts at ``(problem.interior or tau I, tau I)`` with ``y = 0``.
     A ``trace`` row holds ``mu``, ``rp``, ``rd`` and ``gap``, and on an
     iteration that steps also ``schur_ratio``, ``ap``, ``ad`` and ``sigma``."""
     start = time.perf_counter()
@@ -575,10 +603,12 @@ def solve(problem: SdpProblem, *, tol: float = TOL) -> SdpSolution:
     structure = _slot_reads(reduced)
     apply, adjoint = _constraint_maps(reduced)
 
-    tau = max(1.0, float(np.abs(c).max()))
     # X and S as one stacked pair, so that each side's factor, update and step
     # length is one call for both
+    tau = max(1.0, float(np.abs(c).max()))
     pair = tau * np.stack([np.eye(n, dtype=complex)] * 2)
+    if reduced.interior is not None:
+        pair[0] = reduced.interior
     y = np.zeros(m)
 
     eye = np.eye(n)

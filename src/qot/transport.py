@@ -378,6 +378,10 @@ def build_primal(instance: TransportInstance) -> sdp.SdpProblem:
     ``V* C V`` and the marginals are the restricted states, on slots
     ``(r_omega, r_rho)`` per pair; there the feasible set has an interior.
     When both states have full rank this is the problem on the whole space.
+    The solve starts at the product coupling ``(omega_r (x) rho_r^T)^(x pairs)``,
+    declared as the interior point: both restricted states have full rank on
+    the face, so it is positive definite.  Each state's trace is set to 1, as
+    in every plan's marginal (``linalg.density`` admits ``DENSITY_ATOL``).
 
     The same data also poses the potential problem: maximize
     ``sum_k tr(omega Y_k) + tr(rho X_k)`` under the slack inequality.  The
@@ -390,8 +394,10 @@ def build_primal(instance: TransportInstance) -> sdp.SdpProblem:
     interior-point engine reports both sides of the pair from one run.
     """
     face = instance.support
+    states = [s + (1 - s.trace().real) / len(s) * np.eye(len(s)) for s in (face.omega, face.rho.T)]
     return sdp.slot_problem(
-        face.restrict(instance.plan_cost()), face.shape, _marginal_constraints(face)
+        face.restrict(instance.plan_cost()), face.shape, _marginal_constraints(face),
+        interior=linalg.kron_all(states * face.pairs),
     )
 
 

@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from qot import cli, sdp, transport
+from qot import cli, sdp, suites, transport
 from qot.cli import ReportRecord, main, parse_instance, parse_report
 
 
@@ -340,11 +340,16 @@ class TestCommands:
     ],
     ids=lambda argv: argv[0],
 )
-def test_unwritable_out_exit_two(tmp_path, capsys, argv):
+def test_unwritable_out_exit_two(tmp_path, capsys, monkeypatch, argv):
     path = write_instance(tmp_path)
     out = str(tmp_path / "no" / "such" / "r.jsonl")
+    # the path is found unwritable before any work: nothing is solved or printed
+    for module, name in [(sdp, "solve"), (suites, "run_suite")]:
+        monkeypatch.setattr(module, name, lambda *a, **k: pytest.fail("work before the check"))
     assert main([a.format(path=path) for a in argv] + ["--out", out]) == 2
-    assert f"error: cannot write {out}: " in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {out}: ")
 
 
 def test_one_parser_serves_many_calls(tmp_path, capsys):

@@ -68,6 +68,15 @@ class TestSolveBasics:
             sol = sdp.solve(problem)
             assert sol.dual_objective <= sol.primal_objective + 1e-9
 
+    def test_problems_without_a_point_start_at_tau_identity(self):
+        # the digest of this solve before problems could declare a start
+        problem = small_transport_problem()
+        assert problem.interior is None
+        sol = sdp.solve(problem)
+        assert (sol.reason, sol.iterations, sol.primal_objective.hex()) == (
+            "converged", 7, "0x1.00000003ae6a9p+2"
+        )
+
     def test_determinism(self):
         problem = qubit_transport_problem(cost.cost_symm(1.0), rho_z(0.37), rho_z(-0.21))
         a, b = sdp.solve(problem), sdp.solve(problem)
@@ -787,6 +796,34 @@ class TestSlotProblemValidation:
     def test_constraints_required(self):
         with pytest.raises(ValueError, match="constraint"):
             self.build([])
+
+    def test_declared_point_is_kept_by_preprocess(self):
+        point = np.diag([0.1, 0.2, 0.3, 0.2, 0.1, 0.1]).astype(complex)
+        # the duplicate trace row is dropped; the point meets the kept ones
+        problem = sdp.slot_problem(
+            np.eye(6), self.SHAPE, [(0, EYE2, 1.0), (1, np.eye(3), 1.0)], interior=point
+        )
+        reduced, report = sdp.preprocess(problem)
+        assert report.removed == (1,)
+        np.testing.assert_array_equal(reduced.interior, point)
+        assert not reduced.interior.flags.writeable
+
+    @pytest.mark.parametrize(
+        "point,match",
+        [
+            (np.diag([0.5, 0.5, 0.0, 0.0, 0.0, 0.0]), "not positive definite"),
+            (np.diag([0.5, 0.5, 0.5, -0.5, 0.0, 0.0]), "not positive definite"),
+            (np.eye(6) / 3, "misses the constraints by 1.000e"),
+            (np.eye(6) / 6 + 1e-9 * np.diag([1, 0, 0, -1, 0, 0]), "misses the constraints"),
+            (np.eye(6) / 6 + np.triu(np.ones((6, 6)), 1) / 100, "not Hermitian"),
+            (np.eye(4) / 4, "shape"),
+        ],
+        ids=["singular", "indefinite", "off-trace", "off-marginal", "non-hermitian", "shape"],
+    )
+    def test_bad_point_is_rejected(self, point, match):
+        b = np.diag([1.0, -1.0]).astype(complex)
+        with pytest.raises(ValueError, match=match):
+            sdp.slot_problem(np.eye(6), self.SHAPE, [(0, EYE2, 1.0), (0, b, 0.0)], interior=point)
 
     def test_plan_above_the_cap(self):
         d = math.isqrt(sdp.MAX_VARIABLE_DIM) + 1
