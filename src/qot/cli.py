@@ -17,6 +17,7 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -599,8 +600,11 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if getattr(args, "out", None):
-            # an unwritable path fails before any solve or printed line
-            _append_lines(args.out, [])
+            # an unwritable path fails before any solve or printed line, creating no file
+            if os.path.exists(args.out):
+                _append_lines(args.out, [])
+            elif not os.access(os.path.dirname(args.out) or ".", os.W_OK | os.X_OK):
+                raise InstanceError(f"cannot write {args.out}: its directory is not writable")
         return args.func(args)
     except InstanceError as exc:
         print(f"error: {exc}", file=sys.stderr)

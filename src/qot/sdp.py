@@ -22,9 +22,8 @@ factorization breaks down, and refined against the formed matrix); other
 problems read the dense stack, built from the slots on first read, and
 QR-factor the scaled constraints.  A run that stops short with a large
 primal residual is labelled infeasible when its multipliers point along a
-Farkas ray (:func:`_farkas_ray`).  The iteration starts at ``y = 0``,
-``S = tau I`` with ``tau = max(1, max|C|)``, and ``X`` at the problem's
-declared interior point (``SdpProblem.interior``), else at ``tau I``.  The dual
+Farkas ray (:func:`_farkas_ray`).  The iteration starts at ``y = 0``, ``S = tau I`` and
+``X`` at the declared ``SdpProblem.interior``, else at ``tau I``.  The dual
 
     maximize    b . y
     subject to  S = C - sum_i y_i A_i >= 0
@@ -44,7 +43,7 @@ from __future__ import annotations
 import functools
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -95,8 +94,7 @@ QR_REFINEMENT_STEPS = 1
 # residue of a dependent row's value that marks the system inconsistent.
 PREPROCESS_RANK_TOL = 1e-10
 PREPROCESS_CONSISTENCY_TOL = 1e-8
-# A declared interior point meets its constraints to rounding: this, relative.
-INTERIOR_TOL = 1e-12
+INTERIOR_TOL = 1e-12  # a declared interior point meets its constraints to this, relative
 
 # Certification thresholds (independent recomputation of the solution).
 CERT_EQ_TOL = 1e-8
@@ -189,8 +187,7 @@ class SdpProblem:
     objective: np.ndarray        # (n, n) Hermitian
     constraint_vals: np.ndarray  # (m,) real
     structure: SlotStructure
-    # a positive definite X with A(X) = b, where solve starts, or None
-    interior: np.ndarray | None = None
+    interior: np.ndarray | None = None  # positive definite, A(X) = b: solve's start
 
     @functools.cached_property
     def constraint_ops(self) -> np.ndarray:
@@ -223,15 +220,13 @@ def slot_problem(
     objective: np.ndarray,
     shape: linalg.FactorShape,
     constraints: Sequence[tuple[int, np.ndarray, float]],
-    *,
-    interior: np.ndarray | None = None,
+    *, interior: np.ndarray | None = None,
 ) -> SdpProblem:
     """Validate and pack a problem whose constraints ``(slot, op, b)`` read
     ``<embed_at_slot(op, slot, shape), X> = b``.  It keeps only the objective,
     the values and the slot structure, each local operator validated and
     symmetrized once; ``constraint_ops`` derives the dense stack on demand.
-    A declared ``interior`` point must be Hermitian, Cholesky-positive
-    definite and meet the constraints to rounding (``INTERIOR_TOL``).
+    A declared ``interior`` must be Cholesky-positive definite and meet the constraints to rounding.
     """
     c = linalg.hermitian(objective)
     if c.shape[0] > MAX_VARIABLE_DIM:
@@ -267,9 +262,8 @@ def slot_problem(
     # one slot: the local operators are the dense ones, kept once as a stack
     stack = np.stack(local_ops)
     stack.setflags(write=False)
-    return _with_stack(
-        SdpProblem(c, vals, SlotStructure(shape, slots, tuple(stack)), interior), stack
-    )
+    problem = SdpProblem(c, vals, SlotStructure(shape, slots, tuple(stack)), interior)
+    return _with_stack(problem, stack)
 
 
 def _with_stack(problem: SdpProblem, ops: np.ndarray) -> SdpProblem:
@@ -338,8 +332,8 @@ def preprocess(problem: SdpProblem) -> tuple[SdpProblem, PreprocessReport]:
             np.any(residues > PREPROCESS_CONSISTENCY_TOL * np.maximum(1.0, np.abs(vals[removed])))
         )
         # a declared interior point meets the kept rows, and so the dropped ones
-        reduced = replace(
-            problem, constraint_vals=vals[kept], structure=problem.structure.rows(kept)
+        reduced = SdpProblem(
+            problem.objective, vals[kept], problem.structure.rows(kept), problem.interior
         )
         if structure is None:
             reduced = _with_stack(reduced, problem.constraint_ops[kept])
@@ -603,9 +597,9 @@ def solve(problem: SdpProblem, *, tol: float = TOL) -> SdpSolution:
     structure = _slot_reads(reduced)
     apply, adjoint = _constraint_maps(reduced)
 
+    tau = max(1.0, float(np.abs(c).max()))
     # X and S as one stacked pair, so that each side's factor, update and step
     # length is one call for both
-    tau = max(1.0, float(np.abs(c).max()))
     pair = tau * np.stack([np.eye(n, dtype=complex)] * 2)
     if reduced.interior is not None:
         pair[0] = reduced.interior

@@ -71,6 +71,8 @@ COUPLING_TOL = 1e-7
 SLACK_TOL = 1e-8
 # Eigenvalue cut used when probing the optimal face for extra minimizers.
 FACE_RANK_TOL = 1e-6
+# Least eigenvalue of a declared start: 100 times the rounding n eps at n = 400.
+INTERIOR_FLOOR = 1e-11
 
 
 class SolverFailure(RuntimeError):
@@ -137,7 +139,8 @@ class TransportInstance:
         """The face of the plan space that holds every coupling (:class:`SupportFace`)."""
         states = (self.omega, self.rho)
         if all(linalg.min_eigenvalue(s) > linalg.DENSITY_ATOL for s in states):
-            return SupportFace(self.omega, self.rho, self.pairs)
+            unit = [s + (1 - s.trace().real) / len(s) * np.eye(len(s)) for s in states]
+            return SupportFace(*unit, self.pairs)
         restricted = []
         for s in states:
             vals, vecs = np.linalg.eigh(s)
@@ -236,7 +239,7 @@ class SupportFace:
     ``linalg.DENSITY_ATOL`` (the validator's zero), and ``omega`` and ``rho``
     are the states restricted to them, renormalised to unit trace.  When both
     states have full rank the face is the whole space: the isometries are
-    None and nothing is conjugated.
+    None, nothing is conjugated and a multiple of the identity sets the traces to 1.
     """
 
     omega: np.ndarray
@@ -379,9 +382,8 @@ def build_primal(instance: TransportInstance) -> sdp.SdpProblem:
     ``(r_omega, r_rho)`` per pair; there the feasible set has an interior.
     When both states have full rank this is the problem on the whole space.
     The solve starts at the product coupling ``(omega_r (x) rho_r^T)^(x pairs)``,
-    declared as the interior point: both restricted states have full rank on
-    the face, so it is positive definite.  Each state's trace is set to 1, as
-    in every plan's marginal (``linalg.density`` admits ``DENSITY_ATOL``).
+    positive definite on the face; when its least eigenvalue, the product of
+    the states', is below ``INTERIOR_FLOOR``, it starts at ``tau I`` instead.
 
     The same data also poses the potential problem: maximize
     ``sum_k tr(omega Y_k) + tr(rho X_k)`` under the slack inequality.  The
@@ -394,10 +396,10 @@ def build_primal(instance: TransportInstance) -> sdp.SdpProblem:
     interior-point engine reports both sides of the pair from one run.
     """
     face = instance.support
-    states = [s + (1 - s.trace().real) / len(s) * np.eye(len(s)) for s in (face.omega, face.rho.T)]
+    floor = (linalg.min_eigenvalue(face.omega) * linalg.min_eigenvalue(face.rho)) ** face.pairs
+    x0 = linalg.kron_all([face.omega, face.rho.T] * face.pairs) if floor > INTERIOR_FLOOR else None
     return sdp.slot_problem(
-        face.restrict(instance.plan_cost()), face.shape, _marginal_constraints(face),
-        interior=linalg.kron_all(states * face.pairs),
+        face.restrict(instance.plan_cost()), face.shape, _marginal_constraints(face), interior=x0
     )
 
 

@@ -212,9 +212,12 @@ class TestCommands:
     def test_malformed_file_exit_two(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text('{"rho": {"bloch": [0, 0, 0.5]},\n "omega": oops}')
-        assert main(["distance", str(path)]) == 2
+        out = tmp_path / "r.jsonl"
+        assert main(["distance", str(path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "line 2" in err and "column" in err
+        # the writability check before the command creates no file
+        assert not out.exists()
 
     def test_linearized_symm_has_no_closed_form(self, tmp_path):
         # the collinear symm formula is a joint-plan optimum; the correlated
@@ -350,6 +353,14 @@ def test_unwritable_out_exit_two(tmp_path, capsys, monkeypatch, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert not (tmp_path / "no").exists()
+
+
+def test_out_that_is_a_directory_exit_two(tmp_path, capsys):
+    assert main(["gap-demo", "--p", "2", "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {tmp_path}: ")
 
 
 def test_one_parser_serves_many_calls(tmp_path, capsys):

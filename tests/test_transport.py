@@ -556,13 +556,31 @@ class TestInteriorStart:
         assert solution.trace[0]["rp"] <= 1e-14
         np.testing.assert_array_equal(sdp.preprocess(problem)[0].interior, point)
 
-    def test_marginal_traces_are_set_to_one(self):
-        # density admits a trace off by DENSITY_ATOL; the point meets the
-        # trace row exactly all the same
+    def test_face_states_have_unit_trace(self):
+        # density admits a trace off by DENSITY_ATOL; the face renormalises
+        # it, so the marginal values and the point read the same states
         rho, omega = (state_z(0.2) * (1.0 + 5e-11), state_x(-0.4))
-        problem = build_primal(symm_instance(rho, omega, 2.0))
+        inst = symm_instance(rho, omega, 2.0)
+        assert abs(inst.support.rho.trace().real - 1.0) <= 1e-15
+        problem = build_primal(inst)
         assert abs(problem.interior.trace().real - 1.0) <= 1e-15
         assert sdp.solve(problem).trace[0]["rp"] <= 1e-14
+
+    def test_non_commuting_near_pure_pair_starts_at_tau_identity(self):
+        # lambda_min 2e-10 on each side: the coupling's 4e-20 is below the
+        # rounding of its entries, so no point is declared and the solve runs
+        inst = symm_instance(state_z(1 - 4e-10), state_x(1 - 4e-10), 2.0)
+        assert build_primal(inst).interior is None
+        assert math.isfinite(wasserstein_distance(inst).dp)
+
+    def test_near_pure_three_pair_plan_starts_at_tau_identity(self):
+        # (1e-3 * 1e-3)^3 = 1e-18 on the K=3 Pauli plan
+        inst = factorized_instance(
+            state_z(0.998), state_x(0.998), cost.pauli_triple(), 2.0, MODE_LINEARIZED
+        )
+        assert build_primal(inst).interior is None
+        result = wasserstein_distance(inst)
+        assert result.status == "optimal" and result.certificate.passed
 
 
 class TestGapDemo:
