@@ -35,8 +35,6 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_SOLVER = 3
 
-COLLINEAR_TOL = 1e-10
-
 
 class InstanceError(ValueError):
     """Invalid instance file contents, or a file the command cannot read or
@@ -219,7 +217,7 @@ def parse_instance(data: dict, args: argparse.Namespace | None = None) -> transp
         raise InstanceError(str(exc)) from exc
 
 
-def _load_instance_file(path: str) -> dict:
+def _load_instance_file(path: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -227,8 +225,6 @@ def _load_instance_file(path: str) -> dict:
         raise InstanceError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InstanceError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    if not isinstance(data, dict):
-        raise InstanceError("instance file must hold a JSON object")
     return data
 
 
@@ -252,12 +248,12 @@ def _closed_form_family(
     if rho.shape[0] != 2:
         return None
     r1, r2 = _bloch_of(rho), _bloch_of(omega)
-    if cost_kind == "symm" and np.linalg.norm(np.cross(r1, r2)) <= COLLINEAR_TOL:
+    if cost_kind == "symm" and np.linalg.norm(np.cross(r1, r2)) <= cf.COLLINEAR_TOL:
         return "symm-commuting", r1, r2
     if cost_kind == "z":
-        if max(abs(r1[2]), abs(r2[2])) <= COLLINEAR_TOL:
+        if max(abs(r1[2]), abs(r2[2])) <= cf.COLLINEAR_TOL:
             return "z-xy", r1, r2
-        if max(abs(r1[0]), abs(r1[1]), abs(r2[0]), abs(r2[1])) <= COLLINEAR_TOL:
+        if max(abs(r1[0]), abs(r1[1]), abs(r2[0]), abs(r2[1])) <= cf.COLLINEAR_TOL:
             return "z-commuting", r1, r2
     return None
 

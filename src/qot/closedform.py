@@ -43,6 +43,10 @@ __all__ = [
 ]
 
 _PAIR = FactorShape.pair_space(2)
+# Bloch-vector components below this count as zero: in the collinearity test
+# of the commuting-pair formulas and in the command line's choice of a
+# closed-form family, which must agree
+COLLINEAR_TOL = 1e-10
 
 
 def state_from_bloch(r) -> np.ndarray:
@@ -95,7 +99,7 @@ def d_symm_commuting(alpha: float, beta: float, p: float) -> float:
 def _collinear_terms(r1, r2) -> tuple[float, float, float]:
     r1 = np.asarray(r1, dtype=float)
     r2 = np.asarray(r2, dtype=float)
-    if np.linalg.norm(np.cross(r1, r2)) > 1e-10:
+    if np.linalg.norm(np.cross(r1, r2)) > COLLINEAR_TOL:
         raise ValueError("Bloch vectors must be collinear")
     n1, n2 = float(np.linalg.norm(r1)), float(np.linalg.norm(r2))
     top = max(n1, n2)

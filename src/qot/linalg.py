@@ -137,6 +137,11 @@ class FactorShape:
         """Shape of ``(H (x) H*)^(x pairs)`` with ``dim``-dimensional ``H``."""
         return FactorShape((dim,) * (2 * pairs))
 
+    def frame(self, slot: int) -> tuple[int, int, int]:
+        """``(outer, d, inner)``: the dimensions of the factors before, at and
+        after ``slot``, so that an index of the space is ``(o, a, i)`` row-major."""
+        return math.prod(self.dims[:slot]), self.dims[slot], math.prod(self.dims[slot + 1:])
+
 
 def slot_view(m: np.ndarray, slot: int, shape: FactorShape) -> np.ndarray:
     """Writable view ``(..., outer, inner, d, d)`` of the blocks of a
@@ -144,8 +149,7 @@ def slot_view(m: np.ndarray, slot: int, shape: FactorShape) -> np.ndarray:
     ``slot``: entry ``[o, i, a, b]`` sits at row ``(o, a, i)`` and column
     ``(o, b, i)``, with ``o`` and ``i`` the indices of the factors before and
     after the slot (a repeated einsum index gives a view of the diagonal)."""
-    dims = shape.dims
-    frame = (math.prod(dims[:slot]), dims[slot], math.prod(dims[slot + 1:]))
+    frame = shape.frame(slot)
     return np.einsum("...iajibj->...ijab", m.reshape(m.shape[:-2] + frame + frame))
 
 
@@ -175,26 +179,12 @@ def partial_trace(m: np.ndarray, shape: FactorShape, keep: Sequence[int]) -> np.
     if m.shape != (shape.total_dim, shape.total_dim):
         raise ValueError(f"matrix shape {m.shape} does not match factor shape {shape.dims}")
 
-    t = m.reshape(shape.dims + shape.dims)
-    letters = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
-    pos = 0
-    row_sub, col_sub, out_rows, out_cols = [], [], [], []
-    for i in range(n):
-        if i in keep_set:
-            r, c = letters[pos], letters[pos + 1]
-            pos += 2
-            row_sub.append(r)
-            col_sub.append(c)
-            out_rows.append(r)
-            out_cols.append(c)
-        else:
-            s = letters[pos]
-            pos += 1
-            row_sub.append(s)
-            col_sub.append(s)
-    subscripts = "".join(row_sub + col_sub) + "->" + "".join(out_rows + out_cols)
+    # factor i has row index i, and column index i when traced, n + i when kept
+    cols = [n + i if i in keep_set else i for i in range(n)]
+    out = np.einsum(m.reshape(shape.dims + shape.dims), [*range(n), *cols],
+                    [*keep_set, *(n + i for i in keep_set)])
     kept_dim = math.prod(shape.dims[i] for i in keep_set)
-    return np.einsum(subscripts, t).reshape(kept_dim, kept_dim)
+    return out.reshape(kept_dim, kept_dim)
 
 
 def swap_transpose(m: np.ndarray, dim: int) -> np.ndarray:

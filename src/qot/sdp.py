@@ -35,7 +35,8 @@ record as data: a trace row per iteration and the seconds of each phase.
 The Hermitian cone is handled natively over the real vector space of
 Hermitian matrices (no real-symmetric doubling), which halves the Newton
 system size and avoids eigenvalue duplication artifacts.  The method is
-deterministic: fixed iteration schedule, no randomized pivoting.
+deterministic at a fixed BLAS thread count: fixed iteration schedule, no
+randomized pivoting (the thread count changes the rounding of BLAS kernels).
 """
 
 from __future__ import annotations
@@ -78,10 +79,14 @@ SCHUR_COND_LIMIT = 1e14
 DIVERGENCE_LIMIT = math.sqrt(np.finfo(float).max)
 # Multi-slot plans of at least this dimension are read slot by slot
 # (_slot_reads); smaller ones read the dense stack and QR-factor the scaled
-# constraints.  Measured with slot reads on every plan, perfbench qubit-sweep
-# instances_per_s fell from about 230 to 152 (seed 5); with a Cholesky-formed
-# Schur matrix on small plans, 28 of 10,240 strong-duality solves (seed 0)
-# ended uncertified, against 1 with the QR.
+# constraints.  Measured with perfbench seed 3, two runs per side, one BLAS
+# thread on a 2-core x86_64 host: with slot reads on every plan, qubit-sweep
+# instances_per_s fell from 245 to 161 and rank-deficient from 172 to 130, its
+# certified_frac from 0.987 to 0.909; with slot constraint maps but the QR
+# kept, qubit-sweep fell from 241 to 194; with a Cholesky-formed Schur matrix
+# on small plans, qubit-sweep was unchanged but rank-deficient certified_frac
+# fell to 0.909 (21 of 231 solves uncertified, against 3).  The dense maps
+# save call overhead; the QR is the accurate route on small plans.
 STRUCTURED_MIN_DIM = 25
 # Refinement steps of a Schur solve; fixed, so solves stay deterministic.  The
 # Cholesky factor of a formed Schur matrix takes two, which also remove a
@@ -140,14 +145,12 @@ class SlotStructure:
         """``(slot, rows, ops, (outer, d, inner))`` per occupied slot: the
         constraint indices at the slot, their operators flattened to
         ``(len(rows), d*d)``, and the dimensions before, at and after it."""
-        dims = self.shape.dims
         slots = np.array(self.slots)
         out = []
         for slot in np.unique(slots):
             rows = np.flatnonzero(slots == slot)
             ops = np.stack([self.local_ops[i].reshape(-1) for i in rows])
-            frame = (math.prod(dims[:slot]), dims[slot], math.prod(dims[slot + 1:]))
-            out.append((int(slot), rows, ops, frame))
+            out.append((int(slot), rows, ops, self.shape.frame(int(slot))))
         return tuple(out)
 
     def coordinates(self) -> np.ndarray:
@@ -351,7 +354,6 @@ class SdpSolution:
     primal_objective: float
     dual_objective: float
     gap: float
-    status: str
     reason: str  # a key of REASON_STATUS
     iterations: int
     mu: float
@@ -359,6 +361,10 @@ class SdpSolution:
     dual_residual: float
     trace: tuple[dict, ...]  # one row per iteration; see solve
     timings: dict  # seconds of preprocess and iterate
+
+    @property
+    def status(self) -> str:
+        return REASON_STATUS[self.reason]
 
     @property
     def optimal(self) -> bool:
@@ -571,7 +577,8 @@ def _schur_solver(mat: np.ndarray) -> tuple[Callable[[np.ndarray], np.ndarray], 
 
 
 def solve(problem: SdpProblem, *, tol: float = TOL) -> SdpSolution:
-    """Run the interior-point iteration; deterministic for identical inputs.
+    """Run the interior-point iteration; deterministic for identical inputs
+    at a fixed BLAS thread count.
     It starts at ``(problem.interior or tau I, tau I)`` with ``y = 0``.
     A ``trace`` row holds ``mu``, ``rp``, ``rd`` and ``gap``, and on an
     iteration that steps also ``schur_ratio``, ``ap``, ``ad`` and ``sigma``."""
@@ -585,7 +592,7 @@ def solve(problem: SdpProblem, *, tol: float = TOL) -> SdpSolution:
         return SdpSolution(
             x=zero, y=np.zeros(problem.n_constraints), s=zero,
             primal_objective=np.nan, dual_objective=np.nan, gap=np.nan,
-            status=STATUS_INFEASIBLE, reason="preprocess_infeasible", iterations=0, mu=np.nan,
+            reason="preprocess_infeasible", iterations=0, mu=np.nan,
             primal_residual=report.max_inconsistency, dual_residual=np.nan,
             trace=(), timings=timings,
         )
@@ -608,7 +615,6 @@ def solve(problem: SdpProblem, *, tol: float = TOL) -> SdpSolution:
     eye = np.eye(n)
 
     reason = "max_iter"
-    iterations = 0
     mu = np.nan
     primal_res = np.nan
     dual_res = np.nan
@@ -616,13 +622,8 @@ def solve(problem: SdpProblem, *, tol: float = TOL) -> SdpSolution:
     dobj = np.nan
     trace = []
 
-    for it in range(MAX_ITER + 1):
-        iterations = it
+    for iterations in range(MAX_ITER + 1):
         x, s = pair
-        # one row per iteration, filled once: a stepping iteration appends
-        # its whole row; the row of the iteration that stops is appended
-        # after the loop, unless the divergence guard stops it unmeasured
-        measured = False
         if max(float(np.abs(pair).max()), float(np.abs(y).max())) > DIVERGENCE_LIMIT:
             reason = "diverged"
             break
@@ -636,7 +637,9 @@ def solve(problem: SdpProblem, *, tol: float = TOL) -> SdpSolution:
         # absolute measures, matching the certification invariants
         primal_res = float(np.abs(rp).max())
         dual_res = float(np.abs(rd).max())
-        measured = True
+        # one row per measured iteration; a stepping iteration completes it
+        row = {"mu": mu, "rp": primal_res, "rd": dual_res, "gap": gap}
+        trace.append(row)
 
         if (
             primal_res <= tol
@@ -649,7 +652,7 @@ def solve(problem: SdpProblem, *, tol: float = TOL) -> SdpSolution:
         ):
             reason = "converged"
             break
-        if it == MAX_ITER:
+        if iterations == MAX_ITER:
             break
         if mu < MU_FLOOR:
             # tr(XS) >= 0 while both iterates are in the cone: a negative mu
@@ -702,13 +705,18 @@ def solve(problem: SdpProblem, *, tol: float = TOL) -> SdpSolution:
 
         rd_scaled = rh @ rd @ r
 
+        def direction(chat: np.ndarray) -> tuple[np.ndarray, ...]:
+            """Newton direction ``(dy, dS, dS~, dX~)`` whose scaled steps
+            meet the target: ``dX~ + dS~ = chat``."""
+            dy = schur_solve(rp + applied_scaled(rd_scaled - chat))
+            ds = rd - adjoint(dy)
+            ds = 0.5 * (ds + ds.conj().T)
+            ds_scaled = rh @ ds @ r
+            return dy, ds, ds_scaled, chat - ds_scaled
+
         # Predictor (affine direction, sigma = 0): scaled target -diag(sig).
         chat_aff = -np.diag(sig)
-        dy_aff = schur_solve(rp + applied_scaled(rd_scaled - chat_aff))
-        ds_aff = rd - adjoint(dy_aff)
-        ds_aff = 0.5 * (ds_aff + ds_aff.conj().T)
-        ds_aff_scaled = rh @ ds_aff @ r
-        dx_aff_scaled = chat_aff - ds_aff_scaled
+        _, _, ds_aff_scaled, dx_aff_scaled = direction(chat_aff)
         # diag(sig)^-1/2 chat_aff diag(sig)^-1/2 = -I, so the X-side
         # eigenvalues are -1 minus the S-side ones; the probes stay in the
         # scaled frame, where tr(X S) is the same
@@ -731,14 +739,10 @@ def solve(problem: SdpProblem, *, tol: float = TOL) -> SdpSolution:
         product = dx_aff_scaled @ ds_aff_scaled
         correction = 0.5 * (product + product.conj().T)
         rhs_scaled = sigma * mu * eye - np.diag(sig**2) - correction
+        # Hermitian bit for bit: the divisor is symmetric, rhs_scaled a real
+        # diagonal minus the exactly Hermitian correction
         chat = 2.0 * rhs_scaled / (sig[:, None] + sig[None, :])
-        chat = 0.5 * (chat + chat.conj().T)
-
-        dy = schur_solve(rp + applied_scaled(rd_scaled - chat))
-        ds = rd - adjoint(dy)
-        ds = 0.5 * (ds + ds.conj().T)
-        ds_scaled = rh @ ds @ r
-        dx_scaled = chat - ds_scaled
+        dy, ds, ds_scaled, dx_scaled = direction(chat)
         dx = r @ dx_scaled @ rh
         # the step (dX, dS) as one stacked pair; dropping the per-side copies
         # keeps the peak memory of large plans where it was
@@ -750,16 +754,12 @@ def solve(problem: SdpProblem, *, tol: float = TOL) -> SdpSolution:
         if ap < 1e-13 and ad < 1e-13:
             reason = "stalled_step"
             break
-        trace.append({"mu": mu, "rp": primal_res, "rd": dual_res, "gap": gap,
-                      "schur_ratio": ratio, "ap": ap, "ad": ad, "sigma": sigma})
+        row.update(schur_ratio=ratio, ap=ap, ad=ad, sigma=sigma)
 
         pair = pair + np.array([ap, ad])[:, None, None] * d
         pair += pair.conj().swapaxes(1, 2)
         pair *= 0.5
         y = y + ad * dy
-
-    if measured:
-        trace.append({"mu": mu, "rp": primal_res, "rd": dual_res, "gap": gap})
 
     # Map multipliers back to the original constraint indexing; dropped
     # redundant rows keep a zero multiplier.
@@ -773,7 +773,7 @@ def solve(problem: SdpProblem, *, tol: float = TOL) -> SdpSolution:
     return SdpSolution(
         x=x, y=y_full, s=s,
         primal_objective=pobj, dual_objective=dobj, gap=abs(pobj - dobj),
-        status=REASON_STATUS[reason], reason=reason, iterations=iterations, mu=mu,
+        reason=reason, iterations=iterations, mu=mu,
         primal_residual=primal_res, dual_residual=dual_res,
         trace=tuple(trace), timings=timings,
     )

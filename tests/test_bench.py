@@ -88,6 +88,14 @@ class TestMergeAndCompare:
         assert "d=12: 1 solves, digests DIFFER (1)" in printed
         assert bench.compare(paths[:1], "parent", "other") == 0
 
+    def test_unknown_label_is_a_usage_error(self, paths, capsys, monkeypatch):
+        monkeypatch.setattr(bench, "_output", dict(zip(("small", "large"), paths)).get)
+        with pytest.raises(SystemExit) as exc:
+            bench.main(["--compare", "parent", "nosuch"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "has no label nosuch" in err and "its labels: change, other, parent" in err
+
 
 def test_repeats_that_disagree_fail_the_run(tmp_path, monkeypatch):
     digests = iter(["optimal 9 0x1.0p+2", "optimal 10 0x1.0p+2"] * 10)

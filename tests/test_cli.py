@@ -219,6 +219,13 @@ class TestCommands:
         # the writability check before the command creates no file
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["distance", "divergence"])
+    def test_json_array_instance_exit_two(self, tmp_path, capsys, command):
+        path = tmp_path / "array.json"
+        path.write_text(json.dumps([{"bloch": [0, 0, 0.5]}, {"bloch": [0, 0, -0.5]}]))
+        assert main([command, str(path)]) == 2
+        assert "instance file must hold a JSON object" in capsys.readouterr().err
+
     def test_linearized_symm_has_no_closed_form(self, tmp_path):
         # the collinear symm formula is a joint-plan optimum; the correlated
         # three-pair plan reaches a lower value

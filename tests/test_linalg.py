@@ -128,6 +128,23 @@ class TestPartialTrace:
         other = partial_trace(other, FactorShape((3, 2)), [0])
         np.testing.assert_allclose(other, joint, atol=1e-12)
 
+    @pytest.mark.parametrize("keep", [[0, 2], [2, 0], [1]])
+    def test_matches_an_index_loop(self, keep):
+        dims = (2, 3, 2)
+        rng = np.random.default_rng(3)
+        m = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+        t = m.reshape(dims + dims)
+        kept = sorted(keep)
+        kept_dims = [dims[k] for k in kept]
+        ref = np.zeros(kept_dims * 2, dtype=complex)
+        for row in np.ndindex(*dims):
+            for col in np.ndindex(*dims):
+                if all(row[k] == col[k] for k in range(3) if k not in kept):
+                    ref[tuple(row[k] for k in kept) + tuple(col[k] for k in kept)] += t[row + col]
+        kept_dim = int(np.prod(kept_dims))
+        out = partial_trace(m, FactorShape(dims), keep)
+        np.testing.assert_allclose(out, ref.reshape(kept_dim, kept_dim), rtol=0, atol=1e-15)
+
     def test_trace_preserved(self):
         rng = np.random.default_rng(5)
         m = linalg.random_hermitian(rng, 8)
@@ -300,6 +317,10 @@ class TestEmbedding:
         view[...] = np.stack(ops)[:, None, None]
         for out, op in zip(stack, ops):
             np.testing.assert_array_equal(out, embed_at_slot(op, 1, shape))
+
+    @pytest.mark.parametrize("slot,frame", [(0, (1, 2, 6)), (1, (2, 3, 2)), (2, (6, 2, 1))])
+    def test_frame_is_the_row_major_slot_layout(self, slot, frame):
+        assert FactorShape((2, 3, 2)).frame(slot) == frame
 
     def test_factor_shape_validation(self):
         with pytest.raises(ValueError):

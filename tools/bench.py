@@ -45,7 +45,7 @@ none is given).  The results are merged into ``BENCH_<group>.json`` under
 the labels, so checkouts measured on one host sit side by side;
 ``--compare`` prints, per case of the group given (every group without
 one), whether every digest matches between two labels, and the time and
-memory ratios.
+memory ratios; a label missing from a file is a usage error (exit 2).
 """
 
 from __future__ import annotations
@@ -257,8 +257,14 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps(run_one(args.one)))
         return 0
     if args.compare:
-        groups = [args.group] if args.group else sorted(GROUPS)
-        return compare([_output(g) for g in groups], *args.compare)
+        paths = [_output(g) for g in ([args.group] if args.group else sorted(GROUPS))]
+        for path in paths:
+            labels = _load(path).get("runs", {})
+            unknown = [label for label in args.compare if label not in labels]
+            if unknown:
+                parser.error(f"{os.path.basename(path)} has no label {', '.join(unknown)}; "
+                             f"its labels: {', '.join(sorted(labels)) or 'none'}")
+        return compare(paths, *args.compare)
     if args.group is None:
         parser.error("a group is required unless --compare is given")
     specs = args.checkouts or [f"change={os.path.join(REPO, 'src')}"]
