@@ -34,7 +34,21 @@ record as data: a trace row per iteration and the seconds of each phase.
 
 The Hermitian cone is handled natively over the real vector space of
 Hermitian matrices (no real-symmetric doubling), which halves the Newton
-system size and avoids eigenvalue duplication artifacts.  The method is
+system size and avoids eigenvalue duplication artifacts.  The iterates
+``X`` and ``S``, the dual residual ``C - S - sum_i y_i A_i`` and the dual
+step ``rd - sum_i dy_i A_i`` are exactly Hermitian by construction, so
+nothing symmetrizes them: the objective, the interior point and every local
+operator are symmetrized once when the problem is built, both adjoints
+(dense stack and slot embeddings) return exactly Hermitian matrices for
+real multipliers, and differences and real-scaled sums of exactly Hermitian
+matrices are exactly Hermitian.  Should an adjoint ever lose this, the fix
+belongs at its source, the d x d local combination of a slot read, not in
+n x n passes over the iterates.  Symmetrization stays where a product of
+non-commuting factors breaks it: the back-transformed primal step
+``dX = R dX~ R*``, the Mehrotra product ``dX~ dS~`` (whose Hermitian part
+makes the corrector's target exactly Hermitian, the elementwise divisor
+being symmetric) and the scaled-frame matrices whose eigenvalues
+``eigvalsh`` reads from one triangle.  The method is
 deterministic at a fixed BLAS thread count: fixed iteration schedule, no
 randomized pivoting (the thread count changes the rounding of BLAS kernels).
 """
@@ -383,6 +397,16 @@ def _cholesky_factor(m: np.ndarray) -> np.ndarray:
         return q * np.sqrt(w)
 
 
+def _cholesky_pair(pair: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Factors of the stacked pair ``(X, S)``: one Cholesky call for both,
+    else each side's :func:`_cholesky_factor`."""
+    try:
+        fx, fs = np.linalg.cholesky(pair)
+    except np.linalg.LinAlgError:
+        fx, fs = (_cholesky_factor(side) for side in pair)
+    return fx, fs
+
+
 def _nt_scaling(fx: np.ndarray, fs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nesterov-Todd scaling ``(R, sig)`` of ``X = Fx Fx*`` and ``S = Fs Fs*``.
 
@@ -395,11 +419,17 @@ def _nt_scaling(fx: np.ndarray, fs: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return fx @ vh.conj().T / np.sqrt(sig), sig
 
 
-def _frame_eigvals(b: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _frame_scale(w: np.ndarray) -> np.ndarray:
+    """``sqrt(w_i w_j)``, the scale of :func:`_frame_eigvals`, for a row
+    ``w`` or for each row of a stack."""
+    return np.sqrt(w[..., :, None] * w[..., None, :])
+
+
+def _frame_eigvals(b: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of ``diag(w)^-1/2 b diag(w)^-1/2`` for Hermitian
-    ``b``, or for each matrix of a stack ``b`` with ``w`` one row per matrix
-    or one row shared."""
-    t = b / np.sqrt(w[..., :, None] * w[..., None, :])
+    ``b`` and ``scale = _frame_scale(w)``, or for each matrix of a stack ``b``
+    with one scale per matrix or one shared."""
+    t = b / scale
     # 0.5 (t + t*), in place: on large stacks a third temporary would raise
     # the peak memory of a solve
     t += t.conj().swapaxes(-1, -2)
@@ -419,10 +449,10 @@ def _boundary_step(lam: float) -> float:
     return 1.0 / (-lam)
 
 
-def _max_steps(deltas: np.ndarray, w: np.ndarray) -> list[float]:
+def _max_steps(deltas: np.ndarray, scale: np.ndarray) -> list[float]:
     """Largest ``alpha`` keeping ``diag(w) + alpha * delta`` PSD, for each
-    ``delta`` of the stack ``deltas`` (``w`` as in :func:`_frame_eigvals`)."""
-    return [_boundary_step(float(lam)) for lam in _frame_eigvals(deltas, w)[:, 0]]
+    ``delta`` of the stack ``deltas`` (``scale`` as in :func:`_frame_eigvals`)."""
+    return [_boundary_step(float(lam)) for lam in _frame_eigvals(deltas, scale)[:, 0]]
 
 
 def _hermitian_coords(mat: np.ndarray) -> np.ndarray:
@@ -628,7 +658,6 @@ def solve(problem: SdpProblem, *, tol: float = TOL) -> SdpSolution:
             reason = "diverged"
             break
         rd = c - s - adjoint(y)
-        rd = 0.5 * (rd + rd.conj().T)
         rp = b - apply(x)
         mu = _trace_product(x, s) / n
         pobj = _trace_product(c, x)
@@ -667,9 +696,9 @@ def solve(problem: SdpProblem, *, tol: float = TOL) -> SdpSolution:
         # the cone is read from diag(sig)^-1/2 dX~ diag(sig)^-1/2 (and the
         # same for S), which needs no eigen factor of X and S: they are
         # factored by Cholesky.
-        fx, fs = (_cholesky_factor(side) for side in pair)
-        r, sig = _nt_scaling(fx, fs)
+        r, sig = _nt_scaling(*_cholesky_pair(pair))
         rh = r.conj().T
+        scale = _frame_scale(sig)
 
         # The Schur complement is the Gram matrix M = F F* of the scaled
         # constraints F_i = R* A_i R.  With slot structure, M is formed from
@@ -710,7 +739,6 @@ def solve(problem: SdpProblem, *, tol: float = TOL) -> SdpSolution:
             meet the target: ``dX~ + dS~ = chat``."""
             dy = schur_solve(rp + applied_scaled(rd_scaled - chat))
             ds = rd - adjoint(dy)
-            ds = 0.5 * (ds + ds.conj().T)
             ds_scaled = rh @ ds @ r
             return dy, ds, ds_scaled, chat - ds_scaled
 
@@ -720,7 +748,7 @@ def solve(problem: SdpProblem, *, tol: float = TOL) -> SdpSolution:
         # diag(sig)^-1/2 chat_aff diag(sig)^-1/2 = -I, so the X-side
         # eigenvalues are -1 minus the S-side ones; the probes stay in the
         # scaled frame, where tr(X S) is the same
-        lam = _frame_eigvals(ds_aff_scaled, sig)
+        lam = _frame_eigvals(ds_aff_scaled, scale)
         ap = min(1.0, _boundary_step(-1.0 - float(lam[-1])))
         ad = min(1.0, _boundary_step(float(lam[0])))
         probe_product = _trace_product(
@@ -734,13 +762,10 @@ def solve(problem: SdpProblem, *, tol: float = TOL) -> SdpSolution:
             sigma = max(sigma, 0.5)
 
         # Corrector with Mehrotra second-order term, solved in the scaled
-        # frame where the Lyapunov operator is elementwise division.  Of two
-        # Hermitian matrices, ds dx is the adjoint of dx ds.
+        # frame where the Lyapunov operator is elementwise division.
         product = dx_aff_scaled @ ds_aff_scaled
         correction = 0.5 * (product + product.conj().T)
         rhs_scaled = sigma * mu * eye - np.diag(sig**2) - correction
-        # Hermitian bit for bit: the divisor is symmetric, rhs_scaled a real
-        # diagonal minus the exactly Hermitian correction
         chat = 2.0 * rhs_scaled / (sig[:, None] + sig[None, :])
         dy, ds, ds_scaled, dx_scaled = direction(chat)
         dx = r @ dx_scaled @ rh
@@ -749,7 +774,7 @@ def solve(problem: SdpProblem, *, tol: float = TOL) -> SdpSolution:
         d = np.stack([0.5 * (dx + dx.conj().T), ds])
         del dx, ds
 
-        steps = _max_steps(np.stack([dx_scaled, ds_scaled]), sig)
+        steps = _max_steps(np.stack([dx_scaled, ds_scaled]), scale)
         ap, ad = (min(1.0, STEP_FRACTION * a) for a in steps)
         if ap < 1e-13 and ad < 1e-13:
             reason = "stalled_step"
@@ -757,8 +782,6 @@ def solve(problem: SdpProblem, *, tol: float = TOL) -> SdpSolution:
         row.update(schur_ratio=ratio, ap=ap, ad=ad, sigma=sigma)
 
         pair = pair + np.array([ap, ad])[:, None, None] * d
-        pair += pair.conj().swapaxes(1, 2)
-        pair *= 0.5
         y = y + ad * dy
 
     # Map multipliers back to the original constraint indexing; dropped

@@ -298,7 +298,8 @@ def _divergence_sweep(
 
     for a in values:
         for b in values:
-            cross = transport.wasserstein_distance(
+            # the diagonal cross instance is the self instance, solved once
+            cross = self_distance(a) if a == b else transport.wasserstein_distance(
                 transport.factorized_instance(state_of(a), state_of(b), observables, 2.0)
             ).dp
             d2_sdp = cross - 0.5 * (self_distance(a) + self_distance(b))

@@ -88,6 +88,47 @@ class TestMergeAndCompare:
         assert "d=12: 1 solves, digests DIFFER (1)" in printed
         assert bench.compare(paths[:1], "parent", "other") == 0
 
+    def test_change_that_only_drops_duplicate_solves_exits_zero(self, tmp_path, capsys):
+        path = str(tmp_path / "BENCH_small.json")
+        x, y = "optimal 9 0x1.0p+2", "optimal 8 0x1.8p+1"
+        bench.merge(path, "parent", {"qubit": summarized(x, x, y, x, y)})
+        bench.merge(path, "change", {"qubit": summarized(y, x, y)})
+        assert bench.compare([path], "parent", "change") == 0
+        printed = capsys.readouterr().out
+        assert "qubit: 5 -> 3 solves, 2 duplicate solves fewer, every digest matches" in printed
+        assert "every (status, iterations, dp.hex()) matches" in printed
+
+    @pytest.mark.parametrize("change", [
+        ("optimal 9 0x1.0p+2",),  # a digest missing
+        ("optimal 9 0x1.0p+2", "optimal 8 0x1.8p+1", "optimal 7 0x1.8p+1"),  # a new one
+        ("optimal 8 0x1.8p+1", "optimal 8 0x1.8p+1"),  # same size, other counts
+    ])
+    def test_any_other_multiset_difference_differs(self, tmp_path, capsys, change):
+        path = str(tmp_path / "BENCH_small.json")
+        parent = summarized("optimal 9 0x1.0p+2", "optimal 8 0x1.8p+1")
+        bench.merge(path, "parent", {"qubit": parent})
+        bench.merge(path, "change", {"qubit": summarized(*change)})
+        assert bench.compare([path], "parent", "change") == 1
+        printed = capsys.readouterr().out
+        assert "digests DIFFER (1)" in printed and "DIFFERS" in printed
+
+    def test_ratios_carry_the_spread_of_the_repeats(self, tmp_path, capsys):
+        path = str(tmp_path / "BENCH_small.json")
+        parent = [run(record(e2e)) for e2e in (2.0, 3.0, 4.0)]
+        bench.merge(path, "parent", {"qubit": bench.summary(parent)})
+        bench.merge(path, "near", {"qubit": bench.summary([run(record(e)) for e in (3.5, 4.5)])})
+        bench.merge(path, "far", {"qubit": bench.summary([run(record(e)) for e in (6.0, 5.0)])})
+        bench.compare([path], "parent", "near")
+        near = capsys.readouterr().out
+        assert ("e2e_ms_p50 3.000 -> 4.000 (+33.3%, within spread; "
+                "runs 2.000-4.000 | 3.500-4.500)") in near
+        bench.compare([path], "parent", "far")
+        far = capsys.readouterr().out
+        assert "e2e_ms_p50 3.000 -> 5.500 (+83.3%; runs 2.000-4.000 | 5.000-6.000)" in far
+        # every repeat's loop time is 1 ms: equal ranges overlap
+        assert "loop_ms_p50 1.000 -> 1.000 (+0.0%, within spread; runs 1.000-1.000" in far
+        assert far.splitlines()[0].endswith("peak_rss_mb 50.000 -> 50.000 (+0.0%)")
+
     def test_unknown_label_is_a_usage_error(self, paths, capsys, monkeypatch):
         monkeypatch.setattr(bench, "_output", dict(zip(("small", "large"), paths)).get)
         with pytest.raises(SystemExit) as exc:

@@ -439,6 +439,9 @@ class TestStopReason:
         sol = sdp.solve(build())
         assert sol.reason == reason
         assert sol.status == sdp.REASON_STATUS[reason]
+        # every stop returns the iterates as updated, with no final symmetrization
+        assert_exactly_hermitian(sol.x)
+        assert_exactly_hermitian(sol.s)
 
     def test_every_reason_is_reached(self):
         assert {case.values[0] for case in STOPS} == set(sdp.REASON_STATUS)
@@ -599,6 +602,7 @@ class TestScaledFrameStep:
         x, s = random_pd(rng, n), random_pd(rng, n)
         r, sig = sdp._nt_scaling(sdp._cholesky_factor(x), sdp._cholesky_factor(s))
         rh = r.conj().T
+        scale = sdp._frame_scale(sig)
         # both iterates are diag(sig) in the scaled frame
         scaled_x = np.linalg.solve(r, np.linalg.solve(r, x).conj().T).conj().T
         np.testing.assert_allclose(scaled_x, np.diag(sig), rtol=0, atol=1e-10 * sig.max())
@@ -606,18 +610,18 @@ class TestScaledFrameStep:
         for _ in range(5):
             ds_scaled = linalg.random_hermitian(rng, n, scale=float(sig.mean()))
             ds = np.linalg.solve(rh, np.linalg.solve(rh, ds_scaled).conj().T).conj().T
-            ad = sdp._boundary_step(sdp._frame_eigvals(ds_scaled, sig)[0])
+            ad = sdp._boundary_step(sdp._frame_eigvals(ds_scaled, scale)[0])
             np.testing.assert_allclose(ad, eigenbasis_step(s, ds), rtol=1e-10)
             # predictor: the X-side direction is -diag(sig) - ds_scaled, and
             # its smallest scaled eigenvalue is -1 minus the S side's largest
             dx_scaled = -np.diag(sig) - ds_scaled
-            lam_x = sdp._frame_eigvals(dx_scaled, sig)
-            lam_s = sdp._frame_eigvals(ds_scaled, sig)
+            lam_x = sdp._frame_eigvals(dx_scaled, scale)
+            lam_s = sdp._frame_eigvals(ds_scaled, scale)
             np.testing.assert_allclose(lam_x[0], -1.0 - lam_s[-1], rtol=1e-10)
             ap = sdp._boundary_step(-1.0 - lam_s[-1])
             np.testing.assert_allclose(ap, eigenbasis_step(x, r @ dx_scaled @ rh), rtol=1e-10)
             # the corrector measures both sides in one stacked call
-            both = sdp._max_steps(np.stack([dx_scaled, ds_scaled]), sig)
+            both = sdp._max_steps(np.stack([dx_scaled, ds_scaled]), scale)
             assert both == [sdp._boundary_step(lam_x[0]), ad]
 
     def test_cholesky_factor_falls_back_to_the_eigen_factor(self):
@@ -643,18 +647,39 @@ class TestStackedPair:
         _, sig = sdp._nt_scaling(sdp._cholesky_factor(x), sdp._cholesky_factor(s))
         deltas = np.stack([linalg.random_hermitian(rng, n) for _ in range(2)])
         weights = np.stack([sig, rng.uniform(0.5, 2.0, n)])
+        scales, scale = sdp._frame_scale(weights), sdp._frame_scale(sig)
         for k in range(2):
+            np.testing.assert_array_equal(scales[k], sdp._frame_scale(weights[k]))
             np.testing.assert_array_equal(
-                sdp._frame_eigvals(deltas, weights)[k], sdp._frame_eigvals(deltas[k], weights[k])
+                sdp._frame_eigvals(deltas, scales)[k], sdp._frame_eigvals(deltas[k], scales[k])
             )
-            # one row of weights shared by the stack, as in the scaled frame
+            # one scale shared by the stack, as in the scaled frame
             np.testing.assert_array_equal(
-                sdp._frame_eigvals(deltas, sig)[k], sdp._frame_eigvals(deltas[k], sig)
+                sdp._frame_eigvals(deltas, scale)[k], sdp._frame_eigvals(deltas[k], scale)
             )
         # both steps, bitwise those measured one side at a time
-        assert sdp._max_steps(deltas, sig) == [
-            sdp._boundary_step(float(sdp._frame_eigvals(deltas[k], sig)[0])) for k in (0, 1)
+        assert sdp._max_steps(deltas, scale) == [
+            sdp._boundary_step(float(sdp._frame_eigvals(deltas[k], scale)[0])) for k in (0, 1)
         ]
+
+    @pytest.mark.parametrize("n", [4, 9, 16, 36])
+    def test_stacked_cholesky_is_bitwise_the_per_matrix_factors(self, n):
+        rng = np.random.default_rng(n)
+        pair = np.stack([random_pd(rng, n), random_pd(rng, n)])
+        fx, fs = sdp._cholesky_pair(pair)
+        np.testing.assert_array_equal(fx, np.linalg.cholesky(pair[0]))
+        np.testing.assert_array_equal(fs, np.linalg.cholesky(pair[1]))
+
+    def test_singular_side_falls_back_to_the_per_side_factors(self):
+        rng = np.random.default_rng(5)
+        v = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
+        pair = np.stack([v @ v.conj().T, random_pd(rng, 6)])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(pair)
+        fx, fs = sdp._cholesky_pair(pair)
+        np.testing.assert_array_equal(fx, sdp._cholesky_factor(pair[0]))
+        np.testing.assert_array_equal(fs, sdp._cholesky_factor(pair[1]))
+        np.testing.assert_array_equal(fs, np.linalg.cholesky(pair[1]))
 
     def test_dense_adjoint_is_bitwise_tensordot(self):
         problem = qubit_transport_problem(cost.cost_symm(2.0), rho_z(0.5), rho_z(-0.3))
@@ -701,11 +726,15 @@ def dense_copy(problem):
     return sdp.sdp_problem(problem.objective, constraints)
 
 
-def nonlinear_d6():
-    rng = np.random.default_rng(46)
-    rho, omega = linalg.random_density(rng, 6), linalg.random_density(rng, 6)
-    obs = cost.observable_set([linalg.random_hermitian(rng, 6) for _ in range(2)])
+def nonlinear_instance(d):
+    rng = np.random.default_rng(40 + d)
+    rho, omega = linalg.random_density(rng, d), linalg.random_density(rng, d)
+    obs = cost.observable_set([linalg.random_hermitian(rng, d) for _ in range(2)])
     return transport.factorized_instance(rho, omega, obs, 2.0, transport.MODE_NONLINEAR)
+
+
+def nonlinear_d6():
+    return nonlinear_instance(6)
 
 
 def pauli_triple_k3():
@@ -759,6 +788,42 @@ class TestSlotReads:
         for op, slot, local in zip(problem.constraint_ops, structure.slots, structure.local_ops):
             np.testing.assert_array_equal(op, linalg.embed_at_slot(local, slot, structure.shape))
         assert not problem.constraint_ops.flags.writeable
+
+
+def assert_exactly_hermitian(a):
+    np.testing.assert_array_equal(a, 0.5 * (a + a.conj().T))
+
+
+class TestExactlyHermitian:
+    """``solve`` symmetrizes neither the residual, the dual step nor the
+    updated iterates: each is exactly Hermitian by construction, provided the
+    adjoint of every constraint route is."""
+
+    ROUTES = [
+        pytest.param(functools.partial(nonlinear_instance, 2), 4, id="dense-4"),
+        pytest.param(functools.partial(nonlinear_instance, 3), 9, id="dense-9"),
+        pytest.param(functools.partial(nonlinear_instance, 4), 16, id="dense-16"),
+        pytest.param(nonlinear_d6, 36, id="slots-36"),
+        pytest.param(pauli_triple_k3, 64, id="slots-K3"),
+    ]
+
+    @pytest.mark.parametrize("build,n", ROUTES)
+    def test_adjoint_is_exactly_hermitian(self, build, n):
+        problem = transport.build_primal(build())
+        assert problem.dim == n
+        assert (sdp._slot_reads(problem) is not None) == (n >= sdp.STRUCTURED_MIN_DIM)
+        _, adjoint = sdp._constraint_maps(problem)
+        rng = np.random.default_rng(n)
+        for scale in (1e-3, 1.0, 1e3):
+            assert_exactly_hermitian(adjoint(scale * rng.standard_normal(problem.n_constraints)))
+
+    @pytest.mark.parametrize("build", [functools.partial(nonlinear_instance, 3), nonlinear_d6],
+                             ids=["dense", "slots"])
+    def test_transport_solve_returns_exactly_hermitian_iterates(self, build):
+        sol = sdp.solve(transport.build_primal(build()))
+        assert sol.optimal
+        assert_exactly_hermitian(sol.x)
+        assert_exactly_hermitian(sol.s)
 
 
 class TestSlotProblemValidation:

@@ -1,0 +1,54 @@
+"""Tests for the suite drivers that are not acceptance criteria themselves."""
+
+import numpy as np
+
+from qot import closedform as cf
+from qot import cost, suites, transport
+
+
+def reference_divergence_grid(values, observables, state_of, formula_of):
+    """The divergence grid with every (a, b) solved, the diagonal included:
+    ``(cases, worst deviation)`` as ``suites._divergence_sweep`` reports them."""
+
+    def solve(a, b):
+        instance = transport.factorized_instance(state_of(a), state_of(b), observables, 2.0)
+        return transport.wasserstein_distance(instance).dp
+
+    cases, worst = [], 0.0
+    for a in values:
+        for b in values:
+            d2_sdp = solve(a, b) - 0.5 * (solve(a, a) + solve(b, b))
+            d2_formula = formula_of(a, b)
+            dev = abs(d2_sdp - d2_formula)
+            worst = max(worst, dev)
+            if dev > suites.TOL_DIVERGENCE_GRID or (a == values[0] and b == values[0]):
+                cases.append({
+                    "case": f"a={a:+.4f},b={b:+.4f}", "d2_sdp": d2_sdp, "d2_formula": d2_formula,
+                    "deviation": dev, "ok": dev <= suites.TOL_DIVERGENCE_GRID,
+                })
+    return sorted(cases, key=lambda c: c["case"]), worst
+
+
+def test_divergence_sweep_solves_each_distinct_instance_once(monkeypatch):
+    calls = []
+    distance = transport.wasserstein_distance
+
+    def counted(instance):
+        calls.append(instance)
+        return distance(instance)
+
+    monkeypatch.setattr(transport, "wasserstein_distance", counted)
+    outcome = suites.run_suite("divergence-symm", density=4)
+    # 4 self instances and the 12 off-diagonal cross instances; each diagonal
+    # cross instance is its self instance
+    assert len(calls) == 16
+    monkeypatch.undo()
+
+    values = np.linspace(-0.9, 0.9, 4)
+    axis = lambda v: np.array([0.0, 0.0, v])
+    cases, worst = reference_divergence_grid(
+        values, cost.pauli_triple(), cf.state_z,
+        lambda a, b: cf.divergence_symm_commuting(axis(a), axis(b)),
+    )
+    assert [c for c in outcome.cases if not c["case"].startswith("spot:")] == cases
+    assert outcome.worst["grid_deviation"] == worst

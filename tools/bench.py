@@ -5,7 +5,7 @@ Groups and their cases (p = 2):
 - ``small``:
   - ``qubit``: the six qubit suites of perfbench's qubit-sweep workload at
     its sizes (strong-duality with 5 samples, the three grids at density 3,
-    the two divergence sweeps at density 4), 114 transport solves with
+    the two divergence sweeps at density 4), 106 transport solves with
     ``n = 4``, ``m = 7``; ``CYCLES`` cycles, strong-duality drawn from seed
     ``c``.
   - ``rank d=3`` and ``rank d=4``: the d=3 and d=4 pairs of perfbench's
@@ -44,8 +44,12 @@ Each ``LABEL=SRC`` names a checkout's source directory (``change=src`` when
 none is given).  The results are merged into ``BENCH_<group>.json`` under
 the labels, so checkouts measured on one host sit side by side;
 ``--compare`` prints, per case of the group given (every group without
-one), whether every digest matches between two labels, and the time and
-memory ratios; a label missing from a file is a usage error (exit 2).
+one), whether the digests of two labels match as multisets, and the time and
+memory ratios, each timing beside both labels' min-max over repeats and
+marked "within spread" when those ranges overlap.  It exits 0 when every case
+matches, also when one label only lacks duplicate solves (a change that
+stops solving one instance twice), else 1; a label missing from a file is a
+usage error (exit 2).
 """
 
 from __future__ import annotations
@@ -227,21 +231,48 @@ def merge(path: str, label: str, results: dict) -> None:
         fh.write("\n")
 
 
+def digest_verdict(a: list[str], b: list[str]) -> tuple[str, bool]:
+    """How the digests of one case compare as multisets, and whether they
+    match: identical, or one side lacking only duplicates of digests it
+    holds, or DIFFER with the count of solves without a match."""
+    ca, cb = Counter(a), Counter(b)
+    if ca == cb:
+        return "digests identical", True
+    if set(ca) == set(cb) and (not ca - cb or not cb - ca):
+        side = "fewer" if len(b) < len(a) else "more"
+        return f"{abs(len(a) - len(b))} duplicate solves {side}, every digest matches", True
+    return f"digests DIFFER ({max((ca - cb).total(), (cb - ca).total())})", False
+
+
+def ratio(ra: dict, rb: dict, key: str) -> str:
+    """``key`` of ``ra`` and ``rb`` with their ratio; for a timing also each
+    side's min-max over the repeats of the per-run mean, and "within spread"
+    when those ranges overlap, so that the ratio does not resolve a change."""
+    text = f"{key} {ra[key]:.3f} -> {rb[key]:.3f} ({rb[key] / ra[key] - 1:+.1%}"
+    runs = key.replace("_p50", "_mean_runs")
+    if runs == key:
+        return text + ")"
+    (lo_a, hi_a), (lo_b, hi_b) = ((min(r[runs]), max(r[runs])) for r in (ra, rb))
+    inside = ", within spread" if lo_a <= hi_b and lo_b <= hi_a else ""
+    return text + f"{inside}; runs {lo_a:.3f}-{hi_a:.3f} | {lo_b:.3f}-{hi_b:.3f})"
+
+
 def compare(paths: list[str], a: str, b: str) -> int:
-    """Print, per case, whether labels ``a`` and ``b`` have the same digests;
-    0 when every digest matches, else 1."""
+    """Print, per case, whether labels ``a`` and ``b`` have the same digests
+    (:func:`digest_verdict`) and the ratios of time and memory
+    (:func:`ratio`); 0 when every digest matches, else 1."""
     same_everywhere = True
     for path in paths:
         runs = _load(path)["runs"]
         for name, ra in runs[a].items():
             rb = runs[b][name]
-            differ = sum(x != y for x, y in zip(ra["digests"], rb["digests"]))
-            differ += abs(len(ra["digests"]) - len(rb["digests"]))
-            same_everywhere &= differ == 0
-            print(f"{name}: {ra['solves']} solves, digests "
-                  f"{'identical' if differ == 0 else f'DIFFER ({differ})'}; "
-                  + "; ".join(f"{key} {ra[key]:.3f} -> {rb[key]:.3f} ({rb[key] / ra[key] - 1:+.1%})"
-                              for key in ("e2e_ms_p50", "loop_ms_p50", "peak_rss_mb")))
+            verdict, same = digest_verdict(ra["digests"], rb["digests"])
+            same_everywhere &= same
+            solves = str(ra["solves"])
+            if rb["solves"] != ra["solves"]:
+                solves += f" -> {rb['solves']}"
+            ratios = (ratio(ra, rb, key) for key in ("e2e_ms_p50", "loop_ms_p50", "peak_rss_mb"))
+            print(f"{name}: {solves} solves, {verdict}; " + "; ".join(ratios))
     print(f"every (status, iterations, dp.hex()) {'matches' if same_everywhere else 'DIFFERS'}")
     return 0 if same_everywhere else 1
 
