@@ -42,7 +42,14 @@ class InstanceError(ValueError):
 
 
 def _round12(value: Any) -> Any:
-    """Round floats to 12 significant digits, recursively through containers."""
+    """Round floats to 12 significant digits, recursively through containers.
+    ``float(f"{x:.12g}")`` returns zeros and non-finite values as they are."""
+    # plain floats and lists of them first: a parsed instance document is
+    # mostly those
+    if type(value) is float:
+        return float(f"{value:.12g}")
+    if type(value) is list:
+        return [float(f"{v:.12g}") if type(v) is float else _round12(v) for v in value]
     if isinstance(value, bool) or value is None:
         return value
     if isinstance(value, np.integer):
@@ -50,10 +57,7 @@ def _round12(value: Any) -> Any:
     if isinstance(value, (int, str)):
         return value
     if isinstance(value, (float, np.floating)):
-        value = float(value)
-        if not math.isfinite(value) or value == 0.0:
-            return value
-        return float(f"{value:.12g}")
+        return float(f"{float(value):.12g}")
     if isinstance(value, dict):
         return {k: _round12(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

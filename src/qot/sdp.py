@@ -17,10 +17,12 @@ space), and :func:`_slot_reads` makes the one size decision: multi-slot
 plans of at least ``STRUCTURED_MIN_DIM`` read everything through the slots
 (rank test on slot coordinates, constraints and adjoint through slot
 marginals and embeddings, and a Schur matrix formed from partial-trace
-contractions of the scaling matrix, Cholesky-factored, shifted if the
-factorization breaks down, and refined against the formed matrix); other
-problems read the dense stack, built from the slots on first read, and
-QR-factor the scaled constraints.  A run that stops short with a large
+contractions of the scaling matrix over groups of adjacent slots of
+dimension at most ``SCHUR_GROUP_DIM``, Cholesky-factored, shifted if the
+factorization breaks down, and refined against the formed matrix; an
+iteration takes 14 products of n x n matrices); other problems read the
+dense stack, built from the slots on first read, and QR-factor the scaled
+constraints.  A run that stops short with a large
 primal residual is labelled infeasible when its multipliers point along a
 Farkas ray (:func:`_farkas_ray`).  The iteration starts at ``y = 0``, ``S = tau I`` and
 ``X`` at the declared ``SdpProblem.interior``, else at ``tau I``.  The dual
@@ -102,6 +104,15 @@ DIVERGENCE_LIMIT = math.sqrt(np.finfo(float).max)
 # fell to 0.909 (21 of 231 solves uncertified, against 3).  The dense maps
 # save call overhead; the QR is the accurate route on small plans.
 STRUCTURED_MIN_DIM = 25
+# _slot_schur contracts W over groups of adjacent slots of at most this
+# dimension (SlotStructure.merged): each pair of groups copies W into a new
+# layout once and then takes D_g D_h n^2, so merging trades copies for flops.
+# Forming the Schur matrix with one BLAS thread on a 2-core x86_64 host, with
+# the cap at 1 (no groups) / 4 / 8 / 16: K=4 qubit plan (n=256) 15.7 / 5.1 /
+# 4.8 / 13.6 ms, K=3 (n=64) 1.32 / 0.42 / 0.38 / 1.78 ms; the K=2 d=4 plan
+# (n=256) takes 6.4 ms unmerged and 14.4 ms at 16.  A cap of 9 would save 0.2
+# of 0.9 ms on the K=2 qutrit plan (n=81), which no bench case runs.
+SCHUR_GROUP_DIM = 4
 # Refinement steps of a Schur solve; fixed, so solves stay deterministic.  The
 # Cholesky factor of a formed Schur matrix takes two, which also remove a
 # breakdown shift's bias; the QR factor of the scaled constraints takes one
@@ -109,6 +120,13 @@ STRUCTURED_MIN_DIM = 25
 # 6 times without refinement, 2 with one step, 3 with two).
 SCHUR_REFINEMENT_STEPS = 2
 QR_REFINEMENT_STEPS = 1
+# Triangular factors up to this order are inverted by np.linalg.inv, larger
+# ones by blocks (_triangular_inverse), to the same residual.  One BLAS thread
+# on a 2-core x86_64 host, np.linalg.inv against leaves of 32 / 64 / 128:
+# m=127 0.91 against 0.32 / 0.45 / 0.88 ms, m=287 7.8 against 1.3 / 1.4 /
+# 1.7 ms, m=511 26.9 against 4.2 / 4.6 / 6.7 ms.  At 64, the factor of every
+# problem with at most 64 constraints is inverted as before.
+TRIANGULAR_LEAF = 64
 # preprocess: relative rank threshold of a constraint row, and the relative
 # residue of a dependent row's value that marks the system inconsistent.
 PREPROCESS_RANK_TOL = 1e-10
@@ -166,6 +184,31 @@ class SlotStructure:
             ops = np.stack([self.local_ops[i].reshape(-1) for i in rows])
             out.append((int(slot), rows, ops, self.shape.frame(int(slot))))
         return tuple(out)
+
+    @functools.cached_property
+    def merged(self) -> "SlotStructure":
+        """The same constraints on groups of adjacent slots, each group one
+        slot of dimension at most ``SCHUR_GROUP_DIM`` (a slot above it stays
+        alone): an operator ``B`` at slot ``s`` becomes ``I (x) B (x) I`` on
+        its group.  Without a group of two slots it is this structure."""
+        dims = self.shape.dims
+        members = [[0]]
+        for slot in range(1, len(dims)):
+            if math.prod(dims[s] for s in members[-1]) * dims[slot] <= SCHUR_GROUP_DIM:
+                members[-1].append(slot)
+            else:
+                members.append([slot])
+        if len(members) == len(dims):
+            return self
+        group_of = {s: g for g, group in enumerate(members) for s in group}
+        lifted = []
+        for slot, op in zip(self.slots, self.local_ops):
+            group = members[group_of[slot]]
+            before = math.prod(dims[group[0]:slot])
+            after = math.prod(dims[slot + 1:group[-1] + 1])
+            lifted.append(np.kron(np.kron(np.eye(before), op), np.eye(after)))
+        shape = linalg.FactorShape(tuple(math.prod(dims[s] for s in g) for g in members))
+        return SlotStructure(shape, tuple(group_of[s] for s in self.slots), tuple(lifted))
 
     def coordinates(self) -> np.ndarray:
         """Rows ``(m, 1 + sum d_s^2)`` with the Gram matrix of the constraints.
@@ -475,7 +518,11 @@ def _slot_schur(w: np.ndarray, structure: SlotStructure) -> np.ndarray:
     row index at ``s`` and the column index at ``t``, which costs
     ``d_s d_t n^2``.  The block of the constraints at ``s`` against those at
     ``t`` is ``Re(B_s T_st B_t^T)`` with the flattened operators as rows.
+    The slots are those of :attr:`SlotStructure.merged`: each pair of them
+    copies ``W`` into a new layout once, so fewer, larger slots take fewer
+    copies.
     """
+    structure = structure.merged
     dims = structure.shape.dims
     k = len(dims)
     tensor = w.reshape(dims + dims)
@@ -568,6 +615,23 @@ def _farkas_ray(y: np.ndarray, b: np.ndarray, adjoint: Callable) -> bool:
     return float(b @ ray) > TOL and linalg.min_eigenvalue(-adjoint(ray)) >= -TOL
 
 
+def _triangular_inverse(upper: np.ndarray) -> np.ndarray:
+    """Inverse of an upper triangular matrix: ``np.linalg.inv`` up to
+    ``TRIANGULAR_LEAF`` rows (upper triangular, so the LU inside it meets no
+    pivot: back substitution), else by blocks, ``[[A, B], [0, D]]^-1 =
+    [[A^-1, -A^-1 B D^-1], [0, D^-1]]``, which spends its work in products."""
+    m = len(upper)
+    if m <= TRIANGULAR_LEAF:
+        return np.linalg.inv(upper)
+    h = m // 2
+    head, tail = _triangular_inverse(upper[:h, :h]), _triangular_inverse(upper[h:, h:])
+    out = np.zeros_like(upper)
+    out[:h, :h] = head
+    out[h:, h:] = tail
+    out[:h, h:] = -(head @ upper[:h, h:]) @ tail
+    return out
+
+
 def _refined_solver(
     upper: np.ndarray, product: Callable[[np.ndarray], np.ndarray], steps: int
 ) -> tuple[Callable[[np.ndarray], np.ndarray], float]:
@@ -580,8 +644,7 @@ def _refined_solver(
     remove the rounding of the factor and of its inverse.
     """
     diag = np.abs(upper.diagonal())
-    # upper triangular, so the LU inside inv meets no pivot: back substitution
-    inv = np.linalg.inv(upper)
+    inv = _triangular_inverse(upper)
 
     def solve(rhs: np.ndarray) -> np.ndarray:
         v = inv @ (inv.T @ rhs)
@@ -702,19 +765,31 @@ def solve(problem: SdpProblem, *, tol: float = TOL) -> SdpSolution:
 
         # The Schur complement is the Gram matrix M = F F* of the scaled
         # constraints F_i = R* A_i R.  With slot structure, M is formed from
-        # slot contractions of W = R R* (d_s d_t n^2 per slot pair, no F_i)
-        # and Cholesky-factored, with a diagonal shift if that breaks down
-        # (_schur_solver).  Problems read through the dense stack QR-factor
-        # the scaled constraint matrix instead, M = R_f^T R_f, and never form
-        # M.  Either triangular factor is inverted once and every solve is
-        # refined against M (_refined_solver); its diagonal ratio estimates
-        # sqrt(cond(M)).
+        # contractions of W = R R* over groups of slots (D_g D_h n^2 per pair
+        # of groups, no F_i; _slot_schur) and Cholesky-factored, with a
+        # diagonal shift if that breaks down (_schur_solver).  Problems read
+        # through the dense stack QR-factor the scaled constraint matrix
+        # instead, M = R_f^T R_f, and never form M.  Either triangular factor
+        # is inverted once and every solve is refined against M
+        # (_refined_solver); its diagonal ratio estimates sqrt(cond(M)).
+        #
+        # The right-hand side of the direction with scaled target chat is
+        # rp + A(R (R* rd R - chat) R*).  With slot structure it is read as
+        # rp + A(W rd W) - A(R chat R*): A(W rd W) serves both directions, and
+        # the predictor's A(R diag(sig) R*) is A(X) = b - rp, so only the
+        # corrector's target takes products.  An iteration then takes 14 n x n
+        # products: 2 for the scaling, W, 2 for W rd W, 2 for R chat R*, 2 for
+        # each scaled dual step, 2 for dX and the Mehrotra product.
+        chat_aff = -np.diag(sig)
         try:
             if structure is not None:
-                schur_solve, ratio = _schur_solver(_slot_schur(r @ rh, structure))
+                w = r @ rh
+                schur_solve, ratio = _schur_solver(_slot_schur(w, structure))
+                shared = apply(w @ rd @ w)
+                rhs_aff = b + shared
 
-                def applied_scaled(mat: np.ndarray) -> np.ndarray:
-                    return apply(r @ mat @ rh)
+                def schur_rhs(chat: np.ndarray) -> np.ndarray:
+                    return rp + shared - apply(r @ chat @ rh)
             else:
                 scaled_ops = np.matmul(np.matmul(rh[None, :, :], reduced.constraint_ops), r)
                 f = scaled_ops.reshape(m, -1)
@@ -723,28 +798,27 @@ def solve(problem: SdpProblem, *, tol: float = TOL) -> SdpSolution:
                     np.linalg.qr(rows.T, mode="r"), lambda v: rows @ (rows.T @ v),
                     QR_REFINEMENT_STEPS,
                 )
+                rd_scaled = rh @ rd @ r
 
-                def applied_scaled(mat: np.ndarray) -> np.ndarray:
-                    return (f @ np.conj(mat.reshape(-1))).real
+                def schur_rhs(chat: np.ndarray) -> np.ndarray:
+                    return rp + (f @ np.conj((rd_scaled - chat).reshape(-1))).real
+                rhs_aff = schur_rhs(chat_aff)
         except np.linalg.LinAlgError:  # a singular factor, even shifted
             ratio = np.inf
         if ratio > SCHUR_COND_LIMIT:
             reason = "schur_conditioning"
             break
 
-        rd_scaled = rh @ rd @ r
-
-        def direction(chat: np.ndarray) -> tuple[np.ndarray, ...]:
+        def direction(chat: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, ...]:
             """Newton direction ``(dy, dS, dS~, dX~)`` whose scaled steps
-            meet the target: ``dX~ + dS~ = chat``."""
-            dy = schur_solve(rp + applied_scaled(rd_scaled - chat))
+            meet the target: ``dX~ + dS~ = chat``; ``rhs`` is ``schur_rhs(chat)``."""
+            dy = schur_solve(rhs)
             ds = rd - adjoint(dy)
             ds_scaled = rh @ ds @ r
             return dy, ds, ds_scaled, chat - ds_scaled
 
         # Predictor (affine direction, sigma = 0): scaled target -diag(sig).
-        chat_aff = -np.diag(sig)
-        _, _, ds_aff_scaled, dx_aff_scaled = direction(chat_aff)
+        _, _, ds_aff_scaled, dx_aff_scaled = direction(chat_aff, rhs_aff)
         # diag(sig)^-1/2 chat_aff diag(sig)^-1/2 = -I, so the X-side
         # eigenvalues are -1 minus the S-side ones; the probes stay in the
         # scaled frame, where tr(X S) is the same
@@ -767,7 +841,7 @@ def solve(problem: SdpProblem, *, tol: float = TOL) -> SdpSolution:
         correction = 0.5 * (product + product.conj().T)
         rhs_scaled = sigma * mu * eye - np.diag(sig**2) - correction
         chat = 2.0 * rhs_scaled / (sig[:, None] + sig[None, :])
-        dy, ds, ds_scaled, dx_scaled = direction(chat)
+        dy, ds, ds_scaled, dx_scaled = direction(chat, schur_rhs(chat))
         dx = r @ dx_scaled @ rh
         # the step (dX, dS) as one stacked pair; dropping the per-side copies
         # keeps the peak memory of large plans where it was

@@ -36,6 +36,8 @@ class TestSummary:
         s = bench.summary(runs)
         assert s["e2e_ms_p50"] == 3.5  # median of the per-solve medians 2 and 5
         assert s["e2e_ms_mean_runs"] == [3.0, 3.0, 7.5]
+        # each run's total over its solves, and their median
+        assert s["e2e_ms_total_runs"] == [6.0, 6.0, 15.0] and s["e2e_ms_total"] == 6.0
         assert s["peak_rss_mb"] == 50.0
         assert s["solves"] == 2 and s["stable"]
         assert s["statuses"] == {"optimal": 2} and s["certified"] == 2
@@ -96,6 +98,10 @@ class TestMergeAndCompare:
         assert bench.compare([path], "parent", "change") == 0
         printed = capsys.readouterr().out
         assert "qubit: 5 -> 3 solves, 2 duplicate solves fewer, every digest matches" in printed
+        # every solve takes 2 ms: the per-solve median hides the dropped
+        # solves, the run's total shows them
+        assert "e2e_ms_p50 2.000 -> 2.000 (+0.0%, within spread" in printed
+        assert "e2e_ms_total 10.000 -> 6.000 (-40.0%; runs 10.000-10.000 | 6.000-6.000)" in printed
         assert "every (status, iterations, dp.hex()) matches" in printed
 
     @pytest.mark.parametrize("change", [

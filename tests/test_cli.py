@@ -101,6 +101,26 @@ class TestInstanceParsing:
         assert inst.pairs == 3 and len(inst.factor_costs) == 3
 
 
+def reference_round12(value):
+    """``cli._round12`` before its fast path for plain floats and lists."""
+    if isinstance(value, bool) or value is None:
+        return value
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, (int, str)):
+        return value
+    if isinstance(value, (float, np.floating)):
+        value = float(value)
+        if not math.isfinite(value) or value == 0.0:
+            return value
+        return float(f"{value:.12g}")
+    if isinstance(value, dict):
+        return {k: reference_round12(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [reference_round12(v) for v in value]
+    raise TypeError(f"cannot serialize value of type {type(value)!r}")
+
+
 class TestReportRecord:
     def test_roundtrip_identity(self):
         record = ReportRecord(
@@ -133,6 +153,25 @@ class TestReportRecord:
             primal=math.pi,
         )
         assert record.primal == float(f"{math.pi:.12g}")
+
+    def test_rounding_matches_the_reference_byte_for_byte(self):
+        rng = np.random.default_rng(9)
+
+        def cmatrix(d):
+            return [[[float(v), float(w)] for v, w in row]
+                    for row in rng.standard_normal((d, d, 2)) * 10.0 ** rng.integers(-12, 12)]
+        edge = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e-320, 1.7976931348623157e308,
+                np.float64(math.pi), np.float32(0.1), np.int64(3), True, None, "x", 7]
+        document = {
+            "rho": {"matrix": cmatrix(4)},
+            "omega": {"bloch": (0.1, -1 / 3, 2.0 / 3.0)},
+            "observables": {"matrices": [cmatrix(3), cmatrix(2)]},
+            "edge": edge,
+            "nested": [[edge, {"deep": [[[-1e-300, 1e300]]]}], ()],
+            "p": 2.0,
+        }
+        for value in (document, *edge, [], [1.0, [2.0, (3.0,)]]):
+            assert json.dumps(cli._round12(value)) == json.dumps(reference_round12(value))
 
     def test_unknown_fields_rejected(self):
         with pytest.raises(cli.InstanceError, match="unknown report fields"):

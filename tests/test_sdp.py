@@ -255,6 +255,33 @@ class TestStructuredSchur:
             rtol=0, atol=1e-12 * np.abs(applied).max(),
         )
 
+    @pytest.mark.parametrize(
+        "dim,pairs,groups",
+        [(2, 2, (4, 4)), (2, 3, (4, 4, 4)), (2, 4, (4, 4, 4, 4)), (3, 2, (3, 3, 3, 3))],
+        ids=["qubit-K2", "qubit-K3", "qubit-K4", "qutrit-K2"],
+    )
+    def test_grouped_schur_matches_the_dense_form(self, dim, pairs, groups):
+        rng = np.random.default_rng(dim * 10 + pairs)
+        problem = random_marginal_problem(rng, dim, pairs)
+        assert problem.structure.merged.shape.dims == groups
+        n = problem.dim
+        r = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        w = r @ r.conj().T
+        schur = sdp._slot_schur(w, problem.structure)
+        # Re tr(A_i W A_j W) from the dense stack
+        aw = problem.constraint_ops @ w
+        dense = np.einsum("iab,jba->ij", aw, aw).real
+        np.testing.assert_allclose(schur, dense, rtol=0, atol=1e-13 * np.abs(dense).max())
+
+    def test_merged_slots_stay_below_the_group_dimension(self):
+        # a slot above the group dimension stays alone, so no one-pair plan
+        # read through the slots (d >= 5) becomes one slot spanning the space
+        for dims, merged in [((6, 6), (6, 6)), ((2, 2, 3, 3), (4, 3, 3)), ((1, 2, 1, 2), (4,))]:
+            shape = linalg.FactorShape(dims)
+            structure = random_slot_problem(np.random.default_rng(1), shape).structure
+            assert structure.merged.shape.dims == merged
+            assert (structure.merged is structure) == (merged == dims)
+
     @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 3), (2, 3, 2)], ids=str)
     def test_slot_coordinates_have_the_dense_gram(self, dims):
         problem = random_slot_problem(np.random.default_rng(len(dims)), linalg.FactorShape(dims))
@@ -350,6 +377,22 @@ class TestSchurSolver:
         before = relative_residual(mat, rhs, sdp._schur_solver(mat)[0](rhs))
         after = relative_residual(mat, rhs, refined)
         assert after <= 1e-14 and after <= before
+
+
+class TestTriangularInverse:
+    @pytest.mark.parametrize("m", [25, 64, 65, 127, 287])
+    def test_residual_is_at_rounding(self, m):
+        rng = np.random.default_rng(m)
+        upper = np.linalg.qr(rng.standard_normal((m + 5, m)), mode="r")
+        inv = sdp._triangular_inverse(upper)
+        assert np.array_equal(inv, np.triu(inv))
+        residual = np.linalg.norm(upper @ inv - np.eye(m), 2)
+        assert residual <= 4 * np.finfo(float).eps * np.linalg.norm(upper, 2) * np.linalg.norm(inv, 2)
+
+    @pytest.mark.parametrize("m", [1, 7, 25, sdp.TRIANGULAR_LEAF])
+    def test_leaf_is_the_library_inverse(self, m):
+        upper = np.linalg.cholesky(random_pd(np.random.default_rng(m), m).real).T
+        np.testing.assert_array_equal(sdp._triangular_inverse(upper), np.linalg.inv(upper))
 
 
 def infeasible_diagonal():
@@ -788,6 +831,57 @@ class TestSlotReads:
         for op, slot, local in zip(problem.constraint_ops, structure.slots, structure.local_ops):
             np.testing.assert_array_equal(op, linalg.embed_at_slot(local, slot, structure.shape))
         assert not problem.constraint_ops.flags.writeable
+
+
+class TestSchurRightHandSide:
+    """Through the slots, the right-hand side ``rp + A(R (R* rd R - chat) R*)``
+    of a direction is formed as ``rp + A(W rd W) - A(R chat R*)``, and the
+    predictor's ``-A(R (-diag(sig)) R*) = A(X)`` is read as ``b - rp``."""
+
+    STOP = 5
+
+    def test_shared_rhs_matches_the_per_direction_form(self, monkeypatch):
+        problem = transport.build_primal(pauli_triple_k3())
+        assert sdp._slot_reads(problem) is not None
+        monkeypatch.setattr(sdp, "MAX_ITER", self.STOP)
+        at = sdp.solve(problem)  # the iterate of iteration STOP
+        seen = []
+        schur_solver = sdp._schur_solver
+
+        def recording_solver(mat):
+            solve, ratio = schur_solver(mat)
+
+            def recorded(rhs):
+                seen.append(rhs)
+                return solve(rhs)
+            return recorded, ratio
+        monkeypatch.setattr(sdp, "_schur_solver", recording_solver)
+        monkeypatch.setattr(sdp, "MAX_ITER", self.STOP + 1)
+        sdp.solve(problem)
+        assert "constraint_ops" not in vars(problem)  # a slot-route solve
+        predictor = seen[2 * self.STOP]
+
+        reduced, report = sdp.preprocess(problem)
+        apply, adjoint = sdp._constraint_maps(reduced)
+        b = reduced.constraint_vals
+        rd = reduced.objective - at.s - adjoint(at.y[list(report.kept)])
+        rp = b - apply(at.x)
+        r, sig = sdp._nt_scaling(*sdp._cholesky_pair(np.stack([at.x, at.s])))
+        rh = r.conj().T
+
+        def per_direction(chat):
+            return rp + apply(r @ (rh @ rd @ r - chat) @ rh)
+
+        expected = per_direction(-np.diag(sig))
+        atol = 1e-13 * np.abs(expected).max()
+        np.testing.assert_allclose(predictor, expected, rtol=0, atol=atol)
+        chat = linalg.random_hermitian(np.random.default_rng(3), problem.dim)
+        shared = rp + apply(r @ rh @ rd @ r @ rh)
+        expected = per_direction(chat)
+        np.testing.assert_allclose(
+            shared - apply(r @ chat @ rh), expected,
+            rtol=0, atol=1e-13 * np.abs(expected).max(),
+        )
 
 
 def assert_exactly_hermitian(a):

@@ -30,9 +30,10 @@ times it.  Per transport solve a run records n, m, from the result's
 ``timings`` the end-to-end time (their sum) and the interior-point loop time
 (``iterate``), iterations, status, stop reason, whether the certificate
 passed, and the digest ``(status, iterations, dp.hex())``.  A case reports
-the median over solves of each solve's median over repeats, and the median
-peak RSS.  The command exits 1 when the repeats of a case disagree on any
-digest: solves are bitwise deterministic.
+the median over solves of each solve's median over repeats, the median over
+repeats of the run's total end-to-end time (so that a change which drops
+solves shows), and the median peak RSS.  The command exits 1 when the
+repeats of a case disagree on any digest: solves are bitwise deterministic.
 
 Usage::
 
@@ -204,6 +205,9 @@ def summary(runs: list[dict]) -> dict:
         out[f"{key}_p50"] = round(statistics.median(per_solve), 4)
         out[f"{key}_mean_runs"] = [round(statistics.fmean(r[key] for r in run["records"]), 4)
                                    for run in runs]
+    totals = [sum(r["e2e_ms"] for r in run["records"]) for run in runs]
+    out["e2e_ms_total"] = round(statistics.median(totals), 4)
+    out["e2e_ms_total_runs"] = [round(total, 4) for total in totals]
     out["digests"] = digests
     return out
 
@@ -246,11 +250,12 @@ def digest_verdict(a: list[str], b: list[str]) -> tuple[str, bool]:
 
 def ratio(ra: dict, rb: dict, key: str) -> str:
     """``key`` of ``ra`` and ``rb`` with their ratio; for a timing also each
-    side's min-max over the repeats of the per-run mean, and "within spread"
-    when those ranges overlap, so that the ratio does not resolve a change."""
+    side's min-max over the repeats of the per-run mean (of the per-run total
+    for ``e2e_ms_total``), and "within spread" when those ranges overlap, so
+    that the ratio does not resolve a change."""
     text = f"{key} {ra[key]:.3f} -> {rb[key]:.3f} ({rb[key] / ra[key] - 1:+.1%}"
-    runs = key.replace("_p50", "_mean_runs")
-    if runs == key:
+    runs = key.replace("_p50", "_mean_runs") if key.endswith("_p50") else f"{key}_runs"
+    if runs not in ra:
         return text + ")"
     (lo_a, hi_a), (lo_b, hi_b) = ((min(r[runs]), max(r[runs])) for r in (ra, rb))
     inside = ", within spread" if lo_a <= hi_b and lo_b <= hi_a else ""
@@ -271,7 +276,8 @@ def compare(paths: list[str], a: str, b: str) -> int:
             solves = str(ra["solves"])
             if rb["solves"] != ra["solves"]:
                 solves += f" -> {rb['solves']}"
-            ratios = (ratio(ra, rb, key) for key in ("e2e_ms_p50", "loop_ms_p50", "peak_rss_mb"))
+            ratios = (ratio(ra, rb, key)
+                      for key in ("e2e_ms_p50", "loop_ms_p50", "e2e_ms_total", "peak_rss_mb"))
             print(f"{name}: {solves} solves, {verdict}; " + "; ".join(ratios))
     print(f"every (status, iterations, dp.hex()) {'matches' if same_everywhere else 'DIFFERS'}")
     return 0 if same_everywhere else 1
