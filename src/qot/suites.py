@@ -2,14 +2,17 @@
 
 Each suite runs a deterministic sweep (grids or seeded random samples),
 returns one row per case plus an aggregate verdict, and pins the tolerance
-it enforces.  The CLI ``verify`` command and the acceptance tests both run
-these drivers, so the checked numbers are identical in both places.
+it enforces.  :func:`run_suite` also keeps how each transport solve of the
+suite stopped, and the summary counts their statuses and stop reasons.  The
+CLI ``verify`` command and the acceptance tests both run these drivers, so
+the checked numbers are identical in both places.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -46,6 +49,8 @@ class SuiteOutcome:
     cases: list[dict] = field(default_factory=list)
     worst: dict = field(default_factory=dict)
     seconds: float = 0.0
+    # (status, reason) of each transport solve, in order (run_suite)
+    solves: list[tuple[str, str]] = field(default_factory=list)
 
     @property
     def n_failed(self) -> int:
@@ -59,6 +64,8 @@ class SuiteOutcome:
             "failed": self.n_failed,
             "seconds": round(self.seconds, 3),
             **{f"worst_{k}": v for k, v in self.worst.items()},
+            "statuses": dict(sorted(Counter(status for status, _ in self.solves).items())),
+            "reasons": dict(sorted(Counter(reason for _, reason in self.solves).items())),
         }
 
 
@@ -577,10 +584,14 @@ def suite_names() -> list[str]:
 def run_suite(
     name: str, *, density: int | None = None, samples: int | None = None, seed: int = 0
 ) -> SuiteOutcome:
-    """Run one named suite; unknown names raise ``KeyError``."""
+    """Run one named suite, recording how each of its transport solves
+    stopped (``SuiteOutcome.solves``); unknown names raise ``KeyError``."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; known: {', '.join(suite_names())}")
     defaults = DEFAULTS[name]
     density = defaults["density"] if density is None else density
     samples = defaults["samples"] if samples is None else samples
-    return SUITES[name](density, samples, seed)
+    with transport.solve_log() as solves:
+        outcome = SUITES[name](density, samples, seed)
+    outcome.solves = solves
+    return outcome

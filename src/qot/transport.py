@@ -19,11 +19,14 @@ potentials, and a duality-gap certificate in a single run, with its trace
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
 import itertools
 import math
 import time
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -57,6 +60,7 @@ __all__ = [
     "potential_objective",
     "potential_slack",
     "wasserstein_distance",
+    "solve_log",
     "solve_linearized_decomposed",
     "divergence_parts",
     "gap_demo",
@@ -479,12 +483,31 @@ class TransportResult:
     timings: dict  # seconds per phase; their sum is the whole solve
 
 
+_SOLVE_LOG: contextvars.ContextVar[list | None] = contextvars.ContextVar("solve_log", default=None)
+
+
+@contextlib.contextmanager
+def solve_log() -> Iterator[list[tuple[str, str]]]:
+    """A list that receives ``(status, reason)`` of every
+    :func:`wasserstein_distance` solve made inside the block, infeasible ones
+    included."""
+    log: list[tuple[str, str]] = []
+    token = _SOLVE_LOG.set(log)
+    try:
+        yield log
+    finally:
+        _SOLVE_LOG.reset(token)
+
+
 def wasserstein_distance(instance: TransportInstance, *, tol: float = sdp.TOL) -> TransportResult:
     """Solve the primal/dual pair; the distance is the optimum to the 1/p."""
     start = time.perf_counter()
     problem = build_primal(instance)
     built = time.perf_counter()
     solution = sdp.solve(problem, tol=tol)
+    log = _SOLVE_LOG.get()
+    if log is not None:
+        log.append((solution.status, solution.reason))
     if solution.status == sdp.STATUS_INFEASIBLE:
         raise SolverFailure("transport problem reported infeasible marginals")
     solved = time.perf_counter()

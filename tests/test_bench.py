@@ -104,6 +104,18 @@ class TestMergeAndCompare:
         assert "e2e_ms_total 10.000 -> 6.000 (-40.0%; runs 10.000-10.000 | 6.000-6.000)" in printed
         assert "every (status, iterations, dp.hex()) matches" in printed
 
+    def test_compare_prints_each_labels_total_iterations(self, tmp_path, capsys):
+        path = str(tmp_path / "BENCH_large.json")
+        bench.merge(path, "parent", {"d=12": summarized("optimal 18 0x1.4p+3"),
+                                     "K=4": summarized("optimal 15 0x1.8p+1")})
+        bench.merge(path, "change", {"d=12": summarized("optimal 14 0x1.4000000000001p+3"),
+                                     "K=4": summarized("optimal 15 0x1.8p+1")})
+        assert bench.compare([path], "parent", "change") == 1
+        printed = capsys.readouterr().out
+        assert "\nd=12: 1 solves, digests DIFFER (1); iterations 18 -> 14; e2e_ms_p50" in printed
+        assert "K=4: 1 solves, digests identical; iterations 15 -> 15; e2e_ms_p50" in printed
+        assert bench.total_iterations(["optimal 9 0x1.0p+2", "numerical 30 0x1.8p+1"]) == 39
+
     @pytest.mark.parametrize("change", [
         ("optimal 9 0x1.0p+2",),  # a digest missing
         ("optimal 9 0x1.0p+2", "optimal 8 0x1.8p+1", "optimal 7 0x1.8p+1"),  # a new one

@@ -365,6 +365,15 @@ class TestCommands:
     def test_verify_downscaled_grid(self):
         assert main(["verify", "symm-commuting", "--density", "3"]) == 0
 
+    def test_verify_summary_counts_statuses_and_reasons(self, tmp_path, capsys):
+        out = str(tmp_path / "verify.jsonl")
+        assert main(["verify", "symm-commuting", "--density", "3", "--out", out]) == 0
+        summary = json.loads((tmp_path / "verify.jsonl").read_text().splitlines()[-1])
+        # 2 exponents x 3 x 3 grid points, one transport solve each
+        assert summary["statuses"] == {"optimal": 18}
+        assert summary["reasons"] == {"converged": 18}
+        assert "statuses" in capsys.readouterr().out
+
     def test_verify_unknown_suite_exit_two(self, capsys):
         assert main(["verify", "does-not-exist"]) == 2
         assert "unknown suite" in capsys.readouterr().err

@@ -74,7 +74,7 @@ class TestSolveBasics:
         assert problem.interior is None
         sol = sdp.solve(problem)
         assert (sol.reason, sol.iterations, sol.primal_objective.hex()) == (
-            "converged", 7, "0x1.00000003ae6a9p+2"
+            "converged", 7, "0x1.0000000a2e1a8p+2"
         )
 
     def test_determinism(self):
@@ -446,10 +446,12 @@ STOPS = [
         "mu_floor", small_transport_problem, {"solve": functools.partial(sdp.solve, tol=1e-30)},
         id="mu_floor",
     ),
-    # X passes DIVERGENCE_LIMIT; at n=2 the step stalls first
+    # X passes DIVERGENCE_LIMIT; at n=49 the step stalls first
     pytest.param("diverged", functools.partial(unbounded_diagonal, 4), {}, id="diverged-unbounded"),
-    pytest.param("diverged", functools.partial(unbounded_diagonal, 49), {}, id="diverged"),
-    pytest.param("stalled_step", unbounded_diagonal, {}, id="stalled_step-unbounded"),
+    pytest.param("diverged", unbounded_diagonal, {}, id="diverged"),
+    pytest.param(
+        "stalled_step", functools.partial(unbounded_diagonal, 49), {}, id="stalled_step-unbounded"
+    ),
     pytest.param(
         "schur_conditioning", small_transport_problem, {"SCHUR_COND_LIMIT": 1.0},
         id="schur_conditioning-qr",
@@ -516,9 +518,10 @@ class TestStopReason:
         assert sol.status != sdp.STATUS_INFEASIBLE
         # the run is one the infeasibility rule looks at ...
         assert sol.primal_residual > 1e-4 and np.abs(sol.x).max() > 1e8
-        # ... but X/|X| is feasible for the homogeneous system and improves
-        norm = np.linalg.norm(sol.x)
-        assert abs(sol.x[1, 1].real) / norm <= sdp.TOL and sol.primal_objective < 0
+        # ... but X/|X| is feasible for the homogeneous system and improves;
+        # X is scaled by max|X| first, as its entries reach DIVERGENCE_LIMIT
+        x = sol.x / np.abs(sol.x).max()
+        assert abs(x[1, 1].real) / np.linalg.norm(x) <= sdp.TOL and sol.primal_objective < 0
 
 
 TRACE_KEYS = {"mu", "rp", "rd", "gap"}

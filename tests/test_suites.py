@@ -1,5 +1,7 @@
 """Tests for the suite drivers that are not acceptance criteria themselves."""
 
+from collections import Counter
+
 import numpy as np
 
 from qot import closedform as cf
@@ -52,3 +54,42 @@ def test_divergence_sweep_solves_each_distinct_instance_once(monkeypatch):
     )
     assert [c for c in outcome.cases if not c["case"].startswith("spot:")] == cases
     assert outcome.worst["grid_deviation"] == worst
+
+
+def test_summary_counts_how_each_transport_solve_stopped(monkeypatch):
+    stops = []
+    distance = transport.wasserstein_distance
+
+    def recorded(instance):
+        result = distance(instance)
+        stops.append((result.status, result.solution.reason))
+        return result
+
+    monkeypatch.setattr(transport, "wasserstein_distance", recorded)
+    outcome = suites.run_suite("strong-duality", samples=3, seed=5)
+    # 2 families x 2 exponents x 3 samples, each logged once, in order
+    assert len(stops) == 12 and outcome.solves == stops
+    summary = outcome.summary()
+    assert summary["statuses"] == dict(sorted(Counter(s for s, _ in stops).items()))
+    assert summary["reasons"] == dict(sorted(Counter(r for _, r in stops).items()))
+    assert sum(summary["statuses"].values()) == sum(summary["reasons"].values()) == 12
+    # the keys the summary had before the counts are unchanged
+    assert list(summary)[:5] == ["suite", "passed", "cases", "failed", "seconds"]
+    assert "worst_rel_gap" in summary
+
+
+def test_suites_without_transport_solves_count_none():
+    summary = suites.run_suite("triangle-z", samples=10).summary()
+    assert summary["statuses"] == {} and summary["reasons"] == {}
+
+
+def test_solve_log_collects_only_inside_its_block():
+    instance = transport.symm_instance(cf.state_z(0.5), cf.state_z(-0.5), 2.0)
+    with transport.solve_log() as outer:
+        transport.wasserstein_distance(instance)
+        with transport.solve_log() as inner:
+            transport.wasserstein_distance(instance)
+        transport.wasserstein_distance(instance)
+    transport.wasserstein_distance(instance)
+    assert inner == [("optimal", "converged")]
+    assert outer == [("optimal", "converged")] * 2

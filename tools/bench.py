@@ -45,9 +45,10 @@ Each ``LABEL=SRC`` names a checkout's source directory (``change=src`` when
 none is given).  The results are merged into ``BENCH_<group>.json`` under
 the labels, so checkouts measured on one host sit side by side;
 ``--compare`` prints, per case of the group given (every group without
-one), whether the digests of two labels match as multisets, and the time and
-memory ratios, each timing beside both labels' min-max over repeats and
-marked "within spread" when those ranges overlap.  It exits 0 when every case
+one), whether the digests of two labels match as multisets, each label's
+total iterations over the case's solves, and the time and memory ratios,
+each timing beside both labels' min-max over repeats and marked "within
+spread" when those ranges overlap.  It exits 0 when every case
 matches, also when one label only lacks duplicate solves (a change that
 stops solving one instance twice), else 1; a label missing from a file is a
 usage error (exit 2).
@@ -248,6 +249,11 @@ def digest_verdict(a: list[str], b: list[str]) -> tuple[str, bool]:
     return f"digests DIFFER ({max((ca - cb).total(), (cb - ca).total())})", False
 
 
+def total_iterations(digests: list[str]) -> int:
+    """The iterations of a case's solves, summed from their digests."""
+    return sum(int(digest.split()[1]) for digest in digests)
+
+
 def ratio(ra: dict, rb: dict, key: str) -> str:
     """``key`` of ``ra`` and ``rb`` with their ratio; for a timing also each
     side's min-max over the repeats of the per-run mean (of the per-run total
@@ -264,7 +270,8 @@ def ratio(ra: dict, rb: dict, key: str) -> str:
 
 def compare(paths: list[str], a: str, b: str) -> int:
     """Print, per case, whether labels ``a`` and ``b`` have the same digests
-    (:func:`digest_verdict`) and the ratios of time and memory
+    (:func:`digest_verdict`), both labels' total iterations
+    (:func:`total_iterations`) and the ratios of time and memory
     (:func:`ratio`); 0 when every digest matches, else 1."""
     same_everywhere = True
     for path in paths:
@@ -276,9 +283,11 @@ def compare(paths: list[str], a: str, b: str) -> int:
             solves = str(ra["solves"])
             if rb["solves"] != ra["solves"]:
                 solves += f" -> {rb['solves']}"
+            iterations = (f"iterations {total_iterations(ra['digests'])} -> "
+                          f"{total_iterations(rb['digests'])}")
             ratios = (ratio(ra, rb, key)
                       for key in ("e2e_ms_p50", "loop_ms_p50", "e2e_ms_total", "peak_rss_mb"))
-            print(f"{name}: {solves} solves, {verdict}; " + "; ".join(ratios))
+            print(f"{name}: {solves} solves, {verdict}; {iterations}; " + "; ".join(ratios))
     print(f"every (status, iterations, dp.hex()) {'matches' if same_everywhere else 'DIFFERS'}")
     return 0 if same_everywhere else 1
 
