@@ -315,6 +315,8 @@ def _certificate_dict(res: transport.TransportResult) -> dict:
         "min_eig_s": c.min_eig_s,
         "dual_attained": res.dual_attained,
         "degenerate_face": res.degenerate_face,
+        "cut_rho": res.cut_rho,
+        "cut_omega": res.cut_omega,
         "iterations": res.solution.iterations,
         "reason": res.solution.reason,
     }

@@ -15,17 +15,19 @@ serves every plan size: it factors the iterates by Cholesky and takes step
 lengths from eigenvalues in the scaled frame, where both iterates are
 diagonal.  Constraints are declared once, as local operators on tensor slots
 (:func:`slot_problem`; :func:`sdp_problem` declares one slot spanning the
-space), and :func:`_slot_reads` makes the one size decision: multi-slot
-plans of at least ``STRUCTURED_MIN_DIM`` read everything through the slots
-(rank test on slot coordinates, constraints and adjoint through slot
-marginals and embeddings, and a Schur matrix formed from partial-trace
-contractions of the scaling matrix over groups of adjacent slots of
-dimension at most ``SCHUR_GROUP_DIM``, Cholesky-factored, shifted if the
-factorization breaks down, and refined against the formed matrix; an
-iteration takes 14 products of n x n matrices); other problems read the
-dense stack, built from the slots on first read, and QR-factor the scaled
-constraints.  A run that stops short with a large
-primal residual is labelled infeasible when its multipliers point along a
+space).  Every problem takes its rank test on slot coordinates
+(:meth:`SlotStructure.coordinates`) and its face probe
+(:func:`compressed_constraints`) from the slots.  :func:`_slot_reads` makes
+the one size decision, for the iteration alone: multi-slot plans of at
+least ``STRUCTURED_MIN_DIM`` apply the constraints and their adjoint
+through slot marginals and embeddings and form a Schur matrix from
+partial-trace contractions of the scaling matrix over groups of adjacent
+slots of dimension at most ``SCHUR_GROUP_DIM``, Cholesky-factored, shifted
+if the factorization breaks down, and refined against the formed matrix
+(an iteration takes 14 products of n x n matrices); other problems read the
+dense stack ``SdpProblem.constraint_ops``, built from the slots on first
+read, and QR-factor the scaled constraints.  A run that stops short with a
+large primal residual is labelled infeasible when its multipliers point along a
 Farkas ray (:func:`_farkas_ray`).  The iteration starts at ``y = 0``, ``S = tau I`` and
 ``X`` at the declared ``SdpProblem.interior``, else at ``tau I``.  The dual
 
@@ -106,10 +108,10 @@ CENTERING_EXPONENT = 2
 # An entry of X, S or y above this stops the run before a product of two
 # entries can overflow.
 DIVERGENCE_LIMIT = math.sqrt(np.finfo(float).max)
-# Multi-slot plans of at least this dimension are read slot by slot
-# (_slot_reads); smaller ones read the dense stack and QR-factor the scaled
-# constraints.  Measured with perfbench seed 3, two runs per side, one BLAS
-# thread on a 2-core x86_64 host: with slot reads on every plan, qubit-sweep
+# The iteration reads multi-slot plans of at least this dimension slot by
+# slot (_slot_reads); smaller ones read the dense stack and QR-factor the
+# scaled constraints.  Measured with perfbench seed 3, two runs per side, one
+# BLAS thread on a 2-core x86_64 host: with slot reads on every plan, qubit-sweep
 # instances_per_s fell from 245 to 161 and rank-deficient from 172 to 130, its
 # certified_frac from 0.987 to 0.909; with slot constraint maps but the QR
 # kept, qubit-sweep fell from 241 to 194; with a Cholesky-formed Schur matrix
@@ -230,8 +232,10 @@ class SlotStructure:
         embedded traceless part ``B0``; the embedded traceless parts of
         different slots are orthogonal to each other and to the identity, and
         their norms scale by ``sqrt(n/d_s)``.  The coordinates are therefore
-        ``sqrt(n) tr(B)/d_s`` on one identity axis and ``sqrt(n/d_s)`` times
-        the Hermitian coordinates of ``B0`` in slot ``s``'s block.
+        ``sqrt(n) tr(B)/d_s`` on one identity axis and ``sqrt(n/d_s) (Re B0 +
+        Im B0)`` in slot ``s``'s block: of a Hermitian matrix the real part is
+        symmetric and the imaginary part antisymmetric, so the cross terms of
+        the dot product cancel and it is ``Re tr(A0* B0)``.
         """
         dims = self.shape.dims
         n = self.shape.total_dim
@@ -239,13 +243,11 @@ class SlotStructure:
         out = np.zeros((len(self.slots), offsets[-1]))
         for slot, rows, ops, (_, d, _) in self.groups:
             mean = ops[:, :: d + 1].sum(axis=1).real / d
-            traceless = ops.copy()
+            # Re B0 + Im B0: the diagonal of a symmetrized operator is real
+            traceless = ops.real + ops.imag
             traceless[:, :: d + 1] -= mean[:, None]
-            traceless = traceless.reshape(-1, d, d)
             out[rows, 0] = math.sqrt(n) * mean
-            out[rows, offsets[slot]:offsets[slot + 1]] = (
-                math.sqrt(n / d) * _hermitian_coords(traceless)
-            )
+            out[rows, offsets[slot]:offsets[slot + 1]] = math.sqrt(n / d) * traceless
         return out
 
 
@@ -330,20 +332,7 @@ def slot_problem(
             raise ValueError(f"interior point misses the constraints by {miss:.3e}")
     for arr in (c, vals, *local_ops, *([] if interior is None else [interior])):
         arr.setflags(write=False)
-    if shape.n_factors > 1:
-        return SdpProblem(c, vals, structure, interior)
-    # one slot: the local operators are the dense ones, kept once as a stack
-    stack = np.stack(local_ops)
-    stack.setflags(write=False)
-    problem = SdpProblem(c, vals, SlotStructure(shape, slots, tuple(stack)), interior)
-    return _with_stack(problem, stack)
-
-
-def _with_stack(problem: SdpProblem, ops: np.ndarray) -> SdpProblem:
-    """``problem`` with ``ops``, a dense stack already built, as its cached
-    ``constraint_ops``."""
-    vars(problem)["constraint_ops"] = ops
-    return problem
+    return SdpProblem(c, vals, structure, interior)
 
 
 @dataclass(frozen=True)
@@ -362,21 +351,15 @@ def preprocess(problem: SdpProblem) -> tuple[SdpProblem, PreprocessReport]:
     every row before ``k`` kept, that norm is ``|R_kk|`` of an unpivoted QR of
     the rows, so a system without dependent rows takes one QR.  The QR would count a
     dependent row's rounding residue as a direction, so each dependent row
-    found is dropped and the remaining rows are factorized again.  Slot reads
-    (:func:`_slot_reads`) use the short coordinates of
-    :meth:`SlotStructure.coordinates`, with the Gram matrix of the
-    real-vectorized dense rows; other problems use those rows.  A
+    found is dropped and the remaining rows are factorized again.  The rows
+    are the short coordinates of :meth:`SlotStructure.coordinates`, whose
+    Gram matrix is that of the real-vectorized dense constraints.  A
     dependent row whose target value disagrees with the induced combination
     of the kept rows signals an infeasible system.
     """
     vals = problem.constraint_vals
     m = len(vals)
-    structure = _slot_reads(problem)
-    if structure is not None:
-        rows = structure.coordinates()
-    else:
-        flat = problem.constraint_ops.reshape(m, -1)
-        rows = np.hstack([flat.real, flat.imag])
+    rows = problem.structure.coordinates()
     thresholds = PREPROCESS_RANK_TOL * np.maximum(np.linalg.norm(rows, axis=1), 1.0)
 
     kept = np.ones(m, dtype=bool)
@@ -408,8 +391,6 @@ def preprocess(problem: SdpProblem) -> tuple[SdpProblem, PreprocessReport]:
         reduced = SdpProblem(
             problem.objective, vals[kept], problem.structure.rows(kept), problem.interior
         )
-        if structure is None:
-            reduced = _with_stack(reduced, problem.constraint_ops[kept])
     report = PreprocessReport(
         tuple(int(i) for i in kept), tuple(int(i) for i in removed), infeasible, max_inconsistency
     )
@@ -511,17 +492,6 @@ def _max_steps(deltas: np.ndarray, scale: np.ndarray) -> list[float]:
     return [_boundary_step(float(lam)) for lam in _frame_eigvals(deltas, scale)[:, 0]]
 
 
-def _hermitian_coords(mat: np.ndarray) -> np.ndarray:
-    """Real coordinates of the Hermitian part of ``mat`` (or of a stack of
-    them): the diagonal, then sqrt(2) Re and sqrt(2) Im of the strict upper
-    triangle.  For Hermitian ``A`` and ``B`` the dot product of the coordinate
-    vectors is ``Re tr(A* B)``."""
-    rows, cols = np.triu_indices(mat.shape[-1], 1)
-    diag = np.diagonal(mat, axis1=-2, axis2=-1).real
-    upper = math.sqrt(2.0) * (0.5 * (mat[..., rows, cols] + mat[..., cols, rows].conj()))
-    return np.concatenate([diag, upper.real, upper.imag], axis=-1)
-
-
 def _slot_schur(w: np.ndarray, structure: SlotStructure) -> np.ndarray:
     """Schur matrix ``M_ij = Re tr(A_i W A_j W)`` of slot-structured constraints.
 
@@ -577,9 +547,9 @@ def _slot_adjoint(y: np.ndarray, structure: SlotStructure) -> np.ndarray:
 
 
 def _slot_reads(problem: SdpProblem) -> SlotStructure | None:
-    """The structure to read ``problem`` through, or None for the dense stack
-    (one slot, or a plan below ``STRUCTURED_MIN_DIM``); the solver's only
-    size test."""
+    """The structure the iteration reads ``problem`` through, or None for the
+    dense stack (one slot, or a plan below ``STRUCTURED_MIN_DIM``); the
+    solver's only size test."""
     large = problem.dim >= STRUCTURED_MIN_DIM
     return problem.structure if large and problem.structure.shape.n_factors > 1 else None
 
@@ -601,12 +571,9 @@ def compressed_constraints(problem: SdpProblem, v: np.ndarray) -> np.ndarray:
     """``V* A_i V`` for every constraint, for ``V`` of shape ``(n, k)``.  Per
     slot, ``V* A_i V = sum_ab B_i[a,b] G[a,:,b,:]`` with the Gram product
     ``G[a,c,b,e] = sum_{o,i} conj(V[o,a,i,c]) V[o,b,i,e]``, at ``d k^2 n``."""
-    structure = _slot_reads(problem)
-    if structure is None:
-        return np.matmul(np.matmul(v.conj().T[None], problem.constraint_ops), v)
     k = v.shape[1]
-    out = np.empty((len(structure.slots), k, k), dtype=complex)
-    for _, rows, ops, (outer, d, inner) in structure.groups:
+    out = np.empty((problem.n_constraints, k, k), dtype=complex)
+    for _, rows, ops, (outer, d, inner) in problem.structure.groups:
         y = v.reshape(outer, d, inner, k).transpose(1, 3, 0, 2).reshape(d * k, -1)
         gram = (y.conj() @ y.T).reshape(d, k, d, k).transpose(0, 2, 1, 3)
         out[rows] = (ops @ gram.reshape(d * d, k * k)).reshape(-1, k, k)

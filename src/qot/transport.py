@@ -148,11 +148,12 @@ class TransportInstance:
         restricted = []
         for s in states:
             vals, vecs = np.linalg.eigh(s)
-            v = vecs[:, vals > linalg.DENSITY_ATOL]
+            kept = vals > linalg.DENSITY_ATOL
+            v = vecs[:, kept]
             r = linalg.hermitian(v.conj().T @ s @ v)
-            restricted.append((r / r.trace().real, v))
-        (omega, v_omega), (rho, v_rho) = restricted
-        return SupportFace(omega, rho, self.pairs, v_omega, v_rho)
+            restricted.append((r / r.trace().real, v, float(vals[~kept].sum())))
+        (omega, v_omega, cut_omega), (rho, v_rho, cut_rho) = restricted
+        return SupportFace(omega, rho, self.pairs, v_omega, v_rho, cut_omega, cut_rho)
 
     def plan_cost(self) -> np.ndarray:
         """Cost operator acting on the plan variable of this mode."""
@@ -241,9 +242,12 @@ class SupportFace:
     has no interior.  ``v_omega`` and ``v_rho`` are isometries onto the
     supports, the eigenvectors whose eigenvalues exceed
     ``linalg.DENSITY_ATOL`` (the validator's zero), and ``omega`` and ``rho``
-    are the states restricted to them, renormalised to unit trace.  When both
-    states have full rank the face is the whole space: the isometries are
-    None, nothing is conjugated and a multiple of the identity sets the traces to 1.
+    are the states restricted to them, renormalised to unit trace.
+    ``cut_omega`` and ``cut_rho`` are the mass the restriction cuts from each
+    state, the sum of the eigenvalues it drops.  When both states have full
+    rank the face is the whole space: the isometries are None, nothing is
+    conjugated, nothing is cut and a multiple of the identity sets the
+    traces to 1.
     """
 
     omega: np.ndarray
@@ -251,6 +255,8 @@ class SupportFace:
     pairs: int
     v_omega: np.ndarray | None = None
     v_rho: np.ndarray | None = None
+    cut_omega: float = 0.0
+    cut_rho: float = 0.0
 
     @property
     def shape(self) -> FactorShape:
@@ -466,7 +472,8 @@ class TransportResult:
     plan space, lifted from the support face (:class:`SupportFace`);
     ``solution`` and ``certificate`` belong to the SDP that was solved, the
     one posed on the face, and ``dual_attained`` and ``degenerate_face`` are
-    read there."""
+    read there.  ``cut_rho`` and ``cut_omega`` are the mass of each state
+    left off the face (:class:`SupportFace`), 0.0 on full rank."""
 
     distance: float
     dp: float
@@ -478,6 +485,8 @@ class TransportResult:
     status: str
     dual_attained: bool
     degenerate_face: bool
+    cut_rho: float
+    cut_omega: float
     solution: sdp.SdpSolution
     certificate: sdp.Certificate
     timings: dict  # seconds per phase; their sum is the whole solve
@@ -537,6 +546,8 @@ def wasserstein_distance(instance: TransportInstance, *, tol: float = sdp.TOL) -
         status=solution.status,
         dual_attained=attained,
         degenerate_face=degenerate,
+        cut_rho=face.cut_rho,
+        cut_omega=face.cut_omega,
         solution=solution,
         certificate=certificate,
         timings=timings,

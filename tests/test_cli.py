@@ -212,6 +212,17 @@ class TestCommands:
         assert record.certificate["dual_attained"]
         assert record.extra["slack_min_eig"] >= -transport.SLACK_TOL
 
+    def test_out_records_the_mass_cut_from_each_state(self, tmp_path, capsys):
+        # Bloch radius 1 - 1e-10 leaves rho an eigenvalue 5e-11, below the
+        # validator's zero: the solve drops it and the record says so
+        path = write_instance(tmp_path, rho={"bloch": [0, 0, 1 - 1e-10]})
+        out = str(tmp_path / "report.jsonl")
+        assert main(["distance", path, "--out", out]) == 0
+        certificate = parse_report((tmp_path / "report.jsonl").read_text()).certificate
+        assert abs(certificate["cut_rho"] - 5e-11) <= 1e-16
+        assert certificate["cut_omega"] == 0.0
+        assert "cut" not in capsys.readouterr().out
+
     def test_distance_z_xy(self, tmp_path):
         path = write_instance(
             tmp_path, rho={"bloch": [0.5, 0, 0]}, omega={"bloch": [0, 0, 0]}, cost="z"

@@ -211,15 +211,6 @@ def random_pd(rng, n):
 
 
 class TestStructuredSchur:
-    def test_hermitian_coordinates_are_an_isometry(self):
-        rng = np.random.default_rng(5)
-        for n in (1, 2, 5, 9):
-            for _ in range(10):
-                a, b = linalg.random_hermitian(rng, n), linalg.random_hermitian(rng, n)
-                dot = sdp._hermitian_coords(a) @ sdp._hermitian_coords(b)
-                expected = np.trace(a.conj().T @ b).real
-                np.testing.assert_allclose(dot, expected, rtol=1e-12, atol=1e-12)
-
     @SLOT_CASES
     def test_slot_gram_matches_dense(self, dim, pairs):
         rng, problem = slot_case(dim, pairs)
@@ -282,7 +273,7 @@ class TestStructuredSchur:
             assert structure.merged.shape.dims == merged
             assert (structure.merged is structure) == (merged == dims)
 
-    @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 3), (2, 3, 2)], ids=str)
+    @pytest.mark.parametrize("dims", [(5,), (2, 2), (3, 3), (2, 3), (2, 3, 2)], ids=str)
     def test_slot_coordinates_have_the_dense_gram(self, dims):
         problem = random_slot_problem(np.random.default_rng(len(dims)), linalg.FactorShape(dims))
         m = problem.n_constraints
@@ -766,8 +757,8 @@ class TestCertify:
 
 
 def dense_copy(problem):
-    """The same problem declared on one slot: every read goes through the
-    dense stack, which ``constraint_ops`` builds from the slots."""
+    """The same problem declared on one slot: its iteration and ``certify``
+    read the dense stack, which ``constraint_ops`` builds from the slots."""
     constraints = list(zip(problem.constraint_ops, problem.constraint_vals))
     return sdp.sdp_problem(problem.objective, constraints)
 
@@ -819,21 +810,34 @@ class TestSlotReads:
         for name in ("x", "y", "s"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
-    def test_one_slot_problem_holds_one_copy_of_its_operators(self):
-        ops = [np.diag([1.0, 0.0]), np.array([[0.0, 1.0], [1.0, 0.0]]), EYE2]
-        problem = sdp.sdp_problem(EYE2, [(a, 1.0) for a in ops])
-        stack = vars(problem)["constraint_ops"]  # set at construction, not built later
-        assert problem.constraint_ops is stack
-        np.testing.assert_array_equal(stack, np.stack(ops))
-        for local in problem.structure.local_ops:
-            assert local.base is stack
-
     def test_dense_stack_is_the_embedded_local_operators(self):
-        problem = random_slot_problem(np.random.default_rng(3), linalg.FactorShape((2, 3, 2)))
-        structure = problem.structure
-        for op, slot, local in zip(problem.constraint_ops, structure.slots, structure.local_ops):
-            np.testing.assert_array_equal(op, linalg.embed_at_slot(local, slot, structure.shape))
-        assert not problem.constraint_ops.flags.writeable
+        for dims in [(2, 3, 2), (5,)]:
+            problem = random_slot_problem(np.random.default_rng(3), linalg.FactorShape(dims))
+            structure = problem.structure
+            for op, slot, local in zip(
+                problem.constraint_ops, structure.slots, structure.local_ops
+            ):
+                np.testing.assert_array_equal(
+                    op, linalg.embed_at_slot(local, slot, structure.shape)
+                )
+            assert not problem.constraint_ops.flags.writeable
+
+    @pytest.mark.parametrize("build", [
+        lambda: random_slot_problem(np.random.default_rng(4), linalg.FactorShape((5,))),
+        lambda: transport.build_primal(nonlinear_instance(3)),
+        lambda: transport.build_primal(pauli_triple_k3()),
+    ], ids=["one-slot", "pair-9", "K3-64"])
+    def test_compressed_constraints_match_the_dense_stack(self, build):
+        """``V* A_i V`` from the slots, on one slot spanning the space, on a
+        pair plan below ``STRUCTURED_MIN_DIM`` and on the K=3 plan."""
+        problem = build()
+        rng = np.random.default_rng(problem.dim)
+        v = rng.standard_normal((problem.dim, 3)) + 1j * rng.standard_normal((problem.dim, 3))
+        dense = np.matmul(np.matmul(v.conj().T[None], problem.constraint_ops), v)
+        np.testing.assert_allclose(
+            sdp.compressed_constraints(problem, v), dense,
+            rtol=0, atol=1e-13 * np.abs(dense).max(),
+        )
 
 
 class TestSchurRightHandSide:

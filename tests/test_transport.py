@@ -512,6 +512,18 @@ class TestSupportFace:
         ) <= 1e-7 * max(1.0, abs(result.dual_objective))
 
 
+    def test_cut_mass_is_the_spectrum_left_off_the_face(self):
+        # rho's eigenvalue 4e-11 is below DENSITY_ATOL: the face drops it
+        rho = np.diag([1.0 - 4e-11, 4e-11]).astype(complex)
+        inst = symm_instance(rho, state_x(0.4), 2.0)
+        result = solved_on_the_face(inst)
+        assert result.solution.x.shape[0] == 2
+        assert (result.cut_rho, result.cut_omega) == (inst.support.cut_rho, 0.0)
+        assert abs(result.cut_rho - 4e-11) <= 1e-20
+        full = solved_on_the_face(full_rank_pair())
+        assert (full.cut_rho, full.cut_omega) == (0.0, 0.0)
+
+
 def full_rank_pair():
     rng = np.random.default_rng(43)
     rho, omega = linalg.random_density(rng, 3), linalg.random_density(rng, 3)

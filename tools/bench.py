@@ -47,11 +47,10 @@ the labels, so checkouts measured on one host sit side by side;
 ``--compare`` prints, per case of the group given (every group without
 one), whether the digests of two labels match as multisets, each label's
 total iterations over the case's solves, and the time and memory ratios,
-each timing beside both labels' min-max over repeats and marked "within
-spread" when those ranges overlap.  It exits 0 when every case
-matches, also when one label only lacks duplicate solves (a change that
-stops solving one instance twice), else 1; a label missing from a file is a
-usage error (exit 2).
+each timing beside both labels' min-max over repeats.  It exits 0 when
+every case matches, also when one label only lacks duplicate solves (a
+change that stops solving one instance twice), else 1; a label missing from
+a file is a usage error (exit 2).
 """
 
 from __future__ import annotations
@@ -257,15 +256,14 @@ def total_iterations(digests: list[str]) -> int:
 def ratio(ra: dict, rb: dict, key: str) -> str:
     """``key`` of ``ra`` and ``rb`` with their ratio; for a timing also each
     side's min-max over the repeats of the per-run mean (of the per-run total
-    for ``e2e_ms_total``), and "within spread" when those ranges overlap, so
-    that the ratio does not resolve a change."""
+    for ``e2e_ms_total``).  ``REPEAT`` runs on a shared host are too few for
+    their min-max to bound the noise, so the ranges carry no verdict."""
     text = f"{key} {ra[key]:.3f} -> {rb[key]:.3f} ({rb[key] / ra[key] - 1:+.1%}"
     runs = key.replace("_p50", "_mean_runs") if key.endswith("_p50") else f"{key}_runs"
     if runs not in ra:
         return text + ")"
     (lo_a, hi_a), (lo_b, hi_b) = ((min(r[runs]), max(r[runs])) for r in (ra, rb))
-    inside = ", within spread" if lo_a <= hi_b and lo_b <= hi_a else ""
-    return text + f"{inside}; runs {lo_a:.3f}-{hi_a:.3f} | {lo_b:.3f}-{hi_b:.3f})"
+    return text + f"; runs {lo_a:.3f}-{hi_a:.3f} | {lo_b:.3f}-{hi_b:.3f})"
 
 
 def compare(paths: list[str], a: str, b: str) -> int:
