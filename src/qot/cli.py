@@ -233,54 +233,12 @@ def _load_instance_file(path: str) -> Any:
 
 
 # ---------------------------------------------------------------------------
-# Closed-form comparison for recognized instance families.
+# Output helpers.
 # ---------------------------------------------------------------------------
-
-
-def _bloch_of(state: np.ndarray) -> np.ndarray:
-    return np.array([float(np.trace(state @ s).real) for s in linalg.PAULI])
-
-
-def _xy_radius(r: np.ndarray) -> float:
-    return float(np.hypot(r[0], r[1]))
-
-
-def _closed_form_family(
-    rho: np.ndarray, omega: np.ndarray, cost_kind: str
-) -> tuple[str, np.ndarray, np.ndarray] | None:
-    """Closed-form family of a qubit pair under a named cost, with both Bloch vectors."""
-    if rho.shape[0] != 2:
-        return None
-    r1, r2 = _bloch_of(rho), _bloch_of(omega)
-    if cost_kind == "symm" and np.linalg.norm(np.cross(r1, r2)) <= cf.COLLINEAR_TOL:
-        return "symm-commuting", r1, r2
-    if cost_kind == "z":
-        if max(abs(r1[2]), abs(r2[2])) <= cf.COLLINEAR_TOL:
-            return "z-xy", r1, r2
-        if max(abs(r1[0]), abs(r1[1]), abs(r2[0]), abs(r2[1])) <= cf.COLLINEAR_TOL:
-            return "z-commuting", r1, r2
-    return None
-
-
-# D^p and d^2 closed forms by family; the divergence has none for z-commuting.
-_DP_FORMULAS = {
-    "symm-commuting": cf.d_symm_general,
-    "z-xy": lambda r1, r2, p: cf.d_z_xy(_xy_radius(r1), _xy_radius(r2), p),
-    "z-commuting": lambda r1, r2, p: cf.d_z_commuting(r1[2], r2[2], p),
-}
-_D2_FORMULAS = {
-    "symm-commuting": cf.divergence_symm_commuting,
-    "z-xy": lambda r1, r2: cf.divergence_z_xy(_xy_radius(r1), _xy_radius(r2)),
-}
 
 
 def _matrix_payload(m: np.ndarray) -> list:
     return [[[float(c.real), float(c.imag)] for c in row] for row in np.asarray(m)]
-
-
-# ---------------------------------------------------------------------------
-# Output helpers.
-# ---------------------------------------------------------------------------
 
 
 def _append_lines(path: str, lines: list[str]) -> None:
@@ -343,10 +301,9 @@ def cmd_distance(args: argparse.Namespace) -> int:
     comparison = None
     # the D^p formulas are optima over one joint plan, not a correlated one
     if instance.mode == transport.MODE_JOINT:
-        found = _closed_form_family(instance.rho, instance.omega, _cost_kind(data, args))
+        found = cf.closed_form_dp(instance.rho, instance.omega, _cost_kind(data, args), instance.p)
         if found is not None:
-            family, r1, r2 = found
-            comparison = {"family": family, "dp": _DP_FORMULAS[family](r1, r2, instance.p)}
+            comparison = {"family": found[0], "dp": found[1]}
     record = ReportRecord(
         command="distance",
         instance=data,
@@ -432,11 +389,8 @@ def cmd_divergence(args: argparse.Namespace) -> int:
         raise InstanceError(str(exc)) from exc
     seconds = time.perf_counter() - t0
 
-    comparison = None
-    found = _closed_form_family(rho, omega, cost_kind)
-    if found is not None and found[0] in _D2_FORMULAS:
-        family, r1, r2 = found
-        comparison = {"family": family, "d_squared": _D2_FORMULAS[family](r1, r2)}
+    found = cf.closed_form_d_squared(rho, omega, cost_kind)
+    comparison = None if found is None else {"family": found[0], "d_squared": found[1]}
     record = ReportRecord(
         command="divergence",
         instance=data,

@@ -9,6 +9,8 @@ simplification, so the suite can hold it against the independent SDP route.
 The explicit optimal couplings and dual potentials serve as primal/dual
 witnesses: a feasible coupling upper-bounds the optimum, a feasible
 potential pair lower-bounds it, and here the two bounds meet.
+:func:`closed_form_dp` and :func:`closed_form_d_squared` decide which
+family, if any, covers a given qubit pair and evaluate its formula.
 """
 
 from __future__ import annotations
@@ -40,12 +42,14 @@ __all__ = [
     "d_monge",
     "triangle_margin_symm",
     "triangle_margin_z",
+    "closed_form_dp",
+    "closed_form_d_squared",
 ]
 
 _PAIR = FactorShape.pair_space(2)
-# Bloch-vector components below this count as zero: in the collinearity test
-# of the commuting-pair formulas and in the command line's choice of a
-# closed-form family, which must agree
+# Bloch-vector components below this count as zero, both where a pair's
+# closed-form family is chosen and in the collinearity test of the
+# commuting-pair formulas
 COLLINEAR_TOL = 1e-10
 
 
@@ -327,3 +331,66 @@ def triangle_margin_z(r_rho: float, r_sigma: float, r_omega: float) -> float:
         + divergence_z_xy(r_sigma, r_omega)
         - divergence_z_xy(r_rho, r_omega)
     )
+
+
+# ---------------------------------------------------------------------------
+# The closed-form family of a qubit pair.
+# ---------------------------------------------------------------------------
+
+
+def _bloch(state: np.ndarray) -> np.ndarray:
+    return np.array([float(np.trace(state @ s).real) for s in linalg.PAULI])
+
+
+def _xy_radius(r: np.ndarray) -> float:
+    return float(np.hypot(r[0], r[1]))
+
+
+def _family(
+    rho: np.ndarray, omega: np.ndarray, cost: str
+) -> tuple[str, np.ndarray, np.ndarray] | None:
+    """Closed-form family of a qubit pair under the ``symm`` or ``z`` cost,
+    with both Bloch vectors; ``None`` when no formula covers the pair."""
+    if rho.shape[0] != 2:
+        return None
+    r1, r2 = _bloch(rho), _bloch(omega)
+    if cost == "symm" and np.linalg.norm(np.cross(r1, r2)) <= COLLINEAR_TOL:
+        return "symm-commuting", r1, r2
+    if cost == "z":
+        if max(abs(r1[2]), abs(r2[2])) <= COLLINEAR_TOL:
+            return "z-xy", r1, r2
+        if max(abs(r1[0]), abs(r1[1]), abs(r2[0]), abs(r2[1])) <= COLLINEAR_TOL:
+            return "z-commuting", r1, r2
+    return None
+
+
+def closed_form_dp(
+    rho: np.ndarray, omega: np.ndarray, cost: str, p: float
+) -> tuple[str, float] | None:
+    """Family and ``D^p`` over one joint plan of a pair under the ``symm`` or
+    ``z`` cost, or ``None`` when no closed form covers the pair."""
+    found = _family(rho, omega, cost)
+    if found is None:
+        return None
+    family, r1, r2 = found
+    if family == "symm-commuting":
+        return family, d_symm_general(r1, r2, p)
+    if family == "z-xy":
+        return family, d_z_xy(_xy_radius(r1), _xy_radius(r2), p)
+    return family, d_z_commuting(r1[2], r2[2], p)
+
+
+def closed_form_d_squared(
+    rho: np.ndarray, omega: np.ndarray, cost: str
+) -> tuple[str, float] | None:
+    """Family and squared quadratic divergence of a pair under the ``symm`` or
+    ``z`` cost, or ``None``; the ``z-commuting`` family has no formula."""
+    found = _family(rho, omega, cost)
+    if found is None:
+        return None
+    family, r1, r2 = found
+    if family == "symm-commuting":
+        return family, divergence_symm_commuting(r1, r2)
+    if family == "z-xy":
+        return family, divergence_z_xy(_xy_radius(r1), _xy_radius(r2))
+    return None

@@ -600,6 +600,14 @@ def solve_linearized_decomposed(instance: TransportInstance) -> DecomposedResult
     return DecomposedResult(float(sum(values)), values, tuple(results))
 
 
+def _status_and_gap(results: list[TransportResult]) -> tuple[str, float]:
+    """The first non-optimal status of several solves, else optimal, and
+    their largest gap."""
+    optimal = sdp.STATUS_OPTIMAL
+    status = next((r.status for r in results if r.status != optimal), optimal)
+    return status, max(r.gap for r in results)
+
+
 @dataclass(frozen=True)
 class DivergenceParts:
     d: float
@@ -631,16 +639,16 @@ def divergence_parts(
     if radicand < -1e-9:
         raise SolverFailure(f"negative squared divergence {radicand:.3e}")
     d_squared = max(radicand, 0.0)
-    non_optimal = [r.status for r in results if r.status != sdp.STATUS_OPTIMAL]
+    status, gap = _status_and_gap(results)
     return DivergenceParts(
         d=math.sqrt(d_squared),
         d_squared=d_squared,
         cross=cross,
         self_rho=self_rho,
         self_omega=self_omega,
-        gap=max(r.gap for r in results),
+        gap=gap,
         max_equality_residual=max(r.certificate.max_equality_residual for r in results),
-        status=non_optimal[0] if non_optimal else sdp.STATUS_OPTIMAL,
+        status=status,
     )
 
 
@@ -673,12 +681,11 @@ def gap_demo(p: float) -> GapDemoResult:
     decomposed = solve_linearized_decomposed(
         factorized_instance(rho, omega, observables, p, MODE_LINEARIZED)
     )
-    results = [joint, *decomposed.factor_results]
-    non_optimal = [r.status for r in results if r.status != sdp.STATUS_OPTIMAL]
+    status, gap = _status_and_gap([joint, *decomposed.factor_results])
     return GapDemoResult(
         nonlinear=joint.primal_objective,
         linearized=decomposed.total,
         factor_values=decomposed.factor_values,
-        gap=max(r.gap for r in results),
-        status=non_optimal[0] if non_optimal else sdp.STATUS_OPTIMAL,
+        gap=gap,
+        status=status,
     )

@@ -385,6 +385,13 @@ class TestCommands:
         assert summary["reasons"] == {"converged": 18}
         assert "statuses" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("name", suites.suite_names())
+    def test_every_suite_passes_at_size_one_under_its_name(self, tmp_path, name):
+        out = str(tmp_path / "verify.jsonl")
+        assert main(["verify", name, "--density", "1", "--samples", "1", "--out", out]) == 0
+        summary = json.loads((tmp_path / "verify.jsonl").read_text().splitlines()[-1])
+        assert summary["suite"] == name
+
     def test_verify_unknown_suite_exit_two(self, capsys):
         assert main(["verify", "does-not-exist"]) == 2
         assert "unknown suite" in capsys.readouterr().err

@@ -3,6 +3,7 @@
 from collections import Counter
 
 import numpy as np
+import pytest
 
 from qot import closedform as cf
 from qot import cost, suites, transport
@@ -54,6 +55,12 @@ def test_divergence_sweep_solves_each_distinct_instance_once(monkeypatch):
     )
     assert [c for c in outcome.cases if not c["case"].startswith("spot:")] == cases
     assert outcome.worst["grid_deviation"] == worst
+
+
+@pytest.mark.parametrize("name", ["divergence-symm", "divergence-z"])
+def test_divergence_sweep_honours_a_density_above_eleven(name):
+    # 12 self instances and the 132 off-diagonal cross instances
+    assert len(suites.run_suite(name, density=12).solves) == 144
 
 
 def test_summary_counts_how_each_transport_solve_stopped(monkeypatch):

@@ -268,9 +268,16 @@ class TestDistance:
         result = wasserstein_distance(inst)
         slots = transport._optimal_face_dimension(result.solution, problem)
         assert "constraint_ops" not in vars(problem)
-        constraints = list(zip(problem.constraint_ops, problem.constraint_vals))
-        dense = sdp.sdp_problem(problem.objective, constraints)
-        assert transport._optimal_face_dimension(result.solution, dense) == slots
+        # the same probe with V* A_i V formed from the dense stack
+        vals, vecs = np.linalg.eigh(result.solution.s)
+        kernel = vecs[:, vals < transport.FACE_RANK_TOL * max(1.0, vals[-1])]
+        k = kernel.shape[1]
+        assert k > 0  # a nonzero optimal plan lies in the kernel of S
+        compressed = kernel.conj().T[None] @ problem.constraint_ops @ kernel
+        flat = compressed.reshape(problem.n_constraints, k * k)
+        singular = np.linalg.svd(np.hstack([flat.real, flat.imag]), compute_uv=False)
+        rank = int(np.sum(singular > 1e-8 * max(1.0, singular[0])))
+        assert k * k - rank == slots
         assert (slots > 0) == degenerate == result.degenerate_face
 
     def test_d12_solve_never_holds_the_dense_stack(self):
