@@ -12,8 +12,12 @@ symmetric scaling and Mehrotra predictor-corrector steps, centered with
 ``mu_aff`` is the barrier parameter after the predictor's step; the Newton
 system is reduced to a dense Schur complement of size ``m``.  One iteration
 serves every plan size: it factors the iterates by Cholesky and takes step
-lengths from eigenvalues in the scaled frame, where both iterates are
-diagonal.  Constraints are declared once, as local operators on tensor slots
+lengths from the extreme eigenvalues of the step in the scaled frame, where
+both iterates are diagonal.  Plans below ``4 * LANCZOS_STEPS`` read them
+from full spectra; larger ones from the Ritz values of a short Lanczos run,
+each corrector step proved inside the cone by a Cholesky factorization
+(:func:`_step_lengths`), else measured from the full spectrum.
+Constraints are declared once, as local operators on tensor slots
 (:func:`slot_problem`; :func:`sdp_problem` declares one slot spanning the
 space).  Every problem takes its rank test on slot coordinates
 (:meth:`SlotStructure.coordinates`) and its face probe
@@ -53,10 +57,11 @@ n x n passes over the iterates.  Symmetrization stays where a product of
 non-commuting factors breaks it: the back-transformed primal step
 ``dX = R dX~ R*``, the Mehrotra product ``dX~ dS~`` (whose Hermitian part
 makes the corrector's target exactly Hermitian, the elementwise divisor
-being symmetric) and the scaled-frame matrices whose eigenvalues
-``eigvalsh`` reads from one triangle.  The method is
+being symmetric) and the scaled-frame matrices, of which ``eigvalsh`` and
+Cholesky read one triangle and Lanczos the whole.  The method is
 deterministic at a fixed BLAS thread count: fixed iteration schedule, no
-randomized pivoting (the thread count changes the rounding of BLAS kernels).
+randomized pivoting, a fixed Lanczos start vector (the thread count changes
+the rounding of BLAS kernels).
 """
 
 from __future__ import annotations
@@ -128,6 +133,28 @@ STRUCTURED_MIN_DIM = 25
 # (n=256) takes 6.4 ms unmerged and 14.4 ms at 16.  A cap of 9 would save 0.2
 # of 0.9 ms on the K=2 qutrit plan (n=81), which no bench case runs.
 SCHUR_GROUP_DIM = 4
+# Plans of dimension at least 4 * LANCZOS_STEPS read step lengths from the
+# Ritz ends of LANCZOS_STEPS steps of Lanczos (_ritz_ends) instead of full
+# spectra (Kuczynski & Wozniakowski, SIAM J. Matrix Anal. Appl. 1992; Toh,
+# Comput. Optim. Appl. 2002), which pays only while the step count is small
+# against n.  A stacked pair of frame matrices, one BLAS thread on a 2-core
+# x86_64 host, Lanczos against eigvalsh: n=36 0.76 against 0.24 ms, n=64
+# 0.84 against 0.55, n=81 0.97 against 0.99, n=128 1.14 against 3.1, n=256
+# 2.9 against 15.6 (a prototype with one Gram-Schmidt pass a step measured
+# 0.455/0.176, 0.69/0.55, 0.69/2.7 and about 1 ms per matrix against 7.4 at
+# n=256).  The corrector's Cholesky check adds 0.07 ms a side at n=81 and
+# 1.5 ms at n=256.  Every qubit, rank-deficient and pair-dense plan
+# (n <= 64) and K=3 (n=64) therefore keep eigvalsh.  With 10 / 15 / 20 / 30
+# / 40 steps the K=4 plan (n=256) fell back 7 / 1 / 1 / 1 / 0 times a solve
+# and a d=16 plan 9 / 4 / 1 / 1 / 1 times, in 14-16 iterations each, and
+# single solves took 1.18-1.44 s and 1.65-1.77 s, within host noise; 20 is
+# the fewest steps with one fallback a solve on both.
+LANCZOS_STEPS = 20
+# A corrector side's Ritz step is shortened by this fraction before its
+# Cholesky check (_step_lengths), so that a Ritz value that has converged
+# passes.  The smallest Ritz value is at least the smallest eigenvalue, so an
+# accepted step is at least (1 - LANCZOS_MARGIN) times the exact one.
+LANCZOS_MARGIN = 0.005
 # Refinement steps of a Schur solve; fixed, so solves stay deterministic.  The
 # Cholesky factor of a formed Schur matrix takes two, which also remove a
 # breakdown shift's bias; the QR factor of the scaled constraints takes one
@@ -462,16 +489,21 @@ def _frame_scale(w: np.ndarray) -> np.ndarray:
     return np.sqrt(w[..., :, None] * w[..., None, :])
 
 
-def _frame_eigvals(b: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of ``diag(w)^-1/2 b diag(w)^-1/2`` for Hermitian
-    ``b`` and ``scale = _frame_scale(w)``, or for each matrix of a stack ``b``
-    with one scale per matrix or one shared."""
+def _frame_matrix(b: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """``diag(w)^-1/2 b diag(w)^-1/2``, exactly Hermitian, for Hermitian ``b``
+    and ``scale = _frame_scale(w)``, or for each matrix of a stack ``b`` with
+    one scale per matrix or one shared."""
     t = b / scale
     # 0.5 (t + t*), in place: on large stacks a third temporary would raise
     # the peak memory of a solve
     t += t.conj().swapaxes(-1, -2)
     t *= 0.5
-    return np.linalg.eigvalsh(t)
+    return t
+
+
+def _frame_eigvals(b: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of :func:`_frame_matrix`."""
+    return np.linalg.eigvalsh(_frame_matrix(b, scale))
 
 
 def _trace_product(a: np.ndarray, b: np.ndarray) -> float:
@@ -490,6 +522,102 @@ def _max_steps(deltas: np.ndarray, scale: np.ndarray) -> list[float]:
     """Largest ``alpha`` keeping ``diag(w) + alpha * delta`` PSD, for each
     ``delta`` of the stack ``deltas`` (``scale`` as in :func:`_frame_eigvals`)."""
     return [_boundary_step(float(lam)) for lam in _frame_eigvals(deltas, scale)[:, 0]]
+
+
+def _lanczos_start(n: int) -> np.ndarray:
+    """The fixed unit start vector of :func:`_ritz_ends` at dimension ``n``:
+    pseudo-random, so that no structure of a plan makes it orthogonal to an
+    extreme eigenvector, and fixed, so that solves stay deterministic."""
+    v = np.random.default_rng(n).standard_normal((2, n))
+    v = v[0] + 1j * v[1]
+    return v / np.linalg.norm(v)
+
+
+def _ritz_ends(t: np.ndarray) -> np.ndarray:
+    """Smallest and largest Ritz values, ``(len(t), 2)``, of ``LANCZOS_STEPS``
+    steps of Lanczos with full reorthogonalization on each Hermitian matrix of
+    the stack ``t``, from :func:`_lanczos_start`.  The basis stays
+    orthonormal, so they lie inside the spectrum and a step length read from
+    them is never too short.  A side
+    whose run breaks down reads nan: a residual at or below ``sqrt(eps)``
+    times ``|T q|`` (the Krylov space is numerically invariant) or a
+    non-finite one."""
+    sides, n = len(t), t.shape[-1]
+    k = LANCZOS_STEPS
+    basis = np.empty((sides, k, n), dtype=complex)
+    tri = np.zeros((sides, k, k))
+    broken = np.zeros(sides, dtype=bool)
+    q = np.broadcast_to(_lanczos_start(n), (sides, n))
+    for j in range(k):
+        basis[:, j] = q
+        w = np.matmul(t, q[:, :, None])[:, :, 0]
+        reach = np.linalg.norm(w, axis=1)
+        # the three-term recurrence, as w's projection on the whole basis,
+        # taken twice: once a Ritz value converges, one pass leaves rounding
+        # along its vector that grows by |T q| / beta a step
+        for _ in range(2):
+            coef = np.matmul(basis[:, : j + 1].conj(), w[:, :, None])
+            w -= np.matmul(coef.transpose(0, 2, 1), basis[:, : j + 1])[:, 0]
+            tri[:, j, j] += coef[:, j, 0].real
+        if j + 1 == k:
+            break
+        beta = np.linalg.norm(w, axis=1)
+        broken |= ~(beta > math.sqrt(np.finfo(float).eps) * reach)
+        beta[broken] = 1.0
+        tri[:, j + 1, j] = beta
+        q = w / beta[:, None]
+    tri[broken] = 0.0
+    ends = np.linalg.eigvalsh(tri)[:, [0, -1]]
+    ends[broken] = np.nan
+    return ends
+
+
+def _spectral_ends(b: np.ndarray, scale: np.ndarray) -> tuple[float, float]:
+    """Smallest and largest eigenvalue of :func:`_frame_matrix`: from
+    ``eigvalsh`` below ``4 * LANCZOS_STEPS`` or when Lanczos breaks down,
+    else the Ritz ends of :func:`_ritz_ends`, which may lie inside the
+    spectrum."""
+    t = _frame_matrix(b, scale)
+    if len(t) >= 4 * LANCZOS_STEPS:
+        low, high = _ritz_ends(t[None])[0]
+        if math.isfinite(low) and math.isfinite(high):
+            return float(low), float(high)
+    lam = np.linalg.eigvalsh(t)
+    return float(lam[0]), float(lam[-1])
+
+
+def _step_lengths(deltas: np.ndarray, scale: np.ndarray) -> tuple[list[float], int]:
+    """Boundary steps ``a`` of the stack ``deltas``, as :func:`_max_steps`
+    gives them, and the number of sides read from full spectra.  Below
+    ``4 * LANCZOS_STEPS`` this is :func:`_max_steps`, with none.  Above, a
+    side takes ``a = (1 - LANCZOS_MARGIN) / (-theta)`` for its smallest Ritz
+    value ``theta`` (:func:`_ritz_ends`) when ``I + (alpha / STEP_FRACTION) T``
+    is Cholesky-positive definite for the step ``alpha = min(1,
+    STEP_FRACTION a)`` that ``solve`` takes, which proves ``alpha`` below
+    ``STEP_FRACTION`` times the true boundary step.  A side whose check
+    fails, whose run breaks down or whose Ritz value is not finite takes its
+    :func:`_max_steps` value."""
+    n = deltas.shape[-1]
+    if n < 4 * LANCZOS_STEPS:
+        return _max_steps(deltas, scale), 0
+    t = _frame_matrix(deltas, scale)
+    steps = []
+    for side, theta in zip(t, _ritz_ends(t)[:, 0]):
+        step = np.nan
+        if math.isfinite(theta):
+            step = (1.0 - LANCZOS_MARGIN) * _boundary_step(float(theta))
+            check = (min(1.0, STEP_FRACTION * step) / STEP_FRACTION) * side
+            check.flat[:: n + 1] += 1.0
+            try:
+                np.linalg.cholesky(check)
+            except np.linalg.LinAlgError:
+                step = np.nan
+        steps.append(step)
+    fallen = [i for i, step in enumerate(steps) if math.isnan(step)]
+    if fallen:
+        for i, lam in zip(fallen, np.linalg.eigvalsh(t[fallen])[:, 0]):
+            steps[i] = _boundary_step(float(lam))
+    return steps, len(fallen)
 
 
 def _slot_schur(w: np.ndarray, structure: SlotStructure) -> np.ndarray:
@@ -656,8 +784,14 @@ def solve(problem: SdpProblem, *, tol: float = TOL) -> SdpSolution:
     iteration takes a predictor (affine) step and a Mehrotra corrector centered
     at ``sigma mu`` with ``sigma = min(1, (mu_aff / mu) ** CENTERING_EXPONENT)``,
     ``sigma >= 0.5`` when a predictor step is shorter than 0.2.
+    Step lengths come from the extreme eigenvalues of the step in the scaled
+    frame: on plans of at least ``4 * LANCZOS_STEPS`` from Lanczos, the
+    predictor's unguarded and the corrector's checked by Cholesky
+    (:func:`_step_lengths`), on smaller plans from ``eigvalsh``.
     A ``trace`` row holds ``mu``, ``rp``, ``rd`` and ``gap``, and on an
-    iteration that steps also ``schur_ratio``, ``ap``, ``ad`` and ``sigma``."""
+    iteration that steps also ``schur_ratio``, ``ap``, ``ad``, ``sigma`` and
+    ``step_fallbacks``, the number of corrector sides (0-2) whose length a
+    full spectrum gave on a plan that reads Ritz values (always 0 below)."""
     start = time.perf_counter()
     reduced, report = preprocess(problem)
     iterate_start = time.perf_counter()
@@ -804,10 +938,11 @@ def solve(problem: SdpProblem, *, tol: float = TOL) -> SdpSolution:
         _, _, ds_aff_scaled, dx_aff_scaled = direction(chat_aff, rhs_aff)
         # diag(sig)^-1/2 chat_aff diag(sig)^-1/2 = -I, so the X-side
         # eigenvalues are -1 minus the S-side ones; the probes stay in the
-        # scaled frame, where tr(X S) is the same
-        lam = _frame_eigvals(ds_aff_scaled, scale)
-        ap = min(1.0, _boundary_step(-1.0 - float(lam[-1])))
-        ad = min(1.0, _boundary_step(float(lam[0])))
+        # scaled frame, where tr(X S) is the same.  These lengths only set
+        # sigma and are never taken, so Ritz ends need no check.
+        low, high = _spectral_ends(ds_aff_scaled, scale)
+        ap = min(1.0, _boundary_step(-1.0 - high))
+        ad = min(1.0, _boundary_step(low))
         probe_product = _trace_product(
             -chat_aff + ap * dx_aff_scaled, -chat_aff + ad * ds_aff_scaled
         )
@@ -831,12 +966,12 @@ def solve(problem: SdpProblem, *, tol: float = TOL) -> SdpSolution:
         d = np.stack([0.5 * (dx + dx.conj().T), ds])
         del dx, ds
 
-        steps = _max_steps(np.stack([dx_scaled, ds_scaled]), scale)
+        steps, fallbacks = _step_lengths(np.stack([dx_scaled, ds_scaled]), scale)
         ap, ad = (min(1.0, STEP_FRACTION * a) for a in steps)
         if ap < 1e-13 and ad < 1e-13:
             reason = "stalled_step"
             break
-        row.update(schur_ratio=ratio, ap=ap, ad=ad, sigma=sigma)
+        row.update(schur_ratio=ratio, ap=ap, ad=ad, sigma=sigma, step_fallbacks=float(fallbacks))
 
         pair = pair + np.array([ap, ad])[:, None, None] * d
         y = y + ad * dy

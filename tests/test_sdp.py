@@ -516,7 +516,7 @@ class TestStopReason:
 
 
 TRACE_KEYS = {"mu", "rp", "rd", "gap"}
-STEP_KEYS = {"schur_ratio", "ap", "ad", "sigma"}
+STEP_KEYS = {"schur_ratio", "ap", "ad", "sigma", "step_fallbacks"}
 
 
 class TestTrace:
@@ -671,6 +671,161 @@ class TestScaledFrameStep:
         np.testing.assert_allclose(f @ f.conj().T, rank_two, rtol=0, atol=1e-12)
         pd = random_pd(rng, 6)
         np.testing.assert_array_equal(sdp._cholesky_factor(pd), np.linalg.cholesky(pd))
+
+
+def planted_spectrum(rng, eigenvalues, orthogonal_to=None):
+    """``Q diag(eigenvalues) Q*`` for a random unitary ``Q``; with
+    ``orthogonal_to``, the eigenvector of ``eigenvalues[0]`` is orthogonal
+    to that vector."""
+    n = len(eigenvalues)
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    if orthogonal_to is not None:
+        z[:, 0] -= orthogonal_to * (orthogonal_to.conj() @ z[:, 0])
+    q, _ = np.linalg.qr(z)
+    return (q * np.asarray(eigenvalues)) @ q.conj().T
+
+
+def planted_frame(rng, t):
+    """``(deltas, scale)`` whose scaled-frame matrices are the stack ``t``."""
+    scale = sdp._frame_scale(rng.uniform(0.1, 10.0, t.shape[-1]))
+    return t * scale, scale
+
+
+def separated(rng, n, low=-3.0, high=3.0):
+    """Ends ``low`` and ``high`` apart from a bulk uniform in [-1, 1]."""
+    return np.concatenate([[low], np.sort(rng.uniform(-1.0, 1.0, n - 2)), [high]])
+
+
+def qubit_linearized(k, seed):
+    """A linearized plan over ``k`` qubit pairs (``n = 4^k``) with random
+    states and observables."""
+    rng = np.random.default_rng(seed)
+    rho, omega = linalg.random_density(rng, 2), linalg.random_density(rng, 2)
+    obs = cost.observable_set([linalg.random_hermitian(rng, 2) for _ in range(k)])
+    return transport.factorized_instance(rho, omega, obs, 2.0, transport.MODE_LINEARIZED)
+
+
+class TestLanczosStep:
+    """Plans of at least ``4 * LANCZOS_STEPS`` read step lengths from Ritz
+    values, checked by a Cholesky factorization; smaller plans from full
+    spectra."""
+
+    def test_ritz_ends_match_the_spectrum_when_separated(self):
+        rng = np.random.default_rng(128)
+        lam = separated(rng, 128)
+        t = planted_spectrum(rng, lam)
+        low, high = sdp._ritz_ends(t[None])[0]
+        np.testing.assert_allclose([low, high], [lam[0], lam[-1]], rtol=1e-8)
+
+    @pytest.mark.parametrize("case", ["random-96", "random-128", "random-256", "cluster-128"])
+    def test_ritz_ends_lie_inside_the_spectrum(self, case):
+        kind, n = case.split("-")
+        n = int(n)
+        rng = np.random.default_rng(n)
+        if kind == "cluster":
+            # late in a solve: most of the spectrum within 0.02 of -1, so
+            # |T q| / beta is large and one Gram-Schmidt pass a step loses
+            # orthogonality once the smallest Ritz value has converged
+            lam = np.concatenate([[-1.07], rng.uniform(-1.02, -0.98, n - 3), [0.3, 1.6]])
+            t = np.stack([planted_spectrum(rng, lam) for _ in range(2)])
+        else:
+            t = np.stack([linalg.random_hermitian(rng, n) for _ in range(2)])
+        exact = np.linalg.eigvalsh(t)
+        ends = sdp._ritz_ends(t)
+        slack = 1e-12 * np.abs(exact).max()
+        assert np.all(ends[:, 0] >= exact[:, 0] - slack)
+        assert np.all(ends[:, 1] <= exact[:, -1] + slack)
+        assert np.all(ends[:, 0] <= ends[:, 1])
+
+    @pytest.mark.parametrize("case", ["random-96", "random-128", "random-256", "clustered"])
+    def test_guarded_step_never_passes_the_fraction_of_the_boundary(self, case):
+        rng = np.random.default_rng(len(case))
+        if case == "clustered":
+            # ten eigenvalues within 1e-4 at the bottom of the spectrum
+            n = 128
+            lam = np.concatenate([-1.0 - 1e-4 * rng.uniform(size=10), rng.uniform(-0.5, 1, n - 10)])
+            t = np.stack([planted_spectrum(rng, lam) for _ in range(2)])
+        else:
+            n = int(case.split("-")[1])
+            t = np.stack([linalg.random_hermitian(rng, n) for _ in range(2)])
+        deltas, scale = planted_frame(rng, t)
+        for factor in (0.1, 1.0, 10.0):
+            steps, fallbacks = sdp._step_lengths(factor * deltas, scale)
+            exact = sdp._max_steps(factor * deltas, scale)
+            assert 0 <= fallbacks <= 2
+            for step, boundary in zip(steps, exact):
+                assert min(1.0, sdp.STEP_FRACTION * step) <= sdp.STEP_FRACTION * boundary
+
+    def test_separated_frames_take_the_ritz_step(self):
+        rng = np.random.default_rng(7)
+        t = np.stack([planted_spectrum(rng, separated(rng, 128, -6.0)) for _ in range(2)])
+        deltas, scale = planted_frame(rng, t)
+        steps, fallbacks = sdp._step_lengths(deltas, scale)
+        assert fallbacks == 0
+        np.testing.assert_allclose(
+            steps, (1 - sdp.LANCZOS_MARGIN) * np.array(sdp._max_steps(deltas, scale)), rtol=1e-8
+        )
+
+    def test_a_missed_eigenvector_falls_back_to_the_exact_step(self):
+        n = 128
+        rng = np.random.default_rng(n)
+        start = sdp._lanczos_start(n)
+        # the smallest eigenvector is orthogonal to the start vector and close
+        # to the bulk, so rounding does not bring it into reach in 20 steps
+        missed = np.concatenate([[-1.1], rng.uniform(-1.0, 1.0, n - 1)])
+        t = np.stack([planted_spectrum(rng, missed, start),
+                      planted_spectrum(rng, separated(rng, n))])
+        assert sdp._ritz_ends(t[:1])[0, 0] > -1.0 + 1e-6
+        deltas, scale = planted_frame(rng, t)
+        steps, fallbacks = sdp._step_lengths(deltas, scale)
+        exact = sdp._max_steps(deltas, scale)
+        assert fallbacks == 1 and steps[0] == exact[0]
+        assert steps[1] < exact[1]
+
+    def test_breakdown_reads_full_spectra(self):
+        # two distinct eigenvalues: the Krylov space is invariant after two steps
+        n = 96
+        rng = np.random.default_rng(n)
+        t = planted_spectrum(rng, np.repeat([-2.0, 1.0], n // 2))
+        deltas, scale = planted_frame(rng, np.stack([t, t]))
+        assert np.isnan(sdp._ritz_ends(t[None])).all()
+        exact = np.linalg.eigvalsh(sdp._frame_matrix(deltas[0], scale))
+        assert sdp._spectral_ends(deltas[0], scale) == (exact[0], exact[-1])
+        steps, fallbacks = sdp._step_lengths(deltas, scale)
+        assert fallbacks == 2 and steps == sdp._max_steps(deltas, scale)
+
+    def test_plans_below_the_gate_read_full_spectra(self):
+        n = 4 * sdp.LANCZOS_STEPS - 1
+        rng = np.random.default_rng(n)
+        deltas, scale = planted_frame(rng, np.stack([linalg.random_hermitian(rng, n)] * 2))
+        assert sdp._step_lengths(deltas, scale) == (sdp._max_steps(deltas, scale), 0)
+        exact = sdp._frame_eigvals(deltas[0], scale)
+        assert sdp._spectral_ends(deltas[0], scale) == (exact[0], exact[-1])
+
+    def test_k4_solve_is_bitwise_repeatable_and_matches_the_decomposition(self):
+        instance = qubit_linearized(4, 23)
+        first, again = (transport.wasserstein_distance(instance) for _ in range(2))
+        a, b = first.solution, again.solution
+        assert a.x.shape[0] == 256 >= 4 * sdp.LANCZOS_STEPS
+        assert first.status == "optimal" and first.certificate.passed
+        assert a.trace == b.trace
+        for name in ("x", "y", "s"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+        assert all(row["step_fallbacks"] <= 2 for row in a.trace[:-1])
+        decomposed = transport.solve_linearized_decomposed(instance)
+        assert abs(first.primal_objective - decomposed.total) <= 1e-5
+
+    @pytest.mark.parametrize("build,digest", [
+        (lambda: nonlinear_instance(8), ("optimal", 13, "0x1.bd4b0f0f47f00p+3")),
+        (lambda: pauli_triple_k3(), ("optimal", 10, "0x1.11651e4ea2a6cp+1")),
+    ], ids=["d8", "K3"])
+    def test_plans_below_the_gate_keep_their_digests(self, build, digest):
+        # the digests of these n = 64 solves before Lanczos step lengths, at
+        # one BLAS thread
+        result = transport.wasserstein_distance(build())
+        assert result.solution.x.shape[0] < 4 * sdp.LANCZOS_STEPS
+        assert (result.status, result.solution.iterations, result.dp.hex()) == digest
+        assert {row.get("step_fallbacks", 0.0) for row in result.solution.trace} == {0.0}
 
 
 class TestStackedPair:
