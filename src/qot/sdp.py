@@ -6,14 +6,16 @@ Standard form:
     subject to  <A_i, X> = b_i   (i = 1..m),    X >= 0 (PSD),
 
 with ``<A, B> = Re tr(A* B)`` on Hermitian matrices.  The solver is a
-primal-dual path-following interior-point method with Nesterov-Todd
-symmetric scaling and Mehrotra predictor-corrector steps, centered with
-``sigma = min(1, (mu_aff / mu) ** 2)`` (``CENTERING_EXPONENT``), where
-``mu_aff`` is the barrier parameter after the predictor's step; the Newton
-system is reduced to a dense Schur complement of size ``m``.  One iteration
-serves every plan size: it factors the iterates by Cholesky and takes step
-lengths from the extreme eigenvalues of the step in the scaled frame, where
-both iterates are diagonal.  Plans below ``4 * LANCZOS_STEPS`` read them
+primal-dual path-following interior-point method with the HKM direction
+(Helmberg, Rendl, Vanderbei & Wolkowicz, SIAM J. Optim. 1996) and Mehrotra
+predictor-corrector steps, centered with ``sigma = min(1, (mu_aff / mu) **
+2)`` (``CENTERING_EXPONENT``), where ``mu_aff`` is the barrier parameter
+after the predictor's step; the Newton system is reduced to the dense Schur
+complement ``M_ij = Re tr(A_i X A_j S^-1)`` of size ``m``.  One iteration
+serves every plan size: it factors the iterates by Cholesky, inverts the
+triangular factors, and needs no eigen or singular value factorization of
+X or S.  Each side's step length is read from the smallest eigenvalue of
+its step whitened by its factor.  Plans below ``4 * LANCZOS_STEPS`` read it
 from full spectra; larger ones from the Ritz values of a short Lanczos run,
 each corrector step proved inside the cone by a Cholesky factorization
 (:func:`_step_lengths`), else measured from the full spectrum.
@@ -24,16 +26,18 @@ space).  Every problem takes its rank test on slot coordinates
 (:func:`compressed_constraints`) from the slots.  :func:`_slot_reads` makes
 the one size decision, for the iteration alone: multi-slot plans of at
 least ``STRUCTURED_MIN_DIM`` apply the constraints and their adjoint
-through slot marginals and embeddings and form a Schur matrix from
-partial-trace contractions of the scaling matrix over groups of adjacent
-slots of dimension at most ``SCHUR_GROUP_DIM``, Cholesky-factored, shifted
-if the factorization breaks down, and refined against the formed matrix
-(an iteration takes 14 products of n x n matrices); other problems read the
-dense stack ``SdpProblem.constraint_ops``, built from the slots on first
-read, and QR-factor the scaled constraints.  A run that stops short with a
-large primal residual is labelled infeasible when its multipliers point along a
-Farkas ray (:func:`_farkas_ray`).  The iteration starts at ``y = 0``, ``S = tau I`` and
-``X`` at the declared ``SdpProblem.interior``, else at ``tau I``.  The dual
+through slot marginals and embeddings and form the Schur matrix from
+partial-trace contractions of X and S^-1 over groups of adjacent slots of
+dimension at most ``SCHUR_GROUP_DIM``, Cholesky-factored, shifted if the
+factorization breaks down, and refined against the formed matrix; other
+problems read the dense stack ``SdpProblem.constraint_ops``, built from the
+slots on first read, and QR-factor the scaled constraints ``Ls^-1 A_i Lx``.
+Both routes apply the constraints to the same right-hand side, and an
+iteration takes 15 products of n x n matrices (19 below the Lanczos gate).
+A run that stops short with a large primal residual is labelled infeasible
+when its multipliers point along a Farkas ray (:func:`_farkas_ray`).  The
+iteration starts at ``y = 0``, ``S = tau I`` and ``X`` at the declared
+``SdpProblem.interior``, else at ``tau I``.  The dual
 
     maximize    b . y
     subject to  S = C - sum_i y_i A_i >= 0
@@ -54,10 +58,10 @@ real multipliers, and differences and real-scaled sums of exactly Hermitian
 matrices are exactly Hermitian.  Should an adjoint ever lose this, the fix
 belongs at its source, the d x d local combination of a slot read, not in
 n x n passes over the iterates.  Symmetrization stays where a product of
-non-commuting factors breaks it: the back-transformed primal step
-``dX = R dX~ R*``, the Mehrotra product ``dX~ dS~`` (whose Hermitian part
-makes the corrector's target exactly Hermitian, the elementwise divisor
-being symmetric) and the scaled-frame matrices, of which ``eigvalsh`` and
+non-commuting factors breaks it: the primal step ``dX``, whose products
+``X dS S^-1`` and ``dX_aff dS_aff S^-1`` are not Hermitian and whose
+Hermitian part is taken once (the constraint maps read ``Re tr(A_i .)``
+correctly on any matrix), and the whitened steps, of which ``eigvalsh`` and
 Cholesky read one triangle and Lanczos the whole.  The method is
 deterministic at a fixed BLAS thread count: fixed iteration schedule, no
 randomized pivoting, a fixed Lanczos start vector (the thread count changes
@@ -124,22 +128,23 @@ DIVERGENCE_LIMIT = math.sqrt(np.finfo(float).max)
 # fell to 0.909 (21 of 231 solves uncertified, against 3).  The dense maps
 # save call overhead; the QR is the accurate route on small plans.
 STRUCTURED_MIN_DIM = 25
-# _slot_schur contracts W over groups of adjacent slots of at most this
-# dimension (SlotStructure.merged): each pair of groups copies W into a new
-# layout once and then takes D_g D_h n^2, so merging trades copies for flops.
-# Forming the Schur matrix with one BLAS thread on a 2-core x86_64 host, with
-# the cap at 1 (no groups) / 4 / 8 / 16: K=4 qubit plan (n=256) 15.7 / 5.1 /
-# 4.8 / 13.6 ms, K=3 (n=64) 1.32 / 0.42 / 0.38 / 1.78 ms; the K=2 d=4 plan
-# (n=256) takes 6.4 ms unmerged and 14.4 ms at 16.  A cap of 9 would save 0.2
-# of 0.9 ms on the K=2 qutrit plan (n=81), which no bench case runs.
+# _slot_schur contracts X and S^-1 over groups of adjacent slots of at most
+# this dimension (SlotStructure.merged): each pair of groups copies both into
+# a new layout once and then takes D_g D_h n^2, so merging trades copies for
+# flops.  Forming the Schur matrix with one BLAS thread on a 2-core x86_64
+# host, with the cap at 1 (no groups) / 4 / 8 / 16: K=4 qubit plan (n=256)
+# 33.0 / 9.0 / 7.3 / 10.7 ms, K=3 (n=64) 1.77 / 0.48 / 0.39 / 0.67 ms; with
+# one scaling matrix (before the HKM direction) the K=2 d=4 plan (n=256) took
+# 6.4 ms unmerged and 14.4 ms at 16.  A cap of 9 would save 0.2 of 0.9 ms on
+# the K=2 qutrit plan (n=81), which no bench case runs.
 SCHUR_GROUP_DIM = 4
 # Plans of dimension at least 4 * LANCZOS_STEPS read step lengths from the
-# Ritz ends of LANCZOS_STEPS steps of Lanczos (_ritz_ends) instead of full
-# spectra (Kuczynski & Wozniakowski, SIAM J. Matrix Anal. Appl. 1992; Toh,
-# Comput. Optim. Appl. 2002), which pays only while the step count is small
-# against n.  A stacked pair of frame matrices, one BLAS thread on a 2-core
-# x86_64 host, Lanczos against eigvalsh: n=36 0.76 against 0.24 ms, n=64
-# 0.84 against 0.55, n=81 0.97 against 0.99, n=128 1.14 against 3.1, n=256
+# smallest Ritz value of LANCZOS_STEPS steps of Lanczos (_ritz_ends) instead
+# of full spectra (Kuczynski & Wozniakowski, SIAM J. Matrix Anal. Appl. 1992;
+# Toh, Comput. Optim. Appl. 2002), which pays only while the step count is
+# small against n.  A stacked pair of whitened steps, one BLAS thread on a
+# 2-core x86_64 host, Lanczos against eigvalsh: n=36 0.76 against 0.24 ms,
+# n=64 0.84 against 0.55, n=81 0.97 against 0.99, n=128 1.14 against 3.1, n=256
 # 2.9 against 15.6 (a prototype with one Gram-Schmidt pass a step measured
 # 0.455/0.176, 0.69/0.55, 0.69/2.7 and about 1 ms per matrix against 7.4 at
 # n=256).  The corrector's Cholesky check adds 0.07 ms a side at n=81 and
@@ -148,7 +153,10 @@ SCHUR_GROUP_DIM = 4
 # / 40 steps the K=4 plan (n=256) fell back 7 / 1 / 1 / 1 / 0 times a solve
 # and a d=16 plan 9 / 4 / 1 / 1 / 1 times, in 14-16 iterations each, and
 # single solves took 1.18-1.44 s and 1.65-1.77 s, within host noise; 20 is
-# the fewest steps with one fallback a solve on both.
+# the fewest steps with one fallback a solve on both.  Those counts are of the
+# Nesterov-Todd direction; with HKM at 20 steps only the first corrector from
+# the product coupling falls back, on one side on K=4 and d=12 and on both on
+# d=16 and d=20.
 LANCZOS_STEPS = 20
 # A corrector side's Ritz step is shortened by this fraction before its
 # Cholesky check (_step_lengths), so that a Ritz value that has converged
@@ -449,61 +457,43 @@ class SdpSolution:
         return self.status == STATUS_OPTIMAL
 
 
-def _cholesky_factor(m: np.ndarray) -> np.ndarray:
-    """Cholesky factor ``L`` with ``L L* = m``; when ``m`` is not numerically
-    positive definite, the eigen factor ``Q diag(sqrt(w))`` with the
-    eigenvalues floored at ``1e-15 max(1, w_max)``."""
+def _cholesky_factor(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(L, L^-1)`` with ``L L* = m``: the Cholesky factor and its
+    triangular inverse; when ``m`` is not numerically positive definite, the
+    eigen factor ``Q diag(sqrt(w))`` with the eigenvalues floored at
+    ``1e-15 max(1, w_max)``, which is not triangular: its inverse is
+    ``diag(1 / sqrt(w)) Q*``."""
     try:
-        return np.linalg.cholesky(m)
+        low = np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
         w, q = np.linalg.eigh(m)
-        w = np.maximum(w, 1e-15 * max(1.0, float(w[-1])))
-        return q * np.sqrt(w)
+        root = np.sqrt(np.maximum(w, 1e-15 * max(1.0, float(w[-1]))))
+        return q * root, (q / root).conj().T
+    return low, _lower_inverse(low)
 
 
 def _cholesky_pair(pair: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Factors of the stacked pair ``(X, S)``: one Cholesky call for both,
-    else each side's :func:`_cholesky_factor`."""
+    """Factors and their inverses, each a stacked pair, of the stacked pair
+    ``(X, S)``: one Cholesky call and one inversion for both, else each
+    side's :func:`_cholesky_factor`."""
     try:
-        fx, fs = np.linalg.cholesky(pair)
+        low = np.linalg.cholesky(pair)
     except np.linalg.LinAlgError:
-        fx, fs = (_cholesky_factor(side) for side in pair)
-    return fx, fs
+        factors, inverses = zip(*(_cholesky_factor(side) for side in pair))
+        return np.stack(factors), np.stack(inverses)
+    return low, _lower_inverse(low)
 
 
-def _nt_scaling(fx: np.ndarray, fs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nesterov-Todd scaling ``(R, sig)`` of ``X = Fx Fx*`` and ``S = Fs Fs*``.
-
-    With ``Fs* Fx = U diag(sig) V*`` and ``R = Fx V / sqrt(sig)``, both
-    ``R^-1 X R^-*`` and ``R* S R`` are ``diag(sig)``; ``W = R R*`` does not
-    depend on which factors are given.
-    """
-    _, sig, vh = np.linalg.svd(fs.conj().T @ fx)
-    sig = np.maximum(sig, 1e-150)
-    return fx @ vh.conj().T / np.sqrt(sig), sig
-
-
-def _frame_scale(w: np.ndarray) -> np.ndarray:
-    """``sqrt(w_i w_j)``, the scale of :func:`_frame_eigvals`, for a row
-    ``w`` or for each row of a stack."""
-    return np.sqrt(w[..., :, None] * w[..., None, :])
-
-
-def _frame_matrix(b: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """``diag(w)^-1/2 b diag(w)^-1/2``, exactly Hermitian, for Hermitian ``b``
-    and ``scale = _frame_scale(w)``, or for each matrix of a stack ``b`` with
-    one scale per matrix or one shared."""
-    t = b / scale
+def _whitened(inverses: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """``L^-1 D L^-*``, exactly Hermitian, for each factor inverse and
+    Hermitian ``D`` of the stacked pairs: ``X + alpha D`` stays PSD while
+    ``I + alpha L^-1 D L^-*`` does."""
+    t = inverses @ d @ inverses.conj().swapaxes(-1, -2)
     # 0.5 (t + t*), in place: on large stacks a third temporary would raise
     # the peak memory of a solve
     t += t.conj().swapaxes(-1, -2)
     t *= 0.5
     return t
-
-
-def _frame_eigvals(b: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of :func:`_frame_matrix`."""
-    return np.linalg.eigvalsh(_frame_matrix(b, scale))
 
 
 def _trace_product(a: np.ndarray, b: np.ndarray) -> float:
@@ -518,12 +508,6 @@ def _boundary_step(lam: float) -> float:
     return 1.0 / (-lam)
 
 
-def _max_steps(deltas: np.ndarray, scale: np.ndarray) -> list[float]:
-    """Largest ``alpha`` keeping ``diag(w) + alpha * delta`` PSD, for each
-    ``delta`` of the stack ``deltas`` (``scale`` as in :func:`_frame_eigvals`)."""
-    return [_boundary_step(float(lam)) for lam in _frame_eigvals(deltas, scale)[:, 0]]
-
-
 def _lanczos_start(n: int) -> np.ndarray:
     """The fixed unit start vector of :func:`_ritz_ends` at dimension ``n``:
     pseudo-random, so that no structure of a plan makes it orthogonal to an
@@ -533,16 +517,26 @@ def _lanczos_start(n: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _ritz_ends(t: np.ndarray) -> np.ndarray:
+def _ritz_ends(t: np.ndarray, inverses: np.ndarray | None = None) -> np.ndarray:
     """Smallest and largest Ritz values, ``(len(t), 2)``, of ``LANCZOS_STEPS``
     steps of Lanczos with full reorthogonalization on each Hermitian matrix of
-    the stack ``t``, from :func:`_lanczos_start`.  The basis stays
-    orthonormal, so they lie inside the spectrum and a step length read from
-    them is never too short.  A side
+    the stack ``t``, from :func:`_lanczos_start`; given the stacked factor
+    inverses ``L^-1``, on each ``L^-1 t L^-*`` of :func:`_whitened` without
+    forming it, at three matrix-vector products a step in place of two matrix
+    products.  The basis stays orthonormal, so they lie inside the spectrum
+    and a step length read from them is never too short.  A side
     whose run breaks down reads nan: a residual at or below ``sqrt(eps)``
     times ``|T q|`` (the Krylov space is numerically invariant) or a
     non-finite one."""
     sides, n = len(t), t.shape[-1]
+    if inverses is None:
+        def product(q: np.ndarray) -> np.ndarray:
+            return np.matmul(t, q)
+    else:
+        back = inverses.conj().swapaxes(-1, -2)
+
+        def product(q: np.ndarray) -> np.ndarray:
+            return np.matmul(inverses, np.matmul(t, np.matmul(back, q)))
     k = LANCZOS_STEPS
     basis = np.empty((sides, k, n), dtype=complex)
     tri = np.zeros((sides, k, k))
@@ -550,7 +544,7 @@ def _ritz_ends(t: np.ndarray) -> np.ndarray:
     q = np.broadcast_to(_lanczos_start(n), (sides, n))
     for j in range(k):
         basis[:, j] = q
-        w = np.matmul(t, q[:, :, None])[:, :, 0]
+        w = product(q[:, :, None])[:, :, 0]
         reach = np.linalg.norm(w, axis=1)
         # the three-term recurrence, as w's projection on the whole basis,
         # taken twice: once a Ritz value converges, one pass leaves rounding
@@ -572,79 +566,78 @@ def _ritz_ends(t: np.ndarray) -> np.ndarray:
     return ends
 
 
-def _spectral_ends(b: np.ndarray, scale: np.ndarray) -> tuple[float, float]:
-    """Smallest and largest eigenvalue of :func:`_frame_matrix`: from
-    ``eigvalsh`` below ``4 * LANCZOS_STEPS`` or when Lanczos breaks down,
-    else the Ritz ends of :func:`_ritz_ends`, which may lie inside the
-    spectrum."""
-    t = _frame_matrix(b, scale)
-    if len(t) >= 4 * LANCZOS_STEPS:
-        low, high = _ritz_ends(t[None])[0]
-        if math.isfinite(low) and math.isfinite(high):
-            return float(low), float(high)
-    lam = np.linalg.eigvalsh(t)
-    return float(lam[0]), float(lam[-1])
-
-
-def _step_lengths(deltas: np.ndarray, scale: np.ndarray) -> tuple[list[float], int]:
-    """Boundary steps ``a`` of the stack ``deltas``, as :func:`_max_steps`
-    gives them, and the number of sides read from full spectra.  Below
-    ``4 * LANCZOS_STEPS`` this is :func:`_max_steps`, with none.  Above, a
-    side takes ``a = (1 - LANCZOS_MARGIN) / (-theta)`` for its smallest Ritz
-    value ``theta`` (:func:`_ritz_ends`) when ``I + (alpha / STEP_FRACTION) T``
-    is Cholesky-positive definite for the step ``alpha = min(1,
-    STEP_FRACTION a)`` that ``solve`` takes, which proves ``alpha`` below
-    ``STEP_FRACTION`` times the true boundary step.  A side whose check
-    fails, whose run breaks down or whose Ritz value is not finite takes its
-    :func:`_max_steps` value."""
-    n = deltas.shape[-1]
+def _step_lengths(
+    d: np.ndarray, inverses: np.ndarray, *, checked: bool = True
+) -> tuple[list[float], int]:
+    """Boundary steps ``a`` of the stacked steps ``d`` whitened by the stacked
+    factor inverses (:func:`_whitened`), the largest ``alpha`` with ``I +
+    alpha T`` PSD, and the number of sides read from full spectra on a plan
+    that reads Ritz values.  Below ``4 * LANCZOS_STEPS`` each is read from
+    ``eigvalsh``, with none counted.  Above, a side takes the smallest Ritz
+    value ``theta`` of :func:`_ritz_ends`: unchecked (the predictor's
+    lengths, which only set sigma), as ``1 / (-theta)`` from a run on the
+    unformed ``T``; checked, from a run on the formed ``T``, as ``a = (1 -
+    LANCZOS_MARGIN) / (-theta)`` when ``I + (alpha / STEP_FRACTION) T`` is
+    Cholesky-positive definite for the step ``alpha = min(1, STEP_FRACTION
+    a)`` that ``solve`` takes, which proves ``alpha`` below ``STEP_FRACTION``
+    times the true boundary step.  A side whose check fails, whose run
+    breaks down or whose Ritz value is not finite is read from ``eigvalsh``."""
+    n = d.shape[-1]
     if n < 4 * LANCZOS_STEPS:
-        return _max_steps(deltas, scale), 0
-    t = _frame_matrix(deltas, scale)
+        lows = np.linalg.eigvalsh(_whitened(inverses, d))[:, 0]
+        return [_boundary_step(float(lam)) for lam in lows], 0
+    t = _whitened(inverses, d) if checked else None
+    thetas = _ritz_ends(d, inverses)[:, 0] if t is None else _ritz_ends(t)[:, 0]
     steps = []
-    for side, theta in zip(t, _ritz_ends(t)[:, 0]):
+    for k, theta in enumerate(thetas):
         step = np.nan
         if math.isfinite(theta):
-            step = (1.0 - LANCZOS_MARGIN) * _boundary_step(float(theta))
-            check = (min(1.0, STEP_FRACTION * step) / STEP_FRACTION) * side
-            check.flat[:: n + 1] += 1.0
-            try:
-                np.linalg.cholesky(check)
-            except np.linalg.LinAlgError:
-                step = np.nan
+            step = _boundary_step(float(theta))
+            if checked:
+                step *= 1.0 - LANCZOS_MARGIN
+                check = (min(1.0, STEP_FRACTION * step) / STEP_FRACTION) * t[k]
+                check.flat[:: n + 1] += 1.0
+                try:
+                    np.linalg.cholesky(check)
+                except np.linalg.LinAlgError:
+                    step = np.nan
         steps.append(step)
-    fallen = [i for i, step in enumerate(steps) if math.isnan(step)]
+    fallen = [k for k, step in enumerate(steps) if math.isnan(step)]
     if fallen:
-        for i, lam in zip(fallen, np.linalg.eigvalsh(t[fallen])[:, 0]):
-            steps[i] = _boundary_step(float(lam))
+        t = _whitened(inverses[fallen], d[fallen]) if t is None else t[fallen]
+        for k, lam in zip(fallen, np.linalg.eigvalsh(t)[:, 0]):
+            steps[k] = _boundary_step(float(lam))
     return steps, len(fallen)
 
 
-def _slot_schur(w: np.ndarray, structure: SlotStructure) -> np.ndarray:
-    """Schur matrix ``M_ij = Re tr(A_i W A_j W)`` of slot-structured constraints.
+def _slot_schur(x: np.ndarray, z: np.ndarray, structure: SlotStructure) -> np.ndarray:
+    """Schur matrix ``M_ij = Re tr(A_i X A_j Z)`` of slot-structured
+    constraints, for Hermitian ``X`` and ``Z``.
 
     With ``E_ab`` the unit operator ``|a><b|`` embedded at slot ``s`` and
-    ``E_ce`` at slot ``t``, ``T_st[(a,b),(c,e)] = tr(E_ab W E_ce W)`` is the
-    product ``Y Y*`` of ``W`` reshaped so that its rows are indexed by the
-    row index at ``s`` and the column index at ``t``, which costs
-    ``d_s d_t n^2``.  The block of the constraints at ``s`` against those at
-    ``t`` is ``Re(B_s T_st B_t^T)`` with the flattened operators as rows.
-    The slots are those of :attr:`SlotStructure.merged`: each pair of them
-    copies ``W`` into a new layout once, so fewer, larger slots take fewer
-    copies.
+    ``E_ce`` at slot ``t``, ``T_st[(a,b),(c,e)] = tr(E_ab X E_ce Z)`` is the
+    product ``Yx Yz*`` of ``X`` and ``Z`` reshaped so that their rows are
+    indexed by the row index at ``s`` and the column index at ``t``, which
+    costs ``d_s d_t n^2``.  The block of the constraints at ``s`` against
+    those at ``t`` is ``Re(B_s T_st B_t^T)`` with the flattened operators as
+    rows.  The slots are those of :attr:`SlotStructure.merged`: each pair of
+    them copies ``X`` and ``Z`` into a new layout once, so fewer, larger
+    slots take fewer copies.
     """
     structure = structure.merged
     dims = structure.shape.dims
     k = len(dims)
-    tensor = w.reshape(dims + dims)
+    tensors = [a.reshape(dims + dims) for a in (x, z)]
     groups = structure.groups
     m = len(structure.slots)
     out = np.empty((m, m))
     for g, (s, rows_s, ops_s, _) in enumerate(groups):
         for t, rows_t, ops_t, _ in groups[g:]:
             ds, dt = dims[s], dims[t]
-            y = np.moveaxis(tensor, (s, k + t), (0, 1)).reshape(ds * dt, -1)
-            gram = (y @ y.conj().T).reshape(ds, dt, ds, dt)
+            yx, yz = (
+                np.moveaxis(a, (s, k + t), (0, 1)).reshape(ds * dt, -1) for a in tensors
+            )
+            gram = (yx @ yz.conj().T).reshape(ds, dt, ds, dt)
             coupling = gram.transpose(2, 0, 1, 3).reshape(ds * ds, dt * dt)
             block = (ops_s @ coupling @ ops_t.T).real
             if s == t:
@@ -652,6 +645,14 @@ def _slot_schur(w: np.ndarray, structure: SlotStructure) -> np.ndarray:
             out[np.ix_(rows_s, rows_t)] = block
             out[np.ix_(rows_t, rows_s)] = block.T
     return out
+
+
+def _scaled_rows(ops: np.ndarray, lx: np.ndarray, inv_s: np.ndarray) -> np.ndarray:
+    """Real rows ``(Re F_i, Im F_i)`` of ``F_i = Ls^-1 A_i Lx`` for the dense
+    stack ``ops``: their Gram matrix is ``Re tr(A_i X A_j Z)`` with ``X = Lx
+    Lx*`` and ``Z = S^-1 = Ls^-* Ls^-1``."""
+    f = np.matmul(np.matmul(inv_s[None], ops), lx).reshape(len(ops), -1)
+    return np.hstack([f.real, f.imag])
 
 
 def _slot_applied(z: np.ndarray, structure: SlotStructure) -> np.ndarray:
@@ -724,20 +725,28 @@ def _farkas_ray(y: np.ndarray, b: np.ndarray, adjoint: Callable) -> bool:
 
 
 def _triangular_inverse(upper: np.ndarray) -> np.ndarray:
-    """Inverse of an upper triangular matrix: ``np.linalg.inv`` up to
-    ``TRIANGULAR_LEAF`` rows (upper triangular, so the LU inside it meets no
-    pivot: back substitution), else by blocks, ``[[A, B], [0, D]]^-1 =
-    [[A^-1, -A^-1 B D^-1], [0, D^-1]]``, which spends its work in products."""
-    m = len(upper)
+    """Inverse of an upper triangular matrix, or of each of a stack:
+    ``np.linalg.inv`` up to ``TRIANGULAR_LEAF`` rows (upper triangular, so
+    the LU inside it meets no pivot: back substitution), else by blocks,
+    ``[[A, B], [0, D]]^-1 = [[A^-1, -A^-1 B D^-1], [0, D^-1]]``, which spends
+    its work in products."""
+    m = upper.shape[-1]
     if m <= TRIANGULAR_LEAF:
         return np.linalg.inv(upper)
     h = m // 2
-    head, tail = _triangular_inverse(upper[:h, :h]), _triangular_inverse(upper[h:, h:])
+    head = _triangular_inverse(upper[..., :h, :h])
+    tail = _triangular_inverse(upper[..., h:, h:])
     out = np.zeros_like(upper)
-    out[:h, :h] = head
-    out[h:, h:] = tail
-    out[:h, h:] = -(head @ upper[:h, h:]) @ tail
+    out[..., :h, :h] = head
+    out[..., h:, h:] = tail
+    out[..., :h, h:] = -(head @ upper[..., :h, h:]) @ tail
     return out
+
+
+def _lower_inverse(lower: np.ndarray) -> np.ndarray:
+    """Inverse of a lower triangular matrix, or of each of a stack, as the
+    transpose of :func:`_triangular_inverse` of its transpose."""
+    return _triangular_inverse(lower.swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
 def _refined_solver(
@@ -781,11 +790,14 @@ def solve(problem: SdpProblem, *, tol: float = TOL) -> SdpSolution:
     """Run the interior-point iteration; deterministic for identical inputs
     at a fixed BLAS thread count.
     It starts at ``(problem.interior or tau I, tau I)`` with ``y = 0``.  Each
-    iteration takes a predictor (affine) step and a Mehrotra corrector centered
-    at ``sigma mu`` with ``sigma = min(1, (mu_aff / mu) ** CENTERING_EXPONENT)``,
-    ``sigma >= 0.5`` when a predictor step is shorter than 0.2.
-    Step lengths come from the extreme eigenvalues of the step in the scaled
-    frame: on plans of at least ``4 * LANCZOS_STEPS`` from Lanczos, the
+    iteration takes the HKM direction from the Cholesky factors of X and S
+    and their triangular inverses: a predictor (affine) step and a Mehrotra
+    corrector centered at ``sigma mu`` with ``sigma = min(1, (mu_aff / mu) **
+    CENTERING_EXPONENT)``, ``sigma >= 0.5`` when a predictor step is shorter
+    than 0.2, where ``mu_aff = tr((X + ap dX_aff)(S + ad dS_aff)) / n``.
+    Each side's step length comes from the smallest eigenvalue of its step
+    whitened by its Cholesky factor, ``Lx^-1 dX Lx^-*`` and ``Ls^-1 dS
+    Ls^-*``: on plans of at least ``4 * LANCZOS_STEPS`` from Lanczos, the
     predictor's unguarded and the corrector's checked by Cholesky
     (:func:`_step_lengths`), on smaller plans from ``eigvalsh``.
     A ``trace`` row holds ``mu``, ``rp``, ``rd`` and ``gap``, and on an
@@ -821,8 +833,6 @@ def solve(problem: SdpProblem, *, tol: float = TOL) -> SdpSolution:
     if reduced.interior is not None:
         pair[0] = reduced.interior
     y = np.zeros(m)
-
-    eye = np.eye(n)
 
     reason = "max_iter"
     mu = np.nan
@@ -869,104 +879,85 @@ def solve(problem: SdpProblem, *, tol: float = TOL) -> SdpSolution:
             reason = "mu_floor" if mu >= 0 else "diverged"
             break
 
-        # Nesterov-Todd scaling point W = R R* (_nt_scaling).  In the scaled
-        # frame both variables become diag(sig), so the linearized
-        # central-path equation is a cheap elementwise Lyapunov solve.  As
-        # X + a dX = R (diag(sig) + a dX~) R*, the step to the boundary of
-        # the cone is read from diag(sig)^-1/2 dX~ diag(sig)^-1/2 (and the
-        # same for S), which needs no eigen factor of X and S: they are
-        # factored by Cholesky.
-        r, sig = _nt_scaling(*_cholesky_pair(pair))
-        rh = r.conj().T
-        scale = _frame_scale(sig)
+        # The HKM direction (Helmberg, Rendl, Vanderbei & Wolkowicz 1996)
+        # from X = Lx Lx* and S = Ls Ls*: with Z = S^-1 = Ls^-* Ls^-1, the
+        # central-path equation X S = sigma mu I is linearized as
+        # dX + X dS Z = sigma mu Z - X, and the Hermitian part of dX is taken.
+        # It needs the Cholesky factors and their triangular inverses, which
+        # also whiten the steps for their lengths, and no eigen or singular
+        # value factorization.
+        factors, inverses = _cholesky_pair(pair)
+        z = inverses[1].conj().T @ inverses[1]
 
-        # The Schur complement is the Gram matrix M = F F* of the scaled
-        # constraints F_i = R* A_i R.  With slot structure, M is formed from
-        # contractions of W = R R* over groups of slots (D_g D_h n^2 per pair
-        # of groups, no F_i; _slot_schur) and Cholesky-factored, with a
-        # diagonal shift if that breaks down (_schur_solver).  Problems read
-        # through the dense stack QR-factor the scaled constraint matrix
-        # instead, M = R_f^T R_f, and never form M.  Either triangular factor
-        # is inverted once and every solve is refined against M
-        # (_refined_solver); its diagonal ratio estimates sqrt(cond(M)).
-        #
-        # The right-hand side of the direction with scaled target chat is
-        # rp + A(R (R* rd R - chat) R*).  With slot structure it is read as
-        # rp + A(W rd W) - A(R chat R*): A(W rd W) serves both directions, and
-        # the predictor's A(R diag(sig) R*) is A(X) = b - rp, so only the
-        # corrector's target takes products.  An iteration then takes 14 n x n
-        # products: 2 for the scaling, W, 2 for W rd W, 2 for R chat R*, 2 for
-        # each scaled dual step, 2 for dX and the Mehrotra product.
-        chat_aff = -np.diag(sig)
+        # The Schur complement is M_ij = Re tr(A_i X A_j Z), symmetric positive
+        # definite, the Gram matrix of F_i = Ls^-1 A_i Lx.  With slot
+        # structure, M is formed from contractions of X and Z over groups of
+        # slots (D_g D_h n^2 per pair of groups, no F_i; _slot_schur) and
+        # Cholesky-factored, with a diagonal shift if that breaks down
+        # (_schur_solver).  Problems read through the dense stack QR-factor
+        # the rows of F instead (_scaled_rows), M = R_f^T R_f, and never form
+        # M.  Either triangular factor is inverted once and every solve is
+        # refined against M (_refined_solver); its diagonal ratio estimates
+        # sqrt(cond(M)).
         try:
             if structure is not None:
-                w = r @ rh
-                schur_solve, ratio = _schur_solver(_slot_schur(w, structure))
-                shared = apply(w @ rd @ w)
-                rhs_aff = b + shared
-
-                def schur_rhs(chat: np.ndarray) -> np.ndarray:
-                    return rp + shared - apply(r @ chat @ rh)
+                schur_solve, ratio = _schur_solver(_slot_schur(x, z, structure))
             else:
-                scaled_ops = np.matmul(np.matmul(rh[None, :, :], reduced.constraint_ops), r)
-                f = scaled_ops.reshape(m, -1)
-                rows = np.hstack([f.real, f.imag])
+                rows = _scaled_rows(reduced.constraint_ops, factors[0], inverses[1])
                 schur_solve, ratio = _refined_solver(
                     np.linalg.qr(rows.T, mode="r"), lambda v: rows @ (rows.T @ v),
                     QR_REFINEMENT_STEPS,
                 )
-                rd_scaled = rh @ rd @ r
-
-                def schur_rhs(chat: np.ndarray) -> np.ndarray:
-                    return rp + (f @ np.conj((rd_scaled - chat).reshape(-1))).real
-                rhs_aff = schur_rhs(chat_aff)
         except np.linalg.LinAlgError:  # a singular factor, even shifted
             ratio = np.inf
         if ratio > SCHUR_COND_LIMIT:
             reason = "schur_conditioning"
             break
 
-        def direction(chat: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, ...]:
-            """Newton direction ``(dy, dS, dS~, dX~)`` whose scaled steps
-            meet the target: ``dX~ + dS~ = chat``; ``rhs`` is ``schur_rhs(chat)``."""
-            dy = schur_solve(rhs)
-            ds = rd - adjoint(dy)
-            ds_scaled = rh @ ds @ r
-            return dy, ds, ds_scaled, chat - ds_scaled
+        # X rd Z serves both directions.  An iteration takes 15 n x n products:
+        # Z, 2 for X rd Z, 2 for each direction's X dS Z and 2 for the
+        # corrector's refinement, 2 for the Mehrotra term dX_aff dS_aff Z, 4 to
+        # whiten the corrector's step pair; plans below 4 * LANCZOS_STEPS also
+        # whiten the predictor's (19), larger ones run Lanczos on it unformed.
+        xrdz = x @ rd @ z
 
-        # Predictor (affine direction, sigma = 0): scaled target -diag(sig).
-        _, _, ds_aff_scaled, dx_aff_scaled = direction(chat_aff, rhs_aff)
-        # diag(sig)^-1/2 chat_aff diag(sig)^-1/2 = -I, so the X-side
-        # eigenvalues are -1 minus the S-side ones; the probes stay in the
-        # scaled frame, where tr(X S) is the same.  These lengths only set
-        # sigma and are never taken, so Ritz ends need no check.
-        low, high = _spectral_ends(ds_aff_scaled, scale)
-        ap = min(1.0, _boundary_step(-1.0 - high))
-        ad = min(1.0, _boundary_step(low))
-        probe_product = _trace_product(
-            -chat_aff + ap * dx_aff_scaled, -chat_aff + ad * ds_aff_scaled
-        )
-        mu_aff = max(probe_product / n, 0.0)
+        def direction(target: np.ndarray, refined: bool) -> tuple[np.ndarray, np.ndarray]:
+            """``(dy, (dX, dS))`` with ``A(dX) = rp``, ``dS + A*(dy) = rd`` and
+            ``dX`` the Hermitian part of ``target - X dS Z``: the Schur
+            system is ``M dy = rp - A(target) + A(X rd Z)``.  ``refined`` takes
+            one step of refinement against the operator ``v -> A(X A*(v) Z)``
+            as products, which differs from the formed M by rounding that
+            grows with |Z| = 1 / lambda_min(S): without it, on a d=7 nonlinear
+            pair (default_rng(47)) |A(dX) - rp| grew to 2.6e-8 as |Z| reached
+            1.9e9, the primal steps fell to 0.06-0.17 and the solve took 17
+            iterations, against 13 with it."""
+            dy = schur_solve(rp + apply(xrdz - target))
+            ds = rd - adjoint(dy)
+            dx = target - x @ ds @ z
+            if refined:
+                step = schur_solve(rp - apply(dx))
+                dy = dy + step
+                back = adjoint(step)
+                ds = ds - back
+                dx = dx + x @ back @ z
+            return dy, np.stack([0.5 * (dx + dx.conj().T), ds])
+
+        # Predictor (affine direction, sigma = 0).  These lengths only set
+        # sigma and are never taken, so Ritz values need no check.
+        _, d_aff = direction(-x, refined=False)
+        steps, _ = _step_lengths(d_aff, inverses, checked=False)
+        ap, ad = (min(1.0, a) for a in steps)
+        mu_aff = max(_trace_product(x + ap * d_aff[0], s + ad * d_aff[1]) / n, 0.0)
         sigma = min(1.0, (mu_aff / mu) ** CENTERING_EXPONENT) if mu > 0 else 0.0
         if min(ap, ad) < 0.2:
             # Heavily truncated affine steps (empty or near-empty interior):
             # bias toward centering instead of trusting the Mehrotra probe.
             sigma = max(sigma, 0.5)
 
-        # Corrector with Mehrotra second-order term, solved in the scaled
-        # frame where the Lyapunov operator is elementwise division.
-        product = dx_aff_scaled @ ds_aff_scaled
-        correction = 0.5 * (product + product.conj().T)
-        rhs_scaled = sigma * mu * eye - np.diag(sig**2) - correction
-        chat = 2.0 * rhs_scaled / (sig[:, None] + sig[None, :])
-        dy, ds, ds_scaled, dx_scaled = direction(chat, schur_rhs(chat))
-        dx = r @ dx_scaled @ rh
-        # the step (dX, dS) as one stacked pair; dropping the per-side copies
-        # keeps the peak memory of large plans where it was
-        d = np.stack([0.5 * (dx + dx.conj().T), ds])
-        del dx, ds
+        # Corrector with the Mehrotra second-order term dX_aff dS_aff Z.
+        dy, d = direction(sigma * mu * z - x - d_aff[0] @ d_aff[1] @ z, refined=True)
 
-        steps, fallbacks = _step_lengths(np.stack([dx_scaled, ds_scaled]), scale)
+        steps, fallbacks = _step_lengths(d, inverses)
         ap, ad = (min(1.0, STEP_FRACTION * a) for a in steps)
         if ap < 1e-13 and ad < 1e-13:
             reason = "stalled_step"

@@ -210,24 +210,41 @@ def random_pd(rng, n):
     return a @ a.conj().T / n + 1e-3 * np.eye(n)
 
 
+def hkm_pair(rng, n):
+    """Random positive definite ``(X, Z)`` with ``Z = S^-1`` from the factors
+    ``solve`` takes, and those factors ``(Lx, Ls^-1)``."""
+    factors, inverses = sdp._cholesky_pair(np.stack([random_pd(rng, n), random_pd(rng, n)]))
+    x = factors[0] @ factors[0].conj().T
+    return x, inverses[1].conj().T @ inverses[1], factors[0], inverses[1]
+
+
+def dense_schur(ops, x, z):
+    """``Re tr(A_i X A_j Z)`` from the dense stack."""
+    return np.einsum("iab,jba->ij", ops @ x, ops @ z).real
+
+
 class TestStructuredSchur:
     @SLOT_CASES
     def test_slot_gram_matches_dense(self, dim, pairs):
+        # both Schur routes form Re tr(A_i X A_j Z): the slot contraction and
+        # the Gram matrix of the QR route's rows Ls^-1 A_i Lx
         rng, problem = slot_case(dim, pairs)
-        n, m = problem.dim, problem.n_constraints
-        r = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        f = np.matmul(np.matmul(r.conj().T[None], problem.constraint_ops), r).reshape(m, -1)
-        f_real = np.hstack([f.real, f.imag])
-        dense = f_real @ f_real.T
+        ops = problem.constraint_ops
+        x, z, lx, inv_s = hkm_pair(rng, problem.dim)
+        dense = dense_schur(ops, x, z)
         atol = 1e-12 * np.abs(dense).max()
-        schur = sdp._slot_schur(r @ r.conj().T, problem.structure)
-        np.testing.assert_allclose(schur, dense, rtol=0, atol=atol)
-        mat = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        applied = (f @ np.conj(mat.reshape(-1))).real
+        np.testing.assert_allclose(sdp._slot_schur(x, z, problem.structure), dense, rtol=0, atol=atol)
+        rows = sdp._scaled_rows(ops, lx, inv_s)
+        np.testing.assert_allclose(rows @ rows.T, dense, rtol=0, atol=atol)
+        # the constraints read Re tr(A_i .) on a non-Hermitian product
+        mat = x @ linalg.random_hermitian(rng, problem.dim) @ z
+        applied = np.einsum("iab,ba->i", ops, mat).real
         np.testing.assert_allclose(
-            sdp._slot_applied(r @ mat @ r.conj().T, problem.structure),
-            applied, rtol=0, atol=1e-12 * np.abs(applied).max(),
+            sdp._slot_applied(mat, problem.structure), applied,
+            rtol=0, atol=1e-12 * np.abs(applied).max(),
         )
+        flat_apply, _ = sdp._constraint_maps(dense_copy(problem))
+        np.testing.assert_allclose(flat_apply(mat), applied, rtol=0, atol=1e-12 * np.abs(applied).max())
 
     @SLOT_CASES
     def test_slot_adjoint_and_marginals_match_dense(self, dim, pairs):
@@ -255,13 +272,9 @@ class TestStructuredSchur:
         rng = np.random.default_rng(dim * 10 + pairs)
         problem = random_marginal_problem(rng, dim, pairs)
         assert problem.structure.merged.shape.dims == groups
-        n = problem.dim
-        r = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        w = r @ r.conj().T
-        schur = sdp._slot_schur(w, problem.structure)
-        # Re tr(A_i W A_j W) from the dense stack
-        aw = problem.constraint_ops @ w
-        dense = np.einsum("iab,jba->ij", aw, aw).real
+        x, z, _, _ = hkm_pair(rng, problem.dim)
+        schur = sdp._slot_schur(x, z, problem.structure)
+        dense = dense_schur(problem.constraint_ops, x, z)
         np.testing.assert_allclose(schur, dense, rtol=0, atol=1e-13 * np.abs(dense).max())
 
     def test_merged_slots_stay_below_the_group_dimension(self):
@@ -391,10 +404,17 @@ def infeasible_diagonal():
     return sdp.sdp_problem(EYE2, [(EYE2, 1.0), (np.diag([1.0, 0.0]).astype(complex), 2.0)])
 
 
-def unbounded_off_diagonal():
-    # X11 = X22 while the objective rewards Re X12 without bound
-    c = np.array([[0.0, -1.0], [-1.0, 0.0]], dtype=complex)
-    return sdp.sdp_problem(c, [(np.diag([1.0, -1.0]).astype(complex), 0.0)])
+def unbounded_off_diagonal(n=2):
+    # X11 = X22 (and X_kk = 1 for k > 2) while the objective rewards Re X12
+    # without bound
+    c = np.zeros((n, n), dtype=complex)
+    c[0, 1] = c[1, 0] = -1.0
+    constraints = [(np.diag([1.0, -1.0] + [0.0] * (n - 2)).astype(complex), 0.0)]
+    for k in range(2, n):
+        unit = np.zeros((n, n), dtype=complex)
+        unit[k, k] = 1.0
+        constraints.append((unit, 1.0))
+    return sdp.sdp_problem(c, constraints)
 
 
 def unbounded_diagonal(n=2):
@@ -437,11 +457,12 @@ STOPS = [
         "mu_floor", small_transport_problem, {"solve": functools.partial(sdp.solve, tol=1e-30)},
         id="mu_floor",
     ),
-    # X passes DIVERGENCE_LIMIT; at n=49 the step stalls first
+    # X passes DIVERGENCE_LIMIT
     pytest.param("diverged", functools.partial(unbounded_diagonal, 4), {}, id="diverged-unbounded"),
     pytest.param("diverged", unbounded_diagonal, {}, id="diverged"),
     pytest.param(
-        "stalled_step", functools.partial(unbounded_diagonal, 49), {}, id="stalled_step-unbounded"
+        "stalled_step", functools.partial(unbounded_off_diagonal, 4), {},
+        id="stalled_step-unbounded",
     ),
     pytest.param(
         "schur_conditioning", small_transport_problem, {"SCHUR_COND_LIMIT": 1.0},
@@ -505,11 +526,13 @@ class TestStopReason:
         assert sol.mu > 0 and np.abs(sol.y).max() > sdp.DIVERGENCE_LIMIT
 
     def test_unbounded_run_diverges_along_an_improving_ray(self):
-        sol = sdp.solve(unbounded_diagonal())
-        assert sol.status != sdp.STATUS_INFEASIBLE
-        # the run is one the infeasibility rule looks at ...
-        assert sol.primal_residual > 1e-4 and np.abs(sol.x).max() > 1e8
-        # ... but X/|X| is feasible for the homogeneous system and improves;
+        problem = unbounded_diagonal()
+        sol = sdp.solve(problem)
+        assert sol.status != sdp.STATUS_INFEASIBLE and np.abs(sol.x).max() > 1e8
+        # its multipliers are no Farkas ray ...
+        _, adjoint = sdp._constraint_maps(problem)
+        assert not sdp._farkas_ray(sol.y, problem.constraint_vals, adjoint)
+        # ... and X/|X| is feasible for the homogeneous system and improves;
         # X is scaled by max|X| first, as its entries reach DIVERGENCE_LIMIT
         x = sol.x / np.abs(sol.x).max()
         assert abs(x[1, 1].real) / np.linalg.norm(x) <= sdp.TOL and sol.primal_objective < 0
@@ -596,7 +619,11 @@ class TestFarkasRule:
     def test_unbounded_problems_are_never_infeasible(self, build):
         problem = build()
         sol = sdp.solve(problem)
-        assert sol.status == sdp.STATUS_NUMERICAL and sol.primal_residual > 1e-4
+        assert sol.status == sdp.STATUS_NUMERICAL
+        # whatever residual the run stops at, its multipliers are no Farkas
+        # ray, by the rule's own test and from the dense stack
+        _, adjoint = sdp._constraint_maps(problem)
+        assert not sdp._farkas_ray(sol.y, problem.constraint_vals, adjoint)
         gain, lowest = farkas_margins(problem, sol.y)
         assert gain <= sdp.TOL or lowest < -sdp.TOL
 
@@ -617,11 +644,16 @@ class TestFarkasRule:
             state(ranks[0]), state(ranks[1]), observables, 2.0, transport.MODE_NONLINEAR
         )
         # posed on the whole plan space, not on the support face, the
-        # feasible set has no interior: these runs stop short with a primal
-        # residual above 1e-4, so the rule is consulted; a plan of unit trace
-        # bounds b.v by TOL
-        sol = sdp.solve(full_space_problem(instance))
-        assert sol.primal_residual > 1e-4 and sol.status != sdp.STATUS_INFEASIBLE
+        # feasible set has no interior and these runs stop short; a plan of
+        # unit trace bounds b.v by TOL, so whatever residual they stop at,
+        # their multipliers are no Farkas ray
+        problem = full_space_problem(instance)
+        sol = sdp.solve(problem)
+        assert sol.status != sdp.STATUS_INFEASIBLE
+        reduced, report = sdp.preprocess(problem)
+        _, adjoint = sdp._constraint_maps(reduced)
+        y = sol.y[list(report.kept)]
+        assert not sdp._farkas_ray(y, reduced.constraint_vals, adjoint)
 
 
 def eigenbasis_step(m, delta):
@@ -633,33 +665,20 @@ def eigenbasis_step(m, delta):
 
 
 class TestScaledFrameStep:
+    """Each side's step length is read from its step whitened by its own
+    Cholesky factor, ``Lx^-1 dX Lx^-*`` and ``Ls^-1 dS Ls^-*``."""
+
     @pytest.mark.parametrize("n", [4, 9, 16, 25, 36, 64])
     def test_scaled_frame_step_matches_the_eigenbasis_step(self, n):
         rng = np.random.default_rng(n)
-        x, s = random_pd(rng, n), random_pd(rng, n)
-        r, sig = sdp._nt_scaling(sdp._cholesky_factor(x), sdp._cholesky_factor(s))
-        rh = r.conj().T
-        scale = sdp._frame_scale(sig)
-        # both iterates are diag(sig) in the scaled frame
-        scaled_x = np.linalg.solve(r, np.linalg.solve(r, x).conj().T).conj().T
-        np.testing.assert_allclose(scaled_x, np.diag(sig), rtol=0, atol=1e-10 * sig.max())
-        np.testing.assert_allclose(rh @ s @ r, np.diag(sig), rtol=0, atol=1e-10 * sig.max())
+        pair = np.stack([random_pd(rng, n), random_pd(rng, n)])
+        _, inverses = sdp._cholesky_pair(pair)
         for _ in range(5):
-            ds_scaled = linalg.random_hermitian(rng, n, scale=float(sig.mean()))
-            ds = np.linalg.solve(rh, np.linalg.solve(rh, ds_scaled).conj().T).conj().T
-            ad = sdp._boundary_step(sdp._frame_eigvals(ds_scaled, scale)[0])
-            np.testing.assert_allclose(ad, eigenbasis_step(s, ds), rtol=1e-10)
-            # predictor: the X-side direction is -diag(sig) - ds_scaled, and
-            # its smallest scaled eigenvalue is -1 minus the S side's largest
-            dx_scaled = -np.diag(sig) - ds_scaled
-            lam_x = sdp._frame_eigvals(dx_scaled, scale)
-            lam_s = sdp._frame_eigvals(ds_scaled, scale)
-            np.testing.assert_allclose(lam_x[0], -1.0 - lam_s[-1], rtol=1e-10)
-            ap = sdp._boundary_step(-1.0 - lam_s[-1])
-            np.testing.assert_allclose(ap, eigenbasis_step(x, r @ dx_scaled @ rh), rtol=1e-10)
-            # the corrector measures both sides in one stacked call
-            both = sdp._max_steps(np.stack([dx_scaled, ds_scaled]), scale)
-            assert both == [sdp._boundary_step(lam_x[0]), ad]
+            d = np.stack([linalg.random_hermitian(rng, n) for _ in range(2)])
+            steps, fallbacks = sdp._step_lengths(d, inverses)
+            assert fallbacks == 0
+            for k in range(2):
+                np.testing.assert_allclose(steps[k], eigenbasis_step(pair[k], d[k]), rtol=1e-10)
 
     def test_cholesky_factor_falls_back_to_the_eigen_factor(self):
         rng = np.random.default_rng(4)
@@ -667,10 +686,20 @@ class TestScaledFrameStep:
         rank_two = v @ v.conj().T
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(rank_two)
-        f = sdp._cholesky_factor(rank_two)
+        f, inv = sdp._cholesky_factor(rank_two)
         np.testing.assert_allclose(f @ f.conj().T, rank_two, rtol=0, atol=1e-12)
+        # the eigen factor Q diag(sqrt(w)) is not triangular, and its inverse
+        # is diag(1 / sqrt(w)) Q*, whose columns the floor scales by up to
+        # sqrt(w_max / w_min)
+        assert np.abs(np.triu(f, 1)).max() > 0.1
+        np.testing.assert_allclose(f @ inv, np.eye(6), rtol=0, atol=1e-14)
+        norms = np.linalg.norm(f, axis=0)
+        np.testing.assert_allclose(inv @ f, np.eye(6), rtol=0, atol=1e-14 * norms.max() / norms.min())
         pd = random_pd(rng, 6)
-        np.testing.assert_array_equal(sdp._cholesky_factor(pd), np.linalg.cholesky(pd))
+        f, inv = sdp._cholesky_factor(pd)
+        np.testing.assert_array_equal(f, np.linalg.cholesky(pd))
+        assert not np.triu(inv, 1).any()
+        np.testing.assert_allclose(inv @ f, np.eye(6), rtol=0, atol=1e-12)
 
 
 def planted_spectrum(rng, eigenvalues, orthogonal_to=None):
@@ -682,13 +711,18 @@ def planted_spectrum(rng, eigenvalues, orthogonal_to=None):
     if orthogonal_to is not None:
         z[:, 0] -= orthogonal_to * (orthogonal_to.conj() @ z[:, 0])
     q, _ = np.linalg.qr(z)
-    return (q * np.asarray(eigenvalues)) @ q.conj().T
+    t = (q * np.asarray(eigenvalues)) @ q.conj().T
+    return 0.5 * (t + t.conj().T)
 
 
-def planted_frame(rng, t):
-    """``(deltas, scale)`` whose scaled-frame matrices are the stack ``t``."""
-    scale = sdp._frame_scale(rng.uniform(0.1, 10.0, t.shape[-1]))
-    return t * scale, scale
+def exact_steps(t):
+    """Boundary steps of the stack ``t`` of whitened steps from full spectra."""
+    return [sdp._boundary_step(float(lam)) for lam in np.linalg.eigvalsh(t)[:, 0]]
+
+
+def identities(t):
+    """Factor inverses that whiten each matrix of the stack ``t`` to itself."""
+    return np.stack([np.eye(t.shape[-1], dtype=complex)] * len(t))
 
 
 def separated(rng, n, low=-3.0, high=3.0):
@@ -737,6 +771,16 @@ class TestLanczosStep:
         assert np.all(ends[:, 1] <= exact[:, -1] + slack)
         assert np.all(ends[:, 0] <= ends[:, 1])
 
+    def test_unformed_whitening_gives_the_formed_ritz_ends(self):
+        # the predictor runs Lanczos on L^-1 D L^-* through three products a
+        # step; the matrix it never forms has the same Ritz values
+        n = 96
+        rng = np.random.default_rng(n)
+        _, inverses = sdp._cholesky_pair(np.stack([random_pd(rng, n), random_pd(rng, n)]))
+        d = np.stack([linalg.random_hermitian(rng, n) for _ in range(2)])
+        formed = sdp._ritz_ends(sdp._whitened(inverses, d))
+        np.testing.assert_allclose(sdp._ritz_ends(d, inverses), formed, rtol=1e-10)
+
     @pytest.mark.parametrize("case", ["random-96", "random-128", "random-256", "clustered"])
     def test_guarded_step_never_passes_the_fraction_of_the_boundary(self, case):
         rng = np.random.default_rng(len(case))
@@ -748,10 +792,9 @@ class TestLanczosStep:
         else:
             n = int(case.split("-")[1])
             t = np.stack([linalg.random_hermitian(rng, n) for _ in range(2)])
-        deltas, scale = planted_frame(rng, t)
         for factor in (0.1, 1.0, 10.0):
-            steps, fallbacks = sdp._step_lengths(factor * deltas, scale)
-            exact = sdp._max_steps(factor * deltas, scale)
+            steps, fallbacks = sdp._step_lengths(factor * t, identities(t))
+            exact = exact_steps(factor * t)
             assert 0 <= fallbacks <= 2
             for step, boundary in zip(steps, exact):
                 assert min(1.0, sdp.STEP_FRACTION * step) <= sdp.STEP_FRACTION * boundary
@@ -759,12 +802,15 @@ class TestLanczosStep:
     def test_separated_frames_take_the_ritz_step(self):
         rng = np.random.default_rng(7)
         t = np.stack([planted_spectrum(rng, separated(rng, 128, -6.0)) for _ in range(2)])
-        deltas, scale = planted_frame(rng, t)
-        steps, fallbacks = sdp._step_lengths(deltas, scale)
+        steps, fallbacks = sdp._step_lengths(t, identities(t))
         assert fallbacks == 0
         np.testing.assert_allclose(
-            steps, (1 - sdp.LANCZOS_MARGIN) * np.array(sdp._max_steps(deltas, scale)), rtol=1e-8
+            steps, (1 - sdp.LANCZOS_MARGIN) * np.array(exact_steps(t)), rtol=1e-8
         )
+        # unchecked, as the predictor reads them: the Ritz steps themselves
+        steps, fallbacks = sdp._step_lengths(t, identities(t), checked=False)
+        assert fallbacks == 0
+        np.testing.assert_allclose(steps, exact_steps(t), rtol=1e-8)
 
     def test_a_missed_eigenvector_falls_back_to_the_exact_step(self):
         n = 128
@@ -776,9 +822,8 @@ class TestLanczosStep:
         t = np.stack([planted_spectrum(rng, missed, start),
                       planted_spectrum(rng, separated(rng, n))])
         assert sdp._ritz_ends(t[:1])[0, 0] > -1.0 + 1e-6
-        deltas, scale = planted_frame(rng, t)
-        steps, fallbacks = sdp._step_lengths(deltas, scale)
-        exact = sdp._max_steps(deltas, scale)
+        steps, fallbacks = sdp._step_lengths(t, identities(t))
+        exact = exact_steps(t)
         assert fallbacks == 1 and steps[0] == exact[0]
         assert steps[1] < exact[1]
 
@@ -787,20 +832,17 @@ class TestLanczosStep:
         n = 96
         rng = np.random.default_rng(n)
         t = planted_spectrum(rng, np.repeat([-2.0, 1.0], n // 2))
-        deltas, scale = planted_frame(rng, np.stack([t, t]))
-        assert np.isnan(sdp._ritz_ends(t[None])).all()
-        exact = np.linalg.eigvalsh(sdp._frame_matrix(deltas[0], scale))
-        assert sdp._spectral_ends(deltas[0], scale) == (exact[0], exact[-1])
-        steps, fallbacks = sdp._step_lengths(deltas, scale)
-        assert fallbacks == 2 and steps == sdp._max_steps(deltas, scale)
+        t = np.stack([t, t])
+        assert np.isnan(sdp._ritz_ends(t)).all()
+        for checked in (True, False):
+            assert sdp._step_lengths(t, identities(t), checked=checked) == (exact_steps(t), 2)
 
     def test_plans_below_the_gate_read_full_spectra(self):
         n = 4 * sdp.LANCZOS_STEPS - 1
         rng = np.random.default_rng(n)
-        deltas, scale = planted_frame(rng, np.stack([linalg.random_hermitian(rng, n)] * 2))
-        assert sdp._step_lengths(deltas, scale) == (sdp._max_steps(deltas, scale), 0)
-        exact = sdp._frame_eigvals(deltas[0], scale)
-        assert sdp._spectral_ends(deltas[0], scale) == (exact[0], exact[-1])
+        t = np.stack([linalg.random_hermitian(rng, n) for _ in range(2)])
+        for checked in (True, False):
+            assert sdp._step_lengths(t, identities(t), checked=checked) == (exact_steps(t), 0)
 
     def test_k4_solve_is_bitwise_repeatable_and_matches_the_decomposition(self):
         instance = qubit_linearized(4, 23)
@@ -816,12 +858,13 @@ class TestLanczosStep:
         assert abs(first.primal_objective - decomposed.total) <= 1e-5
 
     @pytest.mark.parametrize("build,digest", [
-        (lambda: nonlinear_instance(8), ("optimal", 13, "0x1.bd4b0f0f47f00p+3")),
-        (lambda: pauli_triple_k3(), ("optimal", 10, "0x1.11651e4ea2a6cp+1")),
+        (lambda: nonlinear_instance(8), ("optimal", 12, "0x1.bd4b0efff63b4p+3")),
+        (lambda: pauli_triple_k3(), ("optimal", 9, "0x1.11651e564c330p+1")),
     ], ids=["d8", "K3"])
     def test_plans_below_the_gate_keep_their_digests(self, build, digest):
-        # the digests of these n = 64 solves before Lanczos step lengths, at
-        # one BLAS thread
+        # the digests of these n = 64 solves at one BLAS thread, which no
+        # Lanczos step length reaches (13 and 10 iterations under the
+        # Nesterov-Todd direction)
         result = transport.wasserstein_distance(build())
         assert result.solution.x.shape[0] < 4 * sdp.LANCZOS_STEPS
         assert (result.status, result.solution.iterations, result.dp.hex()) == digest
@@ -835,32 +878,28 @@ class TestStackedPair:
     @pytest.mark.parametrize("n", [4, 9, 16, 36])
     def test_stacked_pair_is_bitwise_the_per_matrix_calls(self, n):
         rng = np.random.default_rng(n)
-        x, s = random_pd(rng, n), random_pd(rng, n)
-        _, sig = sdp._nt_scaling(sdp._cholesky_factor(x), sdp._cholesky_factor(s))
-        deltas = np.stack([linalg.random_hermitian(rng, n) for _ in range(2)])
-        weights = np.stack([sig, rng.uniform(0.5, 2.0, n)])
-        scales, scale = sdp._frame_scale(weights), sdp._frame_scale(sig)
+        pair = np.stack([random_pd(rng, n), random_pd(rng, n)])
+        _, inverses = sdp._cholesky_pair(pair)
+        d = np.stack([linalg.random_hermitian(rng, n) for _ in range(2)])
+        t = sdp._whitened(inverses, d)
         for k in range(2):
-            np.testing.assert_array_equal(scales[k], sdp._frame_scale(weights[k]))
-            np.testing.assert_array_equal(
-                sdp._frame_eigvals(deltas, scales)[k], sdp._frame_eigvals(deltas[k], scales[k])
-            )
-            # one scale shared by the stack, as in the scaled frame
-            np.testing.assert_array_equal(
-                sdp._frame_eigvals(deltas, scale)[k], sdp._frame_eigvals(deltas[k], scale)
-            )
+            np.testing.assert_array_equal(t[k], sdp._whitened(inverses[k], d[k]))
         # both steps, bitwise those measured one side at a time
-        assert sdp._max_steps(deltas, scale) == [
-            sdp._boundary_step(float(sdp._frame_eigvals(deltas[k], scale)[0])) for k in (0, 1)
+        assert sdp._step_lengths(d, inverses)[0] == [
+            sdp._step_lengths(d[k:k + 1], inverses[k:k + 1])[0][0] for k in (0, 1)
         ]
 
-    @pytest.mark.parametrize("n", [4, 9, 16, 36])
+    @pytest.mark.parametrize("n", [4, 9, 16, 36, 128])
     def test_stacked_cholesky_is_bitwise_the_per_matrix_factors(self, n):
+        # 128 is inverted by blocks (TRIANGULAR_LEAF)
         rng = np.random.default_rng(n)
         pair = np.stack([random_pd(rng, n), random_pd(rng, n)])
-        fx, fs = sdp._cholesky_pair(pair)
-        np.testing.assert_array_equal(fx, np.linalg.cholesky(pair[0]))
-        np.testing.assert_array_equal(fs, np.linalg.cholesky(pair[1]))
+        factors, inverses = sdp._cholesky_pair(pair)
+        for k in range(2):
+            np.testing.assert_array_equal(factors[k], np.linalg.cholesky(pair[k]))
+            np.testing.assert_array_equal(inverses[k], sdp._cholesky_factor(pair[k])[1])
+            assert not np.triu(inverses[k], 1).any()
+            np.testing.assert_allclose(inverses[k] @ factors[k], np.eye(n), rtol=0, atol=1e-11)
 
     def test_singular_side_falls_back_to_the_per_side_factors(self):
         rng = np.random.default_rng(5)
@@ -868,10 +907,12 @@ class TestStackedPair:
         pair = np.stack([v @ v.conj().T, random_pd(rng, 6)])
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(pair)
-        fx, fs = sdp._cholesky_pair(pair)
-        np.testing.assert_array_equal(fx, sdp._cholesky_factor(pair[0]))
-        np.testing.assert_array_equal(fs, sdp._cholesky_factor(pair[1]))
-        np.testing.assert_array_equal(fs, np.linalg.cholesky(pair[1]))
+        factors, inverses = sdp._cholesky_pair(pair)
+        for k in range(2):
+            f, inv = sdp._cholesky_factor(pair[k])
+            np.testing.assert_array_equal(factors[k], f)
+            np.testing.assert_array_equal(inverses[k], inv)
+        np.testing.assert_array_equal(factors[1], np.linalg.cholesky(pair[1]))
 
     def test_dense_adjoint_is_bitwise_tensordot(self):
         problem = qubit_transport_problem(cost.cost_symm(2.0), rho_z(0.5), rho_z(-0.3))
@@ -995,55 +1036,70 @@ class TestSlotReads:
         )
 
 
-class TestSchurRightHandSide:
-    """Through the slots, the right-hand side ``rp + A(R (R* rd R - chat) R*)``
-    of a direction is formed as ``rp + A(W rd W) - A(R chat R*)``, and the
-    predictor's ``-A(R (-diag(sig)) R*) = A(X)`` is read as ``b - rp``."""
+class TestNewtonDirection:
+    """The HKM direction meets ``A(dX) = rp`` and ``dS + A*(dy) = rd``, so a
+    step of lengths ``(ap, ad)`` scales the primal residual by ``1 - ap``
+    and the dual residual by ``1 - ad``, on either Schur route."""
 
-    STOP = 5
-
-    def test_shared_rhs_matches_the_per_direction_form(self, monkeypatch):
-        problem = transport.build_primal(pauli_triple_k3())
-        assert sdp._slot_reads(problem) is not None
-        monkeypatch.setattr(sdp, "MAX_ITER", self.STOP)
-        at = sdp.solve(problem)  # the iterate of iteration STOP
-        seen = []
-        schur_solver = sdp._schur_solver
-
-        def recording_solver(mat):
-            solve, ratio = schur_solver(mat)
-
-            def recorded(rhs):
-                seen.append(rhs)
-                return solve(rhs)
-            return recorded, ratio
-        monkeypatch.setattr(sdp, "_schur_solver", recording_solver)
-        monkeypatch.setattr(sdp, "MAX_ITER", self.STOP + 1)
-        sdp.solve(problem)
-        assert "constraint_ops" not in vars(problem)  # a slot-route solve
-        predictor = seen[2 * self.STOP]
-
+    @pytest.mark.parametrize("build", [
+        small_transport_problem,
+        lambda: transport.build_primal(nonlinear_instance(3)),
+        lambda: transport.build_primal(nonlinear_d6()),
+        lambda: transport.build_primal(pauli_triple_k3()),
+    ], ids=["dense-4", "dense-9", "slots-36", "slots-K3"])
+    def test_each_step_scales_both_residuals(self, monkeypatch, build):
+        # started at tau I, so that both residuals are far from zero
+        problem = dataclasses.replace(build(), interior=None)
         reduced, report = sdp.preprocess(problem)
         apply, adjoint = sdp._constraint_maps(reduced)
-        b = reduced.constraint_vals
-        rd = reduced.objective - at.s - adjoint(at.y[list(report.kept)])
-        rp = b - apply(at.x)
-        r, sig = sdp._nt_scaling(*sdp._cholesky_pair(np.stack([at.x, at.s])))
-        rh = r.conj().T
+        kept = list(report.kept)
 
-        def per_direction(chat):
-            return rp + apply(r @ (rh @ rd @ r - chat) @ rh)
+        def residuals(sol):
+            rp = reduced.constraint_vals - apply(sol.x)
+            rd = reduced.objective - sol.s - adjoint(sol.y[kept])
+            return rp, rd
 
-        expected = per_direction(-np.diag(sig))
-        atol = 1e-13 * np.abs(expected).max()
-        np.testing.assert_allclose(predictor, expected, rtol=0, atol=atol)
-        chat = linalg.random_hermitian(np.random.default_rng(3), problem.dim)
-        shared = rp + apply(r @ rh @ rd @ r @ rh)
-        expected = per_direction(chat)
-        np.testing.assert_allclose(
-            shared - apply(r @ chat @ rh), expected,
-            rtol=0, atol=1e-13 * np.abs(expected).max(),
-        )
+        before = None
+        for stop in range(4):
+            monkeypatch.setattr(sdp, "MAX_ITER", stop)
+            sol = sdp.solve(problem)
+            rp, rd = residuals(sol)
+            if before is not None:
+                row = sol.trace[-2]
+                scale = max(1.0, np.abs(before[0]).max(), np.abs(before[1]).max())
+                np.testing.assert_allclose(
+                    rp, (1.0 - row["ap"]) * before[0], rtol=0, atol=1e-12 * scale
+                )
+                np.testing.assert_allclose(
+                    rd, (1.0 - row["ad"]) * before[1], rtol=0, atol=1e-12 * scale
+                )
+            else:
+                assert np.abs(rp).max() > 1e-3 and np.abs(rd).max() > 1e-3
+            before = rp, rd
+
+    def test_an_iteration_takes_no_eigen_or_singular_value_factorization(self, monkeypatch):
+        # the K=3 plan (n=64, below the Lanczos gate): Cholesky factors, their
+        # triangular inverses and eigvalsh for the step lengths
+        problem = transport.build_primal(pauli_triple_k3())
+
+        def refused(*args, **kwargs):
+            raise AssertionError("solve called an eigen or singular value factorization")
+        monkeypatch.setattr(np.linalg, "svd", refused)
+        monkeypatch.setattr(np.linalg, "eigh", refused)
+        assert sdp.solve(problem).optimal
+
+    @pytest.mark.parametrize("n", [36, 96])
+    def test_guarded_step_never_passes_the_fraction_of_the_eigenbasis_step(self, n):
+        # 96 reads Ritz values checked by Cholesky, 36 full spectra
+        rng = np.random.default_rng(n)
+        pair = np.stack([random_pd(rng, n), random_pd(rng, n)])
+        _, inverses = sdp._cholesky_pair(pair)
+        for factor in (0.01, 0.1, 1.0):
+            d = factor * np.stack([linalg.random_hermitian(rng, n) for _ in range(2)])
+            steps, _ = sdp._step_lengths(d, inverses)
+            for k in range(2):
+                taken = min(1.0, sdp.STEP_FRACTION * steps[k])
+                assert taken <= sdp.STEP_FRACTION * eigenbasis_step(pair[k], d[k]) * (1 + 1e-12)
 
 
 def assert_exactly_hermitian(a):

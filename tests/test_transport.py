@@ -341,7 +341,7 @@ class TestModes:
         inst = factorized_instance(rho, omega, obs, 2.0, MODE_NONLINEAR)
         result = wasserstein_distance(inst)
         assert result.status == sdp.STATUS_OPTIMAL and result.certificate.passed
-        assert abs(result.solution.iterations - {3: 10, 6: 12, 8: 13, 12: 14}[dim]) <= 1
+        assert abs(result.solution.iterations - {3: 10, 6: 12, 8: 12, 12: 12}[dim]) <= 1
         assert result.gap <= 1e-6 * max(1.0, abs(result.primal_objective))
         product = trivial_coupling(rho, omega).objective(inst.plan_cost())
         assert result.dp <= product + 1e-6 * max(1.0, abs(product))
@@ -354,7 +354,7 @@ class TestModes:
         )
         result = wasserstein_distance(inst)
         assert result.status == sdp.STATUS_OPTIMAL and result.certificate.passed
-        assert abs(result.solution.iterations - 10) <= 1
+        assert abs(result.solution.iterations - 9) <= 1
 
     def test_d8_pair_converges_from_the_product_coupling(self):
         # started at tau I, this pair stopped at the mu floor after 22
@@ -365,7 +365,7 @@ class TestModes:
         obs = cost.observable_set([linalg.random_hermitian(rng, 8) for _ in range(2)])
         result = wasserstein_distance(factorized_instance(rho, omega, obs, 2.0, MODE_NONLINEAR))
         assert (result.solution.reason, result.certificate.passed) == ("converged", True)
-        assert abs(result.solution.iterations - 14) <= 1
+        assert abs(result.solution.iterations - 12) <= 1
 
     @pytest.mark.parametrize("pure_side", ["rho", "omega"])
     def test_pure_against_mixed_on_a_large_plan_is_the_product_value(self, pure_side):
@@ -469,6 +469,23 @@ class TestSupportFace:
         result = solved_on_the_face(inst)
         assert_matches(result.dp, d_symm_general(axis, t * axis, p))
 
+    def test_near_pure_collinear_symm_pairs_are_exact(self):
+        # Bloch radius 1 - 1e-6 runs on the whole plan space (the eigenvalue
+        # 5e-7 is above the support cut); a random axis, a partner radius
+        # uniform in (-0.9, 0.9) and p = 1, 2, 3 in turn, from the seed
+        # [d, -log10 eps].  Under the Nesterov-Todd direction 34 of these 40
+        # ended optimal (the rest numerical, mu_floor or diverged)
+        rng = np.random.default_rng([2, 6])
+        for i in range(40):
+            axis = rng.standard_normal(3)
+            axis /= np.linalg.norm(axis)
+            near, partner = (1.0 - 1e-6) * axis, rng.uniform(-0.9, 0.9) * axis
+            p = (1.0, 2.0, 3.0)[i % 3]
+            inst = symm_instance(state_from_bloch(near), state_from_bloch(partner), p)
+            assert inst.support.isometry is None
+            result = solved_on_the_face(inst)
+            assert_matches(result.dp, d_symm_general(near, partner, p))
+
     @pytest.mark.parametrize("dim", [3, 4, 5, 6, 7, 8])
     def test_commuting_rank_deficient_data_meet_the_monge_value(self, dim):
         # states and observables diagonal in one random basis, the
@@ -502,7 +519,7 @@ class TestSupportFace:
         # the digest of this solve from the product coupling on the whole space
         result = wasserstein_distance(inst)
         assert (result.status, result.solution.iterations, result.dp.hex()) == (
-            "optimal", 10, "0x1.b3b29417932ffp+2"
+            "optimal", 10, "0x1.b3b294189f4c5p+2"
         )
 
     def test_dual_slack_is_read_on_the_face(self):
