@@ -23,17 +23,23 @@ Constraints are declared once, as local operators on tensor slots
 (:func:`slot_problem`; :func:`sdp_problem` declares one slot spanning the
 space).  Every problem takes its rank test on slot coordinates
 (:meth:`SlotStructure.coordinates`) and its face probe
-(:func:`compressed_constraints`) from the slots.  :func:`_slot_reads` makes
-the one size decision, for the iteration alone: multi-slot plans of at
-least ``STRUCTURED_MIN_DIM`` apply the constraints and their adjoint
-through slot marginals and embeddings and form the Schur matrix from
-partial-trace contractions of X and S^-1 over groups of adjacent slots of
-dimension at most ``SCHUR_GROUP_DIM``, Cholesky-factored, shifted if the
-factorization breaks down, and refined against the formed matrix; other
-problems read the dense stack ``SdpProblem.constraint_ops``, built from the
-slots on first read, and QR-factor the scaled constraints ``Ls^-1 A_i Lx``.
-Both routes apply the constraints to the same right-hand side, and an
-iteration takes 15 products of n x n matrices (19 below the Lanczos gate).
+(:func:`compressed_constraints`) from the slots.  Three size decisions
+remain, each measured where its constant stands: the ``4 * LANCZOS_STEPS``
+gate above, ``TRIANGULAR_LEAF``, below which a triangular factor is
+inverted by ``np.linalg.inv`` and above by blocks, and :func:`_slot_reads`,
+which picks the route the iteration reads the constraints through.
+Multi-slot plans of at least ``STRUCTURED_MIN_DIM`` apply the constraints
+and their adjoint through slot marginals and embeddings and form the Schur
+matrix from partial-trace contractions of X and S^-1 over groups of
+adjacent slots of dimension at most ``SCHUR_GROUP_DIM``, Cholesky-factored
+and shifted if the factorization breaks down; other problems read the dense
+stack ``SdpProblem.constraint_ops``, built from the slots on first read,
+and QR-factor the scaled constraints ``Ls^-1 A_i Lx``.  Either triangular
+factor is inverted once, so that a Schur solve is two triangular products.
+Both routes apply the constraints to the same right-hand side, the
+corrector takes one refinement step against the operator ``v -> A(X A*(v)
+S^-1)``, the only refinement of a solve, and an iteration takes 15 products
+of n x n matrices (19 below the Lanczos gate).
 A run that stops short with a large primal residual is labelled infeasible
 when its multipliers point along a Farkas ray (:func:`_farkas_ray`).  The
 iteration starts at ``y = 0``, ``S = tau I`` and ``X`` at the declared
@@ -133,10 +139,10 @@ STRUCTURED_MIN_DIM = 25
 # a new layout once and then takes D_g D_h n^2, so merging trades copies for
 # flops.  Forming the Schur matrix with one BLAS thread on a 2-core x86_64
 # host, with the cap at 1 (no groups) / 4 / 8 / 16: K=4 qubit plan (n=256)
-# 33.0 / 9.0 / 7.3 / 10.7 ms, K=3 (n=64) 1.77 / 0.48 / 0.39 / 0.67 ms; with
-# one scaling matrix (before the HKM direction) the K=2 d=4 plan (n=256) took
-# 6.4 ms unmerged and 14.4 ms at 16.  A cap of 9 would save 0.2 of 0.9 ms on
-# the K=2 qutrit plan (n=81), which no bench case runs.
+# 18.9 / 6.3 / 5.3 / 10.0 ms, K=3 (n=64) 1.15 / 0.51 / 0.34 / 0.95 ms, and
+# the K=2 d=4 plan (n=256), whose slots merge only at 16, 7.8 / 7.0 / 6.8 /
+# 13.0 ms.  A cap of 9 would save 0.2 of 0.9 ms on the K=2 qutrit plan
+# (n=81), which no bench case runs.
 SCHUR_GROUP_DIM = 4
 # Plans of dimension at least 4 * LANCZOS_STEPS read step lengths from the
 # smallest Ritz value of LANCZOS_STEPS steps of Lanczos (_ritz_ends) instead
@@ -150,26 +156,26 @@ SCHUR_GROUP_DIM = 4
 # n=256).  The corrector's Cholesky check adds 0.07 ms a side at n=81 and
 # 1.5 ms at n=256.  Every qubit, rank-deficient and pair-dense plan
 # (n <= 64) and K=3 (n=64) therefore keep eigvalsh.  With 10 / 15 / 20 / 30
-# / 40 steps the K=4 plan (n=256) fell back 7 / 1 / 1 / 1 / 0 times a solve
-# and a d=16 plan 9 / 4 / 1 / 1 / 1 times, in 14-16 iterations each, and
-# single solves took 1.18-1.44 s and 1.65-1.77 s, within host noise; 20 is
-# the fewest steps with one fallback a solve on both.  Those counts are of the
-# Nesterov-Todd direction; with HKM at 20 steps only the first corrector from
-# the product coupling falls back, on one side on K=4 and d=12 and on both on
-# d=16 and d=20.
+# / 40 steps the K=4 plan (n=256) fell back 6 / 2 / 1 / 1 / 1 times a solve
+# in 12 iterations, a d=12 plan 6 / 4 / 1 / 1 / 0 times in 12-13 and a d=16
+# plan 8 / 5 / 2 / 1 / 1 times in 14, and single solves took 0.79-1.06 s,
+# 0.27-0.40 s and 1.34-1.84 s, within host noise; 20 is the fewest steps
+# with at most two fallbacks a solve on all three.  At 20 steps only the
+# first corrector, from the product coupling, falls back: on one side on K=4
+# and d=12 and on both on d=16 and d=20.
 LANCZOS_STEPS = 20
 # A corrector side's Ritz step is shortened by this fraction before its
 # Cholesky check (_step_lengths), so that a Ritz value that has converged
 # passes.  The smallest Ritz value is at least the smallest eigenvalue, so an
 # accepted step is at least (1 - LANCZOS_MARGIN) times the exact one.
 LANCZOS_MARGIN = 0.005
-# Refinement steps of a Schur solve; fixed, so solves stay deterministic.  The
-# Cholesky factor of a formed Schur matrix takes two, which also remove a
-# breakdown shift's bias; the QR factor of the scaled constraints takes one
-# (strong-duality solves of perfbench qubit-sweep seeds 1-24 ended uncertified
-# 6 times without refinement, 2 with one step, 3 with two).
-SCHUR_REFINEMENT_STEPS = 2
-QR_REFINEMENT_STEPS = 1
+# A Schur solve is two products with the inverted triangular factor, not
+# refined against M (_triangular_solver): the corrector's step against the
+# operator is the only refinement.  Strong-duality solves of perfbench
+# qubit-sweep seeds 1-24 (the 64 sweep seeds of each, 5 samples: 30,720
+# solves, one BLAS thread) end 0 uncertified, as with two refinement steps
+# on the Cholesky route and one on the QR route, in the same 229,020
+# iterations.
 # Triangular factors up to this order are inverted by np.linalg.inv, larger
 # ones by blocks (_triangular_inverse), to the same residual.  One BLAS thread
 # on a 2-core x86_64 host, np.linalg.inv against leaves of 32 / 64 / 128:
@@ -677,8 +683,7 @@ def _slot_adjoint(y: np.ndarray, structure: SlotStructure) -> np.ndarray:
 
 def _slot_reads(problem: SdpProblem) -> SlotStructure | None:
     """The structure the iteration reads ``problem`` through, or None for the
-    dense stack (one slot, or a plan below ``STRUCTURED_MIN_DIM``); the
-    solver's only size test."""
+    dense stack (one slot, or a plan below ``STRUCTURED_MIN_DIM``)."""
     large = problem.dim >= STRUCTURED_MIN_DIM
     return problem.structure if large and problem.structure.shape.n_factors > 1 else None
 
@@ -749,41 +754,27 @@ def _lower_inverse(lower: np.ndarray) -> np.ndarray:
     return _triangular_inverse(lower.swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
-def _refined_solver(
-    upper: np.ndarray, product: Callable[[np.ndarray], np.ndarray], steps: int
-) -> tuple[Callable[[np.ndarray], np.ndarray], float]:
-    """Solver of ``M v = rhs`` from an upper triangular ``U`` with
-    ``U^T U ~ M`` and the product ``v -> M v``, and the diagonal ratio of
-    ``U``, which estimates ``sqrt(cond(M))``.
-
-    ``U`` is inverted once, so that a solve is two products, and every solve
-    takes ``steps`` steps of iterative refinement against ``M`` itself, which
-    remove the rounding of the factor and of its inverse.
-    """
+def _triangular_solver(upper: np.ndarray) -> tuple[Callable[[np.ndarray], np.ndarray], float]:
+    """Solver of ``M v = rhs`` from an upper triangular ``U`` with ``U^T U ~
+    M``, and the diagonal ratio of ``U``, which estimates ``sqrt(cond(M))``.
+    ``U`` is inverted once, so that a solve is two products."""
     diag = np.abs(upper.diagonal())
     inv = _triangular_inverse(upper)
-
-    def solve(rhs: np.ndarray) -> np.ndarray:
-        v = inv @ (inv.T @ rhs)
-        for _ in range(steps):
-            v = v + inv @ (inv.T @ (rhs - product(v)))
-        return v
-
-    return solve, float(diag.max() / diag.min())
+    return (lambda rhs: inv @ (inv.T @ rhs)), float(diag.max() / diag.min())
 
 
 def _schur_solver(mat: np.ndarray) -> tuple[Callable[[np.ndarray], np.ndarray], float]:
-    """:func:`_refined_solver` of a formed Schur matrix, from its Cholesky
+    """:func:`_triangular_solver` of a formed Schur matrix, from its Cholesky
     factor.  When the factorization breaks down (near a degenerate optimal
     face the matrix is numerically singular), the diagonal is shifted by
-    ``eps m max(diag)`` and factored once more; refinement removes the
-    shift's bias."""
+    ``eps m max(diag)`` and factored once more; the corrector's refinement
+    against the operator (``solve``) corrects the shift's bias."""
     try:
         chol = np.linalg.cholesky(mat)
     except np.linalg.LinAlgError:
         shift = np.finfo(float).eps * len(mat) * float(mat.diagonal().max())
         chol = np.linalg.cholesky(mat + shift * np.eye(len(mat)))
-    return _refined_solver(chol.T, lambda v: mat @ v, SCHUR_REFINEMENT_STEPS)
+    return _triangular_solver(chol.T)
 
 
 def solve(problem: SdpProblem, *, tol: float = TOL) -> SdpSolution:
@@ -896,18 +887,15 @@ def solve(problem: SdpProblem, *, tol: float = TOL) -> SdpSolution:
         # Cholesky-factored, with a diagonal shift if that breaks down
         # (_schur_solver).  Problems read through the dense stack QR-factor
         # the rows of F instead (_scaled_rows), M = R_f^T R_f, and never form
-        # M.  Either triangular factor is inverted once and every solve is
-        # refined against M (_refined_solver); its diagonal ratio estimates
+        # M.  Either triangular factor is inverted once, so that a solve is
+        # two products (_triangular_solver); its diagonal ratio estimates
         # sqrt(cond(M)).
         try:
             if structure is not None:
                 schur_solve, ratio = _schur_solver(_slot_schur(x, z, structure))
             else:
                 rows = _scaled_rows(reduced.constraint_ops, factors[0], inverses[1])
-                schur_solve, ratio = _refined_solver(
-                    np.linalg.qr(rows.T, mode="r"), lambda v: rows @ (rows.T @ v),
-                    QR_REFINEMENT_STEPS,
-                )
+                schur_solve, ratio = _triangular_solver(np.linalg.qr(rows.T, mode="r"))
         except np.linalg.LinAlgError:  # a singular factor, even shifted
             ratio = np.inf
         if ratio > SCHUR_COND_LIMIT:
@@ -926,11 +914,13 @@ def solve(problem: SdpProblem, *, tol: float = TOL) -> SdpSolution:
             ``dX`` the Hermitian part of ``target - X dS Z``: the Schur
             system is ``M dy = rp - A(target) + A(X rd Z)``.  ``refined`` takes
             one step of refinement against the operator ``v -> A(X A*(v) Z)``
-            as products, which differs from the formed M by rounding that
-            grows with |Z| = 1 / lambda_min(S): without it, on a d=7 nonlinear
-            pair (default_rng(47)) |A(dX) - rp| grew to 2.6e-8 as |Z| reached
-            1.9e9, the primal steps fell to 0.06-0.17 and the solve took 17
-            iterations, against 13 with it."""
+            as products, the only refinement of a Schur solve.  The operator
+            differs from the factored M by the rounding of the factor, which
+            grows with |Z| = 1 / lambda_min(S), and by the breakdown shift.
+            Without the step, 30 nonlinear pairs at d = 3-8 (default_rng([d,
+            s, 99]), s < 5) ended with equality residuals up to 1.0e-10
+            against 4.5e-14 with it, in the same 325 iterations.  The
+            predictor's direction only sets sigma and takes none."""
             dy = schur_solve(rp + apply(xrdz - target))
             ds = rd - adjoint(dy)
             dx = target - x @ ds @ z

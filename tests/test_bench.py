@@ -90,19 +90,30 @@ class TestMergeAndCompare:
         assert "d=12: 1 solves, digests DIFFER (1)" in printed
         assert bench.compare(paths[:1], "parent", "other") == 0
 
-    def test_change_that_only_drops_duplicate_solves_exits_zero(self, tmp_path, capsys):
+    def test_change_that_drops_duplicate_solves_differs(self, tmp_path, capsys):
         path = str(tmp_path / "BENCH_small.json")
         x, y = "optimal 9 0x1.0p+2", "optimal 8 0x1.8p+1"
         bench.merge(path, "parent", {"qubit": summarized(x, x, y, x, y)})
         bench.merge(path, "change", {"qubit": summarized(y, x, y)})
-        assert bench.compare([path], "parent", "change") == 0
+        assert bench.compare([path], "parent", "change") == 1
         printed = capsys.readouterr().out
-        assert "qubit: 5 -> 3 solves, 2 duplicate solves fewer, every digest matches" in printed
+        assert "qubit: 5 -> 3 solves, digests DIFFER (2)" in printed
         # every solve takes 2 ms: the per-solve median hides the dropped
         # solves, the run's total shows them
         assert "e2e_ms_p50 2.000 -> 2.000 (+0.0%; runs 2.000-2.000 | 2.000-2.000)" in printed
         assert "e2e_ms_total 10.000 -> 6.000 (-40.0%; runs 10.000-10.000 | 6.000-6.000)" in printed
-        assert "every (status, iterations, dp.hex()) matches" in printed
+        assert "every (status, iterations, dp.hex()) DIFFERS" in printed
+
+    def test_compare_prints_each_labels_outcomes(self, tmp_path, capsys):
+        # the last bits of dp differ in both solves, one outcome changes
+        path = str(tmp_path / "BENCH_small.json")
+        bench.merge(path, "parent", {"qubit": summarized("optimal 9 0x1.0p+2", "optimal 8 0x1.8p+1")})
+        bench.merge(path, "change", {"qubit": summarized(
+            "optimal 9 0x1.0000000000001p+2", "numerical 8 0x1.8000000000001p+1")})
+        assert bench.compare([path], "parent", "change") == 1
+        printed = capsys.readouterr().out
+        assert ("qubit: 2 solves, digests DIFFER (2); optimal 2, 2 certified -> "
+                "numerical 1 optimal 1, 1 certified; iterations 17 -> 17;") in printed
 
     def test_compare_prints_each_labels_total_iterations(self, tmp_path, capsys):
         path = str(tmp_path / "BENCH_large.json")
@@ -112,8 +123,11 @@ class TestMergeAndCompare:
                                      "K=4": summarized("optimal 15 0x1.8p+1")})
         assert bench.compare([path], "parent", "change") == 1
         printed = capsys.readouterr().out
-        assert "\nd=12: 1 solves, digests DIFFER (1); iterations 18 -> 14; e2e_ms_p50" in printed
-        assert "K=4: 1 solves, digests identical; iterations 15 -> 15; e2e_ms_p50" in printed
+        outcome = "optimal 1, 1 certified"
+        assert (f"\nd=12: 1 solves, digests DIFFER (1); {outcome} -> {outcome}; "
+                "iterations 18 -> 14; e2e_ms_p50") in printed
+        assert (f"K=4: 1 solves, digests identical; {outcome} -> {outcome}; "
+                "iterations 15 -> 15; e2e_ms_p50") in printed
         assert bench.total_iterations(["optimal 9 0x1.0p+2", "numerical 30 0x1.8p+1"]) == 39
 
     @pytest.mark.parametrize("change", [

@@ -351,36 +351,21 @@ def relative_residual(mat, rhs, v):
 
 
 class TestSchurSolver:
-    def test_singular_matrix_takes_the_shift(self, monkeypatch):
+    def test_singular_matrix_takes_the_shift(self):
         rng = np.random.default_rng(6)
         mat = singular_schur(rng, 40)
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(mat)
+        solve, ratio = sdp._schur_solver(mat)
+        shift = np.finfo(float).eps * 40 * float(mat.diagonal().max())
+        upper = np.linalg.cholesky(mat + shift * np.eye(40)).T
+        diag = upper.diagonal()
+        assert ratio == diag.max() / diag.min() < sdp.SCHUR_COND_LIMIT
+        # a solve is two products with the inverted factor
         rhs = mat @ rng.standard_normal(40)
-        solve, ratio = sdp._schur_solver(mat)
-        refined = solve(rhs)
-        assert np.all(np.isfinite(refined)) and ratio < sdp.SCHUR_COND_LIMIT
-        monkeypatch.setattr(sdp, "SCHUR_REFINEMENT_STEPS", 0)
-        before = relative_residual(mat, rhs, sdp._schur_solver(mat)[0](rhs))
-        after = relative_residual(mat, rhs, refined)
-        # refinement against the unshifted matrix removes the shift's bias
-        assert after <= 1e-15 and after <= 0.1 * before
-
-    def test_ill_conditioned_solve_is_refined(self, monkeypatch):
-        rng = np.random.default_rng(7)
-        q, _ = np.linalg.qr(rng.standard_normal((80, 80)))
-        mat = (q * np.logspace(0, -12, 80)) @ q.T
-        mat = 0.5 * (mat + mat.T)
-        assert 0.5e12 <= np.linalg.cond(mat) <= 2e12
-        rhs = rng.standard_normal(80)
-        solve, ratio = sdp._schur_solver(mat)
-        diag = np.linalg.cholesky(mat).diagonal()
-        assert ratio == diag.max() / diag.min()
-        refined = solve(rhs)
-        monkeypatch.setattr(sdp, "SCHUR_REFINEMENT_STEPS", 0)
-        before = relative_residual(mat, rhs, sdp._schur_solver(mat)[0](rhs))
-        after = relative_residual(mat, rhs, refined)
-        assert after <= 1e-14 and after <= before
+        inv = sdp._triangular_inverse(upper)
+        np.testing.assert_array_equal(solve(rhs), inv @ (inv.T @ rhs))
+        assert np.all(np.isfinite(solve(rhs)))
 
 
 class TestTriangularInverse:
@@ -461,7 +446,7 @@ STOPS = [
     pytest.param("diverged", functools.partial(unbounded_diagonal, 4), {}, id="diverged-unbounded"),
     pytest.param("diverged", unbounded_diagonal, {}, id="diverged"),
     pytest.param(
-        "stalled_step", functools.partial(unbounded_off_diagonal, 4), {},
+        "stalled_step", functools.partial(unbounded_off_diagonal, 7), {},
         id="stalled_step-unbounded",
     ),
     pytest.param(
@@ -858,8 +843,8 @@ class TestLanczosStep:
         assert abs(first.primal_objective - decomposed.total) <= 1e-5
 
     @pytest.mark.parametrize("build,digest", [
-        (lambda: nonlinear_instance(8), ("optimal", 12, "0x1.bd4b0efff63b4p+3")),
-        (lambda: pauli_triple_k3(), ("optimal", 9, "0x1.11651e564c330p+1")),
+        (lambda: nonlinear_instance(8), ("optimal", 12, "0x1.bd4b0efff7899p+3")),
+        (lambda: pauli_triple_k3(), ("optimal", 9, "0x1.11651e564c2c3p+1")),
     ], ids=["d8", "K3"])
     def test_plans_below_the_gate_keep_their_digests(self, build, digest):
         # the digests of these n = 64 solves at one BLAS thread, which no
@@ -1041,18 +1026,39 @@ class TestNewtonDirection:
     step of lengths ``(ap, ad)`` scales the primal residual by ``1 - ap``
     and the dual residual by ``1 - ad``, on either Schur route."""
 
-    @pytest.mark.parametrize("build", [
-        small_transport_problem,
-        lambda: transport.build_primal(nonlinear_instance(3)),
-        lambda: transport.build_primal(nonlinear_d6()),
-        lambda: transport.build_primal(pauli_triple_k3()),
-    ], ids=["dense-4", "dense-9", "slots-36", "slots-K3"])
-    def test_each_step_scales_both_residuals(self, monkeypatch, build):
+    @pytest.mark.parametrize("build,shifted", [
+        (small_transport_problem, False),
+        (lambda: transport.build_primal(nonlinear_instance(3)), False),
+        (lambda: transport.build_primal(nonlinear_d6()), False),
+        (lambda: transport.build_primal(pauli_triple_k3()), False),
+        (lambda: transport.build_primal(nonlinear_d6()), True),
+        (lambda: transport.build_primal(pauli_triple_k3()), True),
+    ], ids=["dense-4", "dense-9", "slots-36", "slots-K3", "slots-36-shifted", "slots-K3-shifted"])
+    def test_each_step_scales_both_residuals(self, monkeypatch, build, shifted):
         # started at tau I, so that both residuals are far from zero
         problem = dataclasses.replace(build(), interior=None)
         reduced, report = sdp.preprocess(problem)
         apply, adjoint = sdp._constraint_maps(reduced)
         kept = list(report.kept)
+        shifts = []
+        if shifted:
+            # every Schur factorization breaks down once and takes the shift,
+            # so that the corrector's refinement against the operator alone
+            # keeps the invariant.  (The near-pure d=5 pairs at eps=1e-6 shift
+            # by themselves, but their Schur matrices are numerically
+            # singular: there a step misses the invariant by up to 4e-9, and
+            # by 7e-9 with two refinement steps against M.)
+            cholesky = np.linalg.cholesky
+
+            def breaking(a, *args, **kwargs):
+                # the real matrices factored are the Schur matrices: the first
+                # attempt on each fails, the shifted one succeeds
+                if np.isrealobj(a):
+                    shifts.append(len(shifts) % 2 == 0)
+                    if shifts[-1]:
+                        raise np.linalg.LinAlgError("forced breakdown")
+                return cholesky(a, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, "cholesky", breaking)
 
         def residuals(sol):
             rp = reduced.constraint_vals - apply(sol.x)
@@ -1060,9 +1066,14 @@ class TestNewtonDirection:
             return rp, rd
 
         before = None
-        for stop in range(4):
+        # the first ten steps: without the corrector's refinement the shifted
+        # d=6 plan misses the invariant by 2e-12 at the ninth and 1e-11 at
+        # the tenth, and the unshifted plans by 2e-12 from the twelfth on
+        for stop in range(11):
             monkeypatch.setattr(sdp, "MAX_ITER", stop)
+            shifts.clear()
             sol = sdp.solve(problem)
+            assert sum(shifts) == (stop if shifted else 0)
             rp, rd = residuals(sol)
             if before is not None:
                 row = sol.trace[-2]

@@ -46,11 +46,12 @@ none is given).  The results are merged into ``BENCH_<group>.json`` under
 the labels, so checkouts measured on one host sit side by side;
 ``--compare`` prints, per case of the group given (every group without
 one), whether the digests of two labels match as multisets, each label's
-total iterations over the case's solves, and the time and memory ratios,
-each timing beside both labels' min-max over repeats.  It exits 0 when
-every case matches, also when one label only lacks duplicate solves (a
-change that stops solving one instance twice), else 1; a label missing from
-a file is a usage error (exit 2).
+status histogram and certified count, each label's total iterations over
+the case's solves, and the time and memory ratios, each timing beside both
+labels' min-max over repeats.  Digests that differ only in the last bits of
+``dp`` keep the outcomes; a change of outcome shows in the histograms.  It
+exits 0 when every case matches, else 1; a label missing from a file is a
+usage error (exit 2).
 """
 
 from __future__ import annotations
@@ -237,15 +238,17 @@ def merge(path: str, label: str, results: dict) -> None:
 
 def digest_verdict(a: list[str], b: list[str]) -> tuple[str, bool]:
     """How the digests of one case compare as multisets, and whether they
-    match: identical, or one side lacking only duplicates of digests it
-    holds, or DIFFER with the count of solves without a match."""
+    match: identical, or DIFFER with the count of solves without a match."""
     ca, cb = Counter(a), Counter(b)
     if ca == cb:
         return "digests identical", True
-    if set(ca) == set(cb) and (not ca - cb or not cb - ca):
-        side = "fewer" if len(b) < len(a) else "more"
-        return f"{abs(len(a) - len(b))} duplicate solves {side}, every digest matches", True
     return f"digests DIFFER ({max((ca - cb).total(), (cb - ca).total())})", False
+
+
+def outcomes(r: dict) -> str:
+    """One label's status histogram and certified count of a case."""
+    statuses = " ".join(f"{status} {count}" for status, count in r["statuses"].items())
+    return f"{statuses}, {r['certified']} certified"
 
 
 def total_iterations(digests: list[str]) -> int:
@@ -268,9 +271,9 @@ def ratio(ra: dict, rb: dict, key: str) -> str:
 
 def compare(paths: list[str], a: str, b: str) -> int:
     """Print, per case, whether labels ``a`` and ``b`` have the same digests
-    (:func:`digest_verdict`), both labels' total iterations
-    (:func:`total_iterations`) and the ratios of time and memory
-    (:func:`ratio`); 0 when every digest matches, else 1."""
+    (:func:`digest_verdict`), both labels' outcomes (:func:`outcomes`) and
+    total iterations (:func:`total_iterations`) and the ratios of time and
+    memory (:func:`ratio`); 0 when every digest matches, else 1."""
     same_everywhere = True
     for path in paths:
         runs = _load(path)["runs"]
@@ -285,7 +288,8 @@ def compare(paths: list[str], a: str, b: str) -> int:
                           f"{total_iterations(rb['digests'])}")
             ratios = (ratio(ra, rb, key)
                       for key in ("e2e_ms_p50", "loop_ms_p50", "e2e_ms_total", "peak_rss_mb"))
-            print(f"{name}: {solves} solves, {verdict}; {iterations}; " + "; ".join(ratios))
+            print(f"{name}: {solves} solves, {verdict}; {outcomes(ra)} -> {outcomes(rb)}; "
+                  f"{iterations}; " + "; ".join(ratios))
     print(f"every (status, iterations, dp.hex()) {'matches' if same_everywhere else 'DIFFERS'}")
     return 0 if same_everywhere else 1
 
