@@ -16,8 +16,9 @@ serves every plan size: it factors the iterates by Cholesky, inverts the
 triangular factors, and needs no eigen or singular value factorization of
 X or S.  Each side's step length is read from the smallest eigenvalue of
 its step whitened by its factor.  Plans below ``4 * LANCZOS_STEPS`` read it
-from full spectra; larger ones from the Ritz values of a short Lanczos run,
-each corrector step proved inside the cone by a Cholesky factorization
+from full spectra; larger ones from the Ritz values of a short Lanczos run
+on the whitened step without forming it, each corrector step proved inside
+the cone by a Cholesky factorization of the iterate plus the step
 (:func:`_step_lengths`), else measured from the full spectrum.
 Constraints are declared once, as local operators on tensor slots
 (:func:`slot_problem`; :func:`sdp_problem` declares one slot spanning the
@@ -36,10 +37,13 @@ and shifted if the factorization breaks down; other problems read the dense
 stack ``SdpProblem.constraint_ops``, built from the slots on first read,
 and QR-factor the scaled constraints ``Ls^-1 A_i Lx``.  Either triangular
 factor is inverted once, so that a Schur solve is two triangular products.
-Both routes apply the constraints to the same right-hand side, the
+Both routes apply the constraints to the same right-hand side, and the
 corrector takes one refinement step against the operator ``v -> A(X A*(v)
-S^-1)``, the only refinement of a solve, and an iteration takes 15 products
-of n x n matrices (19 below the Lanczos gate).
+S^-1)``, the only refinement of a solve.  Slot-route plans of at least ``4 *
+LANCZOS_STEPS`` take ``X A*(v) S^-1`` as ``X`` times the slot product
+``A*(v) S^-1`` (:func:`_slot_adjoint_product`), so that an iteration there
+takes 7 products of n x n matrices (11 on a dense-stack plan above the
+gate, 19 on any plan below it).
 A run that stops short with a large primal residual is labelled infeasible
 when its multipliers point along a Farkas ray (:func:`_farkas_ray`).  The
 iteration starts at ``y = 0``, ``S = tau I`` and ``X`` at the declared
@@ -137,25 +141,30 @@ STRUCTURED_MIN_DIM = 25
 # _slot_schur contracts X and S^-1 over groups of adjacent slots of at most
 # this dimension (SlotStructure.merged): each pair of groups copies both into
 # a new layout once and then takes D_g D_h n^2, so merging trades copies for
-# flops.  Forming the Schur matrix with one BLAS thread on a 2-core x86_64
-# host, with the cap at 1 (no groups) / 4 / 8 / 16: K=4 qubit plan (n=256)
-# 18.9 / 6.3 / 5.3 / 10.0 ms, K=3 (n=64) 1.15 / 0.51 / 0.34 / 0.95 ms, and
-# the K=2 d=4 plan (n=256), whose slots merge only at 16, 7.8 / 7.0 / 6.8 /
-# 13.0 ms.  A cap of 9 would save 0.2 of 0.9 ms on the K=2 qutrit plan
-# (n=81), which no bench case runs.
-SCHUR_GROUP_DIM = 4
+# flops.  Forming the Schur matrix of random states with one BLAS thread on a
+# 2-core x86_64 host, best of 5, two runs, with the cap at 1 (no groups) / 4
+# / 8 / 16: K=4 qubit plan (n=256, groups (8, 8, 4) at 8) 24.1-25.2 /
+# 7.7-8.4 / 6.6-7.1 / 13.4-13.5 ms, K=3 (n=64, groups (8, 8)) 1.65 / 0.51 /
+# 0.46-0.50 / 1.0 ms, and the K=2 d=4 plan (n=256), whose slots merge only
+# at 16, 8.0 / 8.1-8.4 / 7.7-8.2 / 13.5-14.8 ms.  The K=2 qutrit plan (n=81)
+# merges only from 9, at 0.67 against 1.1 ms, and no bench case runs it.
+# The groups also set the batched products of _slot_adjoint_product, one
+# per group.
+SCHUR_GROUP_DIM = 8
 # Plans of dimension at least 4 * LANCZOS_STEPS read step lengths from the
 # smallest Ritz value of LANCZOS_STEPS steps of Lanczos (_ritz_ends) instead
 # of full spectra (Kuczynski & Wozniakowski, SIAM J. Matrix Anal. Appl. 1992;
 # Toh, Comput. Optim. Appl. 2002), which pays only while the step count is
-# small against n.  A stacked pair of whitened steps, one BLAS thread on a
-# 2-core x86_64 host, Lanczos against eigvalsh: n=36 0.76 against 0.24 ms,
-# n=64 0.84 against 0.55, n=81 0.97 against 0.99, n=128 1.14 against 3.1, n=256
-# 2.9 against 15.6 (a prototype with one Gram-Schmidt pass a step measured
-# 0.455/0.176, 0.69/0.55, 0.69/2.7 and about 1 ms per matrix against 7.4 at
-# n=256).  The corrector's Cholesky check adds 0.07 ms a side at n=81 and
-# 1.5 ms at n=256.  Every qubit, rank-deficient and pair-dense plan
-# (n <= 64) and K=3 (n=64) therefore keep eigvalsh.  With 10 / 15 / 20 / 30
+# small against n.  A corrector's stacked step pair, one BLAS thread on a
+# 2-core x86_64 host, best of 7, two runs: whitened by 4 products and read
+# by eigvalsh, against a run on the unformed pair and both Cholesky checks of
+# X + beta dX and S + beta dS: n=64 1.07-1.28 against 1.64-1.82 ms, n=81
+# 1.93-2.07 against 1.99-2.18, n=128 5.6-5.7 against 3.8-4.0, n=256 39-40
+# against 12.3-15.6 (a run on the formed pair, with its forming but not its
+# checks, took 1.6-1.8, 2.0-2.1, 3.4-3.7 and 20-22 ms; at n=81 and below
+# the run's numpy calls, not its products, set the cost).  Every qubit,
+# rank-deficient and pair-dense plan (n <= 64) and K=3 (n=64) therefore keep
+# eigvalsh.  With 10 / 15 / 20 / 30
 # / 40 steps the K=4 plan (n=256) fell back 6 / 2 / 1 / 1 / 1 times a solve
 # in 12 iterations, a d=12 plan 6 / 4 / 1 / 1 / 0 times in 12-13 and a d=16
 # plan 8 / 5 / 2 / 1 / 1 times in 14, and single solves took 0.79-1.06 s,
@@ -572,45 +581,62 @@ def _ritz_ends(t: np.ndarray, inverses: np.ndarray | None = None) -> np.ndarray:
     return ends
 
 
+def _positive_definite(a: np.ndarray) -> bool:
+    """Whether the Cholesky factorization of ``a`` succeeds."""
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _step_lengths(
-    d: np.ndarray, inverses: np.ndarray, *, checked: bool = True
+    d: np.ndarray, inverses: np.ndarray, pair: np.ndarray | None = None
 ) -> tuple[list[float], int]:
     """Boundary steps ``a`` of the stacked steps ``d`` whitened by the stacked
     factor inverses (:func:`_whitened`), the largest ``alpha`` with ``I +
     alpha T`` PSD, and the number of sides read from full spectra on a plan
     that reads Ritz values.  Below ``4 * LANCZOS_STEPS`` each is read from
     ``eigvalsh``, with none counted.  Above, a side takes the smallest Ritz
-    value ``theta`` of :func:`_ritz_ends`: unchecked (the predictor's
-    lengths, which only set sigma), as ``1 / (-theta)`` from a run on the
-    unformed ``T``; checked, from a run on the formed ``T``, as ``a = (1 -
-    LANCZOS_MARGIN) / (-theta)`` when ``I + (alpha / STEP_FRACTION) T`` is
-    Cholesky-positive definite for the step ``alpha = min(1, STEP_FRACTION
-    a)`` that ``solve`` takes, which proves ``alpha`` below ``STEP_FRACTION``
-    times the true boundary step.  A side whose check fails, whose run
-    breaks down or whose Ritz value is not finite is read from ``eigvalsh``."""
+    value ``theta`` of :func:`_ritz_ends`, from a run on the unformed ``T``.
+    Without the stacked iterates ``pair`` (the predictor's lengths, which
+    only set sigma) the step is ``1 / (-theta)``, unchecked.  With them (the
+    corrector's) it is ``a = (1 - LANCZOS_MARGIN) / (-theta)``, kept when
+    ``I + beta T`` is positive definite for ``beta = alpha /
+    STEP_FRACTION``, with ``alpha = min(1, STEP_FRACTION a)`` the step that
+    ``solve`` takes: then ``alpha`` is below ``STEP_FRACTION`` times the true
+    boundary step.  The proof is a Cholesky factorization of ``P + beta D``
+    for the side's iterate ``P``, congruent to ``I + beta T`` through the
+    side's factor ``L`` (``P + beta D = L (I + beta T) L*``), so ``T`` is not
+    formed.  That factorization carries the rounding of ``P``, absolute, and
+    refuses safe steps on an iterate of condition near ``1 / eps``, which
+    near-pure plans reach; a side it refuses forms ``T`` and factors ``I +
+    beta T``, whose rounding is relative.  A side whose checks fail, whose
+    run breaks down or whose Ritz value is not finite is read from
+    ``eigvalsh`` of its formed ``T``."""
     n = d.shape[-1]
     if n < 4 * LANCZOS_STEPS:
         lows = np.linalg.eigvalsh(_whitened(inverses, d))[:, 0]
         return [_boundary_step(float(lam)) for lam in lows], 0
-    t = _whitened(inverses, d) if checked else None
-    thetas = _ritz_ends(d, inverses)[:, 0] if t is None else _ritz_ends(t)[:, 0]
     steps = []
-    for k, theta in enumerate(thetas):
+    formed = {}
+    for k, theta in enumerate(_ritz_ends(d, inverses)[:, 0]):
         step = np.nan
         if math.isfinite(theta):
             step = _boundary_step(float(theta))
-            if checked:
+            if pair is not None:
                 step *= 1.0 - LANCZOS_MARGIN
-                check = (min(1.0, STEP_FRACTION * step) / STEP_FRACTION) * t[k]
-                check.flat[:: n + 1] += 1.0
-                try:
-                    np.linalg.cholesky(check)
-                except np.linalg.LinAlgError:
-                    step = np.nan
+                beta = min(1.0, STEP_FRACTION * step) / STEP_FRACTION
+                if not _positive_definite(pair[k] + beta * d[k]):
+                    formed[k] = _whitened(inverses[k], d[k])
+                    check = beta * formed[k]
+                    check.flat[:: n + 1] += 1.0
+                    if not _positive_definite(check):
+                        step = np.nan
         steps.append(step)
     fallen = [k for k, step in enumerate(steps) if math.isnan(step)]
     if fallen:
-        t = _whitened(inverses[fallen], d[fallen]) if t is None else t[fallen]
+        t = np.stack([formed[k] if k in formed else _whitened(inverses[k], d[k]) for k in fallen])
         for k, lam in zip(fallen, np.linalg.eigvalsh(t)[:, 0]):
             steps[k] = _boundary_step(float(lam))
     return steps, len(fallen)
@@ -678,6 +704,23 @@ def _slot_adjoint(y: np.ndarray, structure: SlotStructure) -> np.ndarray:
     out = np.zeros((n, n), dtype=complex)
     for slot, rows, ops, (_, d, _) in structure.groups:
         linalg.slot_view(out, slot, structure.shape)[...] += (y[rows] @ ops).reshape(d, d)
+    return out
+
+
+def _slot_adjoint_product(y: np.ndarray, z: np.ndarray, structure: SlotStructure) -> np.ndarray:
+    """``A*(y) Z = sum_g (I (x) B_g (x) I) Z`` with ``B_g`` the combination of
+    the operators of group ``g`` of :attr:`SlotStructure.merged`: one batched
+    product of ``B_g`` with the rows of ``Z`` at its slot per group, at ``d_g
+    n^2``, accumulated in place."""
+    structure = structure.merged
+    n = len(z)
+    out = np.zeros((n, n), dtype=complex)
+    part = np.empty_like(out)
+    for _, rows, ops, (outer, d, inner) in structure.groups:
+        # row (o, a, i) of (I (x) B (x) I) Z is sum_b B[a, b] Z[(o, b, i), :]
+        layout = (outer, d, inner * n)
+        np.matmul((y[rows] @ ops).reshape(d, d), z.reshape(layout), out=part.reshape(layout))
+        out += part
     return out
 
 
@@ -788,8 +831,9 @@ def solve(problem: SdpProblem, *, tol: float = TOL) -> SdpSolution:
     than 0.2, where ``mu_aff = tr((X + ap dX_aff)(S + ad dS_aff)) / n``.
     Each side's step length comes from the smallest eigenvalue of its step
     whitened by its Cholesky factor, ``Lx^-1 dX Lx^-*`` and ``Ls^-1 dS
-    Ls^-*``: on plans of at least ``4 * LANCZOS_STEPS`` from Lanczos, the
-    predictor's unguarded and the corrector's checked by Cholesky
+    Ls^-*``: on plans of at least ``4 * LANCZOS_STEPS`` from Lanczos on the
+    unformed whitened steps, the predictor's unguarded and the corrector's
+    checked by Cholesky factorizations of ``X + beta dX`` and ``S + beta dS``
     (:func:`_step_lengths`), on smaller plans from ``eigvalsh``.
     A ``trace`` row holds ``mu``, ``rp``, ``rd`` and ``gap``, and on an
     iteration that steps also ``schur_ratio``, ``ap``, ``ad``, ``sigma`` and
@@ -898,23 +942,41 @@ def solve(problem: SdpProblem, *, tol: float = TOL) -> SdpSolution:
                 schur_solve, ratio = _triangular_solver(np.linalg.qr(rows.T, mode="r"))
         except np.linalg.LinAlgError:  # a singular factor, even shifted
             ratio = np.inf
+        del factors  # read only by the scaled rows, not held at the peak memory
         if ratio > SCHUR_COND_LIMIT:
             reason = "schur_conditioning"
             break
 
-        # X rd Z serves both directions.  An iteration takes 15 n x n products:
-        # Z, 2 for X rd Z, 2 for each direction's X dS Z and 2 for the
-        # corrector's refinement, 2 for the Mehrotra term dX_aff dS_aff Z, 4 to
-        # whiten the corrector's step pair; plans below 4 * LANCZOS_STEPS also
-        # whiten the predictor's (19), larger ones run Lanczos on it unformed.
-        xrdz = x @ rd @ z
+        # X rd Z serves both directions.  Slot-route plans of at least
+        # 4 * LANCZOS_STEPS write X dS Z as X rd Z - X (A*(dy) Z), the slot
+        # product A*(dy) Z at d_g n^2 per group (_slot_adjoint_product), and
+        # the Mehrotra term dX_aff dS_aff Z as dX_aff (rd Z - A*(dy_aff) Z):
+        # an iteration takes 7 n x n products, Z, 2 for X rd Z and one each
+        # for the predictor, the corrector, its refinement and the Mehrotra
+        # term; Lanczos reads both step pairs unformed.  Other plans keep
+        # the two-product X dS Z, 2 for each direction, the refinement and
+        # the Mehrotra term (11 on dense-stack plans above the gate), and
+        # below the gate whiten both step pairs, 4 each (19).  On
+        # plans of n = 25-36 the slot product's rounding alone costs
+        # near-pure pairs their certificates (d = 5, eps = 1e-6: 6 of 8
+        # certified become 5), so those plans keep the two products.
+        slotted = structure is not None and n >= 4 * LANCZOS_STEPS
+        if slotted:
+            rdz = rd @ z
+            xrdz = x @ rdz
+        else:
+            xrdz = x @ rd @ z
 
-        def direction(target: np.ndarray, refined: bool) -> tuple[np.ndarray, np.ndarray]:
-            """``(dy, (dX, dS))`` with ``A(dX) = rp``, ``dS + A*(dy) = rd`` and
-            ``dX`` the Hermitian part of ``target - X dS Z``: the Schur
-            system is ``M dy = rp - A(target) + A(X rd Z)``.  ``refined`` takes
-            one step of refinement against the operator ``v -> A(X A*(v) Z)``
-            as products, the only refinement of a Schur solve.  The operator
+        def direction(
+            target: np.ndarray, refined: bool
+        ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+            """``(dy, (dX, dS), A*(dy) Z)`` with ``A(dX) = rp``, ``dS + A*(dy)
+            = rd`` and ``dX`` the Hermitian part of ``target - X dS Z``: the
+            Schur system is ``M dy = rp - A(target) + A(X rd Z)``.  The slot
+            product ``A*(dy) Z`` is None off the slot route, below the gate
+            and on a refined direction.  ``refined`` takes one step of
+            refinement against the operator ``v -> A(X A*(v) Z)`` as
+            products, the only refinement of a Schur solve.  The operator
             differs from the factored M by the rounding of the factor, which
             grows with |Z| = 1 / lambda_min(S), and by the breakdown shift.
             Without the step, 30 nonlinear pairs at d = 3-8 (default_rng([d,
@@ -923,19 +985,35 @@ def solve(problem: SdpProblem, *, tol: float = TOL) -> SdpSolution:
             predictor's direction only sets sigma and takes none."""
             dy = schur_solve(rp + apply(xrdz - target))
             ds = rd - adjoint(dy)
-            dx = target - x @ ds @ z
+            dyz = None
+            if slotted:
+                dyz = _slot_adjoint_product(dy, z, structure)
+                dx = target - xrdz + x @ dyz
+            else:
+                dx = target - x @ ds @ z
             if refined:
                 step = schur_solve(rp - apply(dx))
                 dy = dy + step
-                back = adjoint(step)
-                ds = ds - back
-                dx = dx + x @ back @ z
-            return dy, np.stack([0.5 * (dx + dx.conj().T), ds])
+                if slotted:
+                    dyz = None  # only the predictor's slot product is read
+                    ds -= adjoint(step)
+                    dx += x @ _slot_adjoint_product(step, z, structure)
+                else:
+                    back = adjoint(step)
+                    ds -= back
+                    dx += x @ back @ z
+            # the Hermitian part of dX written into the stacked pair, so that
+            # no third n x n temporary raises the solve's peak memory
+            d = np.empty((2, n, n), dtype=complex)
+            np.add(dx, dx.conj().T, out=d[0])
+            d[0] *= 0.5
+            d[1] = ds
+            return dy, d, dyz
 
         # Predictor (affine direction, sigma = 0).  These lengths only set
         # sigma and are never taken, so Ritz values need no check.
-        _, d_aff = direction(-x, refined=False)
-        steps, _ = _step_lengths(d_aff, inverses, checked=False)
+        _, d_aff, dyz_aff = direction(-x, refined=False)
+        steps, _ = _step_lengths(d_aff, inverses)
         ap, ad = (min(1.0, a) for a in steps)
         mu_aff = max(_trace_product(x + ap * d_aff[0], s + ad * d_aff[1]) / n, 0.0)
         sigma = min(1.0, (mu_aff / mu) ** CENTERING_EXPONENT) if mu > 0 else 0.0
@@ -944,10 +1022,18 @@ def solve(problem: SdpProblem, *, tol: float = TOL) -> SdpSolution:
             # bias toward centering instead of trusting the Mehrotra probe.
             sigma = max(sigma, 0.5)
 
-        # Corrector with the Mehrotra second-order term dX_aff dS_aff Z.
-        dy, d = direction(sigma * mu * z - x - d_aff[0] @ d_aff[1] @ z, refined=True)
+        # Corrector with the Mehrotra second-order term dX_aff dS_aff Z.  The
+        # predictor's arrays are released first: the next iteration's
+        # factorization, the peak of a solve's memory, would hold them.
+        if slotted:
+            second = d_aff[0] @ (rdz - dyz_aff)
+            del rdz, dyz_aff
+        else:
+            second = d_aff[0] @ d_aff[1] @ z
+        del d_aff
+        dy, d, _ = direction(sigma * mu * z - x - second, refined=True)
 
-        steps, fallbacks = _step_lengths(d, inverses)
+        steps, fallbacks = _step_lengths(d, inverses, pair)
         ap, ad = (min(1.0, STEP_FRACTION * a) for a in steps)
         if ap < 1e-13 and ad < 1e-13:
             reason = "stalled_step"

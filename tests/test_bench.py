@@ -5,7 +5,9 @@ import importlib.util
 import json
 import os
 import subprocess
+import types
 
+import numpy as np
 import pytest
 
 TOOL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools", "bench.py")
@@ -14,12 +16,12 @@ bench = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench)
 
 
-def record(e2e_ms, digest="optimal 9 0x1.0p+2", loop_ms=1.0):
+def record(e2e_ms, digest="optimal 9 0x1.0p+2", loop_ms=1.0, step_fallbacks=0):
     status, iterations, _ = digest.split()
     return {
         "n": 4, "m": 7, "e2e_ms": e2e_ms, "loop_ms": loop_ms, "iterations": int(iterations),
         "status": status, "reason": "converged" if status == "optimal" else "mu_floor",
-        "certified": status == "optimal", "digest": digest,
+        "certified": status == "optimal", "digest": digest, "step_fallbacks": step_fallbacks,
     }
 
 
@@ -113,7 +115,8 @@ class TestMergeAndCompare:
         assert bench.compare([path], "parent", "change") == 1
         printed = capsys.readouterr().out
         assert ("qubit: 2 solves, digests DIFFER (2); optimal 2, 2 certified -> "
-                "numerical 1 optimal 1, 1 certified; iterations 17 -> 17;") in printed
+                "numerical 1 optimal 1, 1 certified; iterations 17 -> 17; "
+                "step_fallbacks 0 -> 0;") in printed
 
     def test_compare_prints_each_labels_total_iterations(self, tmp_path, capsys):
         path = str(tmp_path / "BENCH_large.json")
@@ -125,10 +128,20 @@ class TestMergeAndCompare:
         printed = capsys.readouterr().out
         outcome = "optimal 1, 1 certified"
         assert (f"\nd=12: 1 solves, digests DIFFER (1); {outcome} -> {outcome}; "
-                "iterations 18 -> 14; e2e_ms_p50") in printed
+                "iterations 18 -> 14; step_fallbacks 0 -> 0; e2e_ms_p50") in printed
         assert (f"K=4: 1 solves, digests identical; {outcome} -> {outcome}; "
-                "iterations 15 -> 15; e2e_ms_p50") in printed
+                "iterations 15 -> 15; step_fallbacks 0 -> 0; e2e_ms_p50") in printed
         assert bench.total_iterations(["optimal 9 0x1.0p+2", "numerical 30 0x1.8p+1"]) == 39
+
+    def test_compare_prints_each_labels_total_step_fallbacks(self, tmp_path, capsys):
+        # the first run's solves are summed: 1 + 2 and 0 + 1
+        path = str(tmp_path / "BENCH_large.json")
+        digest = "optimal 12 0x1.8p+1"
+        for label, counts in (("parent", (1, 2)), ("change", (0, 1))):
+            runs = [run(*(record(2.0, digest, step_fallbacks=c) for c in counts))] * 2
+            bench.merge(path, label, {"K=4": bench.summary(runs)})
+        assert bench.compare([path], "parent", "change") == 0
+        assert "iterations 24 -> 24; step_fallbacks 3 -> 1; e2e_ms_p50" in capsys.readouterr().out
 
     @pytest.mark.parametrize("change", [
         ("optimal 9 0x1.0p+2",),  # a digest missing
@@ -168,6 +181,24 @@ class TestMergeAndCompare:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "has no label nosuch" in err and "its labels: change, other, parent" in err
+
+
+def test_a_record_sums_the_step_fallbacks_of_its_trace(monkeypatch):
+    from qot import transport
+
+    solution = types.SimpleNamespace(
+        x=np.eye(4), y=np.zeros(7), iterations=3, status="optimal", reason="converged",
+        trace=({"mu": 1.0}, {"mu": 0.5, "step_fallbacks": 1.0},
+               {"mu": 0.1, "step_fallbacks": 2.0}, {"mu": 0.0}),
+    )
+    result = types.SimpleNamespace(
+        solution=solution, timings={"iterate": 0.002, "build": 0.001}, dp=2.0,
+        certificate=types.SimpleNamespace(passed=True),
+    )
+    monkeypatch.setattr(transport, "wasserstein_distance", lambda *args: result)
+    monkeypatch.setattr(bench, "_case_runner", lambda name: lambda: transport.wasserstein_distance())
+    [rec] = bench.run_one("K=4")["records"]
+    assert rec["step_fallbacks"] == 3 and rec["digest"] == "optimal 3 0x1.0000000000000p+1"
 
 
 def test_repeats_that_disagree_fail_the_run(tmp_path, monkeypatch):

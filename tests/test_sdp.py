@@ -265,7 +265,7 @@ class TestStructuredSchur:
 
     @pytest.mark.parametrize(
         "dim,pairs,groups",
-        [(2, 2, (4, 4)), (2, 3, (4, 4, 4)), (2, 4, (4, 4, 4, 4)), (3, 2, (3, 3, 3, 3))],
+        [(2, 2, (8, 2)), (2, 3, (8, 8)), (2, 4, (8, 8, 4)), (3, 2, (3, 3, 3, 3))],
         ids=["qubit-K2", "qubit-K3", "qubit-K4", "qutrit-K2"],
     )
     def test_grouped_schur_matches_the_dense_form(self, dim, pairs, groups):
@@ -276,6 +276,22 @@ class TestStructuredSchur:
         schur = sdp._slot_schur(x, z, problem.structure)
         dense = dense_schur(problem.constraint_ops, x, z)
         np.testing.assert_allclose(schur, dense, rtol=0, atol=1e-13 * np.abs(dense).max())
+
+    @pytest.mark.parametrize("dims,merged", [
+        ((2,) * 8, (8, 8, 4)), ((2, 3, 4), (6, 4)), ((12, 12), (12, 12)), ((10,), (10,)),
+    ], ids=["qubits-8", "2x3x4", "12x12", "one-slot"])
+    def test_slot_adjoint_product_matches_the_dense_stack(self, dims, merged):
+        # A*(y) Z through one product per group of the merged slots
+        rng = np.random.default_rng(len(dims))
+        problem = random_slot_problem(rng, linalg.FactorShape(dims))
+        assert problem.structure.merged.shape.dims == merged
+        y = rng.standard_normal(problem.n_constraints)
+        _, z, _, _ = hkm_pair(rng, problem.dim)
+        dense = np.tensordot(y, problem.constraint_ops, axes=1) @ z
+        np.testing.assert_allclose(
+            sdp._slot_adjoint_product(y, z, problem.structure), dense,
+            rtol=0, atol=1e-13 * np.abs(dense).max(),
+        )
 
     def test_merged_slots_stay_below_the_group_dimension(self):
         # a slot above the group dimension stays alone, so no one-pair plan
@@ -660,7 +676,7 @@ class TestScaledFrameStep:
         _, inverses = sdp._cholesky_pair(pair)
         for _ in range(5):
             d = np.stack([linalg.random_hermitian(rng, n) for _ in range(2)])
-            steps, fallbacks = sdp._step_lengths(d, inverses)
+            steps, fallbacks = sdp._step_lengths(d, inverses, pair)
             assert fallbacks == 0
             for k in range(2):
                 np.testing.assert_allclose(steps[k], eigenbasis_step(pair[k], d[k]), rtol=1e-10)
@@ -778,7 +794,7 @@ class TestLanczosStep:
             n = int(case.split("-")[1])
             t = np.stack([linalg.random_hermitian(rng, n) for _ in range(2)])
         for factor in (0.1, 1.0, 10.0):
-            steps, fallbacks = sdp._step_lengths(factor * t, identities(t))
+            steps, fallbacks = sdp._step_lengths(factor * t, identities(t), identities(t))
             exact = exact_steps(factor * t)
             assert 0 <= fallbacks <= 2
             for step, boundary in zip(steps, exact):
@@ -787,13 +803,13 @@ class TestLanczosStep:
     def test_separated_frames_take_the_ritz_step(self):
         rng = np.random.default_rng(7)
         t = np.stack([planted_spectrum(rng, separated(rng, 128, -6.0)) for _ in range(2)])
-        steps, fallbacks = sdp._step_lengths(t, identities(t))
+        steps, fallbacks = sdp._step_lengths(t, identities(t), identities(t))
         assert fallbacks == 0
         np.testing.assert_allclose(
             steps, (1 - sdp.LANCZOS_MARGIN) * np.array(exact_steps(t)), rtol=1e-8
         )
         # unchecked, as the predictor reads them: the Ritz steps themselves
-        steps, fallbacks = sdp._step_lengths(t, identities(t), checked=False)
+        steps, fallbacks = sdp._step_lengths(t, identities(t))
         assert fallbacks == 0
         np.testing.assert_allclose(steps, exact_steps(t), rtol=1e-8)
 
@@ -807,10 +823,50 @@ class TestLanczosStep:
         t = np.stack([planted_spectrum(rng, missed, start),
                       planted_spectrum(rng, separated(rng, n))])
         assert sdp._ritz_ends(t[:1])[0, 0] > -1.0 + 1e-6
-        steps, fallbacks = sdp._step_lengths(t, identities(t))
+        steps, fallbacks = sdp._step_lengths(t, identities(t), identities(t))
         exact = exact_steps(t)
         assert fallbacks == 1 and steps[0] == exact[0]
         assert steps[1] < exact[1]
+
+    @pytest.mark.parametrize("low", [-10, -16])
+    def test_check_on_an_ill_conditioned_iterate_keeps_the_fraction_of_the_boundary(self, low):
+        # X with eigenvalues 10^low ... 1 in a random frame: the check factors
+        # X + beta dX, congruent to I + beta T through a factor of condition
+        # 10^(-low/2), and an accepted step stays below STEP_FRACTION times
+        # the boundary read from eigvalsh of the formed T
+        n = 128
+        rng = np.random.default_rng(0)
+        pair = np.stack([planted_spectrum(rng, np.logspace(low, 0, n)), random_pd(rng, n)])
+        factors, inverses = sdp._cholesky_pair(pair)
+
+        def assert_inside(d):
+            steps, fallbacks = sdp._step_lengths(d, inverses, pair)
+            for step, boundary in zip(steps, exact_steps(sdp._whitened(inverses, d))):
+                assert min(1.0, sdp.STEP_FRACTION * step) <= sdp.STEP_FRACTION * boundary
+            return steps, fallbacks
+
+        refused = 0
+        for factor in (1e-12, 1e-8, 1e-4, 1.0):
+            d = factor * np.stack([linalg.random_hermitian(rng, n) for _ in range(2)])
+            steps, fallbacks = assert_inside(d)
+            assert fallbacks == 0
+            for k, step in enumerate(steps):
+                beta = min(1.0, sdp.STEP_FRACTION * step) / sdp.STEP_FRACTION
+                refused += not sdp._positive_definite(pair[k] + beta * d[k])
+        # at condition 1e16 the rounding of X refuses a safe step, which the
+        # factorization of the formed I + beta T accepts
+        assert (refused > 0) == (low == -16)
+        # a whitened step whose smallest eigenvector, 0.1 below the bulk, is
+        # orthogonal to the start vector.  At condition 1e10 the run misses
+        # it, and both checks refuse the Ritz step on both sides; at 1e16 the
+        # rounding of the unformed products brings it into reach of the X
+        # side's run, not to within the margin, and the checks refuse it too
+        missed = np.concatenate([[-1.1], rng.uniform(-1.0, 1.0, n - 1)])
+        t = planted_spectrum(rng, missed, sdp._lanczos_start(n))
+        d = factors @ t @ factors.conj().swapaxes(-1, -2)
+        d = 0.5 * (d + d.conj().swapaxes(-1, -2))
+        assert (sdp._ritz_ends(d, inverses)[0, 0] > -1.0) == (low == -10)
+        assert assert_inside(d)[1] == 2
 
     def test_breakdown_reads_full_spectra(self):
         # two distinct eigenvalues: the Krylov space is invariant after two steps
@@ -819,15 +875,15 @@ class TestLanczosStep:
         t = planted_spectrum(rng, np.repeat([-2.0, 1.0], n // 2))
         t = np.stack([t, t])
         assert np.isnan(sdp._ritz_ends(t)).all()
-        for checked in (True, False):
-            assert sdp._step_lengths(t, identities(t), checked=checked) == (exact_steps(t), 2)
+        for pair in (identities(t), None):
+            assert sdp._step_lengths(t, identities(t), pair) == (exact_steps(t), 2)
 
     def test_plans_below_the_gate_read_full_spectra(self):
         n = 4 * sdp.LANCZOS_STEPS - 1
         rng = np.random.default_rng(n)
         t = np.stack([linalg.random_hermitian(rng, n) for _ in range(2)])
-        for checked in (True, False):
-            assert sdp._step_lengths(t, identities(t), checked=checked) == (exact_steps(t), 0)
+        for pair in (identities(t), None):
+            assert sdp._step_lengths(t, identities(t), pair) == (exact_steps(t), 0)
 
     def test_k4_solve_is_bitwise_repeatable_and_matches_the_decomposition(self):
         instance = qubit_linearized(4, 23)
@@ -844,12 +900,14 @@ class TestLanczosStep:
 
     @pytest.mark.parametrize("build,digest", [
         (lambda: nonlinear_instance(8), ("optimal", 12, "0x1.bd4b0efff7899p+3")),
-        (lambda: pauli_triple_k3(), ("optimal", 9, "0x1.11651e564c2c3p+1")),
+        (lambda: pauli_triple_k3(), ("optimal", 9, "0x1.11651e564bfcbp+1")),
     ], ids=["d8", "K3"])
     def test_plans_below_the_gate_keep_their_digests(self, build, digest):
         # the digests of these n = 64 solves at one BLAS thread, which no
         # Lanczos step length reaches (13 and 10 iterations under the
-        # Nesterov-Todd direction)
+        # Nesterov-Todd direction); K3's last bits of dp moved when its six
+        # qubit slots were grouped into (8, 8) instead of (4, 4, 4) for the
+        # Schur matrix (SCHUR_GROUP_DIM)
         result = transport.wasserstein_distance(build())
         assert result.solution.x.shape[0] < 4 * sdp.LANCZOS_STEPS
         assert (result.status, result.solution.iterations, result.dp.hex()) == digest
@@ -870,8 +928,8 @@ class TestStackedPair:
         for k in range(2):
             np.testing.assert_array_equal(t[k], sdp._whitened(inverses[k], d[k]))
         # both steps, bitwise those measured one side at a time
-        assert sdp._step_lengths(d, inverses)[0] == [
-            sdp._step_lengths(d[k:k + 1], inverses[k:k + 1])[0][0] for k in (0, 1)
+        assert sdp._step_lengths(d, inverses, pair)[0] == [
+            sdp._step_lengths(d[k:k + 1], inverses[k:k + 1], pair[k:k + 1])[0][0] for k in (0, 1)
         ]
 
     @pytest.mark.parametrize("n", [4, 9, 16, 36, 128])
@@ -1107,7 +1165,7 @@ class TestNewtonDirection:
         _, inverses = sdp._cholesky_pair(pair)
         for factor in (0.01, 0.1, 1.0):
             d = factor * np.stack([linalg.random_hermitian(rng, n) for _ in range(2)])
-            steps, _ = sdp._step_lengths(d, inverses)
+            steps, _ = sdp._step_lengths(d, inverses, pair)
             for k in range(2):
                 taken = min(1.0, sdp.STEP_FRACTION * steps[k])
                 assert taken <= sdp.STEP_FRACTION * eigenbasis_step(pair[k], d[k]) * (1 + 1e-12)

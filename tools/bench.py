@@ -29,11 +29,14 @@ are built before the solves start, and each checkout's own ``tools/bench.py``
 times it.  Per transport solve a run records n, m, from the result's
 ``timings`` the end-to-end time (their sum) and the interior-point loop time
 (``iterate``), iterations, status, stop reason, whether the certificate
-passed, and the digest ``(status, iterations, dp.hex())``.  A case reports
-the median over solves of each solve's median over repeats, the median over
-repeats of the run's total end-to-end time (so that a change which drops
-solves shows), and the median peak RSS.  The command exits 1 when the
-repeats of a case disagree on any digest: solves are bitwise deterministic.
+passed, the digest ``(status, iterations, dp.hex())`` and the sum of its
+trace's ``step_fallbacks`` (corrector sides whose step length a full
+spectrum gave on a plan that reads Ritz values).  A case reports the median
+over solves of each solve's median over repeats, the median over repeats of
+the run's total end-to-end time (so that a change which drops solves
+shows), the total step fallbacks of its solves, and the median peak RSS.
+The command exits 1 when the repeats of a case disagree on any digest:
+solves are bitwise deterministic.
 
 Usage::
 
@@ -46,9 +49,9 @@ none is given).  The results are merged into ``BENCH_<group>.json`` under
 the labels, so checkouts measured on one host sit side by side;
 ``--compare`` prints, per case of the group given (every group without
 one), whether the digests of two labels match as multisets, each label's
-status histogram and certified count, each label's total iterations over
-the case's solves, and the time and memory ratios, each timing beside both
-labels' min-max over repeats.  Digests that differ only in the last bits of
+status histogram and certified count, each label's total iterations and
+step fallbacks over the case's solves, and the time and memory ratios, each
+timing beside both labels' min-max over repeats.  Digests that differ only in the last bits of
 ``dp`` keep the outcomes; a change of outcome shows in the histograms.  It
 exits 0 when every case matches, else 1; a label missing from a file is a
 usage error (exit 2).
@@ -155,6 +158,7 @@ def run_one(name: str) -> dict:
             "reason": sol.reason,
             "certified": bool(result.certificate.passed),
             "digest": f"{sol.status} {sol.iterations} {float(result.dp).hex()}",
+            "step_fallbacks": int(sum(row.get("step_fallbacks", 0) for row in sol.trace)),
         })
         return result
 
@@ -197,6 +201,7 @@ def summary(runs: list[dict]) -> dict:
         "statuses": histogram("status"),
         "reasons": histogram("reason"),
         "certified": sum(r["certified"] for r in first),
+        "step_fallbacks": sum(r["step_fallbacks"] for r in first),
         "stable": all([r["digest"] for r in run["records"]] == digests for run in runs),
         "peak_rss_mb": round(statistics.median(run["peak_rss_mb"] for run in runs), 1),
     }
@@ -271,9 +276,10 @@ def ratio(ra: dict, rb: dict, key: str) -> str:
 
 def compare(paths: list[str], a: str, b: str) -> int:
     """Print, per case, whether labels ``a`` and ``b`` have the same digests
-    (:func:`digest_verdict`), both labels' outcomes (:func:`outcomes`) and
-    total iterations (:func:`total_iterations`) and the ratios of time and
-    memory (:func:`ratio`); 0 when every digest matches, else 1."""
+    (:func:`digest_verdict`), both labels' outcomes (:func:`outcomes`),
+    total iterations (:func:`total_iterations`) and total step fallbacks, and
+    the ratios of time and memory (:func:`ratio`); 0 when every digest
+    matches, else 1."""
     same_everywhere = True
     for path in paths:
         runs = _load(path)["runs"]
@@ -285,7 +291,8 @@ def compare(paths: list[str], a: str, b: str) -> int:
             if rb["solves"] != ra["solves"]:
                 solves += f" -> {rb['solves']}"
             iterations = (f"iterations {total_iterations(ra['digests'])} -> "
-                          f"{total_iterations(rb['digests'])}")
+                          f"{total_iterations(rb['digests'])}; "
+                          f"step_fallbacks {ra['step_fallbacks']} -> {rb['step_fallbacks']}")
             ratios = (ratio(ra, rb, key)
                       for key in ("e2e_ms_p50", "loop_ms_p50", "e2e_ms_total", "peak_rss_mb"))
             print(f"{name}: {solves} solves, {verdict}; {outcomes(ra)} -> {outcomes(rb)}; "
