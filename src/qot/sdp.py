@@ -32,18 +32,20 @@ which picks the route the iteration reads the constraints through.
 Multi-slot plans of at least ``STRUCTURED_MIN_DIM`` apply the constraints
 and their adjoint through slot marginals and embeddings and form the Schur
 matrix from partial-trace contractions of X and S^-1 over groups of
-adjacent slots of dimension at most ``SCHUR_GROUP_DIM``, Cholesky-factored
-and shifted if the factorization breaks down; other problems read the dense
-stack ``SdpProblem.constraint_ops``, built from the slots on first read,
-and QR-factor the scaled constraints ``Ls^-1 A_i Lx``.  Either triangular
-factor is inverted once, so that a Schur solve is two triangular products.
-Both routes apply the constraints to the same right-hand side, and the
-corrector takes one refinement step against the operator ``v -> A(X A*(v)
-S^-1)``, the only refinement of a solve.  Slot-route plans of at least ``4 *
-LANCZOS_STEPS`` take ``X A*(v) S^-1`` as ``X`` times the slot product
-``A*(v) S^-1`` (:func:`_slot_adjoint_product`), so that an iteration there
-takes 7 products of n x n matrices (11 on a dense-stack plan above the
-gate, 19 on any plan below it).
+adjacent slots of dimension at most ``SCHUR_GROUP_DIM``, Cholesky-factored;
+other problems read the dense stack ``SdpProblem.constraint_ops``, built
+from the slots on first read, and QR-factor the scaled constraints ``Ls^-1
+A_i Lx``.  Either triangular factor is inverted once, so that a Schur solve
+is two triangular products, and the corrector takes one refinement step
+against the operator ``v -> A(X A*(v) S^-1)``, the only refinement of a
+solve.  Every plan writes ``X dS S^-1`` as ``X (rd S^-1) - X (A*(dy) S^-1)``.
+The gate means one thing: below it a plan forms its matrices (full spectra,
+``A*(v)`` before its product with ``S^-1``, and the dense stack for the QR
+from a slot-route plan's first Schur Cholesky breakdown on); above it
+nothing is formed (Ritz values, the slot product ``A*(v) S^-1`` of
+:func:`_slot_adjoint_product`, a diagonal shift at a breakdown).  An
+iteration takes 7 n x n products above the gate on the slot route (10 on a
+dense-stack plan above it, 18 below it, where the Mehrotra term is one).
 A run that stops short with a large primal residual is labelled infeasible
 when its multipliers point along a Farkas ray (:func:`_farkas_ray`).  The
 iteration starts at ``y = 0``, ``S = tau I`` and ``X`` at the declared
@@ -373,10 +375,8 @@ def slot_problem(
         interior = linalg.hermitian(interior)
         if interior.shape != c.shape:
             raise ValueError(f"interior point shape {interior.shape} does not match {c.shape}")
-        try:
-            np.linalg.cholesky(interior)
-        except np.linalg.LinAlgError:
-            raise ValueError("interior point is not positive definite") from None
+        if not _positive_definite(interior):
+            raise ValueError("interior point is not positive definite")
         miss = float(np.abs(_slot_applied(interior, structure) - vals).max())
         if miss > INTERIOR_TOL * max(1.0, float(np.abs(vals).max())):
             raise ValueError(f"interior point misses the constraints by {miss:.3e}")
@@ -806,17 +806,24 @@ def _triangular_solver(upper: np.ndarray) -> tuple[Callable[[np.ndarray], np.nda
     return (lambda rhs: inv @ (inv.T @ rhs)), float(diag.max() / diag.min())
 
 
-def _schur_solver(mat: np.ndarray) -> tuple[Callable[[np.ndarray], np.ndarray], float]:
+def _schur_solver(
+    mat: np.ndarray, shift: bool
+) -> tuple[Callable[[np.ndarray], np.ndarray], float] | None:
     """:func:`_triangular_solver` of a formed Schur matrix, from its Cholesky
-    factor.  When the factorization breaks down (near a degenerate optimal
-    face the matrix is numerically singular), the diagonal is shifted by
-    ``eps m max(diag)`` and factored once more; the corrector's refinement
-    against the operator (``solve``) corrects the shift's bias."""
+    factor.  Near a degenerate optimal face the factorization breaks down:
+    then None, or with ``shift`` (plans at or above the Lanczos gate) the
+    factor of the diagonal shifted by ``eps m max(diag)``, whose bias the
+    corrector's refinement corrects.  Only near-pure plans reach the shift:
+    at eps = 1e-6, 8 of 16 pairs at d = 9, 10 (4 of them 12-20 times, ending
+    mu_floor) and 6 of 12 at d = 11-14 (once, all optimal).  No bench or
+    perfbench solve breaks down or stops at ``SCHUR_COND_LIMIT``."""
     try:
         chol = np.linalg.cholesky(mat)
     except np.linalg.LinAlgError:
-        shift = np.finfo(float).eps * len(mat) * float(mat.diagonal().max())
-        chol = np.linalg.cholesky(mat + shift * np.eye(len(mat)))
+        if not shift:
+            return None
+        bump = np.finfo(float).eps * len(mat) * float(mat.diagonal().max())
+        chol = np.linalg.cholesky(mat + bump * np.eye(len(mat)))
     return _triangular_solver(chol.T)
 
 
@@ -860,6 +867,9 @@ def solve(problem: SdpProblem, *, tol: float = TOL) -> SdpSolution:
     m = len(b)
     structure = _slot_reads(reduced)
     apply, adjoint = _constraint_maps(reduced)
+    # below the gate a plan forms its matrices (module docstring)
+    formed = n < 4 * LANCZOS_STEPS
+    qr = structure is None
 
     tau = max(1.0, float(np.abs(c).max()))
     # X and S as one stacked pair, so that each side's factor, update and step
@@ -903,6 +913,8 @@ def solve(problem: SdpProblem, *, tol: float = TOL) -> SdpSolution:
             # crossover of the objectives must stay below roundoff scale,
             # which grows with the objective
             and dobj - pobj <= 5e-10 * max(1.0, abs(pobj))
+            # and both iterates pass certify's cone threshold
+            and _positive_definite(pair + CERT_PSD_TOL * np.eye(n))
         ):
             reason = "converged"
             break
@@ -928,18 +940,19 @@ def solve(problem: SdpProblem, *, tol: float = TOL) -> SdpSolution:
         # definite, the Gram matrix of F_i = Ls^-1 A_i Lx.  With slot
         # structure, M is formed from contractions of X and Z over groups of
         # slots (D_g D_h n^2 per pair of groups, no F_i; _slot_schur) and
-        # Cholesky-factored, with a diagonal shift if that breaks down
-        # (_schur_solver).  Problems read through the dense stack QR-factor
-        # the rows of F instead (_scaled_rows), M = R_f^T R_f, and never form
-        # M.  Either triangular factor is inverted once, so that a solve is
-        # two products (_triangular_solver); its diagonal ratio estimates
-        # sqrt(cond(M)).
+        # Cholesky-factored (_schur_solver).  Problems read through the dense
+        # stack, and slot-route plans below the gate from their first
+        # breakdown on, QR-factor the rows of F instead (_scaled_rows), M =
+        # R_f^T R_f, and never square the conditioning by forming M.  Either
+        # triangular factor is inverted once, so that a solve is two products
+        # (_triangular_solver); its diagonal ratio estimates sqrt(cond(M)).
         try:
-            if structure is not None:
-                schur_solve, ratio = _schur_solver(_slot_schur(x, z, structure))
-            else:
+            found = None if qr else _schur_solver(_slot_schur(x, z, structure), not formed)
+            qr = found is None
+            if qr:
                 rows = _scaled_rows(reduced.constraint_ops, factors[0], inverses[1])
-                schur_solve, ratio = _triangular_solver(np.linalg.qr(rows.T, mode="r"))
+                found = _triangular_solver(np.linalg.qr(rows.T, mode="r"))
+            schur_solve, ratio = found
         except np.linalg.LinAlgError:  # a singular factor, even shifted
             ratio = np.inf
         del factors  # read only by the scaled rows, not held at the peak memory
@@ -947,61 +960,48 @@ def solve(problem: SdpProblem, *, tol: float = TOL) -> SdpSolution:
             reason = "schur_conditioning"
             break
 
-        # X rd Z serves both directions.  Slot-route plans of at least
-        # 4 * LANCZOS_STEPS write X dS Z as X rd Z - X (A*(dy) Z), the slot
-        # product A*(dy) Z at d_g n^2 per group (_slot_adjoint_product), and
-        # the Mehrotra term dX_aff dS_aff Z as dX_aff (rd Z - A*(dy_aff) Z):
-        # an iteration takes 7 n x n products, Z, 2 for X rd Z and one each
-        # for the predictor, the corrector, its refinement and the Mehrotra
-        # term; Lanczos reads both step pairs unformed.  Other plans keep
-        # the two-product X dS Z, 2 for each direction, the refinement and
-        # the Mehrotra term (11 on dense-stack plans above the gate), and
-        # below the gate whiten both step pairs, 4 each (19).  On
-        # plans of n = 25-36 the slot product's rounding alone costs
-        # near-pure pairs their certificates (d = 5, eps = 1e-6: 6 of 8
-        # certified become 5), so those plans keep the two products.
-        slotted = structure is not None and n >= 4 * LANCZOS_STEPS
-        if slotted:
-            rdz = rd @ z
-            xrdz = x @ rdz
-        else:
-            xrdz = x @ rd @ z
+        # X dS Z is X rd Z - X (A*(dy) Z) and the Mehrotra term dX_aff dS_aff
+        # Z is dX_aff (rd Z - A*(dy_aff) Z).  A*(v) Z is the slot product at
+        # d_g n^2 a group on slot-route plans above the gate, else the formed
+        # A*(v), which dS needs, times Z.  Above the gate on the slot route an
+        # iteration takes 7 n x n products: Z, 2 for X rd Z and one each for
+        # the predictor, the corrector, its refinement and the Mehrotra term.
+        rdz = rd @ z
+        xrdz = x @ rdz
+
+        def adjoint_z(v: np.ndarray, back: np.ndarray) -> np.ndarray:  # back = A*(v)
+            return back @ z if formed or qr else _slot_adjoint_product(v, z, structure)
 
         def direction(
             target: np.ndarray, refined: bool
         ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
             """``(dy, (dX, dS), A*(dy) Z)`` with ``A(dX) = rp``, ``dS + A*(dy)
             = rd`` and ``dX`` the Hermitian part of ``target - X dS Z``: the
-            Schur system is ``M dy = rp - A(target) + A(X rd Z)``.  The slot
-            product ``A*(dy) Z`` is None off the slot route, below the gate
-            and on a refined direction.  ``refined`` takes one step of
-            refinement against the operator ``v -> A(X A*(v) Z)`` as
-            products, the only refinement of a Schur solve.  The operator
-            differs from the factored M by the rounding of the factor, which
-            grows with |Z| = 1 / lambda_min(S), and by the breakdown shift.
-            Without the step, 30 nonlinear pairs at d = 3-8 (default_rng([d,
-            s, 99]), s < 5) ended with equality residuals up to 1.0e-10
-            against 4.5e-14 with it, in the same 325 iterations.  The
-            predictor's direction only sets sigma and takes none."""
+            Schur system is ``M dy = rp - A(target) + A(X rd Z)``.
+            ``refined`` takes one step of refinement against the operator ``v
+            -> A(X A*(v) Z)`` as products, the only refinement of a Schur
+            solve, and returns None for ``A*(dy) Z``, which only the
+            predictor's Mehrotra term reads.  The operator differs from the
+            factored M by the rounding of the factor, which grows with |Z| =
+            1 / lambda_min(S), and by the breakdown shift.  Without the step,
+            30 nonlinear pairs at d = 3-8 (default_rng([d, s, 99]), s < 5)
+            ended with equality residuals up to 1.0e-10 against 4.5e-14 with
+            it, in the same 325 iterations.  The predictor's direction only
+            sets sigma and takes none."""
             dy = schur_solve(rp + apply(xrdz - target))
-            ds = rd - adjoint(dy)
-            dyz = None
-            if slotted:
-                dyz = _slot_adjoint_product(dy, z, structure)
-                dx = target - xrdz + x @ dyz
-            else:
-                dx = target - x @ ds @ z
+            back = adjoint(dy)
+            ds = rd - back
+            dyz = adjoint_z(dy, back)
+            del back  # an n x n array held through dX's products raises peak memory
+            dx = target - xrdz + x @ dyz
             if refined:
+                dyz = None
                 step = schur_solve(rp - apply(dx))
                 dy = dy + step
-                if slotted:
-                    dyz = None  # only the predictor's slot product is read
-                    ds -= adjoint(step)
-                    dx += x @ _slot_adjoint_product(step, z, structure)
-                else:
-                    back = adjoint(step)
-                    ds -= back
-                    dx += x @ back @ z
+                back = adjoint(step)
+                ds -= back
+                dx += x @ adjoint_z(step, back)
+                del back
             # the Hermitian part of dX written into the stacked pair, so that
             # no third n x n temporary raises the solve's peak memory
             d = np.empty((2, n, n), dtype=complex)
@@ -1025,12 +1025,8 @@ def solve(problem: SdpProblem, *, tol: float = TOL) -> SdpSolution:
         # Corrector with the Mehrotra second-order term dX_aff dS_aff Z.  The
         # predictor's arrays are released first: the next iteration's
         # factorization, the peak of a solve's memory, would hold them.
-        if slotted:
-            second = d_aff[0] @ (rdz - dyz_aff)
-            del rdz, dyz_aff
-        else:
-            second = d_aff[0] @ d_aff[1] @ z
-        del d_aff
+        second = d_aff[0] @ (rdz - dyz_aff)
+        del rdz, dyz_aff, d_aff
         dy, d, _ = direction(sigma * mu * z - x - second, refined=True)
 
         steps, fallbacks = _step_lengths(d, inverses, pair)

@@ -367,12 +367,18 @@ def relative_residual(mat, rhs, v):
 
 
 class TestSchurSolver:
+    def test_singular_matrix_reports_the_breakdown(self):
+        # without the shift (below the Lanczos gate) solve then takes the QR
+        # of the scaled rows
+        mat = singular_schur(np.random.default_rng(6), 40)
+        assert sdp._schur_solver(mat, shift=False) is None
+
     def test_singular_matrix_takes_the_shift(self):
         rng = np.random.default_rng(6)
         mat = singular_schur(rng, 40)
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(mat)
-        solve, ratio = sdp._schur_solver(mat)
+        solve, ratio = sdp._schur_solver(mat, shift=True)
         shift = np.finfo(float).eps * 40 * float(mat.diagonal().max())
         upper = np.linalg.cholesky(mat + shift * np.eye(40)).T
         diag = upper.diagonal()
@@ -462,7 +468,7 @@ STOPS = [
     pytest.param("diverged", functools.partial(unbounded_diagonal, 4), {}, id="diverged-unbounded"),
     pytest.param("diverged", unbounded_diagonal, {}, id="diverged"),
     pytest.param(
-        "stalled_step", functools.partial(unbounded_off_diagonal, 7), {},
+        "stalled_step", functools.partial(unbounded_off_diagonal, 4), {},
         id="stalled_step-unbounded",
     ),
     pytest.param(
@@ -899,15 +905,16 @@ class TestLanczosStep:
         assert abs(first.primal_objective - decomposed.total) <= 1e-5
 
     @pytest.mark.parametrize("build,digest", [
-        (lambda: nonlinear_instance(8), ("optimal", 12, "0x1.bd4b0efff7899p+3")),
-        (lambda: pauli_triple_k3(), ("optimal", 9, "0x1.11651e564bfcbp+1")),
+        (lambda: nonlinear_instance(8), ("optimal", 12, "0x1.bd4b0efff8a8bp+3")),
+        (lambda: pauli_triple_k3(), ("optimal", 9, "0x1.11651e564beb8p+1")),
     ], ids=["d8", "K3"])
     def test_plans_below_the_gate_keep_their_digests(self, build, digest):
         # the digests of these n = 64 solves at one BLAS thread, which no
         # Lanczos step length reaches (13 and 10 iterations under the
         # Nesterov-Todd direction); K3's last bits of dp moved when its six
         # qubit slots were grouped into (8, 8) instead of (4, 4, 4) for the
-        # Schur matrix (SCHUR_GROUP_DIM)
+        # Schur matrix (SCHUR_GROUP_DIM), and both when X dS Z became X rd Z
+        # - X (A*(dy) Z)
         result = transport.wasserstein_distance(build())
         assert result.solution.x.shape[0] < 4 * sdp.LANCZOS_STEPS
         assert (result.status, result.solution.iterations, result.dp.hex()) == digest
@@ -983,6 +990,18 @@ class TestCertify:
         cert = sdp.certify(bad, problem)
         assert not cert.passed
         assert any("equality" in f for f in cert.failures)
+
+    @pytest.mark.parametrize("build", [small_transport_problem, structured_problem],
+                             ids=["qr", "cholesky"])
+    def test_no_optimal_solution_fails_the_cone_threshold(self, monkeypatch, build):
+        # the stop rule reads certify's cone threshold: asked for eigenvalues
+        # above 1e-6, which the optimal faces of these plans do not have
+        # (converged, their smallest are below 1e-8), no solve is optimal
+        monkeypatch.setattr(sdp, "CERT_PSD_TOL", -1e-6)
+        problem = build()
+        sol = sdp.solve(problem)
+        assert not sdp.certify(sol, problem).passed
+        assert not sol.optimal
 
     def test_closed_form_dual_value(self):
         # commuting states: the dual optimum is the classical two-point value
@@ -1084,39 +1103,45 @@ class TestNewtonDirection:
     step of lengths ``(ap, ad)`` scales the primal residual by ``1 - ap``
     and the dual residual by ``1 - ad``, on either Schur route."""
 
-    @pytest.mark.parametrize("build,shifted", [
-        (small_transport_problem, False),
-        (lambda: transport.build_primal(nonlinear_instance(3)), False),
-        (lambda: transport.build_primal(nonlinear_d6()), False),
-        (lambda: transport.build_primal(pauli_triple_k3()), False),
-        (lambda: transport.build_primal(nonlinear_d6()), True),
-        (lambda: transport.build_primal(pauli_triple_k3()), True),
-    ], ids=["dense-4", "dense-9", "slots-36", "slots-K3", "slots-36-shifted", "slots-K3-shifted"])
-    def test_each_step_scales_both_residuals(self, monkeypatch, build, shifted):
+    @pytest.mark.parametrize("build,breakdown", [
+        (small_transport_problem, None),
+        (lambda: transport.build_primal(nonlinear_instance(3)), None),
+        (lambda: transport.build_primal(nonlinear_d6()), None),
+        (lambda: transport.build_primal(pauli_triple_k3()), None),
+        (lambda: transport.build_primal(nonlinear_d6()), "switched"),
+        (lambda: transport.build_primal(pauli_triple_k3()), "switched"),
+        (lambda: transport.build_primal(nonlinear_instance(9)), "shifted"),
+    ], ids=[
+        "dense-4", "dense-9", "slots-36", "slots-K3", "slots-36-switched", "slots-K3-switched",
+        "slots-81-shifted",
+    ])
+    def test_each_step_scales_both_residuals(self, monkeypatch, build, breakdown):
         # started at tau I, so that both residuals are far from zero
         problem = dataclasses.replace(build(), interior=None)
         reduced, report = sdp.preprocess(problem)
         apply, adjoint = sdp._constraint_maps(reduced)
         kept = list(report.kept)
-        shifts = []
-        if shifted:
-            # every Schur factorization breaks down once and takes the shift,
-            # so that the corrector's refinement against the operator alone
-            # keeps the invariant.  (The near-pure d=5 pairs at eps=1e-6 shift
-            # by themselves, but their Schur matrices are numerically
-            # singular: there a step misses the invariant by up to 4e-9, and
-            # by 7e-9 with two refinement steps against M.)
-            cholesky = np.linalg.cholesky
+        # whether each Schur Cholesky factorization (the real matrices
+        # factored) was forced to break down
+        attempts = []
+        cholesky = np.linalg.cholesky
 
-            def breaking(a, *args, **kwargs):
-                # the real matrices factored are the Schur matrices: the first
-                # attempt on each fails, the shifted one succeeds
-                if np.isrealobj(a):
-                    shifts.append(len(shifts) % 2 == 0)
-                    if shifts[-1]:
-                        raise np.linalg.LinAlgError("forced breakdown")
-                return cholesky(a, *args, **kwargs)
-            monkeypatch.setattr(np.linalg, "cholesky", breaking)
+        def breaking(a, *args, **kwargs):
+            if np.isrealobj(a):
+                # below the gate the fourth factorization breaks down and the
+                # solve takes the QR route from that iteration on, with no
+                # further attempt; above it the first attempt of each
+                # iteration breaks down and the shifted one succeeds
+                if breakdown == "switched":
+                    attempts.append(len(attempts) == 3)
+                elif breakdown == "shifted":
+                    attempts.append(len(attempts) % 2 == 0)
+                else:
+                    attempts.append(False)
+                if attempts[-1]:
+                    raise np.linalg.LinAlgError("forced breakdown")
+            return cholesky(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, "cholesky", breaking)
 
         def residuals(sol):
             rp = reduced.constraint_vals - apply(sol.x)
@@ -1124,14 +1149,19 @@ class TestNewtonDirection:
             return rp, rd
 
         before = None
-        # the first ten steps: without the corrector's refinement the shifted
-        # d=6 plan misses the invariant by 2e-12 at the ninth and 1e-11 at
+        # the first ten steps: without the corrector's refinement a shifted
+        # d=6 plan missed the invariant by 2e-12 at the ninth and 1e-11 at
         # the tenth, and the unshifted plans by 2e-12 from the twelfth on
         for stop in range(11):
             monkeypatch.setattr(sdp, "MAX_ITER", stop)
-            shifts.clear()
+            attempts.clear()
             sol = sdp.solve(problem)
-            assert sum(shifts) == (stop if shifted else 0)
+            if breakdown == "switched":
+                assert attempts == [False] * min(stop, 3) + [True] * (stop > 3)
+            elif breakdown == "shifted":
+                assert attempts == [True, False] * stop
+            elif sdp._slot_reads(reduced) is not None:
+                assert attempts == [False] * stop
             rp, rd = residuals(sol)
             if before is not None:
                 row = sol.trace[-2]
