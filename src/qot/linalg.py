@@ -69,21 +69,22 @@ CLUSTER_TOL = 1e-9
 
 
 def hermitian(m: np.ndarray) -> np.ndarray:
-    """Validate Hermitian symmetry and return the symmetrized copy.
+    """Validate Hermitian symmetry and return the symmetrized copy, of a
+    matrix or of each matrix of a stack ``(..., n, n)``.
 
     Asymmetry up to ``HERMITIAN_ATOL`` (max absolute entry of ``m - m*``) is
     repaired by averaging with the adjoint; anything larger is rejected so
     that slack and cone checks downstream stay honest.
     """
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix has non-finite entries")
-    defect = np.abs(m - m.conj().T).max() if m.size else 0.0
+    defect = np.abs(m - m.conj().swapaxes(-1, -2)).max() if m.size else 0.0
     if defect > HERMITIAN_ATOL:
         raise ValueError(f"matrix is not Hermitian: asymmetry {defect:.3e} > {HERMITIAN_ATOL:.1e}")
-    return 0.5 * (m + m.conj().T)
+    return 0.5 * (m + m.conj().swapaxes(-1, -2))
 
 
 def min_eigenvalue(m: np.ndarray) -> float:
@@ -94,6 +95,8 @@ def min_eigenvalue(m: np.ndarray) -> float:
 def density(m: np.ndarray) -> np.ndarray:
     """Validate a density matrix: Hermitian, PSD and unit trace within ``DENSITY_ATOL``."""
     m = hermitian(m)
+    if m.ndim != 2:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
     lo = min_eigenvalue(m)
     if lo < -DENSITY_ATOL:
         raise ValueError(f"matrix is not PSD: min eigenvalue {lo:.3e}")
@@ -228,6 +231,8 @@ class SpectralDecomposition:
 def eig_hermitian(m: np.ndarray) -> SpectralDecomposition:
     """Spectral decomposition of a Hermitian matrix with degeneracy merging."""
     m = hermitian(m)
+    if m.ndim != 2:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
     vals, vecs = np.linalg.eigh(m)
     eigenvalues: list[float] = []
     projectors: list[np.ndarray] = []

@@ -22,23 +22,22 @@ the cone by a Cholesky factorization of the iterate plus the step
 (:func:`_step_lengths`), else measured from the full spectrum.
 Constraints are declared once, as local operators on tensor slots
 (:func:`slot_problem`; :func:`sdp_problem` declares one slot spanning the
-space).  Every problem takes its rank test on slot coordinates
-(:meth:`SlotStructure.coordinates`) and its face probe
-(:func:`compressed_constraints`) from the slots.  Three size decisions
-remain, each measured where its constant stands: the ``4 * LANCZOS_STEPS``
-gate above, ``TRIANGULAR_LEAF``, below which a triangular factor is
-inverted by ``np.linalg.inv`` and above by blocks, and :func:`_slot_reads`,
-which picks the route the iteration reads the constraints through.
-Multi-slot plans of at least ``STRUCTURED_MIN_DIM`` apply the constraints
-and their adjoint through slot marginals and embeddings and form the Schur
-matrix from partial-trace contractions of X and S^-1 over groups of
-adjacent slots of dimension at most ``SCHUR_GROUP_DIM``, Cholesky-factored;
-other problems read the dense stack ``SdpProblem.constraint_ops``, built
-from the slots on first read, and QR-factor the scaled constraints ``Ls^-1
-A_i Lx``.  Either triangular factor is inverted once, so that a Schur solve
-is two triangular products, and the corrector takes one refinement step
-against the operator ``v -> A(X A*(v) S^-1)``, the only refinement of a
-solve.  Every plan writes ``X dS S^-1`` as ``X (rd S^-1) - X (A*(dy) S^-1)``.
+space), and stored once, one block per group of adjacent slots
+(:class:`SlotStructure`), which every reader reads, the dense stack
+included.  Three size decisions remain, each measured where its constant
+stands: the ``4 * LANCZOS_STEPS`` gate above, ``TRIANGULAR_LEAF``, below
+which a triangular factor is inverted by ``np.linalg.inv`` and above by
+blocks, and :func:`_slot_reads`, which picks the route the iteration reads
+the constraints through.  Plans of at least ``STRUCTURED_MIN_DIM`` on more
+than one group apply the constraints and their adjoint through group
+marginals and embeddings and form the Schur matrix from partial-trace
+contractions of X and S^-1 over the groups, Cholesky-factored; other
+problems read the dense stack ``SdpProblem.constraint_ops`` and QR-factor
+the scaled constraints ``Ls^-1 A_i Lx``.  Either triangular factor is
+inverted once, so that a Schur solve is two triangular products, and the
+corrector takes one refinement step against the operator ``v -> A(X A*(v)
+S^-1)``, the only refinement of a solve.  Every plan writes ``X dS S^-1``
+as ``X (rd S^-1) - X (A*(dy) S^-1)``.
 The gate means one thing: below it a plan forms its matrices (full spectra,
 ``A*(v)`` before its product with ``S^-1``, and the dense stack for the QR
 from a slot-route plan's first Schur Cholesky breakdown on); above it
@@ -129,8 +128,8 @@ CENTERING_EXPONENT = 2
 # An entry of X, S or y above this stops the run before a product of two
 # entries can overflow.
 DIVERGENCE_LIMIT = math.sqrt(np.finfo(float).max)
-# The iteration reads multi-slot plans of at least this dimension slot by
-# slot (_slot_reads); smaller ones read the dense stack and QR-factor the
+# The iteration reads multi-slot plans of at least this dimension group by
+# group (_slot_reads); smaller ones read the dense stack and QR-factor the
 # scaled constraints.  Measured with perfbench seed 3, two runs per side, one
 # BLAS thread on a 2-core x86_64 host: with slot reads on every plan, qubit-sweep
 # instances_per_s fell from 245 to 161 and rank-deficient from 172 to 130, its
@@ -140,9 +139,10 @@ DIVERGENCE_LIMIT = math.sqrt(np.finfo(float).max)
 # fell to 0.909 (21 of 231 solves uncertified, against 3).  The dense maps
 # save call overhead; the QR is the accurate route on small plans.
 STRUCTURED_MIN_DIM = 25
-# _slot_schur contracts X and S^-1 over groups of adjacent slots of at most
-# this dimension (SlotStructure.merged): each pair of groups copies both into
-# a new layout once and then takes D_g D_h n^2, so merging trades copies for
+# slot_problem groups adjacent slots while a group's dimension stays at most
+# this (a slot above it stays alone), and every reader of the constraints
+# reads the groups.  _slot_schur copies X and S^-1 into a new layout once per
+# pair of groups and then takes D_g D_h n^2, so merging trades copies for
 # flops.  Forming the Schur matrix of random states with one BLAS thread on a
 # 2-core x86_64 host, best of 5, two runs, with the cap at 1 (no groups) / 4
 # / 8 / 16: K=4 qubit plan (n=256, groups (8, 8, 4) at 8) 24.1-25.2 /
@@ -150,8 +150,10 @@ STRUCTURED_MIN_DIM = 25
 # 0.46-0.50 / 1.0 ms, and the K=2 d=4 plan (n=256), whose slots merge only
 # at 16, 8.0 / 8.1-8.4 / 7.7-8.2 / 13.5-14.8 ms.  The K=2 qutrit plan (n=81)
 # merges only from 9, at 0.67 against 1.1 ms, and no bench case runs it.
-# The groups also set the batched products of _slot_adjoint_product, one
-# per group.
+# The maps read one marginal or embedding a group: against slot by slot,
+# same host, best of 5, two runs, _slot_applied / _slot_adjoint / coordinates
+# took 68-69 -> 15-29 / 87-89 -> 22-39 / 113-117 -> 33-58 us on K=3 and
+# 77-97 -> 47-48 / 159-161 -> 92-103 / 90-187 -> 44-61 us on K=4.
 SCHUR_GROUP_DIM = 8
 # Plans of dimension at least 4 * LANCZOS_STEPS read step lengths from the
 # smallest Ritz value of LANCZOS_STEPS steps of Lanczos (_ritz_ends) instead
@@ -228,78 +230,50 @@ REASON_STATUS = {
 
 @dataclass(frozen=True)
 class SlotStructure:
-    """Constraint ``i`` is ``embed_at_slot(local_ops[i], slots[i], shape)``."""
+    """Constraints on groups of adjacent tensor slots (:func:`slot_problem`):
+    ``shape`` holds the group dimensions, and a block ``(group, rows, ops)``
+    the ascending indices of the constraints on one group and their operators
+    there, flattened to ``(len(rows), D*D)``: constraint ``rows[j]`` is
+    ``embed_at_slot(ops[j].reshape(D, D), group, shape)``."""
 
     shape: linalg.FactorShape
-    slots: tuple[int, ...]
-    local_ops: tuple[np.ndarray, ...]
+    blocks: tuple[tuple[int, np.ndarray, np.ndarray], ...]
+
+    @property
+    def n_constraints(self) -> int:
+        return sum(len(rows) for _, rows, _ in self.blocks)
 
     def rows(self, keep: Sequence[int]) -> "SlotStructure":
-        return SlotStructure(
-            self.shape, tuple(self.slots[i] for i in keep), tuple(self.local_ops[i] for i in keep)
-        )
-
-    @functools.cached_property
-    def groups(self) -> tuple[tuple[int, np.ndarray, np.ndarray, tuple[int, int, int]], ...]:
-        """``(slot, rows, ops, (outer, d, inner))`` per occupied slot: the
-        constraint indices at the slot, their operators flattened to
-        ``(len(rows), d*d)``, and the dimensions before, at and after it."""
-        slots = np.array(self.slots)
-        out = []
-        for slot in np.unique(slots):
-            rows = np.flatnonzero(slots == slot)
-            ops = np.stack([self.local_ops[i].reshape(-1) for i in rows])
-            out.append((int(slot), rows, ops, self.shape.frame(int(slot))))
-        return tuple(out)
-
-    @functools.cached_property
-    def merged(self) -> "SlotStructure":
-        """The same constraints on groups of adjacent slots, each group one
-        slot of dimension at most ``SCHUR_GROUP_DIM`` (a slot above it stays
-        alone): an operator ``B`` at slot ``s`` becomes ``I (x) B (x) I`` on
-        its group.  Without a group of two slots it is this structure."""
-        dims = self.shape.dims
-        members = [[0]]
-        for slot in range(1, len(dims)):
-            if math.prod(dims[s] for s in members[-1]) * dims[slot] <= SCHUR_GROUP_DIM:
-                members[-1].append(slot)
-            else:
-                members.append([slot])
-        if len(members) == len(dims):
-            return self
-        group_of = {s: g for g, group in enumerate(members) for s in group}
-        lifted = []
-        for slot, op in zip(self.slots, self.local_ops):
-            group = members[group_of[slot]]
-            before = math.prod(dims[group[0]:slot])
-            after = math.prod(dims[slot + 1:group[-1] + 1])
-            lifted.append(np.kron(np.kron(np.eye(before), op), np.eye(after)))
-        shape = linalg.FactorShape(tuple(math.prod(dims[s] for s in g) for g in members))
-        return SlotStructure(shape, tuple(group_of[s] for s in self.slots), tuple(lifted))
+        """The constraints ``keep`` (ascending), numbered in that order."""
+        kept = [(g, rows, ops, np.isin(rows, keep)) for g, rows, ops in self.blocks]
+        return SlotStructure(self.shape, tuple(
+            (g, np.searchsorted(keep, rows[k]), ops[k]) for g, rows, ops, k in kept if k.any()
+        ))
 
     def coordinates(self) -> np.ndarray:
-        """Rows ``(m, 1 + sum d_s^2)`` with the Gram matrix of the constraints.
+        """Rows ``(m, 1 + sum D_g^2)`` with the Gram matrix of the constraints.
 
-        ``embed_at_slot(B, s)`` is ``tr(B)/d_s`` times the identity plus the
+        ``embed_at_slot(B, g)`` is ``tr(B)/D_g`` times the identity plus the
         embedded traceless part ``B0``; the embedded traceless parts of
-        different slots are orthogonal to each other and to the identity, and
-        their norms scale by ``sqrt(n/d_s)``.  The coordinates are therefore
-        ``sqrt(n) tr(B)/d_s`` on one identity axis and ``sqrt(n/d_s) (Re B0 +
-        Im B0)`` in slot ``s``'s block: of a Hermitian matrix the real part is
-        symmetric and the imaginary part antisymmetric, so the cross terms of
-        the dot product cancel and it is ``Re tr(A0* B0)``.
+        different groups are orthogonal to each other and to the identity,
+        and their norms scale by ``sqrt(n/D_g)``.  The coordinates are
+        therefore ``sqrt(n) tr(B)/D_g`` on one identity axis and ``sqrt(n/D_g)
+        (Re B0 + Im B0)`` in group ``g``'s block: of a Hermitian matrix the
+        real part is symmetric and the imaginary part antisymmetric, so the
+        cross terms of the dot product cancel and it is ``Re tr(A0* B0)``.
         """
         dims = self.shape.dims
         n = self.shape.total_dim
         offsets = np.cumsum([1] + [d * d for d in dims])
-        out = np.zeros((len(self.slots), offsets[-1]))
-        for slot, rows, ops, (_, d, _) in self.groups:
+        out = np.zeros((self.n_constraints, offsets[-1]))
+        for group, rows, ops in self.blocks:
+            d = dims[group]
             mean = ops[:, :: d + 1].sum(axis=1).real / d
             # Re B0 + Im B0: the diagonal of a symmetrized operator is real
             traceless = ops.real + ops.imag
             traceless[:, :: d + 1] -= mean[:, None]
             out[rows, 0] = math.sqrt(n) * mean
-            out[rows, offsets[slot]:offsets[slot + 1]] = math.sqrt(n / d) * traceless
+            out[rows, offsets[group]:offsets[group + 1]] = math.sqrt(n / d) * traceless
         return out
 
 
@@ -307,8 +281,9 @@ class SlotStructure:
 class SdpProblem:
     """Conic program data: objective, targets and constraints, declared once as
     local operators on tensor slots (:func:`sdp_problem` has one slot spanning
-    the space).  ``constraint_ops``, their dense stack, is built on first read
-    and cached.
+    the space) and stored as one block per group of slots
+    (:class:`SlotStructure`).  ``constraint_ops``, their dense stack, is built
+    from the blocks on first read and cached.
     """
 
     objective: np.ndarray        # (n, n) Hermitian
@@ -320,9 +295,10 @@ class SdpProblem:
     def constraint_ops(self) -> np.ndarray:
         st = self.structure
         n = st.shape.total_dim
-        ops = np.zeros((len(st.slots), n, n), dtype=complex)
-        for slot, rows, local, (_, d, _) in st.groups:
-            linalg.slot_view(ops, slot, st.shape)[rows] = local.reshape(-1, 1, 1, d, d)
+        ops = np.zeros((st.n_constraints, n, n), dtype=complex)
+        for group, rows, local in st.blocks:
+            d = st.shape.dims[group]
+            linalg.slot_view(ops, group, st.shape)[rows] = local.reshape(-1, 1, 1, d, d)
         ops.setflags(write=False)
         return ops
 
@@ -339,8 +315,8 @@ def sdp_problem(
     objective: np.ndarray, constraints: Sequence[tuple[np.ndarray, float]]
 ) -> SdpProblem:
     """Validate and pack a minimize-form problem: one slot spans the space."""
-    c = linalg.hermitian(objective)
-    return slot_problem(c, linalg.FactorShape((len(c),)), [(0, a, b) for a, b in constraints])
+    shape = linalg.FactorShape((len(objective),))
+    return slot_problem(objective, shape, [(0, a, b) for a, b in constraints])
 
 
 def slot_problem(
@@ -350,27 +326,47 @@ def slot_problem(
     *, interior: np.ndarray | None = None,
 ) -> SdpProblem:
     """Validate and pack a problem whose constraints ``(slot, op, b)`` read
-    ``<embed_at_slot(op, slot, shape), X> = b``.  It keeps only the objective,
-    the values and the slot structure, each local operator validated and
-    symmetrized once; ``constraint_ops`` derives the dense stack on demand.
-    A declared ``interior`` must be Cholesky-positive definite and meet the constraints to rounding.
-    """
+    ``<embed_at_slot(op, slot, shape), X> = b`` into the objective, the values
+    and the :class:`SlotStructure`: each slot's operators are validated and
+    symmetrized as one stack, adjacent slots are grouped while a group's
+    dimension stays at most ``SCHUR_GROUP_DIM``, and each stack is lifted
+    into its group (``I (x) B (x) I``) by a write into zeros.  A declared
+    ``interior`` must be Cholesky-positive definite and meet the constraints
+    to rounding."""
     c = linalg.hermitian(objective)
     if c.shape[0] > MAX_VARIABLE_DIM:
         raise ValueError(f"variable dimension {c.shape[0]} exceeds {MAX_VARIABLE_DIM}")
-    if c.shape[0] != shape.total_dim:
-        raise ValueError(f"objective dimension {c.shape[0]} does not match the slots {shape.dims}")
+    if c.shape != (shape.total_dim,) * 2:
+        raise ValueError(f"objective shape {c.shape} does not match the slots {shape.dims}")
     if not constraints:
         raise ValueError("at least one equality constraint is required")
-    slots = tuple(int(slot) for slot, _, _ in constraints)
-    local_ops = []
+    slots = np.array([int(slot) for slot, _, _ in constraints])
     for slot, (_, op, _) in zip(slots, constraints):
-        op = linalg.hermitian(op)
-        if not 0 <= slot < shape.n_factors or op.shape[0] != shape.dims[slot]:
-            raise ValueError(f"operator shape {op.shape} does not fit slot {slot} of {shape.dims}")
-        local_ops.append(op)
+        size = np.shape(op)
+        if not 0 <= slot < shape.n_factors or size != (shape.dims[slot],) * 2:
+            raise ValueError(f"operator shape {size} does not fit slot {slot} of {shape.dims}")
+    dims = shape.dims
+    starts = [0]  # the first slot of each group
+    for slot in range(1, len(dims)):
+        if math.prod(dims[starts[-1]:slot + 1]) > SCHUR_GROUP_DIM:
+            starts.append(slot)
+    bounds = list(zip(starts, starts[1:] + [len(dims)]))
+    blocks = []
+    for g, (lo, hi) in enumerate(bounds):
+        rows = np.flatnonzero((lo <= slots) & (slots < hi))
+        if not len(rows):
+            continue
+        local = linalg.FactorShape(dims[lo:hi])
+        lifted = np.zeros((len(rows), local.total_dim, local.total_dim), dtype=complex)
+        for slot in np.unique(slots[rows]):
+            at = np.flatnonzero(slots[rows] == slot)
+            stack = linalg.hermitian([constraints[i][1] for i in rows[at]])
+            linalg.slot_view(lifted, slot - lo, local)[at] = stack[:, None, None]
+        lifted.setflags(write=False)
+        blocks.append((g, rows, lifted.reshape(len(rows), -1)))
+    group_dims = linalg.FactorShape(tuple(math.prod(dims[lo:hi]) for lo, hi in bounds))
+    structure = SlotStructure(group_dims, tuple(blocks))
     vals = np.array([float(b) for _, _, b in constraints])
-    structure = SlotStructure(shape, slots, tuple(local_ops))
     if interior is not None:
         interior = linalg.hermitian(interior)
         if interior.shape != c.shape:
@@ -380,7 +376,7 @@ def slot_problem(
         miss = float(np.abs(_slot_applied(interior, structure) - vals).max())
         if miss > INTERIOR_TOL * max(1.0, float(np.abs(vals).max())):
             raise ValueError(f"interior point misses the constraints by {miss:.3e}")
-    for arr in (c, vals, *local_ops, *([] if interior is None else [interior])):
+    for arr in (c, vals, *([] if interior is None else [interior])):
         arr.setflags(write=False)
     return SdpProblem(c, vals, structure, interior)
 
@@ -532,26 +528,22 @@ def _lanczos_start(n: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _ritz_ends(t: np.ndarray, inverses: np.ndarray | None = None) -> np.ndarray:
+def _ritz_ends(t: np.ndarray, inverses: np.ndarray) -> np.ndarray:
     """Smallest and largest Ritz values, ``(len(t), 2)``, of ``LANCZOS_STEPS``
-    steps of Lanczos with full reorthogonalization on each Hermitian matrix of
-    the stack ``t``, from :func:`_lanczos_start`; given the stacked factor
-    inverses ``L^-1``, on each ``L^-1 t L^-*`` of :func:`_whitened` without
-    forming it, at three matrix-vector products a step in place of two matrix
+    steps of Lanczos with full reorthogonalization on each ``L^-1 t L^-*`` of
+    :func:`_whitened`, for the stack ``t`` of Hermitian matrices and the
+    stacked factor inverses ``L^-1``, from :func:`_lanczos_start`, without
+    forming it: three matrix-vector products a step in place of two matrix
     products.  The basis stays orthonormal, so they lie inside the spectrum
     and a step length read from them is never too short.  A side
     whose run breaks down reads nan: a residual at or below ``sqrt(eps)``
     times ``|T q|`` (the Krylov space is numerically invariant) or a
     non-finite one."""
     sides, n = len(t), t.shape[-1]
-    if inverses is None:
-        def product(q: np.ndarray) -> np.ndarray:
-            return np.matmul(t, q)
-    else:
-        back = inverses.conj().swapaxes(-1, -2)
+    back = inverses.conj().swapaxes(-1, -2)
 
-        def product(q: np.ndarray) -> np.ndarray:
-            return np.matmul(inverses, np.matmul(t, np.matmul(back, q)))
+    def product(q: np.ndarray) -> np.ndarray:
+        return np.matmul(inverses, np.matmul(t, np.matmul(back, q)))
     k = LANCZOS_STEPS
     basis = np.empty((sides, k, n), dtype=complex)
     tri = np.zeros((sides, k, k))
@@ -646,25 +638,23 @@ def _slot_schur(x: np.ndarray, z: np.ndarray, structure: SlotStructure) -> np.nd
     """Schur matrix ``M_ij = Re tr(A_i X A_j Z)`` of slot-structured
     constraints, for Hermitian ``X`` and ``Z``.
 
-    With ``E_ab`` the unit operator ``|a><b|`` embedded at slot ``s`` and
-    ``E_ce`` at slot ``t``, ``T_st[(a,b),(c,e)] = tr(E_ab X E_ce Z)`` is the
+    With ``E_ab`` the unit operator ``|a><b|`` embedded at group ``s`` and
+    ``E_ce`` at group ``t``, ``T_st[(a,b),(c,e)] = tr(E_ab X E_ce Z)`` is the
     product ``Yx Yz*`` of ``X`` and ``Z`` reshaped so that their rows are
     indexed by the row index at ``s`` and the column index at ``t``, which
-    costs ``d_s d_t n^2``.  The block of the constraints at ``s`` against
+    costs ``D_s D_t n^2``.  The block of the constraints at ``s`` against
     those at ``t`` is ``Re(B_s T_st B_t^T)`` with the flattened operators as
-    rows.  The slots are those of :attr:`SlotStructure.merged`: each pair of
-    them copies ``X`` and ``Z`` into a new layout once, so fewer, larger
-    slots take fewer copies.
+    rows.  Each pair of groups copies ``X`` and ``Z`` into a new layout once,
+    so fewer, larger groups take fewer copies (``SCHUR_GROUP_DIM``).
     """
-    structure = structure.merged
     dims = structure.shape.dims
     k = len(dims)
     tensors = [a.reshape(dims + dims) for a in (x, z)]
-    groups = structure.groups
-    m = len(structure.slots)
+    blocks = structure.blocks
+    m = structure.n_constraints
     out = np.empty((m, m))
-    for g, (s, rows_s, ops_s, _) in enumerate(groups):
-        for t, rows_t, ops_t, _ in groups[g:]:
+    for g, (s, rows_s, ops_s) in enumerate(blocks):
+        for t, rows_t, ops_t in blocks[g:]:
             ds, dt = dims[s], dims[t]
             yx, yz = (
                 np.moveaxis(a, (s, k + t), (0, 1)).reshape(ds * dt, -1) for a in tensors
@@ -688,9 +678,10 @@ def _scaled_rows(ops: np.ndarray, lx: np.ndarray, inv_s: np.ndarray) -> np.ndarr
 
 
 def _slot_applied(z: np.ndarray, structure: SlotStructure) -> np.ndarray:
-    """``Re tr(A_i Z)`` for every constraint, from the slot marginals of ``Z``."""
-    out = np.empty(len(structure.slots))
-    for _, rows, ops, (outer, d, inner) in structure.groups:
+    """``Re tr(A_i Z)`` for every constraint, from the group marginals of ``Z``."""
+    out = np.empty(structure.n_constraints)
+    for group, rows, ops in structure.blocks:
+        outer, d, inner = structure.shape.frame(group)
         marginal = np.einsum("iajibj->ab", z.reshape(outer, d, inner, outer, d, inner))
         # Re tr(A Z) = Re sum_ab B[a, b] marginal[b, a]
         out[rows] = (ops @ marginal.T.reshape(-1)).real
@@ -698,25 +689,26 @@ def _slot_applied(z: np.ndarray, structure: SlotStructure) -> np.ndarray:
 
 
 def _slot_adjoint(y: np.ndarray, structure: SlotStructure) -> np.ndarray:
-    """``sum_i y_i A_i``: per slot, the combination of its local operators
-    embedded as identity on the other slots."""
+    """``sum_i y_i A_i``: per group, the combination of its operators
+    embedded as identity on the other groups."""
     n = structure.shape.total_dim
     out = np.zeros((n, n), dtype=complex)
-    for slot, rows, ops, (_, d, _) in structure.groups:
-        linalg.slot_view(out, slot, structure.shape)[...] += (y[rows] @ ops).reshape(d, d)
+    for group, rows, ops in structure.blocks:
+        d = structure.shape.dims[group]
+        linalg.slot_view(out, group, structure.shape)[...] += (y[rows] @ ops).reshape(d, d)
     return out
 
 
 def _slot_adjoint_product(y: np.ndarray, z: np.ndarray, structure: SlotStructure) -> np.ndarray:
     """``A*(y) Z = sum_g (I (x) B_g (x) I) Z`` with ``B_g`` the combination of
-    the operators of group ``g`` of :attr:`SlotStructure.merged`: one batched
-    product of ``B_g`` with the rows of ``Z`` at its slot per group, at ``d_g
-    n^2``, accumulated in place."""
-    structure = structure.merged
+    the operators of group ``g``: one batched product of ``B_g`` with the
+    rows of ``Z`` at its group per group, at ``D_g n^2``, accumulated in
+    place."""
     n = len(z)
     out = np.zeros((n, n), dtype=complex)
     part = np.empty_like(out)
-    for _, rows, ops, (outer, d, inner) in structure.groups:
+    for group, rows, ops in structure.blocks:
+        outer, d, inner = structure.shape.frame(group)
         # row (o, a, i) of (I (x) B (x) I) Z is sum_b B[a, b] Z[(o, b, i), :]
         layout = (outer, d, inner * n)
         np.matmul((y[rows] @ ops).reshape(d, d), z.reshape(layout), out=part.reshape(layout))
@@ -726,7 +718,7 @@ def _slot_adjoint_product(y: np.ndarray, z: np.ndarray, structure: SlotStructure
 
 def _slot_reads(problem: SdpProblem) -> SlotStructure | None:
     """The structure the iteration reads ``problem`` through, or None for the
-    dense stack (one slot, or a plan below ``STRUCTURED_MIN_DIM``)."""
+    dense stack (one group, or a plan below ``STRUCTURED_MIN_DIM``)."""
     large = problem.dim >= STRUCTURED_MIN_DIM
     return problem.structure if large and problem.structure.shape.n_factors > 1 else None
 
@@ -746,11 +738,13 @@ def _constraint_maps(problem: SdpProblem) -> tuple[Callable, Callable]:
 
 def compressed_constraints(problem: SdpProblem, v: np.ndarray) -> np.ndarray:
     """``V* A_i V`` for every constraint, for ``V`` of shape ``(n, k)``.  Per
-    slot, ``V* A_i V = sum_ab B_i[a,b] G[a,:,b,:]`` with the Gram product
-    ``G[a,c,b,e] = sum_{o,i} conj(V[o,a,i,c]) V[o,b,i,e]``, at ``d k^2 n``."""
+    group, ``V* A_i V = sum_ab B_i[a,b] G[a,:,b,:]`` with the Gram product
+    ``G[a,c,b,e] = sum_{o,i} conj(V[o,a,i,c]) V[o,b,i,e]``, at ``D k^2 n``."""
     k = v.shape[1]
+    shape = problem.structure.shape
     out = np.empty((problem.n_constraints, k, k), dtype=complex)
-    for _, rows, ops, (outer, d, inner) in problem.structure.groups:
+    for group, rows, ops in problem.structure.blocks:
+        outer, d, inner = shape.frame(group)
         y = v.reshape(outer, d, inner, k).transpose(1, 3, 0, 2).reshape(d * k, -1)
         gram = (y.conj() @ y.T).reshape(d, k, d, k).transpose(0, 2, 1, 3)
         out[rows] = (ops @ gram.reshape(d * d, k * k)).reshape(-1, k, k)

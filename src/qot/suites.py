@@ -41,7 +41,9 @@ TOL_FACTORIZED = 1e-5
 TOL_PURIFICATION = 1e-9
 TOL_PURIFICATION_SDP = 1e-6
 GAP_DEMO_BUDGET_S = 10.0
-BIG_SOLVE_BUDGET_S = 5.0
+# factorized-k3 bounds a solve's iterations, not its seconds, which vary with
+# host load: at seed 9 its 20 solves take 8-10 iterations (one BLAS thread).
+FACTORIZED_MAX_ITERATIONS = 20
 
 
 @dataclass
@@ -366,32 +368,29 @@ def suite_factorized_k3(density: int, samples: int, seed: int) -> SuiteOutcome:
     rng = np.random.default_rng(seed)
     observables = cost_mod.pauli_triple()
     cases = []
-    worst_dev = 0.0
-    worst_time = 0.0
     for i in range(samples):
         a, b = rng.uniform(-0.9, 0.9, 2)
         p = (1.0, 2.0)[i % 2]
         inst = transport.factorized_instance(
             cf.state_z(a), cf.state_z(b), observables, p, transport.MODE_LINEARIZED
         )
-        t_solve = time.perf_counter()
         full = transport.wasserstein_distance(inst)
-        t_solve = time.perf_counter() - t_solve
         decomposed = transport.solve_linearized_decomposed(inst)
         dev = abs(full.primal_objective - decomposed.total)
-        worst_dev = max(worst_dev, dev)
-        worst_time = max(worst_time, t_solve)
+        iterations = full.solution.iterations
         cases.append(
             {
                 "case": f"i={i:02d},a={a:+.4f},b={b:+.4f},p={p:g}",
                 "full": full.primal_objective,
                 "decomposed": decomposed.total,
                 "deviation": dev,
-                "solve_seconds": t_solve,
-                "ok": dev <= TOL_FACTORIZED and t_solve < BIG_SOLVE_BUDGET_S,
+                "solve_seconds": sum(full.timings.values()),
+                "iterations": iterations,
+                "ok": dev <= TOL_FACTORIZED and iterations <= FACTORIZED_MAX_ITERATIONS,
             }
         )
-    return _finish(cases, {"deviation": worst_dev, "solve_seconds": worst_time})
+    keys = ("deviation", "solve_seconds", "iterations")
+    return _finish(cases, {key: max((c[key] for c in cases), default=0) for key in keys})
 
 
 # ---------------------------------------------------------------------------

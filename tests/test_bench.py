@@ -16,10 +16,11 @@ bench = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench)
 
 
-def record(e2e_ms, digest="optimal 9 0x1.0p+2", loop_ms=1.0, step_fallbacks=0):
+def record(e2e_ms, digest="optimal 9 0x1.0p+2", loop_ms=1.0, step_fallbacks=0, setup_ms=0.5):
     status, iterations, _ = digest.split()
     return {
-        "n": 4, "m": 7, "e2e_ms": e2e_ms, "loop_ms": loop_ms, "iterations": int(iterations),
+        "n": 4, "m": 7, "e2e_ms": e2e_ms, "loop_ms": loop_ms, "setup_ms": setup_ms,
+        "iterations": int(iterations),
         "status": status, "reason": "converged" if status == "optimal" else "mu_floor",
         "certified": status == "optimal", "digest": digest, "step_fallbacks": step_fallbacks,
     }
@@ -174,6 +175,27 @@ class TestMergeAndCompare:
         assert "within spread" not in near + far
         assert far.splitlines()[0].endswith("peak_rss_mb 50.000 -> 50.000 (+0.0%)")
 
+    def test_setup_time_has_its_median_and_ratio(self, tmp_path, capsys):
+        path = str(tmp_path / "BENCH_small.json")
+        for label, setups in (("parent", (0.4, 0.6)), ("change", (0.2, 0.3))):
+            runs = [run(record(2.0, setup_ms=setup)) for setup in setups]
+            bench.merge(path, label, {"qubit": bench.summary(runs)})
+        assert bench.compare([path], "parent", "change") == 0
+        printed = capsys.readouterr().out
+        assert "setup_ms_p50 0.500 -> 0.250 (-50.0%; runs 0.400-0.600 | 0.200-0.300)" in printed
+
+    def test_a_label_without_setup_time_reads_n_a(self, tmp_path, capsys):
+        # a label measured by a tools/bench.py that did not record setup_ms
+        path = str(tmp_path / "BENCH_small.json")
+        old = {k: v for k, v in record(2.0).items() if k != "setup_ms"}
+        parent = bench.summary([run(old)])
+        assert "setup_ms_p50" not in parent and "e2e_ms_p50" in parent
+        bench.merge(path, "parent", {"qubit": parent})
+        bench.merge(path, "change", {"qubit": bench.summary([run(record(2.0))])})
+        assert bench.compare([path], "parent", "change") == 0
+        printed = capsys.readouterr().out
+        assert "; setup_ms_p50 n/a; e2e_ms_total 2.000 -> 2.000" in printed
+
     def test_unknown_label_is_a_usage_error(self, paths, capsys, monkeypatch):
         monkeypatch.setattr(bench, "_output", dict(zip(("small", "large"), paths)).get)
         with pytest.raises(SystemExit) as exc:
@@ -192,13 +214,14 @@ def test_a_record_sums_the_step_fallbacks_of_its_trace(monkeypatch):
                {"mu": 0.1, "step_fallbacks": 2.0}, {"mu": 0.0}),
     )
     result = types.SimpleNamespace(
-        solution=solution, timings={"iterate": 0.002, "build": 0.001}, dp=2.0,
-        certificate=types.SimpleNamespace(passed=True),
+        solution=solution, dp=2.0, certificate=types.SimpleNamespace(passed=True),
+        timings={"iterate": 0.002, "build": 0.001, "preprocess": 0.0005},
     )
     monkeypatch.setattr(transport, "wasserstein_distance", lambda *args: result)
     monkeypatch.setattr(bench, "_case_runner", lambda name: lambda: transport.wasserstein_distance())
     [rec] = bench.run_one("K=4")["records"]
     assert rec["step_fallbacks"] == 3 and rec["digest"] == "optimal 3 0x1.0000000000000p+1"
+    assert rec["setup_ms"] == pytest.approx(1.5)  # build + preprocess
 
 
 def test_repeats_that_disagree_fail_the_run(tmp_path, monkeypatch):

@@ -51,6 +51,19 @@ class TestValidators:
             with pytest.raises(ValueError, match="non-finite"):
                 linalg.hermitian(layout)
 
+    def test_hermitian_stack_rejects_one_non_hermitian_member(self):
+        stack = np.stack([PAULI_X, PAULI_Z, np.array([[0, 1], [0, 0]]), PAULI_Y])
+        with pytest.raises(ValueError, match="not Hermitian: asymmetry 1.000e"):
+            linalg.hermitian(stack)
+        # a Hermitian stack is returned as it is, each member as hermitian returns it
+        np.testing.assert_array_equal(linalg.hermitian(stack[[0, 1, 3]]), stack[[0, 1, 3]])
+
+    def test_single_matrix_validators_reject_a_stack(self):
+        stack = np.stack([rho_z(0.3)] * 2)
+        for validate in (linalg.density, linalg.eig_hermitian):
+            with pytest.raises(ValueError, match="expected a square matrix"):
+                validate(stack)
+
     def test_density_accepts_states_and_rejects_non_states(self):
         linalg.density(rho_z(0.3))
         with pytest.raises(ValueError, match="trace"):

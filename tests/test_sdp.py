@@ -2,7 +2,11 @@
 
 import dataclasses
 import functools
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -163,46 +167,91 @@ class TestPreprocess:
         assert reduced.n_constraints == 2
 
 
-def random_marginal_problem(rng, dim, pairs):
-    """Transport problem of random states: one trace row plus 2K slots of marginals."""
+def marginal_instance(rng, dim, pairs):
+    """Random states and observables: nonlinear for one pair, linearized for more."""
     observables = cost.observable_set(
         [linalg.random_hermitian(rng, dim) for _ in range(max(pairs, 2))]
     )
     mode = transport.MODE_LINEARIZED if pairs > 1 else transport.MODE_NONLINEAR
-    instance = transport.factorized_instance(
+    return transport.factorized_instance(
         linalg.random_density(rng, dim), linalg.random_density(rng, dim), observables, 2.0, mode
     )
-    return transport.build_primal(instance)
 
 
-def random_slot_problem(rng, shape):
+def random_marginal_problem(rng, dim, pairs):
+    """Transport problem of random states: one trace row plus 2K slots of marginals."""
+    return transport.build_primal(marginal_instance(rng, dim, pairs))
+
+
+def rank_instance(rng, ranks):
+    """A nonlinear qutrit pair whose states (omega, rho) have ``ranks``: its
+    support face has the slots ``ranks``."""
+    omega, rho = (
+        (lambda g: g @ g.conj().T / np.linalg.norm(g) ** 2)(
+            rng.standard_normal((3, r)) + 1j * rng.standard_normal((3, r))
+        )
+        for r in ranks
+    )
+    obs = cost.observable_set([linalg.random_hermitian(rng, 3) for _ in range(2)])
+    return transport.factorized_instance(rho, omega, obs, 2.0, transport.MODE_NONLINEAR)
+
+
+def declared(instance):
+    """``(objective, shape, constraints)`` as ``build_primal`` declares them,
+    on the slots of the instance's support face."""
+    face = instance.support
+    return face.restrict(instance.plan_cost()), face.shape, transport._marginal_constraints(face)
+
+
+def random_slot_rows(rng, shape):
     """One trace row plus the traceless Hermitian basis at every slot of ``shape``."""
     constraints = [(0, np.eye(shape.dims[0], dtype=complex), 1.0)]
     for slot, d in enumerate(shape.dims):
         for b in linalg.hermitian_basis(d)[1:]:
             constraints.append((slot, b, float(rng.standard_normal())))
+    return constraints
+
+
+def random_slot_problem(rng, shape):
+    """A random objective under :func:`random_slot_rows`."""
+    constraints = random_slot_rows(rng, shape)
     return sdp.slot_problem(linalg.random_hermitian(rng, shape.total_dim), shape, constraints)
 
 
-# (dim, pairs) of random_marginal_problem; pairs=0: random_slot_problem on
-# the shape ``dim``, the trace row plus a full basis at each slot
-SLOT_CASES = pytest.mark.parametrize(
-    "dim,pairs",
-    [
-        (2, 1), (3, 1), (4, 1), (2, 3),
-        pytest.param((2, 3), 0, id="shape-2x3"),
-        pytest.param((2, 3, 2), 0, id="shape-2x3x2"),
-    ],
-)
+def slot_declaration(case):
+    """``(rng, objective, shape, constraints)`` of a slot-structured case: a
+    tuple of dims is :func:`random_slot_problem` on that shape, ``"rank-RxS"``
+    the face of a qutrit pair of ranks R and S (slots R, S), ``"D-K"`` the
+    plan of K pairs of random qudits of dimension D."""
+    if isinstance(case, tuple):
+        rng = np.random.default_rng(len(case))
+        shape = linalg.FactorShape(case)
+        constraints = random_slot_rows(rng, shape)
+        return rng, linalg.random_hermitian(rng, shape.total_dim), shape, constraints
+    if case.startswith("rank-"):
+        ranks = tuple(int(r) for r in case[5:].split("x"))
+        rng = np.random.default_rng(ranks)
+        return (rng, *declared(rank_instance(rng, ranks)))
+    dim, pairs = (int(v) for v in case.split("-"))
+    rng = np.random.default_rng(dim * 10 + pairs)
+    return (rng, *declared(marginal_instance(rng, dim, pairs)))
 
 
-def slot_case(dim, pairs):
-    """``(rng, problem)`` of one SLOT_CASES entry."""
-    if pairs:
-        rng = np.random.default_rng(dim * 10 + pairs)
-        return rng, random_marginal_problem(rng, dim, pairs)
-    rng = np.random.default_rng(len(dim))
-    return rng, random_slot_problem(rng, linalg.FactorShape(dim))
+def slot_case(case):
+    """``(rng, problem)`` of :func:`slot_declaration`."""
+    rng, *declaration = slot_declaration(case)
+    return rng, sdp.slot_problem(*declaration)
+
+
+# slot_case of random_marginal_problem plans (one of which, K=4, reads groups
+# (8, 8, 4) and K=2 qubits (8, 2), while K=2 qutrits do not merge), of
+# random_slot_problem shapes and of rank-deficient faces whose slots merge
+SLOT_CASES = pytest.mark.parametrize("case", [
+    "2-1", "3-1", "4-1", "2-3",
+    pytest.param((2, 3), id="shape-2x3"),
+    pytest.param((2, 3, 2), id="shape-2x3x2"),
+    "2-2", "2-4", "3-2", "rank-1x3", "rank-2x3",
+])
 
 
 def random_pd(rng, n):
@@ -225,10 +274,10 @@ def dense_schur(ops, x, z):
 
 class TestStructuredSchur:
     @SLOT_CASES
-    def test_slot_gram_matches_dense(self, dim, pairs):
+    def test_slot_gram_matches_dense(self, case):
         # both Schur routes form Re tr(A_i X A_j Z): the slot contraction and
         # the Gram matrix of the QR route's rows Ls^-1 A_i Lx
-        rng, problem = slot_case(dim, pairs)
+        rng, problem = slot_case(case)
         ops = problem.constraint_ops
         x, z, lx, inv_s = hkm_pair(rng, problem.dim)
         dense = dense_schur(ops, x, z)
@@ -247,8 +296,8 @@ class TestStructuredSchur:
         np.testing.assert_allclose(flat_apply(mat), applied, rtol=0, atol=1e-12 * np.abs(applied).max())
 
     @SLOT_CASES
-    def test_slot_adjoint_and_marginals_match_dense(self, dim, pairs):
-        rng, problem = slot_case(dim, pairs)
+    def test_slot_adjoint_and_marginals_match_dense(self, case):
+        rng, problem = slot_case(case)
         ops, m = problem.constraint_ops, problem.n_constraints
         y = rng.standard_normal(m)
         dense = np.tensordot(y, ops, axes=1)
@@ -271,7 +320,7 @@ class TestStructuredSchur:
     def test_grouped_schur_matches_the_dense_form(self, dim, pairs, groups):
         rng = np.random.default_rng(dim * 10 + pairs)
         problem = random_marginal_problem(rng, dim, pairs)
-        assert problem.structure.merged.shape.dims == groups
+        assert problem.structure.shape.dims == groups
         x, z, _, _ = hkm_pair(rng, problem.dim)
         schur = sdp._slot_schur(x, z, problem.structure)
         dense = dense_schur(problem.constraint_ops, x, z)
@@ -281,10 +330,10 @@ class TestStructuredSchur:
         ((2,) * 8, (8, 8, 4)), ((2, 3, 4), (6, 4)), ((12, 12), (12, 12)), ((10,), (10,)),
     ], ids=["qubits-8", "2x3x4", "12x12", "one-slot"])
     def test_slot_adjoint_product_matches_the_dense_stack(self, dims, merged):
-        # A*(y) Z through one product per group of the merged slots
+        # A*(y) Z through one product per group of slots
         rng = np.random.default_rng(len(dims))
         problem = random_slot_problem(rng, linalg.FactorShape(dims))
-        assert problem.structure.merged.shape.dims == merged
+        assert problem.structure.shape.dims == merged
         y = rng.standard_normal(problem.n_constraints)
         _, z, _, _ = hkm_pair(rng, problem.dim)
         dense = np.tensordot(y, problem.constraint_ops, axes=1) @ z
@@ -299,31 +348,37 @@ class TestStructuredSchur:
         for dims, merged in [((6, 6), (6, 6)), ((2, 2, 3, 3), (4, 3, 3)), ((1, 2, 1, 2), (4,))]:
             shape = linalg.FactorShape(dims)
             structure = random_slot_problem(np.random.default_rng(1), shape).structure
-            assert structure.merged.shape.dims == merged
-            assert (structure.merged is structure) == (merged == dims)
+            assert structure.shape.dims == merged
+            rows = np.sort(np.concatenate([rows for _, rows, _ in structure.blocks]))
+            np.testing.assert_array_equal(rows, np.arange(structure.n_constraints))
 
-    @pytest.mark.parametrize("dims", [(5,), (2, 2), (3, 3), (2, 3), (2, 3, 2)], ids=str)
-    def test_slot_coordinates_have_the_dense_gram(self, dims):
-        problem = random_slot_problem(np.random.default_rng(len(dims)), linalg.FactorShape(dims))
+    @pytest.mark.parametrize(
+        "case",
+        [(5,), (2, 2), (3, 3), (2, 3), (2, 3, 2), "rank-1x3", "rank-2x3", "2-2", "2-4", "3-2"],
+        ids=str,
+    )
+    def test_slot_coordinates_have_the_dense_gram(self, case):
+        _, problem = slot_case(case)
         m = problem.n_constraints
         flat = problem.constraint_ops.reshape(m, -1)
         rows = np.hstack([flat.real, flat.imag])
         coords = problem.structure.coordinates()
-        assert coords.shape == (m, 1 + sum(d * d for d in dims))
+        assert coords.shape == (m, 1 + sum(d * d for d in problem.structure.shape.dims))
         np.testing.assert_allclose(coords @ coords.T, rows @ rows.T, rtol=0, atol=1e-12 * m)
 
     def test_identity_declared_at_two_slots_is_removed(self):
-        problem = random_marginal_problem(np.random.default_rng(2), 5, 1)
-        assert problem.dim >= sdp.STRUCTURED_MIN_DIM  # rank tested on slot coordinates
-        structure = problem.structure
-        rows = list(zip(structure.slots, structure.local_ops, problem.constraint_vals))
-        again = sdp.slot_problem(
-            problem.objective, structure.shape, rows + [(1, np.eye(5, dtype=complex), 1.0)]
-        )
-        reduced, report = sdp.preprocess(again)
-        assert report.removed == (len(rows),)
-        assert not report.infeasible
-        assert reduced.structure.slots == structure.slots
+        # on the d=5 pair plan, and on the K=3 qubit plan, whose slots 0 and 1
+        # share a group
+        for dim, pairs in [(5, 1), (2, 3)]:
+            instance = marginal_instance(np.random.default_rng(2), dim, pairs)
+            objective, shape, rows = declared(instance)
+            problem = sdp.slot_problem(objective, shape, rows)
+            identity = (1, np.eye(dim, dtype=complex), 1.0)
+            again = sdp.slot_problem(objective, shape, rows + [identity])
+            reduced, report = sdp.preprocess(again)
+            assert report.removed == (len(rows),)
+            assert not report.infeasible
+            np.testing.assert_array_equal(reduced.constraint_ops, problem.constraint_ops)
 
     def test_structured_solve_is_deterministic(self):
         problem = random_marginal_problem(np.random.default_rng(11), 6, 1)
@@ -334,14 +389,13 @@ class TestStructuredSchur:
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
     def test_duplicated_row_is_filtered_from_the_structure(self):
-        problem = random_marginal_problem(np.random.default_rng(8), 6, 1)
+        objective, shape, rows = declared(marginal_instance(np.random.default_rng(8), 6, 1))
+        problem = sdp.slot_problem(objective, shape, rows)
         assert problem.dim >= sdp.STRUCTURED_MIN_DIM
-        structure = problem.structure
-        rows = list(zip(structure.slots, structure.local_ops, problem.constraint_vals))
-        doubled = sdp.slot_problem(problem.objective, structure.shape, rows + [rows[5]])
+        doubled = sdp.slot_problem(objective, shape, rows + [rows[5]])
         reduced, report = sdp.preprocess(doubled)
         assert report.removed == (len(rows),)
-        assert reduced.structure.slots == structure.slots
+        np.testing.assert_array_equal(reduced.constraint_ops, problem.constraint_ops)
         base, dup = sdp.solve(problem), sdp.solve(doubled)
         assert base.optimal and dup.optimal
         assert dup.y[-1] == 0.0
@@ -746,6 +800,30 @@ def qubit_linearized(k, seed):
     return transport.factorized_instance(rho, omega, obs, 2.0, transport.MODE_LINEARIZED)
 
 
+def one_thread_solve(build):
+    """``[n, step fallbacks, status, iterations, dp.hex()]`` of the transport
+    solve of the instance ``build``, an expression in this module's helpers,
+    run in a child Python with one BLAS thread: the thread count changes the
+    rounding of BLAS kernels, so digests pinned at one thread hold whatever
+    count this process runs with."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(transport.__file__)))
+    here = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, here]),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    code = (
+        "import json\n"
+        "from test_sdp import *\n"
+        f"r = transport.wasserstein_distance({build})\n"
+        "sol = r.solution\n"
+        "fallbacks = sorted({row.get('step_fallbacks', 0.0) for row in sol.trace})\n"
+        "print(json.dumps([len(sol.x), fallbacks, r.status, sol.iterations, r.dp.hex()]))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True
+    )
+    return json.loads(out.stdout)
+
+
 class TestLanczosStep:
     """Plans of at least ``4 * LANCZOS_STEPS`` read step lengths from Ritz
     values, checked by a Cholesky factorization; smaller plans from full
@@ -755,7 +833,7 @@ class TestLanczosStep:
         rng = np.random.default_rng(128)
         lam = separated(rng, 128)
         t = planted_spectrum(rng, lam)
-        low, high = sdp._ritz_ends(t[None])[0]
+        low, high = sdp._ritz_ends(t[None], identities(t[None]))[0]
         np.testing.assert_allclose([low, high], [lam[0], lam[-1]], rtol=1e-8)
 
     @pytest.mark.parametrize("case", ["random-96", "random-128", "random-256", "cluster-128"])
@@ -772,20 +850,20 @@ class TestLanczosStep:
         else:
             t = np.stack([linalg.random_hermitian(rng, n) for _ in range(2)])
         exact = np.linalg.eigvalsh(t)
-        ends = sdp._ritz_ends(t)
+        ends = sdp._ritz_ends(t, identities(t))
         slack = 1e-12 * np.abs(exact).max()
         assert np.all(ends[:, 0] >= exact[:, 0] - slack)
         assert np.all(ends[:, 1] <= exact[:, -1] + slack)
         assert np.all(ends[:, 0] <= ends[:, 1])
 
     def test_unformed_whitening_gives_the_formed_ritz_ends(self):
-        # the predictor runs Lanczos on L^-1 D L^-* through three products a
-        # step; the matrix it never forms has the same Ritz values
+        # Lanczos runs on L^-1 D L^-* through three products a step; a run on
+        # the formed matrix, whitened by identities, has the same Ritz values
         n = 96
         rng = np.random.default_rng(n)
         _, inverses = sdp._cholesky_pair(np.stack([random_pd(rng, n), random_pd(rng, n)]))
         d = np.stack([linalg.random_hermitian(rng, n) for _ in range(2)])
-        formed = sdp._ritz_ends(sdp._whitened(inverses, d))
+        formed = sdp._ritz_ends(sdp._whitened(inverses, d), identities(d))
         np.testing.assert_allclose(sdp._ritz_ends(d, inverses), formed, rtol=1e-10)
 
     @pytest.mark.parametrize("case", ["random-96", "random-128", "random-256", "clustered"])
@@ -828,7 +906,7 @@ class TestLanczosStep:
         missed = np.concatenate([[-1.1], rng.uniform(-1.0, 1.0, n - 1)])
         t = np.stack([planted_spectrum(rng, missed, start),
                       planted_spectrum(rng, separated(rng, n))])
-        assert sdp._ritz_ends(t[:1])[0, 0] > -1.0 + 1e-6
+        assert sdp._ritz_ends(t[:1], identities(t[:1]))[0, 0] > -1.0 + 1e-6
         steps, fallbacks = sdp._step_lengths(t, identities(t), identities(t))
         exact = exact_steps(t)
         assert fallbacks == 1 and steps[0] == exact[0]
@@ -880,7 +958,7 @@ class TestLanczosStep:
         rng = np.random.default_rng(n)
         t = planted_spectrum(rng, np.repeat([-2.0, 1.0], n // 2))
         t = np.stack([t, t])
-        assert np.isnan(sdp._ritz_ends(t)).all()
+        assert np.isnan(sdp._ritz_ends(t, identities(t))).all()
         for pair in (identities(t), None):
             assert sdp._step_lengths(t, identities(t), pair) == (exact_steps(t), 2)
 
@@ -905,20 +983,20 @@ class TestLanczosStep:
         assert abs(first.primal_objective - decomposed.total) <= 1e-5
 
     @pytest.mark.parametrize("build,digest", [
-        (lambda: nonlinear_instance(8), ("optimal", 12, "0x1.bd4b0efff8a8bp+3")),
-        (lambda: pauli_triple_k3(), ("optimal", 9, "0x1.11651e564beb8p+1")),
+        ("nonlinear_instance(8)", ["optimal", 12, "0x1.bd4b0efff8a8bp+3"]),
+        ("pauli_triple_k3()", ["optimal", 9, "0x1.11651e564bfd3p+1"]),
     ], ids=["d8", "K3"])
     def test_plans_below_the_gate_keep_their_digests(self, build, digest):
         # the digests of these n = 64 solves at one BLAS thread, which no
         # Lanczos step length reaches (13 and 10 iterations under the
         # Nesterov-Todd direction); K3's last bits of dp moved when its six
         # qubit slots were grouped into (8, 8) instead of (4, 4, 4) for the
-        # Schur matrix (SCHUR_GROUP_DIM), and both when X dS Z became X rd Z
-        # - X (A*(dy) Z)
-        result = transport.wasserstein_distance(build())
-        assert result.solution.x.shape[0] < 4 * sdp.LANCZOS_STEPS
-        assert (result.status, result.solution.iterations, result.dp.hex()) == digest
-        assert {row.get("step_fallbacks", 0.0) for row in result.solution.trace} == {0.0}
+        # Schur matrix (SCHUR_GROUP_DIM), both when X dS Z became X rd Z - X
+        # (A*(dy) Z), and K3's when its constraint maps read the groups
+        n, fallbacks, *result = one_thread_solve(build)
+        assert n < 4 * sdp.LANCZOS_STEPS
+        assert result == digest
+        assert fallbacks == [0.0]
 
 
 class TestStackedPair:
@@ -1070,24 +1148,46 @@ class TestSlotReads:
 
     def test_dense_stack_is_the_embedded_local_operators(self):
         for dims in [(2, 3, 2), (5,)]:
-            problem = random_slot_problem(np.random.default_rng(3), linalg.FactorShape(dims))
-            structure = problem.structure
-            for op, slot, local in zip(
-                problem.constraint_ops, structure.slots, structure.local_ops
-            ):
-                np.testing.assert_array_equal(
-                    op, linalg.embed_at_slot(local, slot, structure.shape)
-                )
+            shape = linalg.FactorShape(dims)
+            rows = random_slot_rows(np.random.default_rng(3), shape)
+            problem = sdp.slot_problem(np.eye(shape.total_dim), shape, rows)
+            np.testing.assert_array_equal(
+                problem.constraint_ops, [linalg.embed_at_slot(op, s, shape) for s, op, _ in rows]
+            )
             assert not problem.constraint_ops.flags.writeable
+
+    @pytest.mark.parametrize("case", ["2-1", "2-2", "2-3", "2-4", "3-2", "rank-1x3", "rank-2x3"])
+    def test_dense_stack_from_groups_is_the_per_slot_embedding(self, case):
+        # an operator is lifted into its group by a write into zeros, so that
+        # every entry, signed zeros included, is that of its embedding at its
+        # declared slot
+        _, objective, shape, rows = slot_declaration(case)
+        problem = sdp.slot_problem(objective, shape, rows)
+        embedded = np.stack(
+            [linalg.embed_at_slot(linalg.hermitian(op), s, shape) for s, op, _ in rows]
+        )
+        ops = problem.constraint_ops
+        np.testing.assert_array_equal(ops, embedded)
+        for part in ("real", "imag"):
+            np.testing.assert_array_equal(
+                np.signbit(getattr(ops, part)), np.signbit(getattr(embedded, part))
+            )
 
     @pytest.mark.parametrize("build", [
         lambda: random_slot_problem(np.random.default_rng(4), linalg.FactorShape((5,))),
         lambda: transport.build_primal(nonlinear_instance(3)),
         lambda: transport.build_primal(pauli_triple_k3()),
-    ], ids=["one-slot", "pair-9", "K3-64"])
+        lambda: slot_case("rank-1x3")[1],
+        lambda: slot_case("rank-2x3")[1],
+        lambda: slot_case("2-2")[1],
+        lambda: slot_case("2-4")[1],
+        lambda: slot_case("3-2")[1],
+    ], ids=["one-slot", "pair-9", "K3-64", "rank-1x3", "rank-2x3", "qubit-K2", "K4-256",
+            "qutrit-K2"])
     def test_compressed_constraints_match_the_dense_stack(self, build):
-        """``V* A_i V`` from the slots, on one slot spanning the space, on a
-        pair plan below ``STRUCTURED_MIN_DIM`` and on the K=3 plan."""
+        """``V* A_i V`` from the groups, on one slot spanning the space, on a
+        pair plan below ``STRUCTURED_MIN_DIM``, on faces whose slots merge
+        into one group and on multipartite plans."""
         problem = build()
         rng = np.random.default_rng(problem.dim)
         v = rng.standard_normal((problem.dim, 3)) + 1j * rng.standard_normal((problem.dim, 3))
@@ -1246,8 +1346,12 @@ class TestSlotProblemValidation:
         return sdp.slot_problem(objective, self.SHAPE, constraints)
 
     def test_valid_problem_is_accepted(self):
+        # both slots fall in one group of dimension 6
         problem = self.build([(0, EYE2, 1.0), (1, np.eye(3, dtype=complex), 1.0)])
-        assert problem.structure.slots == (0, 1)
+        [(group, rows, ops)] = problem.structure.blocks
+        assert problem.structure.shape.dims == (6,) and group == 0
+        np.testing.assert_array_equal(rows, [0, 1])
+        np.testing.assert_array_equal(ops, [np.eye(6).reshape(-1)] * 2)
 
     @pytest.mark.parametrize("slot", [2, -1])
     def test_bad_slot_index(self, slot):
@@ -1259,8 +1363,12 @@ class TestSlotProblemValidation:
             self.build([(0, np.eye(3, dtype=complex), 1.0)])
 
     def test_non_hermitian_operator(self):
+        bad = np.array([[0, 1], [0, 0]], dtype=complex)
         with pytest.raises(ValueError, match="not Hermitian"):
-            self.build([(0, np.array([[0, 1], [0, 0]], dtype=complex), 1.0)])
+            self.build([(0, bad, 1.0)])
+        # alone or among the other operators of its slot, validated as one stack
+        with pytest.raises(ValueError, match="not Hermitian"):
+            self.build([(0, EYE2, 1.0), (1, np.eye(3), 1.0), (0, bad, 0.0), (0, EYE2, 1.0)])
 
     def test_non_finite_operator(self):
         with pytest.raises(ValueError, match="non-finite"):

@@ -24,19 +24,20 @@ Groups and their cases (p = 2):
 Each case runs ``REPEAT`` times per checkout, each in a fresh Python process
 with one BLAS thread, so that ``ru_maxrss`` is the peak of that case alone.
 Every repeat spawns every checkout, in reversed order on odd repeats
-(:func:`schedule`), so that host drift falls on all of them alike.  Instances
-are built before the solves start, and each checkout's own ``tools/bench.py``
-times it.  Per transport solve a run records n, m, from the result's
-``timings`` the end-to-end time (their sum) and the interior-point loop time
-(``iterate``), iterations, status, stop reason, whether the certificate
-passed, the digest ``(status, iterations, dp.hex())`` and the sum of its
-trace's ``step_fallbacks`` (corrector sides whose step length a full
-spectrum gave on a plan that reads Ritz values).  A case reports the median
-over solves of each solve's median over repeats, the median over repeats of
-the run's total end-to-end time (so that a change which drops solves
-shows), the total step fallbacks of its solves, and the median peak RSS.
-The command exits 1 when the repeats of a case disagree on any digest:
-solves are bitwise deterministic.
+(:func:`schedule`), so that host drift falls on all of them alike.
+Instances are built before the solves start, and each checkout's own
+``tools/bench.py`` times it.  Per transport solve a run records n, m, from
+the result's ``timings`` the end-to-end time (their sum), the interior-point
+loop time (``iterate``) and the setup time (``build`` plus ``preprocess``),
+iterations, status, stop reason, whether the certificate passed, the digest
+``(status, iterations, dp.hex())`` and the sum of its trace's
+``step_fallbacks`` (corrector sides whose step length a full spectrum gave
+on a plan that reads Ritz values).  A case reports the median over solves of
+each solve's median over repeats, the median over repeats of the run's total
+end-to-end time (so that a change which drops solves shows), the total step
+fallbacks of its solves, and the median peak RSS.  The command exits 1 when
+the repeats of a case disagree on any digest: solves are bitwise
+deterministic.
 
 Usage::
 
@@ -45,16 +46,17 @@ Usage::
     python3 tools/bench.py --compare parent change
 
 Each ``LABEL=SRC`` names a checkout's source directory (``change=src`` when
-none is given).  The results are merged into ``BENCH_<group>.json`` under
-the labels, so checkouts measured on one host sit side by side;
-``--compare`` prints, per case of the group given (every group without
-one), whether the digests of two labels match as multisets, each label's
-status histogram and certified count, each label's total iterations and
-step fallbacks over the case's solves, and the time and memory ratios, each
-timing beside both labels' min-max over repeats.  Digests that differ only in the last bits of
-``dp`` keep the outcomes; a change of outcome shows in the histograms.  It
-exits 0 when every case matches, else 1; a label missing from a file is a
-usage error (exit 2).
+none is given).  The results are merged into ``BENCH_<group>.json`` under the
+labels, so checkouts measured on one host sit side by side; ``--compare``
+prints, per case of the group given (every group without one), whether the
+digests of two labels match as multisets, each label's status histogram and
+certified count, each label's total iterations and step fallbacks over the
+case's solves, and the time and memory ratios, each timing beside both
+labels' min-max over repeats (``n/a`` for a timing that the older
+``tools/bench.py`` of a label did not record).  Digests that differ only in
+the last bits of ``dp`` keep the outcomes; a change of outcome shows in the
+histograms.  It exits 0 when every case matches, else 1; a label missing
+from a file is a usage error (exit 2).
 """
 
 from __future__ import annotations
@@ -153,6 +155,7 @@ def run_one(name: str) -> dict:
             "m": int(len(sol.y)),
             "e2e_ms": 1000 * sum(result.timings.values()),
             "loop_ms": 1000 * result.timings["iterate"],
+            "setup_ms": 1000 * (result.timings["build"] + result.timings["preprocess"]),
             "iterations": sol.iterations,
             "status": sol.status,
             "reason": sol.reason,
@@ -205,7 +208,9 @@ def summary(runs: list[dict]) -> dict:
         "stable": all([r["digest"] for r in run["records"]] == digests for run in runs),
         "peak_rss_mb": round(statistics.median(run["peak_rss_mb"] for run in runs), 1),
     }
-    for key in ("e2e_ms", "loop_ms"):
+    for key in ("e2e_ms", "loop_ms", "setup_ms"):
+        if any(key not in r for run in runs for r in run["records"]):
+            continue  # recorded by an older tools/bench.py
         per_solve = [statistics.median(run["records"][i][key] for run in runs)
                      for i in range(len(first))]
         out[f"{key}_p50"] = round(statistics.median(per_solve), 4)
@@ -264,8 +269,11 @@ def total_iterations(digests: list[str]) -> int:
 def ratio(ra: dict, rb: dict, key: str) -> str:
     """``key`` of ``ra`` and ``rb`` with their ratio; for a timing also each
     side's min-max over the repeats of the per-run mean (of the per-run total
-    for ``e2e_ms_total``).  ``REPEAT`` runs on a shared host are too few for
-    their min-max to bound the noise, so the ranges carry no verdict."""
+    for ``e2e_ms_total``), or ``n/a`` when either label lacks ``key``.
+    ``REPEAT`` runs on a shared host are too few for their min-max to bound
+    the noise, so the ranges carry no verdict."""
+    if key not in ra or key not in rb:
+        return f"{key} n/a"
     text = f"{key} {ra[key]:.3f} -> {rb[key]:.3f} ({rb[key] / ra[key] - 1:+.1%}"
     runs = key.replace("_p50", "_mean_runs") if key.endswith("_p50") else f"{key}_runs"
     if runs not in ra:
@@ -294,7 +302,8 @@ def compare(paths: list[str], a: str, b: str) -> int:
                           f"{total_iterations(rb['digests'])}; "
                           f"step_fallbacks {ra['step_fallbacks']} -> {rb['step_fallbacks']}")
             ratios = (ratio(ra, rb, key)
-                      for key in ("e2e_ms_p50", "loop_ms_p50", "e2e_ms_total", "peak_rss_mb"))
+                      for key in ("e2e_ms_p50", "loop_ms_p50", "setup_ms_p50", "e2e_ms_total",
+                                  "peak_rss_mb"))
             print(f"{name}: {solves} solves, {verdict}; {outcomes(ra)} -> {outcomes(rb)}; "
                   f"{iterations}; " + "; ".join(ratios))
     print(f"every (status, iterations, dp.hex()) {'matches' if same_everywhere else 'DIFFERS'}")
