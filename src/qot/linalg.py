@@ -87,6 +87,14 @@ def hermitian(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().swapaxes(-1, -2))
 
 
+def _hermitian_matrix(m: np.ndarray) -> np.ndarray:
+    """:func:`hermitian` of a single matrix: a stack is rejected."""
+    m = hermitian(m)
+    if m.ndim != 2:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    return m
+
+
 def min_eigenvalue(m: np.ndarray) -> float:
     """Smallest eigenvalue of a Hermitian matrix."""
     return float(np.linalg.eigvalsh(m)[0])
@@ -94,9 +102,7 @@ def min_eigenvalue(m: np.ndarray) -> float:
 
 def density(m: np.ndarray) -> np.ndarray:
     """Validate a density matrix: Hermitian, PSD and unit trace within ``DENSITY_ATOL``."""
-    m = hermitian(m)
-    if m.ndim != 2:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    m = _hermitian_matrix(m)
     lo = min_eigenvalue(m)
     if lo < -DENSITY_ATOL:
         raise ValueError(f"matrix is not PSD: min eigenvalue {lo:.3e}")
@@ -230,9 +236,7 @@ class SpectralDecomposition:
 
 def eig_hermitian(m: np.ndarray) -> SpectralDecomposition:
     """Spectral decomposition of a Hermitian matrix with degeneracy merging."""
-    m = hermitian(m)
-    if m.ndim != 2:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    m = _hermitian_matrix(m)
     vals, vecs = np.linalg.eigh(m)
     eigenvalues: list[float] = []
     projectors: list[np.ndarray] = []
@@ -254,7 +258,7 @@ def eig_hermitian(m: np.ndarray) -> SpectralDecomposition:
 
 def sqrt_psd(m: np.ndarray) -> np.ndarray:
     """PSD square root; eigenvalues in ``[-DENSITY_ATOL, 0)`` are clamped to zero."""
-    m = hermitian(m)
+    m = _hermitian_matrix(m)
     vals, vecs = np.linalg.eigh(m)
     if vals[0] < -DENSITY_ATOL:
         raise ValueError(f"matrix is not PSD: min eigenvalue {vals[0]:.3e}")

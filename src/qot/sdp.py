@@ -16,10 +16,13 @@ serves every plan size: it factors the iterates by Cholesky, inverts the
 triangular factors, and needs no eigen or singular value factorization of
 X or S.  Each side's step length is read from the smallest eigenvalue of
 its step whitened by its factor.  Plans below ``4 * LANCZOS_STEPS`` read it
-from full spectra; larger ones from the Ritz values of a short Lanczos run
-on the whitened step without forming it, each corrector step proved inside
-the cone by a Cholesky factorization of the iterate plus the step
-(:func:`_step_lengths`), else measured from the full spectrum.
+from full spectra; larger ones from the smallest Ritz value of a Lanczos run
+on the whitened step without forming it, stopped once the value's residual
+bound shows it converged and after ``LANCZOS_STEPS`` steps at most, each
+corrector step proved inside the cone by a Cholesky factorization of the
+iterate plus the step (:func:`_step_lengths`), else measured from the full
+spectrum.  Both sides step in place, ``d *= [ap, ad]; pair += d``, which
+rounds as ``pair + [ap, ad] d`` does.
 Constraints are declared once, as local operators on tensor slots
 (:func:`slot_problem`; :func:`sdp_problem` declares one slot spanning the
 space), and stored once, one block per group of adjacent slots
@@ -156,31 +159,48 @@ STRUCTURED_MIN_DIM = 25
 # 77-97 -> 47-48 / 159-161 -> 92-103 / 90-187 -> 44-61 us on K=4.
 SCHUR_GROUP_DIM = 8
 # Plans of dimension at least 4 * LANCZOS_STEPS read step lengths from the
-# smallest Ritz value of LANCZOS_STEPS steps of Lanczos (_ritz_ends) instead
-# of full spectra (Kuczynski & Wozniakowski, SIAM J. Matrix Anal. Appl. 1992;
-# Toh, Comput. Optim. Appl. 2002), which pays only while the step count is
-# small against n.  A corrector's stacked step pair, one BLAS thread on a
-# 2-core x86_64 host, best of 7, two runs: whitened by 4 products and read
-# by eigvalsh, against a run on the unformed pair and both Cholesky checks of
-# X + beta dX and S + beta dS: n=64 1.07-1.28 against 1.64-1.82 ms, n=81
-# 1.93-2.07 against 1.99-2.18, n=128 5.6-5.7 against 3.8-4.0, n=256 39-40
-# against 12.3-15.6 (a run on the formed pair, with its forming but not its
-# checks, took 1.6-1.8, 2.0-2.1, 3.4-3.7 and 20-22 ms; at n=81 and below
-# the run's numpy calls, not its products, set the cost).  Every qubit,
-# rank-deficient and pair-dense plan (n <= 64) and K=3 (n=64) therefore keep
-# eigvalsh.  With 10 / 15 / 20 / 30
-# / 40 steps the K=4 plan (n=256) fell back 6 / 2 / 1 / 1 / 1 times a solve
-# in 12 iterations, a d=12 plan 6 / 4 / 1 / 1 / 0 times in 12-13 and a d=16
-# plan 8 / 5 / 2 / 1 / 1 times in 14, and single solves took 0.79-1.06 s,
-# 0.27-0.40 s and 1.34-1.84 s, within host noise; 20 is the fewest steps
-# with at most two fallbacks a solve on all three.  At 20 steps only the
-# first corrector, from the product coupling, falls back: on one side on K=4
-# and d=12 and on both on d=16 and d=20.
+# smallest Ritz value of a Lanczos run (_ritz_ends) instead of full spectra
+# (Kuczynski & Wozniakowski, SIAM J. Matrix Anal. Appl. 1992; Toh, Comput.
+# Optim. Appl. 2002), which pays only while the step count is small against
+# n.  A run stops once that value meets its residual bound (LANCZOS_MARGIN
+# comment), and LANCZOS_STEPS caps it.  The gate: a corrector's stacked step
+# pair, on the corrector inputs of whole solves, one BLAS thread on a 2-core
+# x86_64 host, best of 7, whitened by 4 products and read by eigvalsh
+# against a stopped run on the unformed pair and both Cholesky checks of X +
+# beta dX and S + beta dS: d=8 (n=64) 0.71 against 1.28 ms, d=9 and the K=2
+# qutrit plan (n=81) 1.27 against 1.56 ms, d=10 (n=100) 2.07 against 1.90
+# ms, d=12 (n=144) 5.5 against 3.8 ms, at 14.7-17.4 steps a run.  The
+# crossover lies between n=81 and n=100, so the two n=81 plans pay about
+# 0.3 ms a corrector; the gate stays at 80, where every qubit,
+# rank-deficient and pair-dense plan (n <= 64) and K=3 (n=64) keep eigvalsh.
+# With fixed 20-step runs the crossover was at n=81 (1.93-2.07 against
+# 1.99-2.18 ms) and n=256 took 39-40 against 12.3-15.6 ms; below n=100 the
+# run's numpy calls, not its products, set its cost.  With a cap of 10 / 15
+# / 20 / 30 / 40 steps the K=4 plan (n=256) fell back 6 / 2 / 1 / 1 / 1
+# times a solve in 12 iterations, a d=12 plan 6 / 4 / 1 / 1 / 1 times in 13
+# / 13 / 12 / 12 / 12 and a d=16 plan 8 / 5 / 2 / 1 / 1 times in 14; their
+# runs took 8.7 / 11.2 / 12.6 / 13.5 / 13.9, 9.7 / 12.5 / 14.5 / 15.4 /
+# 15.8 and 8.6 / 11.7 / 14.1 / 15.7 / 16.1 steps on average.  20 is the
+# fewest steps with at most two fallbacks a solve on all three.  At 20 only
+# the first corrector, from the product coupling, falls back: on one side
+# on K=4 and d=12 and on both on d=16 and d=20.
 LANCZOS_STEPS = 20
 # A corrector side's Ritz step is shortened by this fraction before its
 # Cholesky check (_step_lengths), so that a Ritz value that has converged
 # passes.  The smallest Ritz value is at least the smallest eigenvalue, so an
-# accepted step is at least (1 - LANCZOS_MARGIN) times the exact one.
+# accepted step is at least (1 - LANCZOS_MARGIN) times the exact one.  The
+# corrector's run stops once the residual bound of that value is a fifth of
+# the margin, relative to max(|theta|, 1); the predictor's, whose lengths
+# only set sigma, at the margin.  One BLAS thread: on the K=4, d=12 and d=16
+# plans and the eight K=4 multipartite solves of perfbench seed 1, a
+# corrector bound of the margin raised fallbacks from 1 / 1 / 2 and 1 a
+# solve to 3 / 2 / 5 and 3-6, a predictor bound of 4 or 10 times the margin
+# added an iteration to d=12 (and to K=4 at 10 times), and one of 1 or 2
+# times kept every outcome, 1 at 4% more steps.  On the near-pure qudit rows
+# above the gate (d = 9, 10 at eps = 1e-6, default_rng([d, 6]) and [d, 6,
+# s] for s = 1-6, 112 solves, whose Schur factor takes the diagonal shift),
+# a predictor bound of 1 / 2 times the margin certified 110 / 105, fixed
+# 20-step runs 109.
 LANCZOS_MARGIN = 0.005
 # A Schur solve is two products with the inverted triangular factor, not
 # refined against M (_triangular_solver): the corrector's step against the
@@ -528,47 +548,65 @@ def _lanczos_start(n: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _ritz_ends(t: np.ndarray, inverses: np.ndarray) -> np.ndarray:
-    """Smallest and largest Ritz values, ``(len(t), 2)``, of ``LANCZOS_STEPS``
-    steps of Lanczos with full reorthogonalization on each ``L^-1 t L^-*`` of
-    :func:`_whitened`, for the stack ``t`` of Hermitian matrices and the
-    stacked factor inverses ``L^-1``, from :func:`_lanczos_start`, without
-    forming it: three matrix-vector products a step in place of two matrix
-    products.  The basis stays orthonormal, so they lie inside the spectrum
-    and a step length read from them is never too short.  A side
-    whose run breaks down reads nan: a residual at or below ``sqrt(eps)``
-    times ``|T q|`` (the Krylov space is numerically invariant) or a
-    non-finite one."""
+def _ritz_ends(
+    t: np.ndarray, inverses: np.ndarray, tol: float = 0.0, runs: list[int] | None = None
+) -> np.ndarray:
+    """Smallest and largest Ritz values and the residual bound of the
+    smallest, ``(len(t), 3)``, of Lanczos with full reorthogonalization on
+    each ``L^-1 t L^-*`` of :func:`_whitened`, for the stack ``t`` of
+    Hermitian matrices and the stacked factor inverses ``L^-1``, from
+    :func:`_lanczos_start`, without forming it: three matrix-vector products
+    a step in place of two matrix products, ``L^-* q`` read as ``conj(L^-T
+    conj(q))`` so that no conjugate copy of the inverses is made.  The basis
+    stays orthonormal, so the Ritz values lie inside the spectrum and a step
+    length read from them is never too short.  The stacked run stops once every side's smallest
+    Ritz value ``theta`` has its residual bound ``|beta_{j+1} s_j|`` (``s``
+    its eigenvector of the tridiagonal matrix) at most ``tol * max(|theta|,
+    1)``: an eigenvalue lies within the bound of ``theta`` (Parlett, The
+    Symmetric Eigenvalue Problem, 1998, section 13.2), and ``theta`` falls
+    toward the smallest eigenvalue at a rate that its gap to the rest of the
+    spectrum sets (Kuczynski & Wozniakowski, SIAM J. Matrix Anal. Appl.
+    1992).  ``LANCZOS_STEPS`` caps the run (``tol = 0`` runs to it), and
+    ``runs``, when given, receives the number of steps taken.  A side whose
+    run breaks down reads nan: a residual at or below ``sqrt(eps)`` times
+    ``|T q|`` (the Krylov space is numerically invariant) or a non-finite
+    one."""
     sides, n = len(t), t.shape[-1]
-    back = inverses.conj().swapaxes(-1, -2)
+    transposed = inverses.swapaxes(-1, -2)
 
     def product(q: np.ndarray) -> np.ndarray:
-        return np.matmul(inverses, np.matmul(t, np.matmul(back, q)))
+        return np.matmul(inverses, np.matmul(t, np.matmul(transposed, q.conj()).conj()))
     k = LANCZOS_STEPS
     basis = np.empty((sides, k, n), dtype=complex)
+    dual = np.empty_like(basis)  # the conjugate basis, read by each projection
     tri = np.zeros((sides, k, k))
     broken = np.zeros(sides, dtype=bool)
     q = np.broadcast_to(_lanczos_start(n), (sides, n))
     for j in range(k):
         basis[:, j] = q
+        np.conj(q, out=dual[:, j])
         w = product(q[:, :, None])[:, :, 0]
         reach = np.linalg.norm(w, axis=1)
         # the three-term recurrence, as w's projection on the whole basis,
         # taken twice: once a Ritz value converges, one pass leaves rounding
         # along its vector that grows by |T q| / beta a step
         for _ in range(2):
-            coef = np.matmul(basis[:, : j + 1].conj(), w[:, :, None])
+            coef = np.matmul(dual[:, : j + 1], w[:, :, None])
             w -= np.matmul(coef.transpose(0, 2, 1), basis[:, : j + 1])[:, 0]
             tri[:, j, j] += coef[:, j, 0].real
-        if j + 1 == k:
-            break
         beta = np.linalg.norm(w, axis=1)
         broken |= ~(beta > math.sqrt(np.finfo(float).eps) * reach)
+        tri[broken] = 0.0  # a broken side may hold non-finite entries
+        ritz, vectors = np.linalg.eigh(tri[:, : j + 1, : j + 1])
+        bound = beta * np.abs(vectors[:, j, 0])
+        if j + 1 == k or np.all(broken | (bound <= tol * np.maximum(np.abs(ritz[:, 0]), 1.0))):
+            break
         beta[broken] = 1.0
         tri[:, j + 1, j] = beta
         q = w / beta[:, None]
-    tri[broken] = 0.0
-    ends = np.linalg.eigvalsh(tri)[:, [0, -1]]
+    if runs is not None:
+        runs.append(j + 1)
+    ends = np.stack([ritz[:, 0], ritz[:, -1], bound], axis=1)
     ends[broken] = np.nan
     return ends
 
@@ -583,14 +621,18 @@ def _positive_definite(a: np.ndarray) -> bool:
 
 
 def _step_lengths(
-    d: np.ndarray, inverses: np.ndarray, pair: np.ndarray | None = None
+    d: np.ndarray, inverses: np.ndarray, pair: np.ndarray | None = None,
+    runs: list[int] | None = None,
 ) -> tuple[list[float], int]:
     """Boundary steps ``a`` of the stacked steps ``d`` whitened by the stacked
     factor inverses (:func:`_whitened`), the largest ``alpha`` with ``I +
     alpha T`` PSD, and the number of sides read from full spectra on a plan
     that reads Ritz values.  Below ``4 * LANCZOS_STEPS`` each is read from
     ``eigvalsh``, with none counted.  Above, a side takes the smallest Ritz
-    value ``theta`` of :func:`_ritz_ends`, from a run on the unformed ``T``.
+    value ``theta`` of :func:`_ritz_ends`, from a run on the unformed ``T``
+    that stops once the residual bound of ``theta`` is at most ``LANCZOS_MARGIN
+    / 5`` times ``max(|theta|, 1)`` (``LANCZOS_MARGIN`` times for the
+    predictor); ``runs``, when given, receives its number of steps.
     Without the stacked iterates ``pair`` (the predictor's lengths, which
     only set sigma) the step is ``1 / (-theta)``, unchecked.  With them (the
     corrector's) it is ``a = (1 - LANCZOS_MARGIN) / (-theta)``, kept when
@@ -605,14 +647,19 @@ def _step_lengths(
     near-pure plans reach; a side it refuses forms ``T`` and factors ``I +
     beta T``, whose rounding is relative.  A side whose checks fail, whose
     run breaks down or whose Ritz value is not finite is read from
-    ``eigvalsh`` of its formed ``T``."""
+    ``eigvalsh`` of its formed ``T``.  A stopped run's ``theta`` still lies
+    above the smallest eigenvalue, so the check keeps every step it accepts
+    inside the fraction of the boundary; a run stopped short of the margin
+    only costs a fallback."""
     n = d.shape[-1]
     if n < 4 * LANCZOS_STEPS:
         lows = np.linalg.eigvalsh(_whitened(inverses, d))[:, 0]
         return [_boundary_step(float(lam)) for lam in lows], 0
+    # measured at the LANCZOS_MARGIN comment
+    tol = LANCZOS_MARGIN / 5 if pair is not None else LANCZOS_MARGIN
     steps = []
     formed = {}
-    for k, theta in enumerate(_ritz_ends(d, inverses)[:, 0]):
+    for k, theta in enumerate(_ritz_ends(d, inverses, tol, runs)[:, 0]):
         step = np.nan
         if math.isfinite(theta):
             step = _boundary_step(float(theta))
@@ -702,17 +749,22 @@ def _slot_adjoint(y: np.ndarray, structure: SlotStructure) -> np.ndarray:
 def _slot_adjoint_product(y: np.ndarray, z: np.ndarray, structure: SlotStructure) -> np.ndarray:
     """``A*(y) Z = sum_g (I (x) B_g (x) I) Z`` with ``B_g`` the combination of
     the operators of group ``g``: one batched product of ``B_g`` with the
-    rows of ``Z`` at its group per group, at ``D_g n^2``, accumulated in
-    place."""
+    rows of ``Z`` at its group per group, at ``D_g n^2``, the first written
+    into the result and each other added to it in place."""
     n = len(z)
-    out = np.zeros((n, n), dtype=complex)
-    part = np.empty_like(out)
+    out = np.empty((n, n), dtype=complex)
+    part = None
     for group, rows, ops in structure.blocks:
         outer, d, inner = structure.shape.frame(group)
         # row (o, a, i) of (I (x) B (x) I) Z is sum_b B[a, b] Z[(o, b, i), :]
         layout = (outer, d, inner * n)
-        np.matmul((y[rows] @ ops).reshape(d, d), z.reshape(layout), out=part.reshape(layout))
-        out += part
+        local = (y[rows] @ ops).reshape(d, d)
+        if part is None:
+            np.matmul(local, z.reshape(layout), out=out.reshape(layout))
+            part = np.empty_like(out)
+        else:
+            np.matmul(local, z.reshape(layout), out=part.reshape(layout))
+            out += part
     return out
 
 
@@ -832,14 +884,17 @@ def solve(problem: SdpProblem, *, tol: float = TOL) -> SdpSolution:
     than 0.2, where ``mu_aff = tr((X + ap dX_aff)(S + ad dS_aff)) / n``.
     Each side's step length comes from the smallest eigenvalue of its step
     whitened by its Cholesky factor, ``Lx^-1 dX Lx^-*`` and ``Ls^-1 dS
-    Ls^-*``: on plans of at least ``4 * LANCZOS_STEPS`` from Lanczos on the
-    unformed whitened steps, the predictor's unguarded and the corrector's
+    Ls^-*``: on plans of at least ``4 * LANCZOS_STEPS`` from Lanczos runs on
+    the unformed whitened steps, stopped once their smallest Ritz values
+    converge, the predictor's unguarded and the corrector's
     checked by Cholesky factorizations of ``X + beta dX`` and ``S + beta dS``
     (:func:`_step_lengths`), on smaller plans from ``eigvalsh``.
     A ``trace`` row holds ``mu``, ``rp``, ``rd`` and ``gap``, and on an
-    iteration that steps also ``schur_ratio``, ``ap``, ``ad``, ``sigma`` and
+    iteration that steps also ``schur_ratio``, ``ap``, ``ad``, ``sigma``,
     ``step_fallbacks``, the number of corrector sides (0-2) whose length a
-    full spectrum gave on a plan that reads Ritz values (always 0 below)."""
+    full spectrum gave on a plan that reads Ritz values, and ``ritz_steps``,
+    the Lanczos steps of the predictor's and the corrector's runs (both
+    always 0 below the gate)."""
     start = time.perf_counter()
     reduced, report = preprocess(problem)
     iterate_start = time.perf_counter()
@@ -1007,7 +1062,8 @@ def solve(problem: SdpProblem, *, tol: float = TOL) -> SdpSolution:
         # Predictor (affine direction, sigma = 0).  These lengths only set
         # sigma and are never taken, so Ritz values need no check.
         _, d_aff, dyz_aff = direction(-x, refined=False)
-        steps, _ = _step_lengths(d_aff, inverses)
+        runs: list[int] = []  # Lanczos steps of the two step-length runs
+        steps, _ = _step_lengths(d_aff, inverses, runs=runs)
         ap, ad = (min(1.0, a) for a in steps)
         mu_aff = max(_trace_product(x + ap * d_aff[0], s + ad * d_aff[1]) / n, 0.0)
         sigma = min(1.0, (mu_aff / mu) ** CENTERING_EXPONENT) if mu > 0 else 0.0
@@ -1023,14 +1079,17 @@ def solve(problem: SdpProblem, *, tol: float = TOL) -> SdpSolution:
         del rdz, dyz_aff, d_aff
         dy, d, _ = direction(sigma * mu * z - x - second, refined=True)
 
-        steps, fallbacks = _step_lengths(d, inverses, pair)
+        steps, fallbacks = _step_lengths(d, inverses, pair, runs)
         ap, ad = (min(1.0, STEP_FRACTION * a) for a in steps)
         if ap < 1e-13 and ad < 1e-13:
             reason = "stalled_step"
             break
-        row.update(schur_ratio=ratio, ap=ap, ad=ad, sigma=sigma, step_fallbacks=float(fallbacks))
+        row.update(schur_ratio=ratio, ap=ap, ad=ad, sigma=sigma, step_fallbacks=float(fallbacks),
+                   ritz_steps=float(sum(runs)))
 
-        pair = pair + np.array([ap, ad])[:, None, None] * d
+        # in place, rounding as pair + [ap, ad] d does
+        d *= np.array([ap, ad])[:, None, None]
+        pair += d
         y = y + ad * dy
 
     # Map multipliers back to the original constraint indexing; dropped

@@ -16,13 +16,15 @@ bench = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench)
 
 
-def record(e2e_ms, digest="optimal 9 0x1.0p+2", loop_ms=1.0, step_fallbacks=0, setup_ms=0.5):
+def record(e2e_ms, digest="optimal 9 0x1.0p+2", loop_ms=1.0, step_fallbacks=0, setup_ms=0.5,
+           ritz_steps=0):
     status, iterations, _ = digest.split()
     return {
         "n": 4, "m": 7, "e2e_ms": e2e_ms, "loop_ms": loop_ms, "setup_ms": setup_ms,
         "iterations": int(iterations),
         "status": status, "reason": "converged" if status == "optimal" else "mu_floor",
         "certified": status == "optimal", "digest": digest, "step_fallbacks": step_fallbacks,
+        "ritz_steps": ritz_steps,
     }
 
 
@@ -117,7 +119,7 @@ class TestMergeAndCompare:
         printed = capsys.readouterr().out
         assert ("qubit: 2 solves, digests DIFFER (2); optimal 2, 2 certified -> "
                 "numerical 1 optimal 1, 1 certified; iterations 17 -> 17; "
-                "step_fallbacks 0 -> 0;") in printed
+                "step_fallbacks 0 -> 0; ritz_steps 0 -> 0;") in printed
 
     def test_compare_prints_each_labels_total_iterations(self, tmp_path, capsys):
         path = str(tmp_path / "BENCH_large.json")
@@ -129,20 +131,37 @@ class TestMergeAndCompare:
         printed = capsys.readouterr().out
         outcome = "optimal 1, 1 certified"
         assert (f"\nd=12: 1 solves, digests DIFFER (1); {outcome} -> {outcome}; "
-                "iterations 18 -> 14; step_fallbacks 0 -> 0; e2e_ms_p50") in printed
+                "iterations 18 -> 14; step_fallbacks 0 -> 0; ritz_steps 0 -> 0; "
+                "e2e_ms_p50") in printed
         assert (f"K=4: 1 solves, digests identical; {outcome} -> {outcome}; "
-                "iterations 15 -> 15; step_fallbacks 0 -> 0; e2e_ms_p50") in printed
+                "iterations 15 -> 15; step_fallbacks 0 -> 0; ritz_steps 0 -> 0; "
+                "e2e_ms_p50") in printed
         assert bench.total_iterations(["optimal 9 0x1.0p+2", "numerical 30 0x1.8p+1"]) == 39
 
     def test_compare_prints_each_labels_total_step_fallbacks(self, tmp_path, capsys):
-        # the first run's solves are summed: 1 + 2 and 0 + 1
+        # the first run's solves are summed: 1 + 2 and 0 + 1 fallbacks, 30 +
+        # 40 and 20 + 25 Lanczos steps
         path = str(tmp_path / "BENCH_large.json")
         digest = "optimal 12 0x1.8p+1"
-        for label, counts in (("parent", (1, 2)), ("change", (0, 1))):
-            runs = [run(*(record(2.0, digest, step_fallbacks=c) for c in counts))] * 2
+        for label, counts in (("parent", ((1, 30), (2, 40))), ("change", ((0, 20), (1, 25)))):
+            runs = [run(*(record(2.0, digest, step_fallbacks=f, ritz_steps=r)
+                          for f, r in counts))] * 2
             bench.merge(path, label, {"K=4": bench.summary(runs)})
         assert bench.compare([path], "parent", "change") == 0
-        assert "iterations 24 -> 24; step_fallbacks 3 -> 1; e2e_ms_p50" in capsys.readouterr().out
+        assert ("iterations 24 -> 24; step_fallbacks 3 -> 1; ritz_steps 70 -> 45; "
+                "e2e_ms_p50") in capsys.readouterr().out
+
+    def test_compare_reads_n_a_for_a_count_an_older_label_did_not_record(
+        self, tmp_path, capsys
+    ):
+        path = str(tmp_path / "BENCH_large.json")
+        older = record(2.0, "optimal 12 0x1.8p+1", step_fallbacks=1)
+        del older["ritz_steps"]
+        bench.merge(path, "parent", {"K=4": bench.summary([run(older)])})
+        bench.merge(path, "change", {"K=4": bench.summary(
+            [run(record(2.0, "optimal 12 0x1.8p+1", step_fallbacks=1, ritz_steps=14))])})
+        assert bench.compare([path], "parent", "change") == 0
+        assert "step_fallbacks 1 -> 1; ritz_steps n/a -> 14; e2e_ms_p50" in capsys.readouterr().out
 
     @pytest.mark.parametrize("change", [
         ("optimal 9 0x1.0p+2",),  # a digest missing
@@ -210,8 +229,8 @@ def test_a_record_sums_the_step_fallbacks_of_its_trace(monkeypatch):
 
     solution = types.SimpleNamespace(
         x=np.eye(4), y=np.zeros(7), iterations=3, status="optimal", reason="converged",
-        trace=({"mu": 1.0}, {"mu": 0.5, "step_fallbacks": 1.0},
-               {"mu": 0.1, "step_fallbacks": 2.0}, {"mu": 0.0}),
+        trace=({"mu": 1.0}, {"mu": 0.5, "step_fallbacks": 1.0, "ritz_steps": 30.0},
+               {"mu": 0.1, "step_fallbacks": 2.0, "ritz_steps": 25.0}, {"mu": 0.0}),
     )
     result = types.SimpleNamespace(
         solution=solution, dp=2.0, certificate=types.SimpleNamespace(passed=True),
@@ -220,7 +239,8 @@ def test_a_record_sums_the_step_fallbacks_of_its_trace(monkeypatch):
     monkeypatch.setattr(transport, "wasserstein_distance", lambda *args: result)
     monkeypatch.setattr(bench, "_case_runner", lambda name: lambda: transport.wasserstein_distance())
     [rec] = bench.run_one("K=4")["records"]
-    assert rec["step_fallbacks"] == 3 and rec["digest"] == "optimal 3 0x1.0000000000000p+1"
+    assert rec["step_fallbacks"] == 3 and rec["ritz_steps"] == 55
+    assert rec["digest"] == "optimal 3 0x1.0000000000000p+1"
     assert rec["setup_ms"] == pytest.approx(1.5)  # build + preprocess
 
 

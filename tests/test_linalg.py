@@ -60,7 +60,7 @@ class TestValidators:
 
     def test_single_matrix_validators_reject_a_stack(self):
         stack = np.stack([rho_z(0.3)] * 2)
-        for validate in (linalg.density, linalg.eig_hermitian):
+        for validate in (linalg.density, linalg.eig_hermitian, linalg.sqrt_psd):
             with pytest.raises(ValueError, match="expected a square matrix"):
                 validate(stack)
 

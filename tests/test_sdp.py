@@ -600,7 +600,7 @@ class TestStopReason:
 
 
 TRACE_KEYS = {"mu", "rp", "rd", "gap"}
-STEP_KEYS = {"schur_ratio", "ap", "ad", "sigma", "step_fallbacks"}
+STEP_KEYS = {"schur_ratio", "ap", "ad", "sigma", "step_fallbacks", "ritz_steps"}
 
 
 class TestTrace:
@@ -829,12 +829,46 @@ class TestLanczosStep:
     values, checked by a Cholesky factorization; smaller plans from full
     spectra."""
 
-    def test_ritz_ends_match_the_spectrum_when_separated(self):
-        rng = np.random.default_rng(128)
-        lam = separated(rng, 128)
-        t = planted_spectrum(rng, lam)
-        low, high = sdp._ritz_ends(t[None], identities(t[None]))[0]
-        np.testing.assert_allclose([low, high], [lam[0], lam[-1]], rtol=1e-8)
+    @pytest.mark.parametrize("tol", [5e-3, 1e-3])
+    @pytest.mark.parametrize("case", ["separated", "random", "clustered"])
+    def test_stopped_ritz_value_is_within_its_bound(self, case, tol):
+        n = 128
+        rng = np.random.default_rng([n, len(case)])
+        if case == "separated":
+            t = np.stack([planted_spectrum(rng, separated(rng, n)) for _ in range(2)])
+        elif case == "clustered":
+            # ten eigenvalues within 1e-4 at the bottom of the spectrum
+            lam = np.concatenate([-1.0 - 1e-4 * rng.uniform(size=10), rng.uniform(-0.5, 1, n - 10)])
+            t = np.stack([planted_spectrum(rng, lam) for _ in range(2)])
+        else:
+            t = np.stack([linalg.random_hermitian(rng, n) for _ in range(2)])
+        exact = np.linalg.eigvalsh(t)[:, 0]
+        runs = []
+        low, high, bound = sdp._ritz_ends(t, identities(t), tol, runs=runs).T
+        slack = 1e-12 * np.abs(exact).max()
+        assert np.all(low >= exact - slack)
+        assert np.all(low - exact <= bound + slack)
+        assert np.all(low <= high)
+        # the run stops once both sides' bounds meet the tolerance, else at the cap
+        assert len(runs) == 1 and 1 <= runs[0] <= sdp.LANCZOS_STEPS
+        converged = bound <= tol * np.maximum(np.abs(low), 1.0)
+        assert converged.all() or runs[0] == sdp.LANCZOS_STEPS
+        if case == "separated":
+            assert converged.all() and runs[0] < sdp.LANCZOS_STEPS
+
+    def test_slowly_converging_spectrum_runs_to_the_cap(self):
+        # evenly spaced eigenvalues: the gap at the bottom is 1 / (n - 1) of
+        # the spread, so 20 steps do not bring the residual down to 1e-3
+        n = 256
+        rng = np.random.default_rng(n)
+        t = planted_spectrum(rng, np.linspace(-1.0, 1.0, n))[None]
+        runs = []
+        low, _, bound = sdp._ritz_ends(t, identities(t), 1e-3, runs=runs)[0]
+        assert runs == [sdp.LANCZOS_STEPS]
+        assert bound > 1e-3 and -1.0 < low <= -1.0 + bound
+        # neither run nor check may take a step past the fraction of the boundary
+        steps, _ = sdp._step_lengths(t, identities(t), identities(t))
+        assert min(1.0, sdp.STEP_FRACTION * steps[0]) <= sdp.STEP_FRACTION * exact_steps(t)[0]
 
     @pytest.mark.parametrize("case", ["random-96", "random-128", "random-256", "cluster-128"])
     def test_ritz_ends_lie_inside_the_spectrum(self, case):
@@ -887,15 +921,19 @@ class TestLanczosStep:
     def test_separated_frames_take_the_ritz_step(self):
         rng = np.random.default_rng(7)
         t = np.stack([planted_spectrum(rng, separated(rng, 128, -6.0)) for _ in range(2)])
-        steps, fallbacks = sdp._step_lengths(t, identities(t), identities(t))
-        assert fallbacks == 0
-        np.testing.assert_allclose(
-            steps, (1 - sdp.LANCZOS_MARGIN) * np.array(exact_steps(t)), rtol=1e-8
-        )
-        # unchecked, as the predictor reads them: the Ritz steps themselves
-        steps, fallbacks = sdp._step_lengths(t, identities(t))
-        assert fallbacks == 0
-        np.testing.assert_allclose(steps, exact_steps(t), rtol=1e-8)
+        exact = np.array(exact_steps(t))
+        runs = []
+        steps, fallbacks = sdp._step_lengths(t, identities(t), identities(t), runs=runs)
+        # a stopped run, its step shortened by the margin and kept by the check
+        assert fallbacks == 0 and runs[0] < sdp.LANCZOS_STEPS
+        assert np.all((1 - sdp.LANCZOS_MARGIN) * exact <= steps)
+        taken = np.minimum(1.0, sdp.STEP_FRACTION * np.array(steps))
+        assert np.all(taken <= sdp.STEP_FRACTION * exact)
+        # unchecked, as the predictor reads them: the Ritz steps themselves,
+        # at least the boundary step and within the margin of it
+        steps, fallbacks = sdp._step_lengths(t, identities(t), runs=runs)
+        assert fallbacks == 0 and runs[1] < sdp.LANCZOS_STEPS
+        assert np.all(exact <= steps) and np.all(steps <= (1 + sdp.LANCZOS_MARGIN) * exact)
 
     def test_a_missed_eigenvector_falls_back_to_the_exact_step(self):
         n = 128

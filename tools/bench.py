@@ -30,14 +30,15 @@ Instances are built before the solves start, and each checkout's own
 the result's ``timings`` the end-to-end time (their sum), the interior-point
 loop time (``iterate``) and the setup time (``build`` plus ``preprocess``),
 iterations, status, stop reason, whether the certificate passed, the digest
-``(status, iterations, dp.hex())`` and the sum of its trace's
+``(status, iterations, dp.hex())`` and the sums of its trace's
 ``step_fallbacks`` (corrector sides whose step length a full spectrum gave
-on a plan that reads Ritz values).  A case reports the median over solves of
+on a plan that reads Ritz values) and ``ritz_steps`` (Lanczos steps of the
+predictor and corrector runs).  A case reports the median over solves of
 each solve's median over repeats, the median over repeats of the run's total
 end-to-end time (so that a change which drops solves shows), the total step
-fallbacks of its solves, and the median peak RSS.  The command exits 1 when
-the repeats of a case disagree on any digest: solves are bitwise
-deterministic.
+fallbacks and Lanczos steps of its solves, and the median peak RSS.  The
+command exits 1 when the repeats of a case disagree on any digest: solves
+are bitwise deterministic.
 
 Usage::
 
@@ -50,13 +51,13 @@ none is given).  The results are merged into ``BENCH_<group>.json`` under the
 labels, so checkouts measured on one host sit side by side; ``--compare``
 prints, per case of the group given (every group without one), whether the
 digests of two labels match as multisets, each label's status histogram and
-certified count, each label's total iterations and step fallbacks over the
-case's solves, and the time and memory ratios, each timing beside both
-labels' min-max over repeats (``n/a`` for a timing that the older
-``tools/bench.py`` of a label did not record).  Digests that differ only in
-the last bits of ``dp`` keep the outcomes; a change of outcome shows in the
-histograms.  It exits 0 when every case matches, else 1; a label missing
-from a file is a usage error (exit 2).
+certified count, each label's total iterations, step fallbacks and Lanczos
+steps over the case's solves, and the time and memory ratios, each timing
+beside both labels' min-max over repeats (``n/a`` for a count or timing that
+the older ``tools/bench.py`` of a label did not record).  Digests that differ
+only in the last bits of ``dp`` keep the outcomes; a change of outcome shows
+in the histograms.  It exits 0 when every case matches, else 1; a label
+missing from a file is a usage error (exit 2).
 """
 
 from __future__ import annotations
@@ -87,6 +88,8 @@ QUBIT_SUITES = (
 )
 CYCLES = 3
 REPEAT = 3
+# trace counters summed per record and per case
+TRACE_SUMS = ("step_fallbacks", "ritz_steps")
 
 
 def _output(group: str) -> str:
@@ -161,7 +164,7 @@ def run_one(name: str) -> dict:
             "reason": sol.reason,
             "certified": bool(result.certificate.passed),
             "digest": f"{sol.status} {sol.iterations} {float(result.dp).hex()}",
-            "step_fallbacks": int(sum(row.get("step_fallbacks", 0) for row in sol.trace)),
+            **{key: int(sum(row.get(key, 0) for row in sol.trace)) for key in TRACE_SUMS},
         })
         return result
 
@@ -204,7 +207,8 @@ def summary(runs: list[dict]) -> dict:
         "statuses": histogram("status"),
         "reasons": histogram("reason"),
         "certified": sum(r["certified"] for r in first),
-        "step_fallbacks": sum(r["step_fallbacks"] for r in first),
+        **{key: sum(r[key] for r in first) for key in TRACE_SUMS
+           if all(key in r for r in first)},  # an older tools/bench.py lacks some
         "stable": all([r["digest"] for r in run["records"]] == digests for run in runs),
         "peak_rss_mb": round(statistics.median(run["peak_rss_mb"] for run in runs), 1),
     }
@@ -285,9 +289,10 @@ def ratio(ra: dict, rb: dict, key: str) -> str:
 def compare(paths: list[str], a: str, b: str) -> int:
     """Print, per case, whether labels ``a`` and ``b`` have the same digests
     (:func:`digest_verdict`), both labels' outcomes (:func:`outcomes`),
-    total iterations (:func:`total_iterations`) and total step fallbacks, and
-    the ratios of time and memory (:func:`ratio`); 0 when every digest
-    matches, else 1."""
+    total iterations (:func:`total_iterations`), the totals of ``TRACE_SUMS``
+    (``n/a`` for one that the older ``tools/bench.py`` of a label did not
+    record), and the ratios of time and memory (:func:`ratio`); 0 when every
+    digest matches, else 1."""
     same_everywhere = True
     for path in paths:
         runs = _load(path)["runs"]
@@ -298,9 +303,10 @@ def compare(paths: list[str], a: str, b: str) -> int:
             solves = str(ra["solves"])
             if rb["solves"] != ra["solves"]:
                 solves += f" -> {rb['solves']}"
-            iterations = (f"iterations {total_iterations(ra['digests'])} -> "
-                          f"{total_iterations(rb['digests'])}; "
-                          f"step_fallbacks {ra['step_fallbacks']} -> {rb['step_fallbacks']}")
+            iterations = "; ".join(
+                [f"iterations {total_iterations(ra['digests'])} -> "
+                 f"{total_iterations(rb['digests'])}"]
+                + [f"{key} {ra.get(key, 'n/a')} -> {rb.get(key, 'n/a')}" for key in TRACE_SUMS])
             ratios = (ratio(ra, rb, key)
                       for key in ("e2e_ms_p50", "loop_ms_p50", "setup_ms_p50", "e2e_ms_total",
                                   "peak_rss_mb"))
