@@ -23,24 +23,27 @@ corrector step proved inside the cone by a Cholesky factorization of the
 iterate plus the step (:func:`_step_lengths`), else measured from the full
 spectrum.  Both sides step in place, ``d *= [ap, ad]; pair += d``, which
 rounds as ``pair + [ap, ad] d`` does.
-Constraints are declared once, as local operators on tensor slots
-(:func:`slot_problem`; :func:`sdp_problem` declares one slot spanning the
+Constraints are declared once per shape, as local operators on tensor slots
+(:func:`slot_structure`; :func:`sdp_problem` declares one slot spanning the
 space), and stored once, one block per group of adjacent slots
 (:class:`SlotStructure`), which every reader reads, the dense stack
-included.  Three size decisions remain, each measured where its constant
-stands: the ``4 * LANCZOS_STEPS`` gate above, ``TRIANGULAR_LEAF``, below
-which a triangular factor is inverted by ``np.linalg.inv`` and above by
-blocks, and :func:`_slot_reads`, which picks the route the iteration reads
-the constraints through.  Plans of at least ``STRUCTURED_MIN_DIM`` on more
-than one group apply the constraints and their adjoint through group
-marginals and embeddings and form the Schur matrix from partial-trace
-contractions of X and S^-1 over the groups, Cholesky-factored; other
-problems read the dense stack ``SdpProblem.constraint_ops`` and QR-factor
-the scaled constraints ``Ls^-1 A_i Lx``.  Either triangular factor is
-inverted once, so that a Schur solve is two triangular products, and the
-corrector takes one refinement step against the operator ``v -> A(X A*(v)
-S^-1)``, the only refinement of a solve.  Every plan writes ``X dS S^-1``
-as ``X (rd S^-1) - X (A*(dy) S^-1)``.
+included.  A problem poses its objective, values and start on a declared
+structure (:func:`pose`), so problems of one shape share its blocks and the
+rank decision of :func:`preprocess`.  Three size decisions remain, each
+measured where its constant stands: the ``4 * LANCZOS_STEPS`` gate above,
+``TRIANGULAR_LEAF``, below which a triangular factor is inverted by
+``np.linalg.inv`` and above by blocks, and :func:`_slot_reads`, which picks
+the route the iteration reads the constraints through.  Plans of at least
+``STRUCTURED_MIN_DIM`` on more than one group apply the constraints and
+their adjoint through group marginals and embeddings and form the Schur
+matrix from partial-trace contractions of X and S^-1 over the groups,
+Cholesky-factored; other problems read the dense stack
+``SdpProblem.constraint_ops`` and QR-factor the scaled constraints ``Ls^-1
+A_i Lx``.  Either triangular factor is inverted once, so that a Schur solve
+is two triangular products, and the corrector takes one refinement step
+against the operator ``v -> A(X A*(v) S^-1)``, the only refinement of a
+solve.  Every plan writes ``X dS S^-1`` as ``X (rd S^-1) - X (A*(dy)
+S^-1)``.
 The gate means one thing: below it a plan forms its matrices (full spectra,
 ``A*(v)`` before its product with ``S^-1``, and the dense stack for the QR
 from a slot-route plan's first Schur Cholesky breakdown on); above it
@@ -101,7 +104,8 @@ __all__ = [
     "PreprocessReport",
     "Certificate",
     "sdp_problem",
-    "slot_problem",
+    "slot_structure",
+    "pose",
     "preprocess",
     "solve",
     "certify",
@@ -142,7 +146,7 @@ DIVERGENCE_LIMIT = math.sqrt(np.finfo(float).max)
 # fell to 0.909 (21 of 231 solves uncertified, against 3).  The dense maps
 # save call overhead; the QR is the accurate route on small plans.
 STRUCTURED_MIN_DIM = 25
-# slot_problem groups adjacent slots while a group's dimension stays at most
+# slot_structure groups adjacent slots while a group's dimension stays at most
 # this (a slot above it stays alone), and every reader of the constraints
 # reads the groups.  _slot_schur copies X and S^-1 into a new layout once per
 # pair of groups and then takes D_g D_h n^2, so merging trades copies for
@@ -250,11 +254,12 @@ REASON_STATUS = {
 
 @dataclass(frozen=True)
 class SlotStructure:
-    """Constraints on groups of adjacent tensor slots (:func:`slot_problem`):
+    """Constraints on groups of adjacent tensor slots (:func:`slot_structure`):
     ``shape`` holds the group dimensions, and a block ``(group, rows, ops)``
     the ascending indices of the constraints on one group and their operators
     there, flattened to ``(len(rows), D*D)``: constraint ``rows[j]`` is
-    ``embed_at_slot(ops[j].reshape(D, D), group, shape)``."""
+    ``embed_at_slot(ops[j].reshape(D, D), group, shape)``.  Its arrays are
+    read-only, and every problem posed on it shares it."""
 
     shape: linalg.FactorShape
     blocks: tuple[tuple[int, np.ndarray, np.ndarray], ...]
@@ -266,9 +271,49 @@ class SlotStructure:
     def rows(self, keep: Sequence[int]) -> "SlotStructure":
         """The constraints ``keep`` (ascending), numbered in that order."""
         kept = [(g, rows, ops, np.isin(rows, keep)) for g, rows, ops in self.blocks]
-        return SlotStructure(self.shape, tuple(
+        blocks = tuple(
             (g, np.searchsorted(keep, rows[k]), ops[k]) for g, rows, ops, k in kept if k.any()
-        ))
+        )
+        for _, rows, ops in blocks:
+            rows.setflags(write=False)
+            ops.setflags(write=False)
+        return SlotStructure(self.shape, blocks)
+
+    @functools.cached_property
+    def rank_decision(self) -> tuple[np.ndarray, np.ndarray, "SlotStructure"]:
+        """``(kept, removed, reduced)``: the ascending indices of the
+        independent and of the dependent constraints, and the structure of the
+        kept ones (this one when none is dependent).
+
+        Row ``k`` is kept when the norm of its component orthogonal to the
+        kept rows before it exceeds ``PREPROCESS_RANK_TOL * max(|row k|, 1)``.
+        With every row before ``k`` kept, that norm is ``|R_kk|`` of an
+        unpivoted QR of the rows, so a system without dependent rows takes one
+        QR.  The QR would count a dependent row's rounding residue as a
+        direction, so each dependent row found is dropped and the remaining
+        rows are factorized again.  The rows are the short coordinates of
+        :meth:`coordinates`, whose Gram matrix is that of the real-vectorized
+        dense constraints.  Decided on first read and held: every problem
+        posed on this structure reads the same decision (:func:`preprocess`).
+        """
+        rows = self.coordinates()
+        thresholds = PREPROCESS_RANK_TOL * np.maximum(np.linalg.norm(rows, axis=1), 1.0)
+        kept = np.ones(len(rows), dtype=bool)
+        while True:
+            cols = np.flatnonzero(kept)
+            r_diag = np.zeros(len(cols))
+            r = np.linalg.qr(rows[cols].T, mode="r")
+            r_diag[: len(r)] = np.abs(np.diag(r))
+            # rows past the coordinate length are dependent on the rows before
+            dependent = np.flatnonzero(r_diag <= thresholds[cols])
+            if not len(dependent):
+                break
+            kept[cols[dependent[0]]] = False
+        removed = np.flatnonzero(~kept)
+        kept = np.flatnonzero(kept)
+        for indices in (kept, removed):
+            indices.setflags(write=False)
+        return kept, removed, (self.rows(kept) if len(removed) else self)
 
     def coordinates(self) -> np.ndarray:
         """Rows ``(m, 1 + sum D_g^2)`` with the Gram matrix of the constraints.
@@ -299,11 +344,13 @@ class SlotStructure:
 
 @dataclass(frozen=True)
 class SdpProblem:
-    """Conic program data: objective, targets and constraints, declared once as
-    local operators on tensor slots (:func:`sdp_problem` has one slot spanning
-    the space) and stored as one block per group of slots
-    (:class:`SlotStructure`).  ``constraint_ops``, their dense stack, is built
-    from the blocks on first read and cached.
+    """Conic program data: objective, targets and constraints, the last
+    declared once per shape as local operators on tensor slots and stored as
+    one block per group of slots (:class:`SlotStructure`), which problems of
+    that shape share (:func:`pose`; :func:`sdp_problem` has one slot spanning
+    the space).  ``constraint_ops``, their dense stack, is built from the
+    blocks on first read and cached on the problem, not on the structure, so
+    that no stack outlives its problem.
     """
 
     objective: np.ndarray        # (n, n) Hermitian
@@ -336,32 +383,27 @@ def sdp_problem(
 ) -> SdpProblem:
     """Validate and pack a minimize-form problem: one slot spans the space."""
     shape = linalg.FactorShape((len(objective),))
-    return slot_problem(objective, shape, [(0, a, b) for a, b in constraints])
+    structure = slot_structure(shape, [(0, a) for a, _ in constraints])
+    return pose(structure, objective, [b for _, b in constraints])
 
 
-def slot_problem(
-    objective: np.ndarray,
-    shape: linalg.FactorShape,
-    constraints: Sequence[tuple[int, np.ndarray, float]],
-    *, interior: np.ndarray | None = None,
-) -> SdpProblem:
-    """Validate and pack a problem whose constraints ``(slot, op, b)`` read
-    ``<embed_at_slot(op, slot, shape), X> = b`` into the objective, the values
-    and the :class:`SlotStructure`: each slot's operators are validated and
-    symmetrized as one stack, adjacent slots are grouped while a group's
-    dimension stays at most ``SCHUR_GROUP_DIM``, and each stack is lifted
-    into its group (``I (x) B (x) I``) by a write into zeros.  A declared
-    ``interior`` must be Cholesky-positive definite and meet the constraints
-    to rounding."""
-    c = linalg.hermitian(objective)
-    if c.shape[0] > MAX_VARIABLE_DIM:
-        raise ValueError(f"variable dimension {c.shape[0]} exceeds {MAX_VARIABLE_DIM}")
-    if c.shape != (shape.total_dim,) * 2:
-        raise ValueError(f"objective shape {c.shape} does not match the slots {shape.dims}")
-    if not constraints:
+def slot_structure(
+    shape: linalg.FactorShape, operators: Sequence[tuple[int, np.ndarray]]
+) -> SlotStructure:
+    """Declare the constraints ``(slot, op)``, which read ``<embed_at_slot(op,
+    slot, shape), X>``, as a :class:`SlotStructure`: each slot's operators are
+    validated and symmetrized as one stack, adjacent slots are grouped while a
+    group's dimension stays at most ``SCHUR_GROUP_DIM``, and each stack is
+    lifted into its group (``I (x) B (x) I``) by a write into zeros.  The
+    structure holds no objective or value: one declared per shape of problem
+    is shared, read-only, by every problem posed on it (:func:`pose`), and so
+    is the rank decision of :func:`preprocess` that it carries."""
+    if shape.total_dim > MAX_VARIABLE_DIM:
+        raise ValueError(f"variable dimension {shape.total_dim} exceeds {MAX_VARIABLE_DIM}")
+    if not operators:
         raise ValueError("at least one equality constraint is required")
-    slots = np.array([int(slot) for slot, _, _ in constraints])
-    for slot, (_, op, _) in zip(slots, constraints):
+    slots = np.array([int(slot) for slot, _ in operators])
+    for slot, (_, op) in zip(slots, operators):
         size = np.shape(op)
         if not 0 <= slot < shape.n_factors or size != (shape.dims[slot],) * 2:
             raise ValueError(f"operator shape {size} does not fit slot {slot} of {shape.dims}")
@@ -380,13 +422,34 @@ def slot_problem(
         lifted = np.zeros((len(rows), local.total_dim, local.total_dim), dtype=complex)
         for slot in np.unique(slots[rows]):
             at = np.flatnonzero(slots[rows] == slot)
-            stack = linalg.hermitian([constraints[i][1] for i in rows[at]])
+            stack = linalg.hermitian([operators[i][1] for i in rows[at]])
             linalg.slot_view(lifted, slot - lo, local)[at] = stack[:, None, None]
         lifted.setflags(write=False)
+        rows.setflags(write=False)
         blocks.append((g, rows, lifted.reshape(len(rows), -1)))
     group_dims = linalg.FactorShape(tuple(math.prod(dims[lo:hi]) for lo, hi in bounds))
-    structure = SlotStructure(group_dims, tuple(blocks))
-    vals = np.array([float(b) for _, _, b in constraints])
+    return SlotStructure(group_dims, tuple(blocks))
+
+
+def pose(
+    structure: SlotStructure,
+    objective: np.ndarray,
+    values: Sequence[float],
+    *, interior: np.ndarray | None = None,
+) -> SdpProblem:
+    """The problem ``minimize <objective, X>`` subject to ``<A_i, X> =
+    values[i]`` on the constraints of a declared ``structure``
+    (:func:`slot_structure`), which it shares and does not copy.  The
+    objective is validated and symmetrized; a declared ``interior`` must be
+    Cholesky-positive definite and meet the constraints to ``INTERIOR_TOL``,
+    relative."""
+    c = linalg.hermitian(objective)
+    n = structure.shape.total_dim
+    if c.shape != (n, n):
+        raise ValueError(f"objective shape {c.shape} does not match the constraints on {n}")
+    vals = np.array([float(b) for b in values])
+    if len(vals) != structure.n_constraints:
+        raise ValueError(f"{len(vals)} values for {structure.n_constraints} constraints")
     if interior is not None:
         interior = linalg.hermitian(interior)
         if interior.shape != c.shape:
@@ -412,40 +475,21 @@ class PreprocessReport:
 def preprocess(problem: SdpProblem) -> tuple[SdpProblem, PreprocessReport]:
     """Drop linearly dependent constraint rows; detect inconsistent duplicates.
 
-    Row ``k`` is kept when the norm of its component orthogonal to the kept
-    rows before it exceeds ``PREPROCESS_RANK_TOL * max(|row k|, 1)``.  With
-    every row before ``k`` kept, that norm is ``|R_kk|`` of an unpivoted QR of
-    the rows, so a system without dependent rows takes one QR.  The QR would count a
-    dependent row's rounding residue as a direction, so each dependent row
-    found is dropped and the remaining rows are factorized again.  The rows
-    are the short coordinates of :meth:`SlotStructure.coordinates`, whose
-    Gram matrix is that of the real-vectorized dense constraints.  A
-    dependent row whose target value disagrees with the induced combination
-    of the kept rows signals an infeasible system.
+    Which rows are dependent depends only on the constraints: the structure
+    decides it once (:attr:`SlotStructure.rank_decision`, one unpivoted QR of
+    its coordinates when no row is dependent), and every problem posed on it
+    reads that decision and its reduced structure.  Per problem, a dependent
+    row whose target value disagrees with the induced combination of the kept
+    rows (a least-squares fit of the coordinates) signals an infeasible
+    system.
     """
     vals = problem.constraint_vals
-    m = len(vals)
-    rows = problem.structure.coordinates()
-    thresholds = PREPROCESS_RANK_TOL * np.maximum(np.linalg.norm(rows, axis=1), 1.0)
-
-    kept = np.ones(m, dtype=bool)
-    while True:
-        cols = np.flatnonzero(kept)
-        r_diag = np.zeros(len(cols))
-        r = np.linalg.qr(rows[cols].T, mode="r")
-        r_diag[: len(r)] = np.abs(np.diag(r))
-        # rows past the coordinate length are dependent on the rows before
-        dependent = np.flatnonzero(r_diag <= thresholds[cols])
-        if not len(dependent):
-            break
-        kept[cols[dependent[0]]] = False
-    removed = np.flatnonzero(~kept)
-    kept = np.flatnonzero(kept)
-
+    kept, removed, structure = problem.structure.rank_decision
     max_inconsistency = 0.0
     infeasible = False
     reduced = problem
     if len(removed):
+        rows = problem.structure.coordinates()
         coeffs, *_ = np.linalg.lstsq(rows[kept].T, rows[removed].T, rcond=None)
         predicted = coeffs.T @ vals[kept]
         residues = np.abs(vals[removed] - predicted)
@@ -454,9 +498,7 @@ def preprocess(problem: SdpProblem) -> tuple[SdpProblem, PreprocessReport]:
             np.any(residues > PREPROCESS_CONSISTENCY_TOL * np.maximum(1.0, np.abs(vals[removed])))
         )
         # a declared interior point meets the kept rows, and so the dropped ones
-        reduced = SdpProblem(
-            problem.objective, vals[kept], problem.structure.rows(kept), problem.interior
-        )
+        reduced = SdpProblem(problem.objective, vals[kept], structure, problem.interior)
     report = PreprocessReport(
         tuple(int(i) for i in kept), tuple(int(i) for i in removed), infeasible, max_inconsistency
     )

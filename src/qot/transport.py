@@ -352,35 +352,63 @@ def purification_coupling(rho: np.ndarray) -> Coupling:
     )
 
 
-def _marginal_terms(face: SupportFace) -> list[tuple[int, np.ndarray]]:
+# Each face shape's constraints are built once and kept for the life of the
+# process, shared read-only by every problem posed on that shape.  The key is
+# ``face.shape``: plans up to sdp.MAX_VARIABLE_DIM have 424 face shapes (and
+# ``(1, 1) * pairs`` of one-dimensional states, 1 x 1 each).  A structure
+# takes about 16 (r_omega^4 + r_rho^4) bytes, 5.1 MB at ranks 20 x 20, so a
+# process that solved every shape would hold 0.46 GB, and one whose ranks
+# stay at most 8 (every bench and perfbench workload) 2.6 MB.
+
+
+@functools.cache
+def _traceless_basis(dim: int) -> tuple[np.ndarray, ...]:
+    """The traceless elements of ``linalg.hermitian_basis(dim)``, read-only."""
+    basis = linalg.hermitian_basis(dim)[1:]
+    for b in basis:
+        b.setflags(write=False)
+    return basis
+
+
+@functools.cache
+def _marginal_terms(shape: FactorShape) -> tuple[tuple[int, np.ndarray], ...]:
     """``(slot, Hermitian basis element)`` of each traceless marginal
-    functional in constraint order: per pair, the two slots' elements
-    alternate while both last."""
-    first, second = (linalg.hermitian_basis(len(s))[1:] for s in (face.omega, face.rho))
+    functional on a face of ``shape`` in constraint order: per pair, the two
+    slots' elements alternate while both last."""
+    first, second = (_traceless_basis(d) for d in shape.dims[:2])
     terms = []
-    for k in range(face.pairs):
+    for k in range(shape.n_factors // 2):
         for pair in itertools.zip_longest(first, second):
             terms += [(2 * k + side, b) for side, b in enumerate(pair) if b is not None]
-    return terms
+    return tuple(terms)
 
 
-def _marginal_constraints(face: SupportFace) -> list[tuple[int, np.ndarray, float]]:
-    """One global trace constraint plus the traceless marginal functionals.
+def _marginal_operators(shape: FactorShape) -> list[tuple[int, np.ndarray]]:
+    """``(slot, local operator)`` of one global trace constraint, the identity
+    at slot 0, and of the traceless marginal functionals.
 
-    Each entry is ``(slot, local operator, value)``; the trace constraint is
-    the identity at slot 0.  The identity component of every marginal
-    encodes the same unit-trace condition; keeping a single copy leaves a
-    full-row-rank system.
+    The identity component of every marginal encodes the same unit-trace
+    condition; keeping a single copy leaves a full-row-rank system.  A second
+    slot reads its state transposed, so its operators are the transposed
+    basis elements.
     """
-    constraints: list[tuple[int, np.ndarray, float]] = [
-        (0, np.eye(len(face.omega), dtype=complex), 1.0)
-    ]
-    for slot, b in _marginal_terms(face):
-        if slot % 2:
-            constraints.append((slot, b.T, float(np.trace(face.rho @ b).real)))
-        else:
-            constraints.append((slot, b, float(np.trace(face.omega @ b).real)))
-    return constraints
+    trace = (0, np.eye(shape.dims[0], dtype=complex))
+    return [trace] + [(slot, b.T if slot % 2 else b) for slot, b in _marginal_terms(shape)]
+
+
+@functools.cache
+def _face_structure(shape: FactorShape) -> sdp.SlotStructure:
+    """The validated, lifted constraints of every plan on a face of ``shape``
+    (:func:`_marginal_operators`), declared once a shape."""
+    return sdp.slot_structure(shape, _marginal_operators(shape))
+
+
+def _marginal_values(face: SupportFace) -> list[float]:
+    """The targets of :func:`_marginal_operators` on ``face``: the unit trace,
+    then ``tr(state b)`` of each basis element with the state of its slot."""
+    states = (face.omega, face.rho)
+    terms = _marginal_terms(face.shape)
+    return [1.0] + [float(np.trace(states[slot % 2] @ b).real) for slot, b in terms]
 
 
 def build_primal(instance: TransportInstance) -> sdp.SdpProblem:
@@ -395,6 +423,10 @@ def build_primal(instance: TransportInstance) -> sdp.SdpProblem:
     positive definite on the face; when its least eigenvalue, the product of
     the states', is below ``INTERIOR_FLOOR``, it starts at ``tau I`` instead.
 
+    The constraints are the face shape's, declared once a shape and shared
+    (:func:`_face_structure`); per problem only the cost, the marginal values
+    and the start are computed and checked (:func:`sdp.pose`).
+
     The same data also poses the potential problem: maximize
     ``sum_k tr(omega Y_k) + tr(rho X_k)`` under the slack inequality.  The
     potentials expand in the Hermitian basis: the multiplier of each
@@ -408,8 +440,9 @@ def build_primal(instance: TransportInstance) -> sdp.SdpProblem:
     face = instance.support
     floor = (linalg.min_eigenvalue(face.omega) * linalg.min_eigenvalue(face.rho)) ** face.pairs
     x0 = linalg.kron_all([face.omega, face.rho.T] * face.pairs) if floor > INTERIOR_FLOOR else None
-    return sdp.slot_problem(
-        face.restrict(instance.plan_cost()), face.shape, _marginal_constraints(face), interior=x0
+    return sdp.pose(
+        _face_structure(face.shape), face.restrict(instance.plan_cost()), _marginal_values(face),
+        interior=x0,
     )
 
 
@@ -423,7 +456,7 @@ def potentials_from_multipliers(instance: TransportInstance, y: np.ndarray) -> "
     dual objective because both states have unit trace.
     """
     face = instance.support
-    terms = _marginal_terms(face)
+    terms = _marginal_terms(face.shape)
     if len(y) != 1 + len(terms):
         raise ValueError(f"{len(y)} multipliers for {1 + len(terms)} constraints")
     r_omega, r_rho = len(face.omega), len(face.rho)

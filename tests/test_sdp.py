@@ -157,6 +157,21 @@ class TestPreprocess:
         assert not report.infeasible
         np.testing.assert_array_equal(reduced.constraint_vals, [1.0, 0.25])
 
+    def test_consistency_is_checked_per_problem_on_one_reduced_structure(self):
+        # one structure with a duplicated row, posed with consistent and with
+        # inconsistent values: the rank decision is the structure's, the
+        # value check each problem's
+        z = np.diag([1.0, -1.0]).astype(complex)
+        structure = sdp.slot_structure(linalg.FactorShape((2,)), [(0, EYE2), (0, z), (0, EYE2)])
+        consistent = sdp.pose(structure, EYE2, [1.0, 0.2, 1.0])
+        inconsistent = sdp.pose(structure, EYE2, [1.0, 0.2, 2.0])
+        (a, kept), (b, flagged) = sdp.preprocess(consistent), sdp.preprocess(inconsistent)
+        assert kept.removed == flagged.removed == (2,)
+        assert a.structure is b.structure is structure.rank_decision[2]
+        assert not kept.infeasible and flagged.infeasible
+        assert sdp.solve(consistent).optimal
+        assert sdp.solve(inconsistent).reason == "preprocess_infeasible"
+
     def test_dependent_but_consistent_combination(self):
         a = np.diag([1.0, 0.0]).astype(complex)
         b = np.diag([0.0, 1.0]).astype(complex)
@@ -196,11 +211,20 @@ def rank_instance(rng, ranks):
     return transport.factorized_instance(rho, omega, obs, 2.0, transport.MODE_NONLINEAR)
 
 
+def posed(objective, shape, constraints, interior=None):
+    """The problem of the rows ``(slot, op, b)``: their structure declared,
+    then the objective, the values and ``interior`` posed on it."""
+    structure = sdp.slot_structure(shape, [(slot, op) for slot, op, _ in constraints])
+    return sdp.pose(structure, objective, [b for *_, b in constraints], interior=interior)
+
+
 def declared(instance):
     """``(objective, shape, constraints)`` as ``build_primal`` declares them,
     on the slots of the instance's support face."""
     face = instance.support
-    return face.restrict(instance.plan_cost()), face.shape, transport._marginal_constraints(face)
+    ops = transport._marginal_operators(face.shape)
+    rows = [(slot, op, b) for (slot, op), b in zip(ops, transport._marginal_values(face))]
+    return face.restrict(instance.plan_cost()), face.shape, rows
 
 
 def random_slot_rows(rng, shape):
@@ -215,7 +239,7 @@ def random_slot_rows(rng, shape):
 def random_slot_problem(rng, shape):
     """A random objective under :func:`random_slot_rows`."""
     constraints = random_slot_rows(rng, shape)
-    return sdp.slot_problem(linalg.random_hermitian(rng, shape.total_dim), shape, constraints)
+    return posed(linalg.random_hermitian(rng, shape.total_dim), shape, constraints)
 
 
 def slot_declaration(case):
@@ -240,7 +264,7 @@ def slot_declaration(case):
 def slot_case(case):
     """``(rng, problem)`` of :func:`slot_declaration`."""
     rng, *declaration = slot_declaration(case)
-    return rng, sdp.slot_problem(*declaration)
+    return rng, posed(*declaration)
 
 
 # slot_case of random_marginal_problem plans (one of which, K=4, reads groups
@@ -372,9 +396,9 @@ class TestStructuredSchur:
         for dim, pairs in [(5, 1), (2, 3)]:
             instance = marginal_instance(np.random.default_rng(2), dim, pairs)
             objective, shape, rows = declared(instance)
-            problem = sdp.slot_problem(objective, shape, rows)
+            problem = posed(objective, shape, rows)
             identity = (1, np.eye(dim, dtype=complex), 1.0)
-            again = sdp.slot_problem(objective, shape, rows + [identity])
+            again = posed(objective, shape, rows + [identity])
             reduced, report = sdp.preprocess(again)
             assert report.removed == (len(rows),)
             assert not report.infeasible
@@ -390,9 +414,9 @@ class TestStructuredSchur:
 
     def test_duplicated_row_is_filtered_from_the_structure(self):
         objective, shape, rows = declared(marginal_instance(np.random.default_rng(8), 6, 1))
-        problem = sdp.slot_problem(objective, shape, rows)
+        problem = posed(objective, shape, rows)
         assert problem.dim >= sdp.STRUCTURED_MIN_DIM
-        doubled = sdp.slot_problem(objective, shape, rows + [rows[5]])
+        doubled = posed(objective, shape, rows + [rows[5]])
         reduced, report = sdp.preprocess(doubled)
         assert report.removed == (len(rows),)
         np.testing.assert_array_equal(reduced.constraint_ops, problem.constraint_ops)
@@ -656,8 +680,9 @@ def full_space_problem(instance):
     """The transport SDP of ``instance`` on the whole plan space, without the
     reduction of ``transport.build_primal`` to the support face."""
     whole = transport.SupportFace(instance.omega, instance.rho, instance.pairs)
-    return sdp.slot_problem(
-        instance.plan_cost(), instance.plan_shape, transport._marginal_constraints(whole)
+    return sdp.pose(
+        transport._face_structure(whole.shape), instance.plan_cost(),
+        transport._marginal_values(whole),
     )
 
 
@@ -1188,7 +1213,7 @@ class TestSlotReads:
         for dims in [(2, 3, 2), (5,)]:
             shape = linalg.FactorShape(dims)
             rows = random_slot_rows(np.random.default_rng(3), shape)
-            problem = sdp.slot_problem(np.eye(shape.total_dim), shape, rows)
+            problem = posed(np.eye(shape.total_dim), shape, rows)
             np.testing.assert_array_equal(
                 problem.constraint_ops, [linalg.embed_at_slot(op, s, shape) for s, op, _ in rows]
             )
@@ -1200,7 +1225,7 @@ class TestSlotReads:
         # every entry, signed zeros included, is that of its embedding at its
         # declared slot
         _, objective, shape, rows = slot_declaration(case)
-        problem = sdp.slot_problem(objective, shape, rows)
+        problem = posed(objective, shape, rows)
         embedded = np.stack(
             [linalg.embed_at_slot(linalg.hermitian(op), s, shape) for s, op, _ in rows]
         )
@@ -1381,7 +1406,7 @@ class TestSlotProblemValidation:
     def build(self, constraints, objective=None):
         if objective is None:
             objective = np.eye(self.SHAPE.total_dim, dtype=complex)
-        return sdp.slot_problem(objective, self.SHAPE, constraints)
+        return posed(objective, self.SHAPE, constraints)
 
     def test_valid_problem_is_accepted(self):
         # both slots fall in one group of dimension 6
@@ -1423,7 +1448,7 @@ class TestSlotProblemValidation:
     def test_declared_point_is_kept_by_preprocess(self):
         point = np.diag([0.1, 0.2, 0.3, 0.2, 0.1, 0.1]).astype(complex)
         # the duplicate trace row is dropped; the point meets the kept ones
-        problem = sdp.slot_problem(
+        problem = posed(
             np.eye(6), self.SHAPE, [(0, EYE2, 1.0), (1, np.eye(3), 1.0)], interior=point
         )
         reduced, report = sdp.preprocess(problem)
@@ -1446,10 +1471,10 @@ class TestSlotProblemValidation:
     def test_bad_point_is_rejected(self, point, match):
         b = np.diag([1.0, -1.0]).astype(complex)
         with pytest.raises(ValueError, match=match):
-            sdp.slot_problem(np.eye(6), self.SHAPE, [(0, EYE2, 1.0), (0, b, 0.0)], interior=point)
+            posed(np.eye(6), self.SHAPE, [(0, EYE2, 1.0), (0, b, 0.0)], interior=point)
 
     def test_plan_above_the_cap(self):
         d = math.isqrt(sdp.MAX_VARIABLE_DIM) + 1
         shape = linalg.FactorShape((d, d))
         with pytest.raises(ValueError, match="exceeds"):
-            sdp.slot_problem(np.eye(d * d, dtype=complex), shape, [(0, np.eye(d), 1.0)])
+            posed(np.eye(d * d, dtype=complex), shape, [(0, np.eye(d), 1.0)])

@@ -647,6 +647,63 @@ class TestInteriorStart:
         assert result.status == "optimal" and result.certificate.passed
 
 
+def pure_mixed_qubit_pair():
+    return symm_instance(state_x(0.4), np.diag([1.0, 0.0]).astype(complex), 2.0)
+
+
+class TestSharedStructure:
+    """Problems on one face shape are posed on one declared structure, which
+    carries the rank decision of ``sdp.preprocess``."""
+
+    def test_two_solves_on_one_face_shape_read_one_structure(self, monkeypatch):
+        transport._face_structure.cache_clear()
+        structures, qr_calls, inside = [], [], []
+        qr, preprocess = np.linalg.qr, sdp.preprocess
+
+        def counted_qr(*args, **kwargs):
+            qr_calls.extend(inside)
+            return qr(*args, **kwargs)
+
+        def recorded_preprocess(problem):
+            structures.append(problem.structure)
+            inside.append(problem)
+            try:
+                return preprocess(problem)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(np.linalg, "qr", counted_qr)
+        monkeypatch.setattr(sdp, "preprocess", recorded_preprocess)
+        for r in (0.2, 0.5):
+            assert wasserstein_distance(symm_instance(state_z(r), state_x(-r), 2.0)).status == "optimal"
+        first, second = structures
+        assert first is second
+        assert len(qr_calls) == 1
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: symm_instance(state_z(0.3), state_x(-0.2), 2.0), pure_mixed_qubit_pair,
+         full_rank_pair, three_pair_linearized],
+        ids=["qubit-symm", "qubit-pure-mixed", "nonlinear-d3", "linearized-K3"],
+    )
+    def test_a_solve_on_the_shared_structure_is_bitwise_one_on_a_fresh_one(self, build):
+        inst = build()
+        shape = inst.support.shape
+        shared = build_primal(inst)
+        assert shared.structure is transport._face_structure(shape)
+        shared.structure.rank_decision  # decided before the solve reads it
+        fresh = sdp.pose(
+            sdp.slot_structure(shape, transport._marginal_operators(shape)),
+            shared.objective, shared.constraint_vals, interior=shared.interior,
+        )
+        assert fresh.structure is not shared.structure
+        a, b = sdp.solve(shared), sdp.solve(fresh)
+        assert a.optimal and a.reason == b.reason and a.iterations == b.iterations
+        assert a.trace == b.trace
+        for name in ("x", "y", "s"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+
 def certified_dp(rho, omega, observables, p):
     result = wasserstein_distance(
         factorized_instance(rho, omega, cost.observable_set(observables), p, MODE_NONLINEAR)

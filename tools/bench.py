@@ -28,7 +28,9 @@ Every repeat spawns every checkout, in reversed order on odd repeats
 Instances are built before the solves start, and each checkout's own
 ``tools/bench.py`` times it.  Per transport solve a run records n, m, from
 the result's ``timings`` the end-to-end time (their sum), the interior-point
-loop time (``iterate``) and the setup time (``build`` plus ``preprocess``),
+loop time (``iterate``) and the setup time (``build`` plus ``preprocess``;
+after a face shape's first solve in a process ``preprocess`` is near zero,
+since the constraints and their rank decision are built once per shape),
 iterations, status, stop reason, whether the certificate passed, the digest
 ``(status, iterations, dp.hex())`` and the sums of its trace's
 ``step_fallbacks`` (corrector sides whose step length a full spectrum gave
