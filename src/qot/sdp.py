@@ -54,7 +54,11 @@ dense-stack plan above it, 18 below it, where the Mehrotra term is one).
 A run that stops short with a large primal residual is labelled infeasible
 when its multipliers point along a Farkas ray (:func:`_farkas_ray`).  The
 iteration starts at ``y = 0``, ``S = tau I`` and ``X`` at the declared
-``SdpProblem.interior``, else at ``tau I``.  The dual
+``SdpProblem.interior``, else at ``tau I``.  When the kept constraints number
+``n^2`` they pin the plan: it starts instead at the exact ``X0`` and ``y0``
+of :func:`_pinned_point` with ``S = C - A*(y0)`` if ``X0`` is positive
+definite and the stop test accepts that point, and so ends at iteration 0.
+The dual
 
     maximize    b . y
     subject to  S = C - sum_i y_i A_i >= 0
@@ -581,13 +585,19 @@ def _boundary_step(lam: float) -> float:
     return 1.0 / (-lam)
 
 
+@functools.cache
 def _lanczos_start(n: int) -> np.ndarray:
     """The fixed unit start vector of :func:`_ritz_ends` at dimension ``n``:
     pseudo-random, so that no structure of a plan makes it orthogonal to an
-    extreme eigenvector, and fixed, so that solves stay deterministic."""
+    extreme eigenvector, and fixed, so that solves stay deterministic.  Drawn
+    once a dimension (at most 6.4 kB each, n <= MAX_VARIABLE_DIM) and
+    read-only: a K=4 solve reads it 24 times, and a draw takes about 20 us
+    (timeit, n = 256, 2-core x86_64 host)."""
     v = np.random.default_rng(n).standard_normal((2, n))
     v = v[0] + 1j * v[1]
-    return v / np.linalg.norm(v)
+    v /= np.linalg.norm(v)
+    v.setflags(write=False)
+    return v
 
 
 def _ritz_ends(
@@ -915,10 +925,53 @@ def _schur_solver(
     return _triangular_solver(chol.T)
 
 
+def _pinned_point(problem: SdpProblem) -> tuple[np.ndarray, np.ndarray]:
+    """``(X0, y0)`` of a problem whose ``n^2`` independent constraints span
+    the Hermitian matrices, so that ``A`` and ``A*`` are invertible: the
+    unique solutions of ``A(X0) = b`` and ``A*(y0) = C``, whose dual slack
+    ``C - A*(y0)`` vanishes but for rounding.  Both come from one QR ``R^T =
+    Q U`` of the real rows ``R = (Re A_i, Im A_i)`` of the dense stack: ``y0
+    = U^-1 Q^T (Re C, Im C)``, and ``X0`` is the Hermitian part of ``Q U^-T
+    b`` read as ``Re X0 + i Im X0``, one triangular solve where ``A*(w)``
+    with ``U^T U w = b`` would take two and square the conditioning."""
+    n = problem.dim
+    flat = problem.constraint_ops.reshape(problem.n_constraints, -1)
+    q, upper = np.linalg.qr(np.hstack([flat.real, flat.imag]).T)
+    c = problem.objective.reshape(-1)
+    inv = _triangular_inverse(upper)
+    y = inv @ (q.T @ np.concatenate([c.real, c.imag]))
+    v = q @ (inv.T @ problem.constraint_vals)
+    x = (v[: n * n] + 1j * v[n * n:]).reshape(n, n)
+    return 0.5 * (x + x.conj().T), y
+
+
+def _accepted(pair: np.ndarray, row: dict, pobj: float, dobj: float, tol: float) -> bool:
+    """The stop test of :func:`solve` on the stacked iterates ``pair`` and the
+    residuals and gap of their ``trace`` row."""
+    scale = max(1.0, abs(pobj))
+    return (
+        row["rp"] <= tol
+        and row["rd"] <= tol
+        and row["gap"] <= tol * scale
+        # keep weak duality in the reported pair: residual-induced crossover
+        # of the objectives must stay below roundoff scale, which grows with
+        # the objective
+        and dobj - pobj <= 5e-10 * scale
+        # and both iterates pass certify's cone threshold
+        and _positive_definite(pair + CERT_PSD_TOL * np.eye(pair.shape[-1]))
+    )
+
+
 def solve(problem: SdpProblem, *, tol: float = TOL) -> SdpSolution:
     """Run the interior-point iteration; deterministic for identical inputs
     at a fixed BLAS thread count.
-    It starts at ``(problem.interior or tau I, tau I)`` with ``y = 0``.  Each
+    It starts at ``(problem.interior or tau I, tau I)`` with ``y = 0``, unless
+    the ``n^2`` kept constraints pin the plan, ``X0`` of
+    :func:`_pinned_point` is Cholesky-positive and the stop test
+    (:func:`_accepted`) accepts ``(X0, C - A*(y0), y0)``: then it starts
+    there and ends ``converged`` at iteration 0.  Rounding in ``C - A*(y0)``
+    can fail the test's cone clause (cost entries near 1e7), and such
+    problems start as every other.  Each
     iteration takes the HKM direction from the Cholesky factors of X and S
     and their triangular inverses: a predictor (affine) step and a Mehrotra
     corrector centered at ``sigma mu`` with ``sigma = min(1, (mu_aff / mu) **
@@ -970,6 +1023,24 @@ def solve(problem: SdpProblem, *, tol: float = TOL) -> SdpSolution:
         pair[0] = reduced.interior
     y = np.zeros(m)
 
+    def measured(pair: np.ndarray, y: np.ndarray) -> tuple:
+        """``(rd, rp, row, pobj, dobj)`` of the iterates: absolute residuals,
+        matching the certification invariants."""
+        x, s = pair
+        rd = c - s - adjoint(y)
+        rp = b - apply(x)
+        pobj = _trace_product(c, x)
+        dobj = float(b @ y)
+        row = {"mu": _trace_product(x, s) / n, "rp": float(np.abs(rp).max()),
+               "rd": float(np.abs(rd).max()), "gap": abs(pobj - dobj)}
+        return rd, rp, row, pobj, dobj
+
+    if m == n * n:
+        x0, y0 = _pinned_point(reduced)
+        pinned = np.stack([x0, c - adjoint(y0)])
+        if _positive_definite(x0) and _accepted(pinned, *measured(pinned, y0)[2:], tol):
+            pair, y = pinned, y0
+
     reason = "max_iter"
     mu = np.nan
     primal_res = np.nan
@@ -983,30 +1054,12 @@ def solve(problem: SdpProblem, *, tol: float = TOL) -> SdpSolution:
         if max(float(np.abs(pair).max()), float(np.abs(y).max())) > DIVERGENCE_LIMIT:
             reason = "diverged"
             break
-        rd = c - s - adjoint(y)
-        rp = b - apply(x)
-        mu = _trace_product(x, s) / n
-        pobj = _trace_product(c, x)
-        dobj = float(b @ y)
-        gap = abs(pobj - dobj)
-        # absolute measures, matching the certification invariants
-        primal_res = float(np.abs(rp).max())
-        dual_res = float(np.abs(rd).max())
+        rd, rp, row, pobj, dobj = measured(pair, y)
+        mu, primal_res, dual_res = row["mu"], row["rp"], row["rd"]
         # one row per measured iteration; a stepping iteration completes it
-        row = {"mu": mu, "rp": primal_res, "rd": dual_res, "gap": gap}
         trace.append(row)
 
-        if (
-            primal_res <= tol
-            and dual_res <= tol
-            and gap <= tol * max(1.0, abs(pobj))
-            # keep weak duality in the reported pair: residual-induced
-            # crossover of the objectives must stay below roundoff scale,
-            # which grows with the objective
-            and dobj - pobj <= 5e-10 * max(1.0, abs(pobj))
-            # and both iterates pass certify's cone threshold
-            and _positive_definite(pair + CERT_PSD_TOL * np.eye(n))
-        ):
+        if _accepted(pair, row, pobj, dobj, tol):
             reason = "converged"
             break
         if iterations == MAX_ITER:

@@ -270,9 +270,16 @@ class SupportFace:
         return linalg.kron_all([self.v_omega, self.v_rho.conj()] * self.pairs)
 
     def restrict(self, m: np.ndarray) -> np.ndarray:
-        """``V* m V``: a plan-space operator read on the face."""
+        """The Hermitian part of ``V* m V``: a Hermitian plan-space operator
+        read on the face.  The product's rounding breaks its symmetry in
+        proportion to ``|m|``, past ``linalg.HERMITIAN_ATOL`` once cost
+        entries reach about 1e4 (observables scaled by 30 at d = 3), so it is
+        repaired here, where it arises."""
         v = self.isometry
-        return m if v is None else v.conj().T @ m @ v
+        if v is None:
+            return m
+        r = v.conj().T @ m @ v
+        return 0.5 * (r + r.conj().T)
 
     def lift(self, m: np.ndarray) -> np.ndarray:
         """``V m V*``: an operator on the face as one on the plan space."""
@@ -593,8 +600,12 @@ def _optimal_face_dimension(solution: sdp.SdpSolution, problem: sdp.SdpProblem) 
     Optimal plans are the PSD matrices supported on the kernel of the dual
     slack that satisfy the equality constraints; the face is a single point
     exactly when the constraints restricted to that kernel block have full
-    rank.  A positive dimension flags multiple minimizers.
+    rank.  A positive dimension flags multiple minimizers.  When the kept
+    constraints number ``n^2`` they pin the plan, and a point has no other
+    minimizer: no factorization is taken.
     """
+    if len(problem.structure.rank_decision[0]) == problem.dim ** 2:
+        return 0
     vals, vecs = np.linalg.eigh(solution.s)
     scale = max(1.0, float(vals[-1]))
     kernel = vecs[:, vals < FACE_RANK_TOL * scale]

@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from qot import cli, sdp, suites, transport
+from qot import cli, linalg, sdp, suites, transport
 from qot.cli import ReportRecord, main, parse_instance, parse_report
 
 
@@ -222,6 +222,39 @@ class TestCommands:
         assert abs(certificate["cut_rho"] - 5e-11) <= 1e-16
         assert certificate["cut_omega"] == 0.0
         assert "cut" not in capsys.readouterr().out
+
+    def test_pinned_face_records_no_iteration(self, tmp_path):
+        # a pure rho leaves the product plan as the only coupling: the solve
+        # starts at it
+        path = write_instance(tmp_path, rho={"bloch": [0, 0, 1]}, omega={"bloch": [0.3, 0, 0]})
+        out = str(tmp_path / "report.jsonl")
+        assert main(["distance", path, "--out", out]) == 0
+        certificate = parse_report((tmp_path / "report.jsonl").read_text()).certificate
+        assert certificate["iterations"] == 0 and certificate["reason"] == "converged"
+        assert certificate["passed"]
+
+    def test_ill_scaled_rank_deficient_pair_is_solved(self, tmp_path):
+        # observables x100 at d=3: the rounding of the face's cost V* C V
+        # breaks its symmetry past linalg.HERMITIAN_ATOL unless repaired
+        rng = np.random.default_rng([3, 2, 3])
+        states = []
+        for rank in (2, 3):
+            g = rng.standard_normal((3, rank)) + 1j * rng.standard_normal((3, rank))
+            states.append(g @ g.conj().T / np.trace(g @ g.conj().T).real)
+        observables = [100.0 * linalg.random_hermitian(rng, 3) for _ in range(2)]
+
+        def matrix(m):
+            return [[[float(c.real), float(c.imag)] for c in row] for row in m]
+
+        path = write_instance(
+            tmp_path, rho={"matrix": matrix(states[0])}, omega={"matrix": matrix(states[1])},
+            cost="factorized", observables={"matrices": [matrix(o) for o in observables]},
+            mode="nonlinear",
+        )
+        out = str(tmp_path / "report.jsonl")
+        assert main(["distance", path, "--out", out]) == 0
+        record = parse_report((tmp_path / "report.jsonl").read_text())
+        assert record.status == "optimal" and record.certificate["passed"]
 
     def test_distance_z_xy(self, tmp_path):
         path = write_instance(

@@ -623,6 +623,46 @@ class TestStopReason:
         assert abs(x[1, 1].real) / np.linalg.norm(x) <= sdp.TOL and sol.primal_objective < 0
 
 
+def pinned_problem(rng, n, x):
+    """A problem whose n^2 constraints pin ``x``: the orthonormal Hermitian
+    basis mixed by a random matrix of condition at most 2."""
+    basis = linalg.hermitian_basis(n)
+    q, _ = np.linalg.qr(rng.standard_normal((n * n, n * n)))
+    mix = q * rng.uniform(1.0, 2.0, n * n)
+    ops = [sum(w * b for w, b in zip(row, basis)) for row in mix]
+    vals = [float(np.trace(a @ x).real) for a in ops]
+    return sdp.sdp_problem(linalg.random_hermitian(rng, n), list(zip(ops, vals)))
+
+
+class TestPinnedStart:
+    """n^2 independent constraints leave one feasible plan: the solve starts
+    at the exact pair when the stop test accepts it, else as every problem."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_pinned_plan_converges_at_iteration_zero(self, n):
+        rng = np.random.default_rng([n, 32])
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        x = g @ g.conj().T / n + np.eye(n)
+        problem = pinned_problem(rng, n, x)
+        sol = sdp.solve(problem)
+        assert sol.reason == "converged" and sol.iterations == 0 and len(sol.trace) == 1
+        assert np.abs(sol.x - x).max() <= 1e-12
+        _, adjoint = sdp._constraint_maps(problem)
+        assert np.abs(adjoint(sol.y) - problem.objective).max() <= 1e-12
+        assert sdp.certify(sol, problem).passed
+        assert_exactly_hermitian(sol.x)
+        assert_exactly_hermitian(sol.s)
+
+    @pytest.mark.parametrize("diagonal,iterations", [([1.0, -1.0], 12), ([2.0, -0.5, 1.0], 12)])
+    def test_unique_solution_outside_the_cone_keeps_the_identity_start(self, diagonal, iterations):
+        n = len(diagonal)
+        problem = pinned_problem(np.random.default_rng([n, 33]), n, np.diag(diagonal))
+        sol = sdp.solve(problem)
+        tau = max(1.0, float(np.abs(problem.objective).max()))
+        assert sol.trace[0]["mu"] == tau**2  # X = S = tau I
+        assert sol.reason == "reclassified_infeasible" and sol.iterations == iterations
+
+
 TRACE_KEYS = {"mu", "rp", "rd", "gap"}
 STEP_KEYS = {"schur_ratio", "ap", "ad", "sigma", "step_fallbacks", "ritz_steps"}
 
@@ -880,6 +920,11 @@ class TestLanczosStep:
         assert converged.all() or runs[0] == sdp.LANCZOS_STEPS
         if case == "separated":
             assert converged.all() and runs[0] < sdp.LANCZOS_STEPS
+
+    def test_start_vector_is_drawn_once_a_dimension(self):
+        start = sdp._lanczos_start(100)
+        assert start is sdp._lanczos_start(100) and not start.flags.writeable
+        assert abs(np.linalg.norm(start) - 1.0) <= 1e-15
 
     def test_slowly_converging_spectrum_runs_to_the_cap(self):
         # evenly spaced eigenvalues: the gap at the bottom is 1 / (n - 1) of

@@ -402,6 +402,15 @@ def rank_state(rng, dim, rank):
     return m / m.trace().real
 
 
+def scaled_rank_instance(dim, ranks, scale):
+    """A nonlinear p=2 pair of states of ``ranks`` (rho, omega) with two
+    random observables times ``scale``; the draws do not depend on it."""
+    rng = np.random.default_rng([dim, *ranks, 0])
+    rho, omega = (rank_state(rng, dim, r) for r in ranks)
+    obs = cost.observable_set([scale * linalg.random_hermitian(rng, dim) for _ in range(2)])
+    return factorized_instance(rho, omega, obs, 2.0, MODE_NONLINEAR)
+
+
 def solved_on_the_face(inst):
     """The result of a solve that must end optimal and certified, with a
     lifted plan that couples the original states."""
@@ -432,7 +441,31 @@ class TestSupportFace:
         inst = factorized_instance(rho, omega, obs, 2.0, MODE_NONLINEAR)
         result = solved_on_the_face(inst)
         assert result.solution.x.shape[0] == ranks[0] * ranks[1]
-        assert_matches(result.dp, trivial_coupling(rho, omega).objective(inst.plan_cost()))
+        product = trivial_coupling(rho, omega).objective(inst.plan_cost())
+        assert_matches(result.dp, product)
+        # the face's r^2 constraints pin the plan: the solve starts at it
+        assert result.solution.iterations == 0
+        assert abs(result.dp - product) <= 1e-12 * abs(product)
+
+    @pytest.mark.parametrize("ranks", [(1, 3), (2, 3)], ids=["1,3", "2,3"])
+    def test_ill_scaled_faces_are_solved(self, ranks):
+        # observables x100 put cost entries near 3e5, where the rounding of
+        # V* C V breaks its symmetry past linalg.HERMITIAN_ATOL
+        inst, unscaled = (scaled_rank_instance(3, ranks, scale) for scale in (100.0, 1.0))
+        cost_r = inst.support.restrict(inst.plan_cost())
+        np.testing.assert_array_equal(cost_r, cost_r.conj().T)
+        result = solved_on_the_face(inst)
+        assert_matches(result.dp / 100.0**2, solved_on_the_face(unscaled).dp)
+
+    def test_pinned_face_with_a_large_cost_keeps_the_product_start(self):
+        # cost entries near 3e7: the rounding of S0 = C - A*(y0) fails the
+        # stop test's cone clause, so the solve starts at the product coupling
+        inst = scaled_rank_instance(3, (1, 3), 1000.0)
+        problem = build_primal(inst)
+        assert problem.n_constraints == problem.dim**2
+        result = solved_on_the_face(inst)
+        assert result.solution.iterations > 0
+        assert_matches(result.dp, trivial_coupling(inst.rho, inst.omega).objective(inst.plan_cost()))
 
     @pytest.mark.parametrize("dim", [3, 4])
     @pytest.mark.parametrize(
