@@ -17,6 +17,7 @@ directly: the symmetric three-Pauli cost and the single-``sigma_z`` cost.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -177,24 +178,31 @@ def embedded_cost_sum(factor_costs: Sequence[np.ndarray], dim: int) -> np.ndarra
     return sum(linalg.embed_at_slot(ck, k, shape) for k, ck in enumerate(factor_costs))
 
 
+@functools.cache
 def cost_symm(p: float) -> np.ndarray:
     """Symmetric qubit cost ``2^(p+1) I - 2^p |I>><<I|`` on the 4-dim pair space.
 
     Coincides with the functional-calculus sum of ``|s_k (x) I - I (x) s_k.T|^p``
     over the three Pauli observables and is invariant under simultaneous
-    basis changes of both slots.
+    basis changes of both slots.  Built once an exponent and read-only.
     """
     check_exponent(p)
     eye2 = np.eye(2, dtype=complex)
-    return 2.0 ** (p + 1) * np.eye(4, dtype=complex) - 2.0**p * linalg.outer_vec(eye2)
+    out = 2.0 ** (p + 1) * np.eye(4, dtype=complex) - 2.0**p * linalg.outer_vec(eye2)
+    out.setflags(write=False)
+    return out
 
 
+@functools.cache
 def cost_z(p: float) -> np.ndarray:
-    """Single-``sigma_z`` qubit cost ``diag(0, 2^p, 2^p, 0)``."""
+    """Single-``sigma_z`` qubit cost ``diag(0, 2^p, 2^p, 0)``, built once an
+    exponent and read-only."""
     check_exponent(p)
-    return 2.0 ** (p - 1) * (
+    out = 2.0 ** (p - 1) * (
         np.eye(4, dtype=complex) - linalg.kron(linalg.PAULI_Z, linalg.PAULI_Z.T)
     )
+    out.setflags(write=False)
+    return out
 
 
 def check_unitary_invariance(c: np.ndarray, u: np.ndarray) -> float:

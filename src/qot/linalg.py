@@ -36,6 +36,7 @@ __all__ = [
     "hermitian",
     "density",
     "min_eigenvalue",
+    "min_eigenvalues",
     "kron",
     "kron_all",
     "slot_view",
@@ -79,12 +80,18 @@ def hermitian(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
-    defect = np.abs(m - m.conj().swapaxes(-1, -2)).max() if m.size else 0.0
+    adjoint = m.conj().swapaxes(-1, -2)
+    defect = np.abs(m - adjoint).max() if m.size else 0.0
     if defect > HERMITIAN_ATOL:
         raise ValueError(f"matrix is not Hermitian: asymmetry {defect:.3e} > {HERMITIAN_ATOL:.1e}")
-    return 0.5 * (m + m.conj().swapaxes(-1, -2))
+    # 0.5 (m + m*), halved in place once the adjoint is released, so that the
+    # peak holds no more copies of m than forming the adjoint twice would
+    out = m + adjoint
+    del adjoint
+    out *= 0.5
+    return out
 
 
 def _hermitian_matrix(m: np.ndarray) -> np.ndarray:
@@ -100,6 +107,16 @@ def min_eigenvalue(m: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(m)[0])
 
 
+def min_eigenvalues(ms: Sequence[np.ndarray]) -> list[float]:
+    """:func:`min_eigenvalue` of each Hermitian matrix of a stack or a
+    sequence, from one stacked ``eigvalsh`` call when they share a shape:
+    the stacked call factors each matrix as a call of its own would, bit for
+    bit."""
+    if not isinstance(ms, np.ndarray) and len({np.shape(m) for m in ms}) > 1:
+        return [min_eigenvalue(m) for m in ms]
+    return np.linalg.eigvalsh(ms)[:, 0].tolist()
+
+
 def density(m: np.ndarray) -> np.ndarray:
     """Validate a density matrix: Hermitian, PSD and unit trace within ``DENSITY_ATOL``."""
     m = _hermitian_matrix(m)
@@ -113,8 +130,13 @@ def density(m: np.ndarray) -> np.ndarray:
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; first argument owns the slower (leftmost) index."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    """Kronecker product of two matrices; the first owns the slower
+    (leftmost) index.  The products of ``np.kron``, taken of the same
+    broadcast views, without its shape handling."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    (ra, ca), (rb, cb) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(ra * rb, ca * cb)
 
 
 def kron_all(ops: Iterable[np.ndarray]) -> np.ndarray:
@@ -282,12 +304,14 @@ def outer_vec(x: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def hermitian_basis(dim: int) -> tuple[np.ndarray, ...]:
+def hermitian_basis(dim: int) -> np.ndarray:
     """Orthonormal Hermitian basis under ``tr(A B)``; identity component first.
 
     For qubits this is the normalized Pauli basis ``{I, sx, sy, sz} / sqrt(2)``;
     in general the identity is followed by the generalized Gell-Mann elements
     (symmetric and antisymmetric off-diagonal pairs, then diagonal ladders).
+    One read-only stack ``(dim^2, dim, dim)``, built once a dimension, so that
+    its elements are read one by one or as a stack without a copy.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
@@ -308,9 +332,9 @@ def hermitian_basis(dim: int) -> tuple[np.ndarray, ...]:
         diag[level, level] = -level
         diag /= math.sqrt(level * (level + 1))
         mats.append(diag)
-    for m in mats:
-        m.setflags(write=False)
-    return tuple(mats)
+    stack = np.array(mats)
+    stack.setflags(write=False)
+    return stack
 
 
 def random_hermitian(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.ndarray:

@@ -236,6 +236,12 @@ CERT_DUAL_TOL = 1e-8
 CERT_PSD_TOL = 1e-9
 CERT_GAP_TOL = 1e-7
 
+# The phases of solve's clock (SdpSolution.phases): the Cholesky pair, its
+# inverses and Z = S^-1; forming and factoring the Schur matrix; the
+# predictor and corrector directions; their step lengths, with the centering
+# the predictor's lengths set; and the rest (residuals, stop test, updates).
+PHASES = ("factor", "schur", "direction", "step", "other")
+
 STATUS_OPTIMAL = "optimal"
 STATUS_MAX_ITER = "max_iter"
 STATUS_INFEASIBLE = "infeasible"
@@ -524,6 +530,7 @@ class SdpSolution:
     dual_residual: float
     trace: tuple[dict, ...]  # one row per iteration; see solve
     timings: dict  # seconds of preprocess and iterate
+    phases: dict  # seconds of each of PHASES; their sum is timings["iterate"]
 
     @property
     def status(self) -> str:
@@ -773,7 +780,7 @@ def _scaled_rows(ops: np.ndarray, lx: np.ndarray, inv_s: np.ndarray) -> np.ndarr
     stack ``ops``: their Gram matrix is ``Re tr(A_i X A_j Z)`` with ``X = Lx
     Lx*`` and ``Z = S^-1 = Ls^-* Ls^-1``."""
     f = np.matmul(np.matmul(inv_s[None], ops), lx).reshape(len(ops), -1)
-    return np.hstack([f.real, f.imag])
+    return np.concatenate([f.real, f.imag], axis=1)
 
 
 def _slot_applied(z: np.ndarray, structure: SlotStructure) -> np.ndarray:
@@ -904,6 +911,26 @@ def _triangular_solver(upper: np.ndarray) -> tuple[Callable[[np.ndarray], np.nda
     return (lambda rhs: inv @ (inv.T @ rhs)), float(diag.max() / diag.min())
 
 
+@functools.cache
+def _strictly_lower(m: int) -> np.ndarray:
+    """The read-only mask of the entries below the diagonal of an ``m x m``
+    matrix."""
+    mask = np.tri(m, k=-1, dtype=bool)
+    mask.setflags(write=False)
+    return mask
+
+
+def _qr_factor(rows: np.ndarray) -> np.ndarray:
+    """``R`` of the unpivoted QR of ``rows.T`` for ``m`` rows, bitwise the
+    array ``np.linalg.qr(rows.T, mode="r")`` returns: the transpose of the
+    ``raw`` output holds ``R`` in its upper triangle, and the entries below
+    are zeroed through the mask of :func:`_strictly_lower`, where ``np.triu``
+    would build one a call."""
+    m = len(rows)
+    householder, _ = np.linalg.qr(rows.T, mode="raw")
+    return np.where(_strictly_lower(m), 0.0, householder[:, :m].T)
+
+
 def _schur_solver(
     mat: np.ndarray, shift: bool
 ) -> tuple[Callable[[np.ndarray], np.ndarray], float] | None:
@@ -936,7 +963,7 @@ def _pinned_point(problem: SdpProblem) -> tuple[np.ndarray, np.ndarray]:
     with ``U^T U w = b`` would take two and square the conditioning."""
     n = problem.dim
     flat = problem.constraint_ops.reshape(problem.n_constraints, -1)
-    q, upper = np.linalg.qr(np.hstack([flat.real, flat.imag]).T)
+    q, upper = np.linalg.qr(np.concatenate([flat.real, flat.imag], axis=1).T)
     c = problem.objective.reshape(-1)
     inv = _triangular_inverse(upper)
     y = inv @ (q.T @ np.concatenate([c.real, c.imag]))
@@ -989,11 +1016,23 @@ def solve(problem: SdpProblem, *, tol: float = TOL) -> SdpSolution:
     ``step_fallbacks``, the number of corrector sides (0-2) whose length a
     full spectrum gave on a plan that reads Ritz values, and ``ritz_steps``,
     the Lanczos steps of the predictor's and the corrector's runs (both
-    always 0 below the gate)."""
+    always 0 below the gate).  ``timings`` holds the seconds of
+    ``preprocess`` and of ``iterate``, everything after it, and ``phases``
+    splits ``iterate`` by the clock of ``PHASES``, read at seven laps an
+    iteration."""
     start = time.perf_counter()
     reduced, report = preprocess(problem)
-    iterate_start = time.perf_counter()
+    iterate_start = mark = time.perf_counter()
     timings = {"preprocess": iterate_start - start, "iterate": 0.0}
+    phases = dict.fromkeys(PHASES, 0.0)
+
+    def lap(phase: str) -> None:
+        """Add the seconds since the last lap to ``phase``."""
+        nonlocal mark
+        now = time.perf_counter()
+        phases[phase] += now - mark
+        mark = now
+
     if report.infeasible:
         n = problem.dim
         zero = np.zeros((n, n), dtype=complex)
@@ -1002,7 +1041,7 @@ def solve(problem: SdpProblem, *, tol: float = TOL) -> SdpSolution:
             primal_objective=np.nan, dual_objective=np.nan, gap=np.nan,
             reason="preprocess_infeasible", iterations=0, mu=np.nan,
             primal_residual=report.max_inconsistency, dual_residual=np.nan,
-            trace=(), timings=timings,
+            trace=(), timings=timings, phases=phases,
         )
 
     c = reduced.objective
@@ -1077,8 +1116,10 @@ def solve(problem: SdpProblem, *, tol: float = TOL) -> SdpSolution:
         # It needs the Cholesky factors and their triangular inverses, which
         # also whiten the steps for their lengths, and no eigen or singular
         # value factorization.
+        lap("other")
         factors, inverses = _cholesky_pair(pair)
         z = inverses[1].conj().T @ inverses[1]
+        lap("factor")
 
         # The Schur complement is M_ij = Re tr(A_i X A_j Z), symmetric positive
         # definite, the Gram matrix of F_i = Ls^-1 A_i Lx.  With slot
@@ -1095,10 +1136,11 @@ def solve(problem: SdpProblem, *, tol: float = TOL) -> SdpSolution:
             qr = found is None
             if qr:
                 rows = _scaled_rows(reduced.constraint_ops, factors[0], inverses[1])
-                found = _triangular_solver(np.linalg.qr(rows.T, mode="r"))
+                found = _triangular_solver(_qr_factor(rows))
             schur_solve, ratio = found
         except np.linalg.LinAlgError:  # a singular factor, even shifted
             ratio = np.inf
+        lap("schur")
         del factors  # read only by the scaled rows, not held at the peak memory
         if ratio > SCHUR_COND_LIMIT:
             reason = "schur_conditioning"
@@ -1157,6 +1199,7 @@ def solve(problem: SdpProblem, *, tol: float = TOL) -> SdpSolution:
         # Predictor (affine direction, sigma = 0).  These lengths only set
         # sigma and are never taken, so Ritz values need no check.
         _, d_aff, dyz_aff = direction(-x, refined=False)
+        lap("direction")
         runs: list[int] = []  # Lanczos steps of the two step-length runs
         steps, _ = _step_lengths(d_aff, inverses, runs=runs)
         ap, ad = (min(1.0, a) for a in steps)
@@ -1166,6 +1209,7 @@ def solve(problem: SdpProblem, *, tol: float = TOL) -> SdpSolution:
             # Heavily truncated affine steps (empty or near-empty interior):
             # bias toward centering instead of trusting the Mehrotra probe.
             sigma = max(sigma, 0.5)
+        lap("step")
 
         # Corrector with the Mehrotra second-order term dX_aff dS_aff Z.  The
         # predictor's arrays are released first: the next iteration's
@@ -1173,9 +1217,11 @@ def solve(problem: SdpProblem, *, tol: float = TOL) -> SdpSolution:
         second = d_aff[0] @ (rdz - dyz_aff)
         del rdz, dyz_aff, d_aff
         dy, d, _ = direction(sigma * mu * z - x - second, refined=True)
+        lap("direction")
 
         steps, fallbacks = _step_lengths(d, inverses, pair, runs)
         ap, ad = (min(1.0, STEP_FRACTION * a) for a in steps)
+        lap("step")
         if ap < 1e-13 and ad < 1e-13:
             reason = "stalled_step"
             break
@@ -1194,14 +1240,15 @@ def solve(problem: SdpProblem, *, tol: float = TOL) -> SdpSolution:
 
     if reason != "converged" and primal_res > 1e-4 and _farkas_ray(y, b, adjoint):
         reason = "reclassified_infeasible"
-    timings["iterate"] = time.perf_counter() - iterate_start
+    lap("other")
+    timings["iterate"] = mark - iterate_start
 
     return SdpSolution(
         x=x, y=y_full, s=s,
         primal_objective=pobj, dual_objective=dobj, gap=abs(pobj - dobj),
         reason=reason, iterations=iterations, mu=mu,
         primal_residual=primal_res, dual_residual=dual_res,
-        trace=tuple(trace), timings=timings,
+        trace=tuple(trace), timings=timings, phases=phases,
     )
 
 
@@ -1229,8 +1276,14 @@ def certify(solution: SdpSolution, problem: SdpProblem) -> Certificate:
     apply, adjoint = _constraint_maps(problem)
     eq_res = float(np.abs(apply(x) - problem.constraint_vals).max())
     dual_res = float(np.abs(problem.objective - s - adjoint(y)).max())
-    min_x = linalg.min_eigenvalue(0.5 * (x + x.conj().T))
-    min_s = linalg.min_eigenvalue(0.5 * (s + s.conj().T))
+    # the Hermitian parts 0.5 (m + m*), formed in place: on large plans a
+    # stack of temporaries would raise the peak memory of a solve
+    parts = np.empty((2, *x.shape), dtype=complex)
+    for part, m in zip(parts, (x, s)):
+        np.conj(m.T, out=part)
+        part += m
+        part *= 0.5
+    min_x, min_s = linalg.min_eigenvalues(parts)
     pobj = _trace_product(problem.objective, x)
     dobj = float(problem.constraint_vals @ y)
     gap = abs(pobj - dobj)

@@ -17,9 +17,10 @@ spec.loader.exec_module(bench)
 
 
 def record(e2e_ms, digest="optimal 9 0x1.0p+2", loop_ms=1.0, step_fallbacks=0, setup_ms=0.5,
-           ritz_steps=0):
+           ritz_steps=0, layers_ms=None):
     status, iterations, _ = digest.split()
     return {
+        **({} if layers_ms is None else {"layers_ms": layers_ms}),
         "n": 4, "m": 7, "e2e_ms": e2e_ms, "loop_ms": loop_ms, "setup_ms": setup_ms,
         "iterations": int(iterations),
         "status": status, "reason": "converged" if status == "optimal" else "mu_floor",
@@ -215,6 +216,30 @@ class TestMergeAndCompare:
         printed = capsys.readouterr().out
         assert "; setup_ms_p50 n/a; e2e_ms_total 2.000 -> 2.000" in printed
 
+    def test_summary_takes_each_layers_median_over_repeats_and_solves(self):
+        # solve 0's build takes 1, 3 ms (median 2) and solve 1's 6, 4 (5);
+        # only solve 0 of the first run has a phase clock: factor is dropped
+        runs = [run(record(2.0, layers_ms={"build": 1.0, "iterate": 1.0, "factor": 0.5}),
+                    record(2.0, layers_ms={"build": 6.0, "iterate": 2.0})),
+                run(record(2.0, layers_ms={"build": 3.0, "iterate": 1.0}),
+                    record(2.0, layers_ms={"build": 4.0, "iterate": 2.0}))]
+        assert bench.summary(runs)["layer_ms_p50"] == [["build", 3.5], ["iterate", 1.5]]
+        # records of an older tools/bench.py have no layers
+        assert bench.summary([run(record(2.0))])["layer_ms_p50"] == []
+
+    def test_compare_prints_each_layers_ratio_on_a_line_of_its_own(self, tmp_path, capsys):
+        path = str(tmp_path / "BENCH_small.json")
+        layers = {"parent": {"build": 0.4, "iterate": 2.0},
+                  "change": {"build": 0.2, "iterate": 2.0, "factor": 0.5}}
+        for label, layers_ms in layers.items():
+            bench.merge(path, label,
+                        {"qubit": bench.summary([run(record(2.0, layers_ms=layers_ms))])})
+        assert bench.compare([path], "parent", "change") == 0
+        first, second = capsys.readouterr().out.splitlines()[:2]
+        assert first.startswith("qubit: 1 solves, digests identical")
+        assert second == ("  qubit layer_ms_p50: build 0.4000 -> 0.2000 (-50.0%); "
+                          "iterate 2.0000 -> 2.0000 (+0.0%); factor n/a -> 0.5")
+
     def test_unknown_label_is_a_usage_error(self, paths, capsys, monkeypatch):
         monkeypatch.setattr(bench, "_output", dict(zip(("small", "large"), paths)).get)
         with pytest.raises(SystemExit) as exc:
@@ -242,6 +267,12 @@ def test_a_record_sums_the_step_fallbacks_of_its_trace(monkeypatch):
     assert rec["step_fallbacks"] == 3 and rec["ritz_steps"] == 55
     assert rec["digest"] == "optimal 3 0x1.0000000000000p+1"
     assert rec["setup_ms"] == pytest.approx(1.5)  # build + preprocess
+    # a solution without a phase clock records the timings alone
+    assert rec["layers_ms"] == pytest.approx({"iterate": 2.0, "build": 1.0, "preprocess": 0.5})
+    solution.phases = {"factor": 0.0015, "other": 0.0005}
+    [rec] = bench.run_one("K=4")["records"]
+    assert rec["layers_ms"] == pytest.approx(
+        {"iterate": 2.0, "build": 1.0, "preprocess": 0.5, "factor": 1.5, "other": 0.5})
 
 
 def test_repeats_that_disagree_fail_the_run(tmp_path, monkeypatch):

@@ -82,6 +82,16 @@ class TestDistinguishedCosts:
         np.testing.assert_allclose(total, cost_symm(p), atol=1e-10)
 
     @pytest.mark.parametrize("builder", [cost_symm, cost_z])
+    @pytest.mark.parametrize("p", [1.0, 2.0, 2.5])
+    def test_built_once_an_exponent_and_read_only(self, builder, p):
+        matrix = builder(p)
+        assert builder(p) is matrix
+        with pytest.raises(ValueError, match="read-only"):
+            matrix[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            matrix += 1.0
+
+    @pytest.mark.parametrize("builder", [cost_symm, cost_z])
     def test_exponent_below_one_rejected(self, builder):
         with pytest.raises(ValueError, match="p must be >= 1"):
             builder(0.5)

@@ -93,6 +93,68 @@ class TestKron:
             np.testing.assert_allclose(lhs, vectorize(a @ x @ b), atol=1e-12)
 
 
+def assert_same_array(a, b):
+    """The same dtype, shape, strides and bytes."""
+    assert (a.dtype, a.shape, a.strides) == (b.dtype, b.shape, b.strides)
+    assert a.tobytes() == b.tobytes()
+
+
+def isometry(rng, dim, rank):
+    """Orthonormal columns: the support isometry of a rank-``rank`` state."""
+    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    return np.linalg.qr(g)[0]
+
+
+class TestKronIsNumpys:
+    """``kron`` multiplies broadcast views: bitwise ``np.kron``."""
+
+    @pytest.mark.parametrize("dims", [(1, 1), (2, 2), (2, 3), (3, 3), (4, 2), (8, 8)])
+    def test_square_inputs(self, dims):
+        rng = np.random.default_rng(list(dims))
+        a, b = (linalg.random_hermitian(rng, d) for d in dims)
+        assert_same_array(kron(a, b), np.kron(a, b))
+        # a transposed view, as the product start reads rho.T
+        assert_same_array(kron(a, b.T), np.kron(a, b.T))
+
+    @pytest.mark.parametrize("dim,ranks", [(3, (1, 3)), (3, (2, 3)), (4, (2, 3)), (4, (1, 1))])
+    def test_support_isometries(self, dim, ranks):
+        rng = np.random.default_rng([dim, *ranks])
+        v_omega, v_rho = (isometry(rng, dim, r) for r in ranks)
+        assert_same_array(kron(v_omega, v_rho.conj()), np.kron(v_omega, v_rho.conj()))
+        chained = linalg.kron_all([v_omega, v_rho.conj()] * 2)
+        expected = np.kron(np.kron(np.kron(v_omega, v_rho.conj()), v_omega), v_rho.conj())
+        assert_same_array(chained, expected)
+
+    def test_k4_product_start(self):
+        # kron_all([omega, rho.T] * 4): factors of 2 x 2 onto products up to 128 x 128
+        rng = np.random.default_rng(4)
+        omega, rho = linalg.random_density(rng, 2), linalg.random_density(rng, 2)
+        expected = np.eye(1, dtype=complex)
+        for factor in [omega, rho.T] * 4:
+            expected = np.kron(expected, factor)
+        assert_same_array(linalg.kron_all([omega, rho.T] * 4), expected)
+
+    def test_real_inputs_are_made_complex(self):
+        out = kron(np.eye(2), np.array([[1, 2], [3, 4]]))
+        assert out.dtype == complex
+        np.testing.assert_array_equal(out, np.kron(np.eye(2), [[1, 2], [3, 4]]))
+
+
+class TestStackedEigenvalues:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 9, 16, 64])
+    def test_stacked_minima_are_bitwise_the_per_matrix_calls(self, n):
+        rng = np.random.default_rng(n)
+        pair = np.stack([linalg.random_hermitian(rng, n) for _ in range(2)])
+        expected = [linalg.min_eigenvalue(m) for m in pair]
+        assert linalg.min_eigenvalues(pair) == expected
+        assert linalg.min_eigenvalues(list(pair)) == expected
+
+    def test_different_shapes_are_taken_one_by_one(self):
+        rng = np.random.default_rng(0)
+        ms = [linalg.random_density(rng, 1), linalg.random_density(rng, 3)]
+        assert linalg.min_eigenvalues(ms) == [linalg.min_eigenvalue(m) for m in ms]
+
+
 class TestPartialTrace:
     def test_traceless_factor(self):
         shape = FactorShape((2, 2))
@@ -292,6 +354,13 @@ class TestHermitianBasis:
         np.testing.assert_allclose(basis[1], PAULI_X / root2)
         np.testing.assert_allclose(basis[2], PAULI_Y / root2)
         np.testing.assert_allclose(basis[3], PAULI_Z / root2)
+
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    def test_one_read_only_stack_a_dimension(self, dim):
+        basis = hermitian_basis(dim)
+        assert basis is hermitian_basis(dim)
+        assert basis.shape == (dim * dim, dim, dim) and basis.dtype == complex
+        assert not basis.flags.writeable and not basis[1:].flags.writeable
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_gram_matrix_is_identity(self, dim):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from qot import cost, linalg, sdp, transport
+from qot.closedform import state_x
 from qot.linalg import kron
 
 EYE2 = np.eye(2, dtype=complex)
@@ -707,6 +708,21 @@ class TestTrace:
             assert set(timings) == {"preprocess", "iterate"}
             assert all(v >= 0.0 for v in timings.values())
 
+    @pytest.mark.parametrize("reason,build,patches", STOPS)
+    def test_phases_split_the_iterate_time(self, monkeypatch, reason, build, patches):
+        for name, value in patches.items():
+            monkeypatch.setattr(sdp, name, value)
+        sol = sdp.solve(build())
+        assert sol.reason == reason
+        assert tuple(sol.phases) == sdp.PHASES
+        assert all(v >= 0.0 for v in sol.phases.values())
+        assert math.isclose(sum(sol.phases.values()), sol.timings["iterate"], rel_tol=1e-9,
+                            abs_tol=1e-15)
+        # the clock adds no key to timings, whose sum stays the whole solve
+        assert set(sol.timings) == {"preprocess", "iterate"}
+        if any("ap" in row for row in sol.trace):
+            assert all(sol.phases[phase] > 0.0 for phase in sdp.PHASES)
+
 
 def farkas_margins(problem, y):
     """``(b . v, lambda_min(-sum_i v_i A_i))`` for ``v = y / max|y|``, from the
@@ -863,6 +879,27 @@ def qubit_linearized(k, seed):
     rho, omega = linalg.random_density(rng, 2), linalg.random_density(rng, 2)
     obs = cost.observable_set([linalg.random_hermitian(rng, 2) for _ in range(k)])
     return transport.factorized_instance(rho, omega, obs, 2.0, transport.MODE_LINEARIZED)
+
+
+def z_xy_point():
+    """A point of the z-xy grid: x-polarized qubit states under the sigma_z
+    cost at p = 2."""
+    return transport.z_instance(state_x(-0.95), state_x(0.95), 2.0)
+
+
+def rank_mix_base(dim, ranks, tag):
+    """perfbench's unrotated base instance of the rank-deficient pair drawn
+    from ``default_rng([BASE_SEED, tag])``: states of ``ranks`` (rho, omega)
+    and two random observables, nonlinear at p = 2."""
+    rng = np.random.default_rng([20251030, tag])
+    rho, omega = (
+        (lambda g: g @ g.conj().T / np.trace(g @ g.conj().T).real)(
+            rng.standard_normal((dim, r)) + 1j * rng.standard_normal((dim, r))
+        )
+        for r in ranks
+    )
+    obs = cost.observable_set([linalg.random_hermitian(rng, dim) for _ in range(2)])
+    return transport.factorized_instance(rho, omega, obs, 2.0, transport.MODE_NONLINEAR)
 
 
 def one_thread_solve(build):
@@ -1106,6 +1143,21 @@ class TestLanczosStep:
         assert result == digest
         assert fallbacks == [0.0]
 
+    @pytest.mark.parametrize("build,digest", [
+        ("z_xy_point()", [4, "optimal", 7, "0x1.6020c80b9aa22p+0"]),
+        ("rank_mix_base(3, (2, 3), 206)", [6, "optimal", 8, "0x1.df735e39aea0cp+1"]),
+        ("rank_mix_base(3, (1, 3), 203)", [3, "optimal", 0, "0x1.4a864389290a4p+3"]),
+    ], ids=["z-xy", "rank-2/full", "pinned"])
+    def test_small_plans_keep_their_digests(self, build, digest):
+        # qubit and rank-deficient plans, whose targets, potentials, QR
+        # factor and spectra are read through stacked calls: the digests at
+        # one BLAS thread before those calls replaced their per-term loops
+        # and wrappers.  The d = 3 pure/mixed pair is pinned on its (3, 1)
+        # face and ends at iteration 0
+        n, fallbacks, *result = one_thread_solve(build)
+        assert [n, *result] == digest
+        assert fallbacks == [0.0]
+
 
 class TestStackedPair:
     """X and S are one stacked pair in ``solve``; each stacked call must
@@ -1150,6 +1202,25 @@ class TestStackedPair:
             np.testing.assert_array_equal(inverses[k], inv)
         np.testing.assert_array_equal(factors[1], np.linalg.cholesky(pair[1]))
 
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_raw_qr_factor_is_bitwise_mode_r(self, dim):
+        # the QR route's rows at n = 4, 9, 16: R from the raw output, the
+        # same C-ordered array as np.linalg.qr(rows.T, mode="r") returns
+        problem = transport.build_primal(nonlinear_instance(dim))
+        assert sdp._slot_reads(problem) is None
+        rng = np.random.default_rng(dim)
+        for _ in range(3):
+            _, _, lx, inv_s = hkm_pair(rng, dim * dim)
+            rows = sdp._scaled_rows(problem.constraint_ops, lx, inv_s)
+            assert rows.shape == (problem.n_constraints, 2 * dim**4)
+            expected = np.linalg.qr(rows.T, mode="r")
+            got = sdp._qr_factor(rows)
+            assert (got.shape, got.strides, got.dtype) == (
+                expected.shape, expected.strides, expected.dtype)
+            assert got.tobytes() == expected.tobytes()
+        mask = sdp._strictly_lower(problem.n_constraints)
+        assert mask is sdp._strictly_lower(problem.n_constraints) and not mask.flags.writeable
+
     def test_dense_adjoint_is_bitwise_tensordot(self):
         problem = qubit_transport_problem(cost.cost_symm(2.0), rho_z(0.5), rho_z(-0.3))
         y = np.random.default_rng(2).standard_normal(problem.n_constraints)
@@ -1188,6 +1259,16 @@ class TestCertify:
         sol = sdp.solve(problem)
         assert not sdp.certify(sol, problem).passed
         assert not sol.optimal
+
+    @pytest.mark.parametrize("build", [small_transport_problem, structured_problem],
+                             ids=["qr", "cholesky"])
+    def test_cone_minima_are_the_per_matrix_calls(self, build):
+        # one stacked eigvalsh of (X, S), bitwise the calls on each
+        problem = build()
+        sol = sdp.solve(problem)
+        cert = sdp.certify(sol, problem)
+        for side, low in ((sol.x, cert.min_eig_x), (sol.s, cert.min_eig_s)):
+            assert low == linalg.min_eigenvalue(0.5 * (side + side.conj().T))
 
     def test_closed_form_dual_value(self):
         # commuting states: the dual optimum is the classical two-point value

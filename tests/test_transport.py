@@ -737,6 +737,76 @@ class TestSharedStructure:
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
 
+def face_instance(case):
+    """An instance whose support face has the shape ``case``: ``r_omega x
+    r_rho`` states on one pair, or the K=4 qubit linearized plan."""
+    if case == "K=4":
+        rng = np.random.default_rng(4)
+        rho, omega = linalg.random_density(rng, 2), linalg.random_density(rng, 2)
+        obs = cost.observable_set([linalg.random_hermitian(rng, 2) for _ in range(4)])
+        return factorized_instance(rho, omega, obs, 2.0, MODE_LINEARIZED)
+    r_omega, r_rho = (int(r) for r in case.split("x"))
+    dim = max(r_omega, r_rho, 2)
+    return scaled_rank_instance(dim, (r_rho, r_omega), 1.0)
+
+
+def loop_marginal_values(face):
+    """The targets term by term, as one ``np.trace`` of each product."""
+    states = (face.omega, face.rho)
+    terms = transport._marginal_terms(face.shape)
+    return np.array([1.0] + [float(np.trace(states[slot % 2] @ b).real) for slot, b in terms])
+
+
+def loop_potentials(face, y):
+    """The potentials term by term, each added to a zero matrix in turn."""
+    r_omega, r_rho = len(face.omega), len(face.rho)
+    ys = [np.zeros((r_omega, r_omega), dtype=complex) for _ in range(face.pairs)]
+    xs = [np.zeros((r_rho, r_rho), dtype=complex) for _ in range(face.pairs)]
+    for coef, (slot, b) in zip(y[1:], transport._marginal_terms(face.shape)):
+        (xs if slot % 2 else ys)[slot // 2] += coef * b
+    xs[0] += y[0] * np.eye(r_rho)
+    return xs, ys
+
+
+class TestStackedMarginals:
+    """The targets and the potentials read one basis stack a side: bitwise
+    the term-by-term loop, signed zeros included."""
+
+    CASES = ["1x1", "1x3", "2x2", "2x3", "3x3", "8x8", "K=4"]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_targets_are_the_loops(self, case):
+        face = face_instance(case).support
+        if case != "K=4":
+            assert face.shape.dims == tuple(int(r) for r in case.split("x"))
+        values = transport._marginal_values(face)
+        assert values.tobytes() == loop_marginal_values(face).tobytes()
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_potentials_are_the_loops(self, case):
+        inst = face_instance(case)
+        face = inst.support
+        m = 1 + len(transport._marginal_terms(face.shape))
+        rng = np.random.default_rng(m)
+        # zeros and negative multipliers give signed zeros in the products
+        y = rng.standard_normal(m) * rng.integers(0, 2, m)
+        for multipliers in (y, -np.abs(y), np.zeros(m)):
+            pots = potentials_from_multipliers(inst, multipliers)
+            xs, ys = loop_potentials(face, multipliers)
+            assert len(pots.xs) == len(xs) == face.pairs
+            for got, expected in zip(pots.xs + pots.ys, xs + ys):
+                assert got.dtype == expected.dtype and got.shape == expected.shape
+                assert got.tobytes() == expected.tobytes()
+
+    def test_stacks_are_views_of_the_basis_built_once_a_shape(self):
+        shape = face_instance("2x3").support.shape
+        stacks = transport._marginal_stacks(shape)
+        assert stacks is transport._marginal_stacks(shape)
+        for d, (basis, rows) in zip(shape.dims, stacks):
+            assert not basis.flags.writeable and not rows.flags.writeable
+            assert np.shares_memory(basis, linalg.hermitian_basis(d))
+
+
 def certified_dp(rho, omega, observables, p):
     result = wasserstein_distance(
         factorized_instance(rho, omega, cost.observable_set(observables), p, MODE_NONLINEAR)

@@ -32,13 +32,16 @@ loop time (``iterate``) and the setup time (``build`` plus ``preprocess``;
 after a face shape's first solve in a process ``preprocess`` is near zero,
 since the constraints and their rank decision are built once per shape),
 iterations, status, stop reason, whether the certificate passed, the digest
-``(status, iterations, dp.hex())`` and the sums of its trace's
+``(status, iterations, dp.hex())``, the sums of its trace's
 ``step_fallbacks`` (corrector sides whose step length a full spectrum gave
 on a plan that reads Ritz values) and ``ritz_steps`` (Lanczos steps of the
-predictor and corrector runs).  A case reports the median over solves of
-each solve's median over repeats, the median over repeats of the run's total
-end-to-end time (so that a change which drops solves shows), the total step
-fallbacks and Lanczos steps of its solves, and the median peak RSS.  The
+predictor and corrector runs), and ``layers_ms``: each key of ``timings``
+and each phase of the solve's clock (``SdpSolution.phases``, which split
+``iterate``).  A case reports the median over solves of each solve's median
+over repeats, for each layer too (``layer_ms_p50``), the median over
+repeats of the run's total end-to-end time (so that a change which drops
+solves shows), the total step fallbacks and Lanczos steps of its solves,
+and the median peak RSS.  The
 command exits 1 when the repeats of a case disagree on any digest: solves
 are bitwise deterministic.
 
@@ -56,7 +59,8 @@ digests of two labels match as multisets, each label's status histogram and
 certified count, each label's total iterations, step fallbacks and Lanczos
 steps over the case's solves, and the time and memory ratios, each timing
 beside both labels' min-max over repeats (``n/a`` for a count or timing that
-the older ``tools/bench.py`` of a label did not record).  Digests that differ
+the older ``tools/bench.py`` of a label did not record), and on a second
+line each layer's median and ratio.  Digests that differ
 only in the last bits of ``dp`` keep the outcomes; a change of outcome shows
 in the histograms.  It exits 0 when every case matches, else 1; a label
 missing from a file is a usage error (exit 2).
@@ -167,6 +171,9 @@ def run_one(name: str) -> dict:
             "certified": bool(result.certificate.passed),
             "digest": f"{sol.status} {sol.iterations} {float(result.dp).hex()}",
             **{key: int(sum(row.get(key, 0) for row in sol.trace)) for key in TRACE_SUMS},
+            # an older qot's solution has no phase clock
+            "layers_ms": {key: 1000 * seconds for key, seconds
+                          in [*result.timings.items(), *getattr(sol, "phases", {}).items()]},
         })
         return result
 
@@ -222,6 +229,16 @@ def summary(runs: list[dict]) -> dict:
         out[f"{key}_p50"] = round(statistics.median(per_solve), 4)
         out[f"{key}_mean_runs"] = [round(statistics.fmean(r[key] for r in run["records"]), 4)
                                    for run in runs]
+    # per layer, as e2e_ms_p50, the layers that every record of every run
+    # has; [key, value] pairs keep the solve's order in the sorted file
+    layers = [key for key in first[0].get("layers_ms", ())
+              if all(key in r.get("layers_ms", ()) for run in runs for r in run["records"])]
+    out["layer_ms_p50"] = [
+        [key, round(statistics.median(
+            statistics.median(run["records"][i]["layers_ms"][key] for run in runs)
+            for i in range(len(first))), 4)]
+        for key in layers
+    ]
     totals = [sum(r["e2e_ms"] for r in run["records"]) for run in runs]
     out["e2e_ms_total"] = round(statistics.median(totals), 4)
     out["e2e_ms_total_runs"] = [round(total, 4) for total in totals]
@@ -288,13 +305,29 @@ def ratio(ra: dict, rb: dict, key: str) -> str:
     return text + f"; runs {lo_a:.3f}-{hi_a:.3f} | {lo_b:.3f}-{hi_b:.3f})"
 
 
+def layer_ratios(ra: dict, rb: dict) -> str:
+    """Each layer's ``layer_ms_p50`` of ``ra`` and ``rb`` with their ratio,
+    ``n/a`` for a layer that a label did not record (an older
+    ``tools/bench.py``, or a qot without the phase clock)."""
+    la, lb = (dict(r.get("layer_ms_p50", ())) for r in (ra, rb))
+    parts = []
+    for key in [*la, *(key for key in lb if key not in la)]:
+        if key in la and key in lb:
+            change = f" ({lb[key] / la[key] - 1:+.1%})" if la[key] else ""
+            parts.append(f"{key} {la[key]:.4f} -> {lb[key]:.4f}{change}")
+        else:
+            parts.append(f"{key} {la.get(key, 'n/a')} -> {lb.get(key, 'n/a')}")
+    return "; ".join(parts) or "n/a"
+
+
 def compare(paths: list[str], a: str, b: str) -> int:
     """Print, per case, whether labels ``a`` and ``b`` have the same digests
     (:func:`digest_verdict`), both labels' outcomes (:func:`outcomes`),
     total iterations (:func:`total_iterations`), the totals of ``TRACE_SUMS``
     (``n/a`` for one that the older ``tools/bench.py`` of a label did not
-    record), and the ratios of time and memory (:func:`ratio`); 0 when every
-    digest matches, else 1."""
+    record), and the ratios of time and memory (:func:`ratio`), then on a
+    line of its own the ratio of each layer (:func:`layer_ratios`); 0 when
+    every digest matches, else 1."""
     same_everywhere = True
     for path in paths:
         runs = _load(path)["runs"]
@@ -314,6 +347,7 @@ def compare(paths: list[str], a: str, b: str) -> int:
                                   "peak_rss_mb"))
             print(f"{name}: {solves} solves, {verdict}; {outcomes(ra)} -> {outcomes(rb)}; "
                   f"{iterations}; " + "; ".join(ratios))
+            print(f"  {name} layer_ms_p50: {layer_ratios(ra, rb)}")
     print(f"every (status, iterations, dp.hex()) {'matches' if same_everywhere else 'DIFFERS'}")
     return 0 if same_everywhere else 1
 
