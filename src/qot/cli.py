@@ -263,7 +263,32 @@ def _print_fields(pairs: list[tuple[str, Any]]) -> None:
             print(f"{key:<{width}}  {value}")
 
 
+def _trace_summary(trace: tuple[dict, ...]) -> dict:
+    """The solve's trace in brief: the final ``mu``; over the stepping rows
+    (every row but the last, whose iteration stopped) the largest
+    ``schur_ratio``, the smallest step length and the number of shifted
+    Schur factors; and the route, ``slot`` or ``qr`` when every stepping row
+    took it, ``switched at k`` when iteration ``k`` switched to QR, None
+    when no row stepped."""
+    stepping = [row for row in trace if "route" in row]
+    routes = [row["route"] for row in stepping]
+    if "switched" in routes:
+        route = f"switched at {routes.index('switched')}"
+    else:
+        route = routes[0] if routes else None
+    return {
+        "final_mu": trace[-1]["mu"] if trace else None,
+        "max_schur_ratio": max((row["schur_ratio"] for row in stepping), default=None),
+        "min_step": min((min(row["ap"], row["ad"]) for row in stepping), default=None),
+        "shifts": sum(row["shifted"] for row in stepping),
+        "route": route,
+    }
+
+
 def _certificate_dict(res: transport.TransportResult) -> dict:
+    """The record's certificate: the certificate's verdict and minima, every
+    diagnostic of the result (so both of its on-read units run), the cut
+    masses, and the solve's iterations, stop reason and trace summary."""
     c = res.certificate
     return {
         "passed": c.passed,
@@ -277,10 +302,16 @@ def _certificate_dict(res: transport.TransportResult) -> dict:
         "cut_omega": res.cut_omega,
         "iterations": res.solution.iterations,
         "reason": res.solution.reason,
+        "trace": _trace_summary(res.solution.trace),
     }
 
 
-def _solve_for_args(args: argparse.Namespace) -> tuple[dict, transport.TransportInstance, transport.TransportResult, float]:
+def _solve_for_args(
+    args: argparse.Namespace,
+) -> tuple[dict, transport.TransportInstance, transport.TransportResult, dict, float]:
+    """The instance document, the instance, its result, the record's
+    certificate and the seconds of the solve: the certificate is built
+    first, so that the seconds count the decode and the face probe."""
     data = _load_instance_file(args.instance)
     instance = parse_instance(data, args)
     result = transport.wasserstein_distance(instance, tol=args.tol)
@@ -288,7 +319,8 @@ def _solve_for_args(args: argparse.Namespace) -> tuple[dict, transport.Transport
         for it, row in enumerate(result.solution.trace):
             print(f"iter {it:3d}  mu {row['mu']:.3e}  rp {row['rp']:.3e}  rd {row['rd']:.3e}  "
                   f"gap {row['gap']:.3e}", file=sys.stderr)
-    return data, instance, result, sum(result.timings.values())
+    certificate = _certificate_dict(result)
+    return data, instance, result, certificate, sum(result.timings.values())
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +329,7 @@ def _solve_for_args(args: argparse.Namespace) -> tuple[dict, transport.Transport
 
 
 def cmd_distance(args: argparse.Namespace) -> int:
-    data, instance, result, seconds = _solve_for_args(args)
+    data, instance, result, certificate, seconds = _solve_for_args(args)
     comparison = None
     # the D^p formulas are optima over one joint plan, not a correlated one
     if instance.mode == transport.MODE_JOINT:
@@ -314,7 +346,7 @@ def cmd_distance(args: argparse.Namespace) -> int:
         gap=result.gap,
         distance=result.distance,
         dp=result.dp,
-        certificate=_certificate_dict(result),
+        certificate=certificate,
         closed_form=comparison,
     )
     _emit(record, args)
@@ -335,7 +367,7 @@ def cmd_distance(args: argparse.Namespace) -> int:
 
 
 def cmd_dual(args: argparse.Namespace) -> int:
-    data, instance, result, seconds = _solve_for_args(args)
+    data, instance, result, certificate, seconds = _solve_for_args(args)
     # read on the support face, where the solve certified the dual; off it
     # the full-space dual need not be attained
     slack = instance.support.restrict(
@@ -349,7 +381,7 @@ def cmd_dual(args: argparse.Namespace) -> int:
         primal=result.primal_objective,
         dual=result.dual_objective,
         gap=result.gap,
-        certificate=_certificate_dict(result),
+        certificate=certificate,
         extra={
             "potential_objective": transport.potential_objective(
                 instance.rho, instance.omega, result.potentials

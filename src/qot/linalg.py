@@ -35,6 +35,7 @@ __all__ = [
     "SpectralDecomposition",
     "hermitian",
     "density",
+    "densities",
     "min_eigenvalue",
     "min_eigenvalues",
     "kron",
@@ -119,14 +120,23 @@ def min_eigenvalues(ms: Sequence[np.ndarray]) -> list[float]:
 
 def density(m: np.ndarray) -> np.ndarray:
     """Validate a density matrix: Hermitian, PSD and unit trace within ``DENSITY_ATOL``."""
-    m = _hermitian_matrix(m)
-    lo = min_eigenvalue(m)
-    if lo < -DENSITY_ATOL:
-        raise ValueError(f"matrix is not PSD: min eigenvalue {lo:.3e}")
-    tr = m.trace().real
-    if abs(tr - 1.0) > DENSITY_ATOL:
-        raise ValueError(f"trace {tr!r} is not 1 within {DENSITY_ATOL:.1e}")
-    return m
+    return densities([m])[0][0]
+
+
+def densities(ms: Sequence[np.ndarray]) -> tuple[list[np.ndarray], list[float]]:
+    """Validate each of several matrices as :func:`density` does, their least
+    eigenvalues from one stacked ``eigvalsh`` when they share a shape
+    (:func:`min_eigenvalues`), and return the validated matrices and those
+    eigenvalues."""
+    ms = [_hermitian_matrix(m) for m in ms]
+    lows = min_eigenvalues(ms)
+    for m, lo in zip(ms, lows):
+        if lo < -DENSITY_ATOL:
+            raise ValueError(f"matrix is not PSD: min eigenvalue {lo:.3e}")
+        tr = m.trace().real
+        if abs(tr - 1.0) > DENSITY_ATOL:
+            raise ValueError(f"trace {tr!r} is not 1 within {DENSITY_ATOL:.1e}")
+    return ms, lows
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

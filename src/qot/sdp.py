@@ -933,12 +933,13 @@ def _qr_factor(rows: np.ndarray) -> np.ndarray:
 
 def _schur_solver(
     mat: np.ndarray, shift: bool
-) -> tuple[Callable[[np.ndarray], np.ndarray], float] | None:
+) -> tuple[Callable[[np.ndarray], np.ndarray], float, bool] | None:
     """:func:`_triangular_solver` of a formed Schur matrix, from its Cholesky
-    factor.  Near a degenerate optimal face the factorization breaks down:
-    then None, or with ``shift`` (plans at or above the Lanczos gate) the
-    factor of the diagonal shifted by ``eps m max(diag)``, whose bias the
-    corrector's refinement corrects.  Only near-pure plans reach the shift:
+    factor, and whether the factor is of the shifted matrix.  Near a
+    degenerate optimal face the factorization breaks down: then None, or
+    with ``shift`` (plans at or above the Lanczos gate) the factor of the
+    diagonal shifted by ``eps m max(diag)``, whose bias the corrector's
+    refinement corrects.  Only near-pure plans reach the shift:
     at eps = 1e-6, 8 of 16 pairs at d = 9, 10 (4 of them 12-20 times, ending
     mu_floor) and 6 of 12 at d = 11-14 (once, all optimal).  No bench or
     perfbench solve breaks down or stops at ``SCHUR_COND_LIMIT``."""
@@ -948,8 +949,8 @@ def _schur_solver(
         if not shift:
             return None
         bump = np.finfo(float).eps * len(mat) * float(mat.diagonal().max())
-        chol = np.linalg.cholesky(mat + bump * np.eye(len(mat)))
-    return _triangular_solver(chol.T)
+        return *_triangular_solver(np.linalg.cholesky(mat + bump * np.eye(len(mat))).T), True
+    return *_triangular_solver(chol.T), False
 
 
 def _pinned_point(problem: SdpProblem) -> tuple[np.ndarray, np.ndarray]:
@@ -1016,7 +1017,10 @@ def solve(problem: SdpProblem, *, tol: float = TOL) -> SdpSolution:
     ``step_fallbacks``, the number of corrector sides (0-2) whose length a
     full spectrum gave on a plan that reads Ritz values, and ``ritz_steps``,
     the Lanczos steps of the predictor's and the corrector's runs (both
-    always 0 below the gate).  ``timings`` holds the seconds of
+    always 0 below the gate), ``route``, the Schur factor's: ``slot``, ``qr``,
+    or ``switched`` on the iteration whose breakdown switched a slot-route
+    plan to QR, and ``shifted``, whether the factor is of the shifted
+    matrix (:func:`_schur_solver`).  ``timings`` holds the seconds of
     ``preprocess`` and of ``iterate``, everything after it, and ``phases``
     splits ``iterate`` by the clock of ``PHASES``, read at seven laps an
     iteration."""
@@ -1131,13 +1135,16 @@ def solve(problem: SdpProblem, *, tol: float = TOL) -> SdpSolution:
         # R_f^T R_f, and never square the conditioning by forming M.  Either
         # triangular factor is inverted once, so that a solve is two products
         # (_triangular_solver); its diagonal ratio estimates sqrt(cond(M)).
+        route, shifted = "slot", False
         try:
             found = None if qr else _schur_solver(_slot_schur(x, z, structure), not formed)
-            qr = found is None
-            if qr:
+            if found is None:
+                route = "qr" if qr else "switched"
+                qr = True
                 rows = _scaled_rows(reduced.constraint_ops, factors[0], inverses[1])
-                found = _triangular_solver(_qr_factor(rows))
-            schur_solve, ratio = found
+                schur_solve, ratio = _triangular_solver(_qr_factor(rows))
+            else:
+                schur_solve, ratio, shifted = found
         except np.linalg.LinAlgError:  # a singular factor, even shifted
             ratio = np.inf
         lap("schur")
@@ -1226,7 +1233,7 @@ def solve(problem: SdpProblem, *, tol: float = TOL) -> SdpSolution:
             reason = "stalled_step"
             break
         row.update(schur_ratio=ratio, ap=ap, ad=ad, sigma=sigma, step_fallbacks=float(fallbacks),
-                   ritz_steps=float(sum(runs)))
+                   ritz_steps=float(sum(runs)), route=route, shifted=shifted)
 
         # in place, rounding as pair + [ap, ad] d does
         d *= np.array([ap, ad])[:, None, None]

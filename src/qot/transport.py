@@ -15,6 +15,8 @@ inequality) are assembled in one standard conic form and solved together by
 the primal-dual interior-point engine, which yields the plan, the
 potentials, and a duality-gap certificate in a single run, with its trace
 (``result.solution.trace``) and the seconds of each phase (``timings``).
+The result returns once certified; the plan and potentials are decoded, and
+the optimal face probed, on first read (:class:`TransportResult`).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import functools
 import itertools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
@@ -102,6 +104,10 @@ class TransportInstance:
     pairs: int = 1
     joint_cost: np.ndarray | None = None
     factor_costs: tuple[np.ndarray, ...] | None = None
+    # the least eigenvalues of (rho, omega) that validated them, which
+    # ``support`` reads instead of factoring the states again; None when
+    # the states were not validated here
+    minima: tuple[float, float] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.mode not in (MODE_JOINT, MODE_LINEARIZED, MODE_NONLINEAR):
@@ -142,7 +148,8 @@ class TransportInstance:
     def support(self) -> "SupportFace":
         """The face of the plan space that holds every coupling (:class:`SupportFace`)."""
         states = (self.omega, self.rho)
-        if all(lam > linalg.DENSITY_ATOL for lam in linalg.min_eigenvalues(states)):
+        minima = linalg.min_eigenvalues(states) if self.minima is None else self.minima[::-1]
+        if all(lam > linalg.DENSITY_ATOL for lam in minima):
             unit = [s + (1 - s.trace().real) / len(s) * np.eye(len(s)) for s in states]
             return SupportFace(*unit, self.pairs)
         restricted = []
@@ -164,34 +171,39 @@ class TransportInstance:
         return self.joint_cost
 
 
-def _states(rho: np.ndarray, omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    rho = linalg.density(rho)
-    omega = linalg.density(omega)
+def _states(
+    rho: np.ndarray, omega: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, tuple[float, float]]:
+    """The validated states and their least eigenvalues, from one stacked
+    spectrum (:func:`linalg.densities`)."""
+    (rho, omega), minima = linalg.densities([rho, omega])
     if rho.shape != omega.shape:
         raise ValueError("states must share one dimension")
-    return rho, omega
+    return rho, omega, tuple(minima)
 
 
 def joint_instance(rho, omega, cost: np.ndarray, p: float = 1.0) -> TransportInstance:
-    rho, omega = _states(rho, omega)
+    rho, omega, minima = _states(rho, omega)
     cost = linalg.hermitian(cost)
     if cost.shape[0] != rho.shape[0] ** 2:
         raise ValueError("joint cost must act on the pair space of the states")
-    return TransportInstance(rho, omega, p, MODE_JOINT, joint_cost=cost)
+    return TransportInstance(rho, omega, p, MODE_JOINT, joint_cost=cost, minima=minima)
 
 
 def factorized_instance(
     rho, omega, observables: cost_mod.ObservableSet, p: float, mode: str = MODE_NONLINEAR
 ) -> TransportInstance:
     """Per-observable cost ``|x - y|^p``; modes ``nonlinear`` or ``linearized``."""
-    rho, omega = _states(rho, omega)
+    rho, omega, minima = _states(rho, omega)
     if observables.dim != rho.shape[0]:
         raise ValueError("state dims must equal the observable dim")
     factors = cost_mod.cost_operator_factorized(
         observables, [cost_mod.abs_power_evaluator(p)] * observables.size
     )
     pairs = observables.size if mode == MODE_LINEARIZED else 1
-    return TransportInstance(rho, omega, p, mode, pairs=pairs, factor_costs=tuple(factors))
+    return TransportInstance(
+        rho, omega, p, mode, pairs=pairs, factor_costs=tuple(factors), minima=minima
+    )
 
 
 def general_instance(
@@ -203,33 +215,38 @@ def general_instance(
     mode: str = MODE_LINEARIZED,
 ) -> TransportInstance:
     """Joint classical cost over K observables; one multipartite SDP."""
-    rho, omega = _states(rho, omega)
+    rho, omega, minima = _states(rho, omega)
     matrix = cost_mod.cost_operator_general(observables, classical)
     if observables.size == 1 or mode == MODE_JOINT:
         if observables.size != 1:
             raise ValueError("joint mode needs a single observable")
-        return TransportInstance(rho, omega, p, MODE_JOINT, joint_cost=matrix)
+        return TransportInstance(rho, omega, p, MODE_JOINT, joint_cost=matrix, minima=minima)
     if mode != MODE_LINEARIZED:
         raise ValueError("a non-factorized cost only supports joint or linearized mode")
     return TransportInstance(
-        rho, omega, p, MODE_LINEARIZED, pairs=observables.size, joint_cost=matrix
+        rho, omega, p, MODE_LINEARIZED, pairs=observables.size, joint_cost=matrix,
+        minima=minima,
     )
 
 
 def symm_instance(rho, omega, p: float) -> TransportInstance:
     """Symmetric three-Pauli qubit cost; the distance is the K=1 optimum."""
-    rho, omega = _states(rho, omega)
+    rho, omega, minima = _states(rho, omega)
     if rho.shape[0] != 2:
         raise ValueError("the symmetric cost is a qubit cost")
-    return TransportInstance(rho, omega, p, MODE_JOINT, joint_cost=cost_mod.cost_symm(p))
+    return TransportInstance(
+        rho, omega, p, MODE_JOINT, joint_cost=cost_mod.cost_symm(p), minima=minima
+    )
 
 
 def z_instance(rho, omega, p: float) -> TransportInstance:
     """Single-``sigma_z`` qubit cost."""
-    rho, omega = _states(rho, omega)
+    rho, omega, minima = _states(rho, omega)
     if rho.shape[0] != 2:
         raise ValueError("the sigma_z cost is a qubit cost")
-    return TransportInstance(rho, omega, p, MODE_JOINT, joint_cost=cost_mod.cost_z(p))
+    return TransportInstance(
+        rho, omega, p, MODE_JOINT, joint_cost=cost_mod.cost_z(p), minima=minima
+    )
 
 
 @dataclass(frozen=True)
@@ -347,7 +364,7 @@ def is_coupling(
 
 def trivial_coupling(rho: np.ndarray, omega: np.ndarray) -> Coupling:
     """The product plan ``omega (x) rho.T``; always feasible."""
-    rho, omega = _states(rho, omega)
+    rho, omega, _ = _states(rho, omega)
     return Coupling(linalg.kron(omega, rho.T), FactorShape.pair_space(rho.shape[0]), rho, omega)
 
 
@@ -524,28 +541,74 @@ def potential_slack(plan_cost: np.ndarray, pots: DualPotentials) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TransportResult:
-    """One solved instance.  ``coupling`` and ``potentials`` are on the whole
-    plan space, lifted from the support face (:class:`SupportFace`);
-    ``solution`` and ``certificate`` belong to the SDP that was solved, the
-    one posed on the face, and ``dual_attained`` and ``degenerate_face`` are
-    read there.  ``cut_rho`` and ``cut_omega`` are the mass of each state
-    left off the face (:class:`SupportFace`), 0.0 on full rank."""
+    """One solved instance.  ``solution`` and ``certificate`` belong to the
+    SDP that was solved, the one posed on the support face
+    (:class:`SupportFace`); ``cut_rho`` and ``cut_omega`` are the mass of
+    each state left off the face, 0.0 on full rank.
+
+    The diagnostics are two units, each computed once, on its first read,
+    from the solve's own data, and each adds its seconds to ``timings`` when
+    it runs:
+
+    - the decode: ``coupling`` and ``potentials``, on the whole plan space,
+      lifted from the face, and ``dual_attained``, read on the face
+      (``timings["decode"]``);
+    - the face probe: ``degenerate_face``, read on the face
+      (``timings["face_probe"]``).
+
+    A value read is bitwise the value an eager computation gives, in any
+    order of reads.  For them the result holds the instance and the posed
+    problem without its start (the face cost, the values and the structure),
+    no other array."""
 
     distance: float
     dp: float
-    coupling: Coupling
-    potentials: DualPotentials
     primal_objective: float
     dual_objective: float
     gap: float
     status: str
-    dual_attained: bool
-    degenerate_face: bool
     cut_rho: float
     cut_omega: float
     solution: sdp.SdpSolution
     certificate: sdp.Certificate
-    timings: dict  # seconds per phase; their sum is the whole solve
+    timings: dict  # seconds per phase that ran; their sum is the solve so far
+    _instance: TransportInstance = field(repr=False)
+    _problem: sdp.SdpProblem = field(repr=False)
+
+    @functools.cached_property
+    def _decoded(self) -> tuple[Coupling, DualPotentials, bool]:
+        start = time.perf_counter()
+        instance, problem, solution = self._instance, self._problem, self.solution
+        face = instance.support
+        coupling = Coupling(face.lift(solution.x), instance.plan_shape, instance.rho, instance.omega)
+        potentials = potentials_from_multipliers(instance, solution.y)
+        pot_obj = potential_objective(face.rho, face.omega, potentials)
+        attained = (
+            abs(pot_obj - solution.dual_objective) <= 1e-7 * max(1.0, abs(solution.dual_objective))
+            and linalg.min_eigenvalue(potential_slack(problem.objective, potentials)) >= -SLACK_TOL
+        )
+        decoded = coupling, face.lift_potentials(potentials), attained
+        self.timings["decode"] = time.perf_counter() - start
+        return decoded
+
+    @property
+    def coupling(self) -> Coupling:
+        return self._decoded[0]
+
+    @property
+    def potentials(self) -> DualPotentials:
+        return self._decoded[1]
+
+    @property
+    def dual_attained(self) -> bool:
+        return self._decoded[2]
+
+    @functools.cached_property
+    def degenerate_face(self) -> bool:
+        start = time.perf_counter()
+        degenerate = _optimal_face_dimension(self.solution, self._problem) > 0
+        self.timings["face_probe"] = time.perf_counter() - start
+        return degenerate
 
 
 _SOLVE_LOG: contextvars.ContextVar[list | None] = contextvars.ContextVar("solve_log", default=None)
@@ -565,7 +628,12 @@ def solve_log() -> Iterator[list[tuple[str, str]]]:
 
 
 def wasserstein_distance(instance: TransportInstance, *, tol: float = sdp.TOL) -> TransportResult:
-    """Solve the primal/dual pair; the distance is the optimum to the 1/p."""
+    """Solve the primal/dual pair; the distance is the optimum to the 1/p.
+
+    The result is returned once the solve is certified: ``timings`` then
+    holds ``build``, ``preprocess``, ``iterate`` and ``certify``.  The decode
+    and the face probe run on the first read of one of their values
+    (:class:`TransportResult`), and add ``decode`` and ``face_probe``."""
     start = time.perf_counter()
     problem = build_primal(instance)
     built = time.perf_counter()
@@ -577,36 +645,25 @@ def wasserstein_distance(instance: TransportInstance, *, tol: float = sdp.TOL) -
         raise SolverFailure("transport problem reported infeasible marginals")
     solved = time.perf_counter()
     certificate = sdp.certify(solution, problem)
-    certified = time.perf_counter()
+    timings = {"build": built - start, **solution.timings,
+               "certify": time.perf_counter() - solved}
     face = instance.support
-    coupling = Coupling(face.lift(solution.x), instance.plan_shape, instance.rho, instance.omega)
-    potentials = potentials_from_multipliers(instance, solution.y)
     dp = max(solution.primal_objective, 0.0)
-    pot_obj = potential_objective(face.rho, face.omega, potentials)
-    attained = (
-        abs(pot_obj - solution.dual_objective) <= 1e-7 * max(1.0, abs(solution.dual_objective))
-        and linalg.min_eigenvalue(potential_slack(problem.objective, potentials)) >= -SLACK_TOL
-    )
-    decoded = time.perf_counter()
-    degenerate = _optimal_face_dimension(solution, problem) > 0
-    timings = {"build": built - start, **solution.timings, "certify": certified - solved,
-               "decode": decoded - certified, "face_probe": time.perf_counter() - decoded}
     return TransportResult(
         distance=dp ** (1.0 / instance.p),
         dp=dp,
-        coupling=coupling,
-        potentials=face.lift_potentials(potentials),
         primal_objective=solution.primal_objective,
         dual_objective=solution.dual_objective,
         gap=solution.gap,
         status=solution.status,
-        dual_attained=attained,
-        degenerate_face=degenerate,
         cut_rho=face.cut_rho,
         cut_omega=face.cut_omega,
         solution=solution,
         certificate=certificate,
         timings=timings,
+        _instance=instance,
+        # the posed problem without its start, which only the solve reads
+        _problem=sdp.SdpProblem(problem.objective, problem.constraint_vals, problem.structure),
     )
 
 

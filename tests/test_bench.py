@@ -275,6 +275,35 @@ def test_a_record_sums_the_step_fallbacks_of_its_trace(monkeypatch):
         {"iterate": 2.0, "build": 1.0, "preprocess": 0.5, "factor": 1.5, "other": 0.5})
 
 
+def test_a_record_counts_the_iterations_of_each_route_and_the_shifts(monkeypatch, tmp_path, capsys):
+    from qot import transport
+
+    routes = ["slot", "slot", "switched", "qr", "qr"]
+    solution = types.SimpleNamespace(
+        x=np.eye(4), y=np.zeros(7), iterations=5, status="optimal", reason="converged",
+        trace=(*({"mu": 1.0, "route": route, "shifted": k == 1} for k, route in enumerate(routes)),
+               {"mu": 0.0}),
+    )
+    result = types.SimpleNamespace(
+        solution=solution, dp=2.0, certificate=types.SimpleNamespace(passed=True),
+        timings={"iterate": 0.002, "build": 0.001, "preprocess": 0.0005},
+    )
+    monkeypatch.setattr(transport, "wasserstein_distance", lambda *args: result)
+    monkeypatch.setattr(bench, "_case_runner", lambda name: lambda: transport.wasserstein_distance())
+    [rec] = bench.run_one("K=4")["records"]
+    assert (rec["slot_iterations"], rec["qr_iterations"], rec["shifts"]) == (2, 3, 1)
+    # summed per case; a label recorded without them reads n/a
+    summary = bench.summary([run(rec, rec)])
+    assert (summary["slot_iterations"], summary["qr_iterations"], summary["shifts"]) == (4, 6, 2)
+    path = str(tmp_path / "BENCH_large.json")
+    older = record(2.0, rec["digest"])
+    bench.merge(path, "parent", {"K=4": bench.summary([run(older, older)])})
+    bench.merge(path, "change", {"K=4": summary})
+    assert bench.compare([path], "parent", "change") == 0
+    third = capsys.readouterr().out.splitlines()[2]
+    assert third == "  K=4 routes: slot_iterations n/a -> 4; qr_iterations n/a -> 6; shifts n/a -> 2"
+
+
 def test_repeats_that_disagree_fail_the_run(tmp_path, monkeypatch):
     digests = iter(["optimal 9 0x1.0p+2", "optimal 10 0x1.0p+2"] * 10)
     monkeypatch.setattr(bench, "_spawn", lambda name, src: run(record(1.0, next(digests))))

@@ -233,6 +233,51 @@ class TestCommands:
         assert certificate["iterations"] == 0 and certificate["reason"] == "converged"
         assert certificate["passed"]
 
+    @pytest.mark.parametrize("command", ["distance", "dual"])
+    @pytest.mark.parametrize("rho", [[0, 0, 0.5], [0, 0, 1]], ids=["stepping", "pinned"])
+    def test_record_counts_all_six_phases_and_summarizes_the_trace(
+        self, tmp_path, monkeypatch, command, rho
+    ):
+        results = []
+        solve = transport.wasserstein_distance
+
+        def kept(*args, **kwargs):
+            results.append(solve(*args, **kwargs))
+            return results[-1]
+        monkeypatch.setattr(transport, "wasserstein_distance", kept)
+        path = write_instance(tmp_path, rho={"bloch": rho}, omega={"bloch": [0.3, 0, 0]})
+        out = tmp_path / "report.jsonl"
+        assert main([command, path, "--out", str(out)]) == 0
+        [result] = results
+        assert list(result.timings) == [
+            "build", "preprocess", "iterate", "certify", "decode", "face_probe"
+        ]
+        line = out.read_text().splitlines()[0]
+        record = parse_report(line)
+        assert record.to_json_line() == line
+        assert record.seconds == float(f"{sum(result.timings.values()):.12g}")
+        trace = result.solution.trace
+        stepping = trace[:-1]
+        assert record.certificate["trace"] == cli._round12({
+            "final_mu": trace[-1]["mu"],
+            "max_schur_ratio": max((row["schur_ratio"] for row in stepping), default=None),
+            "min_step": min((min(row["ap"], row["ad"]) for row in stepping), default=None),
+            "shifts": 0,
+            "route": "qr" if stepping else None,
+        })
+
+    def test_trace_summary_names_the_switch_to_qr(self):
+        rows = [{"mu": 1.0 / (k + 1), "schur_ratio": 10.0 * (k + 1), "ap": 0.9, "ad": 0.5 + k / 10,
+                 "route": route, "shifted": False}
+                for k, route in enumerate(["slot", "slot", "switched", "qr"])]
+        summary = cli._trace_summary((*rows, {"mu": 0.1}))
+        assert summary == {"final_mu": 0.1, "max_schur_ratio": 40.0, "min_step": 0.5,
+                           "shifts": 0, "route": "switched at 2"}
+        shifted = [dict(row, route="slot", shifted=True) for row in rows]
+        assert cli._trace_summary(tuple(shifted))["route"] == "slot"
+        assert cli._trace_summary(tuple(shifted))["shifts"] == 4
+        assert cli._trace_summary(())["final_mu"] is None
+
     def test_ill_scaled_rank_deficient_pair_is_solved(self, tmp_path):
         # observables x100 at d=3: the rounding of the face's cost V* C V
         # breaks its symmetry past linalg.HERMITIAN_ATOL unless repaired

@@ -154,6 +154,23 @@ class TestStackedEigenvalues:
         ms = [linalg.random_density(rng, 1), linalg.random_density(rng, 3)]
         assert linalg.min_eigenvalues(ms) == [linalg.min_eigenvalue(m) for m in ms]
 
+    def test_densities_validate_as_density_from_one_stacked_spectrum(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        ms = [linalg.random_density(rng, 3) for _ in range(2)]
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda a, *args: shapes.append(np.shape(a)) or eigvalsh(a, *args))
+        states, lows = linalg.densities(ms)
+        assert shapes == [(2, 3, 3)]
+        for state, m, low in zip(states, ms, lows):
+            assert state.tobytes() == linalg.density(m).tobytes()
+            assert low == float(eigvalsh(state)[0])
+        with pytest.raises(ValueError, match="not PSD"):
+            linalg.densities([ms[0], np.diag([1.5, -0.5, 0.0]).astype(complex)])
+        with pytest.raises(ValueError, match="trace"):
+            linalg.densities([2 * ms[0], ms[1]])
+
 
 class TestPartialTrace:
     def test_traceless_factor(self):

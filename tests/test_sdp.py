@@ -457,7 +457,8 @@ class TestSchurSolver:
         mat = singular_schur(rng, 40)
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(mat)
-        solve, ratio = sdp._schur_solver(mat, shift=True)
+        solve, ratio, shifted = sdp._schur_solver(mat, shift=True)
+        assert shifted
         shift = np.finfo(float).eps * 40 * float(mat.diagonal().max())
         upper = np.linalg.cholesky(mat + shift * np.eye(40)).T
         diag = upper.diagonal()
@@ -666,6 +667,8 @@ class TestPinnedStart:
 
 TRACE_KEYS = {"mu", "rp", "rd", "gap"}
 STEP_KEYS = {"schur_ratio", "ap", "ad", "sigma", "step_fallbacks", "ritz_steps"}
+# a stepping row's Schur route and whether its factor was shifted
+ROUTE_KEYS = {"route", "shifted"}
 
 
 class TestTrace:
@@ -684,8 +687,11 @@ class TestTrace:
         for k, row in enumerate(rows):
             # a row steps when another iteration follows it
             stepped = k < len(rows) - 1 or guarded
-            assert set(row) == TRACE_KEYS | (STEP_KEYS if stepped else set())
-            assert all(type(v) is float for v in row.values())
+            assert set(row) == TRACE_KEYS | (STEP_KEYS | ROUTE_KEYS if stepped else set())
+            assert all(type(row[key]) is float for key in set(row) - ROUTE_KEYS)
+            if stepped:
+                assert row["route"] in ("slot", "qr", "switched")
+                assert type(row["shifted"]) is bool
 
     @pytest.mark.parametrize(
         "build,tol",
@@ -1464,6 +1470,17 @@ class TestNewtonDirection:
             else:
                 assert np.abs(rp).max() > 1e-3 and np.abs(rd).max() > 1e-3
             before = rp, rd
+        # each stepping row names its Schur route and whether the factor
+        # was shifted
+        stepping = [(row["route"], row["shifted"]) for row in sol.trace if "ap" in row]
+        if breakdown == "switched":
+            expected = [("slot", False)] * 3 + [("switched", False)] + [("qr", False)] * 6
+        elif breakdown == "shifted":
+            expected = [("slot", True)] * 10
+        else:
+            route = "qr" if sdp._slot_reads(reduced) is None else "slot"
+            expected = [(route, False)] * len(stepping)
+        assert stepping == expected and len(stepping) >= 5
 
     def test_an_iteration_takes_no_eigen_or_singular_value_factorization(self, monkeypatch):
         # the K=3 plan (n=64, below the Lanczos gate): Cholesky factors, their

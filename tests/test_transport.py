@@ -1,5 +1,6 @@
 """Tests for couplings, problem builders, distances and divergences."""
 
+import dataclasses
 import functools
 import math
 import tracemalloc
@@ -162,13 +163,22 @@ class TestDistance:
             assert res.certificate.passed
             assert res.coupling.check().ok
 
-    def test_timings_name_each_phase(self):
+    def test_timings_add_each_unit_when_it_runs(self):
+        # the solve returns once certified; the decode and the face probe
+        # each add their phase on the first read of one of their values
         res = wasserstein_distance(symm_instance(state_z(0.5), state_z(-0.5), 2.0))
-        assert list(res.timings) == [
-            "build", "preprocess", "iterate", "certify", "decode", "face_probe"
-        ]
-        assert all(v >= 0.0 for v in res.timings.values())
+        solved = ["build", "preprocess", "iterate", "certify"]
+        assert list(res.timings) == solved
         assert res.timings["iterate"] == res.solution.timings["iterate"]
+        assert not res.degenerate_face
+        assert list(res.timings) == solved + ["face_probe"]
+        assert res.potentials.n_factors == 1
+        assert list(res.timings) == solved + ["face_probe", "decode"]
+        assert all(v >= 0.0 for v in res.timings.values())
+        # each unit runs once
+        seconds = dict(res.timings)
+        assert res.coupling.check().ok and res.dual_attained and not res.degenerate_face
+        assert res.timings == seconds
 
     @pytest.mark.parametrize("alpha,beta", [(0.095, -0.95), (0.95, -0.095)])
     def test_weak_duality_stop_scales_with_the_objective(self, alpha, beta):
@@ -874,3 +884,126 @@ class TestDivergence:
     def test_xy_pair_z_cost(self):
         parts = divergence_parts(state_x(0.0), state_x(0.5), cost.sigma_z_observable())
         np.testing.assert_allclose(parts.d_squared, 1 - SQRT3 / 2, atol=1e-6)
+
+
+def eager_diagnostics(inst):
+    """The decode and the face probe of a fresh solve of ``inst``, taken at
+    once from the posed problem: the coupling matrix, the lifted
+    potentials, ``dual_attained`` and ``degenerate_face``."""
+    problem = build_primal(inst)
+    solution = sdp.solve(problem)
+    face = inst.support
+    pots = potentials_from_multipliers(inst, solution.y)
+    pot_obj = potential_objective(face.rho, face.omega, pots)
+    attained = (
+        abs(pot_obj - solution.dual_objective) <= 1e-7 * max(1.0, abs(solution.dual_objective))
+        and linalg.min_eigenvalue(potential_slack(problem.objective, pots)) >= -transport.SLACK_TOL
+    )
+    degenerate = transport._optimal_face_dimension(solution, problem) > 0
+    return face.lift(solution.x), face.lift_potentials(pots), attained, degenerate
+
+
+def k3_linearized():
+    return factorized_instance(
+        state_z(0.3), state_z(-0.5), cost.pauli_triple(), 2.0, MODE_LINEARIZED
+    )
+
+
+def nonlinear_d8():
+    rng = np.random.default_rng(48)
+    rho, omega = linalg.random_density(rng, 8), linalg.random_density(rng, 8)
+    obs = cost.observable_set([linalg.random_hermitian(rng, 8) for _ in range(2)])
+    return factorized_instance(rho, omega, obs, 2.0, MODE_NONLINEAR)
+
+
+class TestDiagnosticsOnRead:
+    """The decode and the face probe run on the first read of one of their
+    values, from the solve's own data, and give what an eager run gives."""
+
+    def test_unread_diagnostics_are_never_computed(self, monkeypatch):
+        calls = {}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        for name in ("potentials_from_multipliers", "potential_objective", "potential_slack"):
+            counted(transport, name)
+        counted(np.linalg, "svd")
+        # a (2, 3) face: not pinned, so its probe takes an SVD
+        result = wasserstein_distance(scaled_rank_instance(3, (2, 3), 1.0))
+        assert result.status == "optimal" and result.certificate.passed
+        assert result.dp > 0 and result.gap >= 0 and abs(result.cut_rho) < 1e-12
+        assert calls == {}
+        result.degenerate_face
+        assert calls == {"svd": 1}
+        result.coupling
+        result.potentials
+        result.dual_attained
+        assert calls == {"svd": 1, "potentials_from_multipliers": 1, "potential_objective": 1,
+                         "potential_slack": 1}
+
+    @pytest.mark.parametrize("make", [
+        lambda: symm_instance(state_from_bloch([0.3, 0.2, 0.5]),
+                              state_from_bloch([-0.4, 0.1, 0.2]), 2.0),
+        lambda: scaled_rank_instance(3, (1, 3), 1.0),
+        lambda: scaled_rank_instance(3, (2, 3), 1.0),
+        nonlinear_d8,
+        k3_linearized,
+    ], ids=["qubit-symm", "pinned-1,3", "face-2,3", "nonlinear-d8", "linearized-K3"])
+    def test_read_values_are_the_eager_values(self, make):
+        inst = make()
+        coupling, pots, attained, degenerate = eager_diagnostics(inst)
+        # read in both orders, each from a solve of its own
+        decode_first, probe_first = wasserstein_distance(inst), wasserstein_distance(inst)
+        read = [decode_first.coupling, decode_first.degenerate_face,
+                probe_first.degenerate_face, probe_first.coupling]
+        for result in (decode_first, probe_first):
+            assert result.coupling.matrix.tobytes() == coupling.tobytes()
+            assert result.coupling.rho is inst.rho and result.coupling.omega is inst.omega
+            assert result.coupling.shape == inst.plan_shape
+            for got, expected in zip((*result.potentials.xs, *result.potentials.ys),
+                                     (*pots.xs, *pots.ys)):
+                assert got.tobytes() == expected.tobytes()
+            assert result.dual_attained is attained
+            assert result.degenerate_face is degenerate
+        # each unit ran once: a second read returns the same object
+        assert read[0] is decode_first.coupling and read[3] is probe_first.coupling
+
+    def test_the_result_holds_no_start(self):
+        inst = k3_linearized()
+        assert build_primal(inst).interior is not None
+        result = wasserstein_distance(inst)
+        assert result._problem.interior is None
+        assert result._problem.objective is not None and result._problem.structure is not None
+
+
+class TestStateSpectra:
+    """Each instance validates both states from one stacked spectrum and its
+    support test reads those minima."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: symm_instance(state_z(0.5), state_x(0.2), 2.0),
+        lambda: scaled_rank_instance(3, (2, 3), 1.0),
+        k3_linearized,
+    ], ids=["full-rank", "rank-deficient", "linearized"])
+    def test_each_state_is_factored_once(self, monkeypatch, make):
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda a, *args: shapes.append(np.shape(a)) or eigvalsh(a, *args))
+        inst = make()
+        inst.support
+        d = inst.dim
+        assert shapes == [(2, d, d)]
+        monkeypatch.undo()
+        assert inst.minima == tuple(linalg.min_eigenvalues((inst.rho, inst.omega)))
+        # the face is bitwise the one taken from the states' own spectra
+        again = dataclasses.replace(inst, minima=None).support
+        for name in ("omega", "rho", "v_omega", "v_rho", "cut_omega", "cut_rho"):
+            a, b = getattr(inst.support, name), getattr(again, name)
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()

@@ -35,13 +35,18 @@ iterations, status, stop reason, whether the certificate passed, the digest
 ``(status, iterations, dp.hex())``, the sums of its trace's
 ``step_fallbacks`` (corrector sides whose step length a full spectrum gave
 on a plan that reads Ritz values) and ``ritz_steps`` (Lanczos steps of the
-predictor and corrector runs), and ``layers_ms``: each key of ``timings``
-and each phase of the solve's clock (``SdpSolution.phases``, which split
-``iterate``).  A case reports the median over solves of each solve's median
-over repeats, for each layer too (``layer_ms_p50``), the median over
-repeats of the run's total end-to-end time (so that a change which drops
-solves shows), the total step fallbacks and Lanczos steps of its solves,
-and the median peak RSS.  The
+predictor and corrector runs), the counts of its stepping iterations on
+each Schur route (``slot_iterations``, ``qr_iterations``: the trace rows'
+``route``) and of its shifted Schur factors (``shifts``), and
+``layers_ms``: each key of ``timings`` and each phase of the solve's clock
+(``SdpSolution.phases``, which split ``iterate``).  ``timings`` holds only
+the phases that ran: the bench reads no diagnostic of a result, so neither
+``decode`` nor ``face_probe`` runs, and neither counts in the end-to-end
+time.  A case reports the median over solves of each solve's median over
+repeats, for each layer too (``layer_ms_p50``), the median over repeats of
+the run's total end-to-end time (so that a change which drops solves
+shows), the total step fallbacks, Lanczos steps, route iterations and
+shifts of its solves, and the median peak RSS.  The
 command exits 1 when the repeats of a case disagree on any digest: solves
 are bitwise deterministic.
 
@@ -59,8 +64,9 @@ digests of two labels match as multisets, each label's status histogram and
 certified count, each label's total iterations, step fallbacks and Lanczos
 steps over the case's solves, and the time and memory ratios, each timing
 beside both labels' min-max over repeats (``n/a`` for a count or timing that
-the older ``tools/bench.py`` of a label did not record), and on a second
-line each layer's median and ratio.  Digests that differ
+the older ``tools/bench.py`` of a label did not record), on a second line
+each layer's median and ratio, and on a third each label's iterations on
+each Schur route and shifts.  Digests that differ
 only in the last bits of ``dp`` keep the outcomes; a change of outcome shows
 in the histograms.  It exits 0 when every case matches, else 1; a label
 missing from a file is a usage error (exit 2).
@@ -96,6 +102,13 @@ CYCLES = 3
 REPEAT = 3
 # trace counters summed per record and per case
 TRACE_SUMS = ("step_fallbacks", "ritz_steps")
+# stepping iterations per Schur route (the iteration that switched to QR
+# takes the QR) and shifted Schur factors, counted per record and per case
+ROUTE_COUNTS = {
+    "slot_iterations": lambda row: row.get("route") == "slot",
+    "qr_iterations": lambda row: row.get("route") in ("qr", "switched"),
+    "shifts": lambda row: bool(row.get("shifted")),
+}
 
 
 def _output(group: str) -> str:
@@ -171,6 +184,7 @@ def run_one(name: str) -> dict:
             "certified": bool(result.certificate.passed),
             "digest": f"{sol.status} {sol.iterations} {float(result.dp).hex()}",
             **{key: int(sum(row.get(key, 0) for row in sol.trace)) for key in TRACE_SUMS},
+            **{key: sum(map(count, sol.trace)) for key, count in ROUTE_COUNTS.items()},
             # an older qot's solution has no phase clock
             "layers_ms": {key: 1000 * seconds for key, seconds
                           in [*result.timings.items(), *getattr(sol, "phases", {}).items()]},
@@ -216,7 +230,7 @@ def summary(runs: list[dict]) -> dict:
         "statuses": histogram("status"),
         "reasons": histogram("reason"),
         "certified": sum(r["certified"] for r in first),
-        **{key: sum(r[key] for r in first) for key in TRACE_SUMS
+        **{key: sum(r[key] for r in first) for key in (*TRACE_SUMS, *ROUTE_COUNTS)
            if all(key in r for r in first)},  # an older tools/bench.py lacks some
         "stable": all([r["digest"] for r in run["records"]] == digests for run in runs),
         "peak_rss_mb": round(statistics.median(run["peak_rss_mb"] for run in runs), 1),
@@ -326,8 +340,9 @@ def compare(paths: list[str], a: str, b: str) -> int:
     total iterations (:func:`total_iterations`), the totals of ``TRACE_SUMS``
     (``n/a`` for one that the older ``tools/bench.py`` of a label did not
     record), and the ratios of time and memory (:func:`ratio`), then on a
-    line of its own the ratio of each layer (:func:`layer_ratios`); 0 when
-    every digest matches, else 1."""
+    line of its own the ratio of each layer (:func:`layer_ratios`), and on a
+    third both labels' totals of ``ROUTE_COUNTS``; 0 when every digest
+    matches, else 1."""
     same_everywhere = True
     for path in paths:
         runs = _load(path)["runs"]
@@ -348,6 +363,8 @@ def compare(paths: list[str], a: str, b: str) -> int:
             print(f"{name}: {solves} solves, {verdict}; {outcomes(ra)} -> {outcomes(rb)}; "
                   f"{iterations}; " + "; ".join(ratios))
             print(f"  {name} layer_ms_p50: {layer_ratios(ra, rb)}")
+            print(f"  {name} routes: " + "; ".join(
+                f"{key} {ra.get(key, 'n/a')} -> {rb.get(key, 'n/a')}" for key in ROUTE_COUNTS))
     print(f"every (status, iterations, dp.hex()) {'matches' if same_everywhere else 'DIFFERS'}")
     return 0 if same_everywhere else 1
 
