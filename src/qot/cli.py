@@ -135,11 +135,8 @@ def _parse_state(obj: Any, name: str) -> np.ndarray:
         except (TypeError, ValueError) as exc:
             raise InstanceError(f"state {name!r}: {exc}") from exc
     if "matrix" in obj:
-        matrix = _complex_matrix(obj["matrix"], f"state {name!r}")
-        try:
-            return linalg.density(matrix)
-        except ValueError as exc:
-            raise InstanceError(f"state {name!r}: {exc}") from exc
+        # validated once, where the instance is built (its errors name the state)
+        return _complex_matrix(obj["matrix"], f"state {name!r}")
     raise InstanceError(f"state {name!r} must provide 'bloch' or 'matrix'")
 
 
@@ -413,6 +410,11 @@ def cmd_divergence(args: argparse.Namespace) -> int:
         raise InstanceError("divergence needs a quadratic cost selector (symm, z, factorized)")
     if observables is None:
         observables = _FIXED_OBSERVABLES[cost_kind]()
+    try:
+        # the closed form reads the states as validated
+        (rho, omega), _ = linalg.densities([rho, omega], names=("rho", "omega"))
+    except ValueError as exc:
+        raise InstanceError(str(exc)) from exc
 
     t0 = time.perf_counter()
     try:

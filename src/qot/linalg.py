@@ -123,20 +123,29 @@ def density(m: np.ndarray) -> np.ndarray:
     return densities([m])[0][0]
 
 
-def densities(ms: Sequence[np.ndarray]) -> tuple[list[np.ndarray], list[float]]:
+def densities(
+    ms: Sequence[np.ndarray], names: Sequence[str] | None = None
+) -> tuple[list[np.ndarray], list[float]]:
     """Validate each of several matrices as :func:`density` does, their least
     eigenvalues from one stacked ``eigvalsh`` when they share a shape
     (:func:`min_eigenvalues`), and return the validated matrices and those
-    eigenvalues."""
-    ms = [_hermitian_matrix(m) for m in ms]
-    lows = min_eigenvalues(ms)
-    for m, lo in zip(ms, lows):
+    eigenvalues.  With ``names``, an error names its matrix as ``state
+    'name': ...``."""
+    prefixes = [f"state {name!r}: " for name in names] if names else [""] * len(ms)
+    checked = []
+    for m, prefix in zip(ms, prefixes):
+        try:
+            checked.append(_hermitian_matrix(m))
+        except ValueError as exc:
+            raise ValueError(f"{prefix}{exc}") from exc
+    lows = min_eigenvalues(checked)
+    for m, lo, prefix in zip(checked, lows, prefixes):
         if lo < -DENSITY_ATOL:
-            raise ValueError(f"matrix is not PSD: min eigenvalue {lo:.3e}")
+            raise ValueError(f"{prefix}matrix is not PSD: min eigenvalue {lo:.3e}")
         tr = m.trace().real
         if abs(tr - 1.0) > DENSITY_ATOL:
-            raise ValueError(f"trace {tr!r} is not 1 within {DENSITY_ATOL:.1e}")
-    return ms, lows
+            raise ValueError(f"{prefix}trace {tr!r} is not 1 within {DENSITY_ATOL:.1e}")
+    return checked, lows
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

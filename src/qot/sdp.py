@@ -28,15 +28,18 @@ Constraints are declared once per shape, as local operators on tensor slots
 space), and stored once, one block per group of adjacent slots
 (:class:`SlotStructure`), which every reader reads, the dense stack
 included.  A problem poses its objective, values and start on a declared
-structure (:func:`pose`), so problems of one shape share its blocks and the
-rank decision of :func:`preprocess`.  Three size decisions remain, each
-measured where its constant stands: the ``4 * LANCZOS_STEPS`` gate above,
-``TRIANGULAR_LEAF``, below which a triangular factor is inverted by
-``np.linalg.inv`` and above by blocks, and :func:`_slot_reads`, which picks
-the route the iteration reads the constraints through.  Plans of at least
-``STRUCTURED_MIN_DIM`` on more than one group apply the constraints and
-their adjoint through group marginals and embeddings and form the Schur
-matrix from partial-trace contractions of X and S^-1 over the groups,
+structure (:func:`pose`), so problems of one shape share its blocks, the
+rank decision of :func:`preprocess` and the factor of a pinned start.  Four
+size decisions remain, each measured where its constant stands: the ``4 *
+LANCZOS_STEPS`` gate above, ``TRIANGULAR_LEAF``, up to which a triangular
+factor is inverted by ``np.linalg.inv`` and above by blocks,
+``GRAM_LEAF``, above which ``Z = S^-1`` is formed from the triangular
+blocks of ``Ls^-1`` (:func:`_inverse_gram`), and :func:`_slot_reads`,
+which picks the route the iteration reads the constraints through.  Plans
+of at least ``STRUCTURED_MIN_DIM`` on more than one group apply the
+constraints and their adjoint through group marginals and embeddings and
+form the Schur matrix from partial-trace contractions of X and S^-1 over
+the groups,
 Cholesky-factored; other problems read the dense stack
 ``SdpProblem.constraint_ops`` and QR-factor the scaled constraints ``Ls^-1
 A_i Lx``.  Either triangular factor is inverted once, so that a Schur solve
@@ -48,16 +51,19 @@ The gate means one thing: below it a plan forms its matrices (full spectra,
 ``A*(v)`` before its product with ``S^-1``, and the dense stack for the QR
 from a slot-route plan's first Schur Cholesky breakdown on); above it
 nothing is formed (Ritz values, the slot product ``A*(v) S^-1`` of
-:func:`_slot_adjoint_product`, a diagonal shift at a breakdown).  An
-iteration takes 7 n x n products above the gate on the slot route (10 on a
-dense-stack plan above it, 18 below it, where the Mehrotra term is one).
+:func:`_slot_adjoint_product`, the refinement's ``A(X A*(v) S^-1)`` read
+from group marginals by :func:`_slot_applied_product`, a diagonal shift at
+a breakdown).  An iteration takes 6 n x n products above the gate on the
+slot route (10 on a dense-stack plan above it, 18 below it, where the
+Mehrotra term is one).
 A run that stops short with a large primal residual is labelled infeasible
 when its multipliers point along a Farkas ray (:func:`_farkas_ray`).  The
 iteration starts at ``y = 0``, ``S = tau I`` and ``X`` at the declared
 ``SdpProblem.interior``, else at ``tau I``.  When the kept constraints number
 ``n^2`` they pin the plan: it starts instead at the exact ``X0`` and ``y0``
 of :func:`_pinned_point` with ``S = C - A*(y0)`` if ``X0`` is positive
-definite and the stop test accepts that point, and so ends at iteration 0.
+definite and the stop test accepts that point, and so ends at iteration 0
+on the start's measurement and verdict.
 The dual
 
     maximize    b . y
@@ -219,11 +225,28 @@ LANCZOS_MARGIN = 0.005
 # iterations.
 # Triangular factors up to this order are inverted by np.linalg.inv, larger
 # ones by blocks (_triangular_inverse), to the same residual.  One BLAS thread
-# on a 2-core x86_64 host, np.linalg.inv against leaves of 32 / 64 / 128:
-# m=127 0.91 against 0.32 / 0.45 / 0.88 ms, m=287 7.8 against 1.3 / 1.4 /
-# 1.7 ms, m=511 26.9 against 4.2 / 4.6 / 6.7 ms.  At 64, the factor of every
-# problem with at most 64 constraints is inverted as before.
-TRIANGULAR_LEAF = 64
+# on a 2-core x86_64 host, best of 5, two runs, leaves of 32 / 64 against
+# np.linalg.inv, in ms: the stacked complex Cholesky pair of an iteration at
+# n = 36 0.08 / 0.12 against 0.11-0.13, n = 64 0.27 / 0.43 against 0.43, n =
+# 100 0.50 / 0.71 against 1.38, n = 144 0.91 / 1.04-1.22 against 3.4-4.4, n =
+# 256 3.7-3.9 / 4.4-5.1 against 14.7-18.5 and n = 400 11.2-14.8 / 11.6-12.3
+# against 43.5-56.5; a real Schur factor at m = 36 0.037 / 0.034-0.056
+# against 0.034-0.057, m = 64 0.071 / 0.10 against 0.10-0.13, m = 127 0.21 /
+# 0.29-0.40 against 0.55, m = 287 0.91-0.94 / 0.92-0.94 against 5.5 and m =
+# 400 1.86-1.91 / 1.92-1.99 against 11.3-11.7.  At 32 every factor of a
+# qubit or rank-deficient plan (n <= 16, m <= 31) and of a pinned face is
+# inverted by np.linalg.inv, as before.
+TRIANGULAR_LEAF = 32
+# Z = S^-1 = Ls^-* Ls^-1 is formed by 2 x 2 blocks of the triangular Ls^-1
+# above this order (_inverse_gram), by one product up to it.  The blocks skip
+# the products with the zero block: at each level two full products of half
+# order and two Grams of half order, about 1/3 of the flops of one product.
+# One BLAS thread on a 2-core x86_64 host, best of 5, one product against
+# leaves of 32 / 64 / 128, in ms: n = 81 0.090 against 0.133 / 0.095 / -, n =
+# 100 0.149 against 0.178 / 0.139 / -, n = 128 0.29 against 0.26 / 0.24 / -,
+# n = 144 0.41 against 0.41 / 0.32 / 0.30, n = 256 2.44 against 1.36 / 1.33 /
+# 1.48 and n = 400 9.0 against 4.5 / 4.3 / 4.4.
+GRAM_LEAF = 64
 # preprocess: relative rank threshold of a constraint row, and the relative
 # residue of a dependent row's value that marks the system inconsistent.
 PREPROCESS_RANK_TOL = 1e-10
@@ -325,6 +348,30 @@ class SlotStructure:
             indices.setflags(write=False)
         return kept, removed, (self.rows(kept) if len(removed) else self)
 
+    @functools.cached_property
+    def pinned_factor(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(Q, U^-1)`` of the QR ``R^T = Q U`` of the real rows ``R = (Re
+        A_i, Im A_i)`` of the dense stack, which :func:`_pinned_point` reads
+        on structures whose ``n^2`` constraints are independent.  Factored on
+        first read and held, as the rank decision is: every problem posed on
+        this structure reads the same factor."""
+        flat = self.dense().reshape(self.n_constraints, -1)
+        q, upper = np.linalg.qr(np.concatenate([flat.real, flat.imag], axis=1).T)
+        inv = _triangular_inverse(upper)
+        for a in (q, inv):
+            a.setflags(write=False)
+        return q, inv
+
+    def dense(self) -> np.ndarray:
+        """The dense stack ``(m, n, n)`` of the constraints: each group's
+        operators written into zeros at their group."""
+        n = self.shape.total_dim
+        ops = np.zeros((self.n_constraints, n, n), dtype=complex)
+        for group, rows, local in self.blocks:
+            d = self.shape.dims[group]
+            linalg.slot_view(ops, group, self.shape)[rows] = local.reshape(-1, 1, 1, d, d)
+        return ops
+
     def coordinates(self) -> np.ndarray:
         """Rows ``(m, 1 + sum D_g^2)`` with the Gram matrix of the constraints.
 
@@ -370,12 +417,7 @@ class SdpProblem:
 
     @functools.cached_property
     def constraint_ops(self) -> np.ndarray:
-        st = self.structure
-        n = st.shape.total_dim
-        ops = np.zeros((st.n_constraints, n, n), dtype=complex)
-        for group, rows, local in st.blocks:
-            d = st.shape.dims[group]
-            linalg.slot_view(ops, group, st.shape)[rows] = local.reshape(-1, 1, 1, d, d)
+        ops = self.structure.dense()
         ops.setflags(write=False)
         return ops
 
@@ -751,16 +793,21 @@ def _slot_schur(x: np.ndarray, z: np.ndarray, structure: SlotStructure) -> np.nd
     costs ``D_s D_t n^2``.  The block of the constraints at ``s`` against
     those at ``t`` is ``Re(B_s T_st B_t^T)`` with the flattened operators as
     rows.  Each pair of groups copies ``X`` and ``Z`` into a new layout once,
-    so fewer, larger groups take fewer copies (``SCHUR_GROUP_DIM``).
+    so fewer, larger groups take fewer copies (``SCHUR_GROUP_DIM``).  The
+    blocks are written as slices in block order, and the matrix is permuted
+    into constraint order once.
     """
     dims = structure.shape.dims
     k = len(dims)
     tensors = [a.reshape(dims + dims) for a in (x, z)]
     blocks = structure.blocks
     m = structure.n_constraints
+    ends = np.cumsum([len(rows) for _, rows, _ in blocks])
+    spans = [slice(end - len(rows), end) for end, (_, rows, _) in zip(ends, blocks)]
     out = np.empty((m, m))
-    for g, (s, rows_s, ops_s) in enumerate(blocks):
-        for t, rows_t, ops_t in blocks[g:]:
+    for g, (s, _, ops_s) in enumerate(blocks):
+        for h in range(g, len(blocks)):
+            t, _, ops_t = blocks[h]
             ds, dt = dims[s], dims[t]
             yx, yz = (
                 np.moveaxis(a, (s, k + t), (0, 1)).reshape(ds * dt, -1) for a in tensors
@@ -770,9 +817,14 @@ def _slot_schur(x: np.ndarray, z: np.ndarray, structure: SlotStructure) -> np.nd
             block = (ops_s @ coupling @ ops_t.T).real
             if s == t:
                 block = 0.5 * (block + block.T)
-            out[np.ix_(rows_s, rows_t)] = block
-            out[np.ix_(rows_t, rows_s)] = block.T
-    return out
+            out[spans[g], spans[h]] = block
+            out[spans[h], spans[g]] = block.T
+    order = np.concatenate([rows for _, rows, _ in blocks])
+    if np.array_equal(order, np.arange(m)):
+        return out
+    ordered = np.empty_like(out)
+    ordered[np.ix_(order, order)] = out
+    return ordered
 
 
 def _scaled_rows(ops: np.ndarray, lx: np.ndarray, inv_s: np.ndarray) -> np.ndarray:
@@ -790,6 +842,23 @@ def _slot_applied(z: np.ndarray, structure: SlotStructure) -> np.ndarray:
         outer, d, inner = structure.shape.frame(group)
         marginal = np.einsum("iajibj->ab", z.reshape(outer, d, inner, outer, d, inner))
         # Re tr(A Z) = Re sum_ab B[a, b] marginal[b, a]
+        out[rows] = (ops @ marginal.T.reshape(-1)).real
+    return out
+
+
+def _slot_applied_product(x: np.ndarray, w: np.ndarray, structure: SlotStructure) -> np.ndarray:
+    """``Re tr(A_i X W)`` for every constraint, without forming ``X W``: the
+    group marginal of ``X W``, ``sum_{o,i,k} X[(o,a,i), k] W[k, (o,b,i)]``,
+    is one batched product of ``X``'s rows at the group with a copy of
+    ``W``'s columns at it, at ``D_g n^2`` a group against ``n^3`` for the
+    product."""
+    n = len(x)
+    out = np.empty(structure.n_constraints)
+    for group, rows, ops in structure.blocks:
+        outer, d, inner = structure.shape.frame(group)
+        rows_x = x.reshape(outer, d, inner * n)
+        cols_w = w.reshape(n, outer, d, inner).transpose(1, 3, 0, 2).reshape(outer, inner * n, d)
+        marginal = np.matmul(rows_x, cols_w).sum(axis=0)
         out[rows] = (ops @ marginal.T.reshape(-1)).real
     return out
 
@@ -902,6 +971,27 @@ def _lower_inverse(lower: np.ndarray) -> np.ndarray:
     return _triangular_inverse(lower.swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
+def _inverse_gram(w: np.ndarray) -> np.ndarray:
+    """``W* W``, by 2 x 2 blocks above ``GRAM_LEAF`` rows when ``W`` is lower
+    triangular: ``[[A, 0], [B, C]]`` gives ``[[A* A + B* B, B* C], [C* B,
+    C* C]]``, the diagonal blocks again triangular Grams, and no product
+    with the zero block.  A ``W`` whose upper right block is not zero (the
+    eigen factor of :func:`_cholesky_factor`) takes the full product."""
+    m = len(w)
+    h = m // 2
+    if m <= GRAM_LEAF or w[:h, h:].any():
+        return w.conj().T @ w
+    b = w[h:, :h]
+    b_adj = b.conj().T
+    out = np.empty_like(w)
+    out[:h, :h] = _inverse_gram(w[:h, :h])
+    out[:h, :h] += b_adj @ b
+    np.matmul(b_adj, w[h:, h:], out=out[:h, h:])
+    out[h:, :h] = out[:h, h:].conj().T
+    out[h:, h:] = _inverse_gram(w[h:, h:])
+    return out
+
+
 def _triangular_solver(upper: np.ndarray) -> tuple[Callable[[np.ndarray], np.ndarray], float]:
     """Solver of ``M v = rhs`` from an upper triangular ``U`` with ``U^T U ~
     M``, and the diagonal ratio of ``U``, which estimates ``sqrt(cond(M))``.
@@ -963,10 +1053,8 @@ def _pinned_point(problem: SdpProblem) -> tuple[np.ndarray, np.ndarray]:
     b`` read as ``Re X0 + i Im X0``, one triangular solve where ``A*(w)``
     with ``U^T U w = b`` would take two and square the conditioning."""
     n = problem.dim
-    flat = problem.constraint_ops.reshape(problem.n_constraints, -1)
-    q, upper = np.linalg.qr(np.concatenate([flat.real, flat.imag], axis=1).T)
+    q, inv = problem.structure.pinned_factor
     c = problem.objective.reshape(-1)
-    inv = _triangular_inverse(upper)
     y = inv @ (q.T @ np.concatenate([c.real, c.imag]))
     v = q @ (inv.T @ problem.constraint_vals)
     x = (v[: n * n] + 1j * v[n * n:]).reshape(n, n)
@@ -997,11 +1085,13 @@ def solve(problem: SdpProblem, *, tol: float = TOL) -> SdpSolution:
     the ``n^2`` kept constraints pin the plan, ``X0`` of
     :func:`_pinned_point` is Cholesky-positive and the stop test
     (:func:`_accepted`) accepts ``(X0, C - A*(y0), y0)``: then it starts
-    there and ends ``converged`` at iteration 0.  Rounding in ``C - A*(y0)``
-    can fail the test's cone clause (cost entries near 1e7), and such
-    problems start as every other.  Each
-    iteration takes the HKM direction from the Cholesky factors of X and S
-    and their triangular inverses: a predictor (affine) step and a Mehrotra
+    there and ends ``converged`` at iteration 0, whose trace row and
+    verdict are that test's.  Rounding in ``C - A*(y0)`` can fail the
+    test's cone clause (cost entries near 1e7), and such problems start as
+    every other.  Each iteration takes the HKM direction from the Cholesky
+    factors of X and S, their triangular inverses and ``Z = S^-1 = Ls^-*
+    Ls^-1``, formed by triangular blocks (:func:`_inverse_gram`): a
+    predictor (affine) step and a Mehrotra
     corrector centered at ``sigma mu`` with ``sigma = min(1, (mu_aff / mu) **
     CENTERING_EXPONENT)``, ``sigma >= 0.5`` when a predictor step is shorter
     than 0.2, where ``mu_aff = tr((X + ap dX_aff)(S + ad dS_aff)) / n``.
@@ -1078,11 +1168,14 @@ def solve(problem: SdpProblem, *, tol: float = TOL) -> SdpSolution:
                "rd": float(np.abs(rd).max()), "gap": abs(pobj - dobj)}
         return rd, rp, row, pobj, dobj
 
+    accepted_start = None  # the measurement of an accepted pinned start, read at iteration 0
     if m == n * n:
         x0, y0 = _pinned_point(reduced)
         pinned = np.stack([x0, c - adjoint(y0)])
-        if _positive_definite(x0) and _accepted(pinned, *measured(pinned, y0)[2:], tol):
-            pair, y = pinned, y0
+        if _positive_definite(x0):
+            measure = measured(pinned, y0)
+            if _accepted(pinned, *measure[2:], tol):
+                pair, y, accepted_start = pinned, y0, measure
 
     reason = "max_iter"
     mu = np.nan
@@ -1097,12 +1190,12 @@ def solve(problem: SdpProblem, *, tol: float = TOL) -> SdpSolution:
         if max(float(np.abs(pair).max()), float(np.abs(y).max())) > DIVERGENCE_LIMIT:
             reason = "diverged"
             break
-        rd, rp, row, pobj, dobj = measured(pair, y)
+        rd, rp, row, pobj, dobj = accepted_start or measured(pair, y)
         mu, primal_res, dual_res = row["mu"], row["rp"], row["rd"]
         # one row per measured iteration; a stepping iteration completes it
         trace.append(row)
 
-        if _accepted(pair, row, pobj, dobj, tol):
+        if accepted_start or _accepted(pair, row, pobj, dobj, tol):
             reason = "converged"
             break
         if iterations == MAX_ITER:
@@ -1122,7 +1215,7 @@ def solve(problem: SdpProblem, *, tol: float = TOL) -> SdpSolution:
         # value factorization.
         lap("other")
         factors, inverses = _cholesky_pair(pair)
-        z = inverses[1].conj().T @ inverses[1]
+        z = _inverse_gram(inverses[1])
         lap("factor")
 
         # The Schur complement is M_ij = Re tr(A_i X A_j Z), symmetric positive
@@ -1154,16 +1247,20 @@ def solve(problem: SdpProblem, *, tol: float = TOL) -> SdpSolution:
             break
 
         # X dS Z is X rd Z - X (A*(dy) Z) and the Mehrotra term dX_aff dS_aff
-        # Z is dX_aff (rd Z - A*(dy_aff) Z).  A*(v) Z is the slot product at
-        # d_g n^2 a group on slot-route plans above the gate, else the formed
-        # A*(v), which dS needs, times Z.  Above the gate on the slot route an
-        # iteration takes 7 n x n products: Z, 2 for X rd Z and one each for
-        # the predictor, the corrector, its refinement and the Mehrotra term.
+        # Z is dX_aff (rd Z - A*(dy_aff) Z).  On slot-route plans above the
+        # gate (marginal) A*(v) Z is the slot product at d_g n^2 a group, and
+        # the corrector's refinement reads A(X A*(dy) Z) from group marginals
+        # at d_g n^2 a group, so that X A*(dy) Z is formed once, after it:
+        # an iteration takes 6 n x n products, Z, 2 for X rd Z and one each
+        # for the predictor, the corrector and the Mehrotra term.  Other
+        # plans form A*(v), which dS needs, times Z, and refine on the formed
+        # dX.
         rdz = rd @ z
         xrdz = x @ rdz
+        marginal = not (formed or qr)
 
         def adjoint_z(v: np.ndarray, back: np.ndarray) -> np.ndarray:  # back = A*(v)
-            return back @ z if formed or qr else _slot_adjoint_product(v, z, structure)
+            return _slot_adjoint_product(v, z, structure) if marginal else back @ z
 
         def direction(
             target: np.ndarray, refined: bool
@@ -1172,23 +1269,29 @@ def solve(problem: SdpProblem, *, tol: float = TOL) -> SdpSolution:
             = rd`` and ``dX`` the Hermitian part of ``target - X dS Z``: the
             Schur system is ``M dy = rp - A(target) + A(X rd Z)``.
             ``refined`` takes one step of refinement against the operator ``v
-            -> A(X A*(v) Z)`` as products, the only refinement of a Schur
-            solve, and returns None for ``A*(dy) Z``, which only the
-            predictor's Mehrotra term reads.  The operator differs from the
-            factored M by the rounding of the factor, which grows with |Z| =
-            1 / lambda_min(S), and by the breakdown shift.  Without the step,
-            30 nonlinear pairs at d = 3-8 (default_rng([d, s, 99]), s < 5)
-            ended with equality residuals up to 1.0e-10 against 4.5e-14 with
-            it, in the same 325 iterations.  The predictor's direction only
-            sets sigma and takes none."""
-            dy = schur_solve(rp + apply(xrdz - target))
+            -> A(X A*(v) Z)``, the only refinement of a Schur solve, and
+            returns None for ``A*(dy) Z``, which only the predictor's Mehrotra
+            term reads.  The operator differs from the factored M by the
+            rounding of the factor, which grows with |Z| = 1 / lambda_min(S),
+            and by the breakdown shift.  Without the step, 30 nonlinear pairs
+            at d = 3-8 (default_rng([d, s, 99]), s < 5) ended with equality
+            residuals up to 1.0e-10 against 4.5e-14 with it, in the same 325
+            iterations.  The predictor's direction only sets sigma and takes
+            none."""
+            rhs = rp + apply(xrdz - target)
+            dy = schur_solve(rhs)
             back = adjoint(dy)
             ds = rd - back
             dyz = adjoint_z(dy, back)
             del back  # an n x n array held through dX's products raises peak memory
+            if refined and marginal:
+                # A(dX) = A(target - X rd Z) + A(X A*(dy) Z), read without dX
+                step = schur_solve(rhs - _slot_applied_product(x, dyz, structure))
+                dy = dy + step
+                ds -= adjoint(step)
+                dyz = _slot_adjoint_product(dy, z, structure)
             dx = target - xrdz + x @ dyz
-            if refined:
-                dyz = None
+            if refined and not marginal:
                 step = schur_solve(rp - apply(dx))
                 dy = dy + step
                 back = adjoint(step)
@@ -1201,7 +1304,7 @@ def solve(problem: SdpProblem, *, tol: float = TOL) -> SdpSolution:
             np.add(dx, dx.conj().T, out=d[0])
             d[0] *= 0.5
             d[1] = ds
-            return dy, d, dyz
+            return dy, d, None if refined else dyz
 
         # Predictor (affine direction, sigma = 0).  These lengths only set
         # sigma and are never taken, so Ritz values need no check.

@@ -150,17 +150,22 @@ class TransportInstance:
         states = (self.omega, self.rho)
         minima = linalg.min_eigenvalues(states) if self.minima is None else self.minima[::-1]
         if all(lam > linalg.DENSITY_ATOL for lam in minima):
-            unit = [s + (1 - s.trace().real) / len(s) * np.eye(len(s)) for s in states]
-            return SupportFace(*unit, self.pairs)
+            shifts = [(1 - s.trace().real) / len(s) for s in states]
+            unit = [s + shift * np.eye(len(s)) for s, shift in zip(states, shifts)]
+            lows = tuple(lam + shift for lam, shift in zip(minima, shifts))
+            return SupportFace(*unit, self.pairs, lows)
         restricted = []
         for s in states:
             vals, vecs = np.linalg.eigh(s)
             kept = vals > linalg.DENSITY_ATOL
             v = vecs[:, kept]
             r = linalg.hermitian(v.conj().T @ s @ v)
-            restricted.append((r / r.trace().real, v, float(vals[~kept].sum())))
-        (omega, v_omega, cut_omega), (rho, v_rho, cut_rho) = restricted
-        return SupportFace(omega, rho, self.pairs, v_omega, v_rho, cut_omega, cut_rho)
+            trace = r.trace().real
+            restricted.append((r / trace, v, float(vals[~kept].sum()), float(vals[kept][0] / trace)))
+        (omega, v_omega, cut_omega, low_omega), (rho, v_rho, cut_rho, low_rho) = restricted
+        return SupportFace(
+            omega, rho, self.pairs, (low_omega, low_rho), v_omega, v_rho, cut_omega, cut_rho
+        )
 
     def plan_cost(self) -> np.ndarray:
         """Cost operator acting on the plan variable of this mode."""
@@ -175,8 +180,8 @@ def _states(
     rho: np.ndarray, omega: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, tuple[float, float]]:
     """The validated states and their least eigenvalues, from one stacked
-    spectrum (:func:`linalg.densities`)."""
-    (rho, omega), minima = linalg.densities([rho, omega])
+    spectrum (:func:`linalg.densities`); an error names the state."""
+    (rho, omega), minima = linalg.densities([rho, omega], names=("rho", "omega"))
     if rho.shape != omega.shape:
         raise ValueError("states must share one dimension")
     return rho, omega, tuple(minima)
@@ -264,12 +269,16 @@ class SupportFace:
     state, the sum of the eigenvalues it drops.  When both states have full
     rank the face is the whole space: the isometries are None, nothing is
     conjugated, nothing is cut and a multiple of the identity sets the
-    traces to 1.
+    traces to 1.  ``minima`` holds the least eigenvalues of ``omega`` and
+    ``rho`` as the face holds them, from the spectra that found the face:
+    on the whole space the validated states' minima plus that multiple, on a
+    cut face the least kept eigenvalue over the restricted trace.
     """
 
     omega: np.ndarray
     rho: np.ndarray
     pairs: int
+    minima: tuple[float, float]
     v_omega: np.ndarray | None = None
     v_rho: np.ndarray | None = None
     cut_omega: float = 0.0
@@ -475,7 +484,7 @@ def build_primal(instance: TransportInstance) -> sdp.SdpProblem:
     interior-point engine reports both sides of the pair from one run.
     """
     face = instance.support
-    low_omega, low_rho = linalg.min_eigenvalues((face.omega, face.rho))
+    low_omega, low_rho = face.minima
     floor = (low_omega * low_rho) ** face.pairs
     x0 = linalg.kron_all([face.omega, face.rho.T] * face.pairs) if floor > INTERIOR_FLOOR else None
     return sdp.pose(

@@ -47,7 +47,7 @@ class TestInstanceParsing:
         np.testing.assert_allclose(inst.rho[0, 1], -0.25j)
 
     def test_invalid_state_rejected(self):
-        with pytest.raises(cli.InstanceError, match="not PSD|trace"):
+        with pytest.raises(cli.InstanceError, match="^state 'rho': matrix is not PSD"):
             parse_instance(
                 {
                     "rho": {"matrix": [[1.5, 0], [0, -0.5]]},
@@ -55,6 +55,17 @@ class TestInstanceParsing:
                     "cost": "z",
                 }
             )
+
+    def test_matrix_states_are_validated_once(self, monkeypatch):
+        # one stacked spectrum of both states, where the instance is built
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(
+            np.linalg, "eigvalsh", lambda m, *a, **k: shapes.append(np.shape(m)) or eigvalsh(m, *a, **k)
+        )
+        matrix = [[0.75, 0], [0, 0.25]]
+        parse_instance({"rho": {"matrix": matrix}, "omega": {"matrix": matrix}, "cost": "z"})
+        assert shapes == [(2, 2, 2)]
 
     def test_custom_observables(self):
         inst = parse_instance(
