@@ -976,28 +976,59 @@ def rank_mix_base(dim, ranks, tag):
     return transport.factorized_instance(rho, omega, obs, 2.0, transport.MODE_NONLINEAR)
 
 
-def one_thread_solve(build):
-    """``[n, step fallbacks, status, iterations, dp.hex()]`` of the transport
-    solve of the instance ``build``, an expression in this module's helpers,
-    run in a child Python with one BLAS thread: the thread count changes the
-    rounding of BLAS kernels, so digests pinned at one thread hold whatever
-    count this process runs with."""
+def one_thread(expression):
+    """The JSON value of ``expression``, an expression in this module's
+    helpers, evaluated in a child Python with one BLAS thread: the thread
+    count changes the rounding of BLAS kernels, so values pinned at one
+    thread hold whatever count this process runs with."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(transport.__file__)))
     here = os.path.dirname(os.path.abspath(__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, here]),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    code = (
-        "import json\n"
-        "from test_sdp import *\n"
-        f"r = transport.wasserstein_distance({build})\n"
-        "sol = r.solution\n"
-        "fallbacks = sorted({row.get('step_fallbacks', 0.0) for row in sol.trace})\n"
-        "print(json.dumps([len(sol.x), fallbacks, r.status, sol.iterations, r.dp.hex()]))\n"
-    )
+    code = f"import json\nfrom test_sdp import *\nprint(json.dumps({expression}))\n"
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True
     )
     return json.loads(out.stdout)
+
+
+def solve_digest(instance):
+    """``[n, step fallbacks, status, iterations, dp.hex()]`` of the transport
+    solve of ``instance``."""
+    r = transport.wasserstein_distance(instance)
+    sol = r.solution
+    fallbacks = sorted({row.get("step_fallbacks", 0.0) for row in sol.trace})
+    return [len(sol.x), fallbacks, r.status, sol.iterations, r.dp.hex()]
+
+
+def one_thread_solve(build):
+    """:func:`solve_digest` of the instance ``build``, an expression in this
+    module's helpers, at one BLAS thread (:func:`one_thread`)."""
+    return one_thread(f"solve_digest({build})")
+
+
+def ill_conditioned_case(low):
+    """X with eigenvalues 10^low ... 1 in a random frame and a random S as a
+    stacked pair, their factor inverses, four random step pairs scaled by
+    1e-12 ... 1, and a step pair whose whitened form has its smallest
+    eigenvector, 0.1 below the bulk, orthogonal to the Lanczos start."""
+    n = 128
+    rng = np.random.default_rng(0)
+    pair = np.stack([planted_spectrum(rng, np.logspace(low, 0, n)), random_pd(rng, n)])
+    factors, inverses = sdp._cholesky_pair(pair)
+    steps = [factor * np.stack([linalg.random_hermitian(rng, n) for _ in range(2)])
+             for factor in (1e-12, 1e-8, 1e-4, 1.0)]
+    missed = np.concatenate([[-1.1], rng.uniform(-1.0, 1.0, n - 1)])
+    t = planted_spectrum(rng, missed, sdp._lanczos_start(n))
+    d = factors @ t @ factors.conj().swapaxes(-1, -2)
+    return pair, inverses, steps, 0.5 * (d + d.conj().swapaxes(-1, -2))
+
+
+def missed_step_fallbacks(low):
+    """The corrector's fallback count on the missed step of
+    :func:`ill_conditioned_case`."""
+    pair, inverses, _, d = ill_conditioned_case(low)
+    return sdp._step_lengths(d, inverses, pair)[1]
 
 
 class TestLanczosStep:
@@ -1137,10 +1168,7 @@ class TestLanczosStep:
         # X + beta dX, congruent to I + beta T through a factor of condition
         # 10^(-low/2), and an accepted step stays below STEP_FRACTION times
         # the boundary read from eigvalsh of the formed T
-        n = 128
-        rng = np.random.default_rng(0)
-        pair = np.stack([planted_spectrum(rng, np.logspace(low, 0, n)), random_pd(rng, n)])
-        factors, inverses = sdp._cholesky_pair(pair)
+        pair, inverses, steps, missed = ill_conditioned_case(low)
 
         def assert_inside(d):
             steps, fallbacks = sdp._step_lengths(d, inverses, pair)
@@ -1149,11 +1177,10 @@ class TestLanczosStep:
             return steps, fallbacks
 
         refused = 0
-        for factor in (1e-12, 1e-8, 1e-4, 1.0):
-            d = factor * np.stack([linalg.random_hermitian(rng, n) for _ in range(2)])
-            steps, fallbacks = assert_inside(d)
+        for d in steps:
+            lengths, fallbacks = assert_inside(d)
             assert fallbacks == 0
-            for k, step in enumerate(steps):
+            for k, step in enumerate(lengths):
                 beta = min(1.0, sdp.STEP_FRACTION * step) / sdp.STEP_FRACTION
                 refused += not sdp._positive_definite(pair[k] + beta * d[k])
         # at condition 1e16 the rounding of X refuses a safe step, which the
@@ -1163,14 +1190,11 @@ class TestLanczosStep:
         # orthogonal to the start vector.  At condition 1e10 the run misses
         # it, and both checks refuse the Ritz step on both sides; at 1e16 the
         # rounding of the unformed products brings it into reach of the X
-        # side's run (-1.096 against -1.100), whose step the checks keep,
-        # and only the S side falls back
-        missed = np.concatenate([[-1.1], rng.uniform(-1.0, 1.0, n - 1)])
-        t = planted_spectrum(rng, missed, sdp._lanczos_start(n))
-        d = factors @ t @ factors.conj().swapaxes(-1, -2)
-        d = 0.5 * (d + d.conj().swapaxes(-1, -2))
-        assert (sdp._ritz_ends(d, inverses)[0, 0] > -1.0) == (low == -10)
-        assert assert_inside(d)[1] == (2 if low == -10 else 1)
+        # side's run (-1.096 against -1.100 at one BLAS thread), whose step
+        # the checks keep, and only the S side falls back
+        assert (sdp._ritz_ends(missed, inverses)[0, 0] > -1.0) == (low == -10)
+        assert_inside(missed)
+        assert one_thread(f"missed_step_fallbacks({low})") == (2 if low == -10 else 1)
 
     def test_breakdown_reads_full_spectra(self):
         # two distinct eigenvalues: the Krylov space is invariant after two steps
