@@ -410,20 +410,15 @@ def cmd_divergence(args: argparse.Namespace) -> int:
         raise InstanceError("divergence needs a quadratic cost selector (symm, z, factorized)")
     if observables is None:
         observables = _FIXED_OBSERVABLES[cost_kind]()
-    try:
-        # the closed form reads the states as validated
-        (rho, omega), _ = linalg.densities([rho, omega], names=("rho", "omega"))
-    except ValueError as exc:
-        raise InstanceError(str(exc)) from exc
-
     t0 = time.perf_counter()
     try:
-        parts = transport.divergence_parts(rho, omega, observables)
+        parts = transport.divergence_parts(rho, omega, observables)  # validates the pair
     except ValueError as exc:
         raise InstanceError(str(exc)) from exc
     seconds = time.perf_counter() - t0
 
-    found = cf.closed_form_d_squared(rho, omega, cost_kind)
+    # the closed form reads the states as validated, symmetrized
+    found = cf.closed_form_d_squared(*linalg.hermitian([rho, omega]), cost_kind)
     comparison = None if found is None else {"family": found[0], "d_squared": found[1]}
     record = ReportRecord(
         command="divergence",
@@ -551,7 +546,8 @@ def build_parser() -> argparse.ArgumentParser:
     solver = argparse.ArgumentParser(add_help=False)
     solver.add_argument("--p", type=float, default=None, help="override the exponent")
     solver.add_argument("--mode", choices=["joint", "linearized", "nonlinear"], default=None)
-    solver.add_argument("--tol", type=_positive_float, default=sdp.TOL, help="solver tolerance")
+    solver.add_argument("--tol", type=_positive_float, default=sdp.TOL,
+                        help="solver tolerance; a larger one still ends optimal only if certified")
     solver.add_argument("--verbose", action="store_true", help="print the solve's trace to stderr")
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", default=None, help="append JSON records to this path")

@@ -61,9 +61,9 @@ when its multipliers point along a Farkas ray (:func:`_farkas_ray`).  The
 iteration starts at ``y = 0``, ``S = tau I`` and ``X`` at the declared
 ``SdpProblem.interior``, else at ``tau I``.  When the kept constraints number
 ``n^2`` they pin the plan: it starts instead at the exact ``X0`` and ``y0``
-of :func:`_pinned_point` with ``S = C - A*(y0)`` if ``X0`` is positive
-definite and the stop test accepts that point, and so ends at iteration 0
-on the start's measurement and verdict.
+of :func:`_pinned_point` with ``S = C - A*(y0)`` if the stop test accepts
+that point, and so ends at iteration 0 on the start's measurement and
+certificate.
 The dual
 
     maximize    b . y
@@ -100,6 +100,7 @@ from __future__ import annotations
 import functools
 import math
 import time
+import types
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -571,8 +572,9 @@ class SdpSolution:
     primal_residual: float
     dual_residual: float
     trace: tuple[dict, ...]  # one row per iteration; see solve
-    timings: dict  # seconds of preprocess and iterate
+    timings: dict  # seconds of preprocess, iterate and certify
     phases: dict  # seconds of each of PHASES; their sum is timings["iterate"]
+    certificate: Certificate  # certify's verdict on (x, y, s), the stop test's
 
     @property
     def status(self) -> str:
@@ -1061,9 +1063,9 @@ def _pinned_point(problem: SdpProblem) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (x + x.conj().T), y
 
 
-def _accepted(pair: np.ndarray, row: dict, pobj: float, dobj: float, tol: float) -> bool:
-    """The stop test of :func:`solve` on the stacked iterates ``pair`` and the
-    residuals and gap of their ``trace`` row."""
+def _accepted(row: dict, pobj: float, dobj: float, tol: float) -> bool:
+    """The ``tol`` clauses of the stop test of :func:`solve` on the residuals
+    and gap of a ``trace`` row; the cone is :func:`certify`'s to read."""
     scale = max(1.0, abs(pobj))
     return (
         row["rp"] <= tol
@@ -1073,22 +1075,21 @@ def _accepted(pair: np.ndarray, row: dict, pobj: float, dobj: float, tol: float)
         # of the objectives must stay below roundoff scale, which grows with
         # the objective
         and dobj - pobj <= 5e-10 * scale
-        # and both iterates pass certify's cone threshold
-        and _positive_definite(pair + CERT_PSD_TOL * np.eye(pair.shape[-1]))
     )
 
 
 def solve(problem: SdpProblem, *, tol: float = TOL) -> SdpSolution:
     """Run the interior-point iteration; deterministic for identical inputs
     at a fixed BLAS thread count.
+    An iterate whose trace row passes the ``tol`` clauses (:func:`_accepted`)
+    ends ``converged`` when :func:`certify` passes it; any other stop
+    certifies the last iterate: no ``optimal`` solve fails its ``certificate``.
     It starts at ``(problem.interior or tau I, tau I)`` with ``y = 0``, unless
-    the ``n^2`` kept constraints pin the plan, ``X0`` of
-    :func:`_pinned_point` is Cholesky-positive and the stop test
-    (:func:`_accepted`) accepts ``(X0, C - A*(y0), y0)``: then it starts
-    there and ends ``converged`` at iteration 0, whose trace row and
-    verdict are that test's.  Rounding in ``C - A*(y0)`` can fail the
-    test's cone clause (cost entries near 1e7), and such problems start as
-    every other.  Each iteration takes the HKM direction from the Cholesky
+    the ``n^2`` kept constraints pin the plan and the stop test accepts
+    ``(X0, C - A*(y0), y0)`` of :func:`_pinned_point`: then it ends there,
+    ``converged`` at iteration 0.  Rounding in ``C - A*(y0)`` can fail the
+    certificate's cone threshold (cost entries near 1e7), and such problems
+    start as every other.  Each iteration takes the HKM direction from the Cholesky
     factors of X and S, their triangular inverses and ``Z = S^-1 = Ls^-*
     Ls^-1``, formed by triangular blocks (:func:`_inverse_gram`): a
     predictor (affine) step and a Mehrotra
@@ -1111,31 +1112,42 @@ def solve(problem: SdpProblem, *, tol: float = TOL) -> SdpSolution:
     or ``switched`` on the iteration whose breakdown switched a slot-route
     plan to QR, and ``shifted``, whether the factor is of the shifted
     matrix (:func:`_schur_solver`).  ``timings`` holds the seconds of
-    ``preprocess`` and of ``iterate``, everything after it, and ``phases``
-    splits ``iterate`` by the clock of ``PHASES``, read at seven laps an
-    iteration."""
+    ``preprocess``, of ``iterate``, everything after it but certifying, and
+    of ``certify``, and ``phases`` splits ``iterate`` by the clock of
+    ``PHASES``, read at seven laps an iteration."""
     start = time.perf_counter()
     reduced, report = preprocess(problem)
     iterate_start = mark = time.perf_counter()
-    timings = {"preprocess": iterate_start - start, "iterate": 0.0}
+    timings = {"preprocess": iterate_start - start, "iterate": 0.0, "certify": 0.0}
     phases = dict.fromkeys(PHASES, 0.0)
 
-    def lap(phase: str) -> None:
-        """Add the seconds since the last lap to ``phase``."""
+    def lap(phase: str, clock: dict = phases) -> None:
+        """Add the seconds since the last lap to ``clock[phase]``."""
         nonlocal mark
         now = time.perf_counter()
-        phases[phase] += now - mark
+        clock[phase] += now - mark
         mark = now
+
+    def certified(pair: np.ndarray, y: np.ndarray) -> types.SimpleNamespace:
+        """``x``, ``y`` (zero on dropped rows) and ``s`` on ``problem`` and their
+        ``certificate``, whose seconds go to ``timings``, off the phases."""
+        lap("other")
+        point = types.SimpleNamespace(x=pair[0], y=np.zeros(problem.n_constraints), s=pair[1])
+        point.y[list(report.kept)] = y
+        point.certificate = certify(point, problem)
+        lap("certify", timings)
+        return point
 
     if report.infeasible:
         n = problem.dim
-        zero = np.zeros((n, n), dtype=complex)
+        point = certified(np.zeros((2, n, n), dtype=complex), np.zeros(len(report.kept)))
+        timings["iterate"] = mark - iterate_start - timings["certify"]
         return SdpSolution(
-            x=zero, y=np.zeros(problem.n_constraints), s=zero,
+            x=point.x, y=point.y, s=point.s,
             primal_objective=np.nan, dual_objective=np.nan, gap=np.nan,
             reason="preprocess_infeasible", iterations=0, mu=np.nan,
             primal_residual=report.max_inconsistency, dual_residual=np.nan,
-            trace=(), timings=timings, phases=phases,
+            trace=(), timings=timings, phases=phases, certificate=point.certificate,
         )
 
     c = reduced.objective
@@ -1172,17 +1184,12 @@ def solve(problem: SdpProblem, *, tol: float = TOL) -> SdpSolution:
     if m == n * n:
         x0, y0 = _pinned_point(reduced)
         pinned = np.stack([x0, c - adjoint(y0)])
-        if _positive_definite(x0):
-            measure = measured(pinned, y0)
-            if _accepted(pinned, *measure[2:], tol):
-                pair, y, accepted_start = pinned, y0, measure
+        measure = measured(pinned, y0)
+        if _accepted(*measure[2:], tol) and (point := certified(pinned, y0)).certificate.passed:
+            pair, y, accepted_start = pinned, y0, measure
 
     reason = "max_iter"
-    mu = np.nan
-    primal_res = np.nan
-    dual_res = np.nan
-    pobj = np.nan
-    dobj = np.nan
+    mu = primal_res = dual_res = pobj = dobj = np.nan
     trace = []
 
     for iterations in range(MAX_ITER + 1):
@@ -1195,14 +1202,16 @@ def solve(problem: SdpProblem, *, tol: float = TOL) -> SdpSolution:
         # one row per measured iteration; a stepping iteration completes it
         trace.append(row)
 
-        if accepted_start or _accepted(pair, row, pobj, dobj, tol):
+        if accepted_start or (
+            _accepted(row, pobj, dobj, tol) and (point := certified(pair, y)).certificate.passed
+        ):
             reason = "converged"
             break
         if iterations == MAX_ITER:
             break
         if mu < MU_FLOOR:
-            # tr(XS) >= 0 while both iterates are in the cone: a negative mu
-            # is rounding on diverging iterates, not a barrier at its floor
+            # tr(XS) >= 0 in the cone: a negative mu is rounding, of diverging
+            # iterates or of a stall on large costs (rd near eps |S|), not a floor
             reason = "mu_floor" if mu >= 0 else "diverged"
             break
 
@@ -1343,22 +1352,19 @@ def solve(problem: SdpProblem, *, tol: float = TOL) -> SdpSolution:
         pair += d
         y = y + ad * dy
 
-    # Map multipliers back to the original constraint indexing; dropped
-    # redundant rows keep a zero multiplier.
-    y_full = np.zeros(problem.n_constraints)
-    y_full[list(report.kept)] = y
-
     if reason != "converged" and primal_res > 1e-4 and _farkas_ray(y, b, adjoint):
         reason = "reclassified_infeasible"
+    if reason != "converged":
+        point = certified(pair, y)
     lap("other")
-    timings["iterate"] = mark - iterate_start
+    timings["iterate"] = mark - iterate_start - timings["certify"]
 
     return SdpSolution(
-        x=x, y=y_full, s=s,
+        x=point.x, y=point.y, s=point.s,
         primal_objective=pobj, dual_objective=dobj, gap=abs(pobj - dobj),
         reason=reason, iterations=iterations, mu=mu,
         primal_residual=primal_res, dual_residual=dual_res,
-        trace=tuple(trace), timings=timings, phases=phases,
+        trace=tuple(trace), timings=timings, phases=phases, certificate=point.certificate,
     )
 
 

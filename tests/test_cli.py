@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from qot import cli, linalg, sdp, suites, transport
+from qot import cli, cost, linalg, sdp, suites, transport
 from qot.cli import ReportRecord, main, parse_instance, parse_report
 
 
@@ -442,6 +442,23 @@ class TestCommands:
     def test_divergence_identical_states(self, tmp_path):
         path = write_instance(tmp_path, omega={"bloch": [0, 0, 0.5]})
         assert main(["divergence", path]) == 0
+
+    def test_divergence_validates_the_pair_and_builds_the_cost_once(self, tmp_path, monkeypatch):
+        # one stacked spectrum of both states and one observable cost serve
+        # the three solves (cross, rho/rho, omega/omega)
+        shapes, builds = [], []
+        eigvalsh, factorized = np.linalg.eigvalsh, cost.cost_operator_factorized
+        monkeypatch.setattr(
+            np.linalg, "eigvalsh", lambda m, *a, **k: shapes.append(np.shape(m)) or eigvalsh(m, *a, **k)
+        )
+        monkeypatch.setattr(
+            cost, "cost_operator_factorized", lambda *a, **k: builds.append(a) or factorized(*a, **k)
+        )
+        path = write_instance(
+            tmp_path, rho={"matrix": [[0.75, 0], [0, 0.25]]}, omega={"matrix": [[0.4, 0], [0, 0.6]]}
+        )
+        assert main(["divergence", path]) == 0
+        assert (shapes.count((2, 2, 2)), len(builds)) == (1, 1)
 
     def test_gap_demo_rows(self, tmp_path, capsys):
         out = str(tmp_path / "gap.jsonl")

@@ -586,6 +586,17 @@ def small_transport_problem():
     return qubit_transport_problem(cost.cost_symm(2.0), rho_z(0.5), rho_z(-0.5))
 
 
+def ill_scaled_d6():
+    """A nonlinear p=2 pair at d = 6 with two random observables x1e3, cost
+    entries near 1e8."""
+    rng = np.random.default_rng([6, 3, 5])
+    rho, omega = linalg.random_density(rng, 6), linalg.random_density(rng, 6)
+    obs = cost.observable_set([1e3 * linalg.random_hermitian(rng, 6) for _ in range(2)])
+    return transport.build_primal(
+        transport.factorized_instance(rho, omega, obs, 2.0, transport.MODE_NONLINEAR)
+    )
+
+
 # (reason, problem, module attributes patched to reach it)
 STOPS = [
     pytest.param("converged", small_transport_problem, {}, id="converged-small"),
@@ -711,13 +722,14 @@ class TestPinnedStart:
         rng = np.random.default_rng([3, 34])
         problem = pinned_problem(rng, 3, np.diag([0.5, 1.0, 1.5]).astype(complex))
         other = sdp.pose(problem.structure, linalg.random_hermitian(rng, 3), problem.constraint_vals)
-        verdicts, factors = [], []
-        accepted, qr = sdp._accepted, np.linalg.qr
+        verdicts, certificates, factors = [], [], []
+        accepted, certify, qr = sdp._accepted, sdp.certify, np.linalg.qr
         monkeypatch.setattr(sdp, "_accepted", lambda *a: verdicts.append(a) or accepted(*a))
+        monkeypatch.setattr(sdp, "certify", lambda *a: certificates.append(a) or certify(*a))
         monkeypatch.setattr(np.linalg, "qr", lambda a, *r, **k: factors.append(k) or qr(a, *r, **k))
         assert all(sdp.solve(p).iterations == 0 for p in (problem, other))
-        # the start's verdict is the verdict of iteration 0
-        assert len(verdicts) == 2
+        # the start's verdict, its certificate, is the verdict of iteration 0
+        assert len(verdicts) == len(certificates) == 2
         # one QR for the rank decision and one for the pinned point, both held
         # on the structure that the two problems share
         assert factors == [{"mode": "r"}, {}]
@@ -761,38 +773,56 @@ class TestTrace:
                 assert type(row["shifted"]) is bool
 
     @pytest.mark.parametrize(
-        "build,tol",
-        [(small_transport_problem, sdp.TOL), (structured_problem, sdp.TOL),
-         (small_transport_problem, 1e-30)],
-        ids=["converged-small", "converged-structured", "mu_floor"],
+        "build,tol,reason",
+        [(small_transport_problem, sdp.TOL, "converged"),
+         (structured_problem, sdp.TOL, "converged"),
+         (small_transport_problem, 1e-30, "mu_floor"),
+         # cost entries near 1e8: the tol clauses pass at iteration 40 on a
+         # dual slack eigenvalue of -1.6e-8, which certify fails; any reason
+         # but an uncertified optimal will do
+         (ill_scaled_d6, sdp.TOL, None)],
+        ids=["converged-small", "converged-structured", "mu_floor", "ill-scaled-d6"],
     )
-    def test_last_row_is_the_reported_state(self, build, tol):
-        sol = sdp.solve(build(), tol=tol)
-        assert sol.reason == ("mu_floor" if tol < sdp.TOL else "converged")
+    def test_last_row_is_the_reported_state(self, build, tol, reason):
+        problem = build()
+        sol = sdp.solve(problem, tol=tol)
+        assert reason is None or sol.reason == reason
         last = sol.trace[-1]
         assert (last["mu"], last["rp"], last["rd"], last["gap"]) == (
             sol.mu, sol.primal_residual, sol.dual_residual, sol.gap
         )
+        # the stop test is certify's verdict: no optimal solve fails it
+        certificate = sdp.certify(sol, problem)
+        assert not (sol.optimal and not certificate.passed)
+        assert sol.certificate == certificate
 
     def test_timings_name_each_phase(self):
         inconsistent = sdp.sdp_problem(EYE2, [(EYE2, 1.0), (EYE2, 2.0)])
         for problem in (small_transport_problem(), inconsistent):
-            timings = sdp.solve(problem).timings
-            assert set(timings) == {"preprocess", "iterate"}
-            assert all(v >= 0.0 for v in timings.values())
+            sol = sdp.solve(problem)
+            assert tuple(sol.timings) == ("preprocess", "iterate", "certify")
+            assert all(v >= 0.0 for v in sol.timings.values())
+            # the certificate the solve read is the one certify recomputes
+            assert sol.certificate == sdp.certify(sol, problem)
 
     @pytest.mark.parametrize("reason,build,patches", STOPS)
     def test_phases_split_the_iterate_time(self, monkeypatch, reason, build, patches):
         for name, value in patches.items():
             monkeypatch.setattr(sdp, name, value)
-        sol = sdp.solve(build())
+        problem = build()
+        sol = sdp.solve(problem)
         assert sol.reason == reason
         assert tuple(sol.phases) == sdp.PHASES
         assert all(v >= 0.0 for v in sol.phases.values())
         assert math.isclose(sum(sol.phases.values()), sol.timings["iterate"], rel_tol=1e-9,
                             abs_tol=1e-15)
-        # the clock adds no key to timings, whose sum stays the whole solve
-        assert set(sol.timings) == {"preprocess", "iterate"}
+        # certifying runs off the phase clock, under its own key of timings,
+        # whose sum stays the whole solve; every stop, converged or not,
+        # returns certify's verdict on its last iterate
+        assert tuple(sol.timings) == ("preprocess", "iterate", "certify")
+        assert sol.timings["certify"] > 0.0
+        assert sol.certificate.passed or not sol.optimal
+        assert sol.certificate == sdp.certify(sol, problem)
         if any("ap" in row for row in sol.trace):
             assert all(sol.phases[phase] > 0.0 for phase in sdp.PHASES)
 
