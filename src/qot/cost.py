@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -93,6 +93,7 @@ class ObservableSet:
 
     observables: tuple[np.ndarray, ...]
     decompositions: tuple[SpectralDecomposition, ...]
+    _factor_costs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -101,6 +102,16 @@ class ObservableSet:
     @property
     def size(self) -> int:
         return len(self.observables)
+
+    def factor_costs(self, p: float) -> tuple[np.ndarray, ...]:
+        """The cost operators ``|x - y|^p`` of :func:`cost_operator_factorized`,
+        one an observable, built once an exponent and read-only."""
+        if p not in self._factor_costs:
+            ops = cost_operator_factorized(self, [abs_power_evaluator(p)] * self.size)
+            for op in ops:
+                op.setflags(write=False)
+            self._factor_costs[p] = tuple(ops)
+        return self._factor_costs[p]
 
 
 def observable_set(matrices: Sequence[np.ndarray]) -> ObservableSet:

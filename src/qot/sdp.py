@@ -72,6 +72,7 @@ The dual
 is solved simultaneously; a solution therefore carries a primal matrix,
 dual multipliers, a dual slack and a duality-gap certificate, and its
 record as data: a trace row per iteration and the seconds of each phase.
+Its objectives, gap and residuals are its certificate's, whatever the stop.
 
 The Hermitian cone is handled natively over the real vector space of
 Hermitian matrices (no real-symmetric doubling), which halves the Newton
@@ -563,18 +564,12 @@ class SdpSolution:
     x: np.ndarray
     y: np.ndarray
     s: np.ndarray
-    primal_objective: float
-    dual_objective: float
-    gap: float
     reason: str  # a key of REASON_STATUS
     iterations: int
-    mu: float
-    primal_residual: float
-    dual_residual: float
-    trace: tuple[dict, ...]  # one row per iteration; see solve
+    trace: tuple[dict, ...]  # one row per measured iteration; see solve
     timings: dict  # seconds of preprocess, iterate and certify
     phases: dict  # seconds of each of PHASES; their sum is timings["iterate"]
-    certificate: Certificate  # certify's verdict on (x, y, s), the stop test's
+    certificate: Certificate  # certify's verdict on (x, y, s): the solve's report
 
     @property
     def status(self) -> str:
@@ -1079,42 +1074,35 @@ def _accepted(row: dict, pobj: float, dobj: float, tol: float) -> bool:
 
 
 def solve(problem: SdpProblem, *, tol: float = TOL) -> SdpSolution:
-    """Run the interior-point iteration; deterministic for identical inputs
-    at a fixed BLAS thread count.
-    An iterate whose trace row passes the ``tol`` clauses (:func:`_accepted`)
-    ends ``converged`` when :func:`certify` passes it; any other stop
-    certifies the last iterate: no ``optimal`` solve fails its ``certificate``.
-    It starts at ``(problem.interior or tau I, tau I)`` with ``y = 0``, unless
-    the ``n^2`` kept constraints pin the plan and the stop test accepts
-    ``(X0, C - A*(y0), y0)`` of :func:`_pinned_point`: then it ends there,
-    ``converged`` at iteration 0.  Rounding in ``C - A*(y0)`` can fail the
-    certificate's cone threshold (cost entries near 1e7), and such problems
-    start as every other.  Each iteration takes the HKM direction from the Cholesky
-    factors of X and S, their triangular inverses and ``Z = S^-1 = Ls^-*
-    Ls^-1``, formed by triangular blocks (:func:`_inverse_gram`): a
-    predictor (affine) step and a Mehrotra
-    corrector centered at ``sigma mu`` with ``sigma = min(1, (mu_aff / mu) **
-    CENTERING_EXPONENT)``, ``sigma >= 0.5`` when a predictor step is shorter
-    than 0.2, where ``mu_aff = tr((X + ap dX_aff)(S + ad dS_aff)) / n``.
-    Each side's step length comes from the smallest eigenvalue of its step
-    whitened by its Cholesky factor, ``Lx^-1 dX Lx^-*`` and ``Ls^-1 dS
-    Ls^-*``: on plans of at least ``4 * LANCZOS_STEPS`` from Lanczos runs on
-    the unformed whitened steps, stopped once their smallest Ritz values
-    converge, the predictor's unguarded and the corrector's
-    checked by Cholesky factorizations of ``X + beta dX`` and ``S + beta dS``
-    (:func:`_step_lengths`), on smaller plans from ``eigvalsh``.
-    A ``trace`` row holds ``mu``, ``rp``, ``rd`` and ``gap``, and on an
-    iteration that steps also ``schur_ratio``, ``ap``, ``ad``, ``sigma``,
-    ``step_fallbacks``, the number of corrector sides (0-2) whose length a
-    full spectrum gave on a plan that reads Ritz values, and ``ritz_steps``,
-    the Lanczos steps of the predictor's and the corrector's runs (both
-    always 0 below the gate), ``route``, the Schur factor's: ``slot``, ``qr``,
-    or ``switched`` on the iteration whose breakdown switched a slot-route
-    plan to QR, and ``shifted``, whether the factor is of the shifted
-    matrix (:func:`_schur_solver`).  ``timings`` holds the seconds of
-    ``preprocess``, of ``iterate``, everything after it but certifying, and
-    of ``certify``, and ``phases`` splits ``iterate`` by the clock of
-    ``PHASES``, read at seven laps an iteration."""
+    """Run the interior-point iteration (:func:`_iterate`); deterministic for
+    identical inputs at a fixed BLAS thread count.
+    Every stop leaves through one exit, which returns a point and its
+    ``certificate``, the solve's report of objectives, gap and residuals.  An
+    iterate whose trace row passes the ``tol`` clauses (:func:`_accepted`)
+    ends ``converged`` when :func:`certify` passes it, and that certificate
+    is returned; any other stop certifies the point it returns: the last
+    iterate (on the divergence guard's stop, the refused one), or on
+    ``preprocess_infeasible`` the zero point.  No ``optimal`` solve fails its
+    ``certificate``.  It starts at ``(problem.interior or tau I, tau I)`` with
+    ``y = 0``, unless the ``n^2`` kept constraints pin the plan and the stop
+    test accepts ``(X0, C - A*(y0), y0)`` of :func:`_pinned_point`: then it
+    ends there, ``converged`` at iteration 0.  Rounding in ``C - A*(y0)`` can
+    fail the certificate's cone threshold (cost entries near 1e7), and such
+    problems start as every other.  A ``trace`` row holds ``mu``, ``rp``,
+    ``rd`` and ``gap``, and on an iteration that steps also ``schur_ratio``,
+    ``ap``, ``ad``, ``sigma``, ``step_fallbacks``, the number of corrector
+    sides (0-2) whose length a full spectrum gave on a plan that reads Ritz
+    values, and ``ritz_steps``, the Lanczos steps of the predictor's and the
+    corrector's runs (both always 0 below the gate), ``route``, the Schur
+    factor's: ``slot``, ``qr``, or ``switched`` on the iteration whose
+    breakdown switched a slot-route plan to QR, and ``shifted``, whether the
+    factor is of the shifted matrix (:func:`_schur_solver`).  The last row
+    measures the returned point, but for the divergence guard's stop, which
+    refuses an iterate before measuring it, and ``preprocess_infeasible``,
+    which records no row.  ``timings`` holds the seconds of ``preprocess``,
+    of ``iterate``, everything after it but certifying, and of ``certify``,
+    and ``phases`` splits ``iterate`` by the clock of ``PHASES``, read at
+    seven laps an iteration."""
     start = time.perf_counter()
     reduced, report = preprocess(problem)
     iterate_start = mark = time.perf_counter()
@@ -1138,18 +1126,35 @@ def solve(problem: SdpProblem, *, tol: float = TOL) -> SdpSolution:
         lap("certify", timings)
         return point
 
+    trace: list[dict] = []
     if report.infeasible:
-        n = problem.dim
-        point = certified(np.zeros((2, n, n), dtype=complex), np.zeros(len(report.kept)))
-        timings["iterate"] = mark - iterate_start - timings["certify"]
-        return SdpSolution(
-            x=point.x, y=point.y, s=point.s,
-            primal_objective=np.nan, dual_objective=np.nan, gap=np.nan,
-            reason="preprocess_infeasible", iterations=0, mu=np.nan,
-            primal_residual=report.max_inconsistency, dual_residual=np.nan,
-            trace=(), timings=timings, phases=phases, certificate=point.certificate,
-        )
+        reason, iterations, point = "preprocess_infeasible", 0, None
+        pair, y = np.zeros((2, *problem.objective.shape), dtype=complex), np.zeros(len(report.kept))
+    else:
+        reason, iterations, pair, y, point = _iterate(reduced, tol, trace, lap, certified)
+    point = point or certified(pair, y)
+    lap("other")
+    timings["iterate"] = mark - iterate_start - timings["certify"]
+    return SdpSolution(
+        x=point.x, y=point.y, s=point.s, reason=reason, iterations=iterations,
+        trace=tuple(trace), timings=timings, phases=phases, certificate=point.certificate,
+    )
 
+
+def _iterate(
+    reduced: SdpProblem, tol: float, trace: list[dict], lap: Callable, certified: Callable
+) -> tuple[str, int, np.ndarray, np.ndarray, types.SimpleNamespace | None]:
+    """:func:`solve`'s iteration on the preprocessed problem, with solve's
+    phase clock ``lap`` and certifier ``certified``: ``(reason, iterations,
+    (X, S), y, point)``, ``point`` the certified candidate that the stop test
+    accepted, else None; a row a measured iteration goes to ``trace``.  An
+    iteration takes the HKM direction from the Cholesky factors of X and S,
+    their triangular inverses and ``Z = S^-1 = Ls^-* Ls^-1``
+    (:func:`_inverse_gram`): a predictor (affine) step and a Mehrotra
+    corrector centered at ``sigma mu`` with ``sigma = min(1, (mu_aff / mu)
+    ** CENTERING_EXPONENT)``, ``sigma >= 0.5`` when a predictor step is
+    shorter than 0.2, where ``mu_aff = tr((X + ap dX_aff)(S + ad dS_aff)) /
+    n``, each side's step length read by :func:`_step_lengths`."""
     c = reduced.objective
     b = reduced.constraint_vals
     n = reduced.dim
@@ -1180,33 +1185,27 @@ def solve(problem: SdpProblem, *, tol: float = TOL) -> SdpSolution:
                "rd": float(np.abs(rd).max()), "gap": abs(pobj - dobj)}
         return rd, rp, row, pobj, dobj
 
-    accepted_start = None  # the measurement of an accepted pinned start, read at iteration 0
     if m == n * n:
         x0, y0 = _pinned_point(reduced)
         pinned = np.stack([x0, c - adjoint(y0)])
-        measure = measured(pinned, y0)
-        if _accepted(*measure[2:], tol) and (point := certified(pinned, y0)).certificate.passed:
-            pair, y, accepted_start = pinned, y0, measure
+        _, _, row, pobj, dobj = measured(pinned, y0)
+        if _accepted(row, pobj, dobj, tol) and (point := certified(pinned, y0)).certificate.passed:
+            trace.append(row)
+            return "converged", 0, pinned, y0, point
 
     reason = "max_iter"
-    mu = primal_res = dual_res = pobj = dobj = np.nan
-    trace = []
-
     for iterations in range(MAX_ITER + 1):
         x, s = pair
         if max(float(np.abs(pair).max()), float(np.abs(y).max())) > DIVERGENCE_LIMIT:
             reason = "diverged"
             break
-        rd, rp, row, pobj, dobj = accepted_start or measured(pair, y)
-        mu, primal_res, dual_res = row["mu"], row["rp"], row["rd"]
+        rd, rp, row, pobj, dobj = measured(pair, y)
+        mu = row["mu"]
         # one row per measured iteration; a stepping iteration completes it
         trace.append(row)
 
-        if accepted_start or (
-            _accepted(row, pobj, dobj, tol) and (point := certified(pair, y)).certificate.passed
-        ):
-            reason = "converged"
-            break
+        if _accepted(row, pobj, dobj, tol) and (point := certified(pair, y)).certificate.passed:
+            return "converged", iterations, pair, y, point
         if iterations == MAX_ITER:
             break
         if mu < MU_FLOOR:
@@ -1352,20 +1351,10 @@ def solve(problem: SdpProblem, *, tol: float = TOL) -> SdpSolution:
         pair += d
         y = y + ad * dy
 
-    if reason != "converged" and primal_res > 1e-4 and _farkas_ray(y, b, adjoint):
+    # the last measured row: a guarded stop records none for the refused iterate
+    if trace and trace[-1]["rp"] > 1e-4 and _farkas_ray(y, b, adjoint):
         reason = "reclassified_infeasible"
-    if reason != "converged":
-        point = certified(pair, y)
-    lap("other")
-    timings["iterate"] = mark - iterate_start - timings["certify"]
-
-    return SdpSolution(
-        x=point.x, y=point.y, s=point.s,
-        primal_objective=pobj, dual_objective=dobj, gap=abs(pobj - dobj),
-        reason=reason, iterations=iterations, mu=mu,
-        primal_residual=primal_res, dual_residual=dual_res,
-        trace=tuple(trace), timings=timings, phases=phases, certificate=point.certificate,
-    )
+    return reason, iterations, pair, y, None
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ identical in both places.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from collections import Counter
@@ -208,11 +209,12 @@ def _grid_suite(
     worst_formula = 0.0
     worst_witness = 0.0
     values = _grid(density)
+    # one state a grid value: the instance builders copy what they validate
+    states = {a: state_of(a) for a in values}
     for p in (1.0, 2.0):
         for a in values:
             for b in values:
-                rho, omega = state_of(a), state_of(b)
-                instance = instance_of(rho, omega, p)
+                instance = instance_of(states[a], states[b], p)
                 res = transport.wasserstein_distance(instance)
                 row = _witness_case(
                     f"a={a:+.4f},b={b:+.4f},p={p:g}",
@@ -221,8 +223,8 @@ def _grid_suite(
                     coupling_of(a, b),
                     instance.plan_cost(),
                     candidates_of(a, b, p),
-                    rho,
-                    omega,
+                    states[a],
+                    states[b],
                 )
                 worst_formula = max(worst_formula, row["formula_deviation"])
                 worst_witness = max(worst_witness, row["witness_deviation"])
@@ -249,23 +251,19 @@ def _divergence_sweep(
 ) -> SuiteOutcome:
     cases = []
     worst = 0.0
-    self_cache: dict[float, float] = {}
+    # one state a grid value: the instance builders copy what they validate
+    states = {a: state_of(a) for a in values}
 
-    def self_distance(a: float) -> float:
-        if a not in self_cache:
-            state = state_of(a)
-            self_cache[a] = transport.wasserstein_distance(
-                transport.factorized_instance(state, state, observables, 2.0)
-            ).dp
-        return self_cache[a]
+    @functools.cache
+    def distance(a: float, b: float) -> float:
+        return transport.wasserstein_distance(
+            transport.factorized_instance(states[a], states[b], observables, 2.0)
+        ).dp
 
     for a in values:
         for b in values:
             # the diagonal cross instance is the self instance, solved once
-            cross = self_distance(a) if a == b else transport.wasserstein_distance(
-                transport.factorized_instance(state_of(a), state_of(b), observables, 2.0)
-            ).dp
-            d2_sdp = cross - 0.5 * (self_distance(a) + self_distance(b))
+            d2_sdp = distance(a, b) - 0.5 * (distance(a, a) + distance(b, b))
             d2_formula = formula_of(a, b)
             dev = abs(d2_sdp - d2_formula)
             worst = max(worst, dev)

@@ -202,12 +202,9 @@ def factorized_instance(
     rho, omega, minima = _states(rho, omega)
     if observables.dim != rho.shape[0]:
         raise ValueError("state dims must equal the observable dim")
-    factors = cost_mod.cost_operator_factorized(
-        observables, [cost_mod.abs_power_evaluator(p)] * observables.size
-    )
     pairs = observables.size if mode == MODE_LINEARIZED else 1
     return TransportInstance(
-        rho, omega, p, mode, pairs=pairs, factor_costs=tuple(factors), minima=minima
+        rho, omega, p, mode, pairs=pairs, factor_costs=observables.factor_costs(p), minima=minima
     )
 
 
@@ -552,8 +549,10 @@ def potential_slack(plan_cost: np.ndarray, pots: DualPotentials) -> np.ndarray:
 class TransportResult:
     """One solved instance.  ``solution`` and ``certificate`` belong to the
     SDP that was solved, the one posed on the support face
-    (:class:`SupportFace`); ``cut_rho`` and ``cut_omega`` are the mass of
-    each state left off the face, 0.0 on full rank.
+    (:class:`SupportFace`); ``primal_objective``, ``dual_objective`` and
+    ``gap`` are ``certificate``'s, and ``dp`` is the primal objective floored
+    at 0; ``cut_rho`` and ``cut_omega`` are the mass of each state left off
+    the face, 0.0 on full rank.
 
     The diagnostics are two units, each computed once, on its first read,
     from the solve's own data, and each adds its seconds to ``timings`` when
@@ -592,8 +591,9 @@ class TransportResult:
         coupling = Coupling(face.lift(solution.x), instance.plan_shape, instance.rho, instance.omega)
         potentials = potentials_from_multipliers(instance, solution.y)
         pot_obj = potential_objective(face.rho, face.omega, potentials)
+        dual = self.certificate.dual_objective
         attained = (
-            abs(pot_obj - solution.dual_objective) <= 1e-7 * max(1.0, abs(solution.dual_objective))
+            abs(pot_obj - dual) <= 1e-7 * max(1.0, abs(dual))
             and linalg.min_eigenvalue(potential_slack(problem.objective, potentials)) >= -SLACK_TOL
         )
         decoded = coupling, face.lift_potentials(potentials), attained
@@ -654,18 +654,19 @@ def wasserstein_distance(instance: TransportInstance, *, tol: float = sdp.TOL) -
         raise SolverFailure("transport problem reported infeasible marginals")
     timings = {"build": built - start, **solution.timings}
     face = instance.support
-    dp = max(solution.primal_objective, 0.0)
+    certificate = solution.certificate
+    dp = max(certificate.primal_objective, 0.0)
     return TransportResult(
         distance=dp ** (1.0 / instance.p),
         dp=dp,
-        primal_objective=solution.primal_objective,
-        dual_objective=solution.dual_objective,
-        gap=solution.gap,
+        primal_objective=certificate.primal_objective,
+        dual_objective=certificate.dual_objective,
+        gap=certificate.gap,
         status=solution.status,
         cut_rho=face.cut_rho,
         cut_omega=face.cut_omega,
         solution=solution,
-        certificate=solution.certificate,
+        certificate=certificate,
         timings=timings,
         _instance=instance,
         # the posed problem without its start, which only the solve reads

@@ -233,6 +233,22 @@ class TestFactorizedBuilder:
         with pytest.raises(ValueError, match="factor costs"):
             cost_operator_factorized(pauli_triple(), [abs_power_evaluator(1.0)])
 
+    def test_set_builds_its_factor_costs_once_an_exponent(self, monkeypatch):
+        obs = pauli_triple()
+        expected = cost_operator_factorized(obs, [abs_power_evaluator(2.0)] * 3)
+        builds = []
+        factorized = cost.cost_operator_factorized
+        monkeypatch.setattr(
+            cost, "cost_operator_factorized", lambda *a: builds.append(a) or factorized(*a)
+        )
+        first = obs.factor_costs(2.0)
+        assert obs.factor_costs(2.0) is first and len(builds) == 1
+        for built, held in zip(expected, first, strict=True):
+            np.testing.assert_array_equal(held, built)
+            assert not held.flags.writeable
+        obs.factor_costs(1.0)
+        assert len(builds) == 2 and "_factor_costs" not in repr(obs)
+
 
 class TestUnitaryInvariance:
     def test_symm_invariant_under_random_unitaries(self):

@@ -37,14 +37,14 @@ class TestSolveBasics:
         problem = sdp.sdp_problem(np.diag([1.0, 2.0]).astype(complex), [(EYE2, 1.0)])
         sol = sdp.solve(problem)
         assert sol.optimal
-        np.testing.assert_allclose(sol.primal_objective, 1.0, atol=1e-7)
+        np.testing.assert_allclose(sol.certificate.primal_objective, 1.0, atol=1e-7)
         np.testing.assert_allclose(sol.x, np.diag([1.0, 0.0]), atol=1e-5)
 
     def test_scalar_problem(self):
         problem = sdp.sdp_problem(np.array([[3.0 + 0j]]), [(np.array([[1.0 + 0j]]), 2.0)])
         sol = sdp.solve(problem)
         assert sol.optimal
-        np.testing.assert_allclose(sol.primal_objective, 6.0, atol=1e-8)
+        np.testing.assert_allclose(sol.certificate.primal_objective, 6.0, atol=1e-8)
         np.testing.assert_allclose(sol.y, [3.0], atol=1e-7)
 
     def test_transport_oracle_commuting(self):
@@ -52,7 +52,7 @@ class TestSolveBasics:
         problem = qubit_transport_problem(cost.cost_z(2.0), rho_z(0.3), rho_z(-0.1))
         sol = sdp.solve(problem)
         assert sol.optimal
-        np.testing.assert_allclose(sol.primal_objective, 0.8, atol=1e-7)
+        np.testing.assert_allclose(sol.certificate.primal_objective, 0.8, atol=1e-7)
 
     def test_brute_force_min_eigenvalue(self):
         rng = np.random.default_rng(0)
@@ -61,7 +61,7 @@ class TestSolveBasics:
             sol = sdp.solve(sdp.sdp_problem(c, [(EYE2, 1.0)]))
             assert sol.optimal
             np.testing.assert_allclose(
-                sol.primal_objective, np.linalg.eigvalsh(c)[0], atol=1e-9
+                sol.certificate.primal_objective, np.linalg.eigvalsh(c)[0], atol=1e-9
             )
 
     def test_weak_duality_on_random_batch(self):
@@ -71,22 +71,22 @@ class TestSolveBasics:
             omega = linalg.random_density(rng, 2)
             problem = qubit_transport_problem(cost.cost_symm(2.0), rho, omega)
             sol = sdp.solve(problem)
-            assert sol.dual_objective <= sol.primal_objective + 1e-9
+            assert sol.certificate.dual_objective <= sol.certificate.primal_objective + 1e-9
 
     def test_problems_without_a_point_start_at_tau_identity(self):
         # the digest of this solve before problems could declare a start
         problem = small_transport_problem()
         assert problem.interior is None
         sol = sdp.solve(problem)
-        assert (sol.reason, sol.iterations, sol.primal_objective.hex()) == (
+        assert (sol.reason, sol.iterations, sol.certificate.primal_objective.hex()) == (
             "converged", 7, "0x1.0000000a2e1a8p+2"
         )
 
     def test_determinism(self):
         problem = qubit_transport_problem(cost.cost_symm(1.0), rho_z(0.37), rho_z(-0.21))
         a, b = sdp.solve(problem), sdp.solve(problem)
-        assert a.primal_objective == b.primal_objective
-        assert a.dual_objective == b.dual_objective
+        assert a.certificate.primal_objective == b.certificate.primal_objective
+        assert a.certificate.dual_objective == b.certificate.dual_objective
         assert a.status == b.status and a.iterations == b.iterations
         assert a.trace == b.trace
         np.testing.assert_array_equal(a.x, b.x)
@@ -98,8 +98,8 @@ class TestSolveBasics:
             3.0 * problem.objective, list(zip(problem.constraint_ops, problem.constraint_vals))
         )
         sol_scaled = sdp.solve(scaled, tol=1e-10)
-        rel = abs(sol_scaled.primal_objective - 3.0 * sol.primal_objective) / abs(
-            3.0 * sol.primal_objective
+        rel = abs(sol_scaled.certificate.primal_objective - 3.0 * sol.certificate.primal_objective) / abs(
+            3.0 * sol.certificate.primal_objective
         )
         assert rel <= 1e-9
         # the optimal face must not move: compare range projectors of X
@@ -440,9 +440,9 @@ class TestStructuredSchur:
         base, dup = sdp.solve(problem), sdp.solve(doubled)
         assert base.optimal and dup.optimal
         assert dup.y[-1] == 0.0
-        scale = max(1.0, abs(base.primal_objective))
+        scale = max(1.0, abs(base.certificate.primal_objective))
         np.testing.assert_allclose(
-            dup.primal_objective, base.primal_objective, rtol=0, atol=1e-8 * scale
+            dup.certificate.primal_objective, base.certificate.primal_objective, rtol=0, atol=1e-8 * scale
         )
         assert sdp.certify(dup, doubled).passed
 
@@ -643,21 +643,41 @@ class TestStopReason:
     def test_each_stop_names_its_reason(self, monkeypatch, reason, build, patches):
         for name, value in patches.items():
             monkeypatch.setattr(sdp, name, value)
-        sol = sdp.solve(build())
+        problem = build()
+        sol = sdp.solve(problem)
         assert sol.reason == reason
         assert sol.status == sdp.REASON_STATUS[reason]
         # every stop returns the iterates as updated, with no final symmetrization
         assert_exactly_hermitian(sol.x)
         assert_exactly_hermitian(sol.s)
+        # and reports certify's reading of the point it returns, the guard's
+        # refused iterate and preprocess_infeasible's zero point included
+        assert sol.certificate == sdp.certify(sol, problem)
 
     def test_every_reason_is_reached(self):
         assert {case.values[0] for case in STOPS} == set(sdp.REASON_STATUS)
 
     def test_diverged_run_stops_before_overflow(self):
-        sol = sdp.solve(unbounded_diagonal(4))
+        problem = unbounded_diagonal(4)
+        sol = sdp.solve(problem)
         assert sol.reason == "diverged" and sol.iterations < 20
         assert max(np.abs(a).max() for a in (sol.x, sol.s, sol.y)) > sdp.DIVERGENCE_LIMIT
-        assert np.isfinite(sol.mu) and np.isfinite(sol.primal_objective)
+        # the last row measures the iterate before the refused one; the
+        # certificate, the report, reads the refused iterate that is returned
+        assert np.isfinite(sol.trace[-1]["mu"]) and np.isfinite(sol.certificate.primal_objective)
+        assert sol.certificate == sdp.certify(sol, problem)
+        assert -sol.certificate.primal_objective > sdp.DIVERGENCE_LIMIT
+
+    def test_preprocess_infeasible_reports_its_zero_point(self):
+        problem = sdp.sdp_problem(EYE2, [(EYE2, 1.0), (EYE2, 2.0)])
+        sol = sdp.solve(problem)
+        assert sol.reason == "preprocess_infeasible" and sol.trace == ()
+        assert not (sol.x.any() or sol.y.any() or sol.s.any())
+        cert = sol.certificate
+        assert (cert.primal_objective, cert.dual_objective, cert.gap) == (0.0, 0.0, 0.0)
+        assert cert.max_equality_residual == 2.0 and not cert.passed
+        # the inconsistency stays preprocess's to report
+        assert sdp.preprocess(problem)[1].max_inconsistency == 1.0
 
     def test_negative_mu_is_diverged(self, monkeypatch):
         # tr(XS) >= 0 while both iterates are in the cone, so only rounding on
@@ -673,7 +693,7 @@ class TestStopReason:
         # STRUCTURED_MIN_DIM, then the Farkas relabel
         sol = sdp.solve(diverging_dual(n))
         assert sol.reason == "reclassified_infeasible" and sol.iterations == 11
-        assert sol.mu > 0 and np.abs(sol.y).max() > sdp.DIVERGENCE_LIMIT
+        assert sol.trace[-1]["mu"] > 0 and np.abs(sol.y).max() > sdp.DIVERGENCE_LIMIT
 
     def test_unbounded_run_diverges_along_an_improving_ray(self):
         problem = unbounded_diagonal()
@@ -685,7 +705,7 @@ class TestStopReason:
         # ... and X/|X| is feasible for the homogeneous system and improves;
         # X is scaled by max|X| first, as its entries reach DIVERGENCE_LIMIT
         x = sol.x / np.abs(sol.x).max()
-        assert abs(x[1, 1].real) / np.linalg.norm(x) <= sdp.TOL and sol.primal_objective < 0
+        assert abs(x[1, 1].real) / np.linalg.norm(x) <= sdp.TOL and sol.certificate.primal_objective < 0
 
 
 def pinned_problem(rng, n, x):
@@ -787,14 +807,15 @@ class TestTrace:
         problem = build()
         sol = sdp.solve(problem, tol=tol)
         assert reason is None or sol.reason == reason
-        last = sol.trace[-1]
-        assert (last["mu"], last["rp"], last["rd"], last["gap"]) == (
-            sol.mu, sol.primal_residual, sol.dual_residual, sol.gap
-        )
         # the stop test is certify's verdict: no optimal solve fails it
         certificate = sdp.certify(sol, problem)
         assert not (sol.optimal and not certificate.passed)
         assert sol.certificate == certificate
+        # the report is the certificate, and the last row measured the same point
+        last = sol.trace[-1]
+        assert (last["rp"], last["rd"], last["gap"]) == (
+            certificate.max_equality_residual, certificate.dual_residual, certificate.gap
+        )
 
     def test_timings_name_each_phase(self):
         inconsistent = sdp.sdp_problem(EYE2, [(EYE2, 1.0), (EYE2, 2.0)])
@@ -818,11 +839,10 @@ class TestTrace:
                             abs_tol=1e-15)
         # certifying runs off the phase clock, under its own key of timings,
         # whose sum stays the whole solve; every stop, converged or not,
-        # returns certify's verdict on its last iterate
+        # certifies once (test_each_stop_names_its_reason)
         assert tuple(sol.timings) == ("preprocess", "iterate", "certify")
         assert sol.timings["certify"] > 0.0
         assert sol.certificate.passed or not sol.optimal
-        assert sol.certificate == sdp.certify(sol, problem)
         if any("ap" in row for row in sol.trace):
             assert all(sol.phases[phase] > 0.0 for phase in sdp.PHASES)
 

@@ -113,6 +113,12 @@ class TestBuilders:
         assert problem.dim == 64
         assert problem.n_constraints == 19
 
+    def test_factorized_instances_share_their_set_factor_costs(self):
+        obs = cost.pauli_triple()
+        a = factorized_instance(state_z(0.3), state_z(-0.1), obs, 2.0)
+        b = factorized_instance(state_x(0.2), state_x(0.0), obs, 2.0, MODE_LINEARIZED)
+        assert a.factor_costs is b.factor_costs is obs.factor_costs(2.0)
+
     def test_non_state_rejected(self):
         with pytest.raises(ValueError, match="trace"):
             symm_instance(2 * state_z(0.1), state_z(0.0), 2.0)
@@ -123,7 +129,8 @@ class TestBuilders:
         sol = sdp.solve(problem)
         pots = potentials_from_multipliers(inst, sol.y)
         np.testing.assert_allclose(
-            potential_objective(inst.rho, inst.omega, pots), sol.dual_objective, atol=1e-10
+            potential_objective(inst.rho, inst.omega, pots), sol.certificate.dual_objective,
+            atol=1e-10,
         )
         slack = potential_slack(problem.objective, pots)
         np.testing.assert_allclose(slack, sol.s, atol=1e-8)
@@ -895,8 +902,9 @@ def eager_diagnostics(inst):
     face = inst.support
     pots = potentials_from_multipliers(inst, solution.y)
     pot_obj = potential_objective(face.rho, face.omega, pots)
+    dual = solution.certificate.dual_objective
     attained = (
-        abs(pot_obj - solution.dual_objective) <= 1e-7 * max(1.0, abs(solution.dual_objective))
+        abs(pot_obj - dual) <= 1e-7 * max(1.0, abs(dual))
         and linalg.min_eigenvalue(potential_slack(problem.objective, pots)) >= -transport.SLACK_TOL
     )
     degenerate = transport._optimal_face_dimension(solution, problem) > 0
