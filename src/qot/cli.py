@@ -184,7 +184,8 @@ def parse_instance(data: dict, args: argparse.Namespace | None = None) -> transp
     """Build a transport instance from a parsed JSON document.
 
     Command-line flags override the file's cost selector, exponent and mode.
-    A plan larger than ``sdp.MAX_VARIABLE_DIM`` raises ``InstanceError``.
+    A mode other than the three, or a plan larger than
+    ``sdp.MAX_VARIABLE_DIM``, raises ``InstanceError``.
     """
     rho, omega, cost_kind, observables = _parse_states_and_cost(data, args)
     try:
@@ -196,6 +197,9 @@ def parse_instance(data: dict, args: argparse.Namespace | None = None) -> transp
     mode = data.get("mode")
     if getattr(args, "mode", None) is not None:
         mode = args.mode
+    modes = (transport.MODE_JOINT, transport.MODE_LINEARIZED, transport.MODE_NONLINEAR)
+    if mode is not None and mode not in modes:
+        raise InstanceError(f"unknown mode {mode!r}: expected one of {', '.join(modes)}")
 
     try:
         if cost_kind == "symm":
@@ -328,8 +332,8 @@ def _solve_for_args(
 def cmd_distance(args: argparse.Namespace) -> int:
     data, instance, result, certificate, seconds = _solve_for_args(args)
     comparison = None
-    # the D^p formulas are optima over one joint plan, not a correlated one
-    if instance.mode == transport.MODE_JOINT:
+    # the D^p formulas are optima over one coupling, not a correlated plan
+    if instance.pairs == 1:
         found = cf.closed_form_dp(instance.rho, instance.omega, _cost_kind(data, args), instance.p)
         if found is not None:
             comparison = {"family": found[0], "dp": found[1]}
@@ -368,7 +372,7 @@ def cmd_dual(args: argparse.Namespace) -> int:
     # read on the support face, where the solve certified the dual; off it
     # the full-space dual need not be attained
     slack = instance.support.restrict(
-        transport.potential_slack(instance.plan_cost(), result.potentials)
+        transport.potential_slack(instance.cost, result.potentials)
     )
     record = ReportRecord(
         command="dual",

@@ -221,7 +221,7 @@ def _grid_suite(
                     res.dp,
                     formula_of(a, b, p),
                     coupling_of(a, b),
-                    instance.plan_cost(),
+                    instance.cost,
                     candidates_of(a, b, p),
                     states[a],
                     states[b],

@@ -87,22 +87,24 @@ class SolverFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class TransportInstance:
-    """States plus a resolved cost: one primal/dual pair.
+    """States plus the cost operator on their plan space: one primal/dual pair.
 
-    ``joint_cost`` is a cost operator on the full plan space; ``factor_costs``
-    are per-pair costs.  Mode ``joint`` solves one plan on H (x) H*;
-    ``nonlinear`` sums factorized costs into a single-pair plan; and
-    ``linearized`` uses a correlated plan over ``pairs`` pair factors (from
-    either factorized or joint multipartite cost data).  The exponent ``p``
-    only enters through the root applied to the optimum.
+    The plan is one coupling on ``H (x) H*`` (``pairs`` = 1) or a correlated
+    plan over ``pairs`` pair factors.  ``cost`` acts on it; its builder makes
+    it once and the instance holds it read-only: the given joint cost, the
+    sum of the factor costs (mode ``nonlinear``: one coupling under the
+    summed cost), their embedded sum ``qot.cost.embedded_cost_sum`` (a
+    factorized ``linearized`` plan), or ``qot.cost.cost_operator_general`` of
+    a joint classical cost.  ``factor_costs`` are the per-pair costs of a factorized
+    instance, which :func:`solve_linearized_decomposed` reads.  The exponent
+    ``p`` only enters through the root applied to the optimum.
     """
 
     rho: np.ndarray
     omega: np.ndarray
     p: float
-    mode: str
+    cost: np.ndarray
     pairs: int = 1
-    joint_cost: np.ndarray | None = None
     factor_costs: tuple[np.ndarray, ...] | None = None
     # the least eigenvalues of (rho, omega) that validated them, which
     # ``support`` reads instead of factoring the states again; None when
@@ -110,31 +112,13 @@ class TransportInstance:
     minima: tuple[float, float] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.mode not in (MODE_JOINT, MODE_LINEARIZED, MODE_NONLINEAR):
-            raise ValueError(f"unknown mode {self.mode!r}")
         cost_mod.check_exponent(self.p)
-        if self.mode in (MODE_JOINT, MODE_NONLINEAR) and self.pairs != 1:
-            raise ValueError(f"{self.mode} mode uses a single-pair plan")
-        if self.mode == MODE_JOINT and self.joint_cost is None:
-            raise ValueError("joint mode requires joint_cost")
-        if self.mode == MODE_NONLINEAR and not self.factor_costs:
-            raise ValueError("nonlinear mode requires factor_costs")
-        if self.mode == MODE_LINEARIZED:
-            if self.factor_costs:
-                if self.pairs != len(self.factor_costs):
-                    raise ValueError("pairs must equal the number of factor costs")
-            elif self.joint_cost is None:
-                raise ValueError("linearized mode requires factor_costs or a joint cost")
-        # Reject before any plan-sized array (cost sum, constraints) is built.
         total = self.plan_shape.total_dim
-        if total > sdp.MAX_VARIABLE_DIM:
-            raise ValueError(f"plan dimension {total} exceeds {sdp.MAX_VARIABLE_DIM}")
-        if self.joint_cost is not None:
-            if self.joint_cost.shape != (total, total):
-                raise ValueError(
-                    f"joint cost shape {self.joint_cost.shape} does not match "
-                    f"{self.pairs} pairs of dim {self.dim}"
-                )
+        if self.cost.shape != (total, total):
+            raise ValueError(
+                f"cost shape {self.cost.shape} does not match {self.pairs} pairs of dim {self.dim}"
+            )
+        self.cost.setflags(write=False)
 
     @property
     def dim(self) -> int:
@@ -168,12 +152,8 @@ class TransportInstance:
         )
 
     def plan_cost(self) -> np.ndarray:
-        """Cost operator acting on the plan variable of this mode."""
-        if self.mode == MODE_NONLINEAR:
-            return sum(self.factor_costs)
-        if self.factor_costs and self.mode == MODE_LINEARIZED:
-            return cost_mod.embedded_cost_sum(self.factor_costs, self.dim)
-        return self.joint_cost
+        """The cost operator on the plan variable, ``cost``."""
+        return self.cost
 
 
 def _states(
@@ -187,25 +167,37 @@ def _states(
     return rho, omega, tuple(minima)
 
 
+def _check_plan_dimension(dim: int, pairs: int) -> None:
+    """Reject a plan over ``sdp.MAX_VARIABLE_DIM`` before any plan-sized array
+    (cost, constraints) is built."""
+    total = (dim * dim) ** pairs
+    if total > sdp.MAX_VARIABLE_DIM:
+        raise ValueError(f"plan dimension {total} exceeds {sdp.MAX_VARIABLE_DIM}")
+
+
 def joint_instance(rho, omega, cost: np.ndarray, p: float = 1.0) -> TransportInstance:
+    """A given cost operator on the pair space of the states; one coupling."""
     rho, omega, minima = _states(rho, omega)
-    cost = linalg.hermitian(cost)
-    if cost.shape[0] != rho.shape[0] ** 2:
-        raise ValueError("joint cost must act on the pair space of the states")
-    return TransportInstance(rho, omega, p, MODE_JOINT, joint_cost=cost, minima=minima)
+    _check_plan_dimension(len(rho), 1)
+    return TransportInstance(rho, omega, p, linalg.hermitian(cost), minima=minima)
 
 
 def factorized_instance(
     rho, omega, observables: cost_mod.ObservableSet, p: float, mode: str = MODE_NONLINEAR
 ) -> TransportInstance:
-    """Per-observable cost ``|x - y|^p``; modes ``nonlinear`` or ``linearized``."""
+    """Per-observable cost ``|x - y|^p``: one coupling under the summed cost
+    (mode ``nonlinear``) or a correlated plan over one pair an observable
+    (``linearized``)."""
     rho, omega, minima = _states(rho, omega)
-    if observables.dim != rho.shape[0]:
+    if observables.dim != len(rho):
         raise ValueError("state dims must equal the observable dim")
+    if mode not in (MODE_NONLINEAR, MODE_LINEARIZED):
+        raise ValueError(f"a factorized cost supports nonlinear or linearized mode, not {mode!r}")
     pairs = observables.size if mode == MODE_LINEARIZED else 1
-    return TransportInstance(
-        rho, omega, p, mode, pairs=pairs, factor_costs=observables.factor_costs(p), minima=minima
-    )
+    _check_plan_dimension(len(rho), pairs)
+    costs = observables.factor_costs(p)
+    cost = cost_mod.embedded_cost_sum(costs, len(rho)) if mode == MODE_LINEARIZED else sum(costs)
+    return TransportInstance(rho, omega, p, cost, pairs=pairs, factor_costs=costs, minima=minima)
 
 
 def general_instance(
@@ -216,19 +208,21 @@ def general_instance(
     p: float = 1.0,
     mode: str = MODE_LINEARIZED,
 ) -> TransportInstance:
-    """Joint classical cost over K observables; one multipartite SDP."""
+    """Joint classical cost over K observables: one correlated plan over K
+    pairs, the linearized problem.  With one observable the three modes are
+    one problem, and each is accepted."""
     rho, omega, minima = _states(rho, omega)
-    matrix = cost_mod.cost_operator_general(observables, classical)
-    if observables.size == 1 or mode == MODE_JOINT:
-        if observables.size != 1:
-            raise ValueError("joint mode needs a single observable")
-        return TransportInstance(rho, omega, p, MODE_JOINT, joint_cost=matrix, minima=minima)
-    if mode != MODE_LINEARIZED:
-        raise ValueError("a non-factorized cost only supports joint or linearized mode")
-    return TransportInstance(
-        rho, omega, p, MODE_LINEARIZED, pairs=observables.size, joint_cost=matrix,
-        minima=minima,
-    )
+    if mode not in (MODE_JOINT, MODE_LINEARIZED, MODE_NONLINEAR):
+        raise ValueError(f"unknown mode {mode!r}")
+    if observables.size > 1 and mode != MODE_LINEARIZED:
+        raise ValueError(
+            f"a joint cost over several observables needs linearized mode, not {mode!r}"
+        )
+    if observables.dim != len(rho):
+        raise ValueError("state dims must equal the observable dim")
+    _check_plan_dimension(len(rho), observables.size)
+    cost = cost_mod.cost_operator_general(observables, classical)
+    return TransportInstance(rho, omega, p, cost, pairs=observables.size, minima=minima)
 
 
 def symm_instance(rho, omega, p: float) -> TransportInstance:
@@ -236,9 +230,7 @@ def symm_instance(rho, omega, p: float) -> TransportInstance:
     rho, omega, minima = _states(rho, omega)
     if rho.shape[0] != 2:
         raise ValueError("the symmetric cost is a qubit cost")
-    return TransportInstance(
-        rho, omega, p, MODE_JOINT, joint_cost=cost_mod.cost_symm(p), minima=minima
-    )
+    return TransportInstance(rho, omega, p, cost_mod.cost_symm(p), minima=minima)
 
 
 def z_instance(rho, omega, p: float) -> TransportInstance:
@@ -246,9 +238,7 @@ def z_instance(rho, omega, p: float) -> TransportInstance:
     rho, omega, minima = _states(rho, omega)
     if rho.shape[0] != 2:
         raise ValueError("the sigma_z cost is a qubit cost")
-    return TransportInstance(
-        rho, omega, p, MODE_JOINT, joint_cost=cost_mod.cost_z(p), minima=minima
-    )
+    return TransportInstance(rho, omega, p, cost_mod.cost_z(p), minima=minima)
 
 
 @dataclass(frozen=True)
@@ -382,74 +372,61 @@ def purification_coupling(rho: np.ndarray) -> Coupling:
     )
 
 
-# Each face shape's constraints are built once and kept for the life of the
-# process, shared read-only by every problem posed on that shape.  The key is
-# ``face.shape``: plans up to sdp.MAX_VARIABLE_DIM have 424 face shapes (and
-# ``(1, 1) * pairs`` of one-dimensional states, 1 x 1 each).  A structure
-# takes about 16 (r_omega^4 + r_rho^4) bytes, 5.1 MB at ranks 20 x 20, so a
-# process that solved every shape would hold 0.46 GB, and one whose ranks
-# stay at most 8 (every bench and perfbench workload) 2.6 MB.
+# Each face shape's constraints are declared once and kept for the life of
+# the process, shared read-only by every problem posed on that shape: one
+# cache, keyed by ``face.shape``.  Plans up to sdp.MAX_VARIABLE_DIM have 424
+# face shapes (and ``(1, 1) * pairs`` of one-dimensional states, 1 x 1 each).
+# A declaration takes about 16 (r_omega^4 + r_rho^4) bytes, 5.1 MB at ranks
+# 20 x 20, so a process that solved every shape would hold 0.46 GB, and one
+# whose ranks stay at most 8 (every bench and perfbench workload) 2.6 MB.
 
 
 @functools.cache
-def _marginal_terms(shape: FactorShape) -> tuple[tuple[int, np.ndarray], ...]:
-    """``(slot, Hermitian basis element)`` of each traceless marginal
-    functional on a face of ``shape`` in constraint order: per pair, the two
-    slots' elements alternate while both last."""
-    first, second = (linalg.hermitian_basis(d)[1:] for d in shape.dims[:2])
-    terms = []
-    for k in range(shape.n_factors // 2):
-        for pair in itertools.zip_longest(first, second):
-            terms += [(2 * k + side, b) for side, b in enumerate(pair) if b is not None]
-    return tuple(terms)
+def _face_constraints(
+    shape: FactorShape,
+) -> tuple[sdp.SlotStructure, tuple[tuple[np.ndarray, np.ndarray], ...]]:
+    """The coupling constraints of every plan on a face of ``shape``, declared
+    once a shape: ``(structure, sides)``.
 
+    The constraints are one global trace constraint, the identity at slot 0,
+    then per pair the traceless Hermitian basis elements of its two slots,
+    alternating while both last.  The identity component of every marginal
+    encodes the same unit-trace condition; keeping a single copy leaves a
+    full-row-rank system.  A second slot reads its state transposed, so its
+    operators are the transposed basis elements.
 
-@functools.cache
-def _marginal_stacks(shape: FactorShape) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Per side of a pair, first slot then second: ``(basis, rows)``, the
-    side's elements of :func:`_marginal_terms` as one stack ``(k, r, r)``, a
-    view of ``linalg.hermitian_basis`` (no copy: at r = 20 a stack takes
-    2.6 MB), and the indices ``(pairs, k)`` of their functionals among the
-    constraints of :func:`_marginal_operators` (the trace first), each
-    pair's in basis order.  Read-only, built once a shape."""
-    slots = np.array([slot for slot, _ in _marginal_terms(shape)], dtype=int)
-    out = []
-    for side in (0, 1):
-        basis = linalg.hermitian_basis(shape.dims[side])[1:]
-        rows = 1 + np.flatnonzero(slots % 2 == side).reshape(shape.n_factors // 2, len(basis))
-        rows.setflags(write=False)
-        out.append((basis, rows))
-    return tuple(out)
-
-
-def _marginal_operators(shape: FactorShape) -> list[tuple[int, np.ndarray]]:
-    """``(slot, local operator)`` of one global trace constraint, the identity
-    at slot 0, and of the traceless marginal functionals.
-
-    The identity component of every marginal encodes the same unit-trace
-    condition; keeping a single copy leaves a full-row-rank system.  A second
-    slot reads its state transposed, so its operators are the transposed
-    basis elements.
+    ``structure`` is their validated, lifted :class:`sdp.SlotStructure`.
+    ``sides`` holds per side of a pair, first slot then second, ``(basis,
+    rows)``: the side's basis elements as one stack ``(k, r, r)``, a view of
+    ``linalg.hermitian_basis`` (no copy: at r = 20 a stack takes 2.6 MB), and
+    the read-only indices ``(pairs, k)`` of their constraints, each pair's in
+    basis order.
     """
-    trace = (0, np.eye(shape.dims[0], dtype=complex))
-    return [trace] + [(slot, b.T if slot % 2 else b) for slot, b in _marginal_terms(shape)]
-
-
-@functools.cache
-def _face_structure(shape: FactorShape) -> sdp.SlotStructure:
-    """The validated, lifted constraints of every plan on a face of ``shape``
-    (:func:`_marginal_operators`), declared once a shape."""
-    return sdp.slot_structure(shape, _marginal_operators(shape))
+    bases = [linalg.hermitian_basis(d)[1:] for d in shape.dims[:2]]
+    operators = [(0, np.eye(shape.dims[0], dtype=complex))]
+    rows = ([], [])
+    for k in range(shape.n_factors // 2):
+        for pair in itertools.zip_longest(*bases):
+            for side, b in enumerate(pair):
+                if b is not None:
+                    rows[side].append(len(operators))
+                    operators.append((2 * k + side, b.T if side else b))
+    sides = []
+    for basis, indices in zip(bases, rows):
+        indices = np.array(indices, dtype=int).reshape(shape.n_factors // 2, len(basis))
+        indices.setflags(write=False)
+        sides.append((basis, indices))
+    return sdp.slot_structure(shape, operators), tuple(sides)
 
 
 def _marginal_values(face: SupportFace) -> np.ndarray:
-    """The targets of :func:`_marginal_operators` on ``face``: the unit trace,
-    then ``Re tr(state b)`` of each basis element with the state of its slot,
-    one stacked product and trace a side (:func:`_marginal_stacks`)."""
-    stacks = _marginal_stacks(face.shape)
-    values = np.empty(1 + sum(rows.size for _, rows in stacks))
+    """The targets of the constraints of :func:`_face_constraints` on
+    ``face``: the unit trace, then ``Re tr(state b)`` of each basis element
+    with the state of its slot, one stacked product and trace a side."""
+    structure, sides = _face_constraints(face.shape)
+    values = np.empty(structure.n_constraints)
     values[0] = 1.0
-    for state, (basis, rows) in zip((face.omega, face.rho), stacks):
+    for state, (basis, rows) in zip((face.omega, face.rho), sides):
         values[rows] = (state @ basis).trace(axis1=1, axis2=2).real
     return values
 
@@ -467,7 +444,7 @@ def build_primal(instance: TransportInstance) -> sdp.SdpProblem:
     the states', is below ``INTERIOR_FLOOR``, it starts at ``tau I`` instead.
 
     The constraints are the face shape's, declared once a shape and shared
-    (:func:`_face_structure`); per problem only the cost, the marginal values
+    (:func:`_face_constraints`); per problem only the cost, the marginal values
     and the start are computed and checked (:func:`sdp.pose`).
 
     The same data also poses the potential problem: maximize
@@ -485,7 +462,7 @@ def build_primal(instance: TransportInstance) -> sdp.SdpProblem:
     floor = (low_omega * low_rho) ** face.pairs
     x0 = linalg.kron_all([face.omega, face.rho.T] * face.pairs) if floor > INTERIOR_FLOOR else None
     return sdp.pose(
-        _face_structure(face.shape), face.restrict(instance.plan_cost()), _marginal_values(face),
+        _face_constraints(face.shape)[0], face.restrict(instance.cost), _marginal_values(face),
         interior=x0,
     )
 
@@ -500,15 +477,14 @@ def potentials_from_multipliers(instance: TransportInstance, y: np.ndarray) -> "
     dual objective because both states have unit trace.
     """
     face = instance.support
-    stacks = _marginal_stacks(face.shape)
-    m = 1 + sum(rows.size for _, rows in stacks)
-    if len(y) != m:
-        raise ValueError(f"{len(y)} multipliers for {m} constraints")
+    structure, sides = _face_constraints(face.shape)
+    if len(y) != structure.n_constraints:
+        raise ValueError(f"{len(y)} multipliers for {structure.n_constraints} constraints")
     ys, xs = (
         # the sum over axis 0 adds term by term in basis order, as a loop
         # would; 0.0 + turns a sum of signed zeros into the loop's +0.0
         [0.0 + (y[pair, None, None] * basis).sum(axis=0) for pair in rows]
-        for basis, rows in stacks
+        for basis, rows in sides
     )
     xs[0] += y[0] * np.eye(len(face.rho))
     return DualPotentials(tuple(xs), tuple(ys))

@@ -17,14 +17,18 @@ from qot.cli import ReportRecord, main, parse_instance, parse_report
 NEAR_PURE_PAIR = {"rho": {"bloch": [0, 0, 1 - 1e-9]}, "omega": {"bloch": [1 - 1e-9, 0, 0]}}
 
 
-def write_instance(tmp_path, name="inst.json", **fields):
-    data = {
+def json_instance():
+    return {
         "rho": {"bloch": [0, 0, 0.5]},
         "omega": {"bloch": [0, 0, -0.5]},
         "cost": "symm",
         "p": 2,
         "mode": "joint",
     }
+
+
+def write_instance(tmp_path, name="inst.json", **fields):
+    data = json_instance()
     data.update(fields)
     path = tmp_path / name
     path.write_text(json.dumps(data))
@@ -87,17 +91,34 @@ class TestInstanceParsing:
             )
 
     def test_general_cost_selector(self):
+        matrices = [[[0, 1], [1, 0]], [[1, 0], [0, -1]]]
         inst = parse_instance(
             {
                 "rho": {"bloch": [0, 0, 0.3]},
                 "omega": {"bloch": [0, 0, -0.3]},
                 "cost": "general",
-                "observables": {"matrices": [[[0, 1], [1, 0]], [[1, 0], [0, -1]]]},
+                "observables": {"matrices": matrices},
                 "p": 2,
             }
         )
-        assert inst.mode == "linearized" and inst.pairs == 2
-        assert inst.joint_cost.shape == (16, 16)
+        # a correlated plan over two pairs under the joint ||x - y||_2^2
+        expected = cost.cost_operator_general(
+            cost.observable_set([np.array(m, dtype=complex) for m in matrices]),
+            cost.lp_power_cost(2, 2.0),
+        )
+        assert inst.pairs == 2 and inst.factor_costs is None
+        assert inst.cost.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("mode", ["bogus", 5, "Joint", ""])
+    @pytest.mark.parametrize("cost_kind", ["symm", "z", "factorized", "general"])
+    def test_unknown_mode_rejected(self, tmp_path, capsys, cost_kind, mode):
+        fields = {"cost": cost_kind, "mode": mode}
+        if cost_kind in ("factorized", "general"):
+            fields["observables"] = "pauli-triple"
+        with pytest.raises(cli.InstanceError, match="joint, linearized, nonlinear"):
+            parse_instance({**json_instance(), **fields})
+        assert main(["distance", write_instance(tmp_path, **fields)]) == 2
+        assert f"unknown mode {mode!r}" in capsys.readouterr().err
 
     def test_symm_linearized_maps_to_pauli_factors(self):
         inst = parse_instance(
@@ -376,14 +397,15 @@ class TestCommands:
         assert record.dp < 4.0 - 1.0
 
     def test_oversize_plan_exit_two(self, tmp_path, capsys):
-        path = write_instance(
-            tmp_path,
-            cost="factorized",
-            observables={"matrices": [[[1, 0], [0, -1]]] * 5},
-            mode="linearized",
-        )
-        assert main(["distance", path]) == 2
-        assert "plan dimension 1024 exceeds 400" in capsys.readouterr().err
+        for cost_kind in ("factorized", "general"):
+            path = write_instance(
+                tmp_path,
+                cost=cost_kind,
+                observables={"matrices": [[[1, 0], [0, -1]]] * 5},
+                mode="linearized",
+            )
+            assert main(["distance", path]) == 2
+            assert "plan dimension 1024 exceeds 400" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["distance", "dual"])
     @pytest.mark.parametrize("p", ["abc", None, math.nan, math.inf])

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import os
@@ -219,13 +220,28 @@ def posed(objective, shape, constraints, interior=None):
     return sdp.pose(structure, objective, [b for *_, b in constraints], interior=interior)
 
 
+def coupling_operators(shape):
+    """``(slot, op)`` of the coupling constraints on a face of ``shape``, in
+    the order ``build_primal`` declares them: the trace, the identity at slot
+    0, then per pair the two slots' traceless basis elements alternating
+    while both last, a second slot's transposed."""
+    bases = [linalg.hermitian_basis(d)[1:] for d in shape.dims[:2]]
+    ops = [(0, np.eye(shape.dims[0], dtype=complex))]
+    for k in range(shape.n_factors // 2):
+        for pair in itertools.zip_longest(*bases):
+            ops += [
+                (2 * k + side, b.T if side else b) for side, b in enumerate(pair) if b is not None
+            ]
+    return ops
+
+
 def declared(instance):
     """``(objective, shape, constraints)`` as ``build_primal`` declares them,
     on the slots of the instance's support face."""
     face = instance.support
-    ops = transport._marginal_operators(face.shape)
+    ops = coupling_operators(face.shape)
     rows = [(slot, op, b) for (slot, op), b in zip(ops, transport._marginal_values(face))]
-    return face.restrict(instance.plan_cost()), face.shape, rows
+    return face.restrict(instance.cost), face.shape, rows
 
 
 def random_slot_rows(rng, shape):
@@ -861,7 +877,7 @@ def full_space_problem(instance):
     # its minima set only the start of build_primal, which this problem skips
     whole = transport.SupportFace(instance.omega, instance.rho, instance.pairs, (0.0, 0.0))
     return sdp.pose(
-        transport._face_structure(whole.shape), instance.plan_cost(),
+        transport._face_constraints(whole.shape)[0], instance.cost,
         transport._marginal_values(whole),
     )
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import itertools
 import math
 import tracemalloc
 
@@ -99,6 +100,44 @@ class TestCouplings:
         assert not is_coupling(plan, omega, rho).ok
 
 
+def random_qutrits():
+    rng = np.random.default_rng(17)
+    obs = cost.observable_set([linalg.random_hermitian(rng, 3) for _ in range(2)])
+    return linalg.random_density(rng, 3), linalg.random_density(rng, 3), obs
+
+
+def qubit_observables():
+    rng = np.random.default_rng(18)
+    return cost.observable_set([linalg.random_hermitian(rng, 2) for _ in range(3)])
+
+
+# a given pair-space cost, asymmetric in its last bits
+JOINT_COST = linalg.random_hermitian(np.random.default_rng(16), 4) + np.triu(np.full((4, 4), 1e-14))
+QUBITS = (state_z(0.3), state_x(0.2))
+
+# case: (the builder, the plan cost formula that its cost must equal bitwise)
+PLAN_COSTS = {
+    "joint": (
+        lambda: joint_instance(*QUBITS, JOINT_COST, 2.0),
+        lambda inst: linalg.hermitian(JOINT_COST),
+    ),
+    "symm": (lambda: symm_instance(*QUBITS, 1.5), lambda inst: cost.cost_symm(1.5)),
+    "z": (lambda: z_instance(*QUBITS, 2.0), lambda inst: cost.cost_z(2.0)),
+    "nonlinear": (
+        lambda: factorized_instance(*random_qutrits(), 2.0),
+        lambda inst: sum(inst.factor_costs),
+    ),
+    "linearized": (
+        lambda: factorized_instance(*QUBITS, qubit_observables(), 1.0, MODE_LINEARIZED),
+        lambda inst: cost.embedded_cost_sum(inst.factor_costs, 2),
+    ),
+    "general": (
+        lambda: general_instance(*QUBITS, qubit_observables(), cost.lp_power_cost(3, 2.0), 2.0),
+        lambda inst: cost.cost_operator_general(qubit_observables(), cost.lp_power_cost(3, 2.0)),
+    ),
+}
+
+
 class TestBuilders:
     def test_single_pair_constraint_count(self):
         problem = build_primal(z_instance(state_z(0.3), state_z(-0.1), 2.0))
@@ -122,6 +161,53 @@ class TestBuilders:
     def test_non_state_rejected(self):
         with pytest.raises(ValueError, match="trace"):
             symm_instance(2 * state_z(0.1), state_z(0.0), 2.0)
+
+    @pytest.mark.parametrize("case", sorted(PLAN_COSTS))
+    def test_plan_cost_is_the_builders_formula_read_only(self, case):
+        # each builder's one cost, bitwise the operator the plan cost was
+        # formed as on every read before the instance held it
+        build, formula = PLAN_COSTS[case]
+        inst = build()
+        assert inst.plan_cost() is inst.cost
+        assert not inst.cost.flags.writeable
+        expected = formula(inst)
+        assert inst.cost.shape == expected.shape and inst.cost.tobytes() == expected.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            inst.cost[0, 0] = 0.0
+
+    @pytest.mark.parametrize("general", [False, True], ids=["factorized", "general"])
+    def test_oversize_plan_builds_no_plan_cost(self, monkeypatch, general):
+        calls = []
+        for name in ("embedded_cost_sum", "cost_operator_general"):
+            original = getattr(cost, name)
+            monkeypatch.setattr(
+                cost, name, lambda *a, original=original, **k: calls.append(a) or original(*a, **k)
+            )
+        obs = cost.observable_set([linalg.PAULI_Z] * 5)
+        with pytest.raises(ValueError, match="^plan dimension 1024 exceeds 400$"):
+            if general:
+                general_instance(state_z(0.3), state_z(-0.1), obs, cost.lp_power_cost(5, 2.0), 2.0)
+            else:
+                factorized_instance(state_z(0.3), state_z(-0.1), obs, 2.0, MODE_LINEARIZED)
+        assert calls == []
+
+    def test_one_observable_general_cost_takes_every_mode(self):
+        obs = cost.observable_set([linalg.PAULI_X])
+        classical = cost.lp_power_cost(1, 2.0)
+        costs = [
+            general_instance(state_z(0.3), state_x(-0.1), obs, classical, 2.0, mode).cost
+            for mode in (transport.MODE_JOINT, MODE_LINEARIZED, MODE_NONLINEAR)
+        ]
+        assert all(c.tobytes() == costs[0].tobytes() for c in costs)
+        with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+            general_instance(state_z(0.3), state_x(-0.1), obs, classical, 2.0, "bogus")
+        with pytest.raises(ValueError, match="linearized"):
+            general_instance(
+                state_z(0.3), state_x(-0.1), cost.pauli_triple(), cost.lp_power_cost(3, 2.0),
+                2.0, MODE_NONLINEAR,
+            )
+        with pytest.raises(ValueError, match="nonlinear or linearized"):
+            factorized_instance(state_z(0.3), state_x(-0.1), obs, 2.0, transport.MODE_JOINT)
 
     def test_multiplier_decode_reproduces_slack_and_objective(self):
         inst = z_instance(state_x(0.4), state_x(-0.2), 2.0)
@@ -706,7 +792,7 @@ class TestSharedStructure:
     carries the rank decision of ``sdp.preprocess``."""
 
     def test_two_solves_on_one_face_shape_read_one_structure(self, monkeypatch):
-        transport._face_structure.cache_clear()
+        transport._face_constraints.cache_clear()
         structures, qr_calls, inside = [], [], []
         qr, preprocess = np.linalg.qr, sdp.preprocess
 
@@ -740,10 +826,10 @@ class TestSharedStructure:
         inst = build()
         shape = inst.support.shape
         shared = build_primal(inst)
-        assert shared.structure is transport._face_structure(shape)
+        assert shared.structure is transport._face_constraints(shape)[0]
         shared.structure.rank_decision  # decided before the solve reads it
         fresh = sdp.pose(
-            sdp.slot_structure(shape, transport._marginal_operators(shape)),
+            sdp.slot_structure(shape, reference_operators(shape)),
             shared.objective, shared.constraint_vals, interior=shared.interior,
         )
         assert fresh.structure is not shared.structure
@@ -767,10 +853,31 @@ def face_instance(case):
     return scaled_rank_instance(dim, (r_rho, r_omega), 1.0)
 
 
+def reference_terms(shape):
+    """``(slot, basis element)`` of each traceless marginal functional on a
+    face of ``shape``, in constraint order after the trace: per pair, the two
+    slots' elements alternating while both last."""
+    bases = [linalg.hermitian_basis(d)[1:] for d in shape.dims[:2]]
+    return [
+        (2 * k + side, b)
+        for k in range(shape.n_factors // 2)
+        for pair in itertools.zip_longest(*bases)
+        for side, b in enumerate(pair)
+        if b is not None
+    ]
+
+
+def reference_operators(shape):
+    """``(slot, operator)`` of the trace constraint, the identity at slot 0,
+    then of each term; a second slot reads its basis element transposed."""
+    trace = (0, np.eye(shape.dims[0], dtype=complex))
+    return [trace] + [(slot, b.T if slot % 2 else b) for slot, b in reference_terms(shape)]
+
+
 def loop_marginal_values(face):
     """The targets term by term, as one ``np.trace`` of each product."""
     states = (face.omega, face.rho)
-    terms = transport._marginal_terms(face.shape)
+    terms = reference_terms(face.shape)
     return np.array([1.0] + [float(np.trace(states[slot % 2] @ b).real) for slot, b in terms])
 
 
@@ -779,7 +886,7 @@ def loop_potentials(face, y):
     r_omega, r_rho = len(face.omega), len(face.rho)
     ys = [np.zeros((r_omega, r_omega), dtype=complex) for _ in range(face.pairs)]
     xs = [np.zeros((r_rho, r_rho), dtype=complex) for _ in range(face.pairs)]
-    for coef, (slot, b) in zip(y[1:], transport._marginal_terms(face.shape)):
+    for coef, (slot, b) in zip(y[1:], reference_terms(face.shape)):
         (xs if slot % 2 else ys)[slot // 2] += coef * b
     xs[0] += y[0] * np.eye(r_rho)
     return xs, ys
@@ -803,7 +910,7 @@ class TestStackedMarginals:
     def test_potentials_are_the_loops(self, case):
         inst = face_instance(case)
         face = inst.support
-        m = 1 + len(transport._marginal_terms(face.shape))
+        m = 1 + len(reference_terms(face.shape))
         rng = np.random.default_rng(m)
         # zeros and negative multipliers give signed zeros in the products
         y = rng.standard_normal(m) * rng.integers(0, 2, m)
@@ -817,11 +924,33 @@ class TestStackedMarginals:
 
     def test_stacks_are_views_of_the_basis_built_once_a_shape(self):
         shape = face_instance("2x3").support.shape
-        stacks = transport._marginal_stacks(shape)
-        assert stacks is transport._marginal_stacks(shape)
-        for d, (basis, rows) in zip(shape.dims, stacks):
+        declaration = transport._face_constraints(shape)
+        assert declaration is transport._face_constraints(shape)
+        for d, (basis, rows) in zip(shape.dims, declaration[1]):
             assert not basis.flags.writeable and not rows.flags.writeable
             assert np.shares_memory(basis, linalg.hermitian_basis(d))
+
+    @pytest.mark.parametrize(
+        "dims",
+        [(1, 3), (3, 1), (1, 1), (2, 2), (2, 3), (3, 3), (8, 8), (2, 2) * 2, (1, 2) * 3,
+         (2, 2) * 4],
+    )
+    def test_declaration_is_the_reference_order(self, dims):
+        # the face shape's one declaration against the term-by-term order:
+        # the structure lifts the reference operators, and each side's rows
+        # index that side's terms, pair by pair
+        shape = linalg.FactorShape(dims)
+        structure, sides = transport._face_constraints(shape)
+        reference = sdp.slot_structure(shape, reference_operators(shape))
+        assert len(structure.blocks) == len(reference.blocks)
+        for ours, theirs in zip(structure.blocks, reference.blocks):
+            assert ours[0] == theirs[0]
+            assert ours[1].tobytes() == theirs[1].tobytes()
+            assert ours[2].tobytes() == theirs[2].tobytes()
+        slots = np.array([slot for slot, _ in reference_terms(shape)], dtype=int)
+        for side, (basis, rows) in enumerate(sides):
+            expected = 1 + np.flatnonzero(slots % 2 == side)
+            assert rows.tolist() == expected.reshape(shape.n_factors // 2, len(basis)).tolist()
 
 
 def certified_dp(rho, omega, observables, p):
@@ -891,6 +1020,19 @@ class TestDivergence:
     def test_xy_pair_z_cost(self):
         parts = divergence_parts(state_x(0.0), state_x(0.5), cost.sigma_z_observable())
         np.testing.assert_allclose(parts.d_squared, 1 - SQRT3 / 2, atol=1e-6)
+
+    def test_three_solves_share_one_cost(self, monkeypatch):
+        instances, solve = [], transport.wasserstein_distance
+
+        def recorded(instance, **kwargs):
+            instances.append(instance)
+            return solve(instance, **kwargs)
+
+        monkeypatch.setattr(transport, "wasserstein_distance", recorded)
+        divergence_parts(state_z(0.5), state_x(-0.5), cost.pauli_triple())
+        cross, self_rho, self_omega = instances
+        assert cross.cost is self_rho.cost is self_omega.cost
+        assert self_rho.omega is cross.rho and self_omega.rho is cross.omega
 
 
 def eager_diagnostics(inst):
