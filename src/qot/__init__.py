@@ -10,7 +10,7 @@ as independent witnesses against the solver.
 from . import closedform, cost, linalg, sdp, suites, transport
 from .closedform import state_from_bloch
 from .cost import cost_symm, cost_z, observable_set, pauli_triple, sigma_z_observable
-from .sdp import SdpProblem, SdpSolution, certify, sdp_problem, solve
+from .sdp import SdpProblem, SdpSolution, certify, sdp_problem, solve, solve_batch
 from .transport import (
     Coupling,
     DualPotentials,
@@ -25,6 +25,7 @@ from .transport import (
     symm_instance,
     trivial_coupling,
     wasserstein_distance,
+    wasserstein_distances,
     z_instance,
 )
 
@@ -48,6 +49,7 @@ __all__ = [
     "certify",
     "sdp_problem",
     "solve",
+    "solve_batch",
     "Coupling",
     "DualPotentials",
     "TransportInstance",
@@ -61,6 +63,7 @@ __all__ = [
     "symm_instance",
     "trivial_coupling",
     "wasserstein_distance",
+    "wasserstein_distances",
     "z_instance",
     "__version__",
 ]

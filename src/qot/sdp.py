@@ -74,6 +74,18 @@ dual multipliers, a dual slack and a duality-gap certificate, and its
 record as data: a trace row per iteration and the seconds of each phase.
 Its objectives, gap and residuals are its certificate's, whatever the stop.
 
+Problems posed on one structure are solved as a batch (:func:`solve_batch`;
+:func:`solve` is a batch of one): one run of the iteration over their
+iterates stacked on a leading axis, in which each member stops on its own
+test and leaves the stack.  A stacked call stands for the per-member calls
+only where it rounds each member as it rounds alone (matrix products,
+Cholesky, ``inv``, ``eigvalsh``, the raw QR, the dense constraint maps as
+matrix-vector products a member); everything else, the rare paths included,
+runs member by member, so a member's solution is bitwise its solution
+alone, in any batch and any order.  A batch of small plans pays numpy's
+call overhead once for all its members, which is most of a qubit solve's
+time; it holds every member's iterates at once.
+
 The Hermitian cone is handled natively over the real vector space of
 Hermitian matrices (no real-symmetric doubling), which halves the Newton
 system size and avoids eigenvalue duplication artifacts.  The iterates
@@ -120,6 +132,7 @@ __all__ = [
     "pose",
     "preprocess",
     "solve",
+    "solve_batch",
     "certify",
     "MAX_VARIABLE_DIM",
 ]
@@ -570,6 +583,7 @@ class SdpSolution:
     timings: dict  # seconds of preprocess, iterate and certify
     phases: dict  # seconds of each of PHASES; their sum is timings["iterate"]
     certificate: Certificate  # certify's verdict on (x, y, s): the solve's report
+    batch: int  # the number of problems of the solve_batch call it was solved in
 
     @property
     def status(self) -> str:
@@ -596,15 +610,24 @@ def _cholesky_factor(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _cholesky_pair(pair: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Factors and their inverses, each a stacked pair, of the stacked pair
-    ``(X, S)``: one Cholesky call and one inversion for both, else each
-    side's :func:`_cholesky_factor`."""
+    """Factors and their inverses, stacked as ``pair``, of the stacked pair
+    ``(X, S)`` or of each of a stack of them: one Cholesky call and one
+    inversion for all, else each pair's, else each side's
+    :func:`_cholesky_factor`, so that a pair that breaks down takes the same
+    arithmetic inside a stack as alone."""
     try:
         low = np.linalg.cholesky(pair)
     except np.linalg.LinAlgError:
-        factors, inverses = zip(*(_cholesky_factor(side) for side in pair))
-        return np.stack(factors), np.stack(inverses)
+        each = _cholesky_pair if pair.ndim > 3 else _cholesky_factor
+        factors, inverses = zip(*(each(part) for part in pair))
+        return _stacked(factors), _stacked(inverses)
     return low, _lower_inverse(low)
+
+
+def _stacked(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """``np.stack(arrays)``; a view, not a copy, of a single array, so that a
+    batch of one holds no second copy of a large plan's matrix."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
 def _whitened(inverses: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -619,9 +642,9 @@ def _whitened(inverses: np.ndarray, d: np.ndarray) -> np.ndarray:
     return t
 
 
-def _trace_product(a: np.ndarray, b: np.ndarray) -> float:
-    """``Re tr(a b)``."""
-    return float(np.einsum("ab,ba->", a, b).real)
+def _trace_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``Re tr(a b)``, or of each pair of two stacks."""
+    return np.einsum("...ab,...ba->...", a, b).real
 
 
 def _boundary_step(lam: float) -> float:
@@ -726,7 +749,8 @@ def _step_lengths(
     factor inverses (:func:`_whitened`), the largest ``alpha`` with ``I +
     alpha T`` PSD, and the number of sides read from full spectra on a plan
     that reads Ritz values.  Below ``4 * LANCZOS_STEPS`` each is read from
-    ``eigvalsh``, with none counted.  Above, a side takes the smallest Ritz
+    ``eigvalsh``, with none counted, for stacks of any leading shape (every
+    side's step, in order).  Above, a side takes the smallest Ritz
     value ``theta`` of :func:`_ritz_ends`, from a run on the unformed ``T``
     that stops once the residual bound of ``theta`` is at most ``LANCZOS_MARGIN
     / 5`` times ``max(|theta|, 1)`` (``LANCZOS_MARGIN`` times for the
@@ -751,8 +775,8 @@ def _step_lengths(
     only costs a fallback."""
     n = d.shape[-1]
     if n < 4 * LANCZOS_STEPS:
-        lows = np.linalg.eigvalsh(_whitened(inverses, d))[:, 0]
-        return [_boundary_step(float(lam)) for lam in lows], 0
+        lows = np.linalg.eigvalsh(_whitened(inverses, d))[..., 0].ravel().tolist()
+        return [_boundary_step(lam) for lam in lows], 0
     # measured at the LANCZOS_MARGIN comment
     tol = LANCZOS_MARGIN / 5 if pair is not None else LANCZOS_MARGIN
     steps = []
@@ -826,10 +850,12 @@ def _slot_schur(x: np.ndarray, z: np.ndarray, structure: SlotStructure) -> np.nd
 
 def _scaled_rows(ops: np.ndarray, lx: np.ndarray, inv_s: np.ndarray) -> np.ndarray:
     """Real rows ``(Re F_i, Im F_i)`` of ``F_i = Ls^-1 A_i Lx`` for the dense
-    stack ``ops``: their Gram matrix is ``Re tr(A_i X A_j Z)`` with ``X = Lx
-    Lx*`` and ``Z = S^-1 = Ls^-* Ls^-1``."""
-    f = np.matmul(np.matmul(inv_s[None], ops), lx).reshape(len(ops), -1)
-    return np.concatenate([f.real, f.imag], axis=1)
+    stack ``ops``, of one pair of factors ``lx`` and ``inv_s`` or of each
+    pair of two stacks of them: their Gram matrix is ``Re tr(A_i X A_j Z)``
+    with ``X = Lx Lx*`` and ``Z = S^-1 = Ls^-* Ls^-1``."""
+    f = np.matmul(np.matmul(inv_s[..., None, :, :], ops), lx[..., None, :, :])
+    f = f.reshape(*lx.shape[:-2], len(ops), -1)
+    return np.concatenate([f.real, f.imag], axis=-1)
 
 
 def _slot_applied(z: np.ndarray, structure: SlotStructure) -> np.ndarray:
@@ -901,15 +927,21 @@ def _slot_reads(problem: SdpProblem) -> SlotStructure | None:
 
 
 def _constraint_maps(problem: SdpProblem) -> tuple[Callable, Callable]:
-    """``Z -> (Re tr(A_i Z))_i`` and its adjoint ``y -> sum_i y_i A_i``."""
+    """``Z -> (Re tr(A_i Z))_i`` and its adjoint ``y -> sum_i y_i A_i`` of
+    each of a stack of operands (a leading axis), whose vectors are columns
+    ``(A, m, 1)``; one operand is a stack of one."""
     structure = _slot_reads(problem)
     if structure is not None:
-        return (lambda z: _slot_applied(z, structure)), (lambda y: _slot_adjoint(y, structure))
+        return (lambda z: np.stack([_slot_applied(a, structure) for a in z])[..., None]), (
+            lambda y: _stacked([_slot_adjoint(v[:, 0], structure) for v in y])
+        )
     flat = problem.constraint_ops.reshape(problem.n_constraints, -1)
     n = problem.dim
-    # a (1, m) row: y @ flat takes a matrix-vector kernel that rounds differently
-    return (lambda z: (flat @ np.conj(z.reshape(-1))).real), (
-        lambda y: (y[None, :] @ flat).reshape(n, n)
+    # a member's (n^2, 1) column and (1, m) row round as a matrix-vector
+    # product does alone; a (A, m) @ flat would take a kernel that rounds
+    # differently
+    return (lambda z: (flat @ np.conj(z).reshape(len(z), -1, 1)).real), (
+        lambda y: (y.swapaxes(-1, -2) @ flat).reshape(len(y), n, n)
     )
 
 
@@ -929,7 +961,8 @@ def compressed_constraints(problem: SdpProblem, v: np.ndarray) -> np.ndarray:
 
 
 def _farkas_ray(y: np.ndarray, b: np.ndarray, adjoint: Callable) -> bool:
-    """Whether ``y`` points along a Farkas ray of ``A(X) = b, X >= 0``.
+    """Whether ``y`` points along a Farkas ray of ``A(X) = b, X >= 0``, with
+    ``adjoint`` the stacked map of :func:`_constraint_maps`.
 
     With ``v = y / max|y|``, the test is ``b . v > TOL`` and
     ``lambda_min(-sum_i v_i A_i) >= -TOL``.  Every PSD ``X`` with ``A(X) = b``
@@ -940,7 +973,7 @@ def _farkas_ray(y: np.ndarray, b: np.ndarray, adjoint: Callable) -> bool:
     if not scale > 0.0:
         return False
     ray = y / scale
-    return float(b @ ray) > TOL and linalg.min_eigenvalue(-adjoint(ray)) >= -TOL
+    return float(b @ ray) > TOL and linalg.min_eigenvalue(-adjoint(ray[None, :, None])[0]) >= -TOL
 
 
 def _triangular_inverse(upper: np.ndarray) -> np.ndarray:
@@ -969,14 +1002,19 @@ def _lower_inverse(lower: np.ndarray) -> np.ndarray:
 
 
 def _inverse_gram(w: np.ndarray) -> np.ndarray:
-    """``W* W``, by 2 x 2 blocks above ``GRAM_LEAF`` rows when ``W`` is lower
-    triangular: ``[[A, 0], [B, C]]`` gives ``[[A* A + B* B, B* C], [C* B,
-    C* C]]``, the diagonal blocks again triangular Grams, and no product
-    with the zero block.  A ``W`` whose upper right block is not zero (the
-    eigen factor of :func:`_cholesky_factor`) takes the full product."""
-    m = len(w)
+    """``W* W``, or that of each of a stack, by 2 x 2 blocks above
+    ``GRAM_LEAF`` rows when ``W`` is lower triangular: ``[[A, 0], [B, C]]``
+    gives ``[[A* A + B* B, B* C], [C* B, C* C]]``, the diagonal blocks again
+    triangular Grams, and no product with the zero block.  A ``W`` whose
+    upper right block is not zero (the eigen factor of
+    :func:`_cholesky_factor`) takes the full product."""
+    m = w.shape[-1]
     h = m // 2
-    if m <= GRAM_LEAF or w[:h, h:].any():
+    if m <= GRAM_LEAF:
+        return w.conj().swapaxes(-1, -2) @ w
+    if w.ndim > 2:
+        return _stacked([_inverse_gram(member) for member in w])
+    if w[:h, h:].any():
         return w.conj().T @ w
     b = w[h:, :h]
     b_adj = b.conj().T
@@ -989,13 +1027,35 @@ def _inverse_gram(w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _triangular_solver(upper: np.ndarray) -> tuple[Callable[[np.ndarray], np.ndarray], float]:
-    """Solver of ``M v = rhs`` from an upper triangular ``U`` with ``U^T U ~
-    M``, and the diagonal ratio of ``U``, which estimates ``sqrt(cond(M))``.
-    ``U`` is inverted once, so that a solve is two products."""
-    diag = np.abs(upper.diagonal())
-    inv = _triangular_inverse(upper)
-    return (lambda rhs: inv @ (inv.T @ rhs)), float(diag.max() / diag.min())
+def _triangular_solver(upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The inverse of an upper triangular ``U`` with ``U^T U ~ M``, or of
+    each of a stack, so that a solve of ``M v = rhs`` is two products
+    (:func:`_schur_solve`), and the diagonal ratio of ``U``, which estimates
+    ``sqrt(cond(M))``.  A singular ``U`` reads an infinite ratio and a nan
+    inverse, alone or in a stack."""
+    try:
+        inv = _triangular_inverse(upper)
+    except np.linalg.LinAlgError:
+        if upper.ndim == 2:
+            return np.full_like(upper, np.nan), np.float64(np.inf)
+        parts = [_triangular_solver(member) for member in upper]
+        return np.stack([inv for inv, _ in parts]), np.array([ratio for _, ratio in parts])
+    diag = np.abs(upper.diagonal(0, -2, -1))
+    return inv, np.maximum.reduce(diag, axis=-1) / np.minimum.reduce(diag, axis=-1)
+
+
+def _schur_solve(inverse: np.ndarray | list[np.ndarray], rhs: np.ndarray) -> np.ndarray:
+    """``M^-1 rhs`` for each member's column ``(m, 1)`` of ``rhs``, from the
+    inverse ``U^-1`` of its factor
+    (:func:`_triangular_solver`): ``U^-1 (U^-T rhs)``, two matrix-vector
+    products a member, on the stack at once when ``inverse`` is one stacked
+    array, else member by member.  A matrix-vector product rounds by the
+    memory order of its matrix, which is C for every QR factor's inverse,
+    alone or stacked, and F for a slot-route factor's above
+    ``TRIANGULAR_LEAF``, which a stack would not keep."""
+    if isinstance(inverse, np.ndarray):
+        return inverse @ (inverse.swapaxes(-1, -2) @ rhs)
+    return np.stack([inv @ (inv.T @ member) for inv, member in zip(inverse, rhs)])
 
 
 @functools.cache
@@ -1008,19 +1068,17 @@ def _strictly_lower(m: int) -> np.ndarray:
 
 
 def _qr_factor(rows: np.ndarray) -> np.ndarray:
-    """``R`` of the unpivoted QR of ``rows.T`` for ``m`` rows, bitwise the
-    array ``np.linalg.qr(rows.T, mode="r")`` returns: the transpose of the
-    ``raw`` output holds ``R`` in its upper triangle, and the entries below
-    are zeroed through the mask of :func:`_strictly_lower`, where ``np.triu``
-    would build one a call."""
-    m = len(rows)
-    householder, _ = np.linalg.qr(rows.T, mode="raw")
-    return np.where(_strictly_lower(m), 0.0, householder[:, :m].T)
+    """``R`` of the unpivoted QR of the transpose of each member's ``m``
+    rows, bitwise the array ``np.linalg.qr(rows.T, mode="r")`` returns for
+    one: the transpose of the ``raw`` output holds ``R`` in its upper
+    triangle, and the entries below are zeroed through the mask of
+    :func:`_strictly_lower`, where ``np.triu`` would build one a call."""
+    m = rows.shape[-2]
+    householder, _ = np.linalg.qr(rows.swapaxes(-1, -2), mode="raw")
+    return np.where(_strictly_lower(m), 0.0, householder[..., :m].swapaxes(-1, -2))
 
 
-def _schur_solver(
-    mat: np.ndarray, shift: bool
-) -> tuple[Callable[[np.ndarray], np.ndarray], float, bool] | None:
+def _schur_solver(mat: np.ndarray, shift: bool) -> tuple[np.ndarray, float, bool] | None:
     """:func:`_triangular_solver` of a formed Schur matrix, from its Cholesky
     factor, and whether the factor is of the shifted matrix.  Near a
     degenerate optimal face the factorization breaks down: then None, or
@@ -1074,8 +1132,17 @@ def _accepted(row: dict, pobj: float, dobj: float, tol: float) -> bool:
 
 
 def solve(problem: SdpProblem, *, tol: float = TOL) -> SdpSolution:
-    """Run the interior-point iteration (:func:`_iterate`); deterministic for
-    identical inputs at a fixed BLAS thread count.
+    """The solution of one problem: its batch of one, ``solve_batch([problem],
+    tol=tol)[0]`` (:func:`solve_batch`, which describes the solution)."""
+    return solve_batch([problem], tol=tol)[0]
+
+
+def solve_batch(problems: Sequence[SdpProblem], *, tol: float = TOL) -> list[SdpSolution]:
+    """Run the interior-point iteration (:func:`_iterate`) once over the
+    stacked iterates of ``problems``, all posed on one structure (else
+    ``ValueError``), and return each one's solution, in order.  A member's
+    solution is bitwise the one it gets alone, in any batch and any order,
+    and deterministic for identical inputs at a fixed BLAS thread count.
     Every stop leaves through one exit, which returns a point and its
     ``certificate``, the solve's report of objectives, gap and residuals.  An
     iterate whose trace row passes the ``tol`` clauses (:func:`_accepted`)
@@ -1099,120 +1166,275 @@ def solve(problem: SdpProblem, *, tol: float = TOL) -> SdpSolution:
     factor is of the shifted matrix (:func:`_schur_solver`).  The last row
     measures the returned point, but for the divergence guard's stop, which
     refuses an iterate before measuring it, and ``preprocess_infeasible``,
-    which records no row.  ``timings`` holds the seconds of ``preprocess``,
-    of ``iterate``, everything after it but certifying, and of ``certify``,
-    and ``phases`` splits ``iterate`` by the clock of ``PHASES``, read at
-    seven laps an iteration."""
-    start = time.perf_counter()
-    reduced, report = preprocess(problem)
-    iterate_start = mark = time.perf_counter()
-    timings = {"preprocess": iterate_start - start, "iterate": 0.0, "certify": 0.0}
-    phases = dict.fromkeys(PHASES, 0.0)
+    which records no row.  ``timings`` holds the seconds of the member's
+    ``preprocess``, of ``iterate``, everything after it but certifying, and
+    of its ``certify``, and ``phases`` splits ``iterate`` by the clock of
+    ``PHASES``, read at seven laps an iteration.  A lap's seconds are split
+    evenly among the members the iteration runs on, and the seconds spent on
+    one member alone (its stop, its certificate) are its own, so that the
+    members' timings sum to the batch's.  ``batch`` is ``len(problems)``.  The
+    batch holds every member's iterates at once: its memory grows with
+    ``len(problems) n^2``."""
+    if any(problem.structure is not problems[0].structure for problem in problems):
+        raise ValueError("the problems of a batch must be posed on one SlotStructure")
+    prepared = []
+    for problem in problems:
+        start = time.perf_counter()
+        reduced, report = preprocess(problem)
+        prepared.append((reduced, report, time.perf_counter() - start))
+    clocks = [dict.fromkeys((*PHASES, "certify"), 0.0) for _ in problems]
+    # the seconds the members running are owed, not yet written to their
+    # clocks: a lap of the stack costs one addition
+    owed = dict.fromkeys(PHASES, 0.0)
+    mark = time.perf_counter()
 
-    def lap(phase: str, clock: dict = phases) -> None:
-        """Add the seconds since the last lap to ``clock[phase]``."""
+    def lap(phase: str, member: int | None = None) -> None:
+        """Add the seconds since the last lap under ``phase`` to what the
+        members running are owed, or to the clock of ``member`` alone."""
         nonlocal mark
         now = time.perf_counter()
-        clock[phase] += now - mark
+        (owed if member is None else clocks[member])[phase] += now - mark
         mark = now
 
-    def certified(pair: np.ndarray, y: np.ndarray) -> types.SimpleNamespace:
-        """``x``, ``y`` (zero on dropped rows) and ``s`` on ``problem`` and their
-        ``certificate``, whose seconds go to ``timings``, off the phases."""
-        lap("other")
+    def settle(members: Sequence[int]) -> None:
+        """Split what the members running are owed evenly among their
+        clocks, before they change."""
+        for phase, owing in owed.items():
+            if owing:
+                share = owing / len(members)
+                for k in members:
+                    clocks[k][phase] += share
+                owed[phase] = 0.0
+
+    def certified(k: int, pair: np.ndarray, y: np.ndarray) -> types.SimpleNamespace:
+        """``x``, ``y`` (zero on dropped rows) and ``s`` on ``problems[k]`` and
+        their ``certificate``, whose seconds go to the member's ``certify``,
+        off the phases."""
+        problem, (_, report, _) = problems[k], prepared[k]
+        lap("other", k)
         point = types.SimpleNamespace(x=pair[0], y=np.zeros(problem.n_constraints), s=pair[1])
         point.y[list(report.kept)] = y
         point.certificate = certify(point, problem)
-        lap("certify", timings)
+        lap("certify", k)
         return point
 
-    trace: list[dict] = []
-    if report.infeasible:
-        reason, iterations, point = "preprocess_infeasible", 0, None
-        pair, y = np.zeros((2, *problem.objective.shape), dtype=complex), np.zeros(len(report.kept))
-    else:
-        reason, iterations, pair, y, point = _iterate(reduced, tol, trace, lap, certified)
-    point = point or certified(pair, y)
-    lap("other")
-    timings["iterate"] = mark - iterate_start - timings["certify"]
-    return SdpSolution(
-        x=point.x, y=point.y, s=point.s, reason=reason, iterations=iterations,
-        trace=tuple(trace), timings=timings, phases=phases, certificate=point.certificate,
+    traces: list[list[dict]] = [[] for _ in problems]
+    stops = _iterate(
+        {k: reduced for k, (reduced, report, _) in enumerate(prepared) if not report.infeasible},
+        tol, traces, lap, settle, certified,
     )
+    solutions = []
+    for k, (problem, (_, report, seconds)) in enumerate(zip(problems, prepared)):
+        if report.infeasible:
+            pair = np.zeros((2, *problem.objective.shape), dtype=complex)
+            stops[k] = "preprocess_infeasible", 0, pair, np.zeros(len(report.kept)), None
+        reason, iterations, pair, y, point = stops[k]
+        point = point or certified(k, pair, y)
+        phases = clocks[k]
+        certify_s = phases.pop("certify")
+        timings = {"preprocess": seconds, "iterate": sum(phases.values()), "certify": certify_s}
+        solutions.append(SdpSolution(
+            x=point.x, y=point.y, s=point.s, reason=reason, iterations=iterations,
+            trace=tuple(traces[k]), timings=timings, phases=phases,
+            certificate=point.certificate, batch=len(problems),
+        ))
+    return solutions
+
+
+def _start(problem: SdpProblem) -> np.ndarray:
+    """The stacked pair ``(problem.interior or tau I, tau I)``, ``tau =
+    max(1, max|C|)``."""
+    tau = max(1.0, float(np.abs(problem.objective).max()))
+    pair = tau * np.stack([np.eye(problem.dim, dtype=complex)] * 2)
+    if problem.interior is not None:
+        pair[0] = problem.interior
+    return pair
 
 
 def _iterate(
-    reduced: SdpProblem, tol: float, trace: list[dict], lap: Callable, certified: Callable
-) -> tuple[str, int, np.ndarray, np.ndarray, types.SimpleNamespace | None]:
-    """:func:`solve`'s iteration on the preprocessed problem, with solve's
-    phase clock ``lap`` and certifier ``certified``: ``(reason, iterations,
-    (X, S), y, point)``, ``point`` the certified candidate that the stop test
-    accepted, else None; a row a measured iteration goes to ``trace``.  An
-    iteration takes the HKM direction from the Cholesky factors of X and S,
-    their triangular inverses and ``Z = S^-1 = Ls^-* Ls^-1``
+    reduced: dict[int, SdpProblem], tol: float, traces: list[list[dict]], lap: Callable,
+    settle: Callable, certified: Callable,
+) -> dict[int, tuple[str, int, np.ndarray, np.ndarray, types.SimpleNamespace | None]]:
+    """:func:`solve_batch`'s iteration on the preprocessed problems of one
+    structure, keyed by their index in the batch, with its phase clock
+    ``lap(phase, member=None)``, of the stack or of one member, the split
+    ``settle(members)`` of the stack's seconds before its members change, and
+    certifier ``certified(member, pair, y)``: per
+    member ``(reason, iterations, (X, S), y, point)``, ``point`` the
+    certified candidate that the stop test accepted, else None; a row a
+    measured iteration goes to the member's list of ``traces``.
+
+    The iterates of the members still running are stacked on a leading
+    axis, ``pair`` ``(A, 2, n, n)`` and ``y`` ``(A, m, 1)``, a column a
+    member, and every step of an iteration is one call on the stack wherever
+    that call rounds each member as it rounds alone: matrix products,
+    Cholesky, triangular inverses, ``eigvalsh``, the raw QR of the scaled
+    rows, the dense constraint maps and the Schur solves.  The rest runs
+    member by member: the slot-route maps and Schur matrices, Lanczos step
+    lengths, the scalars of the stop test and the centering, and the rare
+    paths, only for the members that reach them: the Cholesky eigen
+    fallback, the Schur shift and the switch to QR, the Ritz fallbacks, the
+    pinned start, the divergence guard, the Farkas relabel.  A member that
+    stops leaves the stack at once.  So every member takes the arithmetic it
+    takes alone.
+
+    An iteration takes the HKM direction from the Cholesky factors of X and
+    S, their triangular inverses and ``Z = S^-1 = Ls^-* Ls^-1``
     (:func:`_inverse_gram`): a predictor (affine) step and a Mehrotra
     corrector centered at ``sigma mu`` with ``sigma = min(1, (mu_aff / mu)
     ** CENTERING_EXPONENT)``, ``sigma >= 0.5`` when a predictor step is
     shorter than 0.2, where ``mu_aff = tr((X + ap dX_aff)(S + ad dS_aff)) /
     n``, each side's step length read by :func:`_step_lengths`."""
-    c = reduced.objective
-    b = reduced.constraint_vals
-    n = reduced.dim
-    m = len(b)
-    structure = _slot_reads(reduced)
-    apply, adjoint = _constraint_maps(reduced)
+    stops: dict = {}
+    if not reduced:
+        return stops
+    first = next(iter(reduced.values()))
+    n = first.dim
+    m = first.n_constraints
+    structure = _slot_reads(first)
+    # one pair of maps, and one dense stack, for the batch
+    apply, adjoint = _constraint_maps(first)
     # below the gate a plan forms its matrices (module docstring)
     formed = n < 4 * LANCZOS_STEPS
-    qr = structure is None
+    # On slot-route plans above the gate (marginal) A*(v) Z is the slot
+    # product at d_g n^2 a group, and the corrector's refinement reads A(X
+    # A*(dy) Z) from group marginals at d_g n^2 a group, so that X A*(dy) Z
+    # is formed once, after it: an iteration takes 6 n x n products, Z, 2
+    # for X rd Z and one each for the predictor, the corrector and the
+    # Mehrotra term.  Other plans form A*(v), which dS needs, times Z, and
+    # refine on the formed dX.  Above the gate a slot-route plan never
+    # switches to QR, so the choice holds for the whole batch.
+    marginal = not formed and structure is not None
 
-    tau = max(1.0, float(np.abs(c).max()))
-    # X and S as one stacked pair, so that each side's factor, update and step
-    # length is one call for both
-    pair = tau * np.stack([np.eye(n, dtype=complex)] * 2)
-    if reduced.interior is not None:
-        pair[0] = reduced.interior
-    y = np.zeros(m)
+    # the batch indices of the stacked members, and per member whether it
+    # takes the QR route; small per-member values are Python lists, whose
+    # reads cost less than numpy calls on a few entries
+    members = list(reduced)
+    qr = [structure is None] * len(members)
+    c = _stacked([problem.objective for problem in reduced.values()])
+    b = _stacked([problem.constraint_vals for problem in reduced.values()])[..., None]
+    # each member's X and S as one stacked pair, so that each side's factor,
+    # update and step length is one call for both
+    pair = _stacked([_start(problem) for problem in reduced.values()])
+    y = np.zeros((len(members), m, 1))
 
-    def measured(pair: np.ndarray, y: np.ndarray) -> tuple:
-        """``(rd, rp, row, pobj, dobj)`` of the iterates: absolute residuals,
-        matching the certification invariants."""
-        x, s = pair
+    def measured(pair: np.ndarray, y: np.ndarray, iterations: int | None = None) -> tuple:
+        """``(x, s, rd, rp, rows, stopping)`` of the stacked iterates:
+        absolute residuals, matching the certification invariants, a trace
+        row a member, and the stop test's verdicts, a stack index to
+        ``(reason, point)`` for each member that stops: ``converged`` when
+        its row passes the ``tol`` clauses and ``point``, its certified
+        point, its certificate; with ``iterations`` also ``max_iter`` at the
+        last and ``mu_floor`` below ``MU_FLOOR`` (``point`` None), and every
+        row goes to the member's trace, else only a converged one.  tr(XS) >=
+        0 in the cone: a negative mu is rounding, of diverging iterates or of
+        a stall on large costs (rd near eps |S|), not a floor."""
+        x, s = pair[:, 0], pair[:, 1]
         rd = c - s - adjoint(y)
         rp = b - apply(x)
-        pobj = _trace_product(c, x)
-        dobj = float(b @ y)
-        row = {"mu": _trace_product(x, s) / n, "rp": float(np.abs(rp).max()),
-               "rd": float(np.abs(rd).max()), "gap": abs(pobj - dobj)}
-        return rd, rp, row, pobj, dobj
+        largest = np.maximum.reduce
+        columns = zip(members, _trace_product(x, s).tolist(),
+                      largest(np.abs(rp), axis=(1, 2)).tolist(),
+                      largest(np.abs(rd), axis=(1, 2)).tolist(),
+                      _trace_product(c, x).tolist(), (b.swapaxes(-1, -2) @ y)[:, 0, 0].tolist())
+        rows, stopping = [], {}
+        for k, (member, mu, p, d, pobj, dobj) in enumerate(columns):
+            mu /= n
+            row = {"mu": mu, "rp": p, "rd": d, "gap": abs(pobj - dobj)}
+            rows.append(row)
+            if iterations is not None:
+                traces[member].append(row)
+            if _accepted(row, pobj, dobj, tol):
+                lap("other")  # the seconds so far are the stack's, a certificate its member's
+                point = certified(member, pair[k], y[k, :, 0])
+                if point.certificate.passed:
+                    stopping[k] = "converged", point
+                    if iterations is None:
+                        traces[member].append(row)
+                    continue
+            if iterations is None:
+                continue
+            if iterations == MAX_ITER:
+                stopping[k] = "max_iter", None
+            elif mu < MU_FLOOR:
+                stopping[k] = "mu_floor" if mu >= 0 else "diverged", None
+        return x, s, rd, rp, rows, stopping
+
+    def step_lengths(
+        d: np.ndarray, inverses: np.ndarray, pair: np.ndarray | None = None,
+        runs: list[list[int]] | None = None,
+    ) -> tuple[list[float], list[int]]:
+        """Each member's :func:`_step_lengths`: the steps of every member's
+        two sides in one list, and each member's fallbacks.  Below the gate
+        one call reads every member's sides from one ``eigvalsh`` call, as it
+        reads them alone; above it, each member's Lanczos runs stop on its
+        own sides."""
+        if formed:
+            return _step_lengths(d, inverses)[0], [0] * len(d)
+        each = [_step_lengths(d[k], inverses[k], None if pair is None else pair[k], runs[k])
+                for k in range(len(d))]
+        return [step for steps, _ in each for step in steps], [fallen for _, fallen in each]
+
+    def stop(stopping: dict[int, tuple], iterations: int) -> list[bool]:
+        """The members of ``stopping`` (:func:`measured`'s verdicts) leave the
+        stack, and the members kept are returned as a mask.  One that stops
+        uncertified with a large primal residual (on the divergence guard's
+        stop, the last measured row's) is relabelled infeasible when its
+        multipliers point along a Farkas ray."""
+        nonlocal members, qr, c, b, pair, y
+        lap("other")
+        settle(members)
+        for k, (reason, point) in stopping.items():
+            member = members[k]
+            trace = traces[member]
+            if point is None and trace and trace[-1]["rp"] > 1e-4 and _farkas_ray(
+                y[k, :, 0], b[k, :, 0], adjoint
+            ):
+                reason = "reclassified_infeasible"
+            stops[member] = reason, iterations, pair[k], y[k, :, 0], point
+            lap("other", member)
+        keep = [k not in stopping for k in range(len(members))]
+        members, qr, c, b, pair, y = kept(keep, members, qr, c, b, pair, y)
+        return keep
+
+    def kept(keep: list[bool], *values: np.ndarray | list) -> tuple:
+        """Each of ``values`` at the members ``keep`` marks."""
+        mask = np.array(keep)
+        return tuple(v[mask] if isinstance(v, np.ndarray) else [a for a, k in zip(v, keep) if k]
+                     for v in values)
 
     if m == n * n:
-        x0, y0 = _pinned_point(reduced)
-        pinned = np.stack([x0, c - adjoint(y0)])
-        _, _, row, pobj, dobj = measured(pinned, y0)
-        if _accepted(row, pobj, dobj, tol) and (point := certified(pinned, y0)).certificate.passed:
-            trace.append(row)
-            return "converged", 0, pinned, y0, point
+        x0, y0 = zip(*(_pinned_point(problem) for problem in reduced.values()))
+        y0 = _stacked(y0)[..., None]
+        pinned = np.empty_like(pair)
+        pinned[:, 0] = _stacked(x0)
+        pinned[:, 1] = c - adjoint(y0)
+        *_, stopping = measured(pinned, y0)
+        if stopping:
+            stop(stopping, 0)
 
-    reason = "max_iter"
     for iterations in range(MAX_ITER + 1):
-        x, s = pair
-        if max(float(np.abs(pair).max()), float(np.abs(y).max())) > DIVERGENCE_LIMIT:
-            reason = "diverged"
+        if not members:
             break
-        rd, rp, row, pobj, dobj = measured(pair, y)
-        mu = row["mu"]
+        # the stack's largest entries first: a member's guard can only fire
+        # when they are above the limit or nan
+        if not (float(np.abs(pair).max()) <= DIVERGENCE_LIMIT
+                and float(np.abs(y).max()) <= DIVERGENCE_LIMIT):
+            ceilings = zip(np.maximum.reduce(np.abs(pair), axis=(1, 2, 3)).tolist(),
+                           np.maximum.reduce(np.abs(y), axis=(1, 2)).tolist())
+            guarded = {k: ("diverged", None) for k, (ceiling, ceiling_y) in enumerate(ceilings)
+                       if max(ceiling, ceiling_y) > DIVERGENCE_LIMIT}
+            if guarded:
+                stop(guarded, iterations)
+                if not members:
+                    break
         # one row per measured iteration; a stepping iteration completes it
-        trace.append(row)
-
-        if _accepted(row, pobj, dobj, tol) and (point := certified(pair, y)).certificate.passed:
-            return "converged", iterations, pair, y, point
-        if iterations == MAX_ITER:
-            break
-        if mu < MU_FLOOR:
-            # tr(XS) >= 0 in the cone: a negative mu is rounding, of diverging
-            # iterates or of a stall on large costs (rd near eps |S|), not a floor
-            reason = "mu_floor" if mu >= 0 else "diverged"
-            break
+        x, s, rd, rp, rows, stopping = measured(pair, y, iterations)
+        if stopping:
+            rd, rp, rows = kept(stop(stopping, iterations), rd, rp, rows)
+            if not members:
+                break
+            x, s = pair[:, 0], pair[:, 1]
 
         # The HKM direction (Helmberg, Rendl, Vanderbei & Wolkowicz 1996)
         # from X = Lx Lx* and S = Ls Ls*: with Z = S^-1 = Ls^-* Ls^-1, the
@@ -1223,7 +1445,7 @@ def _iterate(
         # value factorization.
         lap("other")
         factors, inverses = _cholesky_pair(pair)
-        z = _inverse_gram(inverses[1])
+        z = _inverse_gram(inverses[:, 1])
         lap("factor")
 
         # The Schur complement is M_ij = Re tr(A_i X A_j Z), symmetric positive
@@ -1235,126 +1457,159 @@ def _iterate(
         # breakdown on, QR-factor the rows of F instead (_scaled_rows), M =
         # R_f^T R_f, and never square the conditioning by forming M.  Either
         # triangular factor is inverted once, so that a solve is two products
-        # (_triangular_solver); its diagonal ratio estimates sqrt(cond(M)).
-        route, shifted = "slot", False
-        try:
-            found = None if qr else _schur_solver(_slot_schur(x, z, structure), not formed)
-            if found is None:
-                route = "qr" if qr else "switched"
-                qr = True
-                rows = _scaled_rows(reduced.constraint_ops, factors[0], inverses[1])
-                schur_solve, ratio = _triangular_solver(_qr_factor(rows))
-            else:
-                schur_solve, ratio, shifted = found
-        except np.linalg.LinAlgError:  # a singular factor, even shifted
-            ratio = np.inf
+        # (_schur_solve); its diagonal ratio estimates sqrt(cond(M)).  The
+        # members' inverted factors are one stack when every member takes
+        # the QR.
+        if structure is None:
+            inverse, ratio = _triangular_solver(
+                _qr_factor(_scaled_rows(first.constraint_ops, factors[:, 0], inverses[:, 1])))
+            ratio = ratio.tolist()
+            shifted, route = [False] * len(members), ["qr"] * len(members)
+        else:
+            inverse, ratio = [None] * len(members), [0.0] * len(members)
+            shifted = [False] * len(members)
+            route = ["qr" if on_qr else "slot" for on_qr in qr]
+            for k, on_qr in enumerate(qr):
+                if on_qr:
+                    continue
+                try:
+                    found = _schur_solver(_slot_schur(x[k], z[k], structure), not formed)
+                except np.linalg.LinAlgError:  # a singular factor, even shifted
+                    found = None, np.inf, False
+                if found is None:
+                    route[k], qr[k] = "switched", True
+                else:
+                    inverse[k], ratio[k], shifted[k] = found
+            on_qr = [k for k, on in enumerate(qr) if on]
+            if on_qr:
+                stacked, ratios = _triangular_solver(_qr_factor(
+                    _scaled_rows(first.constraint_ops, factors[on_qr, 0], inverses[on_qr, 1])))
+                for j, k in enumerate(on_qr):
+                    inverse[k], ratio[k] = stacked[j], ratios[j]
         lap("schur")
         del factors  # read only by the scaled rows, not held at the peak memory
-        if ratio > SCHUR_COND_LIMIT:
-            reason = "schur_conditioning"
-            break
+        if any(map(SCHUR_COND_LIMIT.__lt__, ratio)):
+            keep = stop({k: ("schur_conditioning", None) for k, r in enumerate(ratio)
+                         if r > SCHUR_COND_LIMIT}, iterations)
+            if not members:
+                break
+            rd, rp, rows, inverses, z, inverse, ratio, shifted, route = kept(
+                keep, rd, rp, rows, inverses, z, inverse, ratio, shifted, route)
+            x, s = pair[:, 0], pair[:, 1]
 
         # X dS Z is X rd Z - X (A*(dy) Z) and the Mehrotra term dX_aff dS_aff
-        # Z is dX_aff (rd Z - A*(dy_aff) Z).  On slot-route plans above the
-        # gate (marginal) A*(v) Z is the slot product at d_g n^2 a group, and
-        # the corrector's refinement reads A(X A*(dy) Z) from group marginals
-        # at d_g n^2 a group, so that X A*(dy) Z is formed once, after it:
-        # an iteration takes 6 n x n products, Z, 2 for X rd Z and one each
-        # for the predictor, the corrector and the Mehrotra term.  Other
-        # plans form A*(v), which dS needs, times Z, and refine on the formed
-        # dX.
+        # Z is dX_aff (rd Z - A*(dy_aff) Z).
         rdz = rd @ z
         xrdz = x @ rdz
-        marginal = not (formed or qr)
 
-        def adjoint_z(v: np.ndarray, back: np.ndarray) -> np.ndarray:  # back = A*(v)
-            return _slot_adjoint_product(v, z, structure) if marginal else back @ z
+        def adjoint_z(v: np.ndarray, back: np.ndarray | None) -> np.ndarray:  # back = A*(v)
+            if marginal:
+                return _stacked([_slot_adjoint_product(vk[:, 0], zk, structure)
+                                 for vk, zk in zip(v, z)])
+            return back @ z
 
         def direction(
             target: np.ndarray, refined: bool
         ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-            """``(dy, (dX, dS), A*(dy) Z)`` with ``A(dX) = rp``, ``dS + A*(dy)
-            = rd`` and ``dX`` the Hermitian part of ``target - X dS Z``: the
-            Schur system is ``M dy = rp - A(target) + A(X rd Z)``.
-            ``refined`` takes one step of refinement against the operator ``v
-            -> A(X A*(v) Z)``, the only refinement of a Schur solve, and
-            returns None for ``A*(dy) Z``, which only the predictor's Mehrotra
-            term reads.  The operator differs from the factored M by the
-            rounding of the factor, which grows with |Z| = 1 / lambda_min(S),
-            and by the breakdown shift.  Without the step, 30 nonlinear pairs
-            at d = 3-8 (default_rng([d, s, 99]), s < 5) ended with equality
-            residuals up to 1.0e-10 against 4.5e-14 with it, in the same 325
-            iterations.  The predictor's direction only sets sigma and takes
-            none."""
+            """``(dy, (dX, dS), A*(dy) Z)`` of each member with ``A(dX) =
+            rp``, ``dS + A*(dy) = rd`` and ``dX`` the Hermitian part of
+            ``target - X dS Z``: the Schur system is ``M dy = rp - A(target)
+            + A(X rd Z)``.  ``refined`` takes one step of refinement against
+            the operator ``v -> A(X A*(v) Z)``, the only refinement of a
+            Schur solve, and returns None for ``A*(dy) Z``, which only the
+            predictor's Mehrotra term reads.  The operator differs from the
+            factored M by the rounding of the factor, which grows with |Z| =
+            1 / lambda_min(S), and by the breakdown shift.  Without the
+            step, 30 nonlinear pairs at d = 3-8 (default_rng([d, s, 99]), s <
+            5) ended with equality residuals up to 1.0e-10 against 4.5e-14
+            with it, in the same 325 iterations.  The predictor's direction
+            only sets sigma and takes none."""
             rhs = rp + apply(xrdz - target)
-            dy = schur_solve(rhs)
+            dy = _schur_solve(inverse, rhs)
             back = adjoint(dy)
             ds = rd - back
             dyz = adjoint_z(dy, back)
             del back  # an n x n array held through dX's products raises peak memory
             if refined and marginal:
                 # A(dX) = A(target - X rd Z) + A(X A*(dy) Z), read without dX
-                step = schur_solve(rhs - _slot_applied_product(x, dyz, structure))
+                applied = np.stack([_slot_applied_product(xk, wk, structure)
+                                    for xk, wk in zip(x, dyz)])
+                step = _schur_solve(inverse, rhs - applied[..., None])
                 dy = dy + step
                 ds -= adjoint(step)
-                dyz = _slot_adjoint_product(dy, z, structure)
+                dyz = adjoint_z(dy, None)
             dx = target - xrdz + x @ dyz
             if refined and not marginal:
-                step = schur_solve(rp - apply(dx))
+                step = _schur_solve(inverse, rp - apply(dx))
                 dy = dy + step
                 back = adjoint(step)
                 ds -= back
                 dx += x @ adjoint_z(step, back)
                 del back
-            # the Hermitian part of dX written into the stacked pair, so that
+            # the Hermitian part of dX written into the stacked pairs, so that
             # no third n x n temporary raises the solve's peak memory
-            d = np.empty((2, n, n), dtype=complex)
-            np.add(dx, dx.conj().T, out=d[0])
-            d[0] *= 0.5
-            d[1] = ds
+            d = np.empty((len(dx), 2, n, n), dtype=complex)
+            hermitian = d[:, 0]
+            np.add(dx, dx.conj().swapaxes(-1, -2), out=hermitian)
+            hermitian *= 0.5
+            d[:, 1] = ds
             return dy, d, None if refined else dyz
 
         # Predictor (affine direction, sigma = 0).  These lengths only set
         # sigma and are never taken, so Ritz values need no check.
         _, d_aff, dyz_aff = direction(-x, refined=False)
         lap("direction")
-        runs: list[int] = []  # Lanczos steps of the two step-length runs
-        steps, _ = _step_lengths(d_aff, inverses, runs=runs)
-        ap, ad = (min(1.0, a) for a in steps)
-        mu_aff = max(_trace_product(x + ap * d_aff[0], s + ad * d_aff[1]) / n, 0.0)
-        sigma = min(1.0, (mu_aff / mu) ** CENTERING_EXPONENT) if mu > 0 else 0.0
-        if min(ap, ad) < 0.2:
-            # Heavily truncated affine steps (empty or near-empty interior):
-            # bias toward centering instead of trusting the Mehrotra probe.
-            sigma = max(sigma, 0.5)
+        # the Lanczos steps of the predictor's and the corrector's runs
+        runs: list[list[int]] | None = None if formed else [[] for _ in members]
+        steps, _ = step_lengths(d_aff, inverses, runs=runs)
+        steps = [min(1.0, a) for a in steps]
+        lengths = np.array(steps).reshape(-1, 2, 1, 1)
+        mu_aff = _trace_product(
+            x + lengths[:, 0] * d_aff[:, 0], s + lengths[:, 1] * d_aff[:, 1]) / n
+        sigma, scale = [], []
+        for row, aff, ap, ad in zip(rows, mu_aff.tolist(), steps[0::2], steps[1::2]):
+            mu, aff = row["mu"], max(aff, 0.0)
+            sigma.append(min(1.0, (aff / mu) ** CENTERING_EXPONENT) if mu > 0 else 0.0)
+            if min(ap, ad) < 0.2:
+                # Heavily truncated affine steps (empty or near-empty
+                # interior): bias toward centering instead of trusting the
+                # Mehrotra probe.
+                sigma[-1] = max(sigma[-1], 0.5)
+            scale.append(sigma[-1] * mu)
         lap("step")
 
         # Corrector with the Mehrotra second-order term dX_aff dS_aff Z.  The
         # predictor's arrays are released first: the next iteration's
         # factorization, the peak of a solve's memory, would hold them.
-        second = d_aff[0] @ (rdz - dyz_aff)
+        second = d_aff[:, 0] @ (rdz - dyz_aff)
         del rdz, dyz_aff, d_aff
-        dy, d, _ = direction(sigma * mu * z - x - second, refined=True)
+        dy, d, _ = direction(np.array(scale).reshape(-1, 1, 1) * z - x - second, refined=True)
         lap("direction")
 
-        steps, fallbacks = _step_lengths(d, inverses, pair, runs)
-        ap, ad = (min(1.0, STEP_FRACTION * a) for a in steps)
+        steps, fallbacks = step_lengths(d, inverses, pair, runs)
+        steps = [min(1.0, STEP_FRACTION * a) for a in steps]
+        lengths = np.array(steps).reshape(-1, 2, 1, 1)
         lap("step")
-        if ap < 1e-13 and ad < 1e-13:
-            reason = "stalled_step"
-            break
-        row.update(schur_ratio=ratio, ap=ap, ad=ad, sigma=sigma, step_fallbacks=float(fallbacks),
-                   ritz_steps=float(sum(runs)), route=route, shifted=shifted)
+        stalled = {}
+        for k, (row, ap, ad) in enumerate(zip(rows, steps[0::2], steps[1::2])):
+            if ap < 1e-13 and ad < 1e-13:
+                stalled[k] = "stalled_step", None
+            else:
+                row.update(schur_ratio=float(ratio[k]), ap=ap, ad=ad, sigma=sigma[k],
+                           step_fallbacks=float(fallbacks[k]),
+                           ritz_steps=float(sum(runs[k])) if runs else 0.0, route=route[k],
+                           shifted=shifted[k])
+        if stalled:
+            keep = stop(stalled, iterations)
+            if not members:
+                break
+            d, dy, lengths = kept(keep, d, dy, lengths)
 
         # in place, rounding as pair + [ap, ad] d does
-        d *= np.array([ap, ad])[:, None, None]
+        d *= lengths
         pair += d
-        y = y + ad * dy
-
-    # the last measured row: a guarded stop records none for the refused iterate
-    if trace and trace[-1]["rp"] > 1e-4 and _farkas_ray(y, b, adjoint):
-        reason = "reclassified_infeasible"
-    return reason, iterations, pair, y, None
+        y = y + lengths[:, 1] * dy
+    return stops
 
 
 @dataclass(frozen=True)
@@ -1379,8 +1634,8 @@ def certify(solution: SdpSolution, problem: SdpProblem) -> Certificate:
     """
     x, y, s = solution.x, solution.y, solution.s
     apply, adjoint = _constraint_maps(problem)
-    eq_res = float(np.abs(apply(x) - problem.constraint_vals).max())
-    dual_res = float(np.abs(problem.objective - s - adjoint(y)).max())
+    eq_res = float(np.abs(apply(x[None])[0, :, 0] - problem.constraint_vals).max())
+    dual_res = float(np.abs(problem.objective - s - adjoint(y[None, :, None])[0]).max())
     # the Hermitian parts 0.5 (m + m*), formed in place: on large plans a
     # stack of temporaries would raise the peak memory of a solve
     parts = np.empty((2, *x.shape), dtype=complex)
@@ -1389,7 +1644,7 @@ def certify(solution: SdpSolution, problem: SdpProblem) -> Certificate:
         part += m
         part *= 0.5
     min_x, min_s = linalg.min_eigenvalues(parts)
-    pobj = _trace_product(problem.objective, x)
+    pobj = float(_trace_product(problem.objective, x))
     dobj = float(problem.constraint_vals @ y)
     gap = abs(pobj - dobj)
 

@@ -3,27 +3,33 @@
 Each suite runs a deterministic sweep (grids or seeded random samples),
 returns one row per case plus an aggregate verdict, and pins the tolerance
 it enforces.  ``SUITES`` declares every suite once: its name, its runner
-and its default sizes.  :func:`run_suite` names and times the outcome and
-keeps how each transport solve of the suite stopped, and the summary counts
-their statuses and stop reasons.  The CLI ``verify`` command and the
-acceptance tests both run these drivers, so the checked numbers are
-identical in both places.
+and its default sizes.  The qubit sweeps (strong duality, the three
+closed-form grids, the two divergence sweeps) build their instances and
+submit them in batches of up to ``BATCH_BLOCK``
+(:func:`qot.transport.wasserstein_distances`), whose results are bitwise
+those of solves one by one, so that a sweep holds one block's instances and
+results at once, whatever its size.  :func:`run_suite` names and times the outcome
+and keeps how each transport solve of the suite stopped, and a solve that
+did not end optimal, and so certified, fails the suite as a case of its
+own; the summary counts their statuses and stop reasons.  The CLI
+``verify`` command and the acceptance tests both run these drivers, so the
+checked numbers are identical in both places.
 """
 
 from __future__ import annotations
 
-import functools
+import itertools
 import math
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from . import closedform as cf
 from . import cost as cost_mod
-from . import linalg, transport
+from . import linalg, sdp, transport
 
 __all__ = ["SuiteOutcome", "SUITES", "run_suite", "suite_names"]
 
@@ -45,6 +51,11 @@ GAP_DEMO_BUDGET_S = 10.0
 # factorized-k3 bounds a solve's iterations, not its seconds, which vary with
 # host load: at seed 9 its 20 solves take 8-10 iterations (one BLAS thread).
 FACTORIZED_MAX_ITERATIONS = 20
+# The most instances a sweep submits as one batch.  A batch holds all its
+# members' iterates and results, so a sweep's memory is one block's whatever
+# its sizes; n = 4 batches of 256 solve within 4% of the per-solve time of
+# 1024 (0.39 against 0.38 ms a solve, against 0.65 at 16, one BLAS thread).
+BATCH_BLOCK = 256
 
 
 @dataclass
@@ -83,6 +94,16 @@ def _finish(cases: list[dict], worst: dict, passed: bool = True) -> SuiteOutcome
 
 def _grid(density: int, lo: float = -0.95, hi: float = 0.95) -> np.ndarray:
     return np.linspace(lo, hi, density)
+
+
+def _solved(points: Iterable[tuple], build: Callable) -> Iterator[tuple]:
+    """``(point, instance, result)`` for each of ``points`` in order, the
+    instance ``build(*point)``, built and solved
+    (:func:`qot.transport.wasserstein_distances`) ``BATCH_BLOCK`` at a time."""
+    points = iter(points)
+    while block := list(itertools.islice(points, BATCH_BLOCK)):
+        instances = [build(*point) for point in block]
+        yield from zip(block, instances, transport.wasserstein_distances(instances))
 
 
 # ---------------------------------------------------------------------------
@@ -126,29 +147,34 @@ def suite_gap(density: int, samples: int, seed: int) -> SuiteOutcome:
 
 def suite_strong_duality(density: int, samples: int, seed: int) -> SuiteOutcome:
     rng = np.random.default_rng(seed)
+
+    def drawn(family: str, p: float, i: int) -> transport.TransportInstance:
+        # the states are drawn in the order of the points
+        rho = cf.state_from_bloch(linalg.random_bloch(rng, 0.99))
+        omega = cf.state_from_bloch(linalg.random_bloch(rng, 0.99))
+        make = transport.symm_instance if family == "symm" else transport.z_instance
+        return make(rho, omega, p)
+
+    points = (
+        (family, p, i) for family in ("symm", "z") for p in (1.0, 2.0) for i in range(samples)
+    )
     cases = []
     worst_rel_gap = 0.0
-    for family in ("symm", "z"):
-        for p in (1.0, 2.0):
-            for i in range(samples):
-                rho = cf.state_from_bloch(linalg.random_bloch(rng, 0.99))
-                omega = cf.state_from_bloch(linalg.random_bloch(rng, 0.99))
-                make = transport.symm_instance if family == "symm" else transport.z_instance
-                res = transport.wasserstein_distance(make(rho, omega, p))
-                rel_gap = res.gap / max(1.0, abs(res.primal_objective))
-                worst_rel_gap = max(worst_rel_gap, rel_gap)
-                ok = rel_gap <= TOL_STRONG_DUALITY and res.certificate.passed
-                if not ok or i < 2:
-                    cases.append(
-                        {
-                            "case": f"{family},p={p:g},i={i:04d}",
-                            "primal": res.primal_objective,
-                            "dual": res.dual_objective,
-                            "rel_gap": rel_gap,
-                            "status": res.status,
-                            "ok": ok,
-                        }
-                    )
+    for (family, p, i), _, res in _solved(points, drawn):
+        rel_gap = res.gap / max(1.0, abs(res.primal_objective))
+        worst_rel_gap = max(worst_rel_gap, rel_gap)
+        ok = rel_gap <= TOL_STRONG_DUALITY and res.certificate.passed
+        if not ok or i < 2:
+            cases.append(
+                {
+                    "case": f"{family},p={p:g},i={i:04d}",
+                    "primal": res.primal_objective,
+                    "dual": res.dual_objective,
+                    "rel_gap": rel_gap,
+                    "status": res.status,
+                    "ok": ok,
+                }
+            )
     return _finish(cases, {"rel_gap": worst_rel_gap}, worst_rel_gap <= TOL_STRONG_DUALITY)
 
 
@@ -211,25 +237,24 @@ def _grid_suite(
     values = _grid(density)
     # one state a grid value: the instance builders copy what they validate
     states = {a: state_of(a) for a in values}
-    for p in (1.0, 2.0):
-        for a in values:
-            for b in values:
-                instance = instance_of(states[a], states[b], p)
-                res = transport.wasserstein_distance(instance)
-                row = _witness_case(
-                    f"a={a:+.4f},b={b:+.4f},p={p:g}",
-                    res.dp,
-                    formula_of(a, b, p),
-                    coupling_of(a, b),
-                    instance.cost,
-                    candidates_of(a, b, p),
-                    states[a],
-                    states[b],
-                )
-                worst_formula = max(worst_formula, row["formula_deviation"])
-                worst_witness = max(worst_witness, row["witness_deviation"])
-                if not row["ok"] or (a == values[0] and b == values[0]):
-                    cases.append(row)
+    points = ((p, a, b) for p in (1.0, 2.0) for a in values for b in values)
+    for (p, a, b), instance, res in _solved(
+        points, lambda p, a, b: instance_of(states[a], states[b], p)
+    ):
+        row = _witness_case(
+            f"a={a:+.4f},b={b:+.4f},p={p:g}",
+            res.dp,
+            formula_of(a, b, p),
+            coupling_of(a, b),
+            instance.cost,
+            candidates_of(a, b, p),
+            states[a],
+            states[b],
+        )
+        worst_formula = max(worst_formula, row["formula_deviation"])
+        worst_witness = max(worst_witness, row["witness_deviation"])
+        if not row["ok"] or (a == values[0] and b == values[0]):
+            cases.append(row)
     return _finish(
         cases,
         {"formula_deviation": worst_formula, "witness_deviation": worst_witness},
@@ -253,17 +278,17 @@ def _divergence_sweep(
     worst = 0.0
     # one state a grid value: the instance builders copy what they validate
     states = {a: state_of(a) for a in values}
-
-    @functools.cache
-    def distance(a: float, b: float) -> float:
-        return transport.wasserstein_distance(
-            transport.factorized_instance(states[a], states[b], observables, 2.0)
-        ).dp
-
+    # every (a, b) once: the diagonal cross instance is the self instance
+    squared = {
+        pair: res.dp
+        for pair, _, res in _solved(
+            ((a, b) for a in values for b in values),
+            lambda a, b: transport.factorized_instance(states[a], states[b], observables, 2.0),
+        )
+    }
     for a in values:
         for b in values:
-            # the diagonal cross instance is the self instance, solved once
-            d2_sdp = distance(a, b) - 0.5 * (distance(a, a) + distance(b, b))
+            d2_sdp = squared[a, b] - 0.5 * (squared[a, a] + squared[b, b])
             d2_formula = formula_of(a, b)
             dev = abs(d2_sdp - d2_formula)
             worst = max(worst, dev)
@@ -516,8 +541,9 @@ def run_suite(
     name: str, *, density: int | None = None, samples: int | None = None, seed: int = 0
 ) -> SuiteOutcome:
     """Run one named suite at its default sizes unless given, recording how
-    each of its transport solves stopped (``SuiteOutcome.solves``); unknown
-    names raise ``KeyError``."""
+    each of its transport solves stopped (``SuiteOutcome.solves``), each one
+    that did not end optimal a failing case ``solve:<index>`` naming its
+    status and reason; unknown names raise ``KeyError``."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; known: {', '.join(suite_names())}")
     runner, default_density, default_samples = SUITES[name]
@@ -531,4 +557,10 @@ def run_suite(
         outcome.seconds = time.perf_counter() - t0
     outcome.name = name
     outcome.solves = solves
+    for index, (status, reason) in enumerate(solves):
+        if status != sdp.STATUS_OPTIMAL:
+            outcome.cases.append(
+                {"case": f"solve:{index:05d}", "status": status, "reason": reason, "ok": False}
+            )
+            outcome.passed = False
     return outcome

@@ -62,6 +62,7 @@ __all__ = [
     "potential_objective",
     "potential_slack",
     "wasserstein_distance",
+    "wasserstein_distances",
     "solve_log",
     "solve_linearized_decomposed",
     "divergence_parts",
@@ -601,9 +602,10 @@ _SOLVE_LOG: contextvars.ContextVar[list | None] = contextvars.ContextVar("solve_
 
 @contextlib.contextmanager
 def solve_log() -> Iterator[list[tuple[str, str]]]:
-    """A list that receives ``(status, reason)`` of every
-    :func:`wasserstein_distance` solve made inside the block, infeasible ones
-    included."""
+    """A list that receives ``(status, reason)`` of every transport solve made
+    inside the block (:func:`wasserstein_distance`,
+    :func:`wasserstein_distances`), infeasible ones included, in the order of
+    the instances."""
     log: list[tuple[str, str]] = []
     token = _SOLVE_LOG.set(log)
     try:
@@ -618,36 +620,71 @@ def wasserstein_distance(instance: TransportInstance, *, tol: float = sdp.TOL) -
     The result is returned once the solve is certified: ``timings`` then
     holds ``build``, ``preprocess``, ``iterate`` and ``certify``.  The decode
     and the face probe run on the first read of one of their values
-    (:class:`TransportResult`), and add ``decode`` and ``face_probe``."""
-    start = time.perf_counter()
-    problem = build_primal(instance)
-    built = time.perf_counter()
-    solution = sdp.solve(problem, tol=tol)
+    (:class:`TransportResult`), and add ``decode`` and ``face_probe``.  The
+    solve is a batch of one (:func:`wasserstein_distances`)."""
+    return _solved([instance], tol)[0]
+
+
+def wasserstein_distances(
+    instances: list[TransportInstance], *, tol: float = sdp.TOL
+) -> list[TransportResult]:
+    """:func:`wasserstein_distance` of each instance, in order, with the
+    instances of one face shape solved as one batch (:func:`sdp.solve_batch`):
+    each result is bitwise the one a solve alone gives, and its ``timings``
+    are its own build, preprocess and certify and its share of the batch's
+    iterations.  An infeasible solve raises ``SolverFailure`` as a loop over
+    the instances would, after every solve before it is logged."""
+    return _solved(instances, tol)
+
+
+def _solved(instances: list[TransportInstance], tol: float) -> list[TransportResult]:
+    """Build each primal, solve the problems of each face structure as one
+    batch, and log and return each solve in the order of ``instances``.  Both
+    entry points call this once and neither calls the other, so a wrapper of
+    either name sees each solve once; a batch of one goes through
+    ``sdp.solve``, the single-problem entry."""
+    built = []
+    for instance in instances:
+        start = time.perf_counter()
+        problem = build_primal(instance)
+        built.append((problem, time.perf_counter() - start))
+    groups: dict[int, list[int]] = {}
+    for k, (problem, _) in enumerate(built):
+        groups.setdefault(id(problem.structure), []).append(k)
+    solutions: list = [None] * len(instances)
+    for members in groups.values():
+        problems = [built[k][0] for k in members]
+        batch = ([sdp.solve(problems[0], tol=tol)] if len(problems) == 1
+                 else sdp.solve_batch(problems, tol=tol))
+        for k, solution in zip(members, batch):
+            solutions[k] = solution
     log = _SOLVE_LOG.get()
-    if log is not None:
-        log.append((solution.status, solution.reason))
-    if solution.status == sdp.STATUS_INFEASIBLE:
-        raise SolverFailure("transport problem reported infeasible marginals")
-    timings = {"build": built - start, **solution.timings}
-    face = instance.support
-    certificate = solution.certificate
-    dp = max(certificate.primal_objective, 0.0)
-    return TransportResult(
-        distance=dp ** (1.0 / instance.p),
-        dp=dp,
-        primal_objective=certificate.primal_objective,
-        dual_objective=certificate.dual_objective,
-        gap=certificate.gap,
-        status=solution.status,
-        cut_rho=face.cut_rho,
-        cut_omega=face.cut_omega,
-        solution=solution,
-        certificate=certificate,
-        timings=timings,
-        _instance=instance,
-        # the posed problem without its start, which only the solve reads
-        _problem=sdp.SdpProblem(problem.objective, problem.constraint_vals, problem.structure),
-    )
+    results = []
+    for instance, (problem, build_s), solution in zip(instances, built, solutions):
+        if log is not None:
+            log.append((solution.status, solution.reason))
+        if solution.status == sdp.STATUS_INFEASIBLE:
+            raise SolverFailure("transport problem reported infeasible marginals")
+        face = instance.support
+        certificate = solution.certificate
+        dp = max(certificate.primal_objective, 0.0)
+        results.append(TransportResult(
+            distance=dp ** (1.0 / instance.p),
+            dp=dp,
+            primal_objective=certificate.primal_objective,
+            dual_objective=certificate.dual_objective,
+            gap=certificate.gap,
+            status=solution.status,
+            cut_rho=face.cut_rho,
+            cut_omega=face.cut_omega,
+            solution=solution,
+            certificate=certificate,
+            timings={"build": build_s, **solution.timings},
+            _instance=instance,
+            # the posed problem without its start, which only the solve reads
+            _problem=sdp.SdpProblem(problem.objective, problem.constraint_vals, problem.structure),
+        ))
+    return results
 
 
 def _optimal_face_dimension(solution: sdp.SdpSolution, problem: sdp.SdpProblem) -> int:
@@ -684,18 +721,21 @@ class DecomposedResult:
 
 
 def solve_linearized_decomposed(instance: TransportInstance) -> DecomposedResult:
-    """Sum of independent single-pair optima, one per factor cost.
+    """Sum of independent single-pair optima, one per factor cost, solved as
+    one batch.
 
     For factorized costs this equals the full multipartite linearized
     optimum: the plan only enters through its pair marginals, each of which
-    ranges over all couplings independently.
+    ranges over all couplings independently.  It reads only the states and
+    ``factor_costs``, so a ``nonlinear`` instance of the same observables
+    decomposes as its ``linearized`` one does.
     """
     if instance.factor_costs is None:
         raise ValueError("decomposition requires factorized costs")
-    results = []
-    for ck in instance.factor_costs:
-        sub = joint_instance(instance.rho, instance.omega, ck, instance.p)
-        results.append(wasserstein_distance(sub))
+    results = wasserstein_distances([
+        joint_instance(instance.rho, instance.omega, ck, instance.p)
+        for ck in instance.factor_costs
+    ])
     values = tuple(r.primal_objective for r in results)
     return DecomposedResult(float(sum(values)), values, tuple(results))
 
@@ -726,15 +766,15 @@ def divergence_parts(
     """Quadratic divergence pieces: cross term and both self-distances.
 
     All three squared distances come from the same SDP with the quadratic
-    summed cost; a radicand below -1e-9 flags a solver or model bug, while
-    roundoff-level negatives clamp to zero.  The reported gap and residual
-    are the worst over the three solves.
+    summed cost, solved as one batch; a radicand below -1e-9 flags a solver
+    or model bug, while roundoff-level negatives clamp to zero.  The
+    reported gap and residual are the worst over the three solves.
     """
     cross = factorized_instance(rho, omega, observables, 2.0, MODE_NONLINEAR)
     low_rho, low_omega = cross.minima
     instances = [cross, replace(cross, omega=cross.rho, minima=(low_rho, low_rho)),
                  replace(cross, rho=cross.omega, minima=(low_omega, low_omega))]
-    results = [wasserstein_distance(instance) for instance in instances]
+    results = wasserstein_distances(instances)
     cross, self_rho, self_omega = (r.dp for r in results)
     radicand = cross - 0.5 * (self_rho + self_omega)
     if radicand < -1e-9:
@@ -772,16 +812,14 @@ def gap_demo(p: float) -> GapDemoResult:
     Fixed demonstration instance: Pauli-triple observables with per-factor
     cost ``|x - y|^p`` between the commuting states of opposite z-polarization
     one half.  The independent (nonlinear) optimum is one SDP with the summed
-    cost; the relaxed optimum is the sum of three single-pair SDPs and is
-    strictly smaller.
+    cost; the relaxed optimum is the sum of three single-pair SDPs, the
+    decomposition of the same instance, and is strictly smaller.
     """
     rho = np.diag([0.75, 0.25]).astype(complex)
     omega = np.diag([0.25, 0.75]).astype(complex)
-    observables = cost_mod.pauli_triple()
-    joint = wasserstein_distance(factorized_instance(rho, omega, observables, p, MODE_NONLINEAR))
-    decomposed = solve_linearized_decomposed(
-        factorized_instance(rho, omega, observables, p, MODE_LINEARIZED)
-    )
+    nonlinear = factorized_instance(rho, omega, cost_mod.pauli_triple(), p, MODE_NONLINEAR)
+    joint = wasserstein_distance(nonlinear)
+    decomposed = solve_linearized_decomposed(nonlinear)
     status, gap = _status_and_gap([joint, *decomposed.factor_results])
     return GapDemoResult(
         nonlinear=joint.primal_objective,

@@ -346,3 +346,16 @@ def test_each_checkout_runs_its_own_tool(monkeypatch):
     [(argv, path)] = calls
     assert argv[1:] == ["/checkouts/parent/tools/bench.py", "--one", "qubit"]
     assert path == "/checkouts/parent/src"
+
+
+def test_the_qubit_case_records_every_solve_of_its_batched_suites(monkeypatch):
+    # 20 strong-duality solves, 3 grids of 18 and 2 divergence sweeps of 16
+    # a cycle, each suite one batch; the wrappers come off after the run
+    from qot import transport
+
+    single, batch = transport.wasserstein_distance, transport.wasserstein_distances
+    monkeypatch.setattr(bench, "CYCLES", 1)
+    records = bench.run_one("qubit")["records"]
+    assert len(records) == 106
+    assert {(r["n"], r["m"], r["status"]) for r in records} == {(4, 7, "optimal")}
+    assert transport.wasserstein_distance is single and transport.wasserstein_distances is batch

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -334,7 +335,8 @@ class TestStructuredSchur:
             rtol=0, atol=1e-12 * np.abs(applied).max(),
         )
         flat_apply, _ = sdp._constraint_maps(dense_copy(problem))
-        np.testing.assert_allclose(flat_apply(mat), applied, rtol=0, atol=1e-12 * np.abs(applied).max())
+        np.testing.assert_allclose(flat_apply(mat[None])[0, :, 0], applied,
+                                   rtol=0, atol=1e-12 * np.abs(applied).max())
 
     @SLOT_CASES
     def test_slot_adjoint_and_marginals_match_dense(self, case):
@@ -393,7 +395,7 @@ class TestStructuredSchur:
         x, z, _, _ = hkm_pair(rng, problem.dim)
         w = sdp._slot_adjoint_product(rng.standard_normal(problem.n_constraints), z, problem.structure)
         apply, _ = sdp._constraint_maps(problem)
-        formed = apply(x @ w)
+        formed = apply((x @ w)[None])[0, :, 0]
         np.testing.assert_allclose(
             sdp._slot_applied_product(x, w, problem.structure), formed,
             rtol=0, atol=1e-13 * np.abs(formed).max(),
@@ -489,7 +491,7 @@ class TestSchurSolver:
         mat = singular_schur(rng, 40)
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(mat)
-        solve, ratio, shifted = sdp._schur_solver(mat, shift=True)
+        inverse, ratio, shifted = sdp._schur_solver(mat, shift=True)
         assert shifted
         shift = np.finfo(float).eps * 40 * float(mat.diagonal().max())
         upper = np.linalg.cholesky(mat + shift * np.eye(40)).T
@@ -498,8 +500,10 @@ class TestSchurSolver:
         # a solve is two products with the inverted factor
         rhs = mat @ rng.standard_normal(40)
         inv = sdp._triangular_inverse(upper)
-        np.testing.assert_array_equal(solve(rhs), inv @ (inv.T @ rhs))
-        assert np.all(np.isfinite(solve(rhs)))
+        np.testing.assert_array_equal(inverse, inv)
+        solved = sdp._schur_solve([inverse], rhs[None])[0]
+        np.testing.assert_array_equal(solved, inv @ (inv.T @ rhs))
+        assert np.all(np.isfinite(solved))
 
 
 def triangular_factor(m, kind):
@@ -699,7 +703,7 @@ class TestStopReason:
         # tr(XS) >= 0 while both iterates are in the cone, so only rounding on
         # diverging iterates gives a negative mu; no fixture here reaches one
         # since every plan takes the scaled-frame step, so it is simulated
-        monkeypatch.setattr(sdp, "_trace_product", lambda a, b: -1.0)
+        monkeypatch.setattr(sdp, "_trace_product", lambda a, b: np.full(a.shape[:-2], -1.0))
         sol = sdp.solve(small_transport_problem())
         assert sol.reason == "diverged" and sol.iterations == 0
 
@@ -749,7 +753,7 @@ class TestPinnedStart:
         assert sol.reason == "converged" and sol.iterations == 0 and len(sol.trace) == 1
         assert np.abs(sol.x - x).max() <= 1e-12
         _, adjoint = sdp._constraint_maps(problem)
-        assert np.abs(adjoint(sol.y) - problem.objective).max() <= 1e-12
+        assert np.abs(adjoint(sol.y[None, :, None])[0] - problem.objective).max() <= 1e-12
         assert sdp.certify(sol, problem).passed
         assert_exactly_hermitian(sol.x)
         assert_exactly_hermitian(sol.s)
@@ -861,6 +865,160 @@ class TestTrace:
         assert sol.certificate.passed or not sol.optimal
         if any("ap" in row for row in sol.trace):
             assert all(sol.phases[phase] > 0.0 for phase in sdp.PHASES)
+
+
+def assert_same_solution(got, alone):
+    """Bitwise the same point, stop, trace and certificate."""
+    for name in ("x", "y", "s"):
+        a, b = getattr(got, name), getattr(alone, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert (got.reason, got.iterations) == (alone.reason, alone.iterations)
+    # repr reads every float exactly, a nan too
+    assert repr(got.trace) == repr(alone.trace)
+    assert repr(got.certificate) == repr(alone.certificate)
+
+
+def twins(problem):
+    """Two other problems posed on ``problem``'s structure: its objective
+    scaled by 2 and a random Hermitian objective of the same scale."""
+    rng = np.random.default_rng(problem.dim)
+    scale = max(1.0, float(np.abs(problem.objective).max()))
+    other = scale * linalg.random_hermitian(rng, problem.dim)
+    return [sdp.pose(problem.structure, c, problem.constraint_vals, interior=problem.interior)
+            for c in (2.0 * problem.objective, other)]
+
+
+def orders(problems):
+    """Every batch and sub-batch of ``problems`` that holds the first, in
+    every order."""
+    first, rest = problems[0], problems[1:]
+    for size in range(len(rest) + 1):
+        for others in itertools.combinations(rest, size):
+            for batch in itertools.permutations((first, *others)):
+                yield list(batch)
+
+
+def qubit_faces():
+    """Full-rank qubit transport problems on one face shape, whose solves
+    take 6, 7 and 8 iterations."""
+    instances = [transport.symm_instance(rho_z(a), rho_z(b), 2.0)
+                 for a, b in [(0.5, -0.5), (0.9, 0.1), (0.0, 0.3), (0.95, 0.95)]]
+    instances += [transport.z_instance(rho_z(0.2), state_x(0.7), 1.0),
+                  transport.z_instance(rho_z(0.99), state_x(0.2), 2.0)]
+    return [transport.build_primal(instance) for instance in instances]
+
+
+class TestBatch:
+    """``solve_batch`` runs one iteration over a stack of problems on one
+    structure, and each member's solution is bitwise its solution alone."""
+
+    @pytest.mark.parametrize("reason,build,patches", STOPS)
+    def test_each_member_is_bitwise_itself_in_any_batch(self, monkeypatch, reason, build, patches):
+        tol = 1e-30 if "solve" in patches else sdp.TOL
+        for name, value in patches.items():
+            if name != "solve":
+                monkeypatch.setattr(sdp, name, value)
+        problem = build()
+        problems = [problem, *twins(problem)]
+        alone = {id(p): sdp.solve_batch([p], tol=tol)[0] for p in problems}
+        assert alone[id(problem)].reason == reason
+        for batch in orders(problems):
+            for member, solution in zip(batch, sdp.solve_batch(batch, tol=tol)):
+                assert_same_solution(solution, alone[id(member)])
+                assert solution.batch == len(batch)
+
+    def test_a_pinned_member_stops_at_its_start_beside_one_that_iterates(self):
+        # the fixture of the identity-start test, and on its structure the
+        # values of a plan inside the cone
+        refused = pinned_problem(np.random.default_rng([3, 33]), 3, np.diag([2.0, -0.5, 1.0]))
+        inside = np.diag([0.5, 1.0, 1.5]).astype(complex)
+        values = np.einsum("kab,ba->k", refused.constraint_ops, inside).real
+        pinned = sdp.pose(refused.structure, refused.objective, values)
+        alone = {id(p): sdp.solve(p) for p in (refused, pinned)}
+        assert [alone[id(p)].iterations for p in (refused, pinned)] == [12, 0]
+        for batch in orders([refused, pinned]):
+            for member, solution in zip(batch, sdp.solve_batch(batch)):
+                assert_same_solution(solution, alone[id(member)])
+
+    def test_a_member_whose_cholesky_breaks_down_takes_the_fallback_alone(self, monkeypatch):
+        # a factorization refused on every matrix above 50 in magnitude: the
+        # scaled twin's dual side from its start on (tau = 200), the other
+        # member never; the stacked call fails for the batch, and each
+        # member then takes the path it takes alone
+        problem = qubit_faces()[0]
+        scaled = sdp.pose(problem.structure, 100.0 * problem.objective, problem.constraint_vals,
+                          interior=problem.interior)
+        cholesky = np.linalg.cholesky
+
+        def breaking(a):
+            if np.abs(a).max() > 50.0:
+                raise np.linalg.LinAlgError("refused")
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", breaking)
+        alone = {id(p): sdp.solve(p) for p in (problem, scaled)}
+        for batch in orders([problem, scaled]):
+            for member, solution in zip(batch, sdp.solve_batch(batch)):
+                assert_same_solution(solution, alone[id(member)])
+
+    def test_a_member_refused_by_preprocess_beside_a_feasible_one(self):
+        # one dependent row: values 1, 2 are inconsistent, 1, 1 are not
+        refused = sdp.sdp_problem(EYE2, [(EYE2, 1.0), (EYE2, 2.0)])
+        feasible = sdp.pose(refused.structure, np.diag([1.0, 2.0]), [1.0, 1.0])
+        alone = {id(p): sdp.solve(p) for p in (refused, feasible)}
+        assert [alone[id(p)].reason for p in (refused, feasible)] == [
+            "preprocess_infeasible", "converged"]
+        for batch in orders([refused, feasible]):
+            for member, solution in zip(batch, sdp.solve_batch(batch)):
+                assert_same_solution(solution, alone[id(member)])
+
+    def test_members_converging_at_different_iterations(self):
+        problems = qubit_faces()
+        alone = [sdp.solve(p) for p in problems]
+        assert len({s.iterations for s in alone}) > 2 and all(s.optimal for s in alone)
+        rng = np.random.default_rng(0)
+        for _ in range(4):
+            order = rng.permutation(len(problems))
+            batch = sdp.solve_batch([problems[k] for k in order])
+            for k, solution in zip(order, batch):
+                assert_same_solution(solution, alone[k])
+            # the sub-batch of the first three of this order
+            for k, solution in zip(order[:3], sdp.solve_batch([problems[k] for k in order[:3]])):
+                assert_same_solution(solution, alone[k])
+
+    def test_a_members_clock_is_its_share_of_the_batch(self):
+        problems = qubit_faces()
+        start = time.perf_counter()
+        solutions = sdp.solve_batch(problems)
+        wall = time.perf_counter() - start
+        # the shares add up to no more than the batch's time
+        assert sum(sum(solution.timings.values()) for solution in solutions) <= wall
+        for solution in solutions:
+            assert tuple(solution.phases) == sdp.PHASES
+            assert tuple(solution.timings) == ("preprocess", "iterate", "certify")
+            assert math.isclose(sum(solution.phases.values()), solution.timings["iterate"],
+                                rel_tol=1e-9)
+            assert all(v > 0.0 for v in solution.phases.values())
+            assert solution.timings["certify"] > 0.0
+        # a member that runs longer is owed more of the shared laps
+        longest = max(solutions, key=lambda s: s.iterations)
+        shortest = min(solutions, key=lambda s: s.iterations)
+        assert longest.timings["iterate"] > shortest.timings["iterate"]
+
+    def test_problems_on_different_structures_are_refused(self):
+        one, other = small_transport_problem(), small_transport_problem()
+        assert one.structure is not other.structure
+        with pytest.raises(ValueError, match="one SlotStructure"):
+            sdp.solve_batch([one, other])
+        assert sdp.solve_batch([]) == []
+
+    def test_solve_is_a_batch_of_one(self, monkeypatch):
+        batches = []
+        solve_batch = sdp.solve_batch
+        monkeypatch.setattr(sdp, "solve_batch",
+                            lambda problems, **kw: batches.append(len(problems)) or solve_batch(problems, **kw))
+        assert sdp.solve(small_transport_problem()).batch == 1
+        assert batches == [1]
 
 
 def farkas_margins(problem, y):
@@ -1393,7 +1551,7 @@ class TestStackedPair:
         y = np.random.default_rng(2).standard_normal(problem.n_constraints)
         _, adjoint = sdp._constraint_maps(problem)
         np.testing.assert_array_equal(
-            adjoint(y), np.tensordot(y, problem.constraint_ops, axes=1)
+            adjoint(y[None, :, None])[0], np.tensordot(y, problem.constraint_ops, axes=1)
         )
 
 
@@ -1600,8 +1758,8 @@ class TestNewtonDirection:
         monkeypatch.setattr(np.linalg, "cholesky", breaking)
 
         def residuals(sol):
-            rp = reduced.constraint_vals - apply(sol.x)
-            rd = reduced.objective - sol.s - adjoint(sol.y[kept])
+            rp = reduced.constraint_vals - apply(sol.x[None])[0, :, 0]
+            rd = reduced.objective - sol.s - adjoint(sol.y[kept][None, :, None])[0]
             return rp, rd
 
         before = None
@@ -1693,7 +1851,8 @@ class TestExactlyHermitian:
         _, adjoint = sdp._constraint_maps(problem)
         rng = np.random.default_rng(n)
         for scale in (1e-3, 1.0, 1e3):
-            assert_exactly_hermitian(adjoint(scale * rng.standard_normal(problem.n_constraints)))
+            y = scale * rng.standard_normal((1, problem.n_constraints, 1))
+            assert_exactly_hermitian(adjoint(y)[0])
 
     @pytest.mark.parametrize("build", [functools.partial(nonlinear_instance, 3), nonlinear_d6],
                              ids=["dense", "slots"])

@@ -34,17 +34,18 @@ def reference_divergence_grid(values, observables, state_of, formula_of):
 
 def test_divergence_sweep_solves_each_distinct_instance_once(monkeypatch):
     calls = []
-    distance = transport.wasserstein_distance
+    distances = transport.wasserstein_distances
 
-    def counted(instance):
-        calls.append(instance)
-        return distance(instance)
+    def counted(instances):
+        calls.append(list(instances))
+        return distances(instances)
 
-    monkeypatch.setattr(transport, "wasserstein_distance", counted)
+    monkeypatch.setattr(transport, "wasserstein_distances", counted)
+    monkeypatch.setattr(transport, "wasserstein_distance", lambda *a, **k: pytest.fail("alone"))
     outcome = suites.run_suite("divergence-symm", density=4)
-    # 4 self instances and the 12 off-diagonal cross instances; each diagonal
-    # cross instance is its self instance
-    assert len(calls) == 16
+    # 4 self instances and the 12 off-diagonal cross instances, one batch;
+    # each diagonal cross instance is its self instance
+    assert [len(batch) for batch in calls] == [16]
     monkeypatch.undo()
 
     values = np.linspace(-0.9, 0.9, 4)
@@ -64,18 +65,19 @@ def test_divergence_sweep_honours_a_density_above_eleven(name):
 
 
 def test_summary_counts_how_each_transport_solve_stopped(monkeypatch):
-    stops = []
-    distance = transport.wasserstein_distance
+    stops, batches = [], []
+    distances = transport.wasserstein_distances
 
-    def recorded(instance):
-        result = distance(instance)
-        stops.append((result.status, result.solution.reason))
-        return result
+    def recorded(instances):
+        results = distances(instances)
+        batches.append(len(results))
+        stops.extend((result.status, result.solution.reason) for result in results)
+        return results
 
-    monkeypatch.setattr(transport, "wasserstein_distance", recorded)
+    monkeypatch.setattr(transport, "wasserstein_distances", recorded)
     outcome = suites.run_suite("strong-duality", samples=3, seed=5)
-    # 2 families x 2 exponents x 3 samples, each logged once, in order
-    assert len(stops) == 12 and outcome.solves == stops
+    # 2 families x 2 exponents x 3 samples, one batch, each logged once, in order
+    assert batches == [12] and outcome.solves == stops
     summary = outcome.summary()
     assert summary["statuses"] == dict(sorted(Counter(s for s, _ in stops).items()))
     assert summary["reasons"] == dict(sorted(Counter(r for _, r in stops).items()))
@@ -100,3 +102,42 @@ def test_solve_log_collects_only_inside_its_block():
     transport.wasserstein_distance(instance)
     assert inner == [("optimal", "converged")]
     assert outer == [("optimal", "converged")] * 2
+
+
+def test_a_solve_that_does_not_end_optimal_fails_the_suite(monkeypatch):
+    from qot import sdp
+
+    # every solve converges to certified values, which pass the suite's own
+    # checks, under a status that is not optimal: each fails it as a case
+    monkeypatch.setitem(sdp.REASON_STATUS, "converged", sdp.STATUS_NUMERICAL)
+    outcome = suites.run_suite("strong-duality", samples=1, seed=5)
+    assert outcome.solves == [("numerical", "converged")] * 4
+    assert all(c["ok"] for c in outcome.cases if not c["case"].startswith("solve:"))
+    failed = [c for c in outcome.cases if c["case"].startswith("solve:")]
+    assert failed == [{"case": f"solve:{k:05d}", "status": "numerical", "reason": "converged",
+                       "ok": False} for k in range(4)]
+    assert not outcome.passed and outcome.summary()["failed"] == 4
+
+
+@pytest.mark.parametrize(
+    "name,sizes,solves",
+    [("strong-duality", {"samples": 3, "seed": 7}, 12), ("z-xy", {"density": 3}, 18),
+     ("divergence-z", {"density": 3}, 9)],
+)
+def test_sweeps_submit_blocks_of_at_most_batch_block(monkeypatch, name, sizes, solves):
+    whole = suites.run_suite(name, **sizes)
+    blocks = []
+    distances = transport.wasserstein_distances
+
+    def recorded(instances):
+        blocks.append(len(instances))
+        return distances(instances)
+
+    monkeypatch.setattr(suites, "BATCH_BLOCK", 5)
+    monkeypatch.setattr(transport, "wasserstein_distances", recorded)
+    blocked = suites.run_suite(name, **sizes)
+    # full blocks in order and the rest last, each member solved as in one
+    # batch: the same states drawn, the same cases and worst values
+    assert blocks == [5] * (solves // 5) + [solves % 5] * (solves % 5 > 0)
+    assert blocked.cases == whole.cases and blocked.worst == whole.worst
+    assert blocked.solves == whole.solves and blocked.passed

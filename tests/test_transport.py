@@ -1008,6 +1008,92 @@ class TestGapDemo:
         np.testing.assert_allclose(fz, 2.0 ** (p - 1), atol=1e-6)
 
 
+    def test_the_decomposition_reads_the_nonlinear_instance(self, monkeypatch):
+        # no linearized instance, and so no plan cost of three pairs, is built
+        decomposed = []
+        solve = transport.solve_linearized_decomposed
+        monkeypatch.setattr(cost, "embedded_cost_sum", lambda *a: pytest.fail("plan cost built"))
+        monkeypatch.setattr(transport, "solve_linearized_decomposed",
+                            lambda instance: decomposed.append(instance) or solve(instance))
+        result = gap_demo(2.0)
+        [instance] = decomposed
+        assert instance.pairs == 1 and len(instance.factor_costs) == 3
+        assert result.linearized == sum(result.factor_values) < result.nonlinear
+
+
+def mixed_faces():
+    """Two full-rank qubit pairs and a pure/mixed one on its (1, 2) face,
+    and a third full-rank pair: two face shapes, interleaved."""
+    rng = np.random.default_rng(41)
+    pure = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+    states = [linalg.random_density(rng, 2) for _ in range(5)]
+    return [symm_instance(states[0], states[1], 2.0), symm_instance(states[2], states[3], 1.0),
+            symm_instance(pure, states[4], 2.0), z_instance(states[1], states[2], 2.0)]
+
+
+class TestBatchedDistances:
+    def test_results_are_the_single_solves_in_input_order(self):
+        instances = mixed_faces()
+        alone = [transport.wasserstein_distance(instance) for instance in instances]
+        with transport.solve_log() as log:
+            results = transport.wasserstein_distances(instances)
+        assert log == [(r.status, r.solution.reason) for r in alone]
+        # one batch a face shape: the three full-rank pairs, then the pure one
+        assert [r.solution.batch for r in results] == [3, 3, 1, 3]
+        for got, expected in zip(results, alone):
+            assert (got.dp, got.status) == (expected.dp, expected.status)
+            assert got.solution.x.tobytes() == expected.solution.x.tobytes()
+            assert got.solution.y.tobytes() == expected.solution.y.tobytes()
+            assert got.solution.trace == expected.solution.trace
+            assert tuple(got.timings) == ("build", "preprocess", "iterate", "certify")
+        assert transport.wasserstein_distances([]) == []
+
+    def test_a_member_without_a_declared_start_beside_members_with_one(self):
+        # eigenvalues 1e-7 put the product coupling under INTERIOR_FLOOR, so
+        # that member starts at tau I on the same face shape
+        rng = np.random.default_rng(3)
+        near = np.diag([1 - 1e-7, 1e-7]).astype(complex)
+        instances = [symm_instance(linalg.random_density(rng, 2), linalg.random_density(rng, 2), 2.0),
+                     symm_instance(near, near[::-1, ::-1].copy(), 2.0),
+                     z_instance(near, linalg.random_density(rng, 2), 1.0)]
+        assert [build_primal(i).interior is None for i in instances] == [False, True, False]
+        for got, alone in zip(transport.wasserstein_distances(instances),
+                              map(transport.wasserstein_distance, instances)):
+            assert got.solution.batch == 3 and got.status == alone.status == "optimal"
+            assert got.solution.x.tobytes() == alone.solution.x.tobytes()
+            assert got.solution.trace == alone.solution.trace
+
+    def test_one_call_of_the_batch_core_and_a_group_of_one_through_sdp_solve(self, monkeypatch):
+        cores, singles = [], []
+        core, solve = transport._solved, sdp.solve
+        monkeypatch.setattr(transport, "_solved", lambda *a: cores.append(a) or core(*a))
+        monkeypatch.setattr(sdp, "solve", lambda *a, **k: singles.append(a) or solve(*a, **k))
+        monkeypatch.setattr(transport, "wasserstein_distances", lambda *a, **k: pytest.fail("batch"))
+        instance = mixed_faces()[0]
+        transport.wasserstein_distance(instance)
+        assert len(cores) == 1 and len(singles) == 1
+
+    def test_the_batch_path_never_calls_the_single_entry(self, monkeypatch):
+        monkeypatch.setattr(transport, "wasserstein_distance", lambda *a, **k: pytest.fail("single"))
+        assert len(transport.wasserstein_distances(mixed_faces())) == 4
+
+    def test_an_infeasible_solve_raises_after_the_solves_before_it_are_logged(self, monkeypatch):
+        solve_batch = sdp.solve_batch
+
+        def second_infeasible(problems, **kwargs):
+            # the second member of the full-rank batch: the second instance
+            solutions = solve_batch(problems, **kwargs)
+            if len(solutions) > 1:
+                solutions[1] = dataclasses.replace(solutions[1], reason="reclassified_infeasible")
+            return solutions
+
+        monkeypatch.setattr(sdp, "solve_batch", second_infeasible)
+        instances = mixed_faces()
+        with transport.solve_log() as log, pytest.raises(transport.SolverFailure):
+            transport.wasserstein_distances(instances)
+        assert log == [("optimal", "converged"), ("infeasible", "reclassified_infeasible")]
+
+
 class TestDivergence:
     def test_identical_states_vanish(self):
         rho = state_z(0.4)
@@ -1022,15 +1108,16 @@ class TestDivergence:
         np.testing.assert_allclose(parts.d_squared, 1 - SQRT3 / 2, atol=1e-6)
 
     def test_three_solves_share_one_cost(self, monkeypatch):
-        instances, solve = [], transport.wasserstein_distance
+        batches, solve = [], transport.wasserstein_distances
 
-        def recorded(instance, **kwargs):
-            instances.append(instance)
-            return solve(instance, **kwargs)
+        def recorded(instances, **kwargs):
+            batches.append(list(instances))
+            return solve(instances, **kwargs)
 
-        monkeypatch.setattr(transport, "wasserstein_distance", recorded)
+        monkeypatch.setattr(transport, "wasserstein_distances", recorded)
         divergence_parts(state_z(0.5), state_x(-0.5), cost.pauli_triple())
-        cross, self_rho, self_omega = instances
+        # one batch of the three
+        [(cross, self_rho, self_omega)] = batches
         assert cross.cost is self_rho.cost is self_omega.cost
         assert self_rho.omega is cross.rho and self_omega.rho is cross.omega
 

@@ -27,7 +27,9 @@ Every repeat spawns every checkout, in reversed order on odd repeats
 (:func:`schedule`), so that host drift falls on all of them alike.
 Instances are built before the solves start, and each checkout's own
 ``tools/bench.py`` times it.  Per transport solve a run records n, m, from
-the result's ``timings`` the end-to-end time (their sum), the interior-point
+the result's ``timings`` the end-to-end time (their sum; for a member of a
+batch, ``transport.wasserstein_distances``, its own build, preprocess and
+certify and its share of the batch's iterations), the interior-point
 loop time (``iterate``) and the setup time (``build`` plus ``preprocess``;
 after a face shape's first solve in a process ``preprocess`` is near zero,
 since the constraints and their rank decision are built once per shape),
@@ -162,15 +164,16 @@ def _case_runner(name: str):
 
 def run_one(name: str) -> dict:
     """Solve case ``name`` in this process: one record per transport solve,
-    and the peak RSS of the process."""
+    and the peak RSS of the process.  The records come from wrappers of
+    ``transport.wasserstein_distance`` and, in a qot that has it,
+    ``transport.wasserstein_distances``, whose members each make a record;
+    neither calls the other, so no solve is recorded twice."""
     from qot import transport
 
     run = _case_runner(name)
     records: list[dict] = []
-    distance = transport.wasserstein_distance
 
-    def recorded(*args, **kwargs):
-        result = distance(*args, **kwargs)
+    def record(result) -> None:
         sol = result.solution
         records.append({
             "n": int(sol.x.shape[0]),
@@ -189,10 +192,25 @@ def run_one(name: str) -> dict:
             "layers_ms": {key: 1000 * seconds for key, seconds
                           in [*result.timings.items(), *getattr(sol, "phases", {}).items()]},
         })
-        return result
 
-    transport.wasserstein_distance = recorded
-    run()
+    def recorded(solve, batch: bool):
+        def wrapper(*args, **kwargs):
+            result = solve(*args, **kwargs)
+            for member in (result if batch else [result]):
+                record(member)
+            return result
+        return wrapper
+
+    originals = {entry: getattr(transport, entry)
+                 for entry in ("wasserstein_distance", "wasserstein_distances")
+                 if hasattr(transport, entry)}  # an older qot has no batch entry point
+    for entry, solve in originals.items():
+        setattr(transport, entry, recorded(solve, batch=entry == "wasserstein_distances"))
+    try:
+        run()
+    finally:
+        for entry, solve in originals.items():
+            setattr(transport, entry, solve)
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
     return {"records": records, "peak_rss_mb": peak_rss_mb}
 
